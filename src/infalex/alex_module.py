@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import InternalInconsistencyError
-from .exact_linalg import EchelonBasis, RationalMatrix
+from .exact_linalg import ZERO, EchelonBasis, RationalMatrix, Vec, axpy
 from .free_lie import GradedDims
 from .quad_lie import LiePresentation, beta_matrix, wedge2_pairs
 
@@ -74,29 +74,33 @@ class SymbolBlock:
 
 
 @dataclass(frozen=True)
-class FreeGradedModule:
-    generator_space_dim: int
-    base_dim: int
-
-    def dim_in_degree(self, q: int) -> int:
-        return sym_dim(self.base_dim, q) * self.generator_space_dim
-
-
-@dataclass(frozen=True)
 class GradedMap:
     base_dim: int
     target_dim: int
     blocks: tuple[SymbolBlock, ...]
 
-    @property
-    def target(self) -> FreeGradedModule:
-        return FreeGradedModule(self.target_dim, self.base_dim)
-
-    def source_modules(self) -> list[FreeGradedModule]:
-        return [FreeGradedModule(b.num_generators, self.base_dim) for b in self.blocks]
-
     def target_dim_in_degree(self, q: int) -> int:
         return sym_dim(self.base_dim, q) * self.target_dim
+
+    def column(self, tgt_idx: dict, block: SymbolBlock, mono: tuple[int, ...], j: int) -> Vec:
+        """The column of source generator j of block at monomial mono.
+
+        tgt_idx is monomial_index(base_dim, q) for the column's degree q.
+        Terms landing on the same row are summed plainly, so the column may
+        hold zeros; the consumers (the RationalMatrix constructor and
+        EchelonBasis.add) drop them.
+        """
+        col: Vec = {}
+        for (i, k, c) in block.symbol[j]:
+            if i is None:
+                tgt_mono = mono
+            else:
+                tgt_mono = list(mono)
+                tgt_mono[i] += 1
+                tgt_mono = tuple(tgt_mono)
+            row = tgt_idx[tgt_mono] * self.target_dim + k
+            col[row] = col.get(row, ZERO) + c
+        return col
 
     def instantiate(self, q: int) -> RationalMatrix:
         """The exact matrix of the map in module degree q.
@@ -104,36 +108,16 @@ class GradedMap:
         Rows: (monomial of Sym_q, target generator); columns: per block,
         (monomial of Sym_{q-shift}, source generator).
         """
-        n = self.base_dim
-        tgt_idx = monomial_index(n, q)
-        rows = len(tgt_idx) * self.target_dim
+        tgt_idx = monomial_index(self.base_dim, q)
         entries = {}
-        col_off = 0
+        cols = 0
         for block in self.blocks:
-            d = q - block.shift
-            if d < 0:
-                continue
-            src_monos = monomials(n, d)
-            for mi, mono in enumerate(src_monos):
+            for mono in monomials(self.base_dim, q - block.shift):
                 for j in range(block.num_generators):
-                    col = col_off + mi * block.num_generators + j
-                    for (i, k, c) in block.symbol[j]:
-                        if i is None:
-                            tgt_mono = mono
-                        else:
-                            tgt_mono = list(mono)
-                            tgt_mono[i] += 1
-                            tgt_mono = tuple(tgt_mono)
-                        row = tgt_idx[tgt_mono] * self.target_dim + k
-                        key = (row, col)
-                        cur = entries.get(key)
-                        nv = c if cur is None else cur + c
-                        if nv:
-                            entries[key] = nv
-                        elif cur is not None:
-                            del entries[key]
-            col_off += len(src_monos) * block.num_generators
-        return RationalMatrix(rows, col_off, entries)
+                    for row, c in self.column(tgt_idx, block, mono, j).items():
+                        entries[(row, cols)] = c
+                    cols += 1
+        return RationalMatrix(len(tgt_idx) * self.target_dim, cols, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +175,8 @@ def nabla_bar(p: LiePresentation) -> GradedMap:
     for terms in d3_block.symbol:
         out: dict[tuple[int, int], Fraction] = {}
         for (i, k, c) in terms:
-            for kk, b in beta_cols[k].items():
-                key = (i, kk)
-                out[key] = out.get(key, Fraction(0)) + c * b
-        symbol.append(tuple((i, kk, c) for (i, kk), c in sorted(out.items()) if c))
+            axpy(out, c, {(i, kk): b for kk, b in beta_cols[k].items()})
+        symbol.append(tuple((i, kk, c) for (i, kk), c in sorted(out.items())))
     block = SymbolBlock("wedge3", d3_block.num_generators, 1, tuple(symbol))
     return GradedMap(n, beta.rows, (block,))
 
@@ -227,10 +209,7 @@ def _weighted_rank(gm: GradedMap, q: int, base_weights, block_weights, target_we
 
     buckets: dict[tuple, list] = {}
     for bi, block in enumerate(gm.blocks):
-        d = q - block.shift
-        if d < 0:
-            continue
-        for mono in monomials(n, d):
+        for mono in monomials(n, q - block.shift):
             mw = mono_weight(mono)
             for j in range(block.num_generators):
                 w = wsum(mw, block_weights[bi][j])
@@ -238,19 +217,10 @@ def _weighted_rank(gm: GradedMap, q: int, base_weights, block_weights, target_we
     tgt_idx = monomial_index(n, q)
     total_rank = 0
     for w in sorted(buckets):
+        # columns are built only when their bucket is reduced
         eb = EchelonBasis()
         for block, mono, j in buckets[w]:
-            col = {}
-            for (i, k, c) in block.symbol[j]:
-                if i is None:
-                    tgt_mono = mono
-                else:
-                    tgt_mono = list(mono)
-                    tgt_mono[i] += 1
-                    tgt_mono = tuple(tgt_mono)
-                row = tgt_idx[tgt_mono] * gm.target_dim + k
-                col[row] = col.get(row, Fraction(0)) + c
-            eb.add({r: c for r, c in col.items() if c})
+            eb.add(gm.column(tgt_idx, block, mono, j))
         total_rank += eb.rank
     return total_rank
 

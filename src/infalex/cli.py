@@ -57,9 +57,10 @@ def _flatten(doc, prefix="") -> list:
     return [(prefix.rstrip("."), doc)]
 
 
-def _load_json(path: str):
+def _read(path: str) -> str:
+    # the from_json readers parse the text and check the document's shape
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return fh.read()
 
 
 # -- subcommands -------------------------------------------------------------
@@ -80,7 +81,7 @@ def cmd_chen(args) -> dict:
 
 
 def cmd_bb(args) -> dict:
-    p = LiePresentation.from_json(_load_json(args.presentation))
+    p = LiePresentation.from_json(_read(args.presentation))
     n_deg = args.max_degree
     if args.method == "nabla":
         dims = list(coker_dims(nabla(p), n_deg).dims)
@@ -113,7 +114,7 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_fox(args) -> dict:
-    p = GroupPresentation.from_json(_load_json(args.presentation))
+    p = GroupPresentation.from_json(_read(args.presentation))
     am = alexander_matrix(p)
     entries = []
     for (r, c) in sorted(am.entries):
@@ -126,7 +127,7 @@ def cmd_fox(args) -> dict:
 
 
 def cmd_cv(args) -> dict:
-    p = GroupPresentation.from_json(_load_json(args.presentation))
+    p = GroupPresentation.from_json(_read(args.presentation))
     if args.torsion is not None:
         found = torsion_sweep(p, args.torsion, args.depth, budget=args.budget)
         chars = []
@@ -149,7 +150,7 @@ def cmd_cv(args) -> dict:
 
 
 def cmd_nilpotence(args) -> dict:
-    m = FinDimLaurentModule.from_json(_load_json(args.module))
+    m = FinDimLaurentModule.from_json(_read(args.module))
     nilpotent, q = is_nilpotent(m)
     return {"dimension": m.dimension, "nilpotent": nilpotent, "exponent": q}
 

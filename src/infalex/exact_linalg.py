@@ -209,6 +209,9 @@ class CyclotomicScalar:
         return NotImplemented
 
     def __hash__(self):
+        # a rational value must hash like the Fraction it equals
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.order, self.coeffs))
 
     def __repr__(self):
@@ -286,6 +289,25 @@ def promote(value, order: int | None):
 Vec = dict  # {index: scalar}
 
 
+def axpy(target: Vec, c, source: Mapping) -> None:
+    """target += c * source, in place; entries that cancel are removed.
+
+    The one sparse-accumulate step of the package: works on any hashable
+    keys and any exact scalars (``Fraction``, ``CyclotomicScalar``, int).
+    Multiplying by c is skipped when c == 1.
+    """
+    scale = c != 1
+    for k, x in source.items():
+        if scale:
+            x = c * x
+        cur = target.get(k)
+        nv = x if cur is None else cur + x
+        if nv:
+            target[k] = nv
+        elif cur is not None:
+            del target[k]
+
+
 class EchelonBasis:
     """Incrementally maintained reduced echelon basis of a span of sparse vectors.
 
@@ -314,18 +336,8 @@ class EchelonBasis:
         for p in sorted(r.keys() & self.rows.keys()):
             c = r.get(p)
             if c:
-                self._axpy(r, -c, self.rows[p])
+                axpy(r, -c, self.rows[p])
         return r
-
-    @staticmethod
-    def _axpy(target: Vec, c, row: Vec):
-        for k, x in row.items():
-            cur = target.get(k)
-            nv = c * x if cur is None else cur + c * x
-            if nv:
-                target[k] = nv
-            elif cur is not None:
-                del target[k]
 
     def _axpy_indexed(self, l: int, target: Vec, c, row: Vec):
         touch = self._touch
@@ -497,13 +509,7 @@ class RationalMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         entries = dict(self.entries)
-        for k, v in other.entries.items():
-            cur = entries.get(k)
-            nv = v if cur is None else cur + v
-            if nv:
-                entries[k] = nv
-            elif cur is not None:
-                del entries[k]
+        axpy(entries, 1, other.entries)
         return RationalMatrix(self.rows, self.cols, entries)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -516,35 +522,16 @@ class RationalMatrix:
                               {k: c * v for k, v in self.entries.items()})
 
     def matvec(self, v: Mapping) -> Vec:
-        cols = self.column_vectors()
-        out: Vec = {}
-        for j, c in v.items():
-            if not c:
-                continue
-            for i, x in cols[j].items():
-                cur = out.get(i)
-                nv = c * x if cur is None else cur + c * x
-                if nv:
-                    out[i] = nv
-                elif cur is not None:
-                    del out[i]
-        return out
+        return act_vec(self.column_vectors(), v)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         left_cols = self.column_vectors()
         entries: dict[tuple[int, int], Scalar] = {}
-        for (k, j), v in other.entries.items():
-            col = left_cols[k]
-            for i, x in col.items():
-                key = (i, j)
-                cur = entries.get(key)
-                nv = x * v if cur is None else cur + x * v
-                if nv:
-                    entries[key] = nv
-                elif cur is not None:
-                    del entries[key]
+        for j, col in enumerate(other.column_vectors()):
+            for i, x in act_vec(left_cols, col).items():
+                entries[(i, j)] = x
         return RationalMatrix(self.rows, other.cols, entries)
 
     # -- rank / kernel / membership ------------------------------------------------
@@ -576,25 +563,17 @@ class RationalMatrix:
         return [(f, eb.kernel_coefficients(f, self.cols))
                 for f in range(self.cols) if f not in pivot_set]
 
-    def cokernel_dimension(self) -> int:
-        return self.rows - self.rank()
-
     def column_span(self) -> EchelonBasis:
         return echelon_basis(self.column_vectors())
 
 
-# functional wrappers mirroring the operation names
-
-def rank(m: RationalMatrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: RationalMatrix) -> list[Vec]:
-    return m.kernel_basis()
-
-
-def cokernel_dimension(m: RationalMatrix) -> int:
-    return m.cokernel_dimension()
+def act_vec(cols: Sequence[Mapping], v: Mapping) -> Vec:
+    """sum_j v[j] * cols[j]: the matrix with sparse columns cols applied to v."""
+    out: Vec = {}
+    for j, c in v.items():
+        if c:
+            axpy(out, c, cols[j])
+    return out
 
 
 def solve_membership(m: RationalMatrix, v: Mapping) -> bool:
@@ -603,21 +582,3 @@ def solve_membership(m: RationalMatrix, v: Mapping) -> bool:
         if not (0 <= i < m.rows):
             raise ValueError(f"vector coordinate {i} out of range for {m.rows} rows")
     return m.column_span().contains(v)
-
-
-def vec_add(a: Mapping, b: Mapping) -> Vec:
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        nv = v if cur is None else cur + v
-        if nv:
-            out[k] = nv
-        elif cur is not None:
-            del out[k]
-    return out
-
-
-def vec_scale(a: Mapping, c) -> Vec:
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}

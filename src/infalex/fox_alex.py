@@ -15,16 +15,16 @@ n - rank A(1).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from . import documents
 from .errors import BudgetExceededError
-from .exact_linalg import (CyclotomicScalar, RationalMatrix, promote)
+from .exact_linalg import CyclotomicScalar, RationalMatrix, axpy, promote
 
 Word = tuple[int, ...]
-GroupRingElt = dict  # {word: Fraction}
+GroupRingElt = dict  # {freely reduced word: Fraction}
 LaurentPoly = dict   # {exponent tuple: Fraction}
 
 
@@ -66,16 +66,16 @@ class GroupPresentation:
     @staticmethod
     def from_json(doc) -> "GroupPresentation":
         """Document shape: {"generators": n, "relators": [[1, 2, -1, -2], ...]}."""
-        if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
-        return GroupPresentation.make(int(doc["generators"]),
-                                      [tuple(r) for r in doc.get("relators", [])])
+        doc = documents.load(doc, "group presentation")
+        n = documents.field(doc, "generators", documents.integer)
+        relators = documents.field(doc, "relators", documents.array, default=[])
+        return GroupPresentation.make(n, [
+            tuple(documents.integer(x, f"relators[{r}][{t}]")
+                  for t, x in enumerate(documents.array(rel, f"relators[{r}]")))
+            for r, rel in enumerate(relators)])
 
     def abelianized_relator(self, r: Word) -> tuple[int, ...]:
-        e = [0] * self.num_generators
-        for x in r:
-            e[abs(x) - 1] += 1 if x > 0 else -1
-        return tuple(e)
+        return _exponents(r, self.num_generators)
 
     def relator_exponent_matrix(self) -> list[tuple[int, ...]]:
         return [self.abelianized_relator(r) for r in self.relators]
@@ -85,14 +85,17 @@ class GroupPresentation:
 # group ring and Fox derivatives
 # ---------------------------------------------------------------------------
 
+def _exponents(word: Word, n: int) -> tuple[int, ...]:
+    """Image of a word in the abelianization Z^n."""
+    e = [0] * n
+    for x in word:
+        e[abs(x) - 1] += 1 if x > 0 else -1
+    return tuple(e)
+
+
 def gr_add(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
     out = dict(a)
-    for w, c in b.items():
-        nv = out.get(w, Fraction(0)) + c
-        if nv:
-            out[w] = nv
-        else:
-            out.pop(w, None)
+    axpy(out, 1, b)
     return out
 
 
@@ -105,13 +108,8 @@ def gr_scale(a: GroupRingElt, c: Fraction) -> GroupRingElt:
 def gr_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
     out: GroupRingElt = {}
     for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = free_reduce(wa + wb)
-            nv = out.get(w, Fraction(0)) + ca * cb
-            if nv:
-                out[w] = nv
-            else:
-                out.pop(w, None)
+        # distinct reduced words wb give distinct products wa wb
+        axpy(out, ca, {free_reduce(wa + wb): cb for wb, cb in b.items()})
     return out
 
 
@@ -155,15 +153,7 @@ def fox_identity_defect(word, n: int) -> GroupRingElt:
 def _abelianize_gr(elt: GroupRingElt, n: int) -> LaurentPoly:
     out: LaurentPoly = {}
     for w, c in elt.items():
-        e = [0] * n
-        for x in w:
-            e[abs(x) - 1] += 1 if x > 0 else -1
-        e = tuple(e)
-        nv = out.get(e, Fraction(0)) + c
-        if nv:
-            out[e] = nv
-        else:
-            out.pop(e, None)
+        axpy(out, 1, {_exponents(w, n): c})
     return out
 
 
@@ -209,24 +199,13 @@ def alexander_matrix(p: GroupPresentation) -> LaurentMatrix:
 def _poly_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     out: LaurentPoly = {}
     for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            nv = out.get(e, Fraction(0)) + ca * cb
-            if nv:
-                out[e] = nv
-            else:
-                out.pop(e, None)
+        axpy(out, ca, {tuple(x + y for x, y in zip(ea, eb)): cb for eb, cb in b.items()})
     return out
 
 
 def _poly_sub(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     out = dict(a)
-    for e, c in b.items():
-        nv = out.get(e, Fraction(0)) - c
-        if nv:
-            out[e] = nv
-        else:
-            out.pop(e, None)
+    axpy(out, -1, b)
     return out
 
 
@@ -362,10 +341,7 @@ class Character:
         return None
 
     def value_power(self, i: int, k: int):
-        v = self.values[i]
-        if isinstance(v, CyclotomicScalar):
-            return v ** k
-        return v ** k  # Fraction handles negative powers exactly
+        return self.values[i] ** k  # exact for negative k as well
 
     def is_trivial(self) -> bool:
         return all(v == 1 for v in self.values)

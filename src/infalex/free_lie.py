@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import ONE, RationalMatrix, Vec
+from .exact_linalg import ONE, RationalMatrix, Vec, axpy
 
 Word = tuple[int, ...]
 
@@ -127,13 +127,8 @@ def tensor_expansion(w: Word) -> dict[Word, int]:
     eu, ev = tensor_expansion(u), tensor_expansion(v)
     out: dict[Word, int] = {}
     for a, ca in eu.items():
-        for b, cb in ev.items():
-            for word, sign in ((a + b, 1), (b + a, -1)):
-                c = out.get(word, 0) + sign * ca * cb
-                if c:
-                    out[word] = c
-                else:
-                    out.pop(word, None)
+        axpy(out, ca, {a + b: cb for b, cb in ev.items()})
+        axpy(out, -ca, {b + a: cb for b, cb in ev.items()})
     return out
 
 
@@ -208,12 +203,7 @@ class LieElement:
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
         d = self.as_dict()
-        for w, c in other.coords:
-            nv = d.get(w, Fraction(0)) + c
-            if nv:
-                d[w] = nv
-            else:
-                d.pop(w, None)
+        axpy(d, 1, other.as_dict())
         return LieElement(self.degree, tuple(sorted(d.items())))
 
     def scale(self, c) -> "LieElement":
@@ -242,13 +232,8 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
             ey = tensor_expansion(wy)
             c0 = cx * cy
             for a, ca in ex.items():
-                for b, cb in ey.items():
-                    for word, sign in ((a + b, 1), (b + a, -1)):
-                        nv = tensor.get(word, Fraction(0)) + sign * c0 * ca * cb
-                        if nv:
-                            tensor[word] = nv
-                        else:
-                            tensor.pop(word, None)
+                axpy(tensor, c0 * ca, {a + b: cb for b, cb in ey.items()})
+                axpy(tensor, -c0 * ca, {b + a: cb for b, cb in ey.items()})
     return LieElement(x.degree + y.degree, tuple(sorted(_rewrite_to_lyndon(tensor).items())))
 
 

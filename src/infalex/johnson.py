@@ -26,13 +26,14 @@ from itertools import combinations
 
 from .alex_module import GradedMap, SymbolBlock, coker_dims
 from .errors import BudgetExceededError
-from .exact_linalg import ONE, RationalMatrix, Vec, solve_membership
+from .exact_linalg import ONE, RationalMatrix, Vec, act_vec, axpy, solve_membership
 from .free_lie import LieElement, bracket
 from .quad_lie import LiePresentation, ideal_piece, wedge2_pairs
-from .rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec,
+from .rep_semisimple import (HighestWeight, LieAlgebraSpec,
                              casimir_blocks, casimir_eigenvalue,
                              fundamental_module, highest_weight_vectors,
-                             wedge_power, _dense_block_polynomial)
+                             sym_act, wedge_act, wedge_power,
+                             _dense_block_polynomial)
 
 MIN_GENUS = 3
 
@@ -202,14 +203,7 @@ class JohnsonContext:
         for (a, b, c) in triples:
             terms: dict[tuple[int, int], Fraction] = {}
             for var, (s, t) in ((a, (b, c)), (b, (c, a)), (c, (a, b))):
-                for k, coeff in self.pi_column(s, t).items():
-                    key = (var, k)
-                    cur = terms.get(key)
-                    nv = coeff if cur is None else cur + coeff
-                    if nv:
-                        terms[key] = nv
-                    elif cur is not None:
-                        del terms[key]
+                axpy(terms, 1, {(var, k): coeff for k, coeff in self.pi_column(s, t).items()})
             symbol.append(tuple((i, k, c) for (i, k), c in sorted(terms.items())))
         block = SymbolBlock("wedge3", len(triples), 1, tuple(symbol))
         return GradedMap(n, self.q_dim, (block,))
@@ -320,46 +314,13 @@ def central_z_check(g: int, *, allow_large: bool = False) -> bool:
 # equivariance of q, tested on vectors (no full instantiation needed)
 # ---------------------------------------------------------------------------
 
-def _bump(out: dict, key, c):
-    cur = out.get(key)
-    nv = c if cur is None else cur + c
-    if nv:
-        out[key] = nv
-    elif cur is not None:
-        del out[key]
-
-
-def _sym_act_mono(vcols, mono: tuple[int, ...]) -> dict:
-    """Derivation action of one generator on a monomial exponent vector."""
-    out: dict = {}
-    for i, mult in enumerate(mono):
-        if not mult:
-            continue
-        for j, c in vcols[i].items():
-            tgt = list(mono)
-            tgt[i] -= 1
-            tgt[j] += 1
-            _bump(out, tuple(tgt), mult * c)
-    return out
-
-
 def source_act(ctx: JohnsonContext, label: str, svec: dict) -> dict:
     """Action on Sym (x) wedge^3 V vectors keyed by (monomial, sorted triple)."""
     vcols = ctx.V.actions[label]
     out: dict = {}
     for (mono, tri), coeff in svec.items():
-        for m2, c2 in _sym_act_mono(vcols, mono).items():
-            _bump(out, (m2, tri), coeff * c2)
-        for slot in range(3):
-            i = tri[slot]
-            for j, c in vcols[i].items():
-                if j in tri and j != i:
-                    continue
-                rest = tri[:slot] + tri[slot + 1:]
-                inv = sum(1 for s, x in enumerate(rest)
-                          if (x > j and s < slot) or (x < j and s >= slot))
-                sign = ONE if inv % 2 == 0 else -ONE
-                _bump(out, (mono, tuple(sorted(rest + (j,)))), coeff * sign * c)
+        axpy(out, coeff, {(m2, tri): c for m2, c in sym_act(vcols, mono).items()})
+        axpy(out, coeff, {(mono, t2): c for t2, c in wedge_act(vcols, tri).items()})
     return out
 
 
@@ -369,11 +330,9 @@ def target_act(ctx: JohnsonContext, label: str, tvec: dict) -> dict:
     w2cols = ctx.W2.actions[label]
     out: dict = {}
     for (mono, k), coeff in tvec.items():
-        for m2, c2 in _sym_act_mono(vcols, mono).items():
-            _bump(out, (m2, k), coeff * c2)
+        axpy(out, coeff, {(m2, k): c for m2, c in sym_act(vcols, mono).items()})
         ambient = act_vec(w2cols, ctx.q_basis[k])
-        for kk, c2 in ctx.q_coordinates(ambient).items():
-            _bump(out, (mono, kk), coeff * c2)
+        axpy(out, coeff, {(mono, kk): c for kk, c in ctx.q_coordinates(ambient).items()})
     return out
 
 
@@ -386,15 +345,12 @@ def apply_q_to_vector(ctx: JohnsonContext, svec: dict) -> dict:
             m2 = list(mono)
             m2[var] += 1
             m2 = tuple(m2)
-            for k, pc in ctx.pi_column(s, t).items():
-                _bump(out, (m2, k), coeff * pc)
+            axpy(out, coeff, {(m2, k): pc for k, pc in ctx.pi_column(s, t).items()})
     return out
 
 
 def equivariance_defect(ctx: JohnsonContext, label: str, svec: dict) -> dict:
     """q(x . v) - x . q(v); the empty dict iff equivariance holds on v."""
     lhs = apply_q_to_vector(ctx, source_act(ctx, label, svec))
-    rhs = target_act(ctx, label, apply_q_to_vector(ctx, svec))
-    for key, v in rhs.items():
-        _bump(lhs, key, -v)
+    axpy(lhs, -1, target_act(ctx, label, apply_q_to_vector(ctx, svec)))
     return lhs

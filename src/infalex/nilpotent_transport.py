@@ -13,11 +13,11 @@ all T_i = 1 has exponent 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from . import documents
 from .errors import InternalInconsistencyError
 from .exact_linalg import EchelonBasis, RationalMatrix
 
@@ -49,11 +49,17 @@ class FinDimLaurentModule:
     def from_json(doc) -> "FinDimLaurentModule":
         """Document shape: {"dimension": d, "matrices": [[[entry, ...], ...], ...]},
         entries integers or "p/q" strings."""
-        if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
-        dim = int(doc["dimension"])
-        mats = [RationalMatrix.from_rows([[Fraction(str(x)) for x in row] for row in m])
-                for m in doc["matrices"]]
+        doc = documents.load(doc, "module")
+        dim = documents.field(doc, "dimension", documents.integer)
+        if dim < 0:
+            raise ValueError(f"field dimension must be >= 0, got {dim}")
+        mats = []
+        for k, m in enumerate(documents.field(doc, "matrices", documents.array)):
+            rows = documents.array(m, f"matrices[{k}]")
+            mats.append(RationalMatrix.from_rows([
+                [documents.rational(x, f"matrices[{k}][{i}][{j}]")
+                 for j, x in enumerate(documents.array(row, f"matrices[{k}][{i}]"))]
+                for i, row in enumerate(rows)]))
         return FinDimLaurentModule.make(dim, mats)
 
 

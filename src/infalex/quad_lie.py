@@ -10,12 +10,12 @@ independent oracle for the presentation-matrix route in ``alex_module``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .exact_linalg import EchelonBasis, RationalMatrix, Vec, echelon_basis
+from . import documents
+from .exact_linalg import ZERO, EchelonBasis, RationalMatrix, Vec, echelon_basis
 from .free_lie import (GradedDims, LieElement, _lyndon_words_cached,
                        ad_generator_matrix, basis_bracket, lyndon_index)
 
@@ -31,7 +31,11 @@ def wedge2_index(n: int) -> dict[Pair, int]:
 
 
 def _normalize_relation(n: int, rel: dict) -> Vec:
-    """Relation vector keyed by wedge-pair index, entries exact."""
+    """Relation vector keyed by wedge-pair index, entries exact.
+
+    Terms on the same pair are summed plainly; the echelon basis that
+    receives the vector drops entries that cancel.
+    """
     idx = wedge2_index(n)
     out: Vec = {}
     for key, c in rel.items():
@@ -43,10 +47,10 @@ def _normalize_relation(n: int, rel: dict) -> Vec:
             raise ValueError("wedge pair with equal indices")
         if i > j:
             i, j, c = j, i, -c
-        k = idx[(i, j)]
-        out[k] = out.get(k, Fraction(0)) + c
-        if not out[k]:
-            del out[k]
+        k = idx.get((i, j))
+        if k is None:
+            raise ValueError(f"wedge pair ({i}, {j}) out of range for dim_v {n}")
+        out[k] = out.get(k, ZERO) + c
     return out
 
 
@@ -68,25 +72,24 @@ class LiePresentation:
     @staticmethod
     def from_json(doc) -> "LiePresentation":
         """Document shape: {"dim_v": n, "relations": [[{"i":..,"j":..,"c":"p/q"},..],..]}."""
-        if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
+        doc = documents.load(doc, "Lie presentation")
+        dim_v = documents.field(doc, "dim_v", documents.integer)
         rels = []
-        for terms in doc.get("relations", []):
+        for r, terms in enumerate(documents.field(doc, "relations", documents.array,
+                                                  default=[])):
             rel: dict[Pair, Fraction] = {}
-            for t in terms:
-                key = (int(t["i"]), int(t["j"]))
-                rel[key] = rel.get(key, Fraction(0)) + Fraction(str(t["c"]))
+            for t, term in enumerate(documents.array(terms, f"relations[{r}]")):
+                path = f"relations[{r}][{t}]"
+                documents.obj(term, path)
+                key = (documents.field(term, "i", documents.integer, path),
+                       documents.field(term, "j", documents.integer, path))
+                rel[key] = rel.get(key, ZERO) + documents.field(term, "c", documents.rational,
+                                                                path)
             rels.append(rel)
-        return LiePresentation.make(int(doc["dim_v"]), rels)
+        return LiePresentation.make(dim_v, rels)
 
     def num_relations(self) -> int:
         return len(self.relations)
-
-    # relation vectors as degree-2 Lie elements: pair (i,j) -> Lyndon word (i,j)
-    def relation_elements(self) -> list[LieElement]:
-        pairs = wedge2_pairs(self.dim_v)
-        return [LieElement.make(2, {pairs[k]: c for k, c in rel.items()})
-                for rel in self.relations]
 
 
 # ---------------------------------------------------------------------------

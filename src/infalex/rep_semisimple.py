@@ -22,22 +22,9 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .errors import AmbiguousDecompositionError
-from .exact_linalg import ONE, RationalMatrix, Vec, echelon_basis
+from .exact_linalg import ONE, RationalMatrix, Vec, act_vec, axpy, echelon_basis
 
 ColMat = tuple  # tuple of {row: Fraction} dicts, one per column
-
-
-def act_vec(cols: ColMat, v: Vec) -> Vec:
-    out: Vec = {}
-    for j, c in v.items():
-        for r, x in cols[j].items():
-            cur = out.get(r)
-            nv = c * x if cur is None else cur + c * x
-            if nv:
-                out[r] = nv
-            elif cur is not None:
-                del out[r]
-    return out
 
 
 def _cols_to_matrix(cols: ColMat, dim: int) -> RationalMatrix:
@@ -79,10 +66,6 @@ class LieAlgebraSpec:
     @property
     def defining_dim(self) -> int:
         return 2 * self.rank if self.family == "sp" else self.rank
-
-    @property
-    def weight_length(self) -> int:
-        return self.rank if self.family == "sp" else self.rank
 
     @property
     def num_fundamental(self) -> int:
@@ -129,9 +112,8 @@ class LieAlgebraSpec:
         n_i = hw.coefficients
         if len(n_i) != self.num_fundamental:
             raise ValueError("wrong number of fundamental coefficients")
-        length = self.weight_length
         m = []
-        for i in range(length):
+        for i in range(self.rank):
             m.append(sum(n_i[k] for k in range(i, len(n_i))))
         return tuple(m)
 
@@ -164,10 +146,11 @@ def _algebra_basis(spec: LieAlgebraSpec) -> tuple[tuple[str, ColMat], ...]:
     d = spec.defining_dim
 
     def from_terms(terms):
+        # sum of c * E_ij; the positions (i, j) within one element are distinct
         cols = [dict() for _ in range(d)]
-        for (i, j, c) in terms:  # c * E_ij
-            cols[j][i] = cols[j].get(i, Fraction(0)) + Fraction(c)
-        return tuple({r: v for r, v in col.items() if v} for col in cols)
+        for (i, j, c) in terms:
+            cols[j][i] = Fraction(c)
+        return tuple(cols)
 
     out: list[tuple[str, ColMat]] = []
     if spec.family == "sp":
@@ -273,6 +256,39 @@ def _wedge_sign_and_target(combo: tuple[int, ...], slot: int, j: int):
     return sign, new
 
 
+def wedge_act(cols: ColMat, combo: tuple[int, ...]) -> dict:
+    """An operator (given by its columns) acting as a derivation on the sorted
+    wedge monomial combo; keyed by sorted wedge monomials."""
+    out: dict = {}
+    for slot, i in enumerate(combo):
+        # one slot: distinct targets j give distinct monomials
+        terms = {}
+        for j, v in cols[i].items():
+            st = _wedge_sign_and_target(combo, slot, j)
+            if st is not None:
+                sign, new = st
+                terms[new] = sign * v
+        axpy(out, 1, terms)
+    return out
+
+
+def sym_act(cols: ColMat, expt: tuple[int, ...]) -> dict:
+    """An operator (given by its columns) acting as a derivation on the
+    monomial with exponent vector expt; keyed by exponent vectors."""
+    out: dict = {}
+    for i, mult in enumerate(expt):
+        if mult:
+            axpy(out, mult, {_move_unit(expt, i, j): v for j, v in cols[i].items()})
+    return out
+
+
+def _move_unit(expt: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    tgt = list(expt)
+    tgt[i] -= 1
+    tgt[j] += 1
+    return tuple(tgt)
+
+
 def wedge_power(m: WeightModule, k: int) -> WeightModule:
     combos = list(combinations(range(m.dimension), k))
     index = {c: i for i, c in enumerate(combos)}
@@ -280,24 +296,8 @@ def wedge_power(m: WeightModule, k: int) -> WeightModule:
                     for c in combos)
     actions = {}
     for label, cols in m.actions.items():
-        new_cols = []
-        for combo in combos:
-            col: Vec = {}
-            for slot, i in enumerate(combo):
-                for j, v in cols[i].items():
-                    st = _wedge_sign_and_target(combo, slot, j)
-                    if st is None:
-                        continue
-                    sign, new = st
-                    r = index[new]
-                    cur = col.get(r)
-                    nv = sign * v if cur is None else cur + sign * v
-                    if nv:
-                        col[r] = nv
-                    elif cur is not None:
-                        del col[r]
-            new_cols.append(col)
-        actions[label] = tuple(new_cols)
+        actions[label] = tuple({index[new]: v for new, v in wedge_act(cols, combo).items()}
+                               for combo in combos)
     return WeightModule(m.algebra, len(combos), weights, actions)
 
 
@@ -314,26 +314,8 @@ def sym_power(m: WeightModule, k: int) -> WeightModule:
                           for t in range(len(m.weights[0]))) for e in expts)
     actions = {}
     for label, cols in m.actions.items():
-        new_cols = []
-        for e in expts:
-            col: Vec = {}
-            for i, mult in enumerate(e):
-                if not mult:
-                    continue
-                for j, v in cols[i].items():
-                    tgt = list(e)
-                    tgt[i] -= 1
-                    tgt[j] += 1
-                    r = index[tuple(tgt)]
-                    c = mult * v
-                    cur = col.get(r)
-                    nv = c if cur is None else cur + c
-                    if nv:
-                        col[r] = nv
-                    elif cur is not None:
-                        del col[r]
-            new_cols.append(col)
-        actions[label] = tuple(new_cols)
+        actions[label] = tuple({index[t]: v for t, v in sym_act(cols, e).items()}
+                               for e in expts)
     return WeightModule(m.algebra, len(expts), weights, actions)
 
 
@@ -349,17 +331,8 @@ def tensor_product(a: WeightModule, b: WeightModule) -> WeightModule:
         new_cols = []
         for i in range(a.dimension):
             for j in range(b.dimension):
-                col: Vec = {}
-                for r, v in ca[i].items():
-                    col[r * b.dimension + j] = v
-                for r, v in cb[j].items():
-                    key = i * b.dimension + r
-                    cur = col.get(key)
-                    nv = v if cur is None else cur + v
-                    if nv:
-                        col[key] = nv
-                    elif cur is not None:
-                        del col[key]
+                col: Vec = {r * b.dimension + j: v for r, v in ca[i].items()}
+                axpy(col, 1, {i * b.dimension + r: v for r, v in cb[j].items()})
                 new_cols.append(col)
         actions[label] = tuple(new_cols)
     return WeightModule(a.algebra, dim, weights, actions)
@@ -403,6 +376,7 @@ def fundamental_module(spec: LieAlgebraSpec, k: int) -> WeightModule:
         index = {c: i for i, c in enumerate(combinations(range(2 * g), k))}
         spanning = []
         for rest in combinations(range(2 * g), k - 2):
+            # theta ^ rest; each pair (i, g+i) lands on a different monomial
             vec: Vec = {}
             for i in range(g):
                 pair = (i, g + i)
@@ -414,13 +388,7 @@ def fundamental_module(spec: LieAlgebraSpec, k: int) -> WeightModule:
                 seq = list(pair) + list(rest)
                 inv = sum(1 for s in range(len(seq)) for t in range(s + 1, len(seq))
                           if seq[s] > seq[t])
-                sign = ONE if inv % 2 == 0 else -ONE
-                cur = vec.get(index[merged])
-                nv = sign if cur is None else cur + sign
-                if nv:
-                    vec[index[merged]] = nv
-                elif cur is not None:
-                    del vec[index[merged]]
+                vec[index[merged]] = ONE if inv % 2 == 0 else -ONE
             if vec:
                 spanning.append(vec)
         return quotient_module(W, spanning)
@@ -493,29 +461,15 @@ def _casimir_column(m: WeightModule, j: int) -> Vec:
     us = [m.actions[basis[b][0]][j] for b in range(n)]
     out: Vec = {}
     for a in range(n):
-        # v = (dual of x_a) e_j
+        # v = (dual of x_a) e_j, then out += x_a v
         v: Vec = {}
         for b in range(n):
             c = dual[a][b]
-            if not c:
-                continue
-            for r, x in us[b].items():
-                cur = v.get(r)
-                nv = c * x if cur is None else cur + c * x
-                if nv:
-                    v[r] = nv
-                elif cur is not None:
-                    del v[r]
-        if not v:
-            continue
-        w = act_vec(m.actions[basis[a][0]], v)
-        for r, x in w.items():
-            cur = out.get(r)
-            nv = x if cur is None else cur + x
-            if nv:
-                out[r] = nv
-            elif cur is not None:
-                del out[r]
+            if c:
+                axpy(v, c, us[b])
+        cols = m.actions[basis[a][0]]
+        for r, x in v.items():
+            axpy(out, x, cols[r])
     return out
 
 

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from infalex.alex_module import (coker_dims, coker_multiplication_action,
                                  delta3, monomial_index, nabla, nabla_bar)
 from infalex.cli import main as cli_main
@@ -65,6 +67,7 @@ def test_criterion_2_highest_weight_identification():
                          "has nonzero image in the cokernel"))
 
 
+@pytest.mark.slow
 def test_criterion_3_presentation_oracle_equivalence():
     rng = random.Random(20240917)
     sizes = [2] * 20 + [3] * 20 + [4] * 14

@@ -167,3 +167,68 @@ def test_determinism_all_commands(capsys, files):
         first = run(capsys, argv)
         second = run(capsys, argv)
         assert first == second, argv
+
+
+# malformed documents: (subcommand, document, text the error must contain)
+MALFORMED = [
+    ("bb", {"relations": []}, "dim_v"),
+    ("bb", [], "JSON object"),
+    ("bb", {"dim_v": "3"}, "dim_v"),
+    ("bb", {"dim_v": 3, "relations": {"i": 0}}, "relations"),
+    ("bb", {"dim_v": 3, "relations": [5]}, "relations[0]"),
+    ("bb", {"dim_v": 3, "relations": [[5]]}, "relations[0][0]"),
+    ("bb", {"dim_v": 3, "relations": [[{"i": 0, "j": 1}]]}, "relations[0][0].c"),
+    ("bb", {"dim_v": 3, "relations": [[{"i": 0, "j": [1], "c": 1}]]}, "relations[0][0].j"),
+    ("bb", {"dim_v": 3, "relations": [[{"i": 0, "j": 1, "c": "1/0"}]]}, "relations[0][0].c"),
+    ("bb", {"dim_v": 3, "relations": [[{"i": 0, "j": 7, "c": 1}]]}, "out of range"),
+    ("fox", {"relators": []}, "generators"),
+    ("fox", "F2", "JSON object"),
+    ("fox", {"generators": 2, "relators": 7}, "relators"),
+    ("fox", {"generators": 2, "relators": [[1, "x"]]}, "relators[0][1]"),
+    ("fox", {"generators": 2, "relators": [[1, 3]]}, "out of range"),
+    ("cv", None, "JSON object"),
+    ("cv", {"generators": 2.5}, "generators"),
+    ("cv", {"generators": 2, "relators": [1, 2]}, "relators[0]"),
+    ("nilpotence", {"dimension": 2}, "matrices"),
+    ("nilpotence", {"matrices": []}, "dimension"),
+    ("nilpotence", {"dimension": True, "matrices": []}, "dimension"),
+    ("nilpotence", {"dimension": -1, "matrices": []}, "dimension"),
+    ("nilpotence", {"dimension": 2, "matrices": [[1, 2]]}, "matrices[0][0]"),
+    ("nilpotence", {"dimension": 2, "matrices": [[[1, "a"], [0, 1]]]}, "matrices[0][0][1]"),
+    ("nilpotence", {"dimension": 2, "matrices": [[[1, 0]]]}, "2-dim"),
+]
+
+ARGV = {
+    "bb": ["bb", "--max-degree", "1", "--presentation"],
+    "fox": ["fox", "--presentation"],
+    "cv": ["cv", "--character=1,1", "--presentation"],
+    "nilpotence": ["nilpotence", "--module"],
+}
+
+
+@pytest.mark.parametrize("command,doc,needle", MALFORMED)
+def test_malformed_document_usage_error(capsys, tmp_path, command, doc, needle):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(ARGV[command] + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert needle in captured.err
+
+
+def test_malformed_document_no_traceback_subprocess(tmp_path):
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    for command, doc in [("bb", {"relations": []}), ("nilpotence", {"dimension": 2})]:
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "infalex.cli"] + ARGV[command] + [str(path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -3,37 +3,36 @@ from fractions import Fraction
 
 import pytest
 
-from infalex.exact_linalg import (CyclotomicScalar, RationalMatrix,
-                                  cokernel_dimension, cyclotomic_polynomial,
-                                  echelon_basis, kernel_basis, rank,
+from infalex.exact_linalg import (CyclotomicScalar, RationalMatrix, axpy,
+                                  cyclotomic_polynomial, echelon_basis,
                                   solve_membership)
 
 
 def test_rank_identity():
-    assert rank(RationalMatrix.identity(2)) == 2
+    assert RationalMatrix.identity(2).rank() == 2
 
 
 def test_rank_zero_matrix():
-    assert rank(RationalMatrix.zeros(3, 5)) == 0
+    assert RationalMatrix.zeros(3, 5).rank() == 0
 
 
 def test_rank_arithmetic_progression_rows():
     # rows are arithmetic progressions, so the row space is 2-dimensional
     m = RationalMatrix.from_rows([[i + j for j in range(1, 5)] for i in range(1, 5)])
-    assert rank(m) == 2
+    assert m.rank() == 2
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(RationalMatrix.identity(3)) == []
+    assert RationalMatrix.identity(3).kernel_basis() == []
 
 
 def test_kernel_zero_matrix():
-    ks = kernel_basis(RationalMatrix.zeros(2, 2))
+    ks = RationalMatrix.zeros(2, 2).kernel_basis()
     assert len(ks) == 2
 
 
 def test_kernel_one_by_two():
-    (k,) = kernel_basis(RationalMatrix.from_rows([[1, 1]]))
+    (k,) = RationalMatrix.from_rows([[1, 1]]).kernel_basis()
     # proportional to (1, -1)
     assert k[0] == -k[1]
 
@@ -45,8 +44,8 @@ def test_kernel_count_matches_rank():
         entries = {(i, j): Fraction(rng.randint(-3, 3))
                    for i in range(r) for j in range(c) if rng.random() < 0.5}
         m = RationalMatrix(r, c, entries)
-        assert rank(m) + len(kernel_basis(m)) == c
-        for v in kernel_basis(m):
+        assert m.rank() + len(m.kernel_basis()) == c
+        for v in m.kernel_basis():
             assert m.matvec(v) == {}
 
 
@@ -57,13 +56,13 @@ def test_rank_equals_transpose_rank():
         entries = {(i, j): Fraction(rng.randint(-4, 4))
                    for i in range(r) for j in range(c) if rng.random() < 0.4}
         m = RationalMatrix(r, c, entries)
-        assert rank(m) == rank(m.transpose())
+        assert m.rank() == m.transpose().rank()
 
 
 def test_cokernel_dimension():
-    assert cokernel_dimension(RationalMatrix.identity(4)) == 0
-    assert cokernel_dimension(RationalMatrix.zeros(3, 2)) == 3
-    assert cokernel_dimension(RationalMatrix.from_rows([[1, 0], [0, 0]])) == 1
+    for m, coker in [(RationalMatrix.identity(4), 0), (RationalMatrix.zeros(3, 2), 3),
+                     (RationalMatrix.from_rows([[1, 0], [0, 0]]), 1)]:
+        assert m.rows - m.rank() == coker
 
 
 def test_membership():
@@ -89,7 +88,7 @@ def test_determinism_bit_identical():
     entries = {(i, j): Fraction((-1) ** (i + j), i + j + 1)
                for i in range(5) for j in range(5) if (i * j) % 3}
     m = RationalMatrix(5, 5, entries)
-    runs = [(rank(m), kernel_basis(m)) for _ in range(3)]
+    runs = [(m.rank(), m.kernel_basis()) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -131,7 +130,7 @@ def test_cyclotomic_rank():
     m = RationalMatrix(2, 2, {(0, 0): z, (0, 1): CyclotomicScalar.from_rational(4, 1),
                               (1, 0): CyclotomicScalar.from_rational(4, -1), (1, 1): z})
     # rows (i, 1), (-1, i): second = i * first, so rank 1
-    assert rank(m) == 1
+    assert m.rank() == 1
 
 
 def test_mixed_order_rejected():
@@ -155,8 +154,37 @@ def test_cyclotomic_rank_transpose_random():
                         if v:
                             entries[(i, j)] = v
             mat = RationalMatrix(r, c, entries)
-            assert rank(mat) == rank(mat.transpose())
-            assert rank(mat) + len(kernel_basis(mat)) == c
+            assert mat.rank() == mat.transpose().rank()
+            assert mat.rank() + len(mat.kernel_basis()) == c
+
+
+def test_axpy_in_place_and_drops_zeros():
+    target = {0: Fraction(1), 1: Fraction(2), 2: Fraction(1, 3)}
+    same = target
+    axpy(target, Fraction(-2), {1: Fraction(1), 3: Fraction(5)})
+    assert target is same
+    assert target == {0: Fraction(1), 2: Fraction(1, 3), 3: Fraction(-10)}
+    axpy(target, 1, {2: Fraction(-1, 3)})
+    assert target == {0: Fraction(1), 3: Fraction(-10)}
+
+
+def test_axpy_cyclotomic():
+    z = CyclotomicScalar.zeta(4)
+    one = CyclotomicScalar.from_rational(4, 1)
+    target = {0: one, 1: z}
+    axpy(target, z, {0: z, 1: one})  # z * (z, 1) = (-1, z)
+    assert target == {1: z + z}
+    axpy(target, CyclotomicScalar.from_rational(4, -2), {1: z})
+    assert target == {}
+
+
+def test_cyclotomic_rational_hashes_like_fraction():
+    assert CyclotomicScalar(4, [1]) == 1
+    assert hash(CyclotomicScalar(4, [1])) == hash(1)
+    assert len({CyclotomicScalar(4, [1]), 1}) == 1
+    half = CyclotomicScalar.from_rational(5, Fraction(-1, 2))
+    assert half == Fraction(-1, 2) and hash(half) == hash(Fraction(-1, 2))
+    assert len({CyclotomicScalar.zeta(4), CyclotomicScalar.zeta(4, 5)}) == 1
 
 
 def test_echelon_membership_helper():

@@ -1,0 +1,76 @@
+"""Byte-identity guard for the CLI: replay a fixed command list and compare
+stdout with the outputs recorded in ``tests/golden/``.
+
+The recorded outputs are the contract, so a change that alters any byte of
+them has to say so by re-recording.  To re-record after a deliberate change:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from infalex.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> argv; "@file.json" names an input document in tests/golden/
+COMMANDS = {
+    "witt": ["witt", "-n", "3", "-q", "6"],
+    "chen": ["chen", "-n", "3", "-q", "3"],
+    "bb_nabla": ["bb", "--presentation", "@presentation.json", "--max-degree", "3",
+                 "--method", "nabla"],
+    "bb_nabla_bar": ["bb", "--presentation", "@presentation.json", "--max-degree", "3",
+                     "--method", "nabla-bar"],
+    "bb_direct": ["bb", "--presentation", "@presentation.json", "--max-degree", "3",
+                  "--method", "direct"],
+    "johnson_g3": ["johnson", "--genus", "3", "--max-degree", "1"],
+    "decompose_g3_central_z": ["decompose", "--genus", "3", "--central-z"],
+    "fox_z2": ["fox", "--presentation", "@group_z2.json"],
+    "fox_f2xz": ["fox", "--presentation", "@group_f2xz.json"],
+    "cv_character": ["cv", "--presentation", "@group_f2xz.json", "--character=zeta_3,-1,1"],
+    "cv_character_restricted": ["cv", "--presentation", "@group_f2xz.json",
+                                "--character=zeta_3,1/2,1", "--restricted"],
+    "cv_torsion3": ["cv", "--presentation", "@group_f2xz.json", "--torsion", "3"],
+    "cv_torsion3_depth2": ["cv", "--presentation", "@group_f2xz.json", "--torsion", "3",
+                           "--depth", "2"],
+    "nilpotence_unipotent": ["nilpotence", "--module", "@module_unipotent.json"],
+    "nilpotence_scaling": ["nilpotence", "--module", "@module_scaling.json"],
+    "oracle_check": ["oracle-check", "--trials", "3"],
+    "csv_decompose_g3": ["--csv", "decompose", "--genus", "3"],
+    "csv_bb_direct": ["--csv", "bb", "--presentation", "@presentation.json",
+                      "--max-degree", "2", "--method", "direct"],
+}
+
+
+def _argv(name: str) -> list[str]:
+    return [str(GOLDEN / a[1:]) if a.startswith("@") else a for a in COMMANDS[name]]
+
+
+def _stdout(name: str) -> tuple[int, bytes]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(_argv(name))
+    return code, buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_stdout(name):
+    code, out = _stdout(name)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    for name in sorted(COMMANDS):
+        code, out = _stdout(name)
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN / f"{name}.out").write_bytes(out)
+        print(f"wrote {name}.out ({len(out)} bytes)")

@@ -78,12 +78,13 @@ def test_pi_column_antisymmetry():
 def test_q_coordinates_reconstruct():
     ctx = johnson_context(3)
     rng = random.Random(1)
-    from infalex.exact_linalg import vec_add, vec_scale
+    from infalex.exact_linalg import axpy
     for _ in range(5):
         coeffs = {rng.randrange(ctx.q_dim): Fraction(rng.randint(-3, 3)) for _ in range(4)}
         ambient = {}
         for k, c in coeffs.items():
-            ambient = vec_add(ambient, vec_scale(ctx.q_basis[k], c))
+            if c:
+                axpy(ambient, c, ctx.q_basis[k])
         got = ctx.q_coordinates(ambient)
         assert got == {k: c for k, c in coeffs.items() if c}
 
@@ -126,11 +127,11 @@ def test_coker_q_matches_presentation_route_g3():
 
 def test_pi_restricted_to_Q_is_identity():
     ctx = johnson_context(3)
-    from infalex.exact_linalg import vec_add, vec_scale
+    from infalex.exact_linalg import axpy
     for r in range(0, ctx.q_dim, 7):
         coords = {}
         for amb, c in ctx.q_basis[r].items():
-            coords = vec_add(coords, vec_scale(ctx.pi_cols[amb], c))
+            axpy(coords, c, ctx.pi_cols[amb])
         assert coords == {r: Fraction(1)}
 
 
