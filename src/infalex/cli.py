@@ -74,6 +74,8 @@ def cmd_witt(args) -> dict:
 
 
 def cmd_chen(args) -> dict:
+    if args.q < 0:
+        raise ValueError(f"-q must be >= 0, got {args.q}")
     closed = comb(args.q + args.n, args.q + 2) * (args.q + 1)
     computed = coker_dims(delta3(args.n), args.q)[args.q]
     return {"n": args.n, "q": args.q, "closed_form": closed,

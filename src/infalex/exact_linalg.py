@@ -203,7 +203,10 @@ class CyclotomicScalar:
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicScalar):
-            return self.order == other.order and self.coeffs == other.coeffs
+            if self.order == other.order:
+                return self.coeffs == other.coeffs
+            # across orders only rational values can be equal, by value
+            return not any(other.coeffs[1:]) and self == other.coeffs[0]
         if isinstance(other, (int, Fraction)):
             return self.coeffs[0] == other and not any(self.coeffs[1:])
         return NotImplemented
@@ -558,7 +561,8 @@ class RationalMatrix:
         other free column, so coordinates of a kernel element are read off at
         the free positions.
         """
-        eb = echelon_basis(self.row_vectors())
+        # stacked operators leave most rows empty, and those span nothing
+        eb = echelon_basis(v for v in self.row_vectors() if v)
         pivot_set = set(eb.rows)
         return [(f, eb.kernel_coefficients(f, self.cols))
                 for f in range(self.cols) if f not in pivot_set]

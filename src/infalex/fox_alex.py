@@ -315,13 +315,18 @@ class Character:
                 else:
                     m_str, j_str = body, "1"
                 m, j = int(m_str), int(j_str)
+                if m < 1:
+                    raise CharacterError(f"cyclotomic order must be >= 1 in {t!r}")
                 if order is None:
                     order = m
                 elif order != m:
                     raise ValueError("mixed cyclotomic orders in character")
                 raw.append(("zeta", j))
             else:
-                raw.append(("q", Fraction(t)))
+                try:
+                    raw.append(("q", Fraction(t)))
+                except ZeroDivisionError:
+                    raise CharacterError(f"zero denominator in {t!r}") from None
         if order is None:
             return Character.rational([v for _k, v in raw])
         vals = []

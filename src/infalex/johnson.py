@@ -32,7 +32,7 @@ from .quad_lie import LiePresentation, ideal_piece, wedge2_pairs
 from .rep_semisimple import (HighestWeight, LieAlgebraSpec,
                              casimir_blocks, casimir_eigenvalue,
                              fundamental_module, highest_weight_vectors,
-                             sym_act, wedge_act, wedge_power,
+                             shifted_block, sym_act, wedge_act, wedge_power,
                              _dense_block_polynomial)
 
 MIN_GENUS = 3
@@ -99,81 +99,67 @@ class JohnsonContext:
         self.c_z = casimir_eigenvalue(self.spec, self.hw_zero)
 
         self.constituents = highest_weight_vectors(self.W2)
-        eigen: dict[Fraction, list[HighestWeight]] = {}
+        eigen_map: dict[Fraction, list[HighestWeight]] = {}
         for hw, _v in self.constituents:
-            eigen.setdefault(casimir_eigenvalue(self.spec, hw), []).append(hw)
-        self.eigen_map = eigen
-        self.eigenvalues = sorted(eigen)
-        for c, hws in eigen.items():
+            eigen_map.setdefault(casimir_eigenvalue(self.spec, hw), []).append(hw)
+        self.eigenvalues = sorted(eigen_map)
+        for c, hws in eigen_map.items():
             if len(hws) > 1 and c in (self.c_q, self.c_z):
                 raise ArithmeticError(f"Casimir eigenvalue collision at {c}: {hws}")
-
-        self.blocks = casimir_blocks(self.W2)
-        self._build_q_basis_and_pi()
-        self._build_z_and_r()
-
-    # -- Q as an explicit eigenspace basis, pi in Q coordinates -----------------
-
-    def _build_q_basis_and_pi(self):
-        decomp = self.W2.weight_decomposition()
-        q_basis: list[Vec] = []
-        q_free: list[int] = []          # ambient free position per basis vector
-        q_weights: list[tuple] = []
-        pi_cols: list[Vec] = [dict() for _ in range(self.W2.dimension)]
-        for w in sorted(self.blocks):
-            idx = decomp[w]
-            size = len(idx)
-            block = self.blocks[w]
-            entries = {}
-            for rr in range(size):
-                for cc in range(size):
-                    v = block[rr][cc] - (self.c_q if rr == cc else 0)
-                    if v:
-                        entries[(rr, cc)] = v
-            kb = RationalMatrix(size, size, entries).kernel_basis_with_free()
-            if not kb:
-                continue
-            pb = _dense_block_polynomial(block, self.eigenvalues, self.c_q)
-            start = len(q_basis)
-            for f, kv in kb:
-                q_basis.append({idx[t]: c for t, c in kv.items()})
-                q_free.append(idx[f])
-                q_weights.append(w)
-            for cc in range(size):
-                amb = idx[cc]
-                for r, (f, _kv) in enumerate(kb):
-                    c = pb[f][cc]
-                    if c:
-                        pi_cols[amb][start + r] = c
-        self.q_basis = q_basis
-        self.q_free = q_free
-        self.q_dim = len(q_basis)
-        self.q_weights = tuple(q_weights)
-        self.pi_cols = tuple(pi_cols)  # pi in Q coordinates, one column per pair
-
-    def _build_z_and_r(self):
         zs = [v for hw, v in self.constituents if hw == self.hw_zero]
         if len(zs) != 1:
             raise ArithmeticError("invariant line of wedge^2 V should be unique")
         self.z_vec = zs[0]
-        # R = intersection of the kernels of the projections onto Q and onto z
+
+        self.blocks = casimir_blocks(self.W2)
+        self._build_q_pi_and_r()
+
+    # -- Q as an explicit eigenspace basis, pi in Q coordinates, R ---------------
+
+    def _build_q_pi_and_r(self):
+        """One pass over the weight blocks.
+
+        A projector's image on a weight block is its eigenspace there, so
+        P_Q is evaluated only on blocks where ker(C - c_q) is nonzero and
+        P_z only on the block of z; elsewhere each is exactly zero.  R is
+        the intersection of their kernels, which is ker(P_Q + P_z) because
+        both are idempotents with P_Q P_z = 0.
+        """
         decomp = self.W2.weight_decomposition()
+        z_weight = self.W2.weights[min(self.z_vec)]
+        q_basis: list[Vec] = []
+        q_free: list[int] = []          # ambient free position per basis vector
+        q_weights: list[tuple] = []
+        pi_cols: list[Vec] = [dict() for _ in range(self.W2.dimension)]
         r_basis: list[Vec] = []
         for w in sorted(self.blocks):
             idx = decomp[w]
             size = len(idx)
             block = self.blocks[w]
-            stacked = {}
-            row_off = 0
-            for target in (self.c_q, self.c_z):
-                pb = _dense_block_polynomial(block, self.eigenvalues, target)
-                for rr in range(size):
-                    for cc in range(size):
-                        if pb[rr][cc]:
-                            stacked[(row_off + rr, cc)] = pb[rr][cc]
-                row_off += size
-            for kv in RationalMatrix(row_off, size, stacked).kernel_basis():
+            projector = RationalMatrix.zeros(size, size)
+            kb = shifted_block(block, self.c_q).kernel_basis_with_free()
+            if kb:
+                pb = _dense_block_polynomial(block, self.eigenvalues, self.c_q)
+                projector = shifted_block(pb, 0)
+                start = len(q_basis)
+                for f, kv in kb:
+                    q_basis.append({idx[t]: c for t, c in kv.items()})
+                    q_free.append(idx[f])
+                    q_weights.append(w)
+                for cc, amb in enumerate(idx):
+                    for r, (f, _kv) in enumerate(kb, start):
+                        if pb[f][cc]:
+                            pi_cols[amb][r] = pb[f][cc]
+            if w == z_weight:
+                pz = _dense_block_polynomial(block, self.eigenvalues, self.c_z)
+                projector = projector + shifted_block(pz, 0)
+            for kv in projector.kernel_basis():
                 r_basis.append({idx[t]: c for t, c in kv.items()})
+        self.q_basis = q_basis
+        self.q_free = q_free
+        self.q_dim = len(q_basis)
+        self.q_weights = tuple(q_weights)
+        self.pi_cols = tuple(pi_cols)  # pi in Q coordinates, one column per pair
         self.r_basis = r_basis
         self.r_dim = len(r_basis)
 

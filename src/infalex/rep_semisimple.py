@@ -529,6 +529,14 @@ def highest_weight_vectors(m: WeightModule) -> list[tuple[HighestWeight, Vec]]:
     return out
 
 
+def shifted_block(block, c) -> RationalMatrix:
+    """The dense square block minus c * I, as a sparse matrix."""
+    size = len(block)
+    return RationalMatrix(size, size, {
+        (rr, cc): block[rr][cc] - c if rr == cc else block[rr][cc]
+        for rr in range(size) for cc in range(size)})
+
+
 def _dense_block_polynomial(block, eigenvalues, target) -> list[list[Fraction]]:
     """Evaluate prod (B - c')/(target - c') over eigenvalues != target."""
     size = len(block)
@@ -601,14 +609,6 @@ def casimir_eigenspace(m: WeightModule, eigenvalue: Fraction, *, blocks=None) ->
     out = []
     for w, block in sorted(blocks.items()):
         idx = decomp[w]
-        size = len(idx)
-        entries = {}
-        for rr in range(size):
-            for cc in range(size):
-                v = block[rr][cc] - (eigenvalue if rr == cc else 0)
-                if v:
-                    entries[(rr, cc)] = v
-        mat = RationalMatrix(size, size, entries)
-        for kv in mat.kernel_basis():
+        for kv in shifted_block(block, eigenvalue).kernel_basis():
             out.append({idx[t]: v for t, v in kv.items()})
     return out

@@ -206,6 +206,22 @@ ARGV = {
 }
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["cv", "--character", "1/0,1"], "'1/0'"),
+    (["cv", "--character", "zeta_0^1,zeta_0^1"], "'zeta_0^1'"),
+    (["chen", "-n", "2", "-q", "-1"], "-1"),
+])
+def test_bad_argument_usage_error(capsys, files, argv, needle):
+    if argv[0] == "cv":
+        argv = argv + ["--presentation", files["f2"]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert needle in captured.err
+
+
 @pytest.mark.parametrize("command,doc,needle", MALFORMED)
 def test_malformed_document_usage_error(capsys, tmp_path, command, doc, needle):
     path = tmp_path / "doc.json"

@@ -185,6 +185,8 @@ def test_cyclotomic_rational_hashes_like_fraction():
     half = CyclotomicScalar.from_rational(5, Fraction(-1, 2))
     assert half == Fraction(-1, 2) and hash(half) == hash(Fraction(-1, 2))
     assert len({CyclotomicScalar.zeta(4), CyclotomicScalar.zeta(4, 5)}) == 1
+    assert len({CyclotomicScalar(3, [1]), CyclotomicScalar(4, [1]), 1}) == 1
+    assert CyclotomicScalar.zeta(3) != CyclotomicScalar.zeta(6)
 
 
 def test_echelon_membership_helper():

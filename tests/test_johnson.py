@@ -1,6 +1,9 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,20 @@ from infalex.johnson import (SymplecticSpace, build_q,
                              central_z_check, decompose_wedge2_V,
                              equivariance_defect, johnson_context,
                              johnson_module_dims)
-from infalex.rep_semisimple import HighestWeight, act_vec, weyl_dim
+from infalex.exact_linalg import axpy
+from infalex.rep_semisimple import HighestWeight, act_vec, isotypic_projection, weyl_dim
+
+# sha256 of the repr of each context field, so values, dict key order and
+# container types all count; recorded before the single-pass context build.
+# Re-record after a deliberate change with
+#   {g: _context_digest(johnson_context(g)) for g in (3, 4)}
+CONTEXT_GOLDEN = Path(__file__).parent / "golden" / "johnson_context.json"
+CONTEXT_FIELDS = ("q_basis", "q_free", "q_weights", "pi_cols", "r_basis", "z_vec")
+
+
+def _context_digest(ctx) -> dict[str, str]:
+    return {f: hashlib.sha256(repr(getattr(ctx, f)).encode()).hexdigest()
+            for f in CONTEXT_FIELDS}
 
 
 def test_symplectic_space():
@@ -78,7 +94,6 @@ def test_pi_column_antisymmetry():
 def test_q_coordinates_reconstruct():
     ctx = johnson_context(3)
     rng = random.Random(1)
-    from infalex.exact_linalg import axpy
     for _ in range(5):
         coeffs = {rng.randrange(ctx.q_dim): Fraction(rng.randint(-3, 3)) for _ in range(4)}
         ambient = {}
@@ -127,12 +142,46 @@ def test_coker_q_matches_presentation_route_g3():
 
 def test_pi_restricted_to_Q_is_identity():
     ctx = johnson_context(3)
-    from infalex.exact_linalg import axpy
     for r in range(0, ctx.q_dim, 7):
         coords = {}
         for amb, c in ctx.q_basis[r].items():
             axpy(coords, c, ctx.pi_cols[amb])
         assert coords == {r: Fraction(1)}
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_context_matches_recorded_digest(g):
+    recorded = json.loads(CONTEXT_GOLDEN.read_text())[str(g)]
+    assert _context_digest(johnson_context(g)) == recorded
+
+
+def test_pi_matches_isotypic_projection_g3():
+    # pi expanded back into the ambient basis is the oracle's idempotent
+    ctx = johnson_context(3)
+    proj = isotypic_projection(ctx.W2, ctx.hw_two_l2, blocks=ctx.blocks,
+                               constituents=ctx.constituents)
+    for j, (coords, col) in enumerate(zip(ctx.pi_cols, proj.column_vectors())):
+        ambient = {}
+        for r, c in coords.items():
+            axpy(ambient, c, ctx.q_basis[r])
+        assert ambient == col, j
+
+
+def test_r_basis_is_kernel_of_oracle_projections_g4():
+    # R is zero at genus 3, so genus 4 is the first case with an R path
+    ctx = johnson_context(4)
+    kw = {"blocks": ctx.blocks, "constituents": ctx.constituents}
+    p_q = isotypic_projection(ctx.W2, ctx.hw_two_l2, **kw)
+    p_z = isotypic_projection(ctx.W2, ctx.hw_zero, **kw)
+    kernel = (p_q + p_z).kernel_basis()
+    assert ({frozenset(v.items()) for v in ctx.r_basis}
+            == {frozenset(v.items()) for v in kernel})
+    assert len(kernel) == ctx.r_dim == 819
+    # Q and z are fixed by their own projections
+    q_cols, z_cols = p_q.column_vectors(), p_z.column_vectors()
+    for v in ctx.q_basis:
+        assert act_vec(q_cols, v) == v
+    assert act_vec(z_cols, ctx.z_vec) == ctx.z_vec
 
 
 def test_coker_q_degree1_matches_bb_direct_g3():
