@@ -185,7 +185,7 @@ def nabla_bar(p: LiePresentation) -> GradedMap:
 # cokernel dimensions
 # ---------------------------------------------------------------------------
 
-def _weighted_rank(gm: GradedMap, q: int, base_weights, block_weights, target_weights) -> int:
+def _weighted_rank(gm: GradedMap, q: int, base_weights, block_weights) -> int:
     """Rank of the degree-q matrix computed per weight block.
 
     Valid whenever every symbol term preserves the weight (checked by the
@@ -240,35 +240,36 @@ def _check_weight_homogeneous(gm: GradedMap, base_weights, block_weights, target
                         f"changes the weight: {wj} -> {w}")
 
 
-def coker_dims(gm: GradedMap, max_degree: int, *, base_weights=None,
-               block_weights=None, target_weights=None) -> GradedDims:
+def coker_dims(gm: GradedMap, max_degree: int, *, weights=None) -> GradedDims:
     """Degree-wise cokernel dimensions of the map, degrees 0..max_degree.
 
-    When weight data for an equivariant map is supplied, ranks are computed
-    per weight block; the result is identical, the blocks are just small.
-    Weight homogeneity of the symbol is verified when target weights are
-    given.
+    weights = (base, blocks, target) gives a weight per variable, per source
+    generator of each block and per target generator of an equivariant map.
+    Ranks are then computed per weight block, after checking that every
+    symbol term preserves the weight; the result is identical, the blocks
+    are just small.
     """
-    if base_weights is not None and target_weights is not None:
-        _check_weight_homogeneous(gm, base_weights, block_weights, target_weights)
+    if weights is not None:
+        base_w, block_w, target_w = weights
+        _check_weight_homogeneous(gm, base_w, block_w, target_w)
     dims = []
     for q in range(max_degree + 1):
         target = gm.target_dim_in_degree(q)
-        if base_weights is not None:
-            r = _weighted_rank(gm, q, base_weights, block_weights, target_weights)
+        if weights is not None:
+            r = _weighted_rank(gm, q, base_w, block_w)
         else:
             r = gm.instantiate(q).rank()
         dims.append(target - r)
     return GradedDims(0, tuple(dims))
 
 
-def nilpotence_order(gm: GradedMap, max_degree: int, **weight_kwargs) -> int | None:
+def nilpotence_order(gm: GradedMap, max_degree: int, weights=None) -> int | None:
     """Least q <= max_degree with vanishing degree-q cokernel, or None.
 
     Vanishing must persist through max_degree (generation in degree zero);
     a violation is an internal inconsistency, not a result.
     """
-    dims = coker_dims(gm, max_degree, **weight_kwargs)
+    dims = coker_dims(gm, max_degree, weights=weights)
     first = None
     for q in dims.degrees():
         if dims[q] == 0:

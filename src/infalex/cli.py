@@ -63,6 +63,12 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _nonnegative(flag: str, value: int) -> int:
+    if value < 0:
+        raise ValueError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 # -- subcommands -------------------------------------------------------------
 
 def cmd_witt(args) -> dict:
@@ -74,8 +80,7 @@ def cmd_witt(args) -> dict:
 
 
 def cmd_chen(args) -> dict:
-    if args.q < 0:
-        raise ValueError(f"-q must be >= 0, got {args.q}")
+    _nonnegative("-q", args.q)
     closed = comb(args.q + args.n, args.q + 2) * (args.q + 1)
     computed = coker_dims(delta3(args.n), args.q)[args.q]
     return {"n": args.n, "q": args.q, "closed_form": closed,
@@ -83,8 +88,8 @@ def cmd_chen(args) -> dict:
 
 
 def cmd_bb(args) -> dict:
+    n_deg = _nonnegative("--max-degree", args.max_degree)
     p = LiePresentation.from_json(_read(args.presentation))
-    n_deg = args.max_degree
     if args.method == "nabla":
         dims = list(coker_dims(nabla(p), n_deg).dims)
     elif args.method == "nabla-bar":
@@ -96,6 +101,7 @@ def cmd_bb(args) -> dict:
 
 
 def cmd_johnson(args) -> dict:
+    _nonnegative("--max-degree", args.max_degree)
     rep = johnson_module_dims(args.genus, args.max_degree, allow_large=args.allow_large)
     return rep.to_json_dict()
 
@@ -158,6 +164,7 @@ def cmd_nilpotence(args) -> dict:
 
 
 def cmd_oracle_check(args) -> dict:
+    _nonnegative("--trials", args.trials)
     rng = random.Random(args.seed)
     failures = []
     checks = 0

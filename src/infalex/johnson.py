@@ -4,17 +4,20 @@ Ingredients, all exact:
 
 * H = C^{2g} with the symplectic form, V = wedge^3 H / (theta ^ H);
 * the decomposition wedge^2 V = R (+) Q (+) C z, Q the highest-weight
-  summand of weight 2 lambda_2 and z spanning the invariant line;
-* pi : wedge^2 V ->> Q the equivariant idempotent, realized on an explicit
-  eigenspace basis of Q;
-* the Sym(V)-linear map q sending f (x) (a0 ^ a1 ^ a2) to the cyclic sum
-  f a_i (x) pi(a_{i+1} ^ a_{i+2}); its degree-wise cokernel plus one trivial
-  summand in degree zero is the module M.
+  summand of weight 2 lambda_2 and z spanning the invariant line, so that
+  Q = wedge^2 V / (R (+) C z);
+* q = nabla-bar of the quadratic Lie algebra L(V)/(R + C z): the
+  Sym(V)-linear map sending f (x) (a0 ^ a1 ^ a2) to the cyclic sum
+  f a_i (x) [a_{i+1} ^ a_{i+2}], classes taken in Q; its degree-wise
+  cokernel plus one trivial summand in degree zero is the module M.
 
-Instantiated matrices of q are equivariant, hence block diagonal over
-weights; ranks are computed per weight block, which is what makes genus 4
-affordable.  Results for g < 6 are linear algebra facts about the same maps;
-the finiteness guarantee for coker(q) starts at g = 6.
+The kernel of wedge^2 V ->> Q is R (+) C z whichever equivariant surjection
+is used, so coker(q) does not depend on the coordinates chosen on Q; q
+uses those of quad_lie.beta_matrix.  Instantiated matrices of q are
+equivariant, hence block diagonal over weights; ranks are computed per
+weight block, which is what makes genus 4 affordable.  Results for g < 6
+are linear algebra facts about the same maps; the finiteness guarantee for
+coker(q) starts at g = 6.
 """
 
 from __future__ import annotations
@@ -22,18 +25,19 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
-from .alex_module import GradedMap, SymbolBlock, coker_dims
+from .alex_module import GradedMap, coker_dims, nabla_bar
 from .errors import BudgetExceededError
-from .exact_linalg import ONE, RationalMatrix, Vec, act_vec, axpy, solve_membership
+from .exact_linalg import ONE, RationalMatrix, Vec, axpy, solve_membership
 from .free_lie import LieElement, bracket
-from .quad_lie import LiePresentation, ideal_piece, wedge2_pairs
-from .rep_semisimple import (HighestWeight, LieAlgebraSpec,
+from .quad_lie import LiePresentation, ideal_piece, quotient_pairs, wedge2_pairs
+from .rep_semisimple import (HighestWeight, LieAlgebraSpec, WeightModule,
                              casimir_blocks, casimir_eigenvalue,
                              fundamental_module, highest_weight_vectors,
-                             shifted_block, sym_act, wedge_act, wedge_power,
-                             _dense_block_polynomial)
+                             quotient_module, shifted_block, sym_act, wedge_act,
+                             wedge_power, _dense_block_polynomial)
 
 MIN_GENUS = 3
 
@@ -91,7 +95,6 @@ class JohnsonContext:
         self.V = fundamental_module(self.spec, 3)
         self.W2 = wedge_power(self.V, 2)
         self.pairs = wedge2_pairs(self.V.dimension)
-        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
 
         self.hw_two_l2 = HighestWeight((0, 2) + (0,) * (g - 2))
         self.hw_zero = HighestWeight((0,) * g)
@@ -112,102 +115,81 @@ class JohnsonContext:
         self.z_vec = zs[0]
 
         self.blocks = casimir_blocks(self.W2)
-        self._build_q_pi_and_r()
+        self._build_r()
 
-    # -- Q as an explicit eigenspace basis, pi in Q coordinates, R ---------------
+    # -- R, and dim Q as the c_q eigenspace -------------------------------------
 
-    def _build_q_pi_and_r(self):
+    def _build_r(self):
         """One pass over the weight blocks.
 
         A projector's image on a weight block is its eigenspace there, so
         P_Q is evaluated only on blocks where ker(C - c_q) is nonzero and
         P_z only on the block of z; elsewhere each is exactly zero.  R is
         the intersection of their kernels, which is ker(P_Q + P_z) because
-        both are idempotents with P_Q P_z = 0.
+        both are idempotents with P_Q P_z = 0.  dim Q is counted from the
+        eigenspaces, independently of R.
         """
         decomp = self.W2.weight_decomposition()
         z_weight = self.W2.weights[min(self.z_vec)]
-        q_basis: list[Vec] = []
-        q_free: list[int] = []          # ambient free position per basis vector
-        q_weights: list[tuple] = []
-        pi_cols: list[Vec] = [dict() for _ in range(self.W2.dimension)]
+        q_dim = 0
         r_basis: list[Vec] = []
         for w in sorted(self.blocks):
             idx = decomp[w]
             size = len(idx)
             block = self.blocks[w]
             projector = RationalMatrix.zeros(size, size)
-            kb = shifted_block(block, self.c_q).kernel_basis_with_free()
-            if kb:
+            eigen_dim = len(shifted_block(block, self.c_q).kernel_basis())
+            if eigen_dim:
+                q_dim += eigen_dim
                 pb = _dense_block_polynomial(block, self.eigenvalues, self.c_q)
                 projector = shifted_block(pb, 0)
-                start = len(q_basis)
-                for f, kv in kb:
-                    q_basis.append({idx[t]: c for t, c in kv.items()})
-                    q_free.append(idx[f])
-                    q_weights.append(w)
-                for cc, amb in enumerate(idx):
-                    for r, (f, _kv) in enumerate(kb, start):
-                        if pb[f][cc]:
-                            pi_cols[amb][r] = pb[f][cc]
             if w == z_weight:
                 pz = _dense_block_polynomial(block, self.eigenvalues, self.c_z)
                 projector = projector + shifted_block(pz, 0)
             for kv in projector.kernel_basis():
                 r_basis.append({idx[t]: c for t, c in kv.items()})
-        self.q_basis = q_basis
-        self.q_free = q_free
-        self.q_dim = len(q_basis)
-        self.q_weights = tuple(q_weights)
-        self.pi_cols = tuple(pi_cols)  # pi in Q coordinates, one column per pair
+        self.q_dim = q_dim
         self.r_basis = r_basis
         self.r_dim = len(r_basis)
 
     # -- the map q ---------------------------------------------------------------
 
-    def pi_column(self, i: int, j: int) -> Vec:
-        """pi(e_i ^ e_j) in Q coordinates, for any i != j."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.pi_cols[self.pair_index[(i, j)]]
-        return {k: -c for k, c in self.pi_cols[self.pair_index[(j, i)]].items()}
-
-    def q_coordinates(self, ambient: Vec) -> Vec:
-        """Coordinates in the Q basis of a vector lying in the Q span."""
-        out: Vec = {}
-        for r, free_amb in enumerate(self.q_free):
-            c = ambient.get(free_amb)
-            if c:
-                out[r] = c
-        return out
+    def presentation_with_z(self) -> LiePresentation:
+        """L(V) modulo (R + C z); its G_2 is Q."""
+        rels = [{self.pairs[k]: c for k, c in v.items()}
+                for v in self.r_basis + [self.z_vec]]
+        return LiePresentation.make(self.V.dimension, rels)
 
     def q_map(self) -> GradedMap:
-        n = self.V.dimension
-        triples = list(combinations(range(n), 3))
-        symbol = []
-        for (a, b, c) in triples:
-            terms: dict[tuple[int, int], Fraction] = {}
-            for var, (s, t) in ((a, (b, c)), (b, (c, a)), (c, (a, b))):
-                axpy(terms, 1, {(var, k): coeff for k, coeff in self.pi_column(s, t).items()})
-            symbol.append(tuple((i, k, c) for (i, k), c in sorted(terms.items())))
-        block = SymbolBlock("wedge3", len(triples), 1, tuple(symbol))
-        return GradedMap(n, self.q_dim, (block,))
+        """nabla-bar of L(V)/(R + C z): the cyclic sum into Sym (x) Q."""
+        return nabla_bar(self.presentation_with_z())
 
     def weight_data(self):
-        """(base_weights, block_weights, target_weights) for equivariant ranks."""
+        """The (base, blocks, target) weights of q_map() for coker_dims.
+
+        The target weights are those of the pair positions that survive the
+        echelonized R + C z, which index the rows of beta.
+        """
         vw = self.V.weights
         triples = list(combinations(range(self.V.dimension), 3))
         tri_w = [tuple(vw[a][t] + vw[b][t] + vw[c][t] for t in range(self.g))
                  for (a, b, c) in triples]
-        return vw, [tri_w], self.q_weights
+        kept = quotient_pairs(self.presentation_with_z())
+        return vw, [tri_w], tuple(self.W2.weights[k] for k in kept)
 
-    def presentation_with_z(self) -> LiePresentation:
-        """L(V) modulo (R + C z): the quadratic presentation whose invariant
-        matches coker(q) degree-wise."""
-        rels = [{self.pairs[k]: c for k, c in v.items()}
-                for v in self.r_basis + [self.z_vec]]
-        return LiePresentation.make(self.V.dimension, rels)
+    # -- the equivariance oracle; johnson_module_dims builds neither -------------
+
+    @cached_property
+    def q_module(self) -> WeightModule:
+        """Q = wedge^2 V / (R + C z) in the coordinates of the target of q_map();
+        building it checks that R + C z is invariant."""
+        return quotient_module(self.W2, self.r_basis + [self.z_vec])
+
+    @cached_property
+    def q_symbol(self) -> dict:
+        """The symbol of q_map(), keyed by sorted triple."""
+        triples = combinations(range(self.V.dimension), 3)
+        return dict(zip(triples, self.q_map().blocks[0].symbol))
 
 
 _CTX_CACHE: dict[int, JohnsonContext] = {}
@@ -222,7 +204,7 @@ def johnson_context(g: int) -> JohnsonContext:
 
 def build_q(g: int, *, allow_large: bool = False) -> GradedMap:
     """The Sym(V)-linear map f (x) a0^a1^a2 |-> sum over cyclic i of
-    f a_i (x) pi(a_{i+1} ^ a_{i+2})."""
+    f a_i (x) [a_{i+1} ^ a_{i+2}] in Q = wedge^2 V / (R + C z)."""
     _check_budget(g, None, allow_large)
     return johnson_context(g).q_map()
 
@@ -258,9 +240,7 @@ def johnson_module_dims(g: int, max_degree: int, *, allow_large: bool = False) -
     _check_budget(g, max_degree, allow_large)
     ctx = johnson_context(g)
     gm = ctx.q_map()
-    base_w, block_w, target_w = ctx.weight_data()
-    dims = coker_dims(gm, max_degree, base_weights=base_w,
-                      block_weights=block_w, target_weights=target_w)
+    dims = coker_dims(gm, max_degree, weights=ctx.weight_data())
     coker = tuple(dims.dims)
     m_dims = tuple(d + (1 if q == 0 else 0) for q, d in enumerate(coker))
     return JohnsonModuleReport(g, ctx.V.dimension, ctx.q_dim,
@@ -313,25 +293,24 @@ def source_act(ctx: JohnsonContext, label: str, svec: dict) -> dict:
 def target_act(ctx: JohnsonContext, label: str, tvec: dict) -> dict:
     """Action on Sym (x) Q vectors keyed by (monomial, Q index)."""
     vcols = ctx.V.actions[label]
-    w2cols = ctx.W2.actions[label]
+    qcols = ctx.q_module.actions[label]
     out: dict = {}
     for (mono, k), coeff in tvec.items():
         axpy(out, coeff, {(m2, k): c for m2, c in sym_act(vcols, mono).items()})
-        ambient = act_vec(w2cols, ctx.q_basis[k])
-        axpy(out, coeff, {(mono, kk): c for kk, c in ctx.q_coordinates(ambient).items()})
+        axpy(out, coeff, {(mono, kk): c for kk, c in qcols[k].items()})
     return out
 
 
 def apply_q_to_vector(ctx: JohnsonContext, svec: dict) -> dict:
-    """Apply the symbol of q to a Sym (x) wedge^3 V vector."""
+    """Apply the symbol of q_map() to a Sym (x) wedge^3 V vector."""
     out: dict = {}
     for (mono, tri), coeff in svec.items():
-        a, b, c = tri
-        for var, (s, t) in ((a, (b, c)), (b, (c, a)), (c, (a, b))):
+        terms = {}
+        for (i, k, c) in ctx.q_symbol[tri]:
             m2 = list(mono)
-            m2[var] += 1
-            m2 = tuple(m2)
-            axpy(out, coeff, {(m2, k): pc for k, pc in ctx.pi_column(s, t).items()})
+            m2[i] += 1
+            terms[(tuple(m2), k)] = c
+        axpy(out, coeff, terms)
     return out
 
 

@@ -165,25 +165,29 @@ def graded_piece(p: LiePresentation, q: int) -> GradedPiece:
     return GradedPiece(q, lifts, ideal_piece(p, q))
 
 
+def quotient_pairs(p: LiePresentation) -> list[int]:
+    """Pair positions whose classes form the basis of G_2 = wedge^2 V / R:
+    the non-pivot positions of the echelonized R, in increasing order."""
+    # relations are stored in reduced echelon form: a lead is its row's least index
+    leads = {min(rel) for rel in p.relations}
+    return [k for k in range(len(wedge2_pairs(p.dim_v))) if k not in leads]
+
+
 def beta_matrix(p: LiePresentation) -> RationalMatrix:
     """The surjection wedge^2 V -> G_2 = wedge^2 V / R, kernel exactly R.
 
-    Rows are indexed by the pair basis classes that survive (non-pivot
-    columns of the echelonized R), so the matrix reads off canonical quotient
-    coordinates.
+    Rows are indexed by quotient_pairs(p), so the matrix reads off canonical
+    quotient coordinates.
     """
-    n = p.dim_v
-    total = len(wedge2_pairs(n))
+    total = len(wedge2_pairs(p.dim_v))
     eb = echelon_basis(p.relations)
-    leads = eb.leads()
-    free = [k for k in range(total) if k not in set(leads)]
-    pos = {k: r for r, k in enumerate(free)}
+    pos = {k: r for r, k in enumerate(quotient_pairs(p))}
     entries = {}
     for k in range(total):
         red = eb.reduce({k: Fraction(1)})
         for c_idx, c in red.items():
             entries[(pos[c_idx], k)] = c
-    return RationalMatrix(len(free), total, entries)
+    return RationalMatrix(len(pos), total, entries)
 
 
 # ---------------------------------------------------------------------------

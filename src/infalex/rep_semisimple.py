@@ -27,14 +27,6 @@ from .exact_linalg import ONE, RationalMatrix, Vec, act_vec, axpy, echelon_basis
 ColMat = tuple  # tuple of {row: Fraction} dicts, one per column
 
 
-def _cols_to_matrix(cols: ColMat, dim: int) -> RationalMatrix:
-    entries = {}
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            entries[(i, j)] = v
-    return RationalMatrix(dim, dim, entries)
-
-
 # ---------------------------------------------------------------------------
 # the two algebra families
 # ---------------------------------------------------------------------------
@@ -84,15 +76,6 @@ class LieAlgebraSpec:
             return labels
         n = self.rank
         return [f"E_{i}_{i+1}" for i in range(n - 1)]
-
-    def lowering_labels(self) -> list[str]:
-        if self.family == "sp":
-            g = self.rank
-            labels = [f"X_{i+1}_{i}" for i in range(g - 1)]
-            labels.append(f"V_{g-1}")
-            return labels
-        n = self.rank
-        return [f"E_{i+1}_{i}" for i in range(n - 1)]
 
     def simple_coroot_pairing(self, w: tuple[int, ...], i: int) -> int:
         """<w, alpha_i^vee> for the i-th simple root (0-based)."""
@@ -230,7 +213,7 @@ class WeightModule:
     actions: dict  # label -> ColMat
 
     def action_matrix(self, label: str) -> RationalMatrix:
-        return _cols_to_matrix(self.actions[label], self.dimension)
+        return RationalMatrix.from_columns(self.actions[label], self.dimension)
 
     def weight_decomposition(self) -> dict[tuple[int, ...], list[int]]:
         out: dict[tuple[int, ...], list[int]] = {}

@@ -177,6 +177,12 @@ def test_monotone_vanishing_and_nilpotence_order():
     assert nilpotence_order(nabla(ph), 3) == 1
 
 
+def _plain_coker(gm, max_degree):
+    # the independent oracle: the full instantiated matrix, no weights
+    return tuple(gm.target_dim_in_degree(q) - gm.instantiate(q).rank()
+                 for q in range(max_degree + 1))
+
+
 def test_weighted_rank_agrees_with_plain():
     # the coordinate-torus weights make the cyclic-sum map weight
     # homogeneous; block-diagonal ranks must reproduce the plain ranks
@@ -189,10 +195,8 @@ def test_weighted_rank_agrees_with_plain():
                     for i, j in combinations(range(n), 2)]
         block_w = [[tuple(a + b + c for a, b, c in zip(unit(i), unit(j), unit(k)))
                     for i, j, k in combinations(range(n), 3)]]
-        plain = coker_dims(gm, 4)
-        weighted = coker_dims(gm, 4, base_weights=base_w, block_weights=block_w,
-                              target_weights=target_w)
-        assert plain.dims == weighted.dims
+        weighted = coker_dims(gm, 4, weights=(base_w, block_w, target_w))
+        assert weighted.dims == _plain_coker(gm, 4)
 
 
 def test_weight_homogeneity_violation_detected():
@@ -201,8 +205,19 @@ def test_weight_homogeneity_violation_detected():
     block_w = [[(0,)] * gm.blocks[0].num_generators]
     target_w = [(0,)] * gm.target_dim
     with pytest.raises(ValueError):
-        coker_dims(gm, 2, base_weights=base_w, block_weights=block_w,
-                   target_weights=target_w)
+        coker_dims(gm, 2, weights=(base_w, block_w, target_w))
+
+
+def test_weights_are_always_checked():
+    # block weights that do not match the symbol would put columns of one
+    # weight block into different buckets and give wrong ranks
+    gm = koszul_map(3, 2)
+    base_w = [(1,), (2,), (4,)]
+    with pytest.raises(ValueError):
+        coker_dims(gm, 3, weights=(base_w, [[(0,)] * 3], [(0,)] * 3))
+    pair_w = [[(3,), (5,), (6,)]]          # (0,1), (0,2), (1,2)
+    weighted = coker_dims(gm, 3, weights=(base_w, pair_w, base_w))
+    assert weighted.dims == _plain_coker(gm, 3) == (3, 6, 10, 15)
 
 
 def test_dims_json_shape():

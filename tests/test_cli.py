@@ -210,10 +210,15 @@ ARGV = {
     (["cv", "--character", "1/0,1"], "'1/0'"),
     (["cv", "--character", "zeta_0^1,zeta_0^1"], "'zeta_0^1'"),
     (["chen", "-n", "2", "-q", "-1"], "-1"),
+    (["bb", "--max-degree", "-1"], "--max-degree"),
+    (["johnson", "--genus", "3", "--max-degree", "-1"], "--max-degree"),
+    (["oracle-check", "--trials", "-1"], "--trials"),
 ])
 def test_bad_argument_usage_error(capsys, files, argv, needle):
     if argv[0] == "cv":
         argv = argv + ["--presentation", files["f2"]]
+    if argv[0] == "bb":
+        argv = argv + ["--presentation", files["pres"]]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -7,14 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from infalex.alex_module import coker_dims, nabla_bar
+from infalex.alex_module import coker_dims, nabla, nabla_bar
 from infalex.errors import BudgetExceededError
 from infalex.quad_lie import bb_direct
 from infalex.johnson import (SymplecticSpace, build_q,
                              central_z_check, decompose_wedge2_V,
                              equivariance_defect, johnson_context,
                              johnson_module_dims)
-from infalex.exact_linalg import axpy
 from infalex.rep_semisimple import HighestWeight, act_vec, isotypic_projection, weyl_dim
 
 # sha256 of the repr of each context field, so values, dict key order and
@@ -22,7 +21,7 @@ from infalex.rep_semisimple import HighestWeight, act_vec, isotypic_projection, 
 # Re-record after a deliberate change with
 #   {g: _context_digest(johnson_context(g)) for g in (3, 4)}
 CONTEXT_GOLDEN = Path(__file__).parent / "golden" / "johnson_context.json"
-CONTEXT_FIELDS = ("q_basis", "q_free", "q_weights", "pi_cols", "r_basis", "z_vec")
+CONTEXT_FIELDS = ("r_basis", "z_vec")
 
 
 def _context_digest(ctx) -> dict[str, str]:
@@ -71,7 +70,7 @@ def test_build_q_shape_g3():
 
 def test_symbol_has_three_terms_before_projection():
     # on a decomposable triple the cyclic sum has exactly 3 terms; after
-    # composing with pi each term contributes one variable, so the set of
+    # projecting onto Q each term contributes one variable, so the set of
     # variables appearing in any symbol entry is exactly the triple
     ctx = johnson_context(3)
     gm = ctx.q_map()
@@ -81,27 +80,6 @@ def test_symbol_has_three_terms_before_projection():
         j = rng.randrange(len(tri))
         variables = {i for (i, _k, _c) in gm.blocks[0].symbol[j]}
         assert variables <= set(tri[j])
-
-
-def test_pi_column_antisymmetry():
-    ctx = johnson_context(3)
-    col = ctx.pi_column(2, 5)
-    colr = ctx.pi_column(5, 2)
-    assert colr == {k: -c for k, c in col.items()}
-    assert ctx.pi_column(3, 3) == {}
-
-
-def test_q_coordinates_reconstruct():
-    ctx = johnson_context(3)
-    rng = random.Random(1)
-    for _ in range(5):
-        coeffs = {rng.randrange(ctx.q_dim): Fraction(rng.randint(-3, 3)) for _ in range(4)}
-        ambient = {}
-        for k, c in coeffs.items():
-            if c:
-                axpy(ambient, c, ctx.q_basis[k])
-        got = ctx.q_coordinates(ambient)
-        assert got == {k: c for k, c in coeffs.items() if c}
 
 
 def test_johnson_dims_g3():
@@ -119,52 +97,29 @@ def test_johnson_dims_g3():
 def test_weighted_rank_matches_plain_instantiation_g3():
     ctx = johnson_context(3)
     gm = ctx.q_map()
-    base_w, block_w, target_w = ctx.weight_data()
-    weighted = coker_dims(gm, 1, base_weights=base_w, block_weights=block_w,
-                          target_weights=target_w)
+    weighted = coker_dims(gm, 1, weights=ctx.weight_data())
     plain = coker_dims(gm, 1)
     assert weighted.dims == plain.dims
 
 
 def test_coker_q_matches_presentation_route_g3():
-    # the quadratic presentation with relations R + C z has the same
-    # graded invariant as coker(q)
+    # q is nabla-bar of the presentation with relations R + C z; nabla
+    # presents the same invariant on Sym (x) wedge^2 V without beta
     ctx = johnson_context(3)
     pres = ctx.presentation_with_z()
     assert pres.dim_v == 14
     assert pres.num_relations() == 1     # R = 0 at genus 3, only z
-    nb = nabla_bar(pres)
-    assert nb.target_dim == 90
+    nb = nabla(pres)
+    assert nb.target_dim == 91
     dims_pres = coker_dims(nb, 1)
     rep = johnson_module_dims(3, 1)
     assert tuple(dims_pres.dims) == rep.coker_q
-
-
-def test_pi_restricted_to_Q_is_identity():
-    ctx = johnson_context(3)
-    for r in range(0, ctx.q_dim, 7):
-        coords = {}
-        for amb, c in ctx.q_basis[r].items():
-            axpy(coords, c, ctx.pi_cols[amb])
-        assert coords == {r: Fraction(1)}
 
 
 @pytest.mark.parametrize("g", [3, 4])
 def test_context_matches_recorded_digest(g):
     recorded = json.loads(CONTEXT_GOLDEN.read_text())[str(g)]
     assert _context_digest(johnson_context(g)) == recorded
-
-
-def test_pi_matches_isotypic_projection_g3():
-    # pi expanded back into the ambient basis is the oracle's idempotent
-    ctx = johnson_context(3)
-    proj = isotypic_projection(ctx.W2, ctx.hw_two_l2, blocks=ctx.blocks,
-                               constituents=ctx.constituents)
-    for j, (coords, col) in enumerate(zip(ctx.pi_cols, proj.column_vectors())):
-        ambient = {}
-        for r, c in coords.items():
-            axpy(ambient, c, ctx.q_basis[r])
-        assert ambient == col, j
 
 
 def test_r_basis_is_kernel_of_oracle_projections_g4():
@@ -177,10 +132,11 @@ def test_r_basis_is_kernel_of_oracle_projections_g4():
     assert ({frozenset(v.items()) for v in ctx.r_basis}
             == {frozenset(v.items()) for v in kernel})
     assert len(kernel) == ctx.r_dim == 819
-    # Q and z are fixed by their own projections
+    # the projection onto Q kills every relation of L(V)/(R + C z), and z
+    # is fixed by its own projection
     q_cols, z_cols = p_q.column_vectors(), p_z.column_vectors()
-    for v in ctx.q_basis:
-        assert act_vec(q_cols, v) == v
+    for v in ctx.presentation_with_z().relations:
+        assert act_vec(q_cols, v) == {}
     assert act_vec(z_cols, ctx.z_vec) == ctx.z_vec
 
 
@@ -272,12 +228,25 @@ def test_central_z_g4_membership_holds():
 
 @pytest.mark.slow
 def test_coker_q_matches_presentation_route_g4():
-    # independent route: plain elimination over the auxiliary presentation
-    # with its row-echelon quotient basis, against the weighted block ranks
-    # of the eigenspace realization
+    # the unweighted oracle: plain elimination of the full degree-1 matrix
+    # of q = nabla-bar(L(V)/(R + C z)), against its weighted block ranks
     ctx = johnson_context(4)
     pres = ctx.presentation_with_z()
     assert pres.num_relations() == 820
     dims_pres = coker_dims(nabla_bar(pres), 1)
     rep = johnson_module_dims(4, 1)
     assert tuple(dims_pres.dims) == rep.coker_q == (308, 1232)
+
+
+@pytest.mark.slow
+def test_coker_q_matches_nabla_route_g4():
+    # independent matrix: nabla keeps the relations as a source block and
+    # targets Sym (x) wedge^2 V, so it never uses beta; it is equivariant
+    # too, since its relations are weight vectors
+    ctx = johnson_context(4)
+    pres = ctx.presentation_with_z()
+    base_w, (tri_w,), _target_w = ctx.weight_data()
+    rel_w = [ctx.W2.weights[min(v)] for v in pres.relations]
+    weights = (base_w, [rel_w, tri_w], ctx.W2.weights)
+    dims_nabla = coker_dims(nabla(pres), 1, weights=weights)
+    assert tuple(dims_nabla.dims) == johnson_module_dims(4, 1).coker_q
