@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import InternalInconsistencyError
-from .exact_linalg import ZERO, EchelonBasis, RationalMatrix, Vec, axpy
+from .exact_linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Vec, axpy
 from .free_lie import GradedDims
 from .quad_lie import LiePresentation, beta_matrix, wedge2_pairs
 
@@ -301,14 +301,12 @@ def coker_multiplication_action(gm: GradedMap, max_degree: int) -> tuple[int, li
     n = gm.base_dim
     spans = []
     free_rows = []
-    for q in range(max_degree + 1):
-        eb = gm.instantiate(q).column_span()
-        spans.append(eb)
-        leads = set(eb.rows)
-        free_rows.append([r for r in range(gm.target_dim_in_degree(q)) if r not in leads])
     offsets = []
     total = 0
     for q in range(max_degree + 1):
+        eb = gm.instantiate(q).column_span()
+        spans.append(eb)
+        free_rows.append(eb.free(gm.target_dim_in_degree(q)))
         offsets.append(total)
         total += len(free_rows[q])
     mats = []
@@ -317,16 +315,13 @@ def coker_multiplication_action(gm: GradedMap, max_degree: int) -> tuple[int, li
         for q in range(max_degree):
             src_idx = monomials(n, q)
             tgt_idx = monomial_index(n, q + 1)
-            free_pos = {r: t for t, r in enumerate(free_rows[q + 1])}
-            for col_local, r in enumerate(free_rows[q]):
+            for r, col_local in free_rows[q].items():
                 mono = src_idx[r // gm.target_dim]
                 k = r % gm.target_dim
                 up = list(mono)
                 up[i] += 1
                 row = tgt_idx[tuple(up)] * gm.target_dim + k
-                red = spans[q + 1].reduce({row: Fraction(1)})
-                for rr, c in red.items():
-                    entries[(offsets[q + 1] + free_pos[rr],
-                             offsets[q] + col_local)] = c
+                for t, c in spans[q + 1].coordinates({row: ONE}, free_rows[q + 1]).items():
+                    entries[(offsets[q + 1] + t, offsets[q] + col_local)] = c
         mats.append(RationalMatrix(total, total, entries))
     return total, mats

@@ -20,7 +20,10 @@ def _kind(value) -> str:
 def load(doc, what: str) -> dict:
     """The document as a dict; str or bytes are parsed as JSON first."""
     if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except RecursionError:
+            raise ValueError(f"the {what} document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"a {what} document must be a JSON object, got {_kind(doc)}")
     return doc

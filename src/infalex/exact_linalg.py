@@ -378,13 +378,25 @@ class EchelonBasis:
     def contains(self, v: Mapping) -> bool:
         return not self.reduce(v)
 
-    def leads(self) -> list[int]:
-        return sorted(self.rows)
+    def free(self, n: int) -> dict[int, int]:
+        """The quotient of positions 0..n-1 by the span: each non-pivot
+        position, in increasing order, mapped to its index in the quotient
+        basis."""
+        rows = self.rows
+        return {k: t for t, k in enumerate(k for k in range(n) if k not in rows)}
+
+    def coordinates(self, v: Mapping, pos: Mapping[int, int]) -> Vec:
+        """Coordinates of the class of v in the quotient basis pos = free(n).
+
+        The reduced representative is supported on non-pivot positions only,
+        so the coordinates are its entries renumbered by pos.
+        """
+        return {pos[k]: x for k, x in self.reduce(v).items()}
 
     def vectors(self) -> list[Vec]:
         return [dict(self.rows[l]) for l in sorted(self.rows)]
 
-    def kernel_coefficients(self, free_col: int, cols: int) -> Vec:
+    def kernel_coefficients(self, free_col: int) -> Vec:
         """Kernel vector of the row span carrying 1 at the given free column.
 
         The result is supported on the free column and pivot columns only;
@@ -563,9 +575,7 @@ class RationalMatrix:
         """
         # stacked operators leave most rows empty, and those span nothing
         eb = echelon_basis(v for v in self.row_vectors() if v)
-        pivot_set = set(eb.rows)
-        return [(f, eb.kernel_coefficients(f, self.cols))
-                for f in range(self.cols) if f not in pivot_set]
+        return [(f, eb.kernel_coefficients(f)) for f in eb.free(self.cols)]
 
     def column_span(self) -> EchelonBasis:
         return echelon_basis(self.column_vectors())

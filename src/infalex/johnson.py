@@ -30,9 +30,9 @@ from itertools import combinations
 
 from .alex_module import GradedMap, coker_dims, nabla_bar
 from .errors import BudgetExceededError
-from .exact_linalg import ONE, RationalMatrix, Vec, axpy, solve_membership
+from .exact_linalg import ONE, RationalMatrix, Vec, axpy
 from .free_lie import LieElement, bracket
-from .quad_lie import LiePresentation, ideal_piece, quotient_pairs, wedge2_pairs
+from .quad_lie import LiePresentation, _ideal_echelon, quotient_pairs, wedge2_pairs
 from .rep_semisimple import (HighestWeight, LieAlgebraSpec, WeightModule,
                              casimir_blocks, casimir_eigenvalue,
                              fundamental_module, highest_weight_vectors,
@@ -51,19 +51,21 @@ def _allow_large(flag: bool) -> bool:
     return flag or os.environ.get("INFALEX_ALLOW_LARGE", "") not in ("", "0")
 
 
+def _over_budget(what: str, limit: int, **facts) -> BudgetExceededError:
+    """The refusal of a run past a default ceiling; facts say what was asked."""
+    return BudgetExceededError({
+        "error": "budget", "what": what, **facts, "limit": limit,
+        "hint": "pass allow_large / --allow-large or set INFALEX_ALLOW_LARGE=1"})
+
+
 def _check_budget(g: int, max_degree: int | None, allow_large: bool):
     if _allow_large(allow_large):
         return
     if g > _GENUS_BUDGET:
-        raise BudgetExceededError({
-            "error": "budget", "what": "genus", "genus": g,
-            "limit": _GENUS_BUDGET,
-            "hint": "pass allow_large / --allow-large or set INFALEX_ALLOW_LARGE=1"})
+        raise _over_budget("genus", _GENUS_BUDGET, genus=g)
     if max_degree is not None and max_degree > _DEGREE_BUDGET.get(g, 0):
-        raise BudgetExceededError({
-            "error": "budget", "what": "degree", "genus": g,
-            "max_degree": max_degree, "limit": _DEGREE_BUDGET.get(g, 0),
-            "hint": "pass allow_large / --allow-large or set INFALEX_ALLOW_LARGE=1"})
+        raise _over_budget("degree", _DEGREE_BUDGET.get(g, 0), genus=g,
+                           max_degree=max_degree)
 
 
 @dataclass(frozen=True)
@@ -154,6 +156,7 @@ class JohnsonContext:
 
     # -- the map q ---------------------------------------------------------------
 
+    @cached_property
     def presentation_with_z(self) -> LiePresentation:
         """L(V) modulo (R + C z); its G_2 is Q."""
         rels = [{self.pairs[k]: c for k, c in v.items()}
@@ -162,7 +165,7 @@ class JohnsonContext:
 
     def q_map(self) -> GradedMap:
         """nabla-bar of L(V)/(R + C z): the cyclic sum into Sym (x) Q."""
-        return nabla_bar(self.presentation_with_z())
+        return nabla_bar(self.presentation_with_z)
 
     def weight_data(self):
         """The (base, blocks, target) weights of q_map() for coker_dims.
@@ -174,7 +177,7 @@ class JohnsonContext:
         triples = list(combinations(range(self.V.dimension), 3))
         tri_w = [tuple(vw[a][t] + vw[b][t] + vw[c][t] for t in range(self.g))
                  for (a, b, c) in triples]
-        kept = quotient_pairs(self.presentation_with_z())
+        kept = quotient_pairs(self.presentation_with_z)
         return vw, [tri_w], tuple(self.W2.weights[k] for k in kept)
 
     # -- the equivariance oracle; johnson_module_dims builds neither -------------
@@ -250,30 +253,21 @@ def johnson_module_dims(g: int, max_degree: int, *, allow_large: bool = False) -
 def central_z_check(g: int, *, allow_large: bool = False) -> bool:
     """Degree-3 membership [z, V] inside ideal(R): reported literally.
 
-    At g = 3 the decomposition gives R = 0, the quotient is free, and z is a
+    At g = 3 the decomposition gives R = 0, so the ideal is zero and z is a
     nonzero degree-2 element of a free Lie algebra; the check then reports
     whether [z, V] = 0, which is false.  For larger g the relation space is
     big and the membership is a genuine computation.
     """
     if not _allow_large(allow_large) and g > _CENTRAL_Z_GENUS_BUDGET:
-        raise BudgetExceededError({
-            "error": "budget", "what": "central_z_genus", "genus": g,
-            "limit": _CENTRAL_Z_GENUS_BUDGET,
-            "hint": "pass allow_large / --allow-large or set INFALEX_ALLOW_LARGE=1"})
+        raise _over_budget("central_z_genus", _CENTRAL_Z_GENUS_BUDGET, genus=g)
     ctx = johnson_context(g)
     n = ctx.V.dimension
     pres = LiePresentation.make(
         n, [{ctx.pairs[k]: c for k, c in v.items()} for v in ctx.r_basis])
+    ideal3 = _ideal_echelon(pres, 3)
     z_elt = LieElement.make(2, {ctx.pairs[k]: c for k, c in ctx.z_vec.items()})
-    if not pres.relations:
-        # free quotient: membership in the zero ideal means [z, v] vanishes
-        return all(bracket(z_elt, LieElement.generator(i)).is_zero() for i in range(n))
-    ideal3 = ideal_piece(pres, 3)
-    for i in range(n):
-        w = bracket(z_elt, LieElement.generator(i))
-        if not solve_membership(ideal3, w.to_vec(n)):
-            return False
-    return True
+    return all(ideal3.contains(bracket(z_elt, LieElement.generator(i)).to_vec(n))
+               for i in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import documents
-from .exact_linalg import ZERO, EchelonBasis, RationalMatrix, Vec, echelon_basis
+from .exact_linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Vec, echelon_basis
 from .free_lie import (GradedDims, LieElement, _lyndon_words_cached,
                        ad_generator_matrix, basis_bracket, lyndon_index)
 
@@ -67,7 +67,7 @@ class LiePresentation:
         if dim_v < 1:
             raise ValueError("dim_v >= 1 required")
         eb = echelon_basis(_normalize_relation(dim_v, r) for r in relations)
-        return LiePresentation(dim_v, tuple(eb.vectors()))
+        return LiePresentation(dim_v, tuple(eb.vectors()), _cache={("ideal", 2): eb})
 
     @staticmethod
     def from_json(doc) -> "LiePresentation":
@@ -91,6 +91,14 @@ class LiePresentation:
     def num_relations(self) -> int:
         return len(self.relations)
 
+    def relation_span(self) -> EchelonBasis:
+        """The echelonized span of R, which is also ideal(R)_2; make() keeps
+        the one it builds."""
+        eb = self._cache.get(("ideal", 2))
+        if eb is None:
+            eb = self._cache[("ideal", 2)] = echelon_basis(self.relations)
+        return eb
+
 
 # ---------------------------------------------------------------------------
 # graded pieces of the ideal and of the quotient
@@ -98,23 +106,22 @@ class LiePresentation:
 
 def _ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
     """Echelonized span of ideal(R)_q in Lyndon coordinates of L_q, cached."""
+    if q < 2:
+        raise ValueError("the ideal lives in degrees >= 2")
+    if q == 2:
+        # wedge^2 V and L_2 share the (i<j) basis order
+        return p.relation_span()
     key = ("ideal", q)
     cached = p._cache.get(key)
     if cached is not None:
         return cached
     n = p.dim_v
-    if q < 2:
-        raise ValueError("the ideal lives in degrees >= 2")
-    if q == 2:
-        # wedge^2 V and L_2 share the (i<j) basis order
-        eb = echelon_basis(p.relations)
-    else:
-        prev = _ideal_echelon(p, q - 1)
-        ads = [ad_generator_matrix(n, i, q - 1) for i in range(n)]
-        eb = EchelonBasis()
-        for v in prev.vectors():
-            for m in ads:
-                eb.add(m.matvec(v))
+    prev = _ideal_echelon(p, q - 1)
+    ads = [ad_generator_matrix(n, i, q - 1) for i in range(n)]
+    eb = EchelonBasis()
+    for v in prev.vectors():
+        for m in ads:
+            eb.add(m.matvec(v))
     p._cache[key] = eb
     return eb
 
@@ -136,10 +143,8 @@ def graded_dims(p: LiePresentation, max_degree: int) -> GradedDims:
 
 def quotient_basis_words(p: LiePresentation, q: int) -> list[tuple[int, ...]]:
     """Lyndon words of length q whose classes form a basis of the quotient."""
-    eb = _ideal_echelon(p, q)
-    leads = set(eb.rows)
     words = _lyndon_words_cached(p.dim_v, q)
-    return [w for i, w in enumerate(words) if i not in leads]
+    return [words[i] for i in _ideal_echelon(p, q).free(len(words))]
 
 
 @dataclass(frozen=True)
@@ -165,12 +170,10 @@ def graded_piece(p: LiePresentation, q: int) -> GradedPiece:
     return GradedPiece(q, lifts, ideal_piece(p, q))
 
 
-def quotient_pairs(p: LiePresentation) -> list[int]:
-    """Pair positions whose classes form the basis of G_2 = wedge^2 V / R:
-    the non-pivot positions of the echelonized R, in increasing order."""
-    # relations are stored in reduced echelon form: a lead is its row's least index
-    leads = {min(rel) for rel in p.relations}
-    return [k for k in range(len(wedge2_pairs(p.dim_v))) if k not in leads]
+def quotient_pairs(p: LiePresentation) -> dict[int, int]:
+    """Pair positions whose classes form the basis of G_2 = wedge^2 V / R,
+    each mapped to its row of beta_matrix(p)."""
+    return p.relation_span().free(len(wedge2_pairs(p.dim_v)))
 
 
 def beta_matrix(p: LiePresentation) -> RationalMatrix:
@@ -179,14 +182,13 @@ def beta_matrix(p: LiePresentation) -> RationalMatrix:
     Rows are indexed by quotient_pairs(p), so the matrix reads off canonical
     quotient coordinates.
     """
+    span = p.relation_span()
+    pos = quotient_pairs(p)
     total = len(wedge2_pairs(p.dim_v))
-    eb = echelon_basis(p.relations)
-    pos = {k: r for r, k in enumerate(quotient_pairs(p))}
     entries = {}
     for k in range(total):
-        red = eb.reduce({k: Fraction(1)})
-        for c_idx, c in red.items():
-            entries[(pos[c_idx], k)] = c
+        for r, c in span.coordinates({k: ONE}, pos).items():
+            entries[(r, k)] = c
     return RationalMatrix(len(pos), total, entries)
 
 
@@ -211,9 +213,8 @@ def bb_direct(p: LiePresentation, q: int) -> tuple[int, list[tuple[int, ...]]]:
     if cached is not None:
         return cached
     span = EchelonBasis()
-    if d >= 2:
-        for v in _ideal_echelon(p, d).vectors():
-            span.add(v)
+    for v in _ideal_echelon(p, d).vectors():
+        span.add(v)
     idx = lyndon_index(n, d)
     for a in range(2, d - 1):
         b = d - a
@@ -229,11 +230,8 @@ def bb_direct(p: LiePresentation, q: int) -> tuple[int, list[tuple[int, ...]]]:
                 if res.is_zero():
                     continue
                 span.add({idx[w]: c for w, c in res.coords})
-    free_dim = len(_lyndon_words_cached(n, d))
-    dim = free_dim - span.rank
-    leads = set(span.rows)
     words = _lyndon_words_cached(n, d)
-    basis = [w for i, w in enumerate(words) if i not in leads]
-    result = (dim, basis)
+    basis = [words[i] for i in span.free(len(words))]
+    result = (len(basis), basis)
     p._cache[key] = result
     return result

@@ -332,18 +332,11 @@ def quotient_module(m: WeightModule, spanning: list[Vec]) -> WeightModule:
         for label, cols in m.actions.items():
             if eb.reduce(act_vec(cols, v)):
                 raise ValueError(f"subspace not invariant under {label}")
-    leads = set(eb.rows)
-    kept = [i for i in range(m.dimension) if i not in leads]
-    pos = {i: t for t, i in enumerate(kept)}
-    weights = tuple(m.weights[i] for i in kept)
-    actions = {}
-    for label, cols in m.actions.items():
-        new_cols = []
-        for i in kept:
-            red = eb.reduce(cols[i])
-            new_cols.append({pos[r]: v for r, v in red.items()})
-        actions[label] = tuple(new_cols)
-    return WeightModule(m.algebra, len(kept), weights, actions)
+    pos = eb.free(m.dimension)
+    weights = tuple(m.weights[i] for i in pos)
+    actions = {label: tuple(eb.coordinates(cols[i], pos) for i in pos)
+               for label, cols in m.actions.items()}
+    return WeightModule(m.algebra, len(pos), weights, actions)
 
 
 def fundamental_module(spec: LieAlgebraSpec, k: int) -> WeightModule:

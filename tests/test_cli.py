@@ -169,6 +169,13 @@ def test_determinism_all_commands(capsys, files):
         assert first == second, argv
 
 
+class Raw(str):
+    """Document text written to the file as it is, not as a JSON string."""
+
+
+# nesting past the parser's recursion limit
+DEEP = Raw("[" * 100000 + "]" * 100000)
+
 # malformed documents: (subcommand, document, text the error must contain)
 MALFORMED = [
     ("bb", {"relations": []}, "dim_v"),
@@ -196,6 +203,10 @@ MALFORMED = [
     ("nilpotence", {"dimension": 2, "matrices": [[1, 2]]}, "matrices[0][0]"),
     ("nilpotence", {"dimension": 2, "matrices": [[[1, "a"], [0, 1]]]}, "matrices[0][0][1]"),
     ("nilpotence", {"dimension": 2, "matrices": [[[1, 0]]]}, "2-dim"),
+    pytest.param("bb", DEEP, "Lie presentation document is nested too deeply", id="bb-deep"),
+    pytest.param("fox", DEEP, "group presentation document is nested too deeply", id="fox-deep"),
+    pytest.param("nilpotence", DEEP, "module document is nested too deeply",
+                 id="nilpotence-deep"),
 ]
 
 ARGV = {
@@ -227,10 +238,14 @@ def test_bad_argument_usage_error(capsys, files, argv, needle):
     assert needle in captured.err
 
 
+def _write(path, doc):
+    path.write_text(doc if isinstance(doc, Raw) else json.dumps(doc))
+
+
 @pytest.mark.parametrize("command,doc,needle", MALFORMED)
 def test_malformed_document_usage_error(capsys, tmp_path, command, doc, needle):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    _write(path, doc)
     code = main(ARGV[command] + [str(path)])
     captured = capsys.readouterr()
     assert code == 2
@@ -246,9 +261,11 @@ def test_malformed_document_no_traceback_subprocess(tmp_path):
     import sys
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    for command, doc in [("bb", {"relations": []}), ("nilpotence", {"dimension": 2})]:
-        path = tmp_path / f"{command}.json"
-        path.write_text(json.dumps(doc))
+    cases = [("bb", {"relations": []}), ("nilpotence", {"dimension": 2}),
+             ("bb", DEEP), ("fox", DEEP), ("nilpotence", DEEP)]
+    for t, (command, doc) in enumerate(cases):
+        path = tmp_path / f"{command}{t}.json"
+        _write(path, doc)
         proc = subprocess.run([sys.executable, "-m", "infalex.cli"] + ARGV[command] + [str(path)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 2, proc.stderr

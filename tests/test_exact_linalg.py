@@ -194,3 +194,31 @@ def test_echelon_membership_helper():
     assert eb.rank == 2
     assert eb.contains({0: Fraction(2), 1: Fraction(5), 2: Fraction(1)})
     assert not eb.contains({2: Fraction(1)})
+
+
+def test_free_of_empty_span_is_every_position():
+    eb = echelon_basis([])
+    pos = eb.free(3)
+    assert pos == {0: 0, 1: 1, 2: 2}
+    for k in range(3):
+        assert eb.coordinates({k: Fraction(2)}, pos) == {k: Fraction(2)}
+
+
+def test_free_and_coordinates_when_lead_is_not_zero():
+    # the span of e1 + 2 e2 has its pivot at 1; positions 0 and 2 stay free
+    eb = echelon_basis([{1: Fraction(3), 2: Fraction(6)}])
+    pos = eb.free(3)
+    assert pos == {0: 0, 2: 1}
+    # e1 is -2 e2 modulo the span, and e2 is the second quotient basis vector
+    assert eb.coordinates({1: Fraction(1)}, pos) == {1: Fraction(-2)}
+    assert (eb.coordinates({0: Fraction(3), 1: Fraction(1)}, pos)
+            == {0: Fraction(3), 1: Fraction(-2)})
+
+
+def test_coordinates_of_span_vector_is_empty():
+    eb = echelon_basis([{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(-1)}])
+    pos = eb.free(3)
+    assert pos == {2: 0}
+    # 2 (e0 + e2) - 3 (e1 - e2)
+    assert eb.coordinates({0: Fraction(2), 1: Fraction(-3), 2: Fraction(5)}, pos) == {}
+    assert eb.coordinates({2: Fraction(1)}, pos) == {0: Fraction(1)}

@@ -106,7 +106,7 @@ def test_coker_q_matches_presentation_route_g3():
     # q is nabla-bar of the presentation with relations R + C z; nabla
     # presents the same invariant on Sym (x) wedge^2 V without beta
     ctx = johnson_context(3)
-    pres = ctx.presentation_with_z()
+    pres = ctx.presentation_with_z
     assert pres.dim_v == 14
     assert pres.num_relations() == 1     # R = 0 at genus 3, only z
     nb = nabla(pres)
@@ -135,7 +135,7 @@ def test_r_basis_is_kernel_of_oracle_projections_g4():
     # the projection onto Q kills every relation of L(V)/(R + C z), and z
     # is fixed by its own projection
     q_cols, z_cols = p_q.column_vectors(), p_z.column_vectors()
-    for v in ctx.presentation_with_z().relations:
+    for v in ctx.presentation_with_z.relations:
         assert act_vec(q_cols, v) == {}
     assert act_vec(z_cols, ctx.z_vec) == ctx.z_vec
 
@@ -145,7 +145,7 @@ def test_coker_q_degree1_matches_bb_direct_g3():
     # generators modulo the single relation z, so the degree-1 value is
     # dim L_3(C^14) - rank [z, V] = 910 - 14
     ctx = johnson_context(3)
-    pres = ctx.presentation_with_z()
+    pres = ctx.presentation_with_z
     dim, _basis = bb_direct(pres, 1)
     rep = johnson_module_dims(3, 1)
     assert rep.coker_q[1] == dim == 896
@@ -154,7 +154,7 @@ def test_coker_q_degree1_matches_bb_direct_g3():
 @pytest.mark.slow
 def test_coker_q_degree2_matches_bb_direct_g3():
     ctx = johnson_context(3)
-    pres = ctx.presentation_with_z()
+    pres = ctx.presentation_with_z
     dim, _basis = bb_direct(pres, 2)
     rep = johnson_module_dims(3, 2)
     assert rep.coker_q == (90, 896, 5355)
@@ -231,7 +231,7 @@ def test_coker_q_matches_presentation_route_g4():
     # the unweighted oracle: plain elimination of the full degree-1 matrix
     # of q = nabla-bar(L(V)/(R + C z)), against its weighted block ranks
     ctx = johnson_context(4)
-    pres = ctx.presentation_with_z()
+    pres = ctx.presentation_with_z
     assert pres.num_relations() == 820
     dims_pres = coker_dims(nabla_bar(pres), 1)
     rep = johnson_module_dims(4, 1)
@@ -244,7 +244,7 @@ def test_coker_q_matches_nabla_route_g4():
     # targets Sym (x) wedge^2 V, so it never uses beta; it is equivariant
     # too, since its relations are weight vectors
     ctx = johnson_context(4)
-    pres = ctx.presentation_with_z()
+    pres = ctx.presentation_with_z
     base_w, (tri_w,), _target_w = ctx.weight_data()
     rel_w = [ctx.W2.weights[min(v)] for v in pres.relations]
     weights = (base_w, [rel_w, tri_w], ctx.W2.weights)
