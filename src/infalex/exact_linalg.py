@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[Fraction, "CyclotomicScalar"]
@@ -312,48 +313,37 @@ def axpy(target: Vec, c, source: Mapping) -> None:
 
 
 class EchelonBasis:
-    """Incrementally maintained reduced echelon basis of a span of sparse vectors.
+    """Echelon basis of a span of sparse vectors, grown one vector at a time.
 
-    Rows are normalized to leading coefficient 1 and fully inter-reduced, so
-    reduction of a vector is a single pass over the pivot positions it
-    carries and reduced representatives are canonical.  A column-to-rows
-    index keeps the back-reduction on insert proportional to the rows that
-    actually contain the new pivot.
+    Rows are normalized to 1 at their lead (least index) and never mutated.
+    rank, free and contains need only the leads, so add does no back-reduction;
+    vectors, coordinates and kernel_coefficients read inter-reduced rows.
     """
 
     def __init__(self):
         self.rows: dict[int, Vec] = {}            # lead index -> normalized row
-        self._touch: dict[int, set[int]] = {}     # column -> leads of rows using it
+        self._reduced = True                      # no row carries another lead
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce(self, v: Mapping) -> Vec:
-        """Return the canonical representative of v modulo the span.
-
-        Rows are inter-reduced: a stored row carries no other row's pivot,
-        so each pivot position present in v is eliminated exactly once.
-        """
+        """The canonical representative of v modulo the span: the one supported
+        on non-pivot positions.  A row with lead p only touches positions above
+        p, so pivots are eliminated in increasing order, through a heap."""
+        rows, fill = self.rows, not self._reduced
         r = {k: x for k, x in v.items() if x}
-        for p in sorted(r.keys() & self.rows.keys()):
-            c = r.get(p)
-            if c:
-                axpy(r, -c, self.rows[p])
+        heap = [k for k in r if k in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            if p in r:
+                if fill:  # a row not yet inter-reduced can bring in later pivots
+                    for k in (rows[p].keys() & rows.keys()) - r.keys():
+                        heappush(heap, k)
+                axpy(r, -r[p], rows[p])
         return r
-
-    def _axpy_indexed(self, l: int, target: Vec, c, row: Vec):
-        touch = self._touch
-        for k, x in row.items():
-            cur = target.get(k)
-            nv = c * x if cur is None else cur + c * x
-            if nv:
-                if cur is None:
-                    touch.setdefault(k, set()).add(l)
-                target[k] = nv
-            elif cur is not None:
-                del target[k]
-                touch[k].discard(l)
 
     def add(self, v: Mapping) -> bool:
         """Insert v; returns True when the rank grew."""
@@ -362,18 +352,31 @@ class EchelonBasis:
             return False
         lead = min(r)
         pivot = r[lead]
-        row = {k: x / pivot for k, x in r.items()}
-        # clear the new pivot column from the rows that contain it
-        for l in list(self._touch.get(lead, ())):
-            existing = self.rows[l]
-            c = existing.get(lead)
-            if c:
-                self._axpy_indexed(l, existing, -c, row)
-        self.rows[lead] = row
-        touch = self._touch
-        for k in row:
-            touch.setdefault(k, set()).add(lead)
+        self.rows[lead] = {k: x / pivot for k, x in r.items()}
+        self._reduced = False
         return True
+
+    def _inter_reduce(self) -> None:
+        """Clear every row of the other leads, once after any add.  Rows go by
+        descending lead, so each is cleared against reduced rows in one pass."""
+        if not self._reduced:
+            rows = self.rows
+            for lead in sorted(rows, reverse=True):
+                row = rows[lead]
+                hits = [k for k in row if k != lead and k in rows]
+                if hits:
+                    new = dict(row)
+                    for k in hits:
+                        axpy(new, -row[k], rows[k])
+                    rows[lead] = new
+            self._reduced = True
+
+    def copy(self) -> "EchelonBasis":
+        """A basis of the same span that grows on its own.  The rows are
+        shared, which is safe because no stored row is mutated in place."""
+        eb = EchelonBasis()
+        eb.rows, eb._reduced = dict(self.rows), self._reduced
+        return eb
 
     def contains(self, v: Mapping) -> bool:
         return not self.reduce(v)
@@ -391,9 +394,11 @@ class EchelonBasis:
         The reduced representative is supported on non-pivot positions only,
         so the coordinates are its entries renumbered by pos.
         """
+        self._inter_reduce()
         return {pos[k]: x for k, x in self.reduce(v).items()}
 
     def vectors(self) -> list[Vec]:
+        self._inter_reduce()
         return [dict(self.rows[l]) for l in sorted(self.rows)]
 
     def kernel_coefficients(self, free_col: int) -> Vec:
@@ -402,6 +407,7 @@ class EchelonBasis:
         The result is supported on the free column and pivot columns only;
         with inter-reduced rows this is direct read-off.
         """
+        self._inter_reduce()
         v: Vec = {free_col: ONE}
         for l, row in self.rows.items():
             c = row.get(free_col)
@@ -424,7 +430,7 @@ def echelon_basis(vectors: Iterable[Mapping]) -> EchelonBasis:
 class RationalMatrix:
     """Sparse exact matrix; homogeneous scalar kind (rational or one Q(zeta_m))."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_columns")
 
     def __init__(self, rows: int, cols: int, entries: Mapping | None = None):
         if rows < 0 or cols < 0:
@@ -450,6 +456,7 @@ class RationalMatrix:
         if order is not None and seen_rational:
             cleaned = {k: promote(v, order) for k, v in cleaned.items()}
         self.entries = cleaned
+        self._columns = None   # column_vectors(), kept by matvec
 
     # -- constructors ---------------------------------------------------------
 
@@ -537,7 +544,10 @@ class RationalMatrix:
                               {k: c * v for k, v in self.entries.items()})
 
     def matvec(self, v: Mapping) -> Vec:
-        return act_vec(self.column_vectors(), v)
+        # entries never change after construction, so the columns are built once
+        if self._columns is None:
+            self._columns = self.column_vectors()
+        return act_vec(self._columns, v)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:

@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .alex_module import GradedMap, coker_dims, nabla_bar
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InternalInconsistencyError
 from .exact_linalg import ONE, RationalMatrix, Vec, axpy
 from .free_lie import LieElement, bracket
 from .quad_lie import LiePresentation, _ideal_echelon, quotient_pairs, wedge2_pairs
@@ -110,10 +110,10 @@ class JohnsonContext:
         self.eigenvalues = sorted(eigen_map)
         for c, hws in eigen_map.items():
             if len(hws) > 1 and c in (self.c_q, self.c_z):
-                raise ArithmeticError(f"Casimir eigenvalue collision at {c}: {hws}")
+                raise InternalInconsistencyError(f"Casimir eigenvalue collision at {c}: {hws}")
         zs = [v for hw, v in self.constituents if hw == self.hw_zero]
         if len(zs) != 1:
-            raise ArithmeticError("invariant line of wedge^2 V should be unique")
+            raise InternalInconsistencyError("invariant line of wedge^2 V should be unique")
         self.z_vec = zs[0]
 
         self.blocks = casimir_blocks(self.W2)

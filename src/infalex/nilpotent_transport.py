@@ -81,7 +81,7 @@ def _augmentation_filtration(dimension: int, step_mats: list[RationalMatrix]) ->
     dims = [current.rank]
     while True:
         nxt = EchelonBasis()
-        for v in current.vectors():
+        for v in current.rows.values():
             for m in step_mats:
                 nxt.add(m.matvec(v))
         dims.append(nxt.rank)

@@ -119,7 +119,7 @@ def _ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
     prev = _ideal_echelon(p, q - 1)
     ads = [ad_generator_matrix(n, i, q - 1) for i in range(n)]
     eb = EchelonBasis()
-    for v in prev.vectors():
+    for v in prev.rows.values():
         for m in ads:
             eb.add(m.matvec(v))
     p._cache[key] = eb
@@ -212,9 +212,7 @@ def bb_direct(p: LiePresentation, q: int) -> tuple[int, list[tuple[int, ...]]]:
     cached = p._cache.get(key)
     if cached is not None:
         return cached
-    span = EchelonBasis()
-    for v in _ideal_echelon(p, d).vectors():
-        span.add(v)
+    span = _ideal_echelon(p, d).copy()
     idx = lyndon_index(n, d)
     for a in range(2, d - 1):
         b = d - a

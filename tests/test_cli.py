@@ -119,6 +119,28 @@ def test_budget_exit_code(capsys):
     assert json.loads(out)["error"] == "budget"
 
 
+@pytest.mark.parametrize("lines", [0, 2])
+@pytest.mark.parametrize("command", [["johnson", "--genus", "3", "--max-degree", "0"],
+                                     ["decompose", "--genus", "3"]])
+def test_internal_failure_exit_code(capsys, monkeypatch, command, lines):
+    # the genus-3 context must find exactly one invariant line in wedge^2 V;
+    # any other count is an internal failure, reported as exit 4, not a traceback
+    from infalex import johnson
+    highest_weight_vectors = johnson.highest_weight_vectors
+
+    def wrong_lines(module):
+        found = highest_weight_vectors(module)
+        others = [(hw, v) for hw, v in found if any(hw.coefficients)]
+        zero = [(hw, v) for hw, v in found if not any(hw.coefficients)]
+        return others + zero * lines
+
+    monkeypatch.setattr(johnson, "highest_weight_vectors", wrong_lines)
+    monkeypatch.setattr(johnson, "_CTX_CACHE", {})
+    code, out = run(capsys, command)
+    assert code == 4
+    assert json.loads(out)["error"] == "inconsistency"
+
+
 def test_missing_file_usage(capsys):
     code, _ = run(capsys, ["bb", "--presentation", "/nonexistent.json",
                            "--max-degree", "1"])

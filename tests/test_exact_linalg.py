@@ -222,3 +222,143 @@ def test_coordinates_of_span_vector_is_empty():
     # 2 (e0 + e2) - 3 (e1 - e2)
     assert eb.coordinates({0: Fraction(2), 1: Fraction(-3), 2: Fraction(5)}, pos) == {}
     assert eb.coordinates({2: Fraction(1)}, pos) == {0: Fraction(1)}
+
+
+# ---------------------------------------------------------------------------
+# property tests: EchelonBasis against a dense Gauss-Jordan written here
+# ---------------------------------------------------------------------------
+
+def _hypothesis():
+    # skipped per test, so the rest of the module runs without hypothesis
+    hypothesis = pytest.importorskip("hypothesis")
+    return hypothesis.given, hypothesis.settings, hypothesis.strategies
+
+
+def _matrices(st):
+    """(n, rows): up to 6 rows of length n <= 7, mostly zeros."""
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2)])
+    return st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6)))
+
+
+def _vector(st, n):
+    return st.lists(st.sampled_from([0, 0, 1, -1, 3, Fraction(-2, 3)]),
+                    min_size=n, max_size=n)
+
+
+def _sparse(row):
+    return {j: Fraction(x) for j, x in enumerate(row) if x}
+
+
+def _dense_rref(rows, n):
+    """Nonzero rows of the reduced row echelon form and their pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def _dense_rank(rows, n):
+    return len(_dense_rref(rows, n)[1])
+
+
+def test_property_rank_free_contains():
+    given, settings, st = _hypothesis()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices(st), st.data())
+    def check(shape, data):
+        n, rows = shape
+        eb = echelon_basis(_sparse(r) for r in rows)
+        _rref, pivots = _dense_rref(rows, n)
+        assert eb.rank == len(pivots)
+        assert eb.free(n) == {k: t for t, k in
+                              enumerate(k for k in range(n) if k not in pivots)}
+        w = data.draw(_vector(st, n))
+        assert eb.contains(_sparse(w)) == (_dense_rank(rows + [w], n) == len(pivots))
+
+    check()
+
+
+def test_property_reduce_is_the_remainder_on_non_pivots():
+    given, settings, st = _hypothesis()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices(st), st.data())
+    def check(shape, data):
+        n, rows = shape
+        eb = echelon_basis(_sparse(r) for r in rows)
+        _rref, pivots = _dense_rref(rows, n)
+        w = data.draw(_vector(st, n))
+        r = eb.reduce(_sparse(w))
+        assert not set(r) & set(pivots)
+        diff = [Fraction(x) - r.get(j, 0) for j, x in enumerate(w)]
+        assert _dense_rank(rows + [diff], n) == len(pivots)
+        pos = eb.free(n)
+        assert eb.coordinates(_sparse(w), pos) == {pos[k]: x for k, x in r.items()}
+
+    check()
+
+
+def test_property_vectors_are_the_dense_rref():
+    given, settings, st = _hypothesis()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices(st))
+    def check(shape):
+        n, rows = shape
+        rref, _pivots = _dense_rref(rows, n)
+        assert echelon_basis(_sparse(r) for r in rows).vectors() == [_sparse(r) for r in rref]
+
+    check()
+
+
+def test_property_kernel_basis_is_annihilated():
+    given, settings, st = _hypothesis()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices(st))
+    def check(shape):
+        n, rows = shape
+        kernel = RationalMatrix(len(rows), n, {(i, j): x for i, row in enumerate(rows)
+                                               for j, x in enumerate(row)}).kernel_basis()
+        assert len(kernel) == n - _dense_rank(rows, n)
+        for k in kernel:
+            for row in rows:
+                assert sum(Fraction(x) * k.get(j, 0) for j, x in enumerate(row)) == 0
+
+    check()
+
+
+def test_property_add_after_vectors_clears_the_reduced_state():
+    given, settings, st = _hypothesis()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices(st), st.data())
+    def check(shape, data):
+        n, rows = shape
+        split = data.draw(st.integers(0, len(rows)))
+        eb = echelon_basis(_sparse(r) for r in rows[:split])
+        before = eb.vectors()
+        # a copy shares the rows; growing it must leave the original alone
+        grown = eb.copy()
+        for r in rows[split:]:
+            grown.add(_sparse(r))
+        rref, pivots = _dense_rref(rows, n)
+        assert grown.vectors() == [_sparse(r) for r in rref]
+        assert eb.vectors() == before
+        w = data.draw(_vector(st, n))
+        assert not set(grown.reduce(_sparse(w))) & set(pivots)
+
+    check()
