@@ -456,7 +456,7 @@ class RationalMatrix:
         if order is not None and seen_rational:
             cleaned = {k: promote(v, order) for k, v in cleaned.items()}
         self.entries = cleaned
-        self._columns = None   # column_vectors(), kept by matvec
+        self._columns = None   # column_vectors(), kept by matvec and matmul
 
     # -- constructors ---------------------------------------------------------
 
@@ -543,16 +543,19 @@ class RationalMatrix:
         return RationalMatrix(self.rows, self.cols,
                               {k: c * v for k, v in self.entries.items()})
 
-    def matvec(self, v: Mapping) -> Vec:
+    def _cached_columns(self) -> list[Vec]:
         # entries never change after construction, so the columns are built once
         if self._columns is None:
             self._columns = self.column_vectors()
-        return act_vec(self._columns, v)
+        return self._columns
+
+    def matvec(self, v: Mapping) -> Vec:
+        return act_vec(self._cached_columns(), v)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        left_cols = self.column_vectors()
+        left_cols = self._cached_columns()
         entries: dict[tuple[int, int], Scalar] = {}
         for j, col in enumerate(other.column_vectors()):
             for i, x in act_vec(left_cols, col).items():

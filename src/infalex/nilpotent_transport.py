@@ -19,7 +19,7 @@ from math import factorial
 
 from . import documents
 from .errors import InternalInconsistencyError
-from .exact_linalg import EchelonBasis, RationalMatrix
+from .exact_linalg import ONE, RationalMatrix, axpy, echelon_basis
 
 
 def _check_family(dimension: int, matrices, *, invertible: bool) -> tuple[RationalMatrix, ...]:
@@ -73,72 +73,60 @@ class FinDimSymModule:
         return FinDimSymModule(dimension, _check_family(dimension, matrices, invertible=False))
 
 
-def _augmentation_filtration(dimension: int, step_mats: list[RationalMatrix]) -> list[int]:
-    """Dimensions of M, I M, I^2 M, ... until stable (I generated by the steps)."""
-    current = EchelonBasis()
-    for i in range(dimension):
-        current.add({i: Fraction(1)})
-    dims = [current.rank]
-    while True:
-        nxt = EchelonBasis()
-        for v in current.rows.values():
-            for m in step_mats:
-                nxt.add(m.matvec(v))
-        dims.append(nxt.rank)
-        if nxt.rank == current.rank:
-            break
-        current = nxt
-        if nxt.rank == 0:
-            break
-    return dims
+def _annihilator_exponent(dimension: int, steps) -> int | None:
+    """Least q with I^q M = 0 for the ideal I the steps generate, or None when
+    the filtration M, I M, I^2 M, ... stabilizes above zero.  Each term is
+    the image of the one before under the steps."""
+    span = [{i: ONE} for i in range(dimension)]
+    rank, q = dimension, 0
+    while rank:
+        eb = echelon_basis(m.matvec(v) for v in span for m in steps)
+        if eb.rank == rank:
+            return None
+        span, rank, q = eb.rows.values(), eb.rank, q + 1
+    return q
 
 
 def is_nilpotent(m: FinDimLaurentModule) -> tuple[bool, int | None]:
     """Whether the ideal (T_i - 1) is nilpotent on m; the least q with
     I^q M = 0 when it is (0 for the zero module, 1 for trivial nonzero)."""
-    steps = [t - RationalMatrix.identity(m.dimension) for t in m.actions]
-    dims = _augmentation_filtration(m.dimension, steps)
-    if dims[-1] != 0:
-        return False, None
-    return True, dims.index(0)
+    one = RationalMatrix.identity(m.dimension)
+    q = _annihilator_exponent(m.dimension, [t - one for t in m.actions])
+    return q is not None, q
+
+
+def _nilpotent_series(x: RationalMatrix, start: RationalMatrix, coeff, kind: str):
+    """start + sum_{k>=1} coeff(k) X^k; ValueError when X^k != 0 for some
+    k > n, i.e. when X is not nilpotent."""
+    n = x.rows
+    entries = dict(start.entries)
+    power, k = x, 1
+    while not power.is_zero():
+        if k > n:
+            raise ValueError(f"matrix is not {kind}")
+        axpy(entries, coeff(k), power.entries)
+        power = x.matmul(power)
+        k += 1
+    return RationalMatrix(n, n, entries)
 
 
 def _nilpotent_log(t: RationalMatrix) -> RationalMatrix:
     n = t.rows
-    nmat = t - RationalMatrix.identity(n)
-    out = RationalMatrix.zeros(n, n)
-    power = nmat
-    k = 1
-    while not power.is_zero():
-        if k > n:
-            raise ValueError("matrix is not unipotent")
-        out = out + power.scale(Fraction((-1) ** (k + 1), k))
-        power = power.matmul(nmat)
-        k += 1
-    return out
+    return _nilpotent_series(t - RationalMatrix.identity(n), RationalMatrix.zeros(n, n),
+                             lambda k: Fraction((-1) ** (k + 1), k), "unipotent")
 
 
 def matrix_exp_nilpotent(x: RationalMatrix) -> RationalMatrix:
-    n = x.rows
-    out = RationalMatrix.identity(n)
-    power = RationalMatrix.identity(n)
-    k = 1
-    while True:
-        power = power.matmul(x)
-        if power.is_zero():
-            break
-        if k > n:
-            raise ValueError("matrix is not nilpotent")
-        out = out + power.scale(Fraction(1, factorial(k)))
-        k += 1
-    return out
+    return _nilpotent_series(x, RationalMatrix.identity(x.rows),
+                             lambda k: Fraction(1, factorial(k)), "nilpotent")
 
 
 def log_transport(m: FinDimLaurentModule) -> FinDimSymModule:
-    """X_i = log T_i for a unipotent family; exp X_i = T_i holds exactly."""
-    nilpotent, _q = is_nilpotent(m)
-    if not nilpotent:
-        raise ValueError("log transport requires a unipotent (nilpotent) module")
+    """X_i = log T_i for a unipotent family; exp X_i = T_i holds exactly.
+
+    The T_i commute (make checks it), so the ideal (T_i - 1) is nilpotent
+    exactly when each T_i - 1 is, and the log series itself rejects a family
+    that is not unipotent with ValueError."""
     xs = []
     for t in m.actions:
         x = _nilpotent_log(t)
@@ -154,11 +142,12 @@ def exp_transport(m: FinDimSymModule) -> FinDimLaurentModule:
 
 
 def sym_annihilator_exponent(m: FinDimSymModule) -> int | None:
-    """Least q with (X_1, ..., X_k)^q M = 0, or None when not nilpotent."""
-    dims = _augmentation_filtration(m.dimension, list(m.actions))
-    if dims[-1] != 0:
-        return None
-    return dims.index(0)
+    """Least q with (X_1, ..., X_k)^q M = 0, or None when not nilpotent.
+
+    No code path calls this: it is the test oracle of the transport, which
+    preserves annihilator exponents, so it must equal is_nilpotent of
+    exp_transport(m)."""
+    return _annihilator_exponent(m.dimension, m.actions)
 
 
 @dataclass(frozen=True)

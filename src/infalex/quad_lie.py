@@ -118,10 +118,7 @@ def _ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
     n = p.dim_v
     prev = _ideal_echelon(p, q - 1)
     ads = [ad_generator_matrix(n, i, q - 1) for i in range(n)]
-    eb = EchelonBasis()
-    for v in prev.rows.values():
-        for m in ads:
-            eb.add(m.matvec(v))
+    eb = echelon_basis(m.matvec(v) for v in prev.rows.values() for m in ads)
     p._cache[key] = eb
     return eb
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .errors import AmbiguousDecompositionError
-from .exact_linalg import ONE, RationalMatrix, Vec, act_vec, axpy, echelon_basis
+from .exact_linalg import ONE, ZERO, RationalMatrix, Vec, act_vec, axpy, echelon_basis
 
 ColMat = tuple  # tuple of {row: Fraction} dicts, one per column
 
@@ -181,18 +181,10 @@ def _dual_coefficients(spec: LieAlgebraSpec) -> tuple[tuple[Fraction, ...], ...]
     basis = _algebra_basis(spec)
     n = len(basis)
     gram = [[_trace_product(basis[a][1], basis[b][1]) for b in range(n)] for a in range(n)]
-    # dense Gauss-Jordan
-    aug = [gram[i] + [ONE if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+    # G is invertible, so the reduced echelon rows of [G | I] are [I | G^-1]
+    aug = echelon_basis({**{b: x for b, x in enumerate(row) if x}, n + a: ONE}
+                        for a, row in enumerate(gram))
+    return tuple(tuple(row.get(n + b, ZERO) for b in range(n)) for row in aug.vectors())
 
 
 # ---------------------------------------------------------------------------

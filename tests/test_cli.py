@@ -292,3 +292,24 @@ def test_malformed_document_no_traceback_subprocess(tmp_path):
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_package_imports_only_the_standard_library():
+    import ast
+    import pathlib
+    import sys
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "infalex"
+    files = sorted(src.glob("*.py"))
+    assert files
+    outside = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {n}" for n in names
+                        if n.partition(".")[0] not in sys.stdlib_module_names]
+    assert not outside, outside

@@ -68,8 +68,12 @@ def test_log_examples():
 
 
 def test_log_requires_unipotent():
-    with pytest.raises(ValueError):
-        log_transport(FinDimLaurentModule.make(1, [RationalMatrix.from_rows([[2]])]))
+    # the second family commutes and its first matrix is unipotent: the log
+    # series of 2*I rejects it
+    for dim, family in ((1, [RationalMatrix.from_rows([[2]])]),
+                        (2, [jordan(2), RationalMatrix.identity(2).scale(2)])):
+        with pytest.raises(ValueError):
+            log_transport(FinDimLaurentModule.make(dim, family))
 
 
 def test_round_trip_random_commuting():
