@@ -138,14 +138,7 @@ def cmd_cv(args) -> dict:
     p = GroupPresentation.from_json(_read(args.presentation))
     if args.torsion is not None:
         found = torsion_sweep(p, args.torsion, args.depth, budget=args.budget)
-        chars = []
-        for rho in found:
-            exps = []
-            for v in rho.values:
-                exp = next(k for k in range(args.torsion)
-                           if v == type(v).zeta(v.order, k))
-                exps.append(exp)
-            chars.append(exps)
+        chars = [list(rho.torsion_exponents()) for rho in found]
         return {"torsion": args.torsion, "depth": args.depth,
                 "members": sorted(chars)}
     if args.character is None:

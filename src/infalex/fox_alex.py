@@ -17,11 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import product
+from math import gcd
 
 from . import documents
 from .errors import BudgetExceededError
-from .exact_linalg import CyclotomicScalar, RationalMatrix, axpy, promote
+from .exact_linalg import (ZERO, CyclotomicScalar, RationalMatrix, _reduce_mod_phi, axpy,
+                           promote)
 
 Word = tuple[int, ...]
 GroupRingElt = dict  # {freely reduced word: Fraction}
@@ -79,6 +82,11 @@ class GroupPresentation:
 
     def relator_exponent_matrix(self) -> list[tuple[int, ...]]:
         return [self.abelianized_relator(r) for r in self.relators]
+
+    @cached_property
+    def alexander(self) -> "LaurentMatrix":
+        """The Alexander matrix, built by Fox calculus once per presentation."""
+        return alexander_matrix(self)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +175,25 @@ class LaurentMatrix:
         return self.entries.get((r, c), {})
 
     def evaluate(self, rho: "Character") -> RationalMatrix:
+        """The matrix at the point rho of the character torus.
+
+        When rho = zeta_m^a (every value a power of zeta_m), the monomial t^e
+        takes the value zeta_m^<a, e>.  So each entry's coefficients are
+        summed into m bins, at index <a, e> mod m, and the bins are reduced
+        modulo Phi_m once: no cyclotomic multiply or inverse.  Rational and
+        other cyclotomic characters multiply out value powers instead."""
         order = rho.cyclotomic_order()
+        exps = rho.torsion_exponents()
         ent = {}
+        if exps is not None:
+            for (r, c), poly in self.entries.items():
+                bins = [ZERO] * order
+                for e, coeff in poly.items():
+                    bins[sum(a * k for a, k in zip(exps, e)) % order] += coeff
+                val = CyclotomicScalar(order, _reduce_mod_phi(bins, order))
+                if val:
+                    ent[(r, c)] = val
+            return RationalMatrix(self.rows, self.cols, ent)
         for (r, c), poly in self.entries.items():
             val = promote(0, order)
             for e, coeff in poly.items():
@@ -283,6 +308,14 @@ class CharacterError(ValueError):
     """The supplied values do not define a character of the group."""
 
 
+@lru_cache(maxsize=64)
+def _zeta_table(order: int) -> tuple[tuple[CyclotomicScalar, ...], dict]:
+    """(zeta_order^k for k in 0..order-1, the map from their coefficient
+    vectors back to k)."""
+    powers = tuple(CyclotomicScalar.zeta(order, k) for k in range(order))
+    return powers, {z.coeffs: k for k, z in enumerate(powers)}
+
+
 @dataclass(frozen=True)
 class Character:
     """A point of the character torus: one nonzero scalar per generator."""
@@ -298,7 +331,8 @@ class Character:
 
     @staticmethod
     def torsion(order: int, exponents) -> "Character":
-        return Character(tuple(CyclotomicScalar.zeta(order, e) for e in exponents))
+        powers = _zeta_table(order)[0]
+        return Character(tuple(powers[e % order] for e in exponents))
 
     @staticmethod
     def parse(text: str) -> "Character":
@@ -345,13 +379,39 @@ class Character:
                 return v.order
         return None
 
+    @cached_property
+    def _torsion_exponents(self) -> tuple[int, ...] | None:
+        order = self.cyclotomic_order()
+        if order is None:
+            return None
+        index = _zeta_table(order)[1]
+        exps = tuple(index.get(v.coeffs)
+                     if isinstance(v, CyclotomicScalar) and v.order == order else None
+                     for v in self.values)
+        return None if None in exps else exps
+
+    def torsion_exponents(self) -> tuple[int, ...] | None:
+        """The exponent vector a with rho = zeta_m^a when every value is a
+        power of zeta_m (one table lookup per value), else None."""
+        return self._torsion_exponents
+
+    def _zeta_power(self, exponent: int):
+        order = self.cyclotomic_order()
+        return _zeta_table(order)[0][exponent % order]
+
     def value_power(self, i: int, k: int):
+        exps = self.torsion_exponents()
+        if exps is not None:
+            return self._zeta_power(exps[i] * k)
         return self.values[i] ** k  # exact for negative k as well
 
     def is_trivial(self) -> bool:
         return all(v == 1 for v in self.values)
 
     def evaluate_exponent(self, e) -> object:
+        exps = self.torsion_exponents()
+        if exps is not None:
+            return self._zeta_power(sum(a * k for a, k in zip(exps, e)))
         order = self.cyclotomic_order()
         out = promote(1, order)
         for i, k in enumerate(e):
@@ -388,7 +448,7 @@ def twisted_h1_dim(p: GroupPresentation, rho: Character) -> int:
     _check_character(p, rho)
     if rho.is_trivial():
         return betti_one(p)
-    a = alexander_matrix(p).evaluate(rho)
+    a = p.alexander.evaluate(rho)
     return (p.num_generators - 1) - a.rank()
 
 
@@ -414,7 +474,15 @@ def cv_membership(p: GroupPresentation, rho: Character, k: int, *,
 def torsion_sweep(p: GroupPresentation, order: int, k: int, *,
                   budget: int = 100_000) -> list[Character]:
     """All characters with coordinates in mu_order lying on the depth-k
-    characteristic variety, by exhaustive cyclotomic evaluation."""
+    characteristic variety, in lexicographic order of exponent vectors.
+
+    One rank per Galois orbit, which is exact: the automorphism sigma_u
+    (zeta -> zeta^u, u a unit mod order) of Q(zeta_order) maps A(rho) to
+    A(rho^u) entrywise, so it keeps the rank, and sigma_u(x) = 1 exactly
+    when x = 1, so rho^u is a character, and is trivial, exactly when rho
+    is.  Membership is therefore constant on each orbit {u e mod order} of
+    exponent vectors.  Each point is keyed by the lex-min of its orbit; the
+    lexicographic walk meets that point first, so it is the one tested."""
     if order < 1:
         raise ValueError("order >= 1 required")
     n = p.num_generators
@@ -423,14 +491,18 @@ def torsion_sweep(p: GroupPresentation, order: int, k: int, *,
         raise BudgetExceededError({
             "error": "budget", "what": "torsion_sweep", "points": total,
             "limit": budget})
+    units = [u for u in range(order) if gcd(u, order) == 1]
+    member: dict[tuple[int, ...], bool] = {}   # orbit key -> membership
     out = []
     for exps in product(range(order), repeat=n):
-        rho = Character.torsion(order, exps)
-        try:
-            if cv_membership(p, rho, k):
-                out.append(rho)
-        except CharacterError:
-            continue
+        key = min(tuple(u * x % order for x in exps) for u in units)
+        if key not in member:
+            try:
+                member[key] = cv_membership(p, Character.torsion(order, key), k)
+            except CharacterError:
+                member[key] = False
+        if member[key]:
+            out.append(Character.torsion(order, exps))
     return out
 
 

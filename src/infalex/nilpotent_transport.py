@@ -126,19 +126,24 @@ def log_transport(m: FinDimLaurentModule) -> FinDimSymModule:
 
     The T_i commute (make checks it), so the ideal (T_i - 1) is nilpotent
     exactly when each T_i - 1 is, and the log series itself rejects a family
-    that is not unipotent with ValueError."""
+    that is not unipotent with ValueError.  Each X_i is a polynomial in T_i,
+    so the X_i commute too and the result needs none of make's checks."""
     xs = []
     for t in m.actions:
         x = _nilpotent_log(t)
         if matrix_exp_nilpotent(x) != t:
             raise InternalInconsistencyError("exp(log T) != T")
         xs.append(x)
-    return FinDimSymModule.make(m.dimension, xs)
+    return FinDimSymModule(m.dimension, tuple(xs))
 
 
 def exp_transport(m: FinDimSymModule) -> FinDimLaurentModule:
-    """T_i = exp X_i for a commuting nilpotent family."""
-    return FinDimLaurentModule.make(m.dimension, [matrix_exp_nilpotent(x) for x in m.actions])
+    """T_i = exp X_i for a commuting nilpotent family (make checks it).
+
+    Each T_i is a polynomial in X_i, so the T_i commute, and each is
+    unipotent, hence invertible: the result needs none of make's checks."""
+    return FinDimLaurentModule(m.dimension,
+                               tuple(matrix_exp_nilpotent(x) for x in m.actions))
 
 
 def sym_annihilator_exponent(m: FinDimSymModule) -> int | None:

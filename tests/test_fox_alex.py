@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from fractions import Fraction
 
 import pytest
@@ -229,3 +230,92 @@ def test_generic_rank_bounds_special_ranks():
             except Exception:
                 continue
             assert evaluated_rank <= grank
+
+
+# -- torsion sweeps: exponent bins and Galois orbits ----------------------------
+
+TREFOIL = GroupPresentation.make(2, [(1, 2, 1, -2, -1, -2)])    # xyx = yxy
+F2XZ = GroupPresentation.make(3, [(1, 3, -1, -3), (2, 3, -2, -3)])
+X3_COMMUTING = GroupPresentation.make(2, [(1, 1, 1), (1, 2, -1, -2)])   # <x, y | x^3, [x, y]>
+
+
+def _brute_force_sweep(p, m, k):
+    out = []
+    for exps in product(range(m), repeat=p.num_generators):
+        rho = Character.torsion(m, exps)
+        try:
+            if cv_membership(p, rho, k):
+                out.append(rho)
+        except CharacterError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("m", [5, 6, 8])
+@pytest.mark.parametrize("k", [1, 2])
+def test_orbit_sweep_matches_brute_force(m, k):
+    for p in (TREFOIL, F2XZ, X3_COMMUTING):
+        assert torsion_sweep(p, m, k) == _brute_force_sweep(p, m, k)
+
+
+def test_orbit_sweep_pins():
+    # the trefoil's Alexander polynomial t^2 - t + 1 vanishes at the primitive
+    # 6th roots, one Galois orbit {(1, 1), (5, 5)}
+    found = [rho.torsion_exponents() for rho in torsion_sweep(TREFOIL, 6, 1)]
+    assert found == [(0, 0), (1, 1), (5, 5)]
+    # x^3 = 1 leaves x = zeta_6^a with a even; odd a are not characters
+    found = [rho.torsion_exponents() for rho in torsion_sweep(X3_COMMUTING, 6, 1)]
+    assert found == [(0, 0)]
+    with pytest.raises(CharacterError):
+        twisted_h1_dim(X3_COMMUTING, Character.torsion(6, (1, 0)))
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_kunneth_f2xf2_members(m):
+    # H_1(F_2 x F_2; C_rho) != 0 exactly when rho is trivial on one factor
+    p = GroupPresentation.make(4, [(x, y, -x, -y) for x in (1, 2) for y in (3, 4)])
+    found = [rho.torsion_exponents() for rho in torsion_sweep(p, m, 1)]
+    assert len(found) == 2 * m * m - 1
+    assert found == [e for e in product(range(m), repeat=4)
+                     if not any(e[:2]) or not any(e[2:])]
+
+
+def test_torsion_exponents():
+    assert Character.torsion(6, (1, -1, 7)).torsion_exponents() == (1, 5, 1)
+    assert Character.torsion(1, (0, 0)).torsion_exponents() == (0, 0)
+    assert Character.parse("zeta_4^3, 1").torsion_exponents() == (3, 0)
+    assert Character.rational([1, -1]).torsion_exponents() is None
+    # rational values that are not powers of zeta_m, and -1 in Q(zeta_3)
+    assert Character.parse("zeta_3, 2").torsion_exponents() is None
+    assert Character.parse("zeta_3, -1").torsion_exponents() is None
+
+
+def test_bin_evaluation_matches_zeta_products():
+    rng = random.Random(11)
+    for _ in range(25):
+        n = rng.randint(1, 3)
+        p = GroupPresentation.make(n, [random_word(rng, n, rng.randint(1, 10))
+                                       for _ in range(rng.randint(1, 3))])
+        m = rng.randint(1, 9)
+        exps = [rng.randrange(m) for _ in range(n)]
+        rho = Character.torsion(m, exps)
+        am = alexander_matrix(p)
+        expected = {}
+        for pos, poly in am.entries.items():
+            val = CyclotomicScalar.from_rational(m, 0)
+            for e, coeff in poly.items():
+                term = CyclotomicScalar.from_rational(m, coeff)
+                for a, k in zip(exps, e):
+                    term = term * CyclotomicScalar.zeta(m, a * k)
+                val = val + term
+            if val:
+                expected[pos] = val
+        assert am.evaluate(rho).entries == expected
+        # table lookups against powers by repeated multiplication and inversion
+        for e in p.relator_exponent_matrix():
+            value = CyclotomicScalar.from_rational(m, 1)
+            for i, (a, k) in enumerate(zip(exps, e)):
+                power = CyclotomicScalar.zeta(m, a) ** k
+                assert rho.value_power(i, k) == power
+                value = value * power
+            assert rho.evaluate_exponent(e) == value

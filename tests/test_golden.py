@@ -38,6 +38,9 @@ COMMANDS = {
     "cv_torsion3": ["cv", "--presentation", "@group_f2xz.json", "--torsion", "3"],
     "cv_torsion3_depth2": ["cv", "--presentation", "@group_f2xz.json", "--torsion", "3",
                            "--depth", "2"],
+    "cv_torsion5": ["cv", "--presentation", "@group_f2xz.json", "--torsion", "5"],
+    "cv_torsion6_depth2": ["cv", "--presentation", "@group_f2xz.json", "--torsion", "6",
+                           "--depth", "2"],
     "nilpotence_unipotent": ["nilpotence", "--module", "@module_unipotent.json"],
     "nilpotence_scaling": ["nilpotence", "--module", "@module_scaling.json"],
     "oracle_check": ["oracle-check", "--trials", "3"],
