@@ -2,7 +2,8 @@
 
 JSON on stdout by default (--csv for flat tables), deterministic byte-for-byte
 across runs.  Exit codes: 0 success, 2 usage, 3 resource budget, 4 internal
-inconsistency (an oracle mismatch).
+inconsistency (an oracle mismatch, or any failure that no usage or budget
+check foresaw).
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def cmd_fox(args) -> dict:
 def cmd_cv(args) -> dict:
     p = GroupPresentation.from_json(_read(args.presentation))
     if args.torsion is not None:
-        found = torsion_sweep(p, args.torsion, args.depth, budget=args.budget)
+        found = torsion_sweep(p, args.torsion, args.depth,
+                              budget=_nonnegative("--budget", args.budget))
         chars = [list(rho.torsion_exponents()) for rho in found]
         return {"torsion": args.torsion, "depth": args.depth,
                 "members": sorted(chars)}
@@ -291,13 +293,16 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         sys.stdout.write(json.dumps(exc.reason, sort_keys=True) + "\n")
         return EXIT_BUDGET
-    except InternalInconsistencyError as exc:
-        sys.stdout.write(json.dumps({"error": "inconsistency", "detail": str(exc)},
-                                    sort_keys=True) + "\n")
-        return EXIT_INCONSISTENT
     except (CharacterError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:
+        # an oracle mismatch, or a failure that no usage or budget check
+        # foresaw: either way an inconsistency, never a traceback
+        detail = str(exc) if isinstance(exc, InternalInconsistencyError) else repr(exc)
+        sys.stdout.write(json.dumps({"error": "inconsistency", "detail": detail},
+                                    sort_keys=True) + "\n")
+        return EXIT_INCONSISTENT
     _emit(doc, args.csv)
     if args.command == "oracle-check" and not doc["ok"]:
         return EXIT_INCONSISTENT

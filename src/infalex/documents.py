@@ -8,9 +8,14 @@ field by its path, e.g. ``relations[0][1].c``.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 _REQUIRED = object()
+
+# the largest decimal exponent read, the default digit limit of int
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def _kind(value) -> str:
@@ -57,11 +62,24 @@ def integer(value, name: str) -> int:
     return value
 
 
+def fraction(text: str, what: str) -> Fraction:
+    """Fraction(text), or a ValueError naming what.  A decimal exponent beyond
+    MAX_EXPONENT is refused: Fraction builds 10**exponent exactly, so
+    "1e-99999999" alone would run for minutes."""
+    exponent = _EXPONENT.search(text)
+    digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+    # the length test comes first, so int() never reads a long digit string
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+        raise ValueError(f"{what} must have a decimal exponent of at most {MAX_EXPONENT}, "
+                         f"got {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} must be a rational, got {text!r}") from None
+
+
 def rational(value, name: str) -> Fraction:
     """An integer, a decimal or a "p/q" string, read exactly."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"field {name} must be a rational, got {_kind(value)}")
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"field {name} must be a rational, got {value!r}") from None
+    return fraction(str(value), f"field {name}")

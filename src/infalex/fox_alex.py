@@ -357,10 +357,7 @@ class Character:
                     raise ValueError("mixed cyclotomic orders in character")
                 raw.append(("zeta", j))
             else:
-                try:
-                    raw.append(("q", Fraction(t)))
-                except ZeroDivisionError:
-                    raise CharacterError(f"zero denominator in {t!r}") from None
+                raw.append(("q", documents.fraction(t, "character value")))
         if order is None:
             return Character.rational([v for _k, v in raw])
         vals = []
@@ -434,13 +431,7 @@ def _check_character(p: GroupPresentation, rho: Character):
 # ---------------------------------------------------------------------------
 
 def betti_one(p: GroupPresentation) -> int:
-    rows = p.relator_exponent_matrix()
-    entries = {}
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                entries[(i, j)] = Fraction(v)
-    return p.num_generators - RationalMatrix(len(rows), p.num_generators, entries).rank()
+    return p.num_generators - RationalMatrix.from_rows(p.relator_exponent_matrix()).rank()
 
 
 def twisted_h1_dim(p: GroupPresentation, rho: Character) -> int:
@@ -510,121 +501,43 @@ def torsion_sweep(p: GroupPresentation, order: int, k: int, *,
 # integer lattice saturation (for the identity-component test only)
 # ---------------------------------------------------------------------------
 
-def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
-    """Hermite-style integer row reduction; returns a Z-basis of the row lattice."""
+def _row_hnf(rows) -> list[list[int]]:
+    """Integer row echelon form by gcd steps; returns a Z-basis of the row
+    lattice, each pivot positive."""
     rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
     basis: list[list[int]] = []
-    col = 0
-    while rows and col < ncols:
-        live = [r for r in rows if r[col] != 0]
-        if not live:
-            col += 1
-            continue
-        # gcd-reduce the column
-        while True:
-            live.sort(key=lambda r: abs(r[col]))
+    for col in range(len(rows[0]) if rows else 0):
+        live = [r for r in rows if r[col]]
+        while len(live) > 1:   # Euclid on the column, one remainder per row
+            piv = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not piv:
+                    f = r[col] // piv[col]
+                    r[:] = [x - f * y for x, y in zip(r, piv)]
+            live = [r for r in live if r[col]]
+        if live:
             piv = live[0]
-            done = True
-            for r in live[1:]:
-                f = r[col] // piv[col]
-                if f:
-                    for c in range(ncols):
-                        r[c] -= f * piv[c]
-                if r[col]:
-                    done = False
-            live = [r for r in live if r[col] != 0]
-            if done or len(live) <= 1:
-                break
-        piv = live[0]
-        basis.append([-x for x in piv] if piv[col] < 0 else list(piv))
-        rows = [r for r in rows if r is not piv and any(r)]
-        col += 1
+            basis.append([-x for x in piv] if piv[col] < 0 else piv)
+            rows = [r for r in rows if r is not piv and any(r)]
     return basis
 
 
-def _left_kernel_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {c in F_p^k : c . rows == 0 mod p}, coefficients lifted to 0..p-1.
+def _integer_kernel(rows, n: int) -> list[list[int]]:
+    """Z-basis of {x in Z^n : r . x = 0 for every row r}.
 
-    Solves rows^T c = 0 by Gaussian elimination over F_p.
-    """
+    Echelonizes [rows^T | I] over Z; the rows whose first part vanishes span
+    the kernel lattice, and their second parts are its basis."""
     k = len(rows)
-    if k == 0:
-        return []
-    ncols = len(rows[0])
-    mat = [[rows[r][c] % p for r in range(k)] for c in range(ncols)]
-    pivot_cols = []
-    rr = 0
-    for cc in range(k):
-        piv = next((i for i in range(rr, ncols) if mat[i][cc] % p), None)
-        if piv is None:
-            continue
-        mat[rr], mat[piv] = mat[piv], mat[rr]
-        inv = pow(mat[rr][cc], -1, p)
-        mat[rr] = [(x * inv) % p for x in mat[rr]]
-        for i in range(ncols):
-            if i != rr and mat[i][cc] % p:
-                f = mat[i][cc]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rr])]
-        pivot_cols.append(cc)
-        rr += 1
-    free = [c for c in range(k) if c not in pivot_cols]
-    kernel = []
-    for f in free:
-        v = [0] * k
-        v[f] = 1
-        for row_i, pc in enumerate(pivot_cols):
-            val = mat[row_i][f] % p
-            if val:
-                v[pc] = (-val) % p
-        kernel.append(v)
-    return kernel
+    aug = [[r[j] for r in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    return [row[k:] for row in _row_hnf(aug) if not any(row[:k])]
 
 
 def saturated_relator_lattice(p: GroupPresentation) -> list[tuple[int, ...]]:
-    """Z-basis of the saturation of the relator lattice inside Z^n.
+    """Z-basis of the saturation of the relator lattice L inside Z^n.
 
-    Primes that can divide the index are exactly the primes dividing the
-    pivot product of the Hermite basis; the lattice is p-saturated for each
-    until the mod-p left kernel is trivial.
+    Sat(L) = Z^n cap span_Q(L) is the integer kernel of the integer kernel
+    of the relator exponent matrix.
     """
-    basis = _row_hnf([list(r) for r in p.relator_exponent_matrix()])
-    if not basis:
-        return []
-
-    def pivot_product(b):
-        prod = 1
-        for row in b:
-            prod *= next(v for v in row if v)
-        return abs(prod)
-
-    d = pivot_product(basis)
-    primes = []
-    dd = d
-    f = 2
-    while f * f <= dd:
-        if dd % f == 0:
-            primes.append(f)
-            while dd % f == 0:
-                dd //= f
-        f += 1
-    if dd > 1:
-        primes.append(dd)
-    for prime in primes:
-        while True:
-            kernel = _left_kernel_mod_p(basis, prime)
-            new_rows = []
-            for c in kernel:
-                v = [sum(c[i] * basis[i][t] for i in range(len(basis)))
-                     for t in range(len(basis[0]))]
-                if any(x % prime for x in v):
-                    raise AssertionError("mod-p kernel did not divide")
-                v = [x // prime for x in v]
-                if any(v):
-                    new_rows.append(v)
-            if not new_rows:
-                break
-            basis = _row_hnf(basis + new_rows)
-    return [tuple(r) for r in basis]
+    n = p.num_generators
+    kernel = _integer_kernel(p.relator_exponent_matrix(), n)
+    return [tuple(r) for r in _row_hnf(_integer_kernel(kernel, n))]

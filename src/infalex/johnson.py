@@ -137,17 +137,15 @@ class JohnsonContext:
         r_basis: list[Vec] = []
         for w in sorted(self.blocks):
             idx = decomp[w]
-            size = len(idx)
             block = self.blocks[w]
-            projector = RationalMatrix.zeros(size, size)
+            projector = RationalMatrix.zeros(len(idx), len(idx))
             eigen_dim = len(shifted_block(block, self.c_q).kernel_basis())
             if eigen_dim:
                 q_dim += eigen_dim
-                pb = _dense_block_polynomial(block, self.eigenvalues, self.c_q)
-                projector = shifted_block(pb, 0)
+                projector = _dense_block_polynomial(block, self.eigenvalues, self.c_q)
             if w == z_weight:
-                pz = _dense_block_polynomial(block, self.eigenvalues, self.c_z)
-                projector = projector + shifted_block(pz, 0)
+                projector = projector + _dense_block_polynomial(
+                    block, self.eigenvalues, self.c_z)
             for kv in projector.kernel_basis():
                 r_basis.append({idx[t]: c for t, c in kv.items()})
         self.q_dim = q_dim

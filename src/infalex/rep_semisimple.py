@@ -441,35 +441,35 @@ def _casimir_column(m: WeightModule, j: int) -> Vec:
     return out
 
 
-def casimir_blocks(m: WeightModule) -> dict[tuple[int, ...], list[list[Fraction]]]:
-    """Dense Casimir block per weight; the operator preserves weight spaces."""
+def casimir_blocks(m: WeightModule) -> dict[tuple[int, ...], RationalMatrix]:
+    """Sparse Casimir block per weight; the operator preserves weight spaces."""
     decomp = m.weight_decomposition()
     blocks = {}
     for w in sorted(decomp):
         idx = decomp[w]
         pos = {i: t for t, i in enumerate(idx)}
-        size = len(idx)
-        block = [[Fraction(0)] * size for _ in range(size)]
-        for t, j in enumerate(idx):
-            col = _casimir_column(m, j)
-            for r, v in col.items():
-                if r not in pos:
-                    raise ArithmeticError("Casimir does not preserve weight spaces")
-                block[pos[r]][t] = v
-        blocks[w] = block
+        cols = [_casimir_column(m, j) for j in idx]
+        if any(col.keys() - pos.keys() for col in cols):
+            raise ArithmeticError("Casimir does not preserve weight spaces")
+        blocks[w] = RationalMatrix.from_columns(
+            [{pos[r]: v for r, v in col.items()} for col in cols], len(idx))
     return blocks
 
 
-def casimir_matrix(m: WeightModule) -> RationalMatrix:
-    entries = {}
+def _embed_blocks(m: WeightModule, blocks: dict) -> RationalMatrix:
+    """The block-diagonal operator on m with the given per-weight blocks."""
     decomp = m.weight_decomposition()
-    for w, block in casimir_blocks(m).items():
+    entries = {}
+    for w, block in blocks.items():
         idx = decomp[w]
-        for rr, row in enumerate(block):
-            for cc, v in enumerate(row):
-                if v:
-                    entries[(idx[rr], idx[cc])] = v
+        for (rr, cc), v in block.entries.items():
+            entries[(idx[rr], idx[cc])] = v
     return RationalMatrix(m.dimension, m.dimension, entries)
+
+
+def casimir_matrix(m: WeightModule) -> RationalMatrix:
+    """The Casimir operator on m.  A test oracle: no CLI path calls it."""
+    return _embed_blocks(m, casimir_blocks(m))
 
 
 def highest_weight_vectors(m: WeightModule) -> list[tuple[HighestWeight, Vec]]:
@@ -497,34 +497,22 @@ def highest_weight_vectors(m: WeightModule) -> list[tuple[HighestWeight, Vec]]:
     return out
 
 
-def shifted_block(block, c) -> RationalMatrix:
-    """The dense square block minus c * I, as a sparse matrix."""
-    size = len(block)
-    return RationalMatrix(size, size, {
-        (rr, cc): block[rr][cc] - c if rr == cc else block[rr][cc]
-        for rr in range(size) for cc in range(size)})
+def shifted_block(block: RationalMatrix, c) -> RationalMatrix:
+    """The square block minus c * I."""
+    return block - RationalMatrix.identity(block.rows).scale(c)
 
 
-def _dense_block_polynomial(block, eigenvalues, target) -> list[list[Fraction]]:
-    """Evaluate prod (B - c')/(target - c') over eigenvalues != target."""
-    size = len(block)
-    out = [[ONE if i == j else Fraction(0) for j in range(size)] for i in range(size)]
+def _dense_block_polynomial(block: RationalMatrix, eigenvalues, target) -> RationalMatrix:
+    """Evaluate prod (B - c')/(target - c') over eigenvalues c' != target.
+
+    The name dates from dense blocks.  It is kept because the benchmark's
+    span tracer (perfbench/spans.py) wraps this function by it and expects
+    its spans on the johnson-g4 workload.
+    """
+    out = RationalMatrix.identity(block.rows)
     for c in eigenvalues:
-        if c == target:
-            continue
-        scale = ONE / (target - c)
-        nxt = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(size):
-            for k in range(size):
-                f = out[i][k]
-                if not f:
-                    continue
-                row = block[k]
-                for j in range(size):
-                    v = row[j] - (c if k == j else 0)
-                    if v:
-                        nxt[i][j] += f * scale * v
-        out = nxt
+        if c != target:
+            out = shifted_block(block, c).matmul(out).scale(ONE / (target - c))
     return out
 
 
@@ -535,7 +523,7 @@ def isotypic_projection(m: WeightModule, hw: HighestWeight, *,
     Requires multiplicity at most one and no Casimir eigenvalue collision
     between hw and a non-isomorphic constituent.  ``blocks`` and
     ``constituents`` accept precomputed Casimir blocks and highest-weight
-    data to avoid recomputation.
+    data to avoid recomputation.  A test oracle: no CLI path calls it.
     """
     spec = m.algebra
     target = casimir_eigenvalue(spec, hw)
@@ -555,22 +543,17 @@ def isotypic_projection(m: WeightModule, hw: HighestWeight, *,
                 raise AmbiguousDecompositionError(
                     f"constituent {hw} has multiplicity {hws.count(hw)} > 1")
     eigenvalues = sorted(emap)
-    decomp = m.weight_decomposition()
     if blocks is None:
         blocks = casimir_blocks(m)
-    entries = {}
-    for w, block in blocks.items():
-        idx = decomp[w]
-        pb = _dense_block_polynomial(block, eigenvalues, target)
-        for rr in range(len(idx)):
-            for cc in range(len(idx)):
-                if pb[rr][cc]:
-                    entries[(idx[rr], idx[cc])] = pb[rr][cc]
-    return RationalMatrix(m.dimension, m.dimension, entries)
+    return _embed_blocks(m, {w: _dense_block_polynomial(block, eigenvalues, target)
+                             for w, block in blocks.items()})
 
 
 def casimir_eigenspace(m: WeightModule, eigenvalue: Fraction, *, blocks=None) -> list[Vec]:
-    """Echelonized basis of ker(Casimir - eigenvalue), weight block by block."""
+    """Echelonized basis of ker(Casimir - eigenvalue), weight block by block.
+
+    A test oracle: no CLI path calls it.
+    """
     decomp = m.weight_decomposition()
     if blocks is None:
         blocks = casimir_blocks(m)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from infalex.cli import main
+from infalex.errors import AmbiguousDecompositionError
 
 PRES = {"dim_v": 3, "relations": [[{"i": 0, "j": 1, "c": "1"}]]}
 GROUP_Z2 = {"generators": 2, "relators": [[1, 2, -1, -2]]}
@@ -246,6 +247,7 @@ ARGV = {
     (["bb", "--max-degree", "-1"], "--max-degree"),
     (["johnson", "--genus", "3", "--max-degree", "-1"], "--max-degree"),
     (["oracle-check", "--trials", "-1"], "--trials"),
+    (["cv", "--torsion", "2", "--budget", "-1"], "--budget"),
 ])
 def test_bad_argument_usage_error(capsys, files, argv, needle):
     if argv[0] == "cv":
@@ -258,6 +260,42 @@ def test_bad_argument_usage_error(capsys, files, argv, needle):
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
     assert needle in captured.err
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["bb", "--max-degree", "1", "--presentation"],
+     {"dim_v": 3, "relations": [[{"i": 0, "j": 1, "c": "1e-99999999"}]]}),
+    (["cv", "--character=1e-99999999,1", "--presentation"], GROUP_F2),
+])
+def test_huge_decimal_exponent_usage_error(capsys, tmp_path, argv, doc):
+    # Fraction would build 10**99999999 exactly; the exponent is refused first
+    import time
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(argv + [str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert elapsed < 1.0
+    assert "decimal exponent" in captured.err
+
+
+@pytest.mark.parametrize("error", [KeyError("k"), TypeError("t"), ArithmeticError("a"),
+                                   AmbiguousDecompositionError("d")])
+def test_unexpected_failure_exit_code(capsys, monkeypatch, error):
+    # a failure no usage or budget check foresaw is an inconsistency, not a traceback
+    from infalex import cli
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "lyndon_words", broken)
+    code, out = run(capsys, ["witt", "-n", "2", "-q", "3"])
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["error"] == "inconsistency"
+    assert type(error).__name__ in doc["detail"]
 
 
 def _write(path, doc):
@@ -313,3 +351,23 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}: {n}" for n in names
                         if n.partition(".")[0] not in sys.stdlib_module_names]
     assert not outside, outside
+
+
+def test_package_has_no_unused_imports():
+    import ast
+    import pathlib
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "infalex"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for a in node.names:
+                    imported[a.asname or a.name.partition(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, unused

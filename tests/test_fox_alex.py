@@ -199,6 +199,60 @@ def test_saturation_torsion_free_case():
     assert factors_through_free_part(Z2, Character.rational([-1, 7]))
 
 
+def _rational_coordinates(basis, v):
+    """The c with sum c_i basis[i] == v, by an exact rational solve; None when
+    v is outside the span.  The basis must be linearly independent: then the
+    last column of [basis | v] is free exactly when v is in the span."""
+    from infalex.exact_linalg import RationalMatrix
+    r = len(basis)
+    m = RationalMatrix.from_columns([{i: x for i, x in enumerate(b) if x}
+                                     for b in list(basis) + [v]], len(v))
+    for free, kv in m.kernel_basis_with_free():
+        if free == r:
+            return [-kv.get(i, 0) for i in range(r)]
+    return None
+
+
+def test_property_saturation_against_rational_solve():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from infalex.exact_linalg import echelon_basis
+
+    def relator(exps):
+        return tuple(x for i, e in enumerate(exps) for x in [i + 1 if e > 0 else -i - 1] * abs(e))
+
+    def sparse(v):
+        return {i: Fraction(x) for i, x in enumerate(v) if x}
+
+    def on_lattice(basis, v):
+        c = _rational_coordinates(basis, v)
+        return c is not None and all(Fraction(x).denominator == 1 for x in c)
+
+    shapes = st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=3)))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(shapes)
+    def check(shape):
+        n, rows = shape
+        sat = saturated_relator_lattice(GroupPresentation.make(n, [relator(r) for r in rows]))
+        assert all(len(b) == n for b in sat)
+        assert echelon_basis(map(sparse, sat)).rank == len(sat)
+        span = echelon_basis(map(sparse, rows))
+        # every relator is an integer combination of the basis
+        assert all(on_lattice(sat, r) for r in rows)
+        # every basis vector lies in the rational span of the relators
+        assert all(span.contains(sparse(b)) for b in sat)
+        # every integer point of a small box in that span is on the lattice
+        for v in product(range(-2, 3), repeat=n):
+            if span.contains(sparse(v)):
+                assert on_lattice(sat, v), v
+
+    check()
+
+    check()
+
+
 def test_restricted_membership():
     p = GroupPresentation.make(1, [(1, 1)])
     with pytest.raises(CharacterError):
