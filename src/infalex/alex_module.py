@@ -15,14 +15,12 @@ degree, which fixes the matrix layout once and for all.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .errors import InternalInconsistencyError
 from .exact_linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Vec, axpy
 from .free_lie import GradedDims
 from .quad_lie import LiePresentation, beta_matrix, wedge2_pairs
@@ -261,32 +259,6 @@ def coker_dims(gm: GradedMap, max_degree: int, *, weights=None) -> GradedDims:
             r = gm.instantiate(q).rank()
         dims.append(target - r)
     return GradedDims(0, tuple(dims))
-
-
-def nilpotence_order(gm: GradedMap, max_degree: int, weights=None) -> int | None:
-    """Least q <= max_degree with vanishing degree-q cokernel, or None.
-
-    Vanishing must persist through max_degree (generation in degree zero);
-    a violation is an internal inconsistency, not a result.
-    """
-    dims = coker_dims(gm, max_degree, weights=weights)
-    first = None
-    for q in dims.degrees():
-        if dims[q] == 0:
-            first = q
-            break
-    if first is None:
-        return None
-    for q in range(first, max_degree + 1):
-        if dims[q] != 0:
-            raise InternalInconsistencyError(
-                f"cokernel vanishes in degree {first} but not in degree {q}")
-    return first
-
-
-def dims_to_json(dims: GradedDims) -> str:
-    doc = {"degrees": list(dims.degrees()), "coker_dims": list(dims.dims)}
-    return json.dumps(doc, sort_keys=True)
 
 
 def coker_multiplication_action(gm: GradedMap, max_degree: int) -> tuple[int, list[RationalMatrix]]:

@@ -16,6 +16,8 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence, Union
 
+from . import documents
+
 Scalar = Union[Fraction, "CyclotomicScalar"]
 
 ZERO = Fraction(0)
@@ -28,7 +30,7 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return documents.fraction(x, "a scalar")
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
@@ -36,11 +38,17 @@ def _to_fraction(x) -> Fraction:
 # cyclotomic arithmetic
 # ---------------------------------------------------------------------------
 
+# the largest cyclotomic order: each order keeps an m x phi(m) power table
+MAX_CYCLOTOMIC_ORDER = 1000
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (low degree first, monic) of the m-th cyclotomic polynomial."""
     if m < 1:
         raise ValueError("order must be >= 1")
+    if m > MAX_CYCLOTOMIC_ORDER:
+        raise ValueError(f"cyclotomic order must be at most {MAX_CYCLOTOMIC_ORDER}, got {m}")
     # x^m - 1 divided by the product of Phi_d over proper divisors d of m
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
@@ -70,15 +78,16 @@ def _phi_degree(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_reductions(m: int, upto: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^k mod Phi_m for k in 0..upto, each as a coefficient tuple of length deg."""
+def _power_reductions(m: int) -> tuple[tuple[Fraction, ...], ...]:
+    """x^k mod Phi_m for k in 0..m-1, each as a coefficient tuple of length
+    deg.  Since x^m = 1 modulo Phi_m, x^k reduces to row k % m."""
     deg = _phi_degree(m)
     phi = cyclotomic_polynomial(m)
     rows: list[tuple[Fraction, ...]] = []
     cur = [ZERO] * deg
     cur[0] = ONE
     rows.append(tuple(cur))
-    for _ in range(upto):
+    for _ in range(m - 1):
         nxt = [ZERO] + cur[:]
         lead = nxt.pop()
         if lead:
@@ -110,10 +119,7 @@ class CyclotomicScalar:
     @staticmethod
     def zeta(order: int, power: int = 1) -> "CyclotomicScalar":
         """zeta_m^power, reduced modulo Phi_m."""
-        power %= order
-        deg = _phi_degree(order)
-        table = _power_reductions(order, max(power, 2 * deg))
-        return CyclotomicScalar(order, list(table[power]))
+        return CyclotomicScalar(order, list(_power_reductions(order)[power % order]))
 
     # -- ring structure -----------------------------------------------------
 
@@ -150,15 +156,7 @@ class CyclotomicScalar:
             for j, b in enumerate(o.coeffs):
                 if b:
                     conv[i + j] += a * b
-        table = _power_reductions(self.order, 2 * deg - 2)
-        out = [ZERO] * deg
-        for k, c in enumerate(conv):
-            if c:
-                row = table[k]
-                for i in range(deg):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CyclotomicScalar(self.order, out)
+        return CyclotomicScalar(self.order, _reduce_mod_phi(conv, self.order))
 
     __rmul__ = __mul__
 
@@ -264,14 +262,14 @@ def _polydivmod_q(num, den):
 
 
 def _reduce_mod_phi(coeffs: list[Fraction], order: int) -> list[Fraction]:
-    deg = _phi_degree(order)
-    table = _power_reductions(order, len(coeffs) - 1)
-    out = [ZERO] * deg
+    """The polynomial with these coefficients (low degree first) modulo Phi_order."""
+    table = _power_reductions(order)
+    out = [ZERO] * _phi_degree(order)
     for k, c in enumerate(coeffs):
         if c:
-            for i in range(deg):
-                if table[k][i]:
-                    out[i] += c * table[k][i]
+            for i, x in enumerate(table[k % order]):
+                if x:
+                    out[i] += c * x
     return out
 
 
@@ -352,7 +350,10 @@ class EchelonBasis:
             return False
         lead = min(r)
         pivot = r[lead]
-        self.rows[lead] = {k: x / pivot for k, x in r.items()}
+        if pivot != 1:   # one inverse per row: a cyclotomic one runs extended Euclid
+            inv = ONE / pivot
+            r = {k: x * inv for k, x in r.items()}
+        self.rows[lead] = r
         self._reduced = False
         return True
 
@@ -493,9 +494,6 @@ class RationalMatrix:
 
     # -- access ----------------------------------------------------------------
 
-    def entry(self, i: int, j: int):
-        return self.entries.get((i, j), ZERO)
-
     def row_vectors(self) -> list[Vec]:
         out: list[Vec] = [dict() for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
@@ -509,6 +507,8 @@ class RationalMatrix:
         return out
 
     def transpose(self) -> "RationalMatrix":
+        """Test oracle: rank(m) == rank(m.transpose()) checks the echelon
+        code on both orientations; no CLI path transposes."""
         return RationalMatrix(self.cols, self.rows,
                               {(j, i): v for (i, j), v in self.entries.items()})
 
@@ -601,11 +601,3 @@ def act_vec(cols: Sequence[Mapping], v: Mapping) -> Vec:
         if c:
             axpy(out, c, cols[j])
     return out
-
-
-def solve_membership(m: RationalMatrix, v: Mapping) -> bool:
-    """True iff v lies in the column span of m."""
-    for i in v:
-        if not (0 <= i < m.rows):
-            raise ValueError(f"vector coordinate {i} out of range for {m.rows} rows")
-    return m.column_span().contains(v)

@@ -44,10 +44,6 @@ def free_reduce(word) -> Word:
     return tuple(out)
 
 
-def word_inverse(word: Word) -> Word:
-    return tuple(-x for x in reversed(word))
-
-
 @dataclass(frozen=True)
 class GroupPresentation:
     num_generators: int
@@ -101,19 +97,9 @@ def _exponents(word: Word, n: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def gr_add(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
-    out = dict(a)
-    axpy(out, 1, b)
-    return out
-
-
-def gr_scale(a: GroupRingElt, c: Fraction) -> GroupRingElt:
-    if not c:
-        return {}
-    return {w: c * v for w, v in a.items()}
-
-
 def gr_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
+    """The product in the group ring.  Part of the test oracle
+    fox_identity_defect."""
     out: GroupRingElt = {}
     for wa, ca in a.items():
         # distinct reduced words wb give distinct products wa wb
@@ -136,22 +122,25 @@ def fox_derivative(word, j: int) -> GroupRingElt:
                 term = {tuple(prefix): Fraction(1)}
             else:
                 term = {tuple(prefix + [x]): Fraction(-1)}
-            out = gr_add(out, term)
+            axpy(out, 1, term)
         prefix.append(x)
     return out
 
 
 def fox_identity_defect(word, n: int) -> GroupRingElt:
-    """sum_j d(w)/dx_j (x_j - 1) - (w - 1); zero for every word."""
+    """sum_j d(w)/dx_j (x_j - 1) - (w - 1); zero for every word.
+
+    Test oracle: the fundamental formula of Fox calculus (acceptance
+    criterion 8) checks fox_derivative, which alexander_matrix runs; no CLI
+    path calls it."""
     w = free_reduce(word)
     total: GroupRingElt = {}
     for j in range(n):
-        dw = fox_derivative(w, j)
-        total = gr_add(total, gr_mul(dw, {(j + 1,): Fraction(1), (): Fraction(-1)}))
-    rhs = {w: Fraction(1), (): Fraction(-1)}
-    if w == ():
-        rhs = {}
-    return gr_add(total, gr_scale(rhs, Fraction(-1)))
+        x_j_minus_1 = {(j + 1,): Fraction(1), (): Fraction(-1)}
+        axpy(total, 1, gr_mul(fox_derivative(w, j), x_j_minus_1))
+    if w:
+        axpy(total, -1, {w: Fraction(1), (): Fraction(-1)})
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +208,11 @@ def alexander_matrix(p: GroupPresentation) -> LaurentMatrix:
     return LaurentMatrix(len(p.relators), n, entries)
 
 
-# generic rank over the fraction field Q(t_1..t_n): fraction-free elimination
+# generic rank over the fraction field Q(t_1..t_n): fraction-free elimination,
+# a test oracle with its polynomial helpers
 
 def _poly_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Part of the test oracle generic_rank."""
     out: LaurentPoly = {}
     for ea, ca in a.items():
         axpy(out, ca, {tuple(x + y for x, y in zip(ea, eb)): cb for eb, cb in b.items()})
@@ -229,13 +220,15 @@ def _poly_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 def _poly_sub(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Part of the test oracle generic_rank."""
     out = dict(a)
     axpy(out, -1, b)
     return out
 
 
 def _poly_divide_exact(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """Exact division of multivariate polynomials (lex leading terms)."""
+    """Exact division of multivariate polynomials (lex leading terms).  Part
+    of the test oracle generic_rank."""
     if not d:
         raise ZeroDivisionError
     out: LaurentPoly = {}
@@ -257,6 +250,10 @@ def generic_rank(m: LaurentMatrix) -> int:
 
     Rows are shifted by monomial units so all entries become polynomials;
     then Bareiss fraction-free elimination with exact divisions.
+
+    Test oracle: it bounds the rank of evaluate(rho) at every character rho,
+    so it checks the special ranks that the cv command computes; no CLI path
+    calls it.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
@@ -397,10 +394,9 @@ class Character:
         return _zeta_table(order)[0][exponent % order]
 
     def value_power(self, i: int, k: int):
-        exps = self.torsion_exponents()
-        if exps is not None:
-            return self._zeta_power(exps[i] * k)
-        return self.values[i] ** k  # exact for negative k as well
+        """values[i]^k, exact for negative k as well.  The torsion paths of
+        evaluate and evaluate_exponent read the zeta table instead."""
+        return self.values[i] ** k
 
     def is_trivial(self) -> bool:
         return all(v == 1 for v in self.values)

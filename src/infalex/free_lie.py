@@ -86,9 +86,6 @@ class GradedDims:
             raise IndexError(f"degree {degree} outside table")
         return self.dims[i]
 
-    def degrees(self) -> range:
-        return range(self.first_degree, self.first_degree + len(self.dims))
-
 
 def witt_dims(n: int, max_degree: int) -> GradedDims:
     """Necklace counts: dim L_q = (1/q) sum_{d|q} mu(d) n^(q/d)."""
@@ -258,18 +255,3 @@ def ad_generator_matrix(n: int, i: int, q: int) -> RationalMatrix:
         for word, c in _basis_bracket((i,), w):
             entries[(tgt_idx[word], j)] = c
     return RationalMatrix(len(tgt_idx), len(src), entries)
-
-
-def ad_matrix(v, q: int) -> RationalMatrix:
-    """Matrix of ad_v: L_q -> L_{q+1} for v given by coordinates in V."""
-    n = len(v)
-    if q < 1:
-        raise ValueError("q >= 1 required")
-    rows = len(_lyndon_words_cached(n, q + 1))
-    cols = len(_lyndon_words_cached(n, q))
-    out = RationalMatrix.zeros(rows, cols)
-    for i, c in enumerate(v):
-        c = Fraction(c) if not isinstance(c, Fraction) else c
-        if c:
-            out = out + ad_generator_matrix(n, i, q).scale(c)
-    return out

@@ -30,7 +30,7 @@ from itertools import combinations
 
 from .alex_module import GradedMap, coker_dims, nabla_bar
 from .errors import BudgetExceededError, InternalInconsistencyError
-from .exact_linalg import ONE, RationalMatrix, Vec, axpy
+from .exact_linalg import RationalMatrix, Vec, axpy
 from .free_lie import LieElement, bracket
 from .quad_lie import LiePresentation, _ideal_echelon, quotient_pairs, wedge2_pairs
 from .rep_semisimple import (HighestWeight, LieAlgebraSpec, WeightModule,
@@ -68,26 +68,8 @@ def _check_budget(g: int, max_degree: int | None, allow_large: bool):
                            max_degree=max_degree)
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
-    g: int
-    basis: tuple[str, ...]
-    theta: RationalMatrix
-
-    @staticmethod
-    def make(g: int) -> "SymplecticSpace":
-        if g < MIN_GENUS:
-            raise ValueError(f"genus >= {MIN_GENUS} required")
-        names = tuple(f"a{i+1}" for i in range(g)) + tuple(f"b{i+1}" for i in range(g))
-        entries = {}
-        for i in range(g):
-            entries[(i, g + i)] = ONE
-            entries[(g + i, i)] = -ONE
-        return SymplecticSpace(g, names, RationalMatrix(2 * g, 2 * g, entries))
-
-
 class JohnsonContext:
-    """Everything genus-dependent that build_q and the reports share."""
+    """Everything genus-dependent that q_map() and the reports share."""
 
     def __init__(self, g: int):
         if g < MIN_GENUS:
@@ -183,12 +165,14 @@ class JohnsonContext:
     @cached_property
     def q_module(self) -> WeightModule:
         """Q = wedge^2 V / (R + C z) in the coordinates of the target of q_map();
-        building it checks that R + C z is invariant."""
+        building it checks that R + C z is invariant.  Part of the test
+        oracle equivariance_defect."""
         return quotient_module(self.W2, self.r_basis + [self.z_vec])
 
     @cached_property
     def q_symbol(self) -> dict:
-        """The symbol of q_map(), keyed by sorted triple."""
+        """The symbol of q_map(), keyed by sorted triple.  Part of the test
+        oracle equivariance_defect."""
         triples = combinations(range(self.V.dimension), 3)
         return dict(zip(triples, self.q_map().blocks[0].symbol))
 
@@ -201,13 +185,6 @@ def johnson_context(g: int) -> JohnsonContext:
     if ctx is None:
         ctx = _CTX_CACHE[g] = JohnsonContext(g)
     return ctx
-
-
-def build_q(g: int, *, allow_large: bool = False) -> GradedMap:
-    """The Sym(V)-linear map f (x) a0^a1^a2 |-> sum over cyclic i of
-    f a_i (x) [a_{i+1} ^ a_{i+2}] in Q = wedge^2 V / (R + C z)."""
-    _check_budget(g, None, allow_large)
-    return johnson_context(g).q_map()
 
 
 def decompose_wedge2_V(g: int, *, allow_large: bool = False) -> list[tuple]:
@@ -273,7 +250,8 @@ def central_z_check(g: int, *, allow_large: bool = False) -> bool:
 # ---------------------------------------------------------------------------
 
 def source_act(ctx: JohnsonContext, label: str, svec: dict) -> dict:
-    """Action on Sym (x) wedge^3 V vectors keyed by (monomial, sorted triple)."""
+    """Action on Sym (x) wedge^3 V vectors keyed by (monomial, sorted triple).
+    Part of the test oracle equivariance_defect."""
     vcols = ctx.V.actions[label]
     out: dict = {}
     for (mono, tri), coeff in svec.items():
@@ -283,7 +261,8 @@ def source_act(ctx: JohnsonContext, label: str, svec: dict) -> dict:
 
 
 def target_act(ctx: JohnsonContext, label: str, tvec: dict) -> dict:
-    """Action on Sym (x) Q vectors keyed by (monomial, Q index)."""
+    """Action on Sym (x) Q vectors keyed by (monomial, Q index).  Part of the
+    test oracle equivariance_defect."""
     vcols = ctx.V.actions[label]
     qcols = ctx.q_module.actions[label]
     out: dict = {}
@@ -294,7 +273,8 @@ def target_act(ctx: JohnsonContext, label: str, tvec: dict) -> dict:
 
 
 def apply_q_to_vector(ctx: JohnsonContext, svec: dict) -> dict:
-    """Apply the symbol of q_map() to a Sym (x) wedge^3 V vector."""
+    """Apply the symbol of q_map() to a Sym (x) wedge^3 V vector.  Part of
+    the test oracle equivariance_defect."""
     out: dict = {}
     for (mono, tri), coeff in svec.items():
         terms = {}
@@ -307,7 +287,11 @@ def apply_q_to_vector(ctx: JohnsonContext, svec: dict) -> dict:
 
 
 def equivariance_defect(ctx: JohnsonContext, label: str, svec: dict) -> dict:
-    """q(x . v) - x . q(v); the empty dict iff equivariance holds on v."""
+    """q(x . v) - x . q(v); the empty dict iff equivariance holds on v.
+
+    Test oracle: checks that q is sp(2g)-equivariant (acceptance criterion
+    5), which the weight-bucketed rank in johnson_module_dims relies on; no
+    CLI path calls it."""
     lhs = apply_q_to_vector(ctx, source_act(ctx, label, svec))
     axpy(lhs, -1, target_act(ctx, label, apply_q_to_vector(ctx, svec)))
     return lhs

@@ -16,8 +16,8 @@ from itertools import combinations
 
 from . import documents
 from .exact_linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Vec, echelon_basis
-from .free_lie import (GradedDims, LieElement, _lyndon_words_cached,
-                       ad_generator_matrix, basis_bracket, lyndon_index)
+from .free_lie import (GradedDims, _lyndon_words_cached, ad_generator_matrix,
+                       basis_bracket, lyndon_index)
 
 Pair = tuple[int, int]
 
@@ -123,48 +123,17 @@ def _ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
     return eb
 
 
-def ideal_piece(p: LiePresentation, q: int) -> RationalMatrix:
-    """Columns spanning ideal(R)_q inside L_q(V), echelonized and deterministic."""
-    eb = _ideal_echelon(p, q)
-    rows = len(_lyndon_words_cached(p.dim_v, q))
-    return RationalMatrix.from_columns(eb.vectors(), rows)
-
-
 def graded_dims(p: LiePresentation, max_degree: int) -> GradedDims:
+    """dim of the degree-q piece of L(V)/ideal(R), degrees 1..max_degree.
+
+    Test oracle: with R = 0 the dims are the Witt numbers, which checks
+    ad_generator_matrix and the ideal echelon that bb_direct runs; no CLI
+    path calls it."""
     dims = [p.dim_v]
     for q in range(2, max_degree + 1):
         free_dim = len(_lyndon_words_cached(p.dim_v, q))
         dims.append(free_dim - _ideal_echelon(p, q).rank)
     return GradedDims(1, tuple(dims[:max_degree]))
-
-
-def quotient_basis_words(p: LiePresentation, q: int) -> list[tuple[int, ...]]:
-    """Lyndon words of length q whose classes form a basis of the quotient."""
-    words = _lyndon_words_cached(p.dim_v, q)
-    return [words[i] for i in _ideal_echelon(p, q).free(len(words))]
-
-
-@dataclass(frozen=True)
-class GradedPiece:
-    """One graded piece of the quotient: lifts of a basis plus the ideal span."""
-
-    degree: int
-    basis_lift: tuple[LieElement, ...]
-    ideal_subspace: RationalMatrix
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis_lift)
-
-
-def graded_piece(p: LiePresentation, q: int) -> GradedPiece:
-    if q < 2:
-        if q != 1:
-            raise ValueError("degrees start at 1")
-        gens = tuple(LieElement.generator(i) for i in range(p.dim_v))
-        return GradedPiece(1, gens, RationalMatrix.zeros(p.dim_v, 0))
-    lifts = tuple(LieElement.make(q, {w: 1}) for w in quotient_basis_words(p, q))
-    return GradedPiece(q, lifts, ideal_piece(p, q))
 
 
 def quotient_pairs(p: LiePresentation) -> dict[int, int]:

@@ -1,11 +1,10 @@
 """Rational representation theory of sp(2g) and sl(n), by explicit matrices.
 
-Irreducibles are realized concretely: the defining module, wedge and
-symmetric powers, tensor products, and the fundamental symplectic modules
-wedge^k H / (theta ^ wedge^(k-2) H).  Basis vectors are weight vectors
-throughout (weights in the coordinates of Fulton-Harris), so weight spaces
-are index sets and everything Casimir-related block-diagonalizes over
-weights.
+Irreducibles are realized concretely: the defining module, wedge powers,
+and the fundamental symplectic modules wedge^k H / (theta ^ wedge^(k-2) H).
+Basis vectors are weight vectors throughout (weights in the coordinates of
+Fulton-Harris), so weight spaces are index sets and everything
+Casimir-related block-diagonalizes over weights.
 
 Casimir normalization: dual bases with respect to the trace form of the
 defining representation.  The eigenvalue on the irreducible of highest
@@ -19,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .errors import AmbiguousDecompositionError
 from .exact_linalg import ONE, ZERO, RationalMatrix, Vec, act_vec, axpy, echelon_basis
@@ -64,9 +63,6 @@ class LieAlgebraSpec:
         return self.rank if self.family == "sp" else self.rank - 1
 
     # -- structure data -------------------------------------------------------
-
-    def algebra_basis(self) -> list[tuple[str, ColMat]]:
-        return list(_algebra_basis(self))
 
     def raising_labels(self) -> list[str]:
         if self.family == "sp":
@@ -204,9 +200,6 @@ class WeightModule:
     weights: tuple[tuple[int, ...], ...]
     actions: dict  # label -> ColMat
 
-    def action_matrix(self, label: str) -> RationalMatrix:
-        return RationalMatrix.from_columns(self.actions[label], self.dimension)
-
     def weight_decomposition(self) -> dict[tuple[int, ...], list[int]]:
         out: dict[tuple[int, ...], list[int]] = {}
         for i, w in enumerate(self.weights):
@@ -249,7 +242,8 @@ def wedge_act(cols: ColMat, combo: tuple[int, ...]) -> dict:
 
 def sym_act(cols: ColMat, expt: tuple[int, ...]) -> dict:
     """An operator (given by its columns) acting as a derivation on the
-    monomial with exponent vector expt; keyed by exponent vectors."""
+    monomial with exponent vector expt; keyed by exponent vectors.  Part of
+    the test oracle johnson.equivariance_defect."""
     out: dict = {}
     for i, mult in enumerate(expt):
         if mult:
@@ -274,43 +268,6 @@ def wedge_power(m: WeightModule, k: int) -> WeightModule:
         actions[label] = tuple({index[new]: v for new, v in wedge_act(cols, combo).items()}
                                for combo in combos)
     return WeightModule(m.algebra, len(combos), weights, actions)
-
-
-def sym_power(m: WeightModule, k: int) -> WeightModule:
-    monos = sorted(tuple(sorted(c)) for c in combinations_with_replacement(range(m.dimension), k))
-    expts = []
-    for mono in monos:
-        e = [0] * m.dimension
-        for i in mono:
-            e[i] += 1
-        expts.append(tuple(e))
-    index = {e: i for i, e in enumerate(expts)}
-    weights = tuple(tuple(sum(e[i] * m.weights[i][t] for i in range(m.dimension))
-                          for t in range(len(m.weights[0]))) for e in expts)
-    actions = {}
-    for label, cols in m.actions.items():
-        actions[label] = tuple({index[t]: v for t, v in sym_act(cols, e).items()}
-                               for e in expts)
-    return WeightModule(m.algebra, len(expts), weights, actions)
-
-
-def tensor_product(a: WeightModule, b: WeightModule) -> WeightModule:
-    if a.algebra != b.algebra:
-        raise ValueError("mismatched algebras")
-    dim = a.dimension * b.dimension
-    weights = tuple(tuple(x + y for x, y in zip(a.weights[i], b.weights[j]))
-                    for i in range(a.dimension) for j in range(b.dimension))
-    actions = {}
-    for label in a.actions:
-        ca, cb = a.actions[label], b.actions[label]
-        new_cols = []
-        for i in range(a.dimension):
-            for j in range(b.dimension):
-                col: Vec = {r * b.dimension + j: v for r, v in ca[i].items()}
-                axpy(col, 1, {i * b.dimension + r: v for r, v in cb[j].items()})
-                new_cols.append(col)
-        actions[label] = tuple(new_cols)
-    return WeightModule(a.algebra, dim, weights, actions)
 
 
 def quotient_module(m: WeightModule, spanning: list[Vec]) -> WeightModule:
@@ -371,6 +328,10 @@ def fundamental_module(spec: LieAlgebraSpec, k: int) -> WeightModule:
 # ---------------------------------------------------------------------------
 
 def weyl_dim(spec: LieAlgebraSpec, hw: HighestWeight) -> int:
+    """dim of the irreducible of highest weight hw, by the Weyl formula.
+
+    Test oracle: an independent count against the computed cokernel dims
+    (acceptance criteria 2 and 4) and dim Q; no CLI path calls it."""
     m = spec.partition_from_fundamental(hw)
     if spec.family == "sp":
         g = spec.rank
@@ -408,7 +369,10 @@ def casimir_eigenvalue(spec: LieAlgebraSpec, hw: HighestWeight) -> Fraction:
 
 
 def chen_module_weight(n: int, q: int) -> HighestWeight:
-    """The sl_n highest weight q*lambda_1 + lambda_2 (lambda_2 read as 0 when n = 2)."""
+    """The sl_n highest weight q*lambda_1 + lambda_2 (lambda_2 read as 0 when n = 2).
+
+    Test oracle: names the constituent whose weyl_dim the Chen ranks must
+    equal (acceptance criterion 2); no CLI path calls it."""
     if n < 2:
         raise ValueError("n >= 2 required")
     if n == 2:

@@ -281,6 +281,24 @@ def test_huge_decimal_exponent_usage_error(capsys, tmp_path, argv, doc):
     assert "decimal exponent" in captured.err
 
 
+@pytest.mark.parametrize("argv,doc", [
+    (["cv", "--torsion", "20011", "--presentation"], {"generators": 1, "relators": []}),
+    (["cv", "--character=zeta_20011^1,1", "--presentation"], GROUP_F2),
+])
+def test_huge_cyclotomic_order_usage_error(capsys, tmp_path, argv, doc):
+    # each order would build an m x phi(m) table of powers; the order is refused
+    import time
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(argv + [str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert elapsed < 1.0
+    assert "cyclotomic order" in captured.err
+
+
 @pytest.mark.parametrize("error", [KeyError("k"), TypeError("t"), ArithmeticError("a"),
                                    AmbiguousDecompositionError("d")])
 def test_unexpected_failure_exit_code(capsys, monkeypatch, error):
@@ -371,3 +389,53 @@ def test_package_has_no_unused_imports():
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, unused
+
+
+def test_package_has_no_uncalled_code():
+    # Every function, class and method of the package must be reachable from
+    # a root: module- and class-level statements, dunder methods, cli.main,
+    # or a definition whose docstring marks it as (part of) a test oracle.
+    # The walk is by name: a use of x or of .x on any object reaches every
+    # definition named x, so a dead method that shares its name with a live
+    # one still passes.
+    import ast
+    import pathlib
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "infalex"
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def names(nodes):
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for node in nodes for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    defs = []        # (label, name, names it uses, is a root)
+    wanted = set()   # names used by what is reached so far
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(stmt, funcs + (ast.ClassDef,)):
+                wanted |= names([stmt])
+                continue
+            if isinstance(stmt, ast.ClassDef):
+                wanted |= names(m for m in stmt.body if not isinstance(m, funcs))
+                members = [(stmt.name, stmt, names(stmt.bases + stmt.decorator_list))]
+                members += [(f"{stmt.name}.{m.name}", m, names([m]))
+                            for m in stmt.body if isinstance(m, funcs)]
+            else:
+                members = [(stmt.name, stmt, names([stmt]))]
+            for label, node, used in members:
+                label = f"{path.stem}.{label}"
+                root = (label == "cli.main"
+                        or node.name.startswith("__") and node.name.endswith("__")
+                        or "test oracle" in (ast.get_docstring(node) or "").lower())
+                defs.append((label, node.name, used, root))
+    reached = set()
+    grew = True
+    while grew:
+        grew = False
+        for label, name, used, root in defs:
+            if label not in reached and (root or name in wanted):
+                reached.add(label)
+                wanted |= used
+                grew = True
+    uncalled = [label for label, *_ in defs if label not in reached]
+    assert not uncalled, uncalled

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from infalex.exact_linalg import (CyclotomicScalar, RationalMatrix, axpy,
-                                  cyclotomic_polynomial, echelon_basis,
-                                  solve_membership)
+from infalex.exact_linalg import (MAX_CYCLOTOMIC_ORDER, CyclotomicScalar, RationalMatrix,
+                                  axpy, cyclotomic_polynomial, echelon_basis)
 
 
 def test_rank_identity():
@@ -66,22 +65,17 @@ def test_cokernel_dimension():
 
 
 def test_membership():
-    assert solve_membership(RationalMatrix.identity(2), {0: Fraction(5), 1: Fraction(-7)})
-    assert not solve_membership(RationalMatrix.zeros(2, 2), {0: Fraction(1)})
+    assert RationalMatrix.identity(2).column_span().contains({0: Fraction(5), 1: Fraction(-7)})
+    assert not RationalMatrix.zeros(2, 2).column_span().contains({0: Fraction(1)})
     m = RationalMatrix.from_rows([[1], [1]])
-    assert not solve_membership(m, {0: Fraction(1), 1: Fraction(2)})
-    assert solve_membership(m, {0: Fraction(3), 1: Fraction(3)})
-
-
-def test_membership_dimension_check():
-    with pytest.raises(ValueError):
-        solve_membership(RationalMatrix.identity(2), {5: Fraction(1)})
+    assert not m.column_span().contains({0: Fraction(1), 1: Fraction(2)})
+    assert m.column_span().contains({0: Fraction(3), 1: Fraction(3)})
 
 
 def test_no_zero_entries_stored():
     m = RationalMatrix(2, 2, {(0, 0): Fraction(0), (1, 1): Fraction(2)})
     assert (0, 0) not in m.entries
-    assert m.entry(0, 0) == 0
+    assert m.entries == {(1, 1): Fraction(2)}
 
 
 def test_determinism_bit_identical():
@@ -137,6 +131,31 @@ def test_mixed_order_rejected():
     z3, z4 = CyclotomicScalar.zeta(3), CyclotomicScalar.zeta(4)
     with pytest.raises(ValueError):
         RationalMatrix(1, 2, {(0, 0): z3, (0, 1): z4})
+
+
+def test_cyclotomic_order_bound():
+    m = MAX_CYCLOTOMIC_ORDER
+    z = CyclotomicScalar.zeta(m)
+    assert CyclotomicScalar.zeta(m, m + 3) == z * z * z
+    assert CyclotomicScalar.zeta(m, -1) * z == 1
+    for build in (lambda: cyclotomic_polynomial(MAX_CYCLOTOMIC_ORDER + 1),
+                  lambda: CyclotomicScalar.zeta(20011),
+                  lambda: CyclotomicScalar.from_rational(10 ** 6, 1)):
+        with pytest.raises(ValueError, match="cyclotomic order"):
+            build()
+
+
+def test_decimal_strings_have_a_bounded_exponent():
+    # Fraction would build 10**400000 exactly; the exponent is refused first
+    import time
+    start = time.perf_counter()
+    for build in (lambda: RationalMatrix.from_rows([["1e-400000"]]),
+                  lambda: CyclotomicScalar(3, ["1e-400000"])):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            build()
+    assert time.perf_counter() - start < 1.0
+    m = RationalMatrix.from_rows([["3/2", "1e-3"]])
+    assert m.entries == {(0, 0): Fraction(3, 2), (0, 1): Fraction(1, 1000)}
 
 
 def test_cyclotomic_rank_transpose_random():

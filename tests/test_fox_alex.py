@@ -11,7 +11,7 @@ from infalex.fox_alex import (Character, CharacterError, GroupPresentation,
                               factors_through_free_part, fox_derivative,
                               fox_identity_defect, free_reduce, generic_rank,
                               gr_mul, saturated_relator_lattice, torsion_sweep,
-                              twisted_h1_dim, word_inverse)
+                              twisted_h1_dim)
 
 F2 = GroupPresentation.make(2, [])
 Z2 = GroupPresentation.make(2, [(1, 2, -1, -2)])
@@ -20,6 +20,10 @@ Z2 = GroupPresentation.make(2, [(1, 2, -1, -2)])
 def random_word(rng, n, length):
     letters = [s * (i + 1) for i in range(n) for s in (1, -1)]
     return tuple(rng.choice(letters) for _ in range(length))
+
+
+def word_inverse(word):
+    return tuple(-x for x in reversed(word))
 
 
 def test_free_reduce():
@@ -270,20 +274,19 @@ def test_sweep_with_torsion_abelianization():
 
 def test_generic_rank_bounds_special_ranks():
     rng = random.Random(8)
+    z3 = GroupPresentation.make(3, [(1, 2, -1, -2), (2, 3, -2, -3), (1, 3, -1, -3)])
+    # three relators take the Bareiss elimination through an exact division
+    assert generic_rank(alexander_matrix(z3)) == 2
     groups = [Z2,
               GroupPresentation.make(2, [(1, 1, 2, 2)]),
-              GroupPresentation.make(3, [(1, 2, -1, -2), (2, 3, -2, -3)])]
+              GroupPresentation.make(3, [(1, 2, -1, -2), (2, 3, -2, -3)]),
+              z3]
     for p in groups:
         am = alexander_matrix(p)
         grank = generic_rank(am)
         for _ in range(6):
             vals = [Fraction(rng.choice([-2, -1, 1, 2, 3])) for _ in range(p.num_generators)]
-            rho = Character.rational(vals)
-            try:
-                evaluated_rank = am.evaluate(rho).rank()
-            except Exception:
-                continue
-            assert evaluated_rank <= grank
+            assert am.evaluate(Character.rational(vals)).rank() <= grank
 
 
 # -- torsion sweeps: exponent bins and Galois orbits ----------------------------
@@ -368,8 +371,6 @@ def test_bin_evaluation_matches_zeta_products():
         # table lookups against powers by repeated multiplication and inversion
         for e in p.relator_exponent_matrix():
             value = CyclotomicScalar.from_rational(m, 1)
-            for i, (a, k) in enumerate(zip(exps, e)):
-                power = CyclotomicScalar.zeta(m, a) ** k
-                assert rho.value_power(i, k) == power
-                value = value * power
+            for a, k in zip(exps, e):
+                value = value * CyclotomicScalar.zeta(m, a) ** k
             assert rho.evaluate_exponent(e) == value

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from infalex.free_lie import (LieElement, ad_matrix, bracket, lyndon_words,
+from infalex.free_lie import (LieElement, ad_generator_matrix, bracket, lyndon_words,
                               standard_factorization, tensor_expansion,
                               witt_dims)
 
@@ -107,28 +107,31 @@ def test_wedge2_to_degree2_isomorphism():
 
 
 def test_ad_matrix_zero_vector():
-    assert ad_matrix([0, 0], 2).is_zero()
+    # ad_{e_i} sends e_i to the zero vector
+    for n in (2, 3):
+        for i in range(n):
+            assert ad_generator_matrix(n, i, 1).matvec({i: Fraction(1)}) == {}
 
 
 def test_ad_matrix_generator_degree1():
-    m = ad_matrix([1, 0], 1)
+    m = ad_generator_matrix(2, 0, 1)
     # e1 |-> [e0, e1], e0 |-> 0
     assert m.rank() == 1
     assert m.entries == {(0, 1): Fraction(1)}
 
 
 def test_ad_matrix_degree2():
-    m = ad_matrix([1, 0], 2)
+    m = ad_generator_matrix(2, 0, 2)
     assert (m.rows, m.cols) == (2, 1)
     assert m.rank() == 1
 
 
 def test_ad_matrix_matches_bracket():
-    rng = random.Random(3)
-    for n, q in [(2, 2), (3, 2), (2, 3)]:
-        v = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
-        m = ad_matrix(v, q)
-        v_elt = LieElement.make(1, {(i,): c for i, c in enumerate(v)})
-        for col, w in enumerate(lyndon_words(n, q)):
-            expected = bracket(v_elt, LieElement.make(q, {w: 1}))
-            assert m.matvec({col: Fraction(1)}) == expected.to_vec(n)
+    # the matrices that the ideal echelon and bb_direct apply, column by
+    # column against the bracket
+    for n, q in [(2, 1), (2, 2), (3, 2), (2, 3)]:
+        for i in range(n):
+            m = ad_generator_matrix(n, i, q)
+            for col, w in enumerate(lyndon_words(n, q)):
+                expected = bracket(LieElement.generator(i), LieElement.make(q, {w: 1}))
+                assert m.matvec({col: Fraction(1)}) == expected.to_vec(n)

@@ -10,8 +10,7 @@ import pytest
 from infalex.alex_module import coker_dims, nabla, nabla_bar
 from infalex.errors import BudgetExceededError
 from infalex.quad_lie import bb_direct
-from infalex.johnson import (SymplecticSpace, build_q,
-                             central_z_check, decompose_wedge2_V,
+from infalex.johnson import (central_z_check, decompose_wedge2_V,
                              equivariance_defect, johnson_context,
                              johnson_module_dims)
 from infalex.rep_semisimple import HighestWeight, act_vec, isotypic_projection, weyl_dim
@@ -29,18 +28,7 @@ def _context_digest(ctx) -> dict[str, str]:
             for f in CONTEXT_FIELDS}
 
 
-def test_symplectic_space():
-    s = SymplecticSpace.make(3)
-    assert len(s.basis) == 6
-    t = s.theta
-    assert t.transpose() == t.scale(-1)
-    assert t.rank() == 6
-    assert t.entry(0, 3) == 1
-
-
 def test_genus_floor():
-    with pytest.raises(ValueError):
-        SymplecticSpace.make(2)
     with pytest.raises(ValueError):
         johnson_context(2)
 
@@ -61,7 +49,7 @@ def test_dim_v_formula():
 
 
 def test_build_q_shape_g3():
-    gm = build_q(3)
+    gm = johnson_context(3).q_map()
     block = gm.blocks[0]
     assert block.num_generators == 364    # C(14, 3)
     assert gm.target_dim == 90
@@ -172,7 +160,7 @@ def test_degree0_equals_weyl_dim():
 
 def test_equivariance_g3_random_pairs():
     ctx = johnson_context(3)
-    labels = [lbl for lbl, _ in ctx.spec.algebra_basis()]
+    labels = list(ctx.V.actions)
     triples = list(itertools.combinations(range(ctx.V.dimension), 3))
     rng = random.Random(7)
     n = ctx.V.dimension
@@ -190,7 +178,7 @@ def test_equivariance_g3_random_pairs():
 
 def test_z_vector_is_invariant():
     ctx = johnson_context(3)
-    for label, _ in ctx.spec.algebra_basis():
+    for label in ctx.V.actions:
         assert act_vec(ctx.W2.actions[label], ctx.z_vec) == {}
 
 

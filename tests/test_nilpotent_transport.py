@@ -54,8 +54,8 @@ def test_eigenvalue_characterization_small():
         if t.rank() != 2:
             continue
         m = FinDimLaurentModule.make(2, [t])
-        tr = t.entry(0, 0) + t.entry(1, 1)
-        det = t.entry(0, 0) * t.entry(1, 1) - t.entry(0, 1) * t.entry(1, 0)
+        (a, b), (c, d) = rows
+        tr, det = a + d, a * d - b * c
         both_one = (tr == 2 and det == 1)   # char poly (x-1)^2
         assert is_nilpotent(m)[0] == both_one
 

@@ -3,10 +3,9 @@ import random
 from math import comb
 
 from infalex.exact_linalg import RationalMatrix
-from infalex.free_lie import witt_dims
-from infalex.quad_lie import (LiePresentation, bb_direct, beta_matrix,
-                              graded_dims, ideal_piece, quotient_basis_words,
-                              wedge2_pairs)
+from infalex.free_lie import lyndon_words, witt_dims
+from infalex.quad_lie import (LiePresentation, _ideal_echelon, bb_direct, beta_matrix,
+                              graded_dims, wedge2_pairs)
 
 
 def full_relations(n):
@@ -16,7 +15,7 @@ def full_relations(n):
 def test_ideal_free_case_zero():
     p = LiePresentation.make(3, [])
     for q in range(2, 5):
-        assert ideal_piece(p, q).cols == 0
+        assert _ideal_echelon(p, q).rank == 0
 
 
 def test_ideal_full_relations_abelian():
@@ -24,8 +23,8 @@ def test_ideal_full_relations_abelian():
     dims = graded_dims(p, 5)
     assert dims.dims == (3, 0, 0, 0, 0)
     for q in range(2, 5):
-        m = ideal_piece(p, q)
-        assert m.rank() == m.rows  # full in every degree
+        # full in every degree
+        assert _ideal_echelon(p, q).rank == len(lyndon_words(3, q))
 
 
 def test_ideal_one_relation_degree2():
@@ -53,7 +52,7 @@ def test_ideal_monotone_under_larger_R():
             small = LiePresentation.make(n, rels[:cut])
             big = LiePresentation.make(n, rels[:cut + 1])
             for q in (2, 3, 4):
-                assert ideal_piece(small, q).rank() <= ideal_piece(big, q).rank()
+                assert _ideal_echelon(small, q).rank <= _ideal_echelon(big, q).rank
 
 
 def test_beta_free_is_identity():
@@ -105,21 +104,21 @@ def test_bb_vanishing_persists():
 
 
 def test_quotient_basis_words_complement():
+    # in degree 0 bb_direct reads its basis words off the quotient L_2 / R
     p = LiePresentation.make(3, [{(0, 1): 1}])
-    words = quotient_basis_words(p, 2)
-    assert len(words) == 2
-    assert all(len(w) == 2 for w in words)
+    dim, words = bb_direct(p, 0)
+    assert dim == len(words) == 2
+    assert words == [(0, 2), (1, 2)]
 
 
 def test_graded_piece_dimensions():
-    from infalex.quad_lie import graded_piece
+    # the free positions of the ideal echelon index a basis of the quotient
     p = LiePresentation.make(3, [{(0, 1): 1}])
-    for q in (1, 2, 3):
-        piece = graded_piece(p, q)
-        assert piece.dimension == graded_dims(p, q)[q]
-        if q >= 2:
-            assert piece.dimension == (piece.ideal_subspace.rows
-                                       - piece.ideal_subspace.rank())
+    for q in (2, 3):
+        words = lyndon_words(3, q)
+        assert len(_ideal_echelon(p, q).free(len(words))) == graded_dims(p, q)[q]
+    # degree 3: the 8 free dims less [e_k, [e_0, e_1]] for k = 0, 1, 2
+    assert graded_dims(p, 3).dims == (3, 2, 5)
 
 
 def test_json_ingestion():
