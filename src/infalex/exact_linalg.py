@@ -1,10 +1,12 @@
 """Exact sparse linear algebra over Q and over cyclotomic extensions Q(zeta_m).
 
 Everything here is exact: scalars are ``fractions.Fraction`` or
-:class:`CyclotomicScalar`, matrices are sparse dicts, and elimination is
-plain pivoted Gaussian elimination over the field.  No floating point
-anywhere; ranks and kernels are therefore deterministic and reproducible
-bit for bit.
+:class:`CyclotomicScalar`, and matrices are sparse dicts.  Elimination over
+Q is fraction-free: rows are primitive integer vectors, and a pivot is
+cleared by integer multiples of both rows (Bareiss, Math. Comp. 22, 1968).
+Over Q(zeta_m) it is pivoted Gaussian elimination over the field.  No
+floating point anywhere; ranks and kernels are therefore deterministic and
+reproducible bit for bit.
 
 Vectors are sparse dicts ``{index: scalar}`` with no stored zeros.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import documents
@@ -135,13 +138,6 @@ class CyclotomicScalar:
         return CyclotomicScalar(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return CyclotomicScalar(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __neg__(self):
         return CyclotomicScalar(self.order, [-a for a in self.coeffs])
@@ -310,28 +306,87 @@ def axpy(target: Vec, c, source: Mapping) -> None:
             del target[k]
 
 
+def _lift(v: Mapping) -> tuple[Vec, int]:
+    """(r, d) with r = d * v and no zeros: a rational v is scaled by d, the
+    lcm of its denominators, to integers.  A vector with a cyclotomic entry
+    is promoted to its Q(zeta_m), with d = 1."""
+    r = {k: x for k, x in v.items() if x}
+    cyc = next((x for x in r.values() if isinstance(x, CyclotomicScalar)), None)
+    if cyc is not None:
+        return {k: promote(x, cyc.order) for k, x in r.items()}, 1
+    d = lcm(*[x.denominator for x in r.values()])
+    return {k: x.numerator * (d // x.denominator) for k, x in r.items()}, d
+
+
+def _clear(r: Vec, p, row: Vec) -> int:
+    """Clear position p of r against the row with lead p, in place: r <- s*r - t*row
+    with s = b/g, t = r[p]/g, g = gcd(r[p], b) for lead b; returns s.  A row
+    with lead 1, such as every cyclotomic row, gives s = 1 and t = r[p]."""
+    a, b = r[p], row[p]
+    if b == 1:
+        axpy(r, -a, row)
+        return 1
+    g = gcd(a, b)
+    s = b // g
+    if s != 1:
+        for k in r:
+            r[k] *= s
+    axpy(r, -(a // g), row)
+    return s
+
+
+def _normalize(r: Vec, lead) -> Vec:
+    """r as a stored row: an integer row divided by its content, signed so
+    that the lead is positive; a cyclotomic row scaled to lead 1."""
+    pivot = r[lead]
+    if isinstance(pivot, int):
+        g = gcd(*r.values())
+        if pivot < 0:
+            g = -g
+        return r if g == 1 else {k: x // g for k, x in r.items()}
+    if pivot != 1:   # one inverse per row: a cyclotomic one runs extended Euclid
+        inv = ONE / pivot
+        return {k: x * inv for k, x in r.items()}
+    return r
+
+
+def _over(x, d: int):
+    """x / d for an integer x, as a Fraction; a cyclotomic x has d = 1."""
+    return Fraction(x, d) if isinstance(x, int) else x
+
+
 class EchelonBasis:
     """Echelon basis of a span of sparse vectors, grown one vector at a time.
 
-    Rows are normalized to 1 at their lead (least index) and never mutated.
+    Rows are keyed by their lead (least index) and never mutated in place.
+    One basis holds one kind of scalar, as a RationalMatrix does.  A rational
+    row is stored as a primitive integer vector with a positive lead, a
+    cyclotomic row normalized to 1 at its lead; one elimination step,
+    ``_clear``, serves both, and every value read out is a ``Fraction`` or a
+    ``CyclotomicScalar``.  Callers that only need a spanning set of the span
+    (``_ideal_echelon``, ``nilpotent_transport``) read ``rows.values()``
+    directly, which scaled rows still are.
+
     rank, free and contains need only the leads, so add does no back-reduction;
     vectors, coordinates and kernel_coefficients read inter-reduced rows.
     """
 
     def __init__(self):
-        self.rows: dict[int, Vec] = {}            # lead index -> normalized row
+        self.rows: dict[int, Vec] = {}            # lead index -> stored row
         self._reduced = True                      # no row carries another lead
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Mapping) -> Vec:
+    def reduce(self, v: Mapping, *, scaled: bool = False):
         """The canonical representative of v modulo the span: the one supported
-        on non-pivot positions.  A row with lead p only touches positions above
+        on non-pivot positions.  With scaled=True, the pair (d * it, d), whose
+        entries are integers for a rational v: add and contains read that form
+        and skip the division.  A row with lead p only touches positions above
         p, so pivots are eliminated in increasing order, through a heap."""
+        r, d = _lift(v)
         rows, fill = self.rows, not self._reduced
-        r = {k: x for k, x in v.items() if x}
         heap = [k for k in r if k in rows]
         heapify(heap)
         while heap:
@@ -340,20 +395,18 @@ class EchelonBasis:
                 if fill:  # a row not yet inter-reduced can bring in later pivots
                     for k in (rows[p].keys() & rows.keys()) - r.keys():
                         heappush(heap, k)
-                axpy(r, -r[p], rows[p])
-        return r
+                d *= _clear(r, p, rows[p])
+        if scaled:
+            return r, d
+        return {k: _over(x, d) for k, x in r.items()}
 
     def add(self, v: Mapping) -> bool:
         """Insert v; returns True when the rank grew."""
-        r = self.reduce(v)
+        r, _d = self.reduce(v, scaled=True)
         if not r:
             return False
         lead = min(r)
-        pivot = r[lead]
-        if pivot != 1:   # one inverse per row: a cyclotomic one runs extended Euclid
-            inv = ONE / pivot
-            r = {k: x * inv for k, x in r.items()}
-        self.rows[lead] = r
+        self.rows[lead] = _normalize(r, lead)
         self._reduced = False
         return True
 
@@ -368,8 +421,8 @@ class EchelonBasis:
                 if hits:
                     new = dict(row)
                     for k in hits:
-                        axpy(new, -row[k], rows[k])
-                    rows[lead] = new
+                        _clear(new, k, rows[k])
+                    rows[lead] = _normalize(new, lead)
             self._reduced = True
 
     def copy(self) -> "EchelonBasis":
@@ -380,7 +433,7 @@ class EchelonBasis:
         return eb
 
     def contains(self, v: Mapping) -> bool:
-        return not self.reduce(v)
+        return not self.reduce(v, scaled=True)[0]
 
     def free(self, n: int) -> dict[int, int]:
         """The quotient of positions 0..n-1 by the span: each non-pivot
@@ -399,8 +452,10 @@ class EchelonBasis:
         return {pos[k]: x for k, x in self.reduce(v).items()}
 
     def vectors(self) -> list[Vec]:
+        """The reduced row echelon form: inter-reduced rows with lead 1."""
         self._inter_reduce()
-        return [dict(self.rows[l]) for l in sorted(self.rows)]
+        return [{k: _over(x, row[l]) for k, x in row.items()}
+                for l, row in sorted(self.rows.items())]
 
     def kernel_coefficients(self, free_col: int) -> Vec:
         """Kernel vector of the row span carrying 1 at the given free column.
@@ -413,7 +468,7 @@ class EchelonBasis:
         for l, row in self.rows.items():
             c = row.get(free_col)
             if c:
-                v[l] = -c
+                v[l] = _over(-c, row[l])
         return v
 
 

@@ -186,10 +186,6 @@ class LieElement:
     def generator(i: int) -> "LieElement":
         return LieElement(1, (((i,), ONE),))
 
-    @staticmethod
-    def zero(degree: int) -> "LieElement":
-        return LieElement(degree, ())
-
     def as_dict(self) -> dict[Word, Fraction]:
         return dict(self.coords)
 
@@ -203,15 +199,6 @@ class LieElement:
         axpy(d, 1, other.as_dict())
         return LieElement(self.degree, tuple(sorted(d.items())))
 
-    def scale(self, c) -> "LieElement":
-        c = Fraction(c) if not isinstance(c, Fraction) else c
-        if not c:
-            return LieElement.zero(self.degree)
-        return LieElement(self.degree, tuple((w, c * x) for w, x in self.coords))
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + other.scale(-1)
-
     def to_vec(self, n: int) -> Vec:
         """Coordinates against lyndon_words(n, degree), as a sparse vector."""
         idx = lyndon_index(n, self.degree)
@@ -220,8 +207,6 @@ class LieElement:
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
     """[x, y], expanded back into the Lyndon basis."""
-    if x.is_zero() or y.is_zero():
-        return LieElement.zero(x.degree + y.degree)
     tensor: dict[Word, Fraction] = {}
     for wx, cx in x.coords:
         ex = tensor_expansion(wx)

@@ -30,13 +30,13 @@ def wedge2_index(n: int) -> dict[Pair, int]:
     return {p: i for i, p in enumerate(wedge2_pairs(n))}
 
 
-def _normalize_relation(n: int, rel: dict) -> Vec:
-    """Relation vector keyed by wedge-pair index, entries exact.
+def _normalize_relation(n: int, idx: dict[Pair, int], rel: dict) -> Vec:
+    """Relation vector keyed by wedge-pair index idx = wedge2_index(n),
+    entries exact.
 
     Terms on the same pair are summed plainly; the echelon basis that
     receives the vector drops entries that cancel.
     """
-    idx = wedge2_index(n)
     out: Vec = {}
     for key, c in rel.items():
         i, j = key
@@ -66,7 +66,8 @@ class LiePresentation:
     def make(dim_v: int, relations) -> "LiePresentation":
         if dim_v < 1:
             raise ValueError("dim_v >= 1 required")
-        eb = echelon_basis(_normalize_relation(dim_v, r) for r in relations)
+        idx = wedge2_index(dim_v)
+        eb = echelon_basis(_normalize_relation(dim_v, idx, r) for r in relations)
         return LiePresentation(dim_v, tuple(eb.vectors()), _cache={("ideal", 2): eb})
 
     @staticmethod

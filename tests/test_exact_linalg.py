@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from infalex.exact_linalg import (MAX_CYCLOTOMIC_ORDER, CyclotomicScalar, RationalMatrix,
-                                  axpy, cyclotomic_polynomial, echelon_basis)
+                                  axpy, cyclotomic_polynomial, echelon_basis, promote)
 
 
 def test_rank_identity():
@@ -255,25 +256,33 @@ def _hypothesis():
     return hypothesis.given, hypothesis.settings, hypothesis.strategies
 
 
-def _matrices(st):
-    """(n, rows): up to 6 rows of length n <= 7, mostly zeros."""
-    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2)])
-    return st.integers(1, 7).flatmap(lambda n: st.tuples(
-        st.just(n), st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6)))
+def _entry(st):
+    """Mostly zeros and small integers, then fractions with denominators up
+    to 12, some with numerators beyond 2^64."""
+    return st.one_of(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3]),
+                     st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+                     st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 12)))
 
 
-def _vector(st, n):
-    return st.lists(st.sampled_from([0, 0, 1, -1, 3, Fraction(-2, 3)]),
-                    min_size=n, max_size=n)
+def _matrices(st, entry=None, max_n=7, max_rows=6):
+    """(n, rows): up to max_rows rows of length n <= max_n, mostly zeros."""
+    entry = _entry(st) if entry is None else entry
+    return st.integers(1, max_n).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(entry, min_size=n, max_size=n), max_size=max_rows)))
 
 
-def _sparse(row):
-    return {j: Fraction(x) for j, x in enumerate(row) if x}
+def _vector(st, n, entry=None):
+    return st.lists(_entry(st) if entry is None else entry, min_size=n, max_size=n)
 
 
-def _dense_rref(rows, n):
-    """Nonzero rows of the reduced row echelon form and their pivot columns."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def _sparse(row, exact=Fraction):
+    return {j: exact(x) for j, x in enumerate(row) if x}
+
+
+def _dense_rref(rows, n, exact=Fraction):
+    """Nonzero rows of the reduced row echelon form and their pivot columns,
+    over the field whose elements exact() makes."""
+    m = [[exact(x) for x in row] for row in rows]
     pivots = []
     for c in range(n):
         r = len(pivots)
@@ -284,14 +293,28 @@ def _dense_rref(rows, n):
         m[r] = [x / m[r][c] for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                f = m[i][c]  # CyclotomicScalar has no subtraction, hence + -f
+                m[i] = [a + -f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return m[:len(pivots)], pivots
 
 
-def _dense_rank(rows, n):
-    return len(_dense_rref(rows, n)[1])
+def _dense_rank(rows, n, exact=Fraction):
+    return len(_dense_rref(rows, n, exact)[1])
+
+
+def _assert_primitive_integer_rows(eb):
+    """Each stored rational row: int entries, lead at its least index, the
+    lead positive, content 1."""
+    for lead, row in eb.rows.items():
+        assert all(type(x) is int for x in row.values())
+        assert min(row) == lead and row[lead] > 0
+        assert gcd(*row.values()) == 1
+
+
+def _all_fractions(vec):
+    # an int would change the repr that tests/golden/johnson_context.json hashes
+    return all(type(x) is Fraction for x in vec.values())
 
 
 def test_property_rank_free_contains():
@@ -302,6 +325,7 @@ def test_property_rank_free_contains():
     def check(shape, data):
         n, rows = shape
         eb = echelon_basis(_sparse(r) for r in rows)
+        _assert_primitive_integer_rows(eb)
         _rref, pivots = _dense_rref(rows, n)
         assert eb.rank == len(pivots)
         assert eb.free(n) == {k: t for t, k in
@@ -324,10 +348,14 @@ def test_property_reduce_is_the_remainder_on_non_pivots():
         w = data.draw(_vector(st, n))
         r = eb.reduce(_sparse(w))
         assert not set(r) & set(pivots)
+        assert _all_fractions(r)
         diff = [Fraction(x) - r.get(j, 0) for j, x in enumerate(w)]
         assert _dense_rank(rows + [diff], n) == len(pivots)
         pos = eb.free(n)
-        assert eb.coordinates(_sparse(w), pos) == {pos[k]: x for k, x in r.items()}
+        coords = eb.coordinates(_sparse(w), pos)
+        assert coords == {pos[k]: x for k, x in r.items()}
+        assert _all_fractions(coords)
+        _assert_primitive_integer_rows(eb)
 
     check()
 
@@ -340,7 +368,9 @@ def test_property_vectors_are_the_dense_rref():
     def check(shape):
         n, rows = shape
         rref, _pivots = _dense_rref(rows, n)
-        assert echelon_basis(_sparse(r) for r in rows).vectors() == [_sparse(r) for r in rref]
+        vectors = echelon_basis(_sparse(r) for r in rows).vectors()
+        assert vectors == [_sparse(r) for r in rref]
+        assert all(_all_fractions(v) for v in vectors)
 
     check()
 
@@ -355,6 +385,7 @@ def test_property_kernel_basis_is_annihilated():
         kernel = RationalMatrix(len(rows), n, {(i, j): x for i, row in enumerate(rows)
                                                for j, x in enumerate(row)}).kernel_basis()
         assert len(kernel) == n - _dense_rank(rows, n)
+        assert all(_all_fractions(k) for k in kernel)
         for k in kernel:
             for row in rows:
                 assert sum(Fraction(x) * k.get(j, 0) for j, x in enumerate(row)) == 0
@@ -372,14 +403,47 @@ def test_property_add_after_vectors_clears_the_reduced_state():
         split = data.draw(st.integers(0, len(rows)))
         eb = echelon_basis(_sparse(r) for r in rows[:split])
         before = eb.vectors()
+        _assert_primitive_integer_rows(eb)
         # a copy shares the rows; growing it must leave the original alone
         grown = eb.copy()
         for r in rows[split:]:
             grown.add(_sparse(r))
+        _assert_primitive_integer_rows(grown)
         rref, pivots = _dense_rref(rows, n)
         assert grown.vectors() == [_sparse(r) for r in rref]
         assert eb.vectors() == before
         w = data.draw(_vector(st, n))
         assert not set(grown.reduce(_sparse(w))) & set(pivots)
+
+    check()
+
+
+def test_property_cyclotomic_echelon_is_the_dense_rref():
+    # rows over Q(zeta_5) keep field division and lead 1
+    given, settings, st = _hypothesis()
+    coeffs = st.lists(st.integers(-2, 2), min_size=4, max_size=4)
+    entry = st.one_of(st.just(0), st.just(0), st.builds(lambda cs: CyclotomicScalar(5, cs), coeffs))
+
+    def exact(x):
+        return promote(x, 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_matrices(st, entry, max_n=5, max_rows=4), st.data())
+    def check(shape, data):
+        n, rows = shape
+        eb = echelon_basis(_sparse(r, exact) for r in rows)
+        rref, pivots = _dense_rref(rows, n, exact)
+        assert eb.rank == len(pivots)
+        assert all(row[lead] == 1 for lead, row in eb.rows.items())
+        w = data.draw(_vector(st, n, entry))
+        r = eb.reduce(_sparse(w, exact))
+        assert not set(r) & set(pivots)
+        diff = [exact(x) + -r.get(j, exact(0)) for j, x in enumerate(w)]
+        assert _dense_rank(rows + [diff], n, exact) == len(pivots)
+        assert eb.vectors() == [_sparse(r, exact) for r in rref]
+        for f in eb.free(n):
+            k = eb.kernel_coefficients(f)
+            for row in rows:
+                assert not sum((exact(x) * k.get(j, 0) for j, x in enumerate(row)), exact(0))
 
     check()
