@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import add, mul
 
 from .exact_linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Vec, axpy
 from .free_lie import GradedDims
@@ -56,15 +57,12 @@ def sym_dim(n: int, q: int) -> int:
 @dataclass(frozen=True)
 class SymbolBlock:
     name: str
-    num_generators: int
     shift: int  # 0 or 1
     symbol: tuple[tuple[Term, ...], ...]  # one term tuple per source generator
 
     def __post_init__(self):
         if self.shift not in (0, 1):
             raise ValueError("shift must be 0 or 1")
-        if len(self.symbol) != self.num_generators:
-            raise ValueError("symbol length mismatch")
         for terms in self.symbol:
             for (i, _k, _c) in terms:
                 if (i is None) != (self.shift == 0):
@@ -80,8 +78,17 @@ class GradedMap:
     def target_dim_in_degree(self, q: int) -> int:
         return sym_dim(self.base_dim, q) * self.target_dim
 
-    def column(self, tgt_idx: dict, block: SymbolBlock, mono: tuple[int, ...], j: int) -> Vec:
-        """The column of source generator j of block at monomial mono.
+    def walk(self, q: int):
+        """The degree-q columns in matrix order, as (block index, monomial,
+        source generator): blocks in turn, then the monomials of
+        Sym_{q-shift}, then the generators of the block."""
+        for bi, block in enumerate(self.blocks):
+            for mono in monomials(self.base_dim, q - block.shift):
+                for j in range(len(block.symbol)):
+                    yield bi, mono, j
+
+    def column(self, tgt_idx: dict, bi: int, mono: tuple[int, ...], j: int) -> Vec:
+        """The column of source generator j of block bi at monomial mono.
 
         tgt_idx is monomial_index(base_dim, q) for the column's degree q.
         Terms landing on the same row are summed plainly, so the column may
@@ -89,7 +96,7 @@ class GradedMap:
         EchelonBasis.add) drop them.
         """
         col: Vec = {}
-        for (i, k, c) in block.symbol[j]:
+        for (i, k, c) in self.blocks[bi].symbol[j]:
             if i is None:
                 tgt_mono = mono
             else:
@@ -103,19 +110,13 @@ class GradedMap:
     def instantiate(self, q: int) -> RationalMatrix:
         """The exact matrix of the map in module degree q.
 
-        Rows: (monomial of Sym_q, target generator); columns: per block,
-        (monomial of Sym_{q-shift}, source generator).
+        Rows: (monomial of Sym_q, target generator); columns: walk(q).
         """
         tgt_idx = monomial_index(self.base_dim, q)
-        entries = {}
-        cols = 0
-        for block in self.blocks:
-            for mono in monomials(self.base_dim, q - block.shift):
-                for j in range(block.num_generators):
-                    for row, c in self.column(tgt_idx, block, mono, j).items():
-                        entries[(row, cols)] = c
-                    cols += 1
-        return RationalMatrix(len(tgt_idx) * self.target_dim, cols, entries)
+        keys = list(self.walk(q))
+        entries = {(row, col): c for col, key in enumerate(keys)
+                   for row, c in self.column(tgt_idx, *key).items()}
+        return RationalMatrix(len(tgt_idx) * self.target_dim, len(keys), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def koszul_map(n: int, k: int) -> GradedMap:
             sign = Fraction(1) if t % 2 == 0 else Fraction(-1)
             terms.append((i, target_idx[rest], sign))
         symbol.append(tuple(terms))
-    block = SymbolBlock(f"wedge{k}", len(source), 1, tuple(symbol))
+    block = SymbolBlock(f"wedge{k}", 1, tuple(symbol))
     return GradedMap(n, len(target_idx), (block,))
 
 
@@ -151,7 +152,7 @@ def _relation_block(p: LiePresentation) -> SymbolBlock:
     symbol = []
     for rel in p.relations:
         symbol.append(tuple((None, k, c) for k, c in sorted(rel.items())))
-    return SymbolBlock("relations", len(p.relations), 0, tuple(symbol))
+    return SymbolBlock("relations", 0, tuple(symbol))
 
 
 def nabla(p: LiePresentation) -> GradedMap:
@@ -175,7 +176,7 @@ def nabla_bar(p: LiePresentation) -> GradedMap:
         for (i, k, c) in terms:
             axpy(out, c, {(i, kk): b for kk, b in beta_cols[k].items()})
         symbol.append(tuple((i, kk, c) for (i, kk), c in sorted(out.items())))
-    block = SymbolBlock("wedge3", d3_block.num_generators, 1, tuple(symbol))
+    block = SymbolBlock("wedge3", 1, tuple(symbol))
     return GradedMap(n, beta.rows, (block,))
 
 
@@ -183,78 +184,76 @@ def nabla_bar(p: LiePresentation) -> GradedMap:
 # cokernel dimensions
 # ---------------------------------------------------------------------------
 
-def _weighted_rank(gm: GradedMap, q: int, base_weights, block_weights) -> int:
+def _wsum(a, b) -> tuple:
+    return tuple(map(add, a, b))
+
+
+def _generator_weights(gm: GradedMap, base_weights, target_weights) -> list[list]:
+    """The weight of each source generator, per block, read off its symbol.
+
+    Every term (x_i, e_k) of a generator must land on the same weight
+    target_weights[k] + base_weights[i] (x_i = 1 adds nothing), else
+    ValueError; block ranks rely on it.  An empty symbol gets None.
+    """
+    out = []
+    for block in gm.blocks:
+        out.append([])
+        for j, terms in enumerate(block.symbol):
+            found = {tuple(target_weights[k]) if i is None
+                     else _wsum(target_weights[k], base_weights[i]) for (i, k, _c) in terms}
+            if len(found) > 1:
+                raise ValueError(f"symbol of block {block.name} generator {j} "
+                                 f"is not weight homogeneous: {sorted(found)}")
+            out[-1].append(found.pop() if found else None)
+    return out
+
+
+def _weighted_rank(gm: GradedMap, q: int, base_weights, generator_weights) -> int:
     """Rank of the degree-q matrix computed per weight block.
 
-    Valid whenever every symbol term preserves the weight (checked by the
-    caller); the matrix is then block diagonal over total weights and the
-    rank is the sum of the block ranks.
+    With generator_weights from _generator_weights, each column lies in the
+    rows of its own total weight, so the matrix is block diagonal over total
+    weights and the rank is the sum of the block ranks.  Generators without
+    a weight have zero columns and join no block.
     """
     n = gm.base_dim
-
-    def wsum(a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def mono_weight(mono):
-        w = None
-        for i, e in enumerate(mono):
-            if e:
-                contrib = tuple(e * x for x in base_weights[i])
-                w = contrib if w is None else wsum(w, contrib)
-        if w is None:
-            w = (0,) * len(base_weights[0])
-        return w
-
+    per_coordinate = list(zip(*base_weights))
+    mono_w = {mono: tuple(sum(map(mul, mono, ws)) for ws in per_coordinate)
+              for shift in {b.shift for b in gm.blocks} for mono in monomials(n, q - shift)}
     buckets: dict[tuple, list] = {}
-    for bi, block in enumerate(gm.blocks):
-        for mono in monomials(n, q - block.shift):
-            mw = mono_weight(mono)
-            for j in range(block.num_generators):
-                w = wsum(mw, block_weights[bi][j])
-                buckets.setdefault(w, []).append((block, mono, j))
+    for key in gm.walk(q):
+        bi, mono, j = key
+        gw = generator_weights[bi][j]
+        if gw is not None:
+            buckets.setdefault(_wsum(mono_w[mono], gw), []).append(key)
     tgt_idx = monomial_index(n, q)
     total_rank = 0
     for w in sorted(buckets):
         # columns are built only when their bucket is reduced
         eb = EchelonBasis()
-        for block, mono, j in buckets[w]:
-            eb.add(gm.column(tgt_idx, block, mono, j))
+        for key in buckets[w]:
+            eb.add(gm.column(tgt_idx, *key))
         total_rank += eb.rank
     return total_rank
-
-
-def _check_weight_homogeneous(gm: GradedMap, base_weights, block_weights, target_weights):
-    """Every symbol term must preserve total weight; block ranks rely on it."""
-    for bi, block in enumerate(gm.blocks):
-        for j in range(block.num_generators):
-            wj = block_weights[bi][j]
-            for (i, k, _c) in block.symbol[j]:
-                w = target_weights[k]
-                if i is not None:
-                    w = tuple(a + b for a, b in zip(w, base_weights[i]))
-                if tuple(w) != tuple(wj):
-                    raise ValueError(
-                        f"symbol term on block {block.name} generator {j} "
-                        f"changes the weight: {wj} -> {w}")
 
 
 def coker_dims(gm: GradedMap, max_degree: int, *, weights=None) -> GradedDims:
     """Degree-wise cokernel dimensions of the map, degrees 0..max_degree.
 
-    weights = (base, blocks, target) gives a weight per variable, per source
-    generator of each block and per target generator of an equivariant map.
-    Ranks are then computed per weight block, after checking that every
-    symbol term preserves the weight; the result is identical, the blocks
-    are just small.
+    weights = (base, target) gives a weight per variable and per target
+    generator of an equivariant map.  The weight of each source generator
+    is read off its symbol, which must then be weight homogeneous (else
+    ValueError), and ranks are computed per weight block; the result is
+    identical, the blocks are just small.
     """
     if weights is not None:
-        base_w, block_w, target_w = weights
-        _check_weight_homogeneous(gm, base_w, block_w, target_w)
+        base_w, target_w = weights
+        gen_w = _generator_weights(gm, base_w, target_w)
     dims = []
     for q in range(max_degree + 1):
         target = gm.target_dim_in_degree(q)
         if weights is not None:
-            r = _weighted_rank(gm, q, base_w, block_w)
+            r = _weighted_rank(gm, q, base_w, gen_w)
         else:
             r = gm.instantiate(q).rank()
         dims.append(target - r)

@@ -81,6 +81,8 @@ def cmd_witt(args) -> dict:
 
 
 def cmd_chen(args) -> dict:
+    if args.n < 1:
+        raise ValueError(f"-n must be >= 1, got {args.n}")
     _nonnegative("-q", args.q)
     closed = comb(args.q + args.n, args.q + 2) * (args.q + 1)
     computed = coker_dims(delta3(args.n), args.q)[args.q]

@@ -100,7 +100,6 @@ def witt_dims(n: int, max_degree: int) -> GradedDims:
 # standard bracketing and tensor expansion
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def standard_factorization(w: Word) -> tuple[Word, Word]:
     """w = uv with v the longest proper Lyndon suffix; both factors are Lyndon."""
     if len(w) < 2:

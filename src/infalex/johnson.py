@@ -148,17 +148,13 @@ class JohnsonContext:
         return nabla_bar(self.presentation_with_z)
 
     def weight_data(self):
-        """The (base, blocks, target) weights of q_map() for coker_dims.
+        """The (base, target) weights of q_map() for coker_dims.
 
         The target weights are those of the pair positions that survive the
         echelonized R + C z, which index the rows of beta.
         """
-        vw = self.V.weights
-        triples = list(combinations(range(self.V.dimension), 3))
-        tri_w = [tuple(vw[a][t] + vw[b][t] + vw[c][t] for t in range(self.g))
-                 for (a, b, c) in triples]
         kept = quotient_pairs(self.presentation_with_z)
-        return vw, [tri_w], tuple(self.W2.weights[k] for k in kept)
+        return self.V.weights, tuple(self.W2.weights[k] for k in kept)
 
     # -- the equivariance oracle; johnson_module_dims builds neither -------------
 

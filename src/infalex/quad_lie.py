@@ -175,10 +175,6 @@ def bb_direct(p: LiePresentation, q: int) -> tuple[int, list[tuple[int, ...]]]:
         raise ValueError("q >= 0 required")
     n = p.dim_v
     d = q + 2
-    key = ("bb", q)
-    cached = p._cache.get(key)
-    if cached is not None:
-        return cached
     span = _ideal_echelon(p, d).copy()
     idx = lyndon_index(n, d)
     for a in range(2, d - 1):
@@ -197,6 +193,4 @@ def bb_direct(p: LiePresentation, q: int) -> tuple[int, list[tuple[int, ...]]]:
                 span.add({idx[w]: c for w, c in res.coords})
     words = _lyndon_words_cached(n, d)
     basis = [words[i] for i in span.free(len(words))]
-    result = (len(basis), basis)
-    p._cache[key] = result
-    return result
+    return len(basis), basis

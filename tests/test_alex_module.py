@@ -7,7 +7,7 @@ import pytest
 from infalex.alex_module import (GradedMap, coker_dims, delta3,
                                  koszul_map, monomial_index, monomials, nabla,
                                  nabla_bar, sym_dim, coker_multiplication_action)
-from infalex.quad_lie import LiePresentation, bb_direct, wedge2_pairs
+from infalex.quad_lie import LiePresentation, bb_direct, quotient_pairs, wedge2_pairs
 
 
 def full_relations(n):
@@ -26,7 +26,7 @@ def test_monomials_graded_lex():
 
 def test_delta3_n2_zero_map():
     gm = delta3(2)
-    assert gm.blocks[0].num_generators == 0
+    assert gm.blocks[0].symbol == ()
     for q in range(3):
         assert coker_dims(gm, q)[q] == gm.target_dim_in_degree(q)
 
@@ -141,21 +141,21 @@ def test_sym_linearity_of_instantiation():
         for bi, block in enumerate(gm.blocks):
             off_q[bi], off_next[bi] = acc_q, acc_next
             if q - block.shift >= 0:
-                acc_q += len(monomials(n, q - block.shift)) * block.num_generators
-            acc_next += len(monomials(n, q + 1 - block.shift)) * block.num_generators
-            if q - block.shift < 0 or block.num_generators == 0:
+                acc_q += len(monomials(n, q - block.shift)) * len(block.symbol)
+            acc_next += len(monomials(n, q + 1 - block.shift)) * len(block.symbol)
+            if q - block.shift < 0 or not block.symbol:
                 continue
             for _ in range(4):
                 samples.append((bi, rng.randrange(len(monomials(n, q - block.shift))),
-                                rng.randrange(block.num_generators), rng.randrange(n)))
+                                rng.randrange(len(block.symbol)), rng.randrange(n)))
         for bi, mi, j, var in samples:
             block = gm.blocks[bi]
             src = monomials(n, q - block.shift)
             src_next = monomial_index(n, q + 1 - block.shift)
-            col = off_q[bi] + mi * block.num_generators + j
+            col = off_q[bi] + mi * len(block.symbol) + j
             up = list(src[mi])
             up[var] += 1
-            col2 = off_next[bi] + src_next[tuple(up)] * block.num_generators + j
+            col2 = off_next[bi] + src_next[tuple(up)] * len(block.symbol) + j
             expected = {}
             for row, c in cols_q[col].items():
                 tm = list(tgt_now[row // gm.target_dim])
@@ -184,40 +184,58 @@ def _plain_coker(gm, max_degree):
                  for q in range(max_degree + 1))
 
 
+def _unit(n, i):
+    return tuple(1 if t == i else 0 for t in range(n))
+
+
+def _pair_weights(n):
+    return [tuple(a + b for a, b in zip(_unit(n, i), _unit(n, j)))
+            for i, j in wedge2_pairs(n)]
+
+
 def test_weighted_rank_agrees_with_plain():
     # the coordinate-torus weights make the cyclic-sum map weight
     # homogeneous; block-diagonal ranks must reproduce the plain ranks
-    from itertools import combinations
     for n in (3, 4):
         gm = delta3(n)
-        unit = lambda i: tuple(1 if t == i else 0 for t in range(n))
-        base_w = [unit(i) for i in range(n)]
-        target_w = [tuple(a + b for a, b in zip(unit(i), unit(j)))
-                    for i, j in combinations(range(n), 2)]
-        block_w = [[tuple(a + b + c for a, b, c in zip(unit(i), unit(j), unit(k)))
-                    for i, j, k in combinations(range(n), 3)]]
-        weighted = coker_dims(gm, 4, weights=(base_w, block_w, target_w))
+        base_w = [_unit(n, i) for i in range(n)]
+        weighted = coker_dims(gm, 4, weights=(base_w, _pair_weights(n)))
         assert weighted.dims == _plain_coker(gm, 4)
 
 
+@pytest.mark.parametrize("n,rels,expected", [
+    # nabla_bar sends e0^e1^e2 to zero: all three of its brackets lie in R
+    (4, [{(0, 1): 1}, {(0, 2): 1}, {(1, 2): 1}], (3, 9, 19, 34)),
+    # R = wedge^2 V: nabla_bar has target 0 and every symbol is empty
+    (3, full_relations(3), (0, 0, 0, 0)),
+])
+def test_weighted_rank_skips_empty_symbols(n, rels, expected):
+    p = LiePresentation.make(n, rels)
+    base_w = [_unit(n, i) for i in range(n)]
+    pair_w = _pair_weights(n)
+    bar_w = [pair_w[k] for k in quotient_pairs(p)]
+    nb = nabla_bar(p)
+    assert any(terms == () for terms in nb.blocks[0].symbol)
+    for gm, target_w in ((nabla(p), pair_w), (nb, bar_w)):
+        weighted = coker_dims(gm, 3, weights=(base_w, target_w))
+        assert weighted.dims == _plain_coker(gm, 3) == expected
+
+
 def test_weight_homogeneity_violation_detected():
+    # e0^e1^e2 |-> x0 e12 + x1 e20 + x2 e01 lands on weights 1, 2 and 4
     gm = delta3(3)
-    base_w = [(1,)] * 3
-    block_w = [[(0,)] * gm.blocks[0].num_generators]
-    target_w = [(0,)] * gm.target_dim
-    with pytest.raises(ValueError):
-        coker_dims(gm, 2, weights=(base_w, block_w, target_w))
+    with pytest.raises(ValueError, match="block wedge3 generator 0"):
+        coker_dims(gm, 2, weights=([(1,), (2,), (4,)], [(0,)] * gm.target_dim))
 
 
 def test_weights_are_always_checked():
-    # block weights that do not match the symbol would put columns of one
-    # weight block into different buckets and give wrong ranks
+    # generator weights are read off the symbol, so a grading the map does
+    # not preserve is refused instead of splitting one weight block
     gm = koszul_map(3, 2)
     base_w = [(1,), (2,), (4,)]
     with pytest.raises(ValueError):
-        coker_dims(gm, 3, weights=(base_w, [[(0,)] * 3], [(0,)] * 3))
-    pair_w = [[(3,), (5,), (6,)]]          # (0,1), (0,2), (1,2)
-    weighted = coker_dims(gm, 3, weights=(base_w, pair_w, base_w))
+        coker_dims(gm, 3, weights=(base_w, [(0,)] * 3))
+    weighted = coker_dims(gm, 3, weights=(base_w, base_w))
     assert weighted.dims == _plain_coker(gm, 3) == (3, 6, 10, 15)
 
 

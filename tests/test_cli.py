@@ -244,6 +244,8 @@ ARGV = {
     (["cv", "--character", "1/0,1"], "'1/0'"),
     (["cv", "--character", "zeta_0^1,zeta_0^1"], "'zeta_0^1'"),
     (["chen", "-n", "2", "-q", "-1"], "-1"),
+    (["chen", "-n", "0", "-q", "1"], "-n must be >= 1, got 0"),
+    (["chen", "-n", "-1", "-q", "1"], "-n must be >= 1, got -1"),
     (["bb", "--max-degree", "-1"], "--max-degree"),
     (["johnson", "--genus", "3", "--max-degree", "-1"], "--max-degree"),
     (["oracle-check", "--trials", "-1"], "--trials"),
@@ -439,3 +441,24 @@ def test_package_has_no_uncalled_code():
                 grew = True
     uncalled = [label for label, *_ in defs if label not in reached]
     assert not uncalled, uncalled
+
+
+def test_traced_layers_resolve():
+    # perfbench/spans.py wraps each (module, attribute path) of LAYERS by
+    # name, so renaming a traced function must fail here and not only in
+    # the traced benchmark run
+    import importlib
+    import importlib.util
+    import pathlib
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for layer, module_name, attr in spans.LAYERS:
+        owner = importlib.import_module(f"infalex.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{layer}: infalex.{module_name}.{attr}")
+    assert spans.LAYERS and not missing, missing

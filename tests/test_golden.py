@@ -29,6 +29,7 @@ COMMANDS = {
     "bb_direct": ["bb", "--presentation", "@presentation.json", "--max-degree", "3",
                   "--method", "direct"],
     "johnson_g3": ["johnson", "--genus", "3", "--max-degree", "1"],
+    "johnson_g3_deg2": ["johnson", "--genus", "3", "--max-degree", "2"],
     "decompose_g3_central_z": ["decompose", "--genus", "3", "--central-z"],
     "fox_z2": ["fox", "--presentation", "@group_z2.json"],
     "fox_f2xz": ["fox", "--presentation", "@group_f2xz.json"],

@@ -51,7 +51,7 @@ def test_dim_v_formula():
 def test_build_q_shape_g3():
     gm = johnson_context(3).q_map()
     block = gm.blocks[0]
-    assert block.num_generators == 364    # C(14, 3)
+    assert len(block.symbol) == 364    # C(14, 3)
     assert gm.target_dim == 90
     assert block.shift == 1
 
@@ -233,8 +233,5 @@ def test_coker_q_matches_nabla_route_g4():
     # too, since its relations are weight vectors
     ctx = johnson_context(4)
     pres = ctx.presentation_with_z
-    base_w, (tri_w,), _target_w = ctx.weight_data()
-    rel_w = [ctx.W2.weights[min(v)] for v in pres.relations]
-    weights = (base_w, [rel_w, tri_w], ctx.W2.weights)
-    dims_nabla = coker_dims(nabla(pres), 1, weights=weights)
+    dims_nabla = coker_dims(nabla(pres), 1, weights=(ctx.V.weights, ctx.W2.weights))
     assert tuple(dims_nabla.dims) == johnson_module_dims(4, 1).coker_q
