@@ -244,12 +244,12 @@ ARGV = {
     (["cv", "--character", "1/0,1"], "'1/0'"),
     (["cv", "--character", "zeta_0^1,zeta_0^1"], "'zeta_0^1'"),
     (["chen", "-n", "2", "-q", "-1"], "-1"),
-    (["chen", "-n", "0", "-q", "1"], "-n must be >= 1, got 0"),
-    (["chen", "-n", "-1", "-q", "1"], "-n must be >= 1, got -1"),
     (["bb", "--max-degree", "-1"], "--max-degree"),
     (["johnson", "--genus", "3", "--max-degree", "-1"], "--max-degree"),
     (["oracle-check", "--trials", "-1"], "--trials"),
     (["cv", "--torsion", "2", "--budget", "-1"], "--budget"),
+    (["chen", "-n", "0", "-q", "1"], "-n must be >= 1, got 0"),
+    (["chen", "-n", "-1", "-q", "1"], "-n must be >= 1, got -1"),
 ])
 def test_bad_argument_usage_error(capsys, files, argv, needle):
     if argv[0] == "cv":
