@@ -19,7 +19,7 @@ from . import __version__
 from .alex_module import (coker_dims, coker_multiplication_action, delta3,
                           nabla, nabla_bar)
 from .errors import BudgetExceededError, InternalInconsistencyError
-from .fox_alex import (Character, CharacterError, GroupPresentation,
+from .fox_alex import (SWEEP_BUDGET, Character, CharacterError, GroupPresentation,
                        alexander_matrix, cv_membership, torsion_sweep,
                        twisted_h1_dim)
 from .free_lie import lyndon_words, witt_dims
@@ -64,15 +64,17 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _nonnegative(flag: str, value: int) -> int:
-    if value < 0:
-        raise ValueError(f"{flag} must be >= 0, got {value}")
+def _at_least(flag: str, value: int, low: int) -> int:
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
     return value
 
 
 # -- subcommands -------------------------------------------------------------
 
 def cmd_witt(args) -> dict:
+    _at_least("-n", args.n, 1)
+    _at_least("-q", args.q, 1)
     count = len(lyndon_words(args.n, args.q))
     table = witt_dims(args.n, args.q)
     if table[args.q] != count:
@@ -81,9 +83,8 @@ def cmd_witt(args) -> dict:
 
 
 def cmd_chen(args) -> dict:
-    if args.n < 1:
-        raise ValueError(f"-n must be >= 1, got {args.n}")
-    _nonnegative("-q", args.q)
+    _at_least("-n", args.n, 1)
+    _at_least("-q", args.q, 0)
     closed = comb(args.q + args.n, args.q + 2) * (args.q + 1)
     computed = coker_dims(delta3(args.n), args.q)[args.q]
     return {"n": args.n, "q": args.q, "closed_form": closed,
@@ -91,7 +92,7 @@ def cmd_chen(args) -> dict:
 
 
 def cmd_bb(args) -> dict:
-    n_deg = _nonnegative("--max-degree", args.max_degree)
+    n_deg = _at_least("--max-degree", args.max_degree, 0)
     p = LiePresentation.from_json(_read(args.presentation))
     if args.method == "nabla":
         dims = list(coker_dims(nabla(p), n_deg).dims)
@@ -104,12 +105,15 @@ def cmd_bb(args) -> dict:
 
 
 def cmd_johnson(args) -> dict:
-    _nonnegative("--max-degree", args.max_degree)
+    _at_least("--max-degree", args.max_degree, 0)
     rep = johnson_module_dims(args.genus, args.max_degree, allow_large=args.allow_large)
     return rep.to_json_dict()
 
 
 def cmd_decompose(args) -> dict:
+    # the centrality check first: its refusal must come before any work
+    central_z = (central_z_check(args.genus, allow_large=args.allow_large)
+                 if args.central_z else None)
     parts = decompose_wedge2_V(args.genus, allow_large=args.allow_large)
     out = []
     for label, dim in parts:
@@ -120,7 +124,7 @@ def cmd_decompose(args) -> dict:
                         "dim": dim})
     doc = {"genus": args.genus, "parts": out, "total": sum(d["dim"] for d in out)}
     if args.central_z:
-        doc["central_z"] = central_z_check(args.genus, allow_large=args.allow_large)
+        doc["central_z"] = central_z
     return doc
 
 
@@ -138,10 +142,11 @@ def cmd_fox(args) -> dict:
 
 
 def cmd_cv(args) -> dict:
+    _at_least("--depth", args.depth, 1)
     p = GroupPresentation.from_json(_read(args.presentation))
     if args.torsion is not None:
-        found = torsion_sweep(p, args.torsion, args.depth,
-                              budget=_nonnegative("--budget", args.budget))
+        found = torsion_sweep(p, _at_least("--torsion", args.torsion, 1), args.depth,
+                              budget=_at_least("--budget", args.budget, 0))
         chars = [list(rho.torsion_exponents()) for rho in found]
         return {"torsion": args.torsion, "depth": args.depth,
                 "members": sorted(chars)}
@@ -161,7 +166,7 @@ def cmd_nilpotence(args) -> dict:
 
 
 def cmd_oracle_check(args) -> dict:
-    _nonnegative("--trials", args.trials)
+    _at_least("--trials", args.trials, 0)
     rng = random.Random(args.seed)
     failures = []
     checks = 0
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep all characters with values in mu_m")
     v.add_argument("--restricted", action="store_true",
                    help="require the character to factor through the free part")
-    v.add_argument("--budget", type=int, default=100_000)
+    v.add_argument("--budget", type=int, default=SWEEP_BUDGET)
     v.set_defaults(fn=cmd_cv)
 
     nl = add_parser("nilpotence", help="nilpotence test for a matrix family")

@@ -169,28 +169,21 @@ class LaurentMatrix:
         When rho = zeta_m^a (every value a power of zeta_m), the monomial t^e
         takes the value zeta_m^<a, e>.  So each entry's coefficients are
         summed into m bins, at index <a, e> mod m, and the bins are reduced
-        modulo Phi_m once: no cyclotomic multiply or inverse.  Rational and
-        other cyclotomic characters multiply out value powers instead."""
+        modulo Phi_m once: no cyclotomic multiply or inverse.  At any other
+        character each monomial is evaluated by evaluate_exponent."""
         order = rho.cyclotomic_order()
         exps = rho.torsion_exponents()
         ent = {}
-        if exps is not None:
-            for (r, c), poly in self.entries.items():
+        for (r, c), poly in self.entries.items():
+            if exps is not None:
                 bins = [ZERO] * order
                 for e, coeff in poly.items():
                     bins[sum(a * k for a, k in zip(exps, e)) % order] += coeff
                 val = CyclotomicScalar(order, _reduce_mod_phi(bins, order))
-                if val:
-                    ent[(r, c)] = val
-            return RationalMatrix(self.rows, self.cols, ent)
-        for (r, c), poly in self.entries.items():
-            val = promote(0, order)
-            for e, coeff in poly.items():
-                term = promote(coeff, order)
-                for i, k in enumerate(e):
-                    if k:
-                        term = term * rho.value_power(i, k)
-                val = val + term
+            else:
+                val = promote(0, order)
+                for e, coeff in poly.items():
+                    val = val + promote(coeff, order) * rho.evaluate_exponent(e)
             if val:
                 ent[(r, c)] = val
         return RationalMatrix(self.rows, self.cols, ent)
@@ -389,27 +382,20 @@ class Character:
         power of zeta_m (one table lookup per value), else None."""
         return self._torsion_exponents
 
-    def _zeta_power(self, exponent: int):
-        order = self.cyclotomic_order()
-        return _zeta_table(order)[0][exponent % order]
-
-    def value_power(self, i: int, k: int):
-        """values[i]^k, exact for negative k as well.  The torsion paths of
-        evaluate and evaluate_exponent read the zeta table instead."""
-        return self.values[i] ** k
-
     def is_trivial(self) -> bool:
         return all(v == 1 for v in self.values)
 
     def evaluate_exponent(self, e) -> object:
+        """The monomial t^e at rho: a zeta table lookup when rho = zeta_m^a,
+        else the product of the value powers, exact for negative e too."""
+        order = self.cyclotomic_order()
         exps = self.torsion_exponents()
         if exps is not None:
-            return self._zeta_power(sum(a * k for a, k in zip(exps, e)))
-        order = self.cyclotomic_order()
+            return _zeta_table(order)[0][sum(a * k for a, k in zip(exps, e)) % order]
         out = promote(1, order)
-        for i, k in enumerate(e):
+        for v, k in zip(self.values, e):
             if k:
-                out = out * promote(self.value_power(i, k), order)
+                out = out * promote(v ** k, order)
         return out
 
 
@@ -458,8 +444,12 @@ def cv_membership(p: GroupPresentation, rho: Character, k: int, *,
     return twisted_h1_dim(p, rho) >= k
 
 
+# the default bound on the points of a torsion sweep (cv --budget)
+SWEEP_BUDGET = 100_000
+
+
 def torsion_sweep(p: GroupPresentation, order: int, k: int, *,
-                  budget: int = 100_000) -> list[Character]:
+                  budget: int = SWEEP_BUDGET) -> list[Character]:
     """All characters with coordinates in mu_order lying on the depth-k
     characteristic variety, in lexicographic order of exponent vectors.
 
@@ -475,9 +465,7 @@ def torsion_sweep(p: GroupPresentation, order: int, k: int, *,
     n = p.num_generators
     total = order ** n
     if total > budget:
-        raise BudgetExceededError({
-            "error": "budget", "what": "torsion_sweep", "points": total,
-            "limit": budget})
+        raise BudgetExceededError("torsion_sweep", budget, points=total)
     units = [u for u in range(order) if gcd(u, order) == 1]
     member: dict[tuple[int, ...], bool] = {}   # orbit key -> membership
     out = []

@@ -22,7 +22,6 @@ coker(q) starts at g = 6.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,31 +40,32 @@ from .rep_semisimple import (HighestWeight, LieAlgebraSpec, WeightModule,
 
 MIN_GENUS = 3
 
-# default ceilings; lift with allow_large=True or INFALEX_ALLOW_LARGE=1
+# default ceilings, read only by _check_budget; allow_large=True lifts them
 _DEGREE_BUDGET = {3: 2, 4: 1}
 _GENUS_BUDGET = 4
 _CENTRAL_Z_GENUS_BUDGET = 3
 
 
-def _allow_large(flag: bool) -> bool:
-    return flag or os.environ.get("INFALEX_ALLOW_LARGE", "") not in ("", "0")
+def _check_budget(g: int, allow_large: bool, *, max_degree: int | None = None,
+                  central_z: bool = False):
+    """Refuse a request before any work is done.
 
-
-def _over_budget(what: str, limit: int, **facts) -> BudgetExceededError:
-    """The refusal of a run past a default ceiling; facts say what was asked."""
-    return BudgetExceededError({
-        "error": "budget", "what": what, **facts, "limit": limit,
-        "hint": "pass allow_large / --allow-large or set INFALEX_ALLOW_LARGE=1"})
-
-
-def _check_budget(g: int, max_degree: int | None, allow_large: bool):
-    if _allow_large(allow_large):
+    A genus below MIN_GENUS is a usage error whatever else was asked.  Then,
+    unless allow_large, the first default ceiling the request passes is
+    reported: genus, the degree-3 centrality check, degree."""
+    if g < MIN_GENUS:
+        raise ValueError(f"genus >= {MIN_GENUS} required")
+    if allow_large:
         return
+    hint = "pass allow_large / --allow-large"
     if g > _GENUS_BUDGET:
-        raise _over_budget("genus", _GENUS_BUDGET, genus=g)
-    if max_degree is not None and max_degree > _DEGREE_BUDGET.get(g, 0):
-        raise _over_budget("degree", _DEGREE_BUDGET.get(g, 0), genus=g,
-                           max_degree=max_degree)
+        raise BudgetExceededError("genus", _GENUS_BUDGET, genus=g, hint=hint)
+    if central_z and g > _CENTRAL_Z_GENUS_BUDGET:
+        raise BudgetExceededError("central_z_genus", _CENTRAL_Z_GENUS_BUDGET,
+                                  genus=g, hint=hint)
+    if max_degree is not None and max_degree > _DEGREE_BUDGET[g]:
+        raise BudgetExceededError("degree", _DEGREE_BUDGET[g], genus=g,
+                                  max_degree=max_degree, hint=hint)
 
 
 class JohnsonContext:
@@ -185,7 +185,7 @@ def johnson_context(g: int) -> JohnsonContext:
 
 def decompose_wedge2_V(g: int, *, allow_large: bool = False) -> list[tuple]:
     """[(label-or-weight, dim)] for the three parts R, Q = V(2 lambda_2), V(0)."""
-    _check_budget(g, None, allow_large)
+    _check_budget(g, allow_large)
     ctx = johnson_context(g)
     return [("R-complement", ctx.r_dim),
             (ctx.hw_two_l2, ctx.q_dim),
@@ -211,7 +211,7 @@ class JohnsonModuleReport:
 
 
 def johnson_module_dims(g: int, max_degree: int, *, allow_large: bool = False) -> JohnsonModuleReport:
-    _check_budget(g, max_degree, allow_large)
+    _check_budget(g, allow_large, max_degree=max_degree)
     ctx = johnson_context(g)
     gm = ctx.q_map()
     dims = coker_dims(gm, max_degree, weights=ctx.weight_data())
@@ -229,8 +229,7 @@ def central_z_check(g: int, *, allow_large: bool = False) -> bool:
     whether [z, V] = 0, which is false.  For larger g the relation space is
     big and the membership is a genuine computation.
     """
-    if not _allow_large(allow_large) and g > _CENTRAL_Z_GENUS_BUDGET:
-        raise _over_budget("central_z_genus", _CENTRAL_Z_GENUS_BUDGET, genus=g)
+    _check_budget(g, allow_large, central_z=True)
     ctx = johnson_context(g)
     n = ctx.V.dimension
     pres = LiePresentation.make(

@@ -120,6 +120,30 @@ def test_budget_exit_code(capsys):
     assert json.loads(out)["error"] == "budget"
 
 
+@pytest.mark.parametrize("genus", ["2", "-1"])
+def test_genus_floor_before_budget(capsys, genus):
+    # below genus 3 the request is malformed, whatever degree is asked for
+    code = main(["johnson", "--genus", genus, "--max-degree", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: genus >= 3 required\n"
+
+
+def test_central_z_refused_before_any_work(capsys, monkeypatch):
+    # a refused --central-z must not build the genus-4 context first
+    from infalex import johnson
+
+    def no_context(g):
+        raise AssertionError(f"context built for genus {g}")
+
+    monkeypatch.setattr(johnson, "johnson_context", no_context)
+    code, out = run(capsys, ["decompose", "--genus", "4", "--central-z"])
+    assert code == 3
+    assert json.loads(out) == {"error": "budget", "what": "central_z_genus", "genus": 4,
+                               "limit": 3, "hint": "pass allow_large / --allow-large"}
+
+
 @pytest.mark.parametrize("lines", [0, 2])
 @pytest.mark.parametrize("command", [["johnson", "--genus", "3", "--max-degree", "0"],
                                      ["decompose", "--genus", "3"]])
@@ -250,6 +274,11 @@ ARGV = {
     (["cv", "--torsion", "2", "--budget", "-1"], "--budget"),
     (["chen", "-n", "0", "-q", "1"], "-n must be >= 1, got 0"),
     (["chen", "-n", "-1", "-q", "1"], "-n must be >= 1, got -1"),
+    (["witt", "-n", "0", "-q", "3"], "-n must be >= 1, got 0"),
+    (["witt", "-n", "2", "-q", "-1"], "-q must be >= 1, got -1"),
+    (["cv", "--torsion", "0"], "--torsion must be >= 1, got 0"),
+    (["cv", "--torsion", "2", "--depth", "0"], "--depth must be >= 1, got 0"),
+    (["cv", "--character=1,1", "--depth", "-1"], "--depth must be >= 1, got -1"),
 ])
 def test_bad_argument_usage_error(capsys, files, argv, needle):
     if argv[0] == "cv":
@@ -350,6 +379,84 @@ def test_malformed_document_no_traceback_subprocess(tmp_path):
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# -- fuzz: generated malformed documents -------------------------------------
+
+FUZZ_ARGV = {
+    "bb": ["bb", "--max-degree", "1", "--presentation"],
+    "fox": ["fox", "--presentation"],
+    "cv-torsion": ["cv", "--torsion", "2", "--presentation"],
+    "cv-character": ["cv", "--character=1,-1", "--presentation"],
+    "nilpotence": ["nilpotence", "--module"],
+}
+
+FUZZ_FIELDS = ["dim_v", "relations", "i", "j", "c", "generators", "relators",
+          "dimension", "matrices"]
+
+
+def _fuzz_documents(st, command):
+    """Arbitrary nested JSON, or a document of the command's shape with some
+    fields bad; small enough that every run is quick (dim_v <= 4,
+    generators <= 3, dimension <= 3)."""
+    leaf = st.one_of(st.none(), st.booleans(), st.integers(-4, 4), st.floats(),
+                     st.text(max_size=6))
+    arbitrary = st.recursive(
+        leaf, lambda kids: st.one_of(
+            st.lists(kids, max_size=3),
+            st.dictionaries(st.one_of(st.sampled_from(FUZZ_FIELDS), st.text(max_size=3)),
+                            kids, max_size=3)),
+        max_leaves=12)
+
+    def maybe(good, bad=arbitrary):
+        # a good value seven times in eight, so that some documents are valid
+        return st.integers(0, 7).flatmap(lambda k: bad if k == 7 else good)
+
+    scalar = maybe(st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-3", "0.25", "1e3"])),
+                   st.one_of(arbitrary, st.sampled_from(
+                       ["1/0", "x", "zeta_3", "1e-99999", "nan", "inf", "", "1/2/3"])))
+    if command == "bb":
+        term = maybe(st.fixed_dictionaries({"i": maybe(st.integers(-1, 4)),
+                                            "j": maybe(st.integers(-1, 4)),
+                                            "c": scalar}))
+        shaped = st.fixed_dictionaries(
+            {"dim_v": maybe(st.integers(-1, 4))},
+            optional={"relations": maybe(st.lists(maybe(st.lists(term, max_size=3)),
+                                                  max_size=3))})
+    elif command == "nilpotence":
+        row = maybe(st.lists(scalar, max_size=3))
+        shaped = st.fixed_dictionaries(
+            {"dimension": maybe(st.integers(-1, 3)),
+             "matrices": maybe(st.lists(maybe(st.lists(row, max_size=3)), max_size=3))})
+    else:
+        relator = maybe(st.lists(maybe(st.integers(-4, 4)), max_size=6))
+        shaped = st.fixed_dictionaries(
+            {"generators": maybe(st.integers(-1, 3))},
+            optional={"relators": maybe(st.lists(relator, max_size=3))})
+    return st.one_of(arbitrary, shaped)
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_ARGV))
+def test_fuzzed_documents_exit_cleanly(tmp_path, command):
+    # every document ends in a result, a usage error or a budget refusal:
+    # never an inconsistency, never a traceback
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+    hypothesis = pytest.importorskip("hypothesis")
+    given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
+    path = tmp_path / "doc.json"
+
+    @settings(max_examples=100, deadline=None)
+    @given(_fuzz_documents(st, command))
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(FUZZ_ARGV[command] + [str(path)])
+        assert code in (0, 2, 3), (code, out.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()
 
 
 def test_package_imports_only_the_standard_library():

@@ -2,7 +2,8 @@
 stdout with the outputs recorded in ``tests/golden/``.
 
 The recorded outputs are the contract, so a change that alters any byte of
-them has to say so by re-recording.  To re-record after a deliberate change:
+them has to say so by re-recording.  A refusal is recorded with its exit
+code as well.  To re-record after a deliberate change:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -18,7 +19,8 @@ from infalex.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# name -> argv; "@file.json" names an input document in tests/golden/
+# name -> argv, or (argv, exit code) for a run that must fail that way;
+# "@file.json" names an input document in tests/golden/
 COMMANDS = {
     "witt": ["witt", "-n", "3", "-q", "6"],
     "chen": ["chen", "-n", "3", "-q", "3"],
@@ -48,24 +50,31 @@ COMMANDS = {
     "csv_decompose_g3": ["--csv", "decompose", "--genus", "3"],
     "csv_bb_direct": ["--csv", "bb", "--presentation", "@presentation.json",
                       "--max-degree", "2", "--method", "direct"],
+    "refuse_johnson_g9": (["johnson", "--genus", "9", "--max-degree", "0"], 3),
+    "refuse_johnson_g4_deg2": (["johnson", "--genus", "4", "--max-degree", "2"], 3),
+    "refuse_decompose_g4_central_z": (["decompose", "--genus", "4", "--central-z"], 3),
+    "refuse_cv_torsion9_budget5": (["cv", "--presentation", "@group_f2xz.json",
+                                    "--torsion", "9", "--budget", "5"], 3),
 }
 
 
-def _argv(name: str) -> list[str]:
-    return [str(GOLDEN / a[1:]) if a.startswith("@") else a for a in COMMANDS[name]]
+def _command(name: str) -> tuple[list[str], int]:
+    entry = COMMANDS[name]
+    argv, code = entry if isinstance(entry, tuple) else (entry, 0)
+    return [str(GOLDEN / a[1:]) if a.startswith("@") else a for a in argv], code
 
 
 def _stdout(name: str) -> tuple[int, bytes]:
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(_argv(name))
+        code = main(_command(name)[0])
     return code, buf.getvalue().encode()
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_stdout(name):
     code, out = _stdout(name)
-    assert code == 0
+    assert code == _command(name)[1]
     assert out == (GOLDEN / f"{name}.out").read_bytes()
 
 
@@ -74,7 +83,7 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     for name in sorted(COMMANDS):
         code, out = _stdout(name)
-        if code != 0:
+        if code != _command(name)[1]:
             sys.exit(f"{name}: exit code {code}")
         (GOLDEN / f"{name}.out").write_bytes(out)
         print(f"wrote {name}.out ({len(out)} bytes)")

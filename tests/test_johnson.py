@@ -197,6 +197,25 @@ def test_budget_refusals():
         central_z_check(4)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: decompose_wedge2_V(5), id="decompose-g5"),
+    # the genus ceiling is checked before the centrality one
+    pytest.param(lambda: central_z_check(5), id="central-z-g5"),
+])
+def test_budget_refusal_reasons(call):
+    with pytest.raises(BudgetExceededError) as exc:
+        call()
+    assert exc.value.reason == {"error": "budget", "what": "genus", "genus": 5, "limit": 4,
+                                "hint": "pass allow_large / --allow-large"}
+
+
+@pytest.mark.parametrize("g", [2, -1])
+def test_genus_floor_comes_first(g):
+    # a genus below the floor is a usage error, never a budget refusal
+    with pytest.raises(ValueError, match="genus >= 3 required"):
+        johnson_module_dims(g, 1)
+
+
 @pytest.mark.slow
 def test_decompose_g4():
     parts = decompose_wedge2_V(4)
