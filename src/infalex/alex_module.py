@@ -22,6 +22,7 @@ from itertools import combinations
 from math import comb
 from operator import add, mul
 
+from .errors import InternalInconsistencyError
 from .exact_linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Vec, axpy
 from .free_lie import GradedDims
 from .quad_lie import LiePresentation, beta_matrix, wedge2_pairs
@@ -208,13 +209,12 @@ def _generator_weights(gm: GradedMap, base_weights, target_weights) -> list[list
     return out
 
 
-def _weighted_rank(gm: GradedMap, q: int, base_weights, generator_weights) -> int:
-    """Rank of the degree-q matrix computed per weight block.
+def _weight_buckets(gm: GradedMap, q: int, base_weights, generator_weights) -> dict:
+    """The degree-q columns grouped by total weight: weight -> walk(q) keys.
 
     With generator_weights from _generator_weights, each column lies in the
-    rows of its own total weight, so the matrix is block diagonal over total
-    weights and the rank is the sum of the block ranks.  Generators without
-    a weight have zero columns and join no block.
+    rows of its own total weight, so the matrix is block diagonal over these
+    buckets.  Generators without a weight have zero columns and join none.
     """
     n = gm.base_dim
     per_coordinate = list(zip(*base_weights))
@@ -226,26 +226,56 @@ def _weighted_rank(gm: GradedMap, q: int, base_weights, generator_weights) -> in
         gw = generator_weights[bi][j]
         if gw is not None:
             buckets.setdefault(_wsum(mono_w[mono], gw), []).append(key)
-    tgt_idx = monomial_index(n, q)
+    return buckets
+
+
+def _weighted_rank(gm: GradedMap, q: int, base_weights, generator_weights,
+                   weyl=None) -> int:
+    """Rank of the degree-q matrix, the sum of its weight-bucket ranks.
+
+    With weyl (a LieAlgebraSpec of type C) the map must be equivariant for
+    that algebra: the rank of a bucket is then the dimension of a weight
+    space of the image, which is constant on Weyl orbits, so only the
+    dominant bucket of each orbit is reduced and its rank counts orbit_size
+    times.  Every bucket of an orbit must hold as many columns as the
+    dominant one (a bucket that is absent holds none), else
+    InternalInconsistencyError: the weights do not come from the module.
+    Without weyl each bucket is its own orbit, of size 1.
+    """
+    buckets = _weight_buckets(gm, q, base_weights, generator_weights)
+    orbits: dict[tuple, list[int]] = {}
+    for w, keys in buckets.items():
+        orbits.setdefault(w if weyl is None else weyl.dominant(w), []).append(len(keys))
+    tgt_idx = monomial_index(gm.base_dim, q)
     total_rank = 0
-    for w in sorted(buckets):
+    for mu in sorted(orbits):
+        size = 1 if weyl is None else weyl.orbit_size(mu)
+        counts = orbits[mu]
+        if len(counts) != size or len(set(counts)) != 1:
+            raise InternalInconsistencyError(
+                f"degree {q}: the {size} weights of the Weyl orbit of {mu} hold "
+                f"unequal column counts, {len(counts)} buckets of sizes {sorted(set(counts))}")
         # columns are built only when their bucket is reduced
         eb = EchelonBasis()
-        for key in buckets[w]:
+        for key in buckets[mu]:
             eb.add(gm.column(tgt_idx, *key))
-        total_rank += eb.rank
+        total_rank += size * eb.rank
     return total_rank
 
 
-def coker_dims(gm: GradedMap, max_degree: int, *, weights=None) -> GradedDims:
+def coker_dims(gm: GradedMap, max_degree: int, *, weights=None, weyl=None) -> GradedDims:
     """Degree-wise cokernel dimensions of the map, degrees 0..max_degree.
 
     weights = (base, target) gives a weight per variable and per target
     generator of an equivariant map.  The weight of each source generator
     is read off its symbol, which must then be weight homogeneous (else
     ValueError), and ranks are computed per weight block; the result is
-    identical, the blocks are just small.
+    identical, the blocks are just small.  weyl = spec further ranks one
+    block per Weyl orbit (see _weighted_rank); the caller vouches that the
+    map is spec-equivariant with these weights.
     """
+    if weyl is not None and weights is None:
+        raise ValueError("weyl needs weights")
     if weights is not None:
         base_w, target_w = weights
         gen_w = _generator_weights(gm, base_w, target_w)
@@ -253,7 +283,7 @@ def coker_dims(gm: GradedMap, max_degree: int, *, weights=None) -> GradedDims:
     for q in range(max_degree + 1):
         target = gm.target_dim_in_degree(q)
         if weights is not None:
-            r = _weighted_rank(gm, q, base_w, gen_w)
+            r = _weighted_rank(gm, q, base_w, gen_w, weyl)
         else:
             r = gm.instantiate(q).rank()
         dims.append(target - r)

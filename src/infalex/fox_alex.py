@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, log2
 
 from . import documents
 from .errors import BudgetExceededError
@@ -463,9 +463,14 @@ def torsion_sweep(p: GroupPresentation, order: int, k: int, *,
     if order < 1:
         raise ValueError("order >= 1 required")
     n = p.num_generators
-    total = order ** n
+    # order ** n is built only as far as the budget: it may have any size
+    total, factors = 1, 0
+    while total <= budget and factors < n:
+        total, factors = total * order, factors + 1
     if total > budget:
-        raise BudgetExceededError("torsion_sweep", budget, points=total)
+        facts = ({"points": order ** n} if n * log2(order) <= 256
+                 else {"generators": n, "order": order})
+        raise BudgetExceededError("torsion_sweep", budget, **facts)
     units = [u for u in range(order) if gcd(u, order) == 1]
     member: dict[tuple[int, ...], bool] = {}   # orbit key -> membership
     out = []

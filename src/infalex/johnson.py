@@ -14,8 +14,10 @@ Ingredients, all exact:
 The kernel of wedge^2 V ->> Q is R (+) C z whichever equivariant surjection
 is used, so coker(q) does not depend on the coordinates chosen on Q; q
 uses those of quad_lie.beta_matrix.  Instantiated matrices of q are
-equivariant, hence block diagonal over weights; ranks are computed per
-weight block, which is what makes genus 4 affordable.  Results for g < 6
+equivariant, hence block diagonal over weights, and the rank of a weight
+block depends only on the Weyl orbit of its weight: once the sp(2g)
+invariance of R + C z is checked, one dominant block per orbit is ranked,
+which is what makes genus 4 affordable.  Results for g < 6
 are linear algebra facts about the same maps; the finiteness guarantee for
 coker(q) starts at g = 6.
 """
@@ -29,7 +31,7 @@ from itertools import combinations
 
 from .alex_module import GradedMap, coker_dims, nabla_bar
 from .errors import BudgetExceededError, InternalInconsistencyError
-from .exact_linalg import RationalMatrix, Vec, axpy
+from .exact_linalg import RationalMatrix, Vec, act_vec, axpy
 from .free_lie import LieElement, bracket
 from .quad_lie import LiePresentation, _ideal_echelon, quotient_pairs, wedge2_pairs
 from .rep_semisimple import (HighestWeight, LieAlgebraSpec, WeightModule,
@@ -156,6 +158,23 @@ class JohnsonContext:
         kept = quotient_pairs(self.presentation_with_z)
         return self.V.weights, tuple(self.W2.weights[k] for k in kept)
 
+    def certify_invariance(self):
+        """Check that R + C z is invariant under sp(2g), else
+        InternalInconsistencyError.
+
+        The raising and lowering simple root vectors generate sp(2g), so it
+        suffices that each maps every vector of R + C z back into its span.
+        Then q is sp(2g)-equivariant, the weight multiplicities of its image
+        are Weyl invariant, and coker_dims may rank one bucket per orbit.
+        """
+        span = self.presentation_with_z.relation_span()
+        for label in self.spec.raising_labels() + self.spec.lowering_labels():
+            cols = self.W2.actions[label]
+            for v in self.r_basis + [self.z_vec]:
+                if not span.contains(act_vec(cols, v)):
+                    raise InternalInconsistencyError(
+                        f"R + C z is not invariant under {label}")
+
     # -- the equivariance oracle; johnson_module_dims builds neither -------------
 
     @cached_property
@@ -213,8 +232,8 @@ class JohnsonModuleReport:
 def johnson_module_dims(g: int, max_degree: int, *, allow_large: bool = False) -> JohnsonModuleReport:
     _check_budget(g, allow_large, max_degree=max_degree)
     ctx = johnson_context(g)
-    gm = ctx.q_map()
-    dims = coker_dims(gm, max_degree, weights=ctx.weight_data())
+    ctx.certify_invariance()
+    dims = coker_dims(ctx.q_map(), max_degree, weights=ctx.weight_data(), weyl=ctx.spec)
     coker = tuple(dims.dims)
     m_dims = tuple(d + (1 if q == 0 else 0) for q, d in enumerate(coker))
     return JohnsonModuleReport(g, ctx.V.dimension, ctx.q_dim,

@@ -15,10 +15,12 @@ Euclidean form for sl).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 from .errors import AmbiguousDecompositionError
 from .exact_linalg import ONE, ZERO, RationalMatrix, Vec, act_vec, axpy, echelon_basis
@@ -72,6 +74,36 @@ class LieAlgebraSpec:
             return labels
         n = self.rank
         return [f"E_{i}_{i+1}" for i in range(n - 1)]
+
+    def lowering_labels(self) -> list[str]:
+        """The negative simple root vectors, in the order of raising_labels();
+        together the two lists generate the algebra."""
+        if self.family == "sp":
+            g = self.rank
+            labels = [f"X_{i+1}_{i}" for i in range(g - 1)]
+            labels.append(f"V_{g-1}")
+            return labels
+        n = self.rank
+        return [f"E_{i+1}_{i}" for i in range(n - 1)]
+
+    # -- the Weyl group W(C_g), signed permutations of epsilon coordinates -------
+
+    def _weyl_type_c(self):
+        if self.family != "sp":
+            raise NotImplementedError("Weyl orbits are implemented for sp (type C) only")
+
+    def dominant(self, w: tuple[int, ...]) -> tuple[int, ...]:
+        """The dominant weight (x1 >= ... >= xg >= 0) of the Weyl orbit of w."""
+        self._weyl_type_c()
+        return tuple(sorted(map(abs, w), reverse=True))
+
+    def orbit_size(self, w: tuple[int, ...]) -> int:
+        """|W . w|: g! / prod(multiplicity of each |x_i|)! times 2^(nonzero x_i)."""
+        self._weyl_type_c()
+        size = factorial(len(w)) << sum(1 for x in w if x)
+        for mult in Counter(map(abs, w)).values():
+            size //= factorial(mult)
+        return size
 
     def simple_coroot_pairing(self, w: tuple[int, ...], i: int) -> int:
         """<w, alpha_i^vee> for the i-th simple root (0-based)."""

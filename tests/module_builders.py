@@ -1,7 +1,7 @@
 """Weight modules built only as test inputs: symmetric powers and tensor
 products of the modules that infalex.rep_semisimple constructs."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations, product
 
 from infalex.exact_linalg import Vec, axpy
 from infalex.rep_semisimple import WeightModule, sym_act
@@ -42,3 +42,10 @@ def tensor_product(a: WeightModule, b: WeightModule) -> WeightModule:
                 new_cols.append(col)
         actions[label] = tuple(new_cols)
     return WeightModule(a.algebra, dim, weights, actions)
+
+
+def weyl_orbit(w: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The orbit of a weight under W(C_g), by enumerating every signed
+    permutation of its epsilon coordinates."""
+    return {tuple(s * x for s, x in zip(signs, perm))
+            for perm in permutations(w) for signs in product((1, -1), repeat=len(w))}

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
 from math import comb
+from operator import add
 
 import pytest
 
 from infalex.alex_module import (GradedMap, coker_dims, delta3,
                                  koszul_map, monomial_index, monomials, nabla,
                                  nabla_bar, sym_dim, coker_multiplication_action)
+from infalex.errors import InternalInconsistencyError
 from infalex.quad_lie import LiePresentation, bb_direct, quotient_pairs, wedge2_pairs
+from infalex.rep_semisimple import LieAlgebraSpec
 
 
 def full_relations(n):
@@ -237,6 +240,29 @@ def test_weights_are_always_checked():
         coker_dims(gm, 3, weights=(base_w, [(0,)] * 3))
     weighted = coker_dims(gm, 3, weights=(base_w, base_w))
     assert weighted.dims == _plain_coker(gm, 3) == (3, 6, 10, 15)
+
+
+def test_weyl_orbit_rank_agrees_with_plain():
+    # the Koszul map is GL(H)-equivariant, so sp-equivariant for the weights
+    # of H = C^{2g}; one bucket per Weyl orbit must give the plain ranks
+    for g, max_degree in ((2, 3), (3, 2)):
+        spec = LieAlgebraSpec("sp", g)
+        h_w = spec.defining_weights()
+        gm = delta3(2 * g)
+        pair_w = [tuple(map(add, h_w[i], h_w[j])) for i, j in wedge2_pairs(2 * g)]
+        orbit = coker_dims(gm, max_degree, weights=(h_w, pair_w), weyl=spec)
+        assert orbit.dims == _plain_coker(gm, max_degree)
+
+
+def test_weyl_orbit_rank_refuses_weights_off_a_module():
+    # coordinate-torus weights are not closed under sign changes: the orbit
+    # of (1, 0, 0) has six weights but only three buckets hold columns
+    gm = delta3(3)
+    base_w = [_unit(3, i) for i in range(3)]
+    with pytest.raises(InternalInconsistencyError, match="Weyl orbit"):
+        coker_dims(gm, 1, weights=(base_w, _pair_weights(3)), weyl=LieAlgebraSpec("sp", 3))
+    with pytest.raises(ValueError, match="weyl needs weights"):
+        coker_dims(gm, 1, weyl=LieAlgebraSpec("sp", 3))
 
 
 def test_multiplication_action_nilpotent():

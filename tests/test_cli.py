@@ -144,6 +144,24 @@ def test_central_z_refused_before_any_work(capsys, monkeypatch):
                                "limit": 3, "hint": "pass allow_large / --allow-large"}
 
 
+@pytest.mark.parametrize("order,generators,facts", [
+    # 2 ** 20000 has more digits than an int may print: the size is reported
+    # by its factors
+    (2, 20000, {"generators": 20000, "order": 2}),
+    (2, 256, {"points": 2 ** 256}),
+    (3, 162, {"generators": 162, "order": 3}),
+])
+def test_torsion_budget_refusal_of_a_huge_sweep(capsys, tmp_path, order, generators, facts):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"generators": generators, "relators": []}))
+    code = main(["cv", "--torsion", str(order), "--presentation", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"error": "budget", "what": "torsion_sweep",
+                                        "limit": 100_000, **facts}
+
+
 @pytest.mark.parametrize("lines", [0, 2])
 @pytest.mark.parametrize("command", [["johnson", "--genus", "3", "--max-degree", "0"],
                                      ["decompose", "--genus", "3"]])

@@ -7,13 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from infalex.alex_module import coker_dims, nabla, nabla_bar
-from infalex.errors import BudgetExceededError
+from infalex.alex_module import (_generator_weights, _weight_buckets, coker_dims,
+                                 monomial_index, nabla, nabla_bar)
+from infalex.errors import BudgetExceededError, InternalInconsistencyError
+from infalex.exact_linalg import EchelonBasis
 from infalex.quad_lie import bb_direct
-from infalex.johnson import (central_z_check, decompose_wedge2_V,
+from infalex.johnson import (JohnsonContext, central_z_check, decompose_wedge2_V,
                              equivariance_defect, johnson_context,
                              johnson_module_dims)
 from infalex.rep_semisimple import HighestWeight, act_vec, isotypic_projection, weyl_dim
+
+from module_builders import weyl_orbit
 
 # sha256 of the repr of each context field, so values, dict key order and
 # container types all count; recorded before the single-pass context build.
@@ -254,3 +258,57 @@ def test_coker_q_matches_nabla_route_g4():
     pres = ctx.presentation_with_z
     dims_nabla = coker_dims(nabla(pres), 1, weights=(ctx.V.weights, ctx.W2.weights))
     assert tuple(dims_nabla.dims) == johnson_module_dims(4, 1).coker_q
+
+
+# ---------------------------------------------------------------------------
+# the orbit route: one dominant bucket per Weyl orbit
+# ---------------------------------------------------------------------------
+
+def _check_orbit_route(g, max_degree):
+    # rank every weight bucket of q (the full weighted route), then check
+    # that the rank is constant on each Weyl orbit, an absent bucket counting
+    # as rank 0, and that the orbit route returns the full route's dims
+    ctx = johnson_context(g)
+    gm = ctx.q_map()
+    base_w, target_w = ctx.weight_data()
+    gen_w = _generator_weights(gm, base_w, target_w)
+    full = []
+    for q in range(max_degree + 1):
+        tgt_idx = monomial_index(gm.base_dim, q)
+        ranks = {}
+        for w, keys in _weight_buckets(gm, q, base_w, gen_w).items():
+            eb = EchelonBasis()
+            for key in keys:
+                eb.add(gm.column(tgt_idx, *key))
+            ranks[w] = eb.rank
+        for mu in {ctx.spec.dominant(w) for w in ranks}:
+            assert len({ranks.get(w, 0) for w in weyl_orbit(mu)}) == 1, (q, mu)
+        full.append(gm.target_dim_in_degree(q) - sum(ranks.values()))
+    assert johnson_module_dims(g, max_degree).coker_q == tuple(full)
+    return tuple(full)
+
+
+def test_orbit_route_matches_bucket_ranks_g3():
+    assert _check_orbit_route(3, 2) == (90, 896, 5355)
+
+
+@pytest.mark.slow
+def test_orbit_route_matches_bucket_ranks_g4():
+    assert _check_orbit_route(4, 1) == (308, 1232)
+
+
+def test_invariance_certificate_refuses_a_non_invariant_r(monkeypatch):
+    # R is 0 at genus 3; one pair vector of nonzero weight spans no
+    # sp-submodule, so the orbit route must refuse before any rank
+    from infalex import johnson
+    ctx = JohnsonContext(3)
+    k = next(k for k, w in enumerate(ctx.W2.weights) if any(w))
+    ctx.r_basis.append({k: Fraction(1)})
+
+    def no_rank(*args, **kwargs):
+        raise AssertionError("ranked before the invariance certificate")
+
+    monkeypatch.setattr(johnson, "johnson_context", lambda g: ctx)
+    monkeypatch.setattr(johnson, "coker_dims", no_rank)
+    with pytest.raises(InternalInconsistencyError, match="not invariant"):
+        johnson_module_dims(3, 1)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -12,7 +13,7 @@ from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec,
                                     highest_weight_vectors,
                                     isotypic_projection, wedge_power, weyl_dim)
 
-from module_builders import sym_power, tensor_product
+from module_builders import sym_power, tensor_product, weyl_orbit
 
 SP3 = LieAlgebraSpec("sp", 3)
 SL2 = LieAlgebraSpec("sl", 2)
@@ -228,3 +229,46 @@ def test_weights_sum_to_module():
     m = fundamental_module(SP3, 3)
     decomp = m.weight_decomposition()
     assert sum(len(ix) for ix in decomp.values()) == m.dimension
+
+
+# -- the Weyl group of type C -------------------------------------------------
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_weyl_helpers_match_brute_force(g):
+    # every weight of the box [-3, 3]^g against its enumerated orbit
+    spec = LieAlgebraSpec("sp", g)
+    box = list(product(range(-3, 4), repeat=g))
+    seen = set()
+    for w in box:
+        if w in seen:
+            continue
+        orbit = weyl_orbit(w)
+        seen |= orbit
+        for u in orbit:
+            assert spec.dominant(u) == max(orbit)
+            assert spec.orbit_size(u) == len(orbit)
+    # the box is a union of orbits, one per dominant weight in it
+    assert sum(spec.orbit_size(w) for w in box if spec.dominant(w) == w) == 7 ** g
+
+
+def test_weyl_helpers_are_type_c_only():
+    with pytest.raises(NotImplementedError):
+        SL3.dominant((1, 0, -1))
+    with pytest.raises(NotImplementedError):
+        SL3.orbit_size((1, 0, -1))
+
+
+@pytest.mark.parametrize("spec", [SP3, LieAlgebraSpec("sp", 2), SL3])
+def test_lowering_labels_pair_with_raising_labels(spec):
+    # on the defining module each raising operator moves weights by a simple
+    # root alpha_i, and the lowering operator at the same position by -alpha_i
+    m = defining_module(spec)
+    for up, down in zip(spec.raising_labels(), spec.lowering_labels()):
+        shifts = {}
+        for label, sign in ((up, 1), (down, -1)):
+            for j, col in enumerate(m.actions[label]):
+                for i in col:
+                    shift = tuple(sign * (a - b) for a, b in zip(m.weights[i], m.weights[j]))
+                    shifts.setdefault(label, set()).add(shift)
+        assert len(shifts[up]) == 1
+        assert shifts[up] == shifts[down]
