@@ -15,6 +15,7 @@ degree, which fixes the matrix layout once and for all.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -209,6 +210,13 @@ def _generator_weights(gm: GradedMap, base_weights, target_weights) -> list[list
     return out
 
 
+def _monomial_weights(n: int, q: int, base_weights) -> dict:
+    """The weight of each monomial of Sym_q: the sum of its variables' weights."""
+    per_coordinate = list(zip(*base_weights))
+    return {mono: tuple(sum(map(mul, mono, ws)) for ws in per_coordinate)
+            for mono in monomials(n, q)}
+
+
 def _weight_buckets(gm: GradedMap, q: int, base_weights, generator_weights) -> dict:
     """The degree-q columns grouped by total weight: weight -> walk(q) keys.
 
@@ -216,10 +224,9 @@ def _weight_buckets(gm: GradedMap, q: int, base_weights, generator_weights) -> d
     rows of its own total weight, so the matrix is block diagonal over these
     buckets.  Generators without a weight have zero columns and join none.
     """
-    n = gm.base_dim
-    per_coordinate = list(zip(*base_weights))
-    mono_w = {mono: tuple(sum(map(mul, mono, ws)) for ws in per_coordinate)
-              for shift in {b.shift for b in gm.blocks} for mono in monomials(n, q - shift)}
+    mono_w = {}
+    for shift in {b.shift for b in gm.blocks}:
+        mono_w.update(_monomial_weights(gm.base_dim, q - shift, base_weights))
     buckets: dict[tuple, list] = {}
     for key in gm.walk(q):
         bi, mono, j = key
@@ -229,7 +236,7 @@ def _weight_buckets(gm: GradedMap, q: int, base_weights, generator_weights) -> d
     return buckets
 
 
-def _weighted_rank(gm: GradedMap, q: int, base_weights, generator_weights,
+def _weighted_rank(gm: GradedMap, q: int, base_weights, target_weights, generator_weights,
                    weyl=None) -> int:
     """Rank of the degree-q matrix, the sum of its weight-bucket ranks.
 
@@ -237,15 +244,23 @@ def _weighted_rank(gm: GradedMap, q: int, base_weights, generator_weights,
     that algebra: the rank of a bucket is then the dimension of a weight
     space of the image, which is constant on Weyl orbits, so only the
     dominant bucket of each orbit is reduced and its rank counts orbit_size
-    times.  Every bucket of an orbit must hold as many columns as the
-    dominant one (a bucket that is absent holds none), else
-    InternalInconsistencyError: the weights do not come from the module.
-    Without weyl each bucket is its own orbit, of size 1.
+    times.  The target rows of each weight, counted from the base and
+    target weights alone, must be equally many on every weight of an orbit,
+    else InternalInconsistencyError: the weights do not come from a module.
+    Columns are not counted: which generators have an empty symbol depends
+    on the basis, not on the orbit.  Without weyl each weight is its own
+    orbit, of size 1.
     """
     buckets = _weight_buckets(gm, q, base_weights, generator_weights)
+    mono_counts = Counter(_monomial_weights(gm.base_dim, q, base_weights).values())
+    target_counts = Counter(map(tuple, target_weights))
+    rows: Counter = Counter()
+    for mw, a in mono_counts.items():
+        for tw, b in target_counts.items():
+            rows[_wsum(mw, tw)] += a * b
     orbits: dict[tuple, list[int]] = {}
-    for w, keys in buckets.items():
-        orbits.setdefault(w if weyl is None else weyl.dominant(w), []).append(len(keys))
+    for w, count in rows.items():
+        orbits.setdefault(w if weyl is None else weyl.dominant(w), []).append(count)
     tgt_idx = monomial_index(gm.base_dim, q)
     total_rank = 0
     for mu in sorted(orbits):
@@ -254,10 +269,10 @@ def _weighted_rank(gm: GradedMap, q: int, base_weights, generator_weights,
         if len(counts) != size or len(set(counts)) != 1:
             raise InternalInconsistencyError(
                 f"degree {q}: the {size} weights of the Weyl orbit of {mu} hold "
-                f"unequal column counts, {len(counts)} buckets of sizes {sorted(set(counts))}")
+                f"unequal row counts, {len(counts)} weights of sizes {sorted(set(counts))}")
         # columns are built only when their bucket is reduced
         eb = EchelonBasis()
-        for key in buckets[mu]:
+        for key in buckets.get(mu, ()):
             eb.add(gm.column(tgt_idx, *key))
         total_rank += size * eb.rank
     return total_rank
@@ -283,7 +298,7 @@ def coker_dims(gm: GradedMap, max_degree: int, *, weights=None, weyl=None) -> Gr
     for q in range(max_degree + 1):
         target = gm.target_dim_in_degree(q)
         if weights is not None:
-            r = _weighted_rank(gm, q, base_w, gen_w, weyl)
+            r = _weighted_rank(gm, q, base_w, target_w, gen_w, weyl)
         else:
             r = gm.instantiate(q).rank()
         dims.append(target - r)

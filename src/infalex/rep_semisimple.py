@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 from .errors import AmbiguousDecompositionError
 from .exact_linalg import ONE, ZERO, RationalMatrix, Vec, act_vec, axpy, echelon_basis
@@ -152,7 +153,7 @@ class LieAlgebraSpec:
         return tuple(tuple(1 if t == i else 0 for t in range(n)) for i in range(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _algebra_basis(spec: LieAlgebraSpec) -> tuple[tuple[str, ColMat], ...]:
     d = spec.defining_dim
 
@@ -203,7 +204,7 @@ def _trace_product(a: ColMat, b: ColMat) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _dual_coefficients(spec: LieAlgebraSpec) -> tuple[tuple[Fraction, ...], ...]:
     """Inverse Gram matrix of the algebra basis under the defining trace form."""
     basis = _algebra_basis(spec)
@@ -213,6 +214,25 @@ def _dual_coefficients(spec: LieAlgebraSpec) -> tuple[tuple[Fraction, ...], ...]
     aug = echelon_basis({**{b: x for b, x in enumerate(row) if x}, n + a: ONE}
                         for a, row in enumerate(gram))
     return tuple(tuple(row.get(n + b, ZERO) for b in range(n)) for row in aug.vectors())
+
+
+def _times(x, d: int) -> int:
+    """d * x as an int, for a rational x whose denominator divides d."""
+    return x.numerator * (d // x.denominator)
+
+
+def _scaled(col: Vec, d: int) -> dict:
+    """d * col with int entries, for a column whose denominators divide d."""
+    return {r: x.numerator * (d // x.denominator) for r, x in col.items()}
+
+
+@lru_cache(maxsize=8)
+def _integral_dual(spec: LieAlgebraSpec) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+    """(rows, D): row a lists (b, D * dual[a][b]) over the nonzero dual
+    coefficients, D the lcm of their denominators."""
+    dual = _dual_coefficients(spec)
+    d = lcm(*{c.denominator for row in dual for c in row})
+    return tuple(tuple((b, _times(c, d)) for b, c in enumerate(row) if c) for row in dual), d
 
 
 # ---------------------------------------------------------------------------
@@ -416,39 +436,46 @@ def chen_module_weight(n: int, q: int) -> HighestWeight:
 # Casimir operator, highest weight vectors, isotypic projections
 # ---------------------------------------------------------------------------
 
-def _casimir_column(m: WeightModule, j: int) -> Vec:
-    spec = m.algebra
-    basis = _algebra_basis(spec)
-    dual = _dual_coefficients(spec)
-    n = len(basis)
-    # u_b = x_b e_j for every basis element
-    us = [m.actions[basis[b][0]][j] for b in range(n)]
-    out: Vec = {}
-    for a in range(n):
-        # v = (dual of x_a) e_j, then out += x_a v
-        v: Vec = {}
-        for b in range(n):
-            c = dual[a][b]
-            if c:
+def _casimir_column(actions: list, dual, dm: int, j: int) -> dict:
+    """D * dm^2 times column j of the Casimir, in integers.
+
+    actions holds the columns of each algebra basis element in basis order,
+    (dual, D) is _integral_dual, and dm clears every denominator of actions.
+    """
+    # u_b = dm x_b e_j for each basis element that does not kill e_j
+    us = {b: _scaled(cols[j], dm) for b, cols in enumerate(actions) if cols[j]}
+    out: dict = {}
+    for cols, row in zip(actions, dual):
+        # v = D dm (dual of x_a) e_j, then out += dm x_a v
+        v: dict = {}
+        for b, c in row:
+            if b in us:
                 axpy(v, c, us[b])
-        cols = m.actions[basis[a][0]]
         for r, x in v.items():
-            axpy(out, x, cols[r])
+            axpy(out, x, _scaled(cols[r], dm))
     return out
 
 
 def casimir_blocks(m: WeightModule) -> dict[tuple[int, ...], RationalMatrix]:
-    """Sparse Casimir block per weight; the operator preserves weight spaces."""
+    """Sparse Casimir block per weight; the operator preserves weight spaces.
+
+    Columns are summed in integers scaled by D dm^2 (see _casimir_column),
+    and each entry is divided once.
+    """
     decomp = m.weight_decomposition()
+    actions = [m.actions[label] for label, _cols in _algebra_basis(m.algebra)]
+    dual, d = _integral_dual(m.algebra)
+    dm = lcm(*{x.denominator for cols in actions for col in cols for x in col.values()})
+    scale = d * dm * dm
     blocks = {}
     for w in sorted(decomp):
         idx = decomp[w]
         pos = {i: t for t, i in enumerate(idx)}
-        cols = [_casimir_column(m, j) for j in idx]
+        cols = [_casimir_column(actions, dual, dm, j) for j in idx]
         if any(col.keys() - pos.keys() for col in cols):
             raise ArithmeticError("Casimir does not preserve weight spaces")
         blocks[w] = RationalMatrix.from_columns(
-            [{pos[r]: v for r, v in col.items()} for col in cols], len(idx))
+            [{pos[r]: Fraction(x, scale) for r, x in col.items()} for col in cols], len(idx))
     return blocks
 
 
@@ -472,12 +499,16 @@ def highest_weight_vectors(m: WeightModule) -> list[tuple[HighestWeight, Vec]]:
     """Basis of the joint kernel of the simple raising operators, tagged by weight.
 
     The multiset of returned weights is the irreducible decomposition of m.
+    A highest weight is dominant, so only the dominant weight blocks are
+    searched.
     """
     spec = m.algebra
     raising = [m.actions[label] for label in spec.raising_labels()]
     decomp = m.weight_decomposition()
     out = []
     for w in sorted(decomp, reverse=True):
+        if any(spec.simple_coroot_pairing(w, i) < 0 for i in range(spec.num_fundamental)):
+            continue
         idx = decomp[w]
         entries = {}
         row_off = 0
@@ -501,15 +532,27 @@ def shifted_block(block: RationalMatrix, c) -> RationalMatrix:
 def _dense_block_polynomial(block: RationalMatrix, eigenvalues, target) -> RationalMatrix:
     """Evaluate prod (B - c')/(target - c') over eigenvalues c' != target.
 
-    The name dates from dense blocks.  It is kept because the benchmark's
-    span tracer (perfbench/spans.py) wraps this function by it and expects
-    its spans on the johnson-g4 workload.
+    Fraction-free: with S the lcm of the denominators of B, of target and of
+    the eigenvalues, the integer matrices S B - S c' are multiplied as dense
+    rows and the product is divided once, by prod S (target - c').  Entries
+    are emitted column by column, the order of a RationalMatrix.matmul.
     """
-    out = RationalMatrix.identity(block.rows)
-    for c in eigenvalues:
-        if c != target:
-            out = shifted_block(block, c).matmul(out).scale(ONE / (target - c))
-    return out
+    n = block.rows
+    others = [c for c in eigenvalues if c != target]
+    s = lcm(*{x.denominator for x in block.entries.values()},
+            *{c.denominator for c in others}, target.denominator)
+    sb = [[0] * n for _ in range(n)]
+    for (i, j), x in block.entries.items():
+        sb[i][j] = _times(x, s)
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]  # the product, by columns
+    den = 1
+    for c in others:
+        sc = _times(c, s)
+        rows = [row[:i] + [row[i] - sc] + row[i + 1:] for i, row in enumerate(sb)]
+        cols = [[sum(map(mul, row, col)) for row in rows] for col in cols]
+        den *= _times(target, s) - sc
+    return RationalMatrix(n, n, {(i, j): Fraction(x, den) for j, col in enumerate(cols)
+                                 for i, x in enumerate(col) if x})
 
 
 def isotypic_projection(m: WeightModule, hw: HighestWeight, *,

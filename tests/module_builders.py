@@ -1,10 +1,13 @@
 """Weight modules built only as test inputs: symmetric powers and tensor
-products of the modules that infalex.rep_semisimple constructs."""
+products of the modules that infalex.rep_semisimple constructs.  Also the
+Fraction-valued references that the integer kernels of rep_semisimple are
+checked against."""
 
 from itertools import combinations_with_replacement, permutations, product
 
-from infalex.exact_linalg import Vec, axpy
-from infalex.rep_semisimple import WeightModule, sym_act
+from infalex.exact_linalg import ONE, RationalMatrix, Vec, act_vec, axpy
+from infalex.rep_semisimple import (HighestWeight, WeightModule, _algebra_basis,
+                                    _dual_coefficients, shifted_block, sym_act)
 
 
 def sym_power(m: WeightModule, k: int) -> WeightModule:
@@ -49,3 +52,61 @@ def weyl_orbit(w: tuple[int, ...]) -> set[tuple[int, ...]]:
     permutation of its epsilon coordinates."""
     return {tuple(s * x for s, x in zip(signs, perm))
             for perm in permutations(w) for signs in product((1, -1), repeat=len(w))}
+
+
+def lowering_closure(m: WeightModule, v: Vec) -> list[Vec]:
+    """v and everything the simple lowering operators make of it: a spanning
+    set of the submodule that v generates when v is a highest-weight vector."""
+    out, frontier = [v], [v]
+    while frontier:
+        frontier = [w for u in frontier for label in m.algebra.lowering_labels()
+                    if (w := act_vec(m.actions[label], u))]
+        out += frontier
+    return out
+
+
+# -- Fraction references for the integer kernels of rep_semisimple --------------
+
+def fraction_casimir_column(m: WeightModule, j: int) -> Vec:
+    """Column j of the Casimir of m, summed in Fractions: sum over a of
+    x_a (dual of x_a) e_j."""
+    basis = _algebra_basis(m.algebra)
+    dual = _dual_coefficients(m.algebra)
+    us = [m.actions[label][j] for label, _cols in basis]
+    out: Vec = {}
+    for a, (label, _cols) in enumerate(basis):
+        v: Vec = {}
+        for b, c in enumerate(dual[a]):
+            if c:
+                axpy(v, c, us[b])
+        cols = m.actions[label]
+        for r, x in v.items():
+            axpy(out, x, cols[r])
+    return out
+
+
+def matmul_block_polynomial(block: RationalMatrix, eigenvalues, target) -> RationalMatrix:
+    """prod (B - c')/(target - c') over eigenvalues c' != target, as a chain
+    of RationalMatrix.matmul calls in Fractions."""
+    out = RationalMatrix.identity(block.rows)
+    for c in eigenvalues:
+        if c != target:
+            out = shifted_block(block, c).matmul(out).scale(ONE / (target - c))
+    return out
+
+
+def all_blocks_highest_weight_vectors(m: WeightModule) -> list[tuple[HighestWeight, Vec]]:
+    """The joint kernel of the simple raising operators searched on every
+    weight block, dominant or not, in the order of highest_weight_vectors.
+    A kernel vector on a non-dominant block would fail fundamental_from_weight."""
+    spec = m.algebra
+    raising = [m.actions[label] for label in spec.raising_labels()]
+    out = []
+    for w, idx in sorted(m.weight_decomposition().items(), reverse=True):
+        stacked = RationalMatrix(len(raising) * m.dimension, len(idx), {
+            (s * m.dimension + r, t): v
+            for s, cols in enumerate(raising) for t, j in enumerate(idx)
+            for r, v in cols[j].items()})
+        for kv in stacked.kernel_basis():
+            out.append((spec.fundamental_from_weight(w), {idx[t]: v for t, v in kv.items()}))
+    return out

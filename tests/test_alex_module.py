@@ -5,9 +5,10 @@ from operator import add
 
 import pytest
 
-from infalex.alex_module import (GradedMap, coker_dims, delta3,
+from infalex.alex_module import (GradedMap, SymbolBlock, coker_dims, delta3,
                                  koszul_map, monomial_index, monomials, nabla,
-                                 nabla_bar, sym_dim, coker_multiplication_action)
+                                 nabla_bar, sym_dim, coker_multiplication_action,
+                                 _generator_weights, _weight_buckets)
 from infalex.errors import InternalInconsistencyError
 from infalex.quad_lie import LiePresentation, bb_direct, quotient_pairs, wedge2_pairs
 from infalex.rep_semisimple import LieAlgebraSpec
@@ -252,6 +253,27 @@ def test_weyl_orbit_rank_agrees_with_plain():
         pair_w = [tuple(map(add, h_w[i], h_w[j])) for i, j in wedge2_pairs(2 * g)]
         orbit = coker_dims(gm, max_degree, weights=(h_w, pair_w), weyl=spec)
         assert orbit.dims == _plain_coker(gm, max_degree)
+
+
+def test_weyl_orbit_rank_ignores_uneven_zero_columns():
+    # two copies of the Koszul symbol on wedge^3 H, H = C^4 for sp(4), the
+    # second with the symbol of triple 0 empty: that generator stands for its
+    # difference with the first copy, a change of basis of the source.  The
+    # image is that of delta3, so the map stays equivariant, but the buckets
+    # that lose the empty generator hold one column less than the rest of
+    # their Weyl orbit; only target rows may be compared across an orbit
+    spec = LieAlgebraSpec("sp", 2)
+    h_w = spec.defining_weights()
+    d3 = delta3(4)
+    (block,) = d3.blocks
+    second = SymbolBlock("wedge3 again", 1, ((),) + block.symbol[1:])
+    gm = GradedMap(4, d3.target_dim, (block, second))
+    pair_w = [tuple(map(add, h_w[i], h_w[j])) for i, j in wedge2_pairs(4)]
+    gen_w = _generator_weights(gm, h_w, pair_w)
+    columns = [len(keys) for w, keys in sorted(_weight_buckets(gm, 1, h_w, gen_w).items())
+               if spec.dominant(w) == (1, 0)]
+    assert len(set(columns)) > 1
+    assert coker_dims(gm, 3, weights=(h_w, pair_w), weyl=spec).dims == _plain_coker(d3, 3)
 
 
 def test_weyl_orbit_rank_refuses_weights_off_a_module():

@@ -264,6 +264,13 @@ def test_coker_q_matches_nabla_route_g4():
 # the orbit route: one dominant bucket per Weyl orbit
 # ---------------------------------------------------------------------------
 
+def _bucket_rank(gm, tgt_idx, keys):
+    eb = EchelonBasis()
+    for key in keys:
+        eb.add(gm.column(tgt_idx, *key))
+    return eb.rank
+
+
 def _check_orbit_route(g, max_degree):
     # rank every weight bucket of q (the full weighted route), then check
     # that the rank is constant on each Weyl orbit, an absent bucket counting
@@ -275,12 +282,8 @@ def _check_orbit_route(g, max_degree):
     full = []
     for q in range(max_degree + 1):
         tgt_idx = monomial_index(gm.base_dim, q)
-        ranks = {}
-        for w, keys in _weight_buckets(gm, q, base_w, gen_w).items():
-            eb = EchelonBasis()
-            for key in keys:
-                eb.add(gm.column(tgt_idx, *key))
-            ranks[w] = eb.rank
+        ranks = {w: _bucket_rank(gm, tgt_idx, keys)
+                 for w, keys in _weight_buckets(gm, q, base_w, gen_w).items()}
         for mu in {ctx.spec.dominant(w) for w in ranks}:
             assert len({ranks.get(w, 0) for w in weyl_orbit(mu)}) == 1, (q, mu)
         full.append(gm.target_dim_in_degree(q) - sum(ranks.values()))
@@ -295,6 +298,35 @@ def test_orbit_route_matches_bucket_ranks_g3():
 @pytest.mark.slow
 def test_orbit_route_matches_bucket_ranks_g4():
     assert _check_orbit_route(4, 1) == (308, 1232)
+
+
+@pytest.mark.slow
+def test_orbit_route_at_g5_with_uneven_zero_columns(capsys, monkeypatch):
+    # genus 5 is the first genus at which generators with an empty symbol
+    # fall unevenly within Weyl orbits, so column counts differ across an
+    # orbit while target rows do not.  One context, in a cache of its own,
+    # and its map q (6 s to build) serve the pins and the CLI run
+    from infalex import johnson
+    from infalex.cli import main
+    monkeypatch.setattr(johnson, "_CTX_CACHE", {})
+    ctx = johnson_context(5)
+    assert (ctx.V.dimension, ctx.r_dim, ctx.q_dim) == (110, 5214, 780)
+    assert ctx.q_dim == weyl_dim(ctx.spec, ctx.hw_two_l2)
+    assert ctx.V.dimension == weyl_dim(ctx.spec, HighestWeight((0, 0, 1, 0, 0)))
+    gm = ctx.q_map()
+    monkeypatch.setattr(ctx, "q_map", lambda: gm)
+    base_w, target_w = ctx.weight_data()
+    buckets = _weight_buckets(gm, 1, base_w, _generator_weights(gm, base_w, target_w))
+    # the orbit of (2, 1, 0, 0, 0): its buckets differ in column count, yet
+    # each has the same rank
+    orbit = [w for w in weyl_orbit((2, 1, 0, 0, 0)) if w in buckets]
+    assert len(orbit) == 80 and len({len(buckets[w]) for w in orbit}) > 1
+    tgt_idx = monomial_index(gm.base_dim, 1)
+    assert len({_bucket_rank(gm, tgt_idx, buckets[w]) for w in orbit}) == 1
+    assert main(["johnson", "--genus", "5", "--max-degree", "1", "--allow-large"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["coker_q"] == [780, 4212]
+    assert report["dims"] == {"V": 110, "Q": 780, "wedge2V": [5214, 780, 1]}
 
 
 def test_invariance_certificate_refuses_a_non_invariant_r(monkeypatch):

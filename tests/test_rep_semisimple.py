@@ -7,13 +7,17 @@ import pytest
 from infalex.errors import AmbiguousDecompositionError
 from infalex.exact_linalg import RationalMatrix
 from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec,
-                                    casimir_eigenvalue, casimir_matrix,
+                                    casimir_blocks, casimir_eigenvalue, casimir_matrix,
                                     casimir_eigenspace, chen_module_weight,
                                     defining_module, fundamental_module,
-                                    highest_weight_vectors,
-                                    isotypic_projection, wedge_power, weyl_dim)
+                                    highest_weight_vectors, isotypic_projection,
+                                    quotient_module, wedge_power, weyl_dim,
+                                    _algebra_basis, _dense_block_polynomial,
+                                    _dual_coefficients, _integral_dual)
 
-from module_builders import sym_power, tensor_product, weyl_orbit
+from module_builders import (all_blocks_highest_weight_vectors, fraction_casimir_column,
+                             lowering_closure, matmul_block_polynomial, sym_power,
+                             tensor_product, weyl_orbit)
 
 SP3 = LieAlgebraSpec("sp", 3)
 SL2 = LieAlgebraSpec("sl", 2)
@@ -272,3 +276,97 @@ def test_lowering_labels_pair_with_raising_labels(spec):
                     shifts.setdefault(label, set()).add(shift)
         assert len(shifts[up]) == 1
         assert shifts[up] == shifts[down]
+
+
+# -- the integer kernels against their Fraction references ----------------------
+
+def _adjoint_sl3_quotient():
+    """Sym^2 V (x) V / Sym^3 V for sl(3), the adjoint module in the quotient
+    coordinates of quotient_module: its actions have denominator 2."""
+    v = defining_module(SL3)
+    m = tensor_product(sym_power(v, 2), v)
+    top = next(vec for hw, vec in highest_weight_vectors(m) if hw == HighestWeight((3, 0)))
+    return quotient_module(m, lowering_closure(m, top))
+
+
+def _denominators(m):
+    return {x.denominator for cols in m.actions.values() for col in cols for x in col.values()}
+
+
+def _row_key_orders(mat):
+    # the key order of each row is what kernel_basis, and so the recorded
+    # johnson_context digests, can see of an entry order
+    return [list(row) for row in mat.row_vectors()]
+
+
+def test_casimir_blocks_match_fraction_columns():
+    sp_module = wedge_power(fundamental_module(SP3, 3), 2)
+    quotient = _adjoint_sl3_quotient()
+    assert _denominators(quotient) - {1}, "the sl(3) quotient should have fractional actions"
+    assert _integral_dual(SL3)[1] > 1, "the sl(3) dual coefficients should have denominators"
+    for m in (sp_module, quotient, defining_module(SL2)):
+        blocks = casimir_blocks(m)
+        decomp = m.weight_decomposition()
+        assert list(blocks) == sorted(decomp)
+        for w, block in blocks.items():
+            idx = decomp[w]
+            pos = {i: t for t, i in enumerate(idx)}
+            expected = RationalMatrix.from_columns(
+                [{pos[r]: v for r, v in fraction_casimir_column(m, j).items()} for j in idx],
+                len(idx))
+            assert list(block.entries.items()) == list(expected.entries.items())
+            assert all(type(x) is Fraction for x in block.entries.values())
+    # the adjoint module of sl(3) is irreducible: its Casimir is one scalar
+    c = casimir_eigenvalue(SL3, HighestWeight((1, 1)))
+    assert casimir_matrix(quotient) == RationalMatrix.identity(8).scale(c)
+
+
+def test_dense_block_polynomial_matches_matmul_chain_on_g3_blocks():
+    from infalex.johnson import johnson_context
+    ctx = johnson_context(3)
+    for target in ctx.eigenvalues:
+        for block in ctx.blocks.values():
+            got = _dense_block_polynomial(block, ctx.eigenvalues, target)
+            expected = matmul_block_polynomial(block, ctx.eigenvalues, target)
+            assert got == expected
+            assert _row_key_orders(got) == _row_key_orders(expected)
+            assert all(type(x) is Fraction for x in got.entries.values())
+
+
+def test_dense_block_polynomial_matches_matmul_chain_on_rational_blocks():
+    hypothesis = pytest.importorskip("hypothesis")
+    given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
+    rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    entries = st.one_of(st.just(Fraction(0)), rationals)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+               st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)),
+           st.lists(rationals, min_size=1, max_size=4, unique=True), st.data())
+    def check(rows, eigenvalues, data):
+        block = RationalMatrix.from_rows(rows)
+        target = data.draw(st.one_of(st.sampled_from(eigenvalues), rationals))
+        got = _dense_block_polynomial(block, eigenvalues, target)
+        expected = matmul_block_polynomial(block, eigenvalues, target)
+        assert got == expected
+        assert _row_key_orders(got) == _row_key_orders(expected)
+
+    check()
+
+
+def test_dominant_highest_weight_vectors_match_all_blocks():
+    sp_w2 = wedge_power(fundamental_module(SP3, 3), 2)
+    for m in (sp_w2, fundamental_module(SP3, 2), _adjoint_sl3_quotient(),
+              tensor_product(sym_power(defining_module(SL3), 2), wedge_power(defining_module(SL3), 2)),
+              tensor_product(tensor_product(defining_module(SL2), defining_module(SL2)),
+                             defining_module(SL2))):
+        # repr: the same vectors with the same key order and scalar types
+        assert repr(highest_weight_vectors(m)) == repr(all_blocks_highest_weight_vectors(m))
+    # what the cut saves: most weight blocks of wedge^2 V are not dominant
+    dominant = {w for w in sp_w2.weights if SP3.dominant(w) == w}
+    assert len(sp_w2.weight_decomposition()) > 10 * len(dominant)
+
+
+def test_algebra_caches_are_bounded():
+    for cached in (_algebra_basis, _dual_coefficients, _integral_dual):
+        assert cached.cache_info().maxsize is not None
