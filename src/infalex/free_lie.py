@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import ONE, RationalMatrix, Vec, axpy
+from .exact_linalg import ONE, RationalMatrix, axpy
 
 Word = tuple[int, ...]
 
@@ -181,10 +181,6 @@ class LieElement:
             items.append((tuple(w), c))
         return LieElement(degree, tuple(sorted(items)))
 
-    @staticmethod
-    def generator(i: int) -> "LieElement":
-        return LieElement(1, (((i,), ONE),))
-
     def as_dict(self) -> dict[Word, Fraction]:
         return dict(self.coords)
 
@@ -197,11 +193,6 @@ class LieElement:
         d = self.as_dict()
         axpy(d, 1, other.as_dict())
         return LieElement(self.degree, tuple(sorted(d.items())))
-
-    def to_vec(self, n: int) -> Vec:
-        """Coordinates against lyndon_words(n, degree), as a sparse vector."""
-        idx = lyndon_index(n, self.degree)
-        return {idx[w]: c for w, c in self.coords}
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:

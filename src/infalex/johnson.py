@@ -5,7 +5,9 @@ Ingredients, all exact:
 * H = C^{2g} with the symplectic form, V = wedge^3 H / (theta ^ H);
 * the decomposition wedge^2 V = R (+) Q (+) C z, Q the highest-weight
   summand of weight 2 lambda_2 and z spanning the invariant line, so that
-  Q = wedge^2 V / (R (+) C z);
+  Q = wedge^2 V / (R (+) C z); R is the kernel of one integer polynomial in
+  the Casimir operator per weight block, and dim Q is certified by the Weyl
+  dimension formula;
 * q = nabla-bar of the quadratic Lie algebra L(V)/(R + C z): the
   Sym(V)-linear map sending f (x) (a0 ^ a1 ^ a2) to the cyclic sum
   f a_i (x) [a_{i+1} ^ a_{i+2}], classes taken in Q; its degree-wise
@@ -25,20 +27,19 @@ coker(q) starts at g = 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
 from .alex_module import GradedMap, coker_dims, nabla_bar
 from .errors import BudgetExceededError, InternalInconsistencyError
-from .exact_linalg import RationalMatrix, Vec, act_vec, axpy
-from .free_lie import LieElement, bracket
+from .exact_linalg import Vec, act_vec, axpy
+from .free_lie import ad_generator_matrix
 from .quad_lie import LiePresentation, _ideal_echelon, quotient_pairs, wedge2_pairs
 from .rep_semisimple import (HighestWeight, LieAlgebraSpec, WeightModule,
                              casimir_blocks, casimir_eigenvalue,
                              fundamental_module, highest_weight_vectors,
-                             quotient_module, shifted_block, sym_act, wedge_act,
-                             wedge_power, _dense_block_polynomial)
+                             quotient_module, sym_act, wedge_act, wedge_power,
+                             weyl_dim, _dense_block_polynomial)
 
 MIN_GENUS = 3
 
@@ -88,13 +89,8 @@ class JohnsonContext:
         self.c_z = casimir_eigenvalue(self.spec, self.hw_zero)
 
         self.constituents = highest_weight_vectors(self.W2)
-        eigen_map: dict[Fraction, list[HighestWeight]] = {}
-        for hw, _v in self.constituents:
-            eigen_map.setdefault(casimir_eigenvalue(self.spec, hw), []).append(hw)
-        self.eigenvalues = sorted(eigen_map)
-        for c, hws in eigen_map.items():
-            if len(hws) > 1 and c in (self.c_q, self.c_z):
-                raise InternalInconsistencyError(f"Casimir eigenvalue collision at {c}: {hws}")
+        self.eigenvalues = sorted({casimir_eigenvalue(self.spec, hw)
+                                   for hw, _v in self.constituents})
         zs = [v for hw, v in self.constituents if hw == self.hw_zero]
         if len(zs) != 1:
             raise InternalInconsistencyError("invariant line of wedge^2 V should be unique")
@@ -103,38 +99,39 @@ class JohnsonContext:
         self.blocks = casimir_blocks(self.W2)
         self._build_r()
 
-    # -- R, and dim Q as the c_q eigenspace -------------------------------------
+    # -- R, and dim Q certified by Weyl ------------------------------------------
 
     def _build_r(self):
-        """One pass over the weight blocks.
+        """R_w = ker f(C_w) on each weight block w, f(x) = prod (x - c) over
+        the Casimir eigenvalues other than c_q and c_z.
 
-        A projector's image on a weight block is its eigenspace there, so
-        P_Q is evaluated only on blocks where ker(C - c_q) is nonzero and
-        P_z only on the block of z; elsewhere each is exactly zero.  R is
-        the intersection of their kernels, which is ker(P_Q + P_z) because
-        both are idempotents with P_Q P_z = 0.  dim Q is counted from the
-        eigenspaces, independently of R.
+        C is semisimple on wedge^2 V and acts on V(lambda) by the scalar
+        <lambda, lambda + 2 rho>, so ker f(C) is the sum of the constituents
+        whose eigenvalue is a root of f.  That is R exactly when no other
+        constituent shares c_q or c_z and V(2 lambda_2) occurs once; any such
+        collision puts a constituent on the wrong side, so dim Q, read off
+        as the rest, is checked against the Weyl dimension of 2 lambda_2.
+        The Weyl dimensions of the listed constituents must also add up to
+        dim wedge^2 V: a constituent listed twice leaves the roots, and so
+        ker f(C), unchanged.
         """
+        roots = [c for c in self.eigenvalues if c not in (self.c_q, self.c_z)]
         decomp = self.W2.weight_decomposition()
-        z_weight = self.W2.weights[min(self.z_vec)]
-        q_dim = 0
         r_basis: list[Vec] = []
         for w in sorted(self.blocks):
             idx = decomp[w]
-            block = self.blocks[w]
-            projector = RationalMatrix.zeros(len(idx), len(idx))
-            eigen_dim = len(shifted_block(block, self.c_q).kernel_basis())
-            if eigen_dim:
-                q_dim += eigen_dim
-                projector = _dense_block_polynomial(block, self.eigenvalues, self.c_q)
-            if w == z_weight:
-                projector = projector + _dense_block_polynomial(
-                    block, self.eigenvalues, self.c_z)
-            for kv in projector.kernel_basis():
+            for kv in _dense_block_polynomial(self.blocks[w], roots).kernel_basis():
                 r_basis.append({idx[t]: c for t, c in kv.items()})
-        self.q_dim = q_dim
         self.r_basis = r_basis
         self.r_dim = len(r_basis)
+        self.q_dim = self.W2.dimension - self.r_dim - 1
+        q_weyl = weyl_dim(self.spec, self.hw_two_l2)
+        listed = sum(weyl_dim(self.spec, hw) for hw, _v in self.constituents)
+        if (self.q_dim, listed) != (q_weyl, self.W2.dimension):
+            raise InternalInconsistencyError(
+                f"dim Q = {self.q_dim} against weyl_dim(2 lambda_2) = {q_weyl}, and "
+                f"constituents of total Weyl dimension {listed} against "
+                f"dim wedge^2 V = {self.W2.dimension}")
 
     # -- the map q ---------------------------------------------------------------
 
@@ -254,8 +251,9 @@ def central_z_check(g: int, *, allow_large: bool = False) -> bool:
     pres = LiePresentation.make(
         n, [{ctx.pairs[k]: c for k, c in v.items()} for v in ctx.r_basis])
     ideal3 = _ideal_echelon(pres, 3)
-    z_elt = LieElement.make(2, {ctx.pairs[k]: c for k, c in ctx.z_vec.items()})
-    return all(ideal3.contains(bracket(z_elt, LieElement.generator(i)).to_vec(n))
+    # L_2 and wedge^2 V share the pair basis, so z_vec is z in L_2; the
+    # matrices give [e_i, z] = -[z, e_i], and membership ignores the sign
+    return all(ideal3.contains(ad_generator_matrix(n, i, 2).matvec(ctx.z_vec))
                for i in range(n))
 
 

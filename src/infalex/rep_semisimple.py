@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import mul
 
 from .errors import AmbiguousDecompositionError
@@ -264,16 +264,16 @@ def defining_module(spec: LieAlgebraSpec) -> WeightModule:
     return WeightModule(spec, spec.defining_dim, spec.defining_weights(), actions)
 
 
-def _wedge_sign_and_target(combo: tuple[int, ...], slot: int, j: int):
-    """Replace combo[slot] by j inside a sorted wedge monomial; None if it dies."""
+def _wedge_parity_and_target(combo: tuple[int, ...], slot: int, j: int):
+    """Replace combo[slot] by j inside a sorted wedge monomial: the parity of
+    the sorting permutation (1 for a sign change) and the sorted monomial;
+    None if it dies."""
     if j in combo and j != combo[slot]:
         return None
     rest = combo[:slot] + combo[slot + 1:]
     inversions = sum(1 for s, c in enumerate(rest)
                      if (c > j and s < slot) or (c < j and s >= slot))
-    new = tuple(sorted(rest + (j,)))
-    sign = ONE if inversions % 2 == 0 else -ONE
-    return sign, new
+    return inversions % 2, tuple(sorted(rest + (j,)))
 
 
 def wedge_act(cols: ColMat, combo: tuple[int, ...]) -> dict:
@@ -284,10 +284,10 @@ def wedge_act(cols: ColMat, combo: tuple[int, ...]) -> dict:
         # one slot: distinct targets j give distinct monomials
         terms = {}
         for j, v in cols[i].items():
-            st = _wedge_sign_and_target(combo, slot, j)
+            st = _wedge_parity_and_target(combo, slot, j)
             if st is not None:
-                sign, new = st
-                terms[new] = sign * v
+                odd, new = st
+                terms[new] = -v if odd else v
         axpy(out, 1, terms)
     return out
 
@@ -382,8 +382,9 @@ def fundamental_module(spec: LieAlgebraSpec, k: int) -> WeightModule:
 def weyl_dim(spec: LieAlgebraSpec, hw: HighestWeight) -> int:
     """dim of the irreducible of highest weight hw, by the Weyl formula.
 
-    Test oracle: an independent count against the computed cokernel dims
-    (acceptance criteria 2 and 4) and dim Q; no CLI path calls it."""
+    JohnsonContext certifies dim Q and the constituents of wedge^2 V with it
+    on every run.  Test oracle: an independent count against the computed
+    cokernel dims (acceptance criteria 2 and 4)."""
     m = spec.partition_from_fundamental(hw)
     if spec.family == "sp":
         g = spec.rank
@@ -525,32 +526,31 @@ def highest_weight_vectors(m: WeightModule) -> list[tuple[HighestWeight, Vec]]:
 
 
 def shifted_block(block: RationalMatrix, c) -> RationalMatrix:
-    """The square block minus c * I."""
+    """The square block minus c * I.  Part of the test oracle
+    casimir_eigenspace."""
     return block - RationalMatrix.identity(block.rows).scale(c)
 
 
-def _dense_block_polynomial(block: RationalMatrix, eigenvalues, target) -> RationalMatrix:
-    """Evaluate prod (B - c')/(target - c') over eigenvalues c' != target.
+def _dense_block_polynomial(block: RationalMatrix, roots) -> RationalMatrix:
+    """Evaluate prod (B - c) over the roots c.
 
-    Fraction-free: with S the lcm of the denominators of B, of target and of
-    the eigenvalues, the integer matrices S B - S c' are multiplied as dense
-    rows and the product is divided once, by prod S (target - c').  Entries
-    are emitted column by column, the order of a RationalMatrix.matmul.
+    Fraction-free: with S the lcm of the denominators of B and of the roots,
+    the integer matrices S B - S c are multiplied as dense rows and the
+    product is divided once, by S^len(roots).  Entries are emitted column by
+    column, the order of a RationalMatrix.matmul.
     """
     n = block.rows
-    others = [c for c in eigenvalues if c != target]
     s = lcm(*{x.denominator for x in block.entries.values()},
-            *{c.denominator for c in others}, target.denominator)
+            *{c.denominator for c in roots})
     sb = [[0] * n for _ in range(n)]
     for (i, j), x in block.entries.items():
         sb[i][j] = _times(x, s)
     cols = [[int(i == j) for i in range(n)] for j in range(n)]  # the product, by columns
-    den = 1
-    for c in others:
+    for c in roots:
         sc = _times(c, s)
         rows = [row[:i] + [row[i] - sc] + row[i + 1:] for i, row in enumerate(sb)]
         cols = [[sum(map(mul, row, col)) for row in rows] for col in cols]
-        den *= _times(target, s) - sc
+    den = s ** len(roots)
     return RationalMatrix(n, n, {(i, j): Fraction(x, den) for j, col in enumerate(cols)
                                  for i, x in enumerate(col) if x})
 
@@ -581,10 +581,11 @@ def isotypic_projection(m: WeightModule, hw: HighestWeight, *,
             if hws.count(hw) > 1:
                 raise AmbiguousDecompositionError(
                     f"constituent {hw} has multiplicity {hws.count(hw)} > 1")
-    eigenvalues = sorted(emap)
+    others = [c for c in sorted(emap) if c != target]
     if blocks is None:
         blocks = casimir_blocks(m)
-    return _embed_blocks(m, {w: _dense_block_polynomial(block, eigenvalues, target)
+    norm = ONE / prod(target - c for c in others)
+    return _embed_blocks(m, {w: _dense_block_polynomial(block, others).scale(norm)
                              for w, block in blocks.items()})
 
 

@@ -5,7 +5,7 @@ checked against."""
 
 from itertools import combinations_with_replacement, permutations, product
 
-from infalex.exact_linalg import ONE, RationalMatrix, Vec, act_vec, axpy
+from infalex.exact_linalg import RationalMatrix, Vec, act_vec, axpy
 from infalex.rep_semisimple import (HighestWeight, WeightModule, _algebra_basis,
                                     _dual_coefficients, shifted_block, sym_act)
 
@@ -85,13 +85,12 @@ def fraction_casimir_column(m: WeightModule, j: int) -> Vec:
     return out
 
 
-def matmul_block_polynomial(block: RationalMatrix, eigenvalues, target) -> RationalMatrix:
-    """prod (B - c')/(target - c') over eigenvalues c' != target, as a chain
-    of RationalMatrix.matmul calls in Fractions."""
+def matmul_block_polynomial(block: RationalMatrix, roots) -> RationalMatrix:
+    """prod (B - c) over the roots c, as a chain of RationalMatrix.matmul
+    calls in Fractions."""
     out = RationalMatrix.identity(block.rows)
-    for c in eigenvalues:
-        if c != target:
-            out = shifted_block(block, c).matmul(out).scale(ONE / (target - c))
+    for c in roots:
+        out = shifted_block(block, c).matmul(out)
     return out
 
 

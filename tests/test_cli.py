@@ -184,6 +184,38 @@ def test_internal_failure_exit_code(capsys, monkeypatch, command, lines):
     assert json.loads(out)["error"] == "inconsistency"
 
 
+def _weyl_dim_off_by_one(monkeypatch, johnson):
+    weyl_dim = johnson.weyl_dim
+    monkeypatch.setattr(johnson, "weyl_dim", lambda spec, hw: weyl_dim(spec, hw) + 1)
+
+
+def _q_listed_twice(monkeypatch, johnson):
+    highest_weight_vectors = johnson.highest_weight_vectors
+
+    def twice(module):
+        found = highest_weight_vectors(module)
+        return found + [(hw, v) for hw, v in found if hw.coefficients[:2] == (0, 2)]
+
+    monkeypatch.setattr(johnson, "highest_weight_vectors", twice)
+
+
+@pytest.mark.parametrize("fault", [_weyl_dim_off_by_one, _q_listed_twice])
+@pytest.mark.parametrize("command", [["johnson", "--genus", "3", "--max-degree", "0"],
+                                     ["decompose", "--genus", "3"]])
+def test_weyl_certificate_exit_code(capsys, monkeypatch, command, fault):
+    # dim Q is read off as what R and z leave of wedge^2 V, and checked with
+    # the constituents against the Weyl dimension formula; a count that
+    # disagrees is an internal failure, reported as exit 4
+    from infalex import johnson
+    fault(monkeypatch, johnson)
+    monkeypatch.setattr(johnson, "_CTX_CACHE", {})
+    code, out = run(capsys, command)
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["error"] == "inconsistency"
+    assert "weyl_dim(2 lambda_2)" in doc["detail"]
+
+
 def test_missing_file_usage(capsys):
     code, _ = run(capsys, ["bb", "--presentation", "/nonexistent.json",
                            "--max-degree", "1"])

@@ -32,7 +32,9 @@ COMMANDS = {
                   "--method", "direct"],
     "johnson_g3": ["johnson", "--genus", "3", "--max-degree", "1"],
     "johnson_g3_deg2": ["johnson", "--genus", "3", "--max-degree", "2"],
+    "johnson_g4": ["johnson", "--genus", "4", "--max-degree", "1", "--allow-large"],
     "decompose_g3_central_z": ["decompose", "--genus", "3", "--central-z"],
+    "decompose_g4": ["decompose", "--genus", "4", "--allow-large"],
     "fox_z2": ["fox", "--presentation", "@group_z2.json"],
     "fox_f2xz": ["fox", "--presentation", "@group_f2xz.json"],
     "cv_character": ["cv", "--presentation", "@group_f2xz.json", "--character=zeta_3,-1,1"],

@@ -344,3 +344,19 @@ def test_invariance_certificate_refuses_a_non_invariant_r(monkeypatch):
     monkeypatch.setattr(johnson, "coker_dims", no_rank)
     with pytest.raises(InternalInconsistencyError, match="not invariant"):
         johnson_module_dims(3, 1)
+
+
+def test_weyl_certificate_refuses_a_casimir_collision(monkeypatch):
+    # genus 4 is the first genus with a constituent besides Q and z; if V(l2)
+    # shared the Casimir eigenvalue of Q, ker f(C) would lose it and dim Q,
+    # read off as the rest, would exceed weyl_dim(2 l2) by its 27 dimensions
+    from infalex import johnson
+    casimir_eigenvalue = johnson.casimir_eigenvalue
+    l2, two_l2 = HighestWeight((0, 1, 0, 0)), HighestWeight((0, 2, 0, 0))
+
+    def colliding(spec, hw):
+        return casimir_eigenvalue(spec, two_l2 if hw == l2 else hw)
+
+    monkeypatch.setattr(johnson, "casimir_eigenvalue", colliding)
+    with pytest.raises(InternalInconsistencyError, match=r"dim Q = 335 against .* = 308"):
+        JohnsonContext(4)
