@@ -24,9 +24,9 @@ from math import comb
 from operator import add, mul
 
 from .errors import InternalInconsistencyError
-from .exact_linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Vec, axpy
+from .exact_linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Vec
 from .free_lie import GradedDims
-from .quad_lie import LiePresentation, beta_matrix, wedge2_pairs
+from .quad_lie import LiePresentation, beta_matrix, wedge2_index, wedge2_pairs
 
 # a symbol term (i, k, c): multiply by x_i (or by 1 when i is None), land on
 # target generator k with coefficient c
@@ -127,7 +127,10 @@ class GradedMap:
 
 def koszul_map(n: int, k: int) -> GradedMap:
     """Sym (x) wedge^k V -> Sym (x) wedge^(k-1) V,
-    a_1^...^a_k |-> sum_t (-1)^(t+1) a_t (x) (a_1 ^ .. omit t .. ^ a_k)."""
+    a_1^...^a_k |-> sum_t (-1)^(t+1) a_t (x) (a_1 ^ .. omit t .. ^ a_k).
+
+    Test oracle: koszul_map(n, 3) is delta3(n) built by the general
+    formula, and the Koszul complex tests compose its degrees."""
     if k < 1:
         raise ValueError("k >= 1 required")
     source = list(combinations(range(n), k))
@@ -144,10 +147,31 @@ def koszul_map(n: int, k: int) -> GradedMap:
     return GradedMap(n, len(target_idx), (block,))
 
 
+def _cyclic_sum(n: int, columns, target_dim: int) -> GradedMap:
+    """Sym (x) wedge^3 V -> Sym (x) W,
+    a^b^c |-> a (x) f(b^c) - b (x) f(a^c) + c (x) f(a^b),
+    for f: wedge^2 V -> W given by its columns: columns[k] lists the sorted
+    (row, coefficient) pairs of f on the k-th pair of wedge2_pairs(n).
+
+    The three terms multiply by different variables, so they never share a
+    symbol entry and nothing is summed; with a < b < c the terms come out
+    sorted by (variable, row).
+    """
+    idx = wedge2_index(n)
+    symbol = []
+    for a, b, c in combinations(range(n), 3):
+        terms = [(a, r, x) for r, x in columns[idx[b, c]]]
+        terms += [(b, r, -x) for r, x in columns[idx[a, c]]]
+        terms += [(c, r, x) for r, x in columns[idx[a, b]]]
+        symbol.append(tuple(terms))
+    return GradedMap(n, target_dim, (SymbolBlock("wedge3", 1, tuple(symbol)),))
+
+
 def delta3(n: int) -> GradedMap:
     """The cyclic-sum map Sym (x) wedge^3 V -> Sym (x) wedge^2 V:
     a^b^c |-> a (x) b^c + b (x) c^a + c (x) a^b."""
-    return koszul_map(n, 3)
+    dim = comb(n, 2)
+    return _cyclic_sum(n, [((k, ONE),) for k in range(dim)], dim)
 
 
 def _relation_block(p: LiePresentation) -> SymbolBlock:
@@ -166,20 +190,11 @@ def nabla(p: LiePresentation) -> GradedMap:
 
 
 def nabla_bar(p: LiePresentation) -> GradedMap:
-    """The simplified presentation: compose the cyclic-sum block with the
-    bracket projection onto G_2, target Sym (x) G_2."""
-    n = p.dim_v
+    """The simplified presentation: the cyclic sum composed with the
+    bracket projection beta onto G_2, target Sym (x) G_2."""
     beta = beta_matrix(p)
-    beta_cols = beta.column_vectors()
-    d3_block = delta3(n).blocks[0]
-    symbol = []
-    for terms in d3_block.symbol:
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, k, c) in terms:
-            axpy(out, c, {(i, kk): b for kk, b in beta_cols[k].items()})
-        symbol.append(tuple((i, kk, c) for (i, kk), c in sorted(out.items())))
-    block = SymbolBlock("wedge3", 1, tuple(symbol))
-    return GradedMap(n, beta.rows, (block,))
+    columns = [sorted(c.items()) for c in beta.column_vectors()]
+    return _cyclic_sum(p.dim_v, columns, beta.rows)
 
 
 # ---------------------------------------------------------------------------

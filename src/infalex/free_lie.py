@@ -169,30 +169,8 @@ class LieElement:
     degree: int
     coords: tuple[tuple[Word, Fraction], ...]  # sorted by word, no zeros
 
-    @staticmethod
-    def make(degree: int, coords: dict) -> "LieElement":
-        items = []
-        for w, c in coords.items():
-            c = Fraction(c) if not isinstance(c, Fraction) else c
-            if not c:
-                continue
-            if len(w) != degree or not is_lyndon(tuple(w)):
-                raise ValueError(f"{w} is not a Lyndon word of length {degree}")
-            items.append((tuple(w), c))
-        return LieElement(degree, tuple(sorted(items)))
-
-    def as_dict(self) -> dict[Word, Fraction]:
-        return dict(self.coords)
-
     def is_zero(self) -> bool:
         return not self.coords
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        d = self.as_dict()
-        axpy(d, 1, other.as_dict())
-        return LieElement(self.degree, tuple(sorted(d.items())))
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:

@@ -1,11 +1,14 @@
 """Weight modules built only as test inputs: symmetric powers and tensor
 products of the modules that infalex.rep_semisimple constructs.  Also the
 Fraction-valued references that the integer kernels of rep_semisimple are
-checked against."""
+checked against, and the composed nabla-bar that the one-pass cyclic sum of
+infalex.alex_module is checked against."""
 
 from itertools import combinations_with_replacement, permutations, product
 
+from infalex.alex_module import GradedMap, SymbolBlock, koszul_map
 from infalex.exact_linalg import RationalMatrix, Vec, act_vec, axpy
+from infalex.quad_lie import beta_matrix
 from infalex.rep_semisimple import (HighestWeight, WeightModule, _algebra_basis,
                                     _dual_coefficients, shifted_block, sym_act)
 
@@ -109,3 +112,21 @@ def all_blocks_highest_weight_vectors(m: WeightModule) -> list[tuple[HighestWeig
         for kv in stacked.kernel_basis():
             out.append((spec.fundamental_from_weight(w), {idx[t]: v for t, v in kv.items()}))
     return out
+
+
+# -- the composed reference for nabla-bar ---------------------------------------
+
+def composed_nabla_bar(p) -> GradedMap:
+    """nabla-bar of the presentation p the long way: each term of the symbol
+    of koszul_map(n, 3) mapped through the columns of beta_matrix(p),
+    accumulated with axpy, then sorted by (variable, row)."""
+    n = p.dim_v
+    beta = beta_matrix(p)
+    beta_cols = beta.column_vectors()
+    symbol = []
+    for terms in koszul_map(n, 3).blocks[0].symbol:
+        out: Vec = {}
+        for (i, k, c) in terms:
+            axpy(out, c, {(i, kk): b for kk, b in beta_cols[k].items()})
+        symbol.append(tuple((i, kk, c) for (i, kk), c in sorted(out.items())))
+    return GradedMap(n, beta.rows, (SymbolBlock("wedge3", 1, tuple(symbol)),))

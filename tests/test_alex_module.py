@@ -13,6 +13,8 @@ from infalex.errors import InternalInconsistencyError
 from infalex.quad_lie import LiePresentation, bb_direct, quotient_pairs, wedge2_pairs
 from infalex.rep_semisimple import LieAlgebraSpec
 
+from module_builders import composed_nabla_bar
+
 
 def full_relations(n):
     return [{(i, j): 1} for i in range(n) for j in range(i + 1, n)]
@@ -44,6 +46,13 @@ def test_delta3_symbol_formula():
                 (1, pairs[(0, 2)]): Fraction(-1),   # e2 ^ e0 = -(e0 ^ e2)
                 (2, pairs[(0, 1)]): Fraction(1)}
     assert {(i, k): c for (i, k, c) in symbol} == expected
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_delta3_is_the_koszul_differential(n):
+    # the cyclic sum on unit columns against the general Koszul formula: the
+    # same symbol tuples, term order and coefficients
+    assert delta3(n) == koszul_map(n, 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -94,6 +103,29 @@ def test_nabla_bar_free_equals_delta3():
     d3 = delta3(3)
     for q in range(4):
         assert nb.instantiate(q).entries == d3.instantiate(q).entries
+
+
+def test_property_nabla_bar_matches_composition():
+    # the one-pass cyclic sum through beta's columns against koszul_map(n, 3)
+    # composed with beta term by term, on presentations with n <= 6 and coefficients
+    # p/r, |p| <= 3, 1 <= r <= 3
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficient = st.one_of(st.just(0), st.builds(Fraction, st.integers(-3, 3),
+                                                  st.integers(1, 3)))
+
+    def presentations(n):
+        pairs = wedge2_pairs(n)
+        relation = st.lists(coefficient, min_size=len(pairs), max_size=len(pairs))
+        return st.lists(relation, max_size=4).map(lambda rels: LiePresentation.make(
+            n, [{pair: c for pair, c in zip(pairs, r) if c} for r in rels]))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(1, 6).flatmap(presentations))
+    def check(p):
+        assert nabla_bar(p) == composed_nabla_bar(p)
+
+    check()
 
 
 def test_nabla_bar_full_relations_zero_target():

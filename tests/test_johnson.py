@@ -17,7 +17,7 @@ from infalex.johnson import (JohnsonContext, central_z_check, decompose_wedge2_V
                              johnson_module_dims)
 from infalex.rep_semisimple import HighestWeight, act_vec, isotypic_projection, weyl_dim
 
-from module_builders import weyl_orbit
+from module_builders import composed_nabla_bar, weyl_orbit
 
 # sha256 of the repr of each context field, so values, dict key order and
 # container types all count; recorded before the single-pass context build.
@@ -84,6 +84,12 @@ def test_johnson_dims_g3():
     doc = rep.to_json_dict()
     assert doc["dims"]["wedge2V"] == [0, 90, 1]
     assert doc["M"][0] == doc["coker_q"][0] + 1
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_q_map_matches_composed_nabla_bar(g):
+    ctx = johnson_context(g)
+    assert ctx.q_map() == composed_nabla_bar(ctx.presentation_with_z)
 
 
 def test_weighted_rank_matches_plain_instantiation_g3():
