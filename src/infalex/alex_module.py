@@ -330,14 +330,16 @@ def coker_multiplication_action(gm: GradedMap, max_degree: int) -> tuple[int, li
     one nilpotent matrix per variable.
     """
     n = gm.base_dim
-    spans = []
+    quotients = []
     free_rows = []
     offsets = []
     total = 0
     for q in range(max_degree + 1):
         eb = gm.instantiate(q).column_span()
-        spans.append(eb)
-        free_rows.append(eb.free(gm.target_dim_in_degree(q)))
+        rows = gm.target_dim_in_degree(q)
+        free_rows.append(eb.free(rows))
+        # multiplication lands in degrees 1..max_degree only
+        quotients.append(eb.quotient(rows) if q else None)
         offsets.append(total)
         total += len(free_rows[q])
     mats = []
@@ -352,7 +354,7 @@ def coker_multiplication_action(gm: GradedMap, max_degree: int) -> tuple[int, li
                 up = list(mono)
                 up[i] += 1
                 row = tgt_idx[tuple(up)] * gm.target_dim + k
-                for t, c in spans[q + 1].coordinates({row: ONE}, free_rows[q + 1]).items():
+                for t, c in quotients[q + 1][row].items():
                     entries[(offsets[q + 1] + t, offsets[q] + col_local)] = c
         mats.append(RationalMatrix(total, total, entries))
     return total, mats

@@ -144,15 +144,8 @@ class CyclotomicScalar:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        deg = len(self.coeffs)
-        conv = [ZERO] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    conv[i + j] += a * b
-        return CyclotomicScalar(self.order, _reduce_mod_phi(conv, self.order))
+        return CyclotomicScalar(self.order,
+                                _reduce_mod_phi(_polymul_q(self.coeffs, o.coeffs), self.order))
 
     __rmul__ = __mul__
 
@@ -345,7 +338,7 @@ def _normalize(r: Vec, lead) -> Vec:
             g = -g
         return r if g == 1 else {k: x // g for k, x in r.items()}
     if pivot != 1:   # one inverse per row: a cyclotomic one runs extended Euclid
-        inv = ONE / pivot
+        inv = pivot.inverse()
         return {k: x * inv for k, x in r.items()}
     return r
 
@@ -364,11 +357,11 @@ class EchelonBasis:
     cyclotomic row normalized to 1 at its lead; one elimination step,
     ``_clear``, serves both, and every value read out is a ``Fraction`` or a
     ``CyclotomicScalar``.  Callers that only need a spanning set of the span
-    (``_ideal_echelon``, ``nilpotent_transport``) read ``rows.values()``
-    directly, which scaled rows still are.
+    (``_ideal_echelon``, ``nilpotent_transport``, ``quotient_module``) read
+    ``rows.values()`` directly, which scaled rows still are.
 
     rank, free and contains need only the leads, so add does no back-reduction;
-    vectors, coordinates and kernel_coefficients read inter-reduced rows.
+    vectors, quotient and kernel read inter-reduced rows.
     """
 
     def __init__(self):
@@ -379,12 +372,11 @@ class EchelonBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Mapping, *, scaled: bool = False):
-        """The canonical representative of v modulo the span: the one supported
-        on non-pivot positions.  With scaled=True, the pair (d * it, d), whose
-        entries are integers for a rational v: add and contains read that form
-        and skip the division.  A row with lead p only touches positions above
-        p, so pivots are eliminated in increasing order, through a heap."""
+    def reduce(self, v: Mapping):
+        """(d * w, d) for w the canonical representative of v modulo the span,
+        the one supported on non-pivot positions; the entries of d * w are
+        integers for a rational v.  A row with lead p only touches positions
+        above p, so pivots are eliminated in increasing order, through a heap."""
         r, d = _lift(v)
         rows, fill = self.rows, not self._reduced
         heap = [k for k in r if k in rows]
@@ -396,13 +388,11 @@ class EchelonBasis:
                     for k in (rows[p].keys() & rows.keys()) - r.keys():
                         heappush(heap, k)
                 d *= _clear(r, p, rows[p])
-        if scaled:
-            return r, d
-        return {k: _over(x, d) for k, x in r.items()}
+        return r, d
 
     def add(self, v: Mapping) -> bool:
         """Insert v; returns True when the rank grew."""
-        r, _d = self.reduce(v, scaled=True)
+        r, _d = self.reduce(v)
         if not r:
             return False
         lead = min(r)
@@ -433,7 +423,7 @@ class EchelonBasis:
         return eb
 
     def contains(self, v: Mapping) -> bool:
-        return not self.reduce(v, scaled=True)[0]
+        return not self.reduce(v)[0]
 
     def free(self, n: int) -> dict[int, int]:
         """The quotient of positions 0..n-1 by the span: each non-pivot
@@ -442,14 +432,18 @@ class EchelonBasis:
         rows = self.rows
         return {k: t for t, k in enumerate(k for k in range(n) if k not in rows)}
 
-    def coordinates(self, v: Mapping, pos: Mapping[int, int]) -> Vec:
-        """Coordinates of the class of v in the quotient basis pos = free(n).
+    def quotient(self, n: int) -> list[Vec]:
+        """The quotient map of positions 0..n-1 onto the basis free(n), as
+        sparse columns: act_vec(quotient, v) is the class of v.
 
-        The reduced representative is supported on non-pivot positions only,
-        so the coordinates are its entries renumbered by pos.
+        A free position is its own basis vector.  Inter-reduced, the row with
+        lead l carries free positions only besides l, so e_l is minus the rest
+        of that row over its lead, modulo the span.
         """
         self._inter_reduce()
-        return {pos[k]: x for k, x in self.reduce(v).items()}
+        pos, rows = self.free(n), self.rows
+        return [{pos[f]: _over(-x, rows[k][k]) for f, x in rows[k].items() if f != k}
+                if k in rows else {pos[k]: ONE} for k in range(n)]
 
     def vectors(self) -> list[Vec]:
         """The reduced row echelon form: inter-reduced rows with lead 1."""
@@ -457,19 +451,18 @@ class EchelonBasis:
         return [{k: _over(x, row[l]) for k, x in row.items()}
                 for l, row in sorted(self.rows.items())]
 
-    def kernel_coefficients(self, free_col: int) -> Vec:
-        """Kernel vector of the row span carrying 1 at the given free column.
-
-        The result is supported on the free column and pivot columns only;
-        with inter-reduced rows this is direct read-off.
-        """
+    def kernel(self, n: int) -> dict[int, Vec]:
+        """The kernel of the rows on positions 0..n-1, one vector per free
+        column f: 1 at f, 0 at every other free column, and supported on f
+        and the pivots.  Inter-reduced rows give each pivot's entry directly,
+        so one pass over the rows fills every vector."""
         self._inter_reduce()
-        v: Vec = {free_col: ONE}
+        out: dict[int, Vec] = {f: {f: ONE} for f in self.free(n)}
         for l, row in self.rows.items():
-            c = row.get(free_col)
-            if c:
-                v[l] = _over(-c, row[l])
-        return v
+            for f, x in row.items():
+                if f != l:
+                    out[f][l] = _over(-x, row[l])
+        return out
 
 
 def echelon_basis(vectors: Iterable[Mapping]) -> EchelonBasis:
@@ -512,7 +505,7 @@ class RationalMatrix:
         if order is not None and seen_rational:
             cleaned = {k: promote(v, order) for k, v in cleaned.items()}
         self.entries = cleaned
-        self._columns = None   # column_vectors(), kept by matvec and matmul
+        self._columns = None   # built once by column_vectors()
 
     # -- constructors ---------------------------------------------------------
 
@@ -520,24 +513,15 @@ class RationalMatrix:
     def from_rows(data: Sequence[Sequence]) -> "RationalMatrix":
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                vv = v if isinstance(v, CyclotomicScalar) else _to_fraction(v)
-                if vv:
-                    entries[(i, j)] = vv
-        return RationalMatrix(rows, cols, entries)
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+        return RationalMatrix(rows, cols, {(i, j): v for i, row in enumerate(data)
+                                           for j, v in enumerate(row)})
 
     @staticmethod
     def from_columns(columns: Sequence[Mapping], rows: int) -> "RationalMatrix":
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if v:
-                    entries[(i, j)] = v
-        return RationalMatrix(rows, len(columns), entries)
+        return RationalMatrix(rows, len(columns), {(i, j): v for j, col in enumerate(columns)
+                                                   for i, v in col.items()})
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
@@ -556,10 +540,15 @@ class RationalMatrix:
         return out
 
     def column_vectors(self) -> list[Vec]:
-        out: list[Vec] = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            out[j][i] = v
-        return out
+        """The columns as sparse vectors, built once and shared by every
+        caller: entries never change after construction, and no caller
+        mutates the list or its vectors."""
+        if self._columns is None:
+            out: list[Vec] = [dict() for _ in range(self.cols)]
+            for (i, j), v in self.entries.items():
+                out[j][i] = v
+            self._columns = out
+        return self._columns
 
     def transpose(self) -> "RationalMatrix":
         """Test oracle: rank(m) == rank(m.transpose()) checks the echelon
@@ -598,19 +587,13 @@ class RationalMatrix:
         return RationalMatrix(self.rows, self.cols,
                               {k: c * v for k, v in self.entries.items()})
 
-    def _cached_columns(self) -> list[Vec]:
-        # entries never change after construction, so the columns are built once
-        if self._columns is None:
-            self._columns = self.column_vectors()
-        return self._columns
-
     def matvec(self, v: Mapping) -> Vec:
-        return act_vec(self._cached_columns(), v)
+        return act_vec(self.column_vectors(), v)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        left_cols = self._cached_columns()
+        left_cols = self.column_vectors()
         entries: dict[tuple[int, int], Scalar] = {}
         for j, col in enumerate(other.column_vectors()):
             for i, x in act_vec(left_cols, col).items():
@@ -643,7 +626,7 @@ class RationalMatrix:
         """
         # stacked operators leave most rows empty, and those span nothing
         eb = echelon_basis(v for v in self.row_vectors() if v)
-        return [(f, eb.kernel_coefficients(f)) for f in eb.free(self.cols)]
+        return list(eb.kernel(self.cols).items())
 
     def column_span(self) -> EchelonBasis:
         return echelon_basis(self.column_vectors())

@@ -338,7 +338,11 @@ class Character:
                     m_str, j_str = body.split("^", 1)
                 else:
                     m_str, j_str = body, "1"
-                m, j = int(m_str), int(j_str)
+                try:
+                    m, j = int(m_str), int(j_str)
+                except ValueError:
+                    raise CharacterError(f"malformed token {t!r}: expected zeta_m or "
+                                         f"zeta_m^j with integers m and j") from None
                 if m < 1:
                     raise CharacterError(f"cyclotomic order must be >= 1 in {t!r}")
                 if order is None:

@@ -27,7 +27,7 @@ coker(q) starts at g = 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .alex_module import GradedMap, coker_dims, nabla_bar
@@ -85,25 +85,18 @@ class JohnsonContext:
 
         self.hw_two_l2 = HighestWeight((0, 2) + (0,) * (g - 2))
         self.hw_zero = HighestWeight((0,) * g)
-        self.c_q = casimir_eigenvalue(self.spec, self.hw_two_l2)
-        self.c_z = casimir_eigenvalue(self.spec, self.hw_zero)
-
-        self.constituents = highest_weight_vectors(self.W2)
-        self.eigenvalues = sorted({casimir_eigenvalue(self.spec, hw)
-                                   for hw, _v in self.constituents})
-        zs = [v for hw, v in self.constituents if hw == self.hw_zero]
+        constituents = highest_weight_vectors(self.W2)
+        zs = [v for hw, v in constituents if hw == self.hw_zero]
         if len(zs) != 1:
             raise InternalInconsistencyError("invariant line of wedge^2 V should be unique")
         self.z_vec = zs[0]
-
-        self.blocks = casimir_blocks(self.W2)
-        self._build_r()
+        self._build_r(constituents)
 
     # -- R, and dim Q certified by Weyl ------------------------------------------
 
-    def _build_r(self):
+    def _build_r(self, constituents):
         """R_w = ker f(C_w) on each weight block w, f(x) = prod (x - c) over
-        the Casimir eigenvalues other than c_q and c_z.
+        the Casimir eigenvalues of the constituents other than c_q and c_z.
 
         C is semisimple on wedge^2 V and acts on V(lambda) by the scalar
         <lambda, lambda + 2 rho>, so ker f(C) is the sum of the constituents
@@ -115,18 +108,22 @@ class JohnsonContext:
         dim wedge^2 V: a constituent listed twice leaves the roots, and so
         ker f(C), unchanged.
         """
-        roots = [c for c in self.eigenvalues if c not in (self.c_q, self.c_z)]
+        c_q = casimir_eigenvalue(self.spec, self.hw_two_l2)
+        c_z = casimir_eigenvalue(self.spec, self.hw_zero)
+        eigenvalues = sorted({casimir_eigenvalue(self.spec, hw) for hw, _v in constituents})
+        roots = [c for c in eigenvalues if c not in (c_q, c_z)]
+        blocks = casimir_blocks(self.W2)
         decomp = self.W2.weight_decomposition()
         r_basis: list[Vec] = []
-        for w in sorted(self.blocks):
+        for w in sorted(blocks):
             idx = decomp[w]
-            for kv in _dense_block_polynomial(self.blocks[w], roots).kernel_basis():
+            for kv in _dense_block_polynomial(blocks[w], roots).kernel_basis():
                 r_basis.append({idx[t]: c for t, c in kv.items()})
         self.r_basis = r_basis
         self.r_dim = len(r_basis)
         self.q_dim = self.W2.dimension - self.r_dim - 1
         q_weyl = weyl_dim(self.spec, self.hw_two_l2)
-        listed = sum(weyl_dim(self.spec, hw) for hw, _v in self.constituents)
+        listed = sum(weyl_dim(self.spec, hw) for hw, _v in constituents)
         if (self.q_dim, listed) != (q_weyl, self.W2.dimension):
             raise InternalInconsistencyError(
                 f"dim Q = {self.q_dim} against weyl_dim(2 lambda_2) = {q_weyl}, and "
@@ -189,14 +186,11 @@ class JohnsonContext:
         return dict(zip(triples, self.q_map().blocks[0].symbol))
 
 
-_CTX_CACHE: dict[int, JohnsonContext] = {}
-
-
+@lru_cache(maxsize=2)
 def johnson_context(g: int) -> JohnsonContext:
-    ctx = _CTX_CACHE.get(g)
-    if ctx is None:
-        ctx = _CTX_CACHE[g] = JohnsonContext(g)
-    return ctx
+    """The context of genus g, shared by the commands of one process; a
+    long-lived caller keeps at most two."""
+    return JohnsonContext(g)
 
 
 def decompose_wedge2_V(g: int, *, allow_large: bool = False) -> list[tuple]:

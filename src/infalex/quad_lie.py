@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import documents
-from .exact_linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Vec, echelon_basis
+from .exact_linalg import ZERO, EchelonBasis, RationalMatrix, Vec, echelon_basis
 from .free_lie import (GradedDims, _lyndon_words_cached, ad_generator_matrix,
                        basis_bracket, lyndon_index)
 
@@ -150,13 +150,8 @@ def beta_matrix(p: LiePresentation) -> RationalMatrix:
     quotient coordinates.
     """
     span = p.relation_span()
-    pos = quotient_pairs(p)
     total = len(wedge2_pairs(p.dim_v))
-    entries = {}
-    for k in range(total):
-        for r, c in span.coordinates({k: ONE}, pos).items():
-            entries[(r, k)] = c
-    return RationalMatrix(len(pos), total, entries)
+    return RationalMatrix.from_columns(span.quotient(total), total - span.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -329,13 +329,14 @@ def quotient_module(m: WeightModule, spanning: list[Vec]) -> WeightModule:
     positions of the echelonized span; invariance is verified.
     """
     eb = echelon_basis(spanning)
-    for v in eb.vectors():
+    for v in eb.rows.values():
         for label, cols in m.actions.items():
-            if eb.reduce(act_vec(cols, v)):
+            if not eb.contains(act_vec(cols, v)):
                 raise ValueError(f"subspace not invariant under {label}")
+    quotient = eb.quotient(m.dimension)
     pos = eb.free(m.dimension)
     weights = tuple(m.weights[i] for i in pos)
-    actions = {label: tuple(eb.coordinates(cols[i], pos) for i in pos)
+    actions = {label: tuple(act_vec(quotient, cols[i]) for i in pos)
                for label, cols in m.actions.items()}
     return WeightModule(m.algebra, len(pos), weights, actions)
 

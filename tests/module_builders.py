@@ -1,13 +1,16 @@
 """Weight modules built only as test inputs: symmetric powers and tensor
 products of the modules that infalex.rep_semisimple constructs.  Also the
 Fraction-valued references that the integer kernels of rep_semisimple are
-checked against, and the composed nabla-bar that the one-pass cyclic sum of
-infalex.alex_module is checked against."""
+checked against, the composed nabla-bar that the one-pass cyclic sum of
+infalex.alex_module is checked against, and the one-vector-at-a-time
+read-outs that EchelonBasis.quotient and EchelonBasis.kernel are checked
+against."""
 
+from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 from infalex.alex_module import GradedMap, SymbolBlock, koszul_map
-from infalex.exact_linalg import RationalMatrix, Vec, act_vec, axpy
+from infalex.exact_linalg import EchelonBasis, RationalMatrix, Vec, act_vec, axpy
 from infalex.quad_lie import beta_matrix
 from infalex.rep_semisimple import (HighestWeight, WeightModule, _algebra_basis,
                                     _dual_coefficients, shifted_block, sym_act)
@@ -130,3 +133,30 @@ def composed_nabla_bar(p) -> GradedMap:
             axpy(out, c, {(i, kk): b for kk, b in beta_cols[k].items()})
         symbol.append(tuple((i, kk, c) for (i, kk), c in sorted(out.items())))
     return GradedMap(n, beta.rows, (SymbolBlock("wedge3", 1, tuple(symbol)),))
+
+
+# -- one-vector-at-a-time references for the EchelonBasis read-outs -------------
+
+def _over(x, d):
+    return Fraction(x, d) if isinstance(x, int) else x
+
+
+def reduced_coordinates(eb: EchelonBasis, v: Vec, pos: dict[int, int]) -> Vec:
+    """The class of v in the quotient basis pos = eb.free(n), one vector at a
+    time: reduce v against the inter-reduced rows, divide by the scale d,
+    renumber the surviving non-pivot positions by pos."""
+    eb._inter_reduce()
+    r, d = eb.reduce(v)
+    return {pos[k]: _over(x, d) for k, x in r.items()}
+
+
+def kernel_column(eb: EchelonBasis, free_col: int) -> Vec:
+    """The kernel vector of the rows with 1 at free_col, one free column at a
+    time: a scan of every inter-reduced row for its entry at free_col."""
+    eb._inter_reduce()
+    v: Vec = {free_col: Fraction(1)}
+    for lead, row in eb.rows.items():
+        c = row.get(free_col)
+        if c:
+            v[lead] = _over(-c, row[lead])
+    return v

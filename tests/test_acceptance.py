@@ -23,8 +23,9 @@ from infalex.nilpotent_transport import (FinDimSymModule,
                                          annihilator_exponent_match,
                                          exp_transport, log_transport)
 from infalex.quad_lie import LiePresentation, bb_direct, wedge2_index
-from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec,
-                                    casimir_eigenspace, chen_module_weight,
+from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, casimir_blocks,
+                                    casimir_eigenspace, casimir_eigenvalue,
+                                    chen_module_weight, highest_weight_vectors,
                                     weyl_dim)
 
 PASS = "PASS criterion {}: {}"
@@ -92,8 +93,10 @@ def test_criterion_4_johnson_decomposition():
     # cross-check: Casimir eigenspace dims against the Weyl formula
     sp3 = LieAlgebraSpec("sp", 3)
     assert ctx3.q_dim == weyl_dim(sp3, HighestWeight((0, 2, 0)))
-    assert len(casimir_eigenspace(ctx3.W2, ctx3.c_q, blocks=ctx3.blocks)) == 90
-    assert len(casimir_eigenspace(ctx3.W2, ctx3.c_z, blocks=ctx3.blocks)) == 1
+    blocks3 = casimir_blocks(ctx3.W2)
+    c_q3, c_z3 = (casimir_eigenvalue(sp3, hw) for hw in (ctx3.hw_two_l2, ctx3.hw_zero))
+    assert len(casimir_eigenspace(ctx3.W2, c_q3, blocks=blocks3)) == 90
+    assert len(casimir_eigenspace(ctx3.W2, c_z3, blocks=blocks3)) == 1
     # genus 4
     ctx4 = johnson_context(4)
     sp4 = LieAlgebraSpec("sp", 4)
@@ -101,10 +104,12 @@ def test_criterion_4_johnson_decomposition():
     assert sum(parts) == comb(48, 2) == 1128
     assert parts[2] == 1
     assert ctx4.q_dim == weyl_dim(sp4, HighestWeight((0, 2, 0, 0))) == 308
-    assert len(casimir_eigenspace(ctx4.W2, ctx4.c_q, blocks=ctx4.blocks)) == 308
-    assert len(casimir_eigenspace(ctx4.W2, ctx4.c_z, blocks=ctx4.blocks)) == 1
+    blocks4 = casimir_blocks(ctx4.W2)
+    c_q4, c_z4 = (casimir_eigenvalue(sp4, hw) for hw in (ctx4.hw_two_l2, ctx4.hw_zero))
+    assert len(casimir_eigenspace(ctx4.W2, c_q4, blocks=blocks4)) == 308
+    assert len(casimir_eigenspace(ctx4.W2, c_z4, blocks=blocks4)) == 1
     # the complement matches the Weyl dims of the remaining constituents
-    rest = [hw for hw, _v in ctx4.constituents
+    rest = [hw for hw, _v in highest_weight_vectors(ctx4.W2)
             if hw not in (ctx4.hw_two_l2, ctx4.hw_zero)]
     assert ctx4.r_dim == sum(weyl_dim(sp4, hw) for hw in rest) == 819
     print(PASS.format(4, "wedge^2 V(l3): g=3 gives (0, 90, 1) with dim V = 14; "

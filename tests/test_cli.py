@@ -165,7 +165,7 @@ def test_torsion_budget_refusal_of_a_huge_sweep(capsys, tmp_path, order, generat
 @pytest.mark.parametrize("lines", [0, 2])
 @pytest.mark.parametrize("command", [["johnson", "--genus", "3", "--max-degree", "0"],
                                      ["decompose", "--genus", "3"]])
-def test_internal_failure_exit_code(capsys, monkeypatch, command, lines):
+def test_internal_failure_exit_code(capsys, monkeypatch, fresh_contexts, command, lines):
     # the genus-3 context must find exactly one invariant line in wedge^2 V;
     # any other count is an internal failure, reported as exit 4, not a traceback
     from infalex import johnson
@@ -178,7 +178,6 @@ def test_internal_failure_exit_code(capsys, monkeypatch, command, lines):
         return others + zero * lines
 
     monkeypatch.setattr(johnson, "highest_weight_vectors", wrong_lines)
-    monkeypatch.setattr(johnson, "_CTX_CACHE", {})
     code, out = run(capsys, command)
     assert code == 4
     assert json.loads(out)["error"] == "inconsistency"
@@ -202,13 +201,12 @@ def _q_listed_twice(monkeypatch, johnson):
 @pytest.mark.parametrize("fault", [_weyl_dim_off_by_one, _q_listed_twice])
 @pytest.mark.parametrize("command", [["johnson", "--genus", "3", "--max-degree", "0"],
                                      ["decompose", "--genus", "3"]])
-def test_weyl_certificate_exit_code(capsys, monkeypatch, command, fault):
+def test_weyl_certificate_exit_code(capsys, monkeypatch, fresh_contexts, command, fault):
     # dim Q is read off as what R and z leave of wedge^2 V, and checked with
     # the constituents against the Weyl dimension formula; a count that
     # disagrees is an internal failure, reported as exit 4
     from infalex import johnson
     fault(monkeypatch, johnson)
-    monkeypatch.setattr(johnson, "_CTX_CACHE", {})
     code, out = run(capsys, command)
     assert code == 4
     doc = json.loads(out)
@@ -378,6 +376,23 @@ def test_huge_cyclotomic_order_usage_error(capsys, tmp_path, argv, doc):
     assert code == 2
     assert elapsed < 1.0
     assert "cyclotomic order" in captured.err
+
+
+@pytest.mark.parametrize("token", [
+    pytest.param("zeta_3^x", id="exponent-not-an-integer"),
+    pytest.param("zeta_^2", id="order-missing"),
+    pytest.param("zeta_3^", id="exponent-missing"),
+    pytest.param("zeta_3^" + "7" * 5000, id="exponent-beyond-the-digit-limit"),
+])
+def test_malformed_zeta_token_usage_error(capsys, files, token):
+    # the error names the token and the form it should have
+    code = main(["cv", f"--character={token},1", "--presentation", files["f2"]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert repr(token) in captured.err
+    assert "zeta_m or zeta_m^j" in captured.err
 
 
 @pytest.mark.parametrize("error", [KeyError("k"), TypeError("t"), ArithmeticError("a"),

@@ -5,7 +5,9 @@ from math import gcd
 import pytest
 
 from infalex.exact_linalg import (MAX_CYCLOTOMIC_ORDER, CyclotomicScalar, RationalMatrix,
-                                  axpy, cyclotomic_polynomial, echelon_basis, promote)
+                                  act_vec, axpy, cyclotomic_polynomial, echelon_basis, promote)
+
+from module_builders import kernel_column, reduced_coordinates
 
 
 def test_rank_identity():
@@ -220,30 +222,32 @@ def test_echelon_membership_helper():
 
 def test_free_of_empty_span_is_every_position():
     eb = echelon_basis([])
-    pos = eb.free(3)
-    assert pos == {0: 0, 1: 1, 2: 2}
+    assert eb.free(3) == {0: 0, 1: 1, 2: 2}
+    quotient = eb.quotient(3)
+    assert quotient == [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
     for k in range(3):
-        assert eb.coordinates({k: Fraction(2)}, pos) == {k: Fraction(2)}
+        assert act_vec(quotient, {k: Fraction(2)}) == {k: Fraction(2)}
 
 
 def test_free_and_coordinates_when_lead_is_not_zero():
     # the span of e1 + 2 e2 has its pivot at 1; positions 0 and 2 stay free
     eb = echelon_basis([{1: Fraction(3), 2: Fraction(6)}])
-    pos = eb.free(3)
-    assert pos == {0: 0, 2: 1}
+    assert eb.free(3) == {0: 0, 2: 1}
     # e1 is -2 e2 modulo the span, and e2 is the second quotient basis vector
-    assert eb.coordinates({1: Fraction(1)}, pos) == {1: Fraction(-2)}
-    assert (eb.coordinates({0: Fraction(3), 1: Fraction(1)}, pos)
+    quotient = eb.quotient(3)
+    assert quotient == [{0: Fraction(1)}, {1: Fraction(-2)}, {1: Fraction(1)}]
+    assert act_vec(quotient, {1: Fraction(1)}) == {1: Fraction(-2)}
+    assert (act_vec(quotient, {0: Fraction(3), 1: Fraction(1)})
             == {0: Fraction(3), 1: Fraction(-2)})
 
 
 def test_coordinates_of_span_vector_is_empty():
     eb = echelon_basis([{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(-1)}])
-    pos = eb.free(3)
-    assert pos == {2: 0}
+    assert eb.free(3) == {2: 0}
+    quotient = eb.quotient(3)
     # 2 (e0 + e2) - 3 (e1 - e2)
-    assert eb.coordinates({0: Fraction(2), 1: Fraction(-3), 2: Fraction(5)}, pos) == {}
-    assert eb.coordinates({2: Fraction(1)}, pos) == {0: Fraction(1)}
+    assert act_vec(quotient, {0: Fraction(2), 1: Fraction(-3), 2: Fraction(5)}) == {}
+    assert act_vec(quotient, {2: Fraction(1)}) == {0: Fraction(1)}
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +307,16 @@ def _dense_rank(rows, n, exact=Fraction):
     return len(_dense_rref(rows, n, exact)[1])
 
 
+def _field(st, field):
+    """(entry strategy, exact, max_n, max_rows, examples) for rows over Q or
+    over Q(zeta_5)."""
+    if field == "Q":
+        return _entry(st), Fraction, 7, 6, 150
+    coeffs = st.lists(st.integers(-2, 2), min_size=4, max_size=4)
+    entry = st.one_of(st.just(0), st.just(0), st.builds(lambda cs: CyclotomicScalar(5, cs), coeffs))
+    return entry, (lambda x: promote(x, 5)), 5, 4, 60
+
+
 def _assert_primitive_integer_rows(eb):
     """Each stored rational row: int entries, lead at its least index, the
     lead positive, content 1."""
@@ -346,13 +360,16 @@ def test_property_reduce_is_the_remainder_on_non_pivots():
         eb = echelon_basis(_sparse(r) for r in rows)
         _rref, pivots = _dense_rref(rows, n)
         w = data.draw(_vector(st, n))
-        r = eb.reduce(_sparse(w))
+        # reduce returns d times the remainder: integer entries, d > 0
+        scaled, d = eb.reduce(_sparse(w))
+        assert type(d) is int and d > 0
+        assert all(type(x) is int for x in scaled.values())
+        r = {j: Fraction(x, d) for j, x in scaled.items()}
         assert not set(r) & set(pivots)
-        assert _all_fractions(r)
         diff = [Fraction(x) - r.get(j, 0) for j, x in enumerate(w)]
         assert _dense_rank(rows + [diff], n) == len(pivots)
         pos = eb.free(n)
-        coords = eb.coordinates(_sparse(w), pos)
+        coords = act_vec(eb.quotient(n), _sparse(w))
         assert coords == {pos[k]: x for k, x in r.items()}
         assert _all_fractions(coords)
         _assert_primitive_integer_rows(eb)
@@ -413,7 +430,7 @@ def test_property_add_after_vectors_clears_the_reduced_state():
         assert grown.vectors() == [_sparse(r) for r in rref]
         assert eb.vectors() == before
         w = data.draw(_vector(st, n))
-        assert not set(grown.reduce(_sparse(w))) & set(pivots)
+        assert not set(grown.reduce(_sparse(w))[0]) & set(pivots)
 
     check()
 
@@ -421,14 +438,10 @@ def test_property_add_after_vectors_clears_the_reduced_state():
 def test_property_cyclotomic_echelon_is_the_dense_rref():
     # rows over Q(zeta_5) keep field division and lead 1
     given, settings, st = _hypothesis()
-    coeffs = st.lists(st.integers(-2, 2), min_size=4, max_size=4)
-    entry = st.one_of(st.just(0), st.just(0), st.builds(lambda cs: CyclotomicScalar(5, cs), coeffs))
+    entry, exact, max_n, max_rows, examples = _field(st, "Q(zeta_5)")
 
-    def exact(x):
-        return promote(x, 5)
-
-    @settings(max_examples=60, deadline=None)
-    @given(_matrices(st, entry, max_n=5, max_rows=4), st.data())
+    @settings(max_examples=examples, deadline=None)
+    @given(_matrices(st, entry, max_n, max_rows), st.data())
     def check(shape, data):
         n, rows = shape
         eb = echelon_basis(_sparse(r, exact) for r in rows)
@@ -436,14 +449,82 @@ def test_property_cyclotomic_echelon_is_the_dense_rref():
         assert eb.rank == len(pivots)
         assert all(row[lead] == 1 for lead, row in eb.rows.items())
         w = data.draw(_vector(st, n, entry))
-        r = eb.reduce(_sparse(w, exact))
+        # a cyclotomic remainder needs no scale
+        r, d = eb.reduce(_sparse(w, exact))
+        assert d == 1
         assert not set(r) & set(pivots)
         diff = [exact(x) + -r.get(j, exact(0)) for j, x in enumerate(w)]
         assert _dense_rank(rows + [diff], n, exact) == len(pivots)
         assert eb.vectors() == [_sparse(r, exact) for r in rref]
-        for f in eb.free(n):
-            k = eb.kernel_coefficients(f)
+        for k in eb.kernel(n).values():
             for row in rows:
                 assert not sum((exact(x) * k.get(j, 0) for j, x in enumerate(row)), exact(0))
 
     check()
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(zeta_5)"])
+def test_property_quotient_is_the_map_onto_free(field):
+    given, settings, st = _hypothesis()
+    entry, exact, max_n, max_rows, examples = _field(st, field)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(_matrices(st, entry, max_n, max_rows), st.data())
+    def check(shape, data):
+        n, rows = shape
+        eb = echelon_basis(_sparse(r, exact) for r in rows)
+        quotient = eb.quotient(n)
+        assert len(quotient) == n
+        # the span goes to zero, and each free position to its basis vector
+        for row in rows:
+            assert act_vec(quotient, _sparse(row, exact)) == {}
+        for row in eb.rows.values():
+            assert act_vec(quotient, row) == {}
+        pos = eb.free(n)
+        for k, t in pos.items():
+            assert quotient[k] == {t: 1}
+        # the columns are the classes of the unit vectors, key order included,
+        # and the map agrees with reducing one vector at a time
+        for k in range(n):
+            assert (list(quotient[k].items())
+                    == list(reduced_coordinates(eb, {k: Fraction(1)}, pos).items()))
+        w = _sparse(data.draw(_vector(st, n, entry)), exact)
+        assert act_vec(quotient, w) == reduced_coordinates(eb, w, pos)
+
+    check()
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(zeta_5)"])
+def test_property_kernel_is_read_in_one_pass(field):
+    given, settings, st = _hypothesis()
+    entry, exact, max_n, max_rows, examples = _field(st, field)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(_matrices(st, entry, max_n, max_rows))
+    def check(shape):
+        n, rows = shape
+        eb = echelon_basis(_sparse(r, exact) for r in rows)
+        kernel = eb.kernel(n)
+        assert len(kernel) == n - eb.rank == n - _dense_rank(rows, n, exact)
+        # the vectors of the column-at-a-time scan, values and key order
+        assert ([(f, list(v.items())) for f, v in kernel.items()]
+                == [(f, list(kernel_column(eb, f).items())) for f in eb.free(n)])
+        for v in kernel.values():
+            for row in rows:
+                assert not sum((exact(x) * v.get(j, 0) for j, x in enumerate(row)), exact(0))
+
+    check()
+
+
+def test_column_vectors_are_built_once_and_match_the_entries():
+    m = RationalMatrix.from_rows([[1, 0, "1/2"], [0, 0, 3]])
+    cols = m.column_vectors()
+    assert m.column_vectors() is cols
+    assert len(cols) == m.cols
+    assert {(i, j): x for j, col in enumerate(cols) for i, x in col.items()} == m.entries
+    assert cols == [{0: Fraction(1)}, {}, {0: Fraction(1, 2), 1: Fraction(3)}]
+    # matvec and matmul read the same columns and leave them as they were
+    assert m.matvec({2: Fraction(2)}) == {0: Fraction(1), 1: Fraction(6)}
+    assert m.matmul(RationalMatrix.identity(3)) == m
+    assert m.column_vectors() is cols
+    assert cols == [{0: Fraction(1)}, {}, {0: Fraction(1, 2), 1: Fraction(3)}]

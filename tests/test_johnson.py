@@ -15,7 +15,8 @@ from infalex.quad_lie import bb_direct
 from infalex.johnson import (JohnsonContext, central_z_check, decompose_wedge2_V,
                              equivariance_defect, johnson_context,
                              johnson_module_dims)
-from infalex.rep_semisimple import HighestWeight, act_vec, isotypic_projection, weyl_dim
+from infalex.rep_semisimple import (HighestWeight, act_vec, casimir_blocks,
+                                    highest_weight_vectors, isotypic_projection, weyl_dim)
 
 from module_builders import composed_nabla_bar, weyl_orbit
 
@@ -123,7 +124,7 @@ def test_context_matches_recorded_digest(g):
 def test_r_basis_is_kernel_of_oracle_projections_g4():
     # R is zero at genus 3, so genus 4 is the first case with an R path
     ctx = johnson_context(4)
-    kw = {"blocks": ctx.blocks, "constituents": ctx.constituents}
+    kw = {"blocks": casimir_blocks(ctx.W2), "constituents": highest_weight_vectors(ctx.W2)}
     p_q = isotypic_projection(ctx.W2, ctx.hw_two_l2, **kw)
     p_z = isotypic_projection(ctx.W2, ctx.hw_zero, **kw)
     kernel = (p_q + p_z).kernel_basis()
@@ -307,14 +308,13 @@ def test_orbit_route_matches_bucket_ranks_g4():
 
 
 @pytest.mark.slow
-def test_orbit_route_at_g5_with_uneven_zero_columns(capsys, monkeypatch):
+def test_orbit_route_at_g5_with_uneven_zero_columns(capsys, monkeypatch, fresh_contexts):
     # genus 5 is the first genus at which generators with an empty symbol
     # fall unevenly within Weyl orbits, so column counts differ across an
-    # orbit while target rows do not.  One context, in a cache of its own,
-    # and its map q (6 s to build) serve the pins and the CLI run
-    from infalex import johnson
+    # orbit while target rows do not.  One context, built in an emptied cache
+    # and dropped after the test, and its map q (2 s to build) serve the pins
+    # and the CLI run
     from infalex.cli import main
-    monkeypatch.setattr(johnson, "_CTX_CACHE", {})
     ctx = johnson_context(5)
     assert (ctx.V.dimension, ctx.r_dim, ctx.q_dim) == (110, 5214, 780)
     assert ctx.q_dim == weyl_dim(ctx.spec, ctx.hw_two_l2)

@@ -324,17 +324,20 @@ def test_casimir_blocks_match_fraction_columns():
 def test_dense_block_polynomial_matches_matmul_chain_on_g3_blocks():
     from infalex.johnson import johnson_context
     ctx = johnson_context(3)
+    blocks = casimir_blocks(ctx.W2)
+    eigenvalues = sorted({casimir_eigenvalue(ctx.spec, hw)
+                          for hw, _v in highest_weight_vectors(ctx.W2)})
     # the numerator of each eigenvalue's projector, and the product over all
     # eigenvalues, which vanishes because the Casimir is semisimple
-    root_lists = [[c for c in ctx.eigenvalues if c != t] for t in ctx.eigenvalues]
-    for roots in root_lists + [ctx.eigenvalues]:
-        for block in ctx.blocks.values():
+    root_lists = [[c for c in eigenvalues if c != t] for t in eigenvalues]
+    for roots in root_lists + [eigenvalues]:
+        for block in blocks.values():
             got = _dense_block_polynomial(block, roots)
             expected = matmul_block_polynomial(block, roots)
             assert got == expected
             assert _row_key_orders(got) == _row_key_orders(expected)
             assert all(type(x) is Fraction for x in got.entries.values())
-            if roots == ctx.eigenvalues:
+            if roots == eigenvalues:
                 assert not got.entries
 
 
