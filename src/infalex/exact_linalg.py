@@ -1,10 +1,12 @@
 """Exact sparse linear algebra over Q and over cyclotomic extensions Q(zeta_m).
 
 Everything here is exact: scalars are ``fractions.Fraction`` or
-:class:`CyclotomicScalar`, and matrices are sparse dicts.  Elimination over
-Q is fraction-free: rows are primitive integer vectors, and a pivot is
-cleared by integer multiples of both rows (Bareiss, Math. Comp. 22, 1968).
-Over Q(zeta_m) it is pivoted Gaussian elimination over the field.  No
+:class:`CyclotomicScalar`, an integer vector modulo Phi_m over one
+denominator whose arithmetic runs on ints, and matrices are sparse dicts.
+Elimination over Q is fraction-free: rows are primitive integer vectors,
+and a pivot is cleared by integer multiples of both rows (Bareiss, Math.
+Comp. 22, 1968).  Over Q(zeta_m) it is pivoted Gaussian elimination over
+the field: rows keep lead 1, with one integer inverse per stored row.  No
 floating point anywhere; ranks and kernels are therefore deterministic and
 reproducible bit for bit.
 
@@ -45,7 +47,7 @@ def _to_fraction(x) -> Fraction:
 MAX_CYCLOTOMIC_ORDER = 1000
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (low degree first, monic) of the m-th cyclotomic polynomial."""
     if m < 1:
@@ -75,54 +77,119 @@ def _polydiv_exact_int(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _phi_degree(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
-@lru_cache(maxsize=None)
-def _power_reductions(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^k mod Phi_m for k in 0..m-1, each as a coefficient tuple of length
-    deg.  Since x^m = 1 modulo Phi_m, x^k reduces to row k % m."""
+@lru_cache(maxsize=64)
+def _power_reductions(m: int) -> tuple[tuple[int, ...], ...]:
+    """x^k mod Phi_m for k in 0..m-1, each as an integer coefficient tuple of
+    length deg (Phi_m is monic and integral).  Since x^m = 1 modulo Phi_m,
+    x^k reduces to row k % m."""
     deg = _phi_degree(m)
     phi = cyclotomic_polynomial(m)
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [ZERO] * deg
-    cur[0] = ONE
-    rows.append(tuple(cur))
+    cur = [1] + [0] * (deg - 1)
+    rows = [tuple(cur)]
     for _ in range(m - 1):
-        nxt = [ZERO] + cur[:]
-        lead = nxt.pop()
+        cur = [0] + cur
+        lead = cur.pop()
         if lead:
             for i in range(deg):
-                nxt[i] -= lead * phi[i]
-        cur = nxt
+                cur[i] -= lead * phi[i]
         rows.append(tuple(cur))
     return tuple(rows)
 
 
-class CyclotomicScalar:
-    """An element of Q(zeta_m) stored as a vector of rationals modulo Phi_m."""
+def _polymul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
-    __slots__ = ("order", "coeffs")
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, s) with s * a = q * b + r and deg r < deg b, for integer
+    polynomials (low degree first, b with a nonzero lead).  Each step scales
+    by only the part of b's lead that the coefficient it clears lacks."""
+    db, lead = len(b) - 1, b[-1]
+    r, q, s = list(a), [0] * (len(a) - db), 1
+    for k in range(len(a) - db - 1, -1, -1):
+        c = r[k + db]
+        if c:
+            g = gcd(c, lead)
+            u, t = lead // g, c // g
+            if u != 1:
+                r = [x * u for x in r[:k + db + 1]]
+                q = [x * u for x in q]
+                s *= u
+            q[k] = t
+            for i, y in enumerate(b, k):
+                r[i] -= t * y
+    r = r[:db]
+    while len(r) > 1 and not r[-1]:
+        r.pop()
+    return q, r, s
+
+
+class CyclotomicScalar:
+    """An element of Q(zeta_m): an integer coefficient vector num modulo Phi_m
+    over one positive denominator den, in lowest terms (gcd(den, *num) == 1,
+    zero is all zeros over 1), so that equal values are stored alike.  Ring
+    operations run on ints and divide by one gcd."""
+
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs: Sequence[Fraction]):
         deg = _phi_degree(order)
         cs = [_to_fraction(c) for c in coeffs]
         if len(cs) > deg:
             raise ValueError("coefficient vector too long")
-        cs += [ZERO] * (deg - len(cs))
-        self.order = order
-        self.coeffs = tuple(cs)
+        den = lcm(*[c.denominator for c in cs])
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        self.order, self.num, self.den = order, tuple(num + [0] * (deg - len(num))), den
+
+    @staticmethod
+    def _lowest(order: int, num: Sequence[int], den: int) -> "CyclotomicScalar":
+        """num / den for den > 0, divided by gcd(den, *num)."""
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [x // g for x in num], den // g
+        out = object.__new__(CyclotomicScalar)
+        out.order, out.num, out.den = order, tuple(num), den
+        return out
+
+    @staticmethod
+    def from_polynomial(order: int, poly: Sequence[int], den: int = 1) -> "CyclotomicScalar":
+        """sum_k poly[k] zeta_m^k / den for integers poly[k] and den > 0,
+        reduced modulo Phi_m once through the table of x^k mod Phi_m."""
+        deg = _phi_degree(order)
+        num = list(poly[:deg])
+        num += [0] * (deg - len(num))
+        table = _power_reductions(order)
+        for k in range(deg, len(poly)):
+            c = poly[k]
+            if c:
+                for i, x in enumerate(table[k % order]):
+                    if x:
+                        num[i] += c * x
+        return CyclotomicScalar._lowest(order, num, den)
 
     @staticmethod
     def from_rational(order: int, value) -> "CyclotomicScalar":
-        return CyclotomicScalar(order, [_to_fraction(value)])
+        return CyclotomicScalar(order, [value])
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "CyclotomicScalar":
         """zeta_m^power, reduced modulo Phi_m."""
-        return CyclotomicScalar(order, list(_power_reductions(order)[power % order]))
+        return CyclotomicScalar._lowest(order, _power_reductions(order)[power % order], 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficient vector modulo Phi_m."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- ring structure -----------------------------------------------------
 
@@ -135,35 +202,51 @@ class CyclotomicScalar:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return CyclotomicScalar(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        d, e = self.den, o.den
+        u, v = e // gcd(d, e), d // gcd(d, e)   # d * u = e * v = lcm(d, e)
+        return CyclotomicScalar._lowest(self.order,
+                                        [a * u + b * v for a, b in zip(self.num, o.num)], d * u)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicScalar(self.order, [-a for a in self.coeffs])
+        return CyclotomicScalar._lowest(self.order, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return CyclotomicScalar(self.order,
-                                _reduce_mod_phi(_polymul_q(self.coeffs, o.coeffs), self.order))
+        return CyclotomicScalar.from_polynomial(self.order, _polymul(self.num, o.num),
+                                                self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicScalar":
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
-        # extended Euclid in Q[x] against Phi_m (irreducible over Q),
-        # tracking r_k = s_k * self mod Phi
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, s0 = phi, [ZERO]
-        r1, s1 = _trim(list(self.coeffs)), [ONE]
+        # extended Euclid in Z[x] against Phi_m (irreducible over Q) by
+        # pseudo-remainders, keeping r_k = s_k * num mod Phi_m with the content
+        # of (r_k, s_k) taken out jointly (Cohen, GTM 138, 3.3)
+        num = list(self.num)
+        while len(num) > 1 and not num[-1]:
+            num.pop()
+        r0, s0 = list(cyclotomic_polynomial(self.order)), [0]
+        r1, s1 = num, [1]
         while len(r1) > 1:
-            q, r = _polydivmod_q(r0, r1)
-            r0, s0, r1, s1 = r1, s1, _trim(r), _trim(_polysub_q(s0, _polymul_q(q, s1)))
-        if not r1[0]:
+            q, r, s = _pseudo_divmod(r0, r1)
+            t = _polymul(q, s1)
+            t = [-x for x in t] + [0] * (len(s0) - len(t))
+            for i, x in enumerate(s0):
+                t[i] += s * x
+            g = gcd(*r, *t)
+            if g != 1:
+                r, t = [x // g for x in r], [x // g for x in t]
+            r0, s0, r1, s1 = r1, s1, r, t
+        c = r1[0]
+        if not c:
             raise ArithmeticError("gcd with cyclotomic polynomial is not a unit")
-        inv = [x / r1[0] for x in s1]
-        return CyclotomicScalar(self.order, _reduce_mod_phi(inv, self.order))
+        # num * s1 = c mod Phi_m, so 1/self = den * s1 / c
+        if c < 0:
+            c, s1 = -c, [-x for x in s1]
+        return CyclotomicScalar.from_polynomial(self.order, [self.den * x for x in s1], c)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -186,80 +269,32 @@ class CyclotomicScalar:
 
     # -- comparisons ---------------------------------------------------------
 
+    def _rational(self) -> bool:
+        return not any(self.num[1:])
+
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicScalar):
             if self.order == other.order:
-                return self.coeffs == other.coeffs
+                return self.num == other.num and self.den == other.den
             # across orders only rational values can be equal, by value
-            return not any(other.coeffs[1:]) and self == other.coeffs[0]
+            return (self._rational() and other._rational()
+                    and self.num[0] == other.num[0] and self.den == other.den)
         if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
+            return (self.num[0] == other.numerator and self.den == other.denominator
+                    and self._rational())
         return NotImplemented
 
     def __hash__(self):
         # a rational value must hash like the Fraction it equals
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        if self._rational():
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self):
         return f"Cyc({self.order}, {[str(c) for c in self.coeffs]})"
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _polymul_q(a, b):
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _polysub_q(a, b):
-    n = max(len(a), len(b))
-    out = [ZERO] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
-
-
-def _polydivmod_q(num, den):
-    num = list(num)
-    den = _trim(list(den))
-    dd = len(den) - 1
-    lead = den[-1]
-    q = [ZERO] * max(len(num) - dd, 1)
-    for k in range(len(num) - dd - 1, -1, -1):
-        c = num[k + dd] / lead
-        q[k] = c
-        if c:
-            for i, dv in enumerate(den):
-                num[k + i] -= c * dv
-    return q, _trim(num[:dd] if dd else [ZERO])
-
-
-def _reduce_mod_phi(coeffs: list[Fraction], order: int) -> list[Fraction]:
-    """The polynomial with these coefficients (low degree first) modulo Phi_order."""
-    table = _power_reductions(order)
-    out = [ZERO] * _phi_degree(order)
-    for k, c in enumerate(coeffs):
-        if c:
-            for i, x in enumerate(table[k % order]):
-                if x:
-                    out[i] += c * x
-    return out
 
 
 def promote(value, order: int | None):

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd, log2
+from math import gcd, lcm, log2
 
 from . import documents
 from .errors import BudgetExceededError
-from .exact_linalg import (ZERO, CyclotomicScalar, RationalMatrix, _reduce_mod_phi, axpy,
-                           promote)
+from .exact_linalg import CyclotomicScalar, RationalMatrix, axpy, promote
 
 Word = tuple[int, ...]
 GroupRingElt = dict  # {freely reduced word: Fraction}
@@ -167,19 +166,22 @@ class LaurentMatrix:
         """The matrix at the point rho of the character torus.
 
         When rho = zeta_m^a (every value a power of zeta_m), the monomial t^e
-        takes the value zeta_m^<a, e>.  So each entry's coefficients are
-        summed into m bins, at index <a, e> mod m, and the bins are reduced
-        modulo Phi_m once: no cyclotomic multiply or inverse.  At any other
+        takes the value zeta_m^<a, e>.  So each entry's coefficients, as
+        integers over the lcm of their denominators, are summed into m bins
+        at index <a, e> mod m, and the bins are reduced modulo Phi_m once: no
+        cyclotomic multiply or inverse.  At any other
         character each monomial is evaluated by evaluate_exponent."""
         order = rho.cyclotomic_order()
         exps = rho.torsion_exponents()
         ent = {}
         for (r, c), poly in self.entries.items():
             if exps is not None:
-                bins = [ZERO] * order
+                den = lcm(*[coeff.denominator for coeff in poly.values()])
+                bins = [0] * order
                 for e, coeff in poly.items():
-                    bins[sum(a * k for a, k in zip(exps, e)) % order] += coeff
-                val = CyclotomicScalar(order, _reduce_mod_phi(bins, order))
+                    bins[sum(a * k for a, k in zip(exps, e)) % order] += (
+                        coeff.numerator * (den // coeff.denominator))
+                val = CyclotomicScalar.from_polynomial(order, bins, den)
             else:
                 val = promote(0, order)
                 for e, coeff in poly.items():
@@ -300,10 +302,10 @@ class CharacterError(ValueError):
 
 @lru_cache(maxsize=64)
 def _zeta_table(order: int) -> tuple[tuple[CyclotomicScalar, ...], dict]:
-    """(zeta_order^k for k in 0..order-1, the map from their coefficient
-    vectors back to k)."""
+    """(zeta_order^k for k in 0..order-1, the map from their stored integer
+    vectors back to k; a root of unity has denominator 1)."""
     powers = tuple(CyclotomicScalar.zeta(order, k) for k in range(order))
-    return powers, {z.coeffs: k for k, z in enumerate(powers)}
+    return powers, {z.num: k for k, z in enumerate(powers)}
 
 
 @dataclass(frozen=True)
@@ -376,8 +378,8 @@ class Character:
         if order is None:
             return None
         index = _zeta_table(order)[1]
-        exps = tuple(index.get(v.coeffs)
-                     if isinstance(v, CyclotomicScalar) and v.order == order else None
+        exps = tuple(index.get(v.num) if isinstance(v, CyclotomicScalar)
+                     and v.order == order and v.den == 1 else None
                      for v in self.values)
         return None if None in exps else exps
 

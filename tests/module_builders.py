@@ -2,15 +2,17 @@
 products of the modules that infalex.rep_semisimple constructs.  Also the
 Fraction-valued references that the integer kernels of rep_semisimple are
 checked against, the composed nabla-bar that the one-pass cyclic sum of
-infalex.alex_module is checked against, and the one-vector-at-a-time
+infalex.alex_module is checked against, the one-vector-at-a-time
 read-outs that EchelonBasis.quotient and EchelonBasis.kernel are checked
-against."""
+against, and the Fraction arithmetic in Q[x]/Phi_m that the integer
+CyclotomicScalar is checked against."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 from infalex.alex_module import GradedMap, SymbolBlock, koszul_map
-from infalex.exact_linalg import EchelonBasis, RationalMatrix, Vec, act_vec, axpy
+from infalex.exact_linalg import (EchelonBasis, RationalMatrix, Vec, act_vec, axpy,
+                                  cyclotomic_polynomial)
 from infalex.quad_lie import beta_matrix
 from infalex.rep_semisimple import (HighestWeight, WeightModule, _algebra_basis,
                                     _dual_coefficients, shifted_block, sym_act)
@@ -160,3 +162,99 @@ def kernel_column(eb: EchelonBasis, free_col: int) -> Vec:
         if c:
             v[lead] = _over(-c, row[lead])
     return v
+
+
+# -- Fraction references for CyclotomicScalar ----------------------------------
+# A value is its coefficient tuple of Fractions modulo Phi_m, low degree first.
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def _trim(p: list[Fraction]) -> list[Fraction]:
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _polymul_q(a, b):
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _polysub_q(a, b):
+    out = [ZERO] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    return out
+
+
+def _polydivmod_q(num, den):
+    num = list(num)
+    den = _trim(list(den))
+    dd = len(den) - 1
+    lead = den[-1]
+    q = [ZERO] * max(len(num) - dd, 1)
+    for k in range(len(num) - dd - 1, -1, -1):
+        c = num[k + dd] / lead
+        q[k] = c
+        if c:
+            for i, dv in enumerate(den):
+                num[k + i] -= c * dv
+    return q, _trim(num[:dd] if dd else [ZERO])
+
+
+def oracle_reduce(m: int, coeffs) -> tuple[Fraction, ...]:
+    """Test oracle: the polynomial coeffs modulo Phi_m by long division in
+    Q[x], padded to phi(m) coefficients."""
+    phi = [Fraction(c) for c in cyclotomic_polynomial(m)]
+    _q, r = _polydivmod_q([Fraction(c) for c in coeffs], phi)
+    return tuple(r) + (ZERO,) * (len(phi) - 1 - len(r))
+
+
+def oracle_add(a, b) -> tuple[Fraction, ...]:
+    """Test oracle: a + b."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def oracle_neg(a) -> tuple[Fraction, ...]:
+    """Test oracle: -a."""
+    return tuple(-x for x in a)
+
+
+def oracle_mul(m: int, a, b) -> tuple[Fraction, ...]:
+    """Test oracle: a * b, the product in Q[x] reduced modulo Phi_m."""
+    return oracle_reduce(m, _polymul_q(a, b))
+
+
+def oracle_inverse(m: int, a) -> tuple[Fraction, ...]:
+    """Test oracle: 1 / a, by extended Euclid in Q[x] against Phi_m
+    (irreducible over Q), tracking r_k = s_k * a mod Phi_m."""
+    r0, s0 = [Fraction(c) for c in cyclotomic_polynomial(m)], [ZERO]
+    r1, s1 = _trim(list(a)), [ONE]
+    if not any(r1):
+        raise ZeroDivisionError("cyclotomic division by zero")
+    while len(r1) > 1:
+        q, r = _polydivmod_q(r0, r1)
+        r0, s0, r1, s1 = r1, s1, _trim(r), _trim(_polysub_q(s0, _polymul_q(q, s1)))
+    return oracle_reduce(m, [x / r1[0] for x in s1])
+
+
+def oracle_pow(m: int, a, k: int) -> tuple[Fraction, ...]:
+    """Test oracle: a ** k by |k| repeated products, through 1 / a for k < 0."""
+    base = oracle_inverse(m, a) if k < 0 else tuple(a)
+    out = oracle_reduce(m, [ONE])
+    for _ in range(abs(k)):
+        out = oracle_mul(m, out, base)
+    return out
+
+
+def oracle_repr(m: int, a) -> str:
+    """Test oracle: the repr of the value a in Q(zeta_m)."""
+    return f"Cyc({m}, {[str(x) for x in a]})"

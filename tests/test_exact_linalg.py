@@ -5,9 +5,11 @@ from math import gcd
 import pytest
 
 from infalex.exact_linalg import (MAX_CYCLOTOMIC_ORDER, CyclotomicScalar, RationalMatrix,
-                                  act_vec, axpy, cyclotomic_polynomial, echelon_basis, promote)
+                                  _phi_degree, _power_reductions, act_vec, axpy,
+                                  cyclotomic_polynomial, echelon_basis, promote)
 
-from module_builders import kernel_column, reduced_coordinates
+from module_builders import (kernel_column, oracle_add, oracle_inverse, oracle_mul,
+                             oracle_neg, oracle_pow, oracle_repr, reduced_coordinates)
 
 
 def test_rank_identity():
@@ -120,6 +122,92 @@ def test_cyclotomic_field_division():
                 continue
             assert a * a.inverse() == 1
             assert (a / a) == 1
+
+
+def _random_value(rng: random.Random, deg: int, kind: str) -> list[Fraction]:
+    """Coefficients of a zero, a rational-only or a sparse-to-dense value
+    with non-integral rational coefficients."""
+    out = [Fraction(0)] * deg
+    if kind == "rational":
+        out[0] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+    elif kind == "dense":
+        density = rng.choice([0.3, 1.0]) if deg <= 16 else 0.15
+        for i in range(deg):
+            if rng.random() < density:
+                out[i] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return out
+
+
+def _same_stored(got: CyclotomicScalar, want) -> None:
+    """got holds the value with coefficients want, stored as a value built
+    from them is: the same ints, equal, and hashing alike."""
+    assert got.coeffs == tuple(want)
+    built = CyclotomicScalar(got.order, list(want))
+    assert (got.num, got.den) == (built.num, built.den)
+    assert got == built and hash(got) == hash(built)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 30, 31, 105])
+def test_cyclotomic_arithmetic_matches_fraction_oracle(m):
+    rng = random.Random(4000 + m)
+    deg = _phi_degree(m)
+    values = [_random_value(rng, deg, kind)
+              for kind in ("zero", "rational", "rational", "dense", "dense", "dense")]
+    for a in values:
+        x = CyclotomicScalar(m, a)
+        assert x.coeffs == tuple(a) and repr(x) == oracle_repr(m, a)
+        assert gcd(x.den, *x.num) == 1 and x.den > 0
+        _same_stored(-x, oracle_neg(a))
+        if not any(a[1:]):   # a rational value equals and hashes like its Fraction
+            assert x == a[0] and hash(x) == hash(a[0])
+        if not any(a):
+            assert (x.num, x.den) == ((0,) * deg, 1)
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            continue
+        _same_stored(x.inverse(), oracle_inverse(m, a))
+        for k in (-3, -1, 0, 1, 2, 5):
+            _same_stored(x ** k, oracle_pow(m, a, k))
+    for a in values:
+        for b in values:
+            x, y = CyclotomicScalar(m, a), CyclotomicScalar(m, b)
+            _same_stored(x + y, oracle_add(a, b))
+            _same_stored(x + -y, oracle_add(a, oracle_neg(b)))
+            _same_stored(x * y, oracle_mul(m, a, b))
+            assert (x == y) == (tuple(a) == tuple(b))
+
+
+def test_cyclotomic_values_stored_in_lowest_terms():
+    half = CyclotomicScalar(5, [Fraction(2, 4)])
+    for other in (CyclotomicScalar.from_rational(5, Fraction(1, 2)),
+                  CyclotomicScalar(5, ["1/2", 0]), CyclotomicScalar(5, ["0.5"]),
+                  CyclotomicScalar.zeta(5) * Fraction(1, 2) * CyclotomicScalar.zeta(5, -1)):
+        assert (other.num, other.den) == (half.num, half.den) == ((1, 0, 0, 0), 2)
+        assert other == half and hash(other) == hash(half) == hash(Fraction(1, 2))
+    assert half == Fraction(1, 2) and half != 1 and half == CyclotomicScalar(7, ["2/4"])
+    assert CyclotomicScalar(5, [3, 0, 6]).den == 1
+    mixed = CyclotomicScalar(5, [Fraction(1, 6), Fraction(3, 4), "-1/3"])
+    assert (mixed.num, mixed.den) == ((2, 9, -4, 0), 12)
+    assert mixed.coeffs == (Fraction(1, 6), Fraction(3, 4), Fraction(-1, 3), Fraction(0))
+    assert repr(mixed) == "Cyc(5, ['1/6', '3/4', '-1/3', '0'])"
+
+
+@pytest.mark.parametrize("m", [101, 211])
+def test_cyclotomic_inverse_at_large_order(m):
+    # a dense element of degree phi(m) - 1: the Fraction Euclid took 9.5 s
+    # at m = 101 and did not finish in 600 s at m = 211
+    rng = random.Random(m)
+    x = CyclotomicScalar(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                             for _ in range(_phi_degree(m))])
+    assert x * x.inverse() == 1
+
+
+def test_cyclotomic_caches_are_bounded():
+    for cached in (cyclotomic_polynomial, _phi_degree, _power_reductions):
+        assert cached.cache_info().maxsize == 64
+    for m in range(1, 80):
+        CyclotomicScalar.zeta(m)
+    assert _power_reductions.cache_info().currsize <= 64
 
 
 def test_cyclotomic_rank():
