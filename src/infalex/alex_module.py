@@ -33,7 +33,9 @@ from .quad_lie import LiePresentation, beta_matrix, wedge2_index, wedge2_pairs
 Term = tuple[int | None, int, Fraction]
 
 
-@lru_cache(maxsize=None)
+# recursive: one call at n generators and degree q fills up to n * (q + 1)
+# entries, which must fit, or the recursion recomputes what it evicts
+@lru_cache(maxsize=1024)
 def monomials(n: int, q: int) -> tuple[tuple[int, ...], ...]:
     """Exponent vectors of Sym_q(V), dim V = n, sorted lexicographically."""
     if q < 0:
@@ -47,7 +49,7 @@ def monomials(n: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def monomial_index(n: int, q: int) -> dict[tuple[int, ...], int]:
     return {m: i for i, m in enumerate(monomials(n, q))}
 

@@ -111,9 +111,6 @@ def cmd_johnson(args) -> dict:
 
 
 def cmd_decompose(args) -> dict:
-    # the centrality check first: its refusal must come before any work
-    central_z = (central_z_check(args.genus, allow_large=args.allow_large)
-                 if args.central_z else None)
     parts = decompose_wedge2_V(args.genus, allow_large=args.allow_large)
     out = []
     for label, dim in parts:
@@ -124,7 +121,7 @@ def cmd_decompose(args) -> dict:
                         "dim": dim})
     doc = {"genus": args.genus, "parts": out, "total": sum(d["dim"] for d in out)}
     if args.central_z:
-        doc["central_z"] = central_z
+        doc["central_z"] = central_z_check(args.genus, allow_large=args.allow_large)
     return doc
 
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import ONE, RationalMatrix, axpy
+from .exact_linalg import RationalMatrix, axpy
 
 Word = tuple[int, ...]
 
@@ -50,7 +49,7 @@ def lyndon_words(n: int, q: int) -> list[Word]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _lyndon_words_cached(n: int, q: int) -> tuple[Word, ...]:
     return tuple(lyndon_words(n, q))
 
@@ -110,7 +109,8 @@ def standard_factorization(w: Word) -> tuple[Word, Word]:
     raise AssertionError(f"{w} is not Lyndon")
 
 
-@lru_cache(maxsize=None)
+# a genus-4 centrality check holds 12,024 expansions
+@lru_cache(maxsize=1 << 15)
 def tensor_expansion(w: Word) -> dict[Word, int]:
     """Expansion of the standard bracketing b(w) in the tensor algebra.
 
@@ -128,16 +128,30 @@ def tensor_expansion(w: Word) -> dict[Word, int]:
     return out
 
 
-def _rewrite_to_lyndon(tensor: dict[Word, Fraction]) -> dict[Word, Fraction]:
-    """Rewrite a Lie element given in the tensor algebra into the Lyndon basis.
+# ---------------------------------------------------------------------------
+# brackets of basis elements
+# ---------------------------------------------------------------------------
 
-    Processes words in increasing lex order; each subtraction only introduces
-    larger words, so a heap with lazy deletion terminates.
+# a genus-4 centrality check holds 16,144 brackets
+@lru_cache(maxsize=1 << 15)
+def basis_bracket(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
+    """[b(u), b(v)] in the Lyndon basis, as (word, coefficient) pairs sorted
+    by word, cached on the word pair.
+
+    The commutator of the two tensor expansions is rewritten into the basis
+    in increasing lex order of words: each subtraction only introduces larger
+    words, so a heap with lazy deletion terminates.  The Lyndon basis is a
+    Z-basis of the free Lie ring and every b(w) has lead coefficient 1, so
+    the rewriting never leaves Z.
     """
-    work = dict(tensor)
+    work: dict[Word, int] = {}
+    for a, ca in tensor_expansion(u).items():
+        for b, cb in tensor_expansion(v).items():
+            work[a + b] = work.get(a + b, 0) + ca * cb
+            work[b + a] = work.get(b + a, 0) - ca * cb
     heap = list(work)
     heapq.heapify(heap)
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, int] = {}
     while heap:
         w = heapq.heappop(heap)
         c = work.get(w)
@@ -155,56 +169,18 @@ def _rewrite_to_lyndon(tensor: dict[Word, Fraction]) -> dict[Word, Fraction]:
                 work[word] = nv
             elif cur is not None:
                 del work[word]
-    return out
+    return tuple(sorted(out.items()))
 
 
-# ---------------------------------------------------------------------------
-# Lie elements
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LieElement:
-    """Homogeneous element of L(V), sparse in the Lyndon basis of its degree."""
-
-    degree: int
-    coords: tuple[tuple[Word, Fraction], ...]  # sorted by word, no zeros
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-
-def bracket(x: LieElement, y: LieElement) -> LieElement:
-    """[x, y], expanded back into the Lyndon basis."""
-    tensor: dict[Word, Fraction] = {}
-    for wx, cx in x.coords:
-        ex = tensor_expansion(wx)
-        for wy, cy in y.coords:
-            ey = tensor_expansion(wy)
-            c0 = cx * cy
-            for a, ca in ex.items():
-                axpy(tensor, c0 * ca, {a + b: cb for b, cb in ey.items()})
-                axpy(tensor, -c0 * ca, {b + a: cb for b, cb in ey.items()})
-    return LieElement(x.degree + y.degree, tuple(sorted(_rewrite_to_lyndon(tensor).items())))
-
-
-@lru_cache(maxsize=None)
-def _basis_bracket(u: Word, v: Word) -> tuple[tuple[Word, Fraction], ...]:
-    """[b(u), b(v)] in the Lyndon basis, cached on the word pair."""
-    res = bracket(LieElement(len(u), ((u, ONE),)), LieElement(len(v), ((v, ONE),)))
-    return res.coords
-
-
-def basis_bracket(u: Word, v: Word) -> LieElement:
-    return LieElement(len(u) + len(v), _basis_bracket(u, v))
-
-
-@lru_cache(maxsize=None)
+# one matrix per generator and degree: the ideal of a genus-4 R in degree 3
+# takes 48, a presentation on 4 generators up to degree 6 about 20
+@lru_cache(maxsize=128)
 def ad_generator_matrix(n: int, i: int, q: int) -> RationalMatrix:
     """Matrix of ad_{e_i}: L_q -> L_{q+1} in the Lyndon bases."""
     src = _lyndon_words_cached(n, q)
     tgt_idx = lyndon_index(n, q + 1)
     entries = {}
     for j, w in enumerate(src):
-        for word, c in _basis_bracket((i,), w):
+        for word, c in basis_bracket((i,), w):
             entries[(tgt_idx[word], j)] = c
     return RationalMatrix(len(tgt_idx), len(src), entries)

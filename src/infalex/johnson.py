@@ -29,12 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import add
 
 from .alex_module import GradedMap, coker_dims, nabla_bar
 from .errors import BudgetExceededError, InternalInconsistencyError
-from .exact_linalg import Vec, act_vec, axpy
-from .free_lie import ad_generator_matrix
-from .quad_lie import LiePresentation, _ideal_echelon, quotient_pairs, wedge2_pairs
+from .exact_linalg import Vec, act_vec, axpy, echelon_basis
+from .free_lie import basis_bracket
+from .quad_lie import LiePresentation, quotient_pairs, wedge2_pairs
 from .rep_semisimple import (HighestWeight, LieAlgebraSpec, WeightModule,
                              casimir_blocks, casimir_eigenvalue,
                              fundamental_module, highest_weight_vectors,
@@ -46,16 +47,14 @@ MIN_GENUS = 3
 # default ceilings, read only by _check_budget; allow_large=True lifts them
 _DEGREE_BUDGET = {3: 2, 4: 1}
 _GENUS_BUDGET = 4
-_CENTRAL_Z_GENUS_BUDGET = 3
 
 
-def _check_budget(g: int, allow_large: bool, *, max_degree: int | None = None,
-                  central_z: bool = False):
+def _check_budget(g: int, allow_large: bool, *, max_degree: int | None = None):
     """Refuse a request before any work is done.
 
     A genus below MIN_GENUS is a usage error whatever else was asked.  Then,
     unless allow_large, the first default ceiling the request passes is
-    reported: genus, the degree-3 centrality check, degree."""
+    reported: genus, then degree."""
     if g < MIN_GENUS:
         raise ValueError(f"genus >= {MIN_GENUS} required")
     if allow_large:
@@ -63,9 +62,6 @@ def _check_budget(g: int, allow_large: bool, *, max_degree: int | None = None,
     hint = "pass allow_large / --allow-large"
     if g > _GENUS_BUDGET:
         raise BudgetExceededError("genus", _GENUS_BUDGET, genus=g, hint=hint)
-    if central_z and g > _CENTRAL_Z_GENUS_BUDGET:
-        raise BudgetExceededError("central_z_genus", _CENTRAL_Z_GENUS_BUDGET,
-                                  genus=g, hint=hint)
     if max_degree is not None and max_degree > _DEGREE_BUDGET[g]:
         raise BudgetExceededError("degree", _DEGREE_BUDGET[g], genus=g,
                                   max_degree=max_degree, hint=hint)
@@ -238,17 +234,44 @@ def central_z_check(g: int, *, allow_large: bool = False) -> bool:
     nonzero degree-2 element of a free Lie algebra; the check then reports
     whether [z, V] = 0, which is false.  For larger g the relation space is
     big and the membership is a genuine computation.
+
+    ideal(R)_3 is spanned by the [e_i, r], r in r_basis.  Every r and z is a
+    weight vector (checked), and so is every Lyndon word, so the weight-mu
+    part of ideal(R)_3 is spanned by the [e_i, r] of weight mu, and each
+    [e_j, z] is tested in the block of its own weight; membership ignores
+    the sign of [e_j, z] = -[z, e_j].
     """
-    _check_budget(g, allow_large, central_z=True)
+    _check_budget(g, allow_large)
     ctx = johnson_context(g)
-    n = ctx.V.dimension
-    pres = LiePresentation.make(
-        n, [{ctx.pairs[k]: c for k, c in v.items()} for v in ctx.r_basis])
-    ideal3 = _ideal_echelon(pres, 3)
-    # L_2 and wedge^2 V share the pair basis, so z_vec is z in L_2; the
-    # matrices give [e_i, z] = -[z, e_i], and membership ignores the sign
-    return all(ideal3.contains(ad_generator_matrix(n, i, 2).matvec(ctx.z_vec))
-               for i in range(n))
+    n, wt = ctx.V.dimension, ctx.V.weights
+
+    def weight(v: Vec) -> tuple:
+        weights = {ctx.W2.weights[k] for k in v}
+        if len(weights) != 1:
+            raise InternalInconsistencyError("R + C z should have a basis of weight vectors")
+        return weights.pop()
+
+    def bracket(i: int, v: Vec) -> Vec:
+        # [e_i, v] keyed by Lyndon word: the pairs of wedge^2 V are the words of L_2
+        out: Vec = {}
+        for k, c in v.items():
+            axpy(out, c, dict(basis_bracket((i,), ctx.pairs[k])))
+        return out
+
+    spanning: dict[tuple, list] = {}
+    for r in ctx.r_basis:
+        w_r = weight(r)
+        for i in range(n):
+            spanning.setdefault(tuple(map(add, wt[i], w_r)), []).append((i, r))
+    targets: dict[tuple, list[int]] = {}
+    w_z = weight(ctx.z_vec)
+    for j in range(n):
+        targets.setdefault(tuple(map(add, wt[j], w_z)), []).append(j)
+    for mu, js in sorted(targets.items()):
+        block = echelon_basis(bracket(i, r) for i, r in spanning.get(mu, ()))
+        if not all(block.contains(bracket(j, ctx.z_vec)) for j in js):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

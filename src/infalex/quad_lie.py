@@ -183,9 +183,8 @@ def bb_direct(p: LiePresentation, q: int) -> tuple[int, list[tuple[int, ...]]]:
                 if a == b and j <= i:
                     continue
                 res = basis_bracket(wa, wb)
-                if res.is_zero():
-                    continue
-                span.add({idx[w]: c for w, c in res.coords})
+                if res:
+                    span.add({idx[w]: c for w, c in res})
     words = _lyndon_words_cached(n, d)
     basis = [words[i] for i in span.free(len(words))]
     return len(basis), basis

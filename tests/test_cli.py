@@ -130,18 +130,18 @@ def test_genus_floor_before_budget(capsys, genus):
     assert captured.err == "error: genus >= 3 required\n"
 
 
-def test_central_z_refused_before_any_work(capsys, monkeypatch):
-    # a refused --central-z must not build the genus-4 context first
+def test_central_z_g5_refused_before_any_work(capsys, monkeypatch):
+    # the genus ceiling refuses --central-z at genus 5 before the context is built
     from infalex import johnson
 
     def no_context(g):
         raise AssertionError(f"context built for genus {g}")
 
     monkeypatch.setattr(johnson, "johnson_context", no_context)
-    code, out = run(capsys, ["decompose", "--genus", "4", "--central-z"])
+    code, out = run(capsys, ["decompose", "--genus", "5", "--central-z"])
     assert code == 3
-    assert json.loads(out) == {"error": "budget", "what": "central_z_genus", "genus": 4,
-                               "limit": 3, "hint": "pass allow_large / --allow-large"}
+    assert json.loads(out) == {"error": "budget", "what": "genus", "genus": 5,
+                               "limit": 4, "hint": "pass allow_large / --allow-large"}
 
 
 @pytest.mark.parametrize("order,generators,facts", [
@@ -563,6 +563,28 @@ def test_package_has_no_unused_imports():
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, unused
+
+
+def test_package_caches_are_bounded():
+    # every lru_cache of the package, at module level or on a class, has a
+    # maxsize: a long-lived caller must not grow one without limit
+    import importlib
+    import inspect
+    import pkgutil
+    import infalex
+    found = {}
+    for info in pkgutil.iter_modules(infalex.__path__):
+        module = importlib.import_module(f"infalex.{info.name}")
+        holders = [module] + [c for c in vars(module).values()
+                              if inspect.isclass(c) and c.__module__ == module.__name__]
+        for holder in holders:
+            for key, value in vars(holder).items():
+                if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                    found[f"{info.name}.{key}"] = value.cache_info().maxsize
+    assert {"alex_module.monomials", "alex_module.monomial_index",
+            "free_lie._lyndon_words_cached", "free_lie.tensor_expansion",
+            "free_lie.basis_bracket", "free_lie.ad_generator_matrix"} <= found.keys()
+    assert [name for name, maxsize in found.items() if maxsize is None] == []
 
 
 def test_package_has_no_uncalled_code():

@@ -9,6 +9,8 @@ code as well.  To re-record after a deliberate change:
 """
 
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -35,6 +37,7 @@ COMMANDS = {
     "johnson_g4": ["johnson", "--genus", "4", "--max-degree", "1", "--allow-large"],
     "decompose_g3_central_z": ["decompose", "--genus", "3", "--central-z"],
     "decompose_g4": ["decompose", "--genus", "4", "--allow-large"],
+    "decompose_g4_central_z": ["decompose", "--genus", "4", "--central-z"],
     "fox_z2": ["fox", "--presentation", "@group_z2.json"],
     "fox_f2xz": ["fox", "--presentation", "@group_f2xz.json"],
     "cv_character": ["cv", "--presentation", "@group_f2xz.json", "--character=zeta_3,-1,1"],
@@ -54,7 +57,6 @@ COMMANDS = {
                       "--max-degree", "2", "--method", "direct"],
     "refuse_johnson_g9": (["johnson", "--genus", "9", "--max-degree", "0"], 3),
     "refuse_johnson_g4_deg2": (["johnson", "--genus", "4", "--max-degree", "2"], 3),
-    "refuse_decompose_g4_central_z": (["decompose", "--genus", "4", "--central-z"], 3),
     "refuse_cv_torsion9_budget5": (["cv", "--presentation", "@group_f2xz.json",
                                     "--torsion", "9", "--budget", "5"], 3),
 }
@@ -78,6 +80,27 @@ def test_golden_stdout(name):
     code, out = _stdout(name)
     assert code == _command(name)[1]
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# one command per layer whose output could follow set or dict iteration order
+HASH_SEED_COMMANDS = ["johnson_g3", "decompose_g3_central_z", "bb_direct", "fox_f2xz",
+                      "cv_torsion5"]
+
+
+@pytest.mark.parametrize("name", HASH_SEED_COMMANDS)
+def test_golden_stdout_under_two_hash_seeds(name):
+    # string hashing is randomized per process: run each command in a fresh
+    # interpreter under two fixed seeds, and both must print the golden
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv, code = _command(name)
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "infalex.cli"] + argv,
+                              capture_output=True, env=env)
+        assert proc.returncode == code, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] == (GOLDEN / f"{name}.out").read_bytes()
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ from infalex.alex_module import (_generator_weights, _weight_buckets, coker_dims
                                  monomial_index, nabla, nabla_bar)
 from infalex.errors import BudgetExceededError, InternalInconsistencyError
 from infalex.exact_linalg import EchelonBasis
-from infalex.quad_lie import bb_direct
+from infalex.free_lie import ad_generator_matrix
+from infalex.quad_lie import LiePresentation, _ideal_echelon, bb_direct
 from infalex.johnson import (JohnsonContext, central_z_check, decompose_wedge2_V,
                              equivariance_defect, johnson_context,
                              johnson_module_dims)
@@ -193,10 +194,39 @@ def test_z_vector_is_invariant():
         assert act_vec(ctx.W2.actions[label], ctx.z_vec) == {}
 
 
+def _central_z_full_route(g):
+    """[z, e_i] in ideal(R)_3 for every i, with ideal(R)_3 echelonized whole
+    in Lyndon coordinates of L_3 from the ad_{e_i} matrices, without weights.
+
+    Test oracle: it uses no weights, so it checks the weight blocks of
+    central_z_check."""
+    ctx = johnson_context(g)
+    n = ctx.V.dimension
+    pres = LiePresentation.make(
+        n, [{ctx.pairs[k]: c for k, c in v.items()} for v in ctx.r_basis])
+    ideal3 = _ideal_echelon(pres, 3)
+    # L_2 and wedge^2 V share the pair basis, so z_vec is z in L_2; the
+    # matrices give [e_i, z] = -[z, e_i], and membership ignores the sign
+    return all(ideal3.contains(ad_generator_matrix(n, i, 2).matvec(ctx.z_vec))
+               for i in range(n))
+
+
 def test_central_z_g3_literal_false():
     # at genus 3 the relation space is zero, the quotient is a free Lie
     # algebra, and z is not central: the membership check reports that fact
     assert central_z_check(3) is False
+    assert _central_z_full_route(3) is False
+
+
+def test_central_z_refuses_a_relation_that_is_not_a_weight_vector(monkeypatch,
+                                                                  fresh_contexts):
+    # the weight blocks are exact only for a basis of weight vectors
+    ctx = johnson_context(3)
+    weights = ctx.W2.weights
+    k = next(k for k, w in enumerate(weights) if w != weights[0])
+    monkeypatch.setattr(ctx, "r_basis", [{0: Fraction(1), k: Fraction(1)}])
+    with pytest.raises(InternalInconsistencyError, match="weight vectors"):
+        central_z_check(3)
 
 
 def test_budget_refusals():
@@ -204,13 +234,11 @@ def test_budget_refusals():
         johnson_module_dims(5, 0)
     with pytest.raises(BudgetExceededError):
         johnson_module_dims(3, 3)
-    with pytest.raises(BudgetExceededError):
-        central_z_check(4)
 
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: decompose_wedge2_V(5), id="decompose-g5"),
-    # the genus ceiling is checked before the centrality one
+    # the centrality check has no ceiling of its own: the genus one refuses it
     pytest.param(lambda: central_z_check(5), id="central-z-g5"),
 ])
 def test_budget_refusal_reasons(call):
@@ -240,8 +268,9 @@ def test_decompose_g4():
 @pytest.mark.slow
 def test_central_z_g4_membership_holds():
     # with the large relation space at genus 4 the brackets [z, e_i] all land
-    # in the degree-3 piece of the ideal
-    assert central_z_check(4, allow_large=True) is True
+    # in the degree-3 piece of the ideal, by weight blocks and whole
+    assert central_z_check(4) is True
+    assert _central_z_full_route(4) is True
 
 
 @pytest.mark.slow
