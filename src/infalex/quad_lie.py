@@ -4,8 +4,12 @@ Graded pieces are computed as quotients inside the free Lie algebra: the
 degree-q piece of the ideal is spanned by ad_{e_k} applied to the piece one
 degree down, starting from R in degree 2.  The brute-force route to the
 infinitesimal Alexander invariant (``bb_direct``) quotients the degree q+2
-piece by all brackets of two elements of degree >= 2; it exists as the
-independent oracle for the presentation-matrix route in ``alex_module``.
+piece by ideal(R)_{q+2} and the brackets of two quotient words, the
+Lyndon words of degree a >= 2 that are not pivots of ideal(R)_a: since
+L_a = ideal(R)_a + span(quotient words) and ideal(R) is an ideal, every
+other bracket [L_a, L_b] already lies in the span.  It uses brackets only,
+and exists as the independent oracle for the presentation-matrix route in
+``alex_module``.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from itertools import combinations
 
 from . import documents
 from .exact_linalg import ZERO, EchelonBasis, RationalMatrix, Vec, echelon_basis
-from .free_lie import (GradedDims, _lyndon_words_cached, ad_generator_matrix,
-                       basis_bracket, lyndon_index)
+from .free_lie import _lyndon_words_cached, ad_generator_matrix, basis_bracket, lyndon_index
 
 Pair = tuple[int, int]
 
@@ -124,19 +127,6 @@ def _ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
     return eb
 
 
-def graded_dims(p: LiePresentation, max_degree: int) -> GradedDims:
-    """dim of the degree-q piece of L(V)/ideal(R), degrees 1..max_degree.
-
-    Test oracle: with R = 0 the dims are the Witt numbers, which checks
-    ad_generator_matrix and the ideal echelon that bb_direct runs; no CLI
-    path calls it."""
-    dims = [p.dim_v]
-    for q in range(2, max_degree + 1):
-        free_dim = len(_lyndon_words_cached(p.dim_v, q))
-        dims.append(free_dim - _ideal_echelon(p, q).rank)
-    return GradedDims(1, tuple(dims[:max_degree]))
-
-
 def quotient_pairs(p: LiePresentation) -> dict[int, int]:
     """Pair positions whose classes form the basis of G_2 = wedge^2 V / R,
     each mapped to its row of beta_matrix(p)."""
@@ -161,10 +151,14 @@ def beta_matrix(p: LiePresentation) -> RationalMatrix:
 def bb_direct(p: LiePresentation, q: int) -> tuple[int, list[tuple[int, ...]]]:
     """dim of the degree-q piece of G'_ab (degrees shifted by 2), with a basis.
 
-    Works in L_{q+2}: quotient by ideal(R)_{q+2} together with all brackets
-    [L_a, L_b] for a, b >= 2, a + b = q + 2.  Every element of L_a lifts some
-    class of the quotient algebra, so no explicit section is needed.  Returns
-    the dimension and the Lyndon words indexing a basis of the quotient.
+    Works in L_{q+2}: quotient by ideal(R)_{q+2} together with the brackets
+    [L_a, L_b] for a, b >= 2, a + b = q + 2.  Only the free words of each
+    degree, the Lyndon words that are not pivots of ideal(R)_a, are
+    bracketed: L_a = ideal(R)_a + span(free words), and [ideal(R)_a, L_b]
+    lies in ideal(R)_{q+2}, so modulo the ideal [L_a, L_b] is spanned by the
+    brackets of free words.  Every element of L_a lifts some class of the
+    quotient algebra, so no explicit section is needed.  Returns the
+    dimension and the Lyndon words indexing a basis of the quotient.
     """
     if q < 0:
         raise ValueError("q >= 0 required")
@@ -172,14 +166,14 @@ def bb_direct(p: LiePresentation, q: int) -> tuple[int, list[tuple[int, ...]]]:
     d = q + 2
     span = _ideal_echelon(p, d).copy()
     idx = lyndon_index(n, d)
-    for a in range(2, d - 1):
+    for a in range(2, d // 2 + 1):
         b = d - a
-        if b < 2 or b < a:
-            continue
         words_a = _lyndon_words_cached(n, a)
         words_b = _lyndon_words_cached(n, b)
-        for i, wa in enumerate(words_a):
-            for j, wb in enumerate(words_b):
+        free_a = [words_a[k] for k in _ideal_echelon(p, a).free(len(words_a))]
+        free_b = [words_b[k] for k in _ideal_echelon(p, b).free(len(words_b))]
+        for i, wa in enumerate(free_a):
+            for j, wb in enumerate(free_b):
                 if a == b and j <= i:
                     continue
                 res = basis_bracket(wa, wb)

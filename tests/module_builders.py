@@ -4,8 +4,9 @@ Fraction-valued references that the integer kernels of rep_semisimple are
 checked against, the composed nabla-bar that the one-pass cyclic sum of
 infalex.alex_module is checked against, the one-vector-at-a-time
 read-outs that EchelonBasis.quotient and EchelonBasis.kernel are checked
-against, and the Fraction arithmetic in Q[x]/Phi_m that the integer
-CyclotomicScalar is checked against."""
+against, the Fraction arithmetic in Q[x]/Phi_m that the integer
+CyclotomicScalar is checked against, and the quotient-algebra dimensions and
+all-pairs bracket quotient that infalex.quad_lie is checked against."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -13,7 +14,8 @@ from itertools import combinations_with_replacement, permutations, product
 from infalex.alex_module import GradedMap, SymbolBlock, koszul_map
 from infalex.exact_linalg import (EchelonBasis, RationalMatrix, Vec, act_vec, axpy,
                                   cyclotomic_polynomial)
-from infalex.quad_lie import beta_matrix
+from infalex.free_lie import GradedDims, _lyndon_words_cached, basis_bracket, lyndon_index
+from infalex.quad_lie import LiePresentation, _ideal_echelon, beta_matrix
 from infalex.rep_semisimple import (HighestWeight, WeightModule, _algebra_basis,
                                     _dual_coefficients, shifted_block, sym_act)
 
@@ -258,3 +260,40 @@ def oracle_pow(m: int, a, k: int) -> tuple[Fraction, ...]:
 def oracle_repr(m: int, a) -> str:
     """Test oracle: the repr of the value a in Q(zeta_m)."""
     return f"Cyc({m}, {[str(x) for x in a]})"
+
+
+# -- references for the quadratic Lie algebras of infalex.quad_lie -------------
+
+def graded_dims(p: LiePresentation, max_degree: int) -> GradedDims:
+    """Test oracle: dim of the degree-q piece of L(V)/ideal(R), degrees
+    1..max_degree.  With R = 0 the dims are the Witt numbers, which checks
+    ad_generator_matrix and the ideal echelon that bb_direct runs."""
+    dims = [p.dim_v]
+    for q in range(2, max_degree + 1):
+        free_dim = len(_lyndon_words_cached(p.dim_v, q))
+        dims.append(free_dim - _ideal_echelon(p, q).rank)
+    return GradedDims(1, tuple(dims[:max_degree]))
+
+
+def all_pairs_bb_direct(p: LiePresentation, q: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Test oracle: bb_direct(p, q) with every pair of Lyndon words of
+    degrees a <= b, a + b = q + 2, bracketed, not only the quotient words:
+    the quotient of L_{q+2} by ideal(R)_{q+2} and all of [L_a, L_b]."""
+    n = p.dim_v
+    d = q + 2
+    span = _ideal_echelon(p, d).copy()
+    idx = lyndon_index(n, d)
+    for a in range(2, d // 2 + 1):
+        b = d - a
+        words_a = _lyndon_words_cached(n, a)
+        words_b = _lyndon_words_cached(n, b)
+        for i, wa in enumerate(words_a):
+            for j, wb in enumerate(words_b):
+                if a == b and j <= i:
+                    continue
+                res = basis_bracket(wa, wb)
+                if res:
+                    span.add({idx[w]: c for w, c in res})
+    words = _lyndon_words_cached(n, d)
+    basis = [words[i] for i in span.free(len(words))]
+    return len(basis), basis

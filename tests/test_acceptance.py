@@ -67,7 +67,6 @@ def test_criterion_2_highest_weight_identification():
                          "has nonzero image in the cokernel"))
 
 
-@pytest.mark.slow
 def test_criterion_3_presentation_oracle_equivalence():
     rng = random.Random(20240917)
     sizes = [2] * 20 + [3] * 20 + [4] * 14

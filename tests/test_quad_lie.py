@@ -2,10 +2,14 @@ import json
 import random
 from math import comb
 
+import pytest
+
 from infalex.exact_linalg import RationalMatrix
 from infalex.free_lie import lyndon_words, witt_dims
 from infalex.quad_lie import (LiePresentation, _ideal_echelon, bb_direct, beta_matrix,
-                              graded_dims, wedge2_pairs)
+                              wedge2_pairs)
+
+from module_builders import all_pairs_bb_direct, graded_dims
 
 
 def full_relations(n):
@@ -80,9 +84,41 @@ def test_bb_direct_free_chen_values():
     p2 = LiePresentation.make(2, [])
     assert bb_direct(p2, 0)[0] == 1
     assert bb_direct(p2, 1)[0] == 2
-    p3 = LiePresentation.make(3, [])
-    for q in range(3):
-        assert bb_direct(p3, q)[0] == comb(q + 3, q + 2) * (q + 1)
+    for n, top in ((3, 2), (4, 4)):
+        p = LiePresentation.make(n, [])
+        for q in range(top + 1):
+            assert bb_direct(p, q)[0] == comb(q + n, q + 2) * (q + 1), (n, q)
+
+
+def test_bb_direct_quotient_words_match_all_pairs_n4_q4():
+    # one fixed draw at the largest size, where the cut drops the most pairs
+    rng = random.Random(22)
+    p = LiePresentation.make(4, [{(i, j): c for i in range(4) for j in range(i + 1, 4)
+                                  if (c := rng.randint(-2, 2))} for _ in range(2)])
+    assert p.num_relations() == 2
+    for q in range(5):
+        assert bb_direct(p, q) == all_pairs_bb_direct(p, q), q
+
+
+def test_property_bb_direct_quotient_words_match_all_pairs():
+    # bracketing only the free words of ideal(R)_a and ideal(R)_b spans the
+    # same quotient as bracketing every pair: same dimension, same basis words
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def presentations(n):
+        pairs = wedge2_pairs(n)
+        relation = st.lists(st.integers(-2, 2), min_size=len(pairs), max_size=len(pairs))
+        return st.lists(relation, max_size=4).map(lambda rels: LiePresentation.make(
+            n, [{pair: c for pair, c in zip(pairs, r) if c} for r in rels]))
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.sampled_from((2, 3, 4)).flatmap(presentations))
+    def check(p):
+        for q in range(5 if p.dim_v <= 3 else 4):
+            assert bb_direct(p, q) == all_pairs_bb_direct(p, q), q
+
+    check()
 
 
 def test_bb_direct_abelian_zero():
