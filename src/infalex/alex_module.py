@@ -16,15 +16,15 @@ degree, which fixes the matrix layout once and for all.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from operator import add, mul
 
 from .errors import InternalInconsistencyError
-from .exact_linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Vec
+from .exact_linalg import ONE, EchelonBasis, RationalMatrix, Vec
 from .free_lie import GradedDims
 from .quad_lie import LiePresentation, beta_matrix, wedge2_index, wedge2_pairs
 
@@ -72,12 +72,21 @@ class SymbolBlock:
                 if (i is None) != (self.shift == 0):
                     raise ValueError("term multiplier degree must equal the block shift")
 
+    @cached_property
+    def den(self) -> int:
+        """The lcm of the denominators of the symbol's coefficients: den * c
+        is an int for every coefficient c.  Each column lifts its own terms,
+        which costs less than a second, integer copy of a large symbol."""
+        return lcm(*{c.denominator for terms in self.symbol for (_i, _k, c) in terms})
+
 
 @dataclass(frozen=True)
 class GradedMap:
     base_dim: int
     target_dim: int
     blocks: tuple[SymbolBlock, ...]
+    # degree -> instantiate(degree), one entry per degree asked for
+    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def target_dim_in_degree(self, q: int) -> int:
         return sym_dim(self.base_dim, q) * self.target_dim
@@ -92,15 +101,18 @@ class GradedMap:
                     yield bi, mono, j
 
     def column(self, tgt_idx: dict, bi: int, mono: tuple[int, ...], j: int) -> Vec:
-        """The column of source generator j of block bi at monomial mono.
+        """The column of source generator j of block bi at monomial mono,
+        times the block's denominator (SymbolBlock.den): an int vector, which
+        spans what the column spans.
 
         tgt_idx is monomial_index(base_dim, q) for the column's degree q.
         Terms landing on the same row are summed plainly, so the column may
-        hold zeros; the consumers (the RationalMatrix constructor and
-        EchelonBasis.add) drop them.
+        hold zeros; instantiate and EchelonBasis.add drop them.
         """
+        block = self.blocks[bi]
+        den = block.den
         col: Vec = {}
-        for (i, k, c) in self.blocks[bi].symbol[j]:
+        for (i, k, c) in block.symbol[j]:
             if i is None:
                 tgt_mono = mono
             else:
@@ -108,19 +120,35 @@ class GradedMap:
                 tgt_mono[i] += 1
                 tgt_mono = tuple(tgt_mono)
             row = tgt_idx[tgt_mono] * self.target_dim + k
-            col[row] = col.get(row, ZERO) + c
+            col[row] = col.get(row, 0) + c.numerator * (den // c.denominator)
         return col
 
     def instantiate(self, q: int) -> RationalMatrix:
         """The exact matrix of the map in module degree q.
 
-        Rows: (monomial of Sym_q, target generator); columns: walk(q).
+        Rows: (monomial of Sym_q, target generator); columns: walk(q).  Each
+        block's columns are brought over the lcm of the block denominators.
         """
         tgt_idx = monomial_index(self.base_dim, q)
+        den = lcm(*[b.den for b in self.blocks])
+        scales = [den // b.den for b in self.blocks]
         keys = list(self.walk(q))
-        entries = {(row, col): c for col, key in enumerate(keys)
-                   for row, c in self.column(tgt_idx, *key).items()}
-        return RationalMatrix(len(tgt_idx) * self.target_dim, len(keys), entries)
+        num = {}
+        for col, key in enumerate(keys):
+            s = scales[key[0]]
+            for row, c in self.column(tgt_idx, *key).items():
+                if c:
+                    num[(row, col)] = c * s
+        return RationalMatrix.from_integers(len(tgt_idx) * self.target_dim, len(keys), num, den)
+
+    def matrix(self, q: int) -> RationalMatrix:
+        """instantiate(q), built once per degree: coker_dims and
+        coker_multiplication_action on one map share it, and so its column
+        span."""
+        m = self._matrices.get(q)
+        if m is None:
+            m = self._matrices[q] = self.instantiate(q)
+        return m
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +345,7 @@ def coker_dims(gm: GradedMap, max_degree: int, *, weights=None, weyl=None) -> Gr
         if weights is not None:
             r = _weighted_rank(gm, q, base_w, target_w, gen_w, weyl)
         else:
-            r = gm.instantiate(q).rank()
+            r = gm.matrix(q).rank()
         dims.append(target - r)
     return GradedDims(0, tuple(dims))
 
@@ -337,7 +365,7 @@ def coker_multiplication_action(gm: GradedMap, max_degree: int) -> tuple[int, li
     offsets = []
     total = 0
     for q in range(max_degree + 1):
-        eb = gm.instantiate(q).column_span()
+        eb = gm.matrix(q).column_span()
         rows = gm.target_dim_in_degree(q)
         free_rows.append(eb.free(rows))
         # multiplication lands in degrees 1..max_degree only

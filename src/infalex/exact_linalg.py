@@ -2,7 +2,10 @@
 
 Everything here is exact: scalars are ``fractions.Fraction`` or
 :class:`CyclotomicScalar`, an integer vector modulo Phi_m over one
-denominator whose arithmetic runs on ints, and matrices are sparse dicts.
+denominator whose arithmetic runs on ints.  A :class:`RationalMatrix` is
+stored the same way, as a sparse dict of integer numerators over one
+positive denominator in lowest terms (a matrix over Q(zeta_m) is over 1):
+its products, sums and scalings run on ints and divide once.
 Elimination over Q is fraction-free: rows are primitive integer vectors,
 and a pivot is cleared by integer multiples of both rows (Bareiss, Math.
 Comp. 22, 1968).  Over Q(zeta_m) it is pivoted Gaussian elimination over
@@ -512,15 +515,21 @@ def echelon_basis(vectors: Iterable[Mapping]) -> EchelonBasis:
 # ---------------------------------------------------------------------------
 
 class RationalMatrix:
-    """Sparse exact matrix; homogeneous scalar kind (rational or one Q(zeta_m))."""
+    """Sparse exact matrix: integer numerators over one denominator.
 
-    __slots__ = ("rows", "cols", "entries", "_columns")
+    num maps (i, j) to a nonzero int and den > 0, in lowest terms
+    (gcd(den, *num) == 1), so equal rational matrices are stored alike.  A
+    matrix over one Q(zeta_m) keeps its CyclotomicScalar entries in num over
+    den = 1, as _lift treats a cyclotomic vector.  Products, sums and
+    scaling run on the numerators and divide once, by one gcd; ``entries``
+    and ``column_vectors()`` are read out as ``Fraction``s.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den", "_columns", "_span")
 
     def __init__(self, rows: int, cols: int, entries: Mapping | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        self.rows = rows
-        self.cols = cols
         cleaned: dict[tuple[int, int], Scalar] = {}
         order = None
         seen_rational = False
@@ -533,16 +542,43 @@ class RationalMatrix:
                 elif order != v.order:
                     raise ValueError("mixed cyclotomic orders in one matrix")
             else:
-                v = _to_fraction(v)
+                if type(v) is not int:
+                    v = _to_fraction(v)
                 seen_rational = True
             if v:
                 cleaned[(i, j)] = v
-        if order is not None and seen_rational:
-            cleaned = {k: promote(v, order) for k, v in cleaned.items()}
-        self.entries = cleaned
-        self._columns = None   # built once by column_vectors()
+        if order is not None:
+            if seen_rational:
+                cleaned = {k: promote(v, order) for k, v in cleaned.items()}
+            den = 1
+        else:
+            # each value is in lowest terms, so over the lcm of their
+            # denominators the numerators share no factor with it
+            den = lcm(*{v.denominator for v in cleaned.values()})
+            cleaned = {k: v.numerator * (den // v.denominator) for k, v in cleaned.items()}
+        self.rows, self.cols, self.num, self.den = rows, cols, cleaned, den
+        self._columns = self._span = None   # built once, on first use
 
     # -- constructors ---------------------------------------------------------
+
+    @staticmethod
+    def from_integers(rows: int, cols: int, num: dict, den: int = 1) -> "RationalMatrix":
+        """num / den for nonzero int numerators num {(i, j): int} inside the
+        shape and den > 0, divided by gcd(den, *num); num is kept, not
+        copied.  CyclotomicScalar numerators are divided by den themselves,
+        so a matrix over Q(zeta_m) ends over 1."""
+        if den != 1:
+            if isinstance(next(iter(num.values()), None), CyclotomicScalar):
+                inv = Fraction(1, den)
+                num, den = {k: x * inv for k, x in num.items()}, 1
+            else:
+                g = gcd(den, *num.values())
+                if g != 1:
+                    num, den = {k: x // g for k, x in num.items()}, den // g
+        out = object.__new__(RationalMatrix)
+        out.rows, out.cols, out.num, out.den = rows, cols, num, den
+        out._columns = out._span = None
+        return out
 
     @staticmethod
     def from_rows(data: Sequence[Sequence]) -> "RationalMatrix":
@@ -560,90 +596,134 @@ class RationalMatrix:
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(n, n, {(i, i): ONE for i in range(n)})
+        return RationalMatrix.from_integers(n, n, {(i, i): 1 for i in range(n)})
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix(rows, cols, {})
+        return RationalMatrix.from_integers(rows, cols, {})
 
     # -- access ----------------------------------------------------------------
 
-    def row_vectors(self) -> list[Vec]:
-        out: list[Vec] = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
+    def _order(self) -> int | None:
+        """m for a matrix over Q(zeta_m), None for a rational one."""
+        x = next(iter(self.num.values()), None)
+        return x.order if isinstance(x, CyclotomicScalar) else None
 
-    def column_vectors(self) -> list[Vec]:
-        """The columns as sparse vectors, built once and shared by every
-        caller: entries never change after construction, and no caller
+    def _fractions(self, vec: Mapping) -> Vec:
+        """vec / den as Fractions, for a vector of rational numerators."""
+        den = self.den
+        return {k: Fraction(x, den) for k, x in vec.items()}
+
+    @property
+    def entries(self) -> dict:
+        """{(i, j): value} with Fraction values, or CyclotomicScalar ones
+        over Q(zeta_m); a rational view is built on each read."""
+        return self.num if self._order() is not None else self._fractions(self.num)
+
+    def numerator_columns(self) -> list[Vec]:
+        """The columns of den * self as sparse vectors, built once and shared
+        by every caller: num never changes after construction, and no caller
         mutates the list or its vectors."""
         if self._columns is None:
             out: list[Vec] = [dict() for _ in range(self.cols)]
-            for (i, j), v in self.entries.items():
-                out[j][i] = v
+            for (i, j), x in self.num.items():
+                out[j][i] = x
             self._columns = out
         return self._columns
 
-    def transpose(self) -> "RationalMatrix":
-        """Test oracle: rank(m) == rank(m.transpose()) checks the echelon
-        code on both orientations; no CLI path transposes."""
-        return RationalMatrix(self.cols, self.rows,
-                              {(j, i): v for (i, j), v in self.entries.items()})
+    def _numerator_rows(self) -> list[Vec]:
+        out: list[Vec] = [dict() for _ in range(self.rows)]
+        for (i, j), x in self.num.items():
+            out[i][j] = x
+        return out
+
+    def column_vectors(self) -> list[Vec]:
+        """The columns as sparse vectors of Fractions, built on each call."""
+        cols = self.numerator_columns()
+        return cols if self._order() is not None else [self._fractions(c) for c in cols]
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.num
 
     def __eq__(self, other):
-        return (isinstance(other, RationalMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+        if not isinstance(other, RationalMatrix) or (self.rows, self.cols) != (other.rows,
+                                                                             other.cols):
+            return False
+        if self._order() == other._order():
+            return self.den == other.den and self.num == other.num
+        # a matrix over Q(zeta_m), kept over 1, against a rational one
+        return self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+        # equal matrices have one support, whatever their kinds of scalar
+        return hash((self.rows, self.cols, frozenset(self.num)))
 
     def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+        return f"RationalMatrix({self.rows}x{self.cols}, nnz={len(self.num)})"
 
     # -- arithmetic --------------------------------------------------------------
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+    def _plus(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
+        """self + sign * other over the lcm of the two denominators."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        entries = dict(self.entries)
-        axpy(entries, 1, other.entries)
-        return RationalMatrix(self.rows, self.cols, entries)
+        if self._order() != other._order():
+            # beside a matrix over Q(zeta_m), the constructor promotes the rationals
+            entries = dict(self.entries)
+            axpy(entries, sign, other.entries)
+            return RationalMatrix(self.rows, self.cols, entries)
+        d, e = self.den, other.den
+        g = gcd(d, e)
+        u, v = e // g, d // g          # d * u = e * v = lcm(d, e)
+        num = dict(self.num) if u == 1 else {k: x * u for k, x in self.num.items()}
+        axpy(num, sign * v, other.num)
+        return RationalMatrix.from_integers(self.rows, self.cols, num, d * u)
+
+    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def scale(self, c) -> "RationalMatrix":
         if not c:
             return RationalMatrix.zeros(self.rows, self.cols)
-        return RationalMatrix(self.rows, self.cols,
-                              {k: c * v for k, v in self.entries.items()})
+        if isinstance(c, CyclotomicScalar):
+            p, q = c, 1
+        else:
+            c = _to_fraction(c)
+            p, q = c.numerator, c.denominator
+        return RationalMatrix.from_integers(self.rows, self.cols,
+                                            {k: p * x for k, x in self.num.items()},
+                                            self.den * q)
 
     def matvec(self, v: Mapping) -> Vec:
-        return act_vec(self.column_vectors(), v)
+        """self applied to v, summed over the numerator columns and divided
+        once: an integral matrix applied to an int vector gives ints."""
+        out = act_vec(self.numerator_columns(), v)
+        return out if self.den == 1 else self._fractions(out)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        left_cols = self.column_vectors()
-        entries: dict[tuple[int, int], Scalar] = {}
-        for j, col in enumerate(other.column_vectors()):
+        left_cols = self.numerator_columns()
+        num: dict = {}
+        for j, col in enumerate(other.numerator_columns()):
             for i, x in act_vec(left_cols, col).items():
-                entries[(i, j)] = x
-        return RationalMatrix(self.rows, other.cols, entries)
+                num[(i, j)] = x
+        # beside a matrix over Q(zeta_m) every product is cyclotomic, and
+        # from_integers divides it by the rational denominator
+        return RationalMatrix.from_integers(self.rows, other.cols, num, self.den * other.den)
 
     # -- rank / kernel / membership ------------------------------------------------
+    # den * self has the rank, kernel and column span of self, so each of them
+    # echelonizes the numerators
 
     def rank(self) -> int:
         # echelonize whichever orientation has fewer vectors
         if self.cols <= self.rows:
-            vecs = self.column_vectors()
-        else:
-            vecs = self.row_vectors()
-        return echelon_basis(vecs).rank
+            return self.column_span().rank
+        return echelon_basis(self._numerator_rows()).rank
 
     def kernel_basis(self) -> list[Vec]:
         """Exact basis of the right kernel, canonical (RREF) form.
@@ -660,11 +740,15 @@ class RationalMatrix:
         the free positions.
         """
         # stacked operators leave most rows empty, and those span nothing
-        eb = echelon_basis(v for v in self.row_vectors() if v)
+        eb = echelon_basis(v for v in self._numerator_rows() if v)
         return list(eb.kernel(self.cols).items())
 
     def column_span(self) -> EchelonBasis:
-        return echelon_basis(self.column_vectors())
+        """The span of the columns, built once and shared with rank(): its
+        callers read it and add nothing to it."""
+        if self._span is None:
+            self._span = echelon_basis(self.numerator_columns())
+        return self._span
 
 
 def act_vec(cols: Sequence[Mapping], v: Mapping) -> Vec:

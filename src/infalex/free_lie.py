@@ -183,4 +183,4 @@ def ad_generator_matrix(n: int, i: int, q: int) -> RationalMatrix:
     for j, w in enumerate(src):
         for word, c in basis_bracket((i,), w):
             entries[(tgt_idx[word], j)] = c
-    return RationalMatrix(len(tgt_idx), len(src), entries)
+    return RationalMatrix.from_integers(len(tgt_idx), len(src), entries)

@@ -5,7 +5,9 @@ A Laurent-side module is a family of commuting invertible matrices T_i; the
 augmentation ideal is generated by the T_i - 1 and the module is nilpotent
 when the filtration M, I M, I^2 M, ... reaches zero.  For unipotent T_i the
 logarithms X_i = log T_i are nilpotent, commute, and satisfy exp X_i = T_i
-exactly; annihilator exponents are preserved under the transport.
+exactly; annihilator exponents are preserved under the transport.  Log and
+exp are one power series, whose powers are summed as integer numerators
+over one common denominator and divided once.
 
 Exponent conventions: the zero module has exponent 0; a nonzero module with
 all T_i = 1 has exponent 1.
@@ -15,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from . import documents
 from .errors import InternalInconsistencyError
-from .exact_linalg import ONE, RationalMatrix, axpy, echelon_basis
+from .exact_linalg import RationalMatrix, act_vec, axpy, echelon_basis
 
 
 def _check_family(dimension: int, matrices, *, invertible: bool) -> tuple[RationalMatrix, ...]:
@@ -76,11 +78,16 @@ class FinDimSymModule:
 def _annihilator_exponent(dimension: int, steps) -> int | None:
     """Least q with I^q M = 0 for the ideal I the steps generate, or None when
     the filtration M, I M, I^2 M, ... stabilizes above zero.  Each term is
-    the image of the one before under the steps."""
-    span = [{i: ONE} for i in range(dimension)]
+    the image of the one before under the steps.  A step is applied as its
+    integer numerator: scaling a step by a positive constant leaves every
+    I^q M unchanged, so the spans stay integer throughout.  Most images of a
+    nilpotent step are zero, and those are not echelonized."""
+    cols = [m.numerator_columns() for m in steps]
+    span = [{i: 1} for i in range(dimension)]
     rank, q = dimension, 0
     while rank:
-        eb = echelon_basis(m.matvec(v) for v in span for m in steps)
+        images = (act_vec(c, v) for v in span for c in cols)
+        eb = echelon_basis(w for w in images if w)
         if eb.rank == rank:
             return None
         span, rank, q = eb.rows.values(), eb.rank, q + 1
@@ -95,30 +102,34 @@ def is_nilpotent(m: FinDimLaurentModule) -> tuple[bool, int | None]:
     return q is not None, q
 
 
-def _nilpotent_series(x: RationalMatrix, start: RationalMatrix, coeff, kind: str):
-    """start + sum_{k>=1} coeff(k) X^k; ValueError when X^k != 0 for some
-    k > n, i.e. when X is not nilpotent."""
+def _nilpotent_series(x: RationalMatrix, coeff, kind: str):
+    """sum_{k>=1} coeff(k) X^k; ValueError when X^k != 0 for some k > n,
+    i.e. when X is not nilpotent.  The powers are summed as integer
+    numerators over one common denominator and divided once."""
     n = x.rows
-    entries = dict(start.entries)
+    terms = []
     power, k = x, 1
     while not power.is_zero():
         if k > n:
             raise ValueError(f"matrix is not {kind}")
-        axpy(entries, coeff(k), power.entries)
+        terms.append((coeff(k), power))
         power = x.matmul(power)
         k += 1
-    return RationalMatrix(n, n, entries)
+    den = lcm(*[c.denominator * p.den for c, p in terms])
+    num: dict = {}
+    for c, p in terms:
+        axpy(num, c.numerator * (den // (c.denominator * p.den)), p.num)
+    return RationalMatrix.from_integers(n, n, num, den)
 
 
 def _nilpotent_log(t: RationalMatrix) -> RationalMatrix:
-    n = t.rows
-    return _nilpotent_series(t - RationalMatrix.identity(n), RationalMatrix.zeros(n, n),
+    return _nilpotent_series(t - RationalMatrix.identity(t.rows),
                              lambda k: Fraction((-1) ** (k + 1), k), "unipotent")
 
 
 def matrix_exp_nilpotent(x: RationalMatrix) -> RationalMatrix:
-    return _nilpotent_series(x, RationalMatrix.identity(x.rows),
-                             lambda k: Fraction(1, factorial(k)), "nilpotent")
+    return RationalMatrix.identity(x.rows) + _nilpotent_series(
+        x, lambda k: Fraction(1, factorial(k)), "nilpotent")
 
 
 def log_transport(m: FinDimLaurentModule) -> FinDimSymModule:
@@ -144,15 +155,6 @@ def exp_transport(m: FinDimSymModule) -> FinDimLaurentModule:
     unipotent, hence invertible: the result needs none of make's checks."""
     return FinDimLaurentModule(m.dimension,
                                tuple(matrix_exp_nilpotent(x) for x in m.actions))
-
-
-def sym_annihilator_exponent(m: FinDimSymModule) -> int | None:
-    """Least q with (X_1, ..., X_k)^q M = 0, or None when not nilpotent.
-
-    No code path calls this: it is the test oracle of the transport, which
-    preserves annihilator exponents, so it must equal is_nilpotent of
-    exp_transport(m)."""
-    return _annihilator_exponent(m.dimension, m.actions)
 
 
 @dataclass(frozen=True)

@@ -476,8 +476,9 @@ def casimir_blocks(m: WeightModule) -> dict[tuple[int, ...], RationalMatrix]:
         cols = [_casimir_column(actions, dual, dm, j) for j in idx]
         if any(col.keys() - pos.keys() for col in cols):
             raise ArithmeticError("Casimir does not preserve weight spaces")
-        blocks[w] = RationalMatrix.from_columns(
-            [{pos[r]: Fraction(x, scale) for r, x in col.items()} for col in cols], len(idx))
+        blocks[w] = RationalMatrix.from_integers(
+            len(idx), len(idx),
+            {(pos[r], t): x for t, col in enumerate(cols) for r, x in col.items()}, scale)
     return blocks
 
 
@@ -535,25 +536,25 @@ def shifted_block(block: RationalMatrix, c) -> RationalMatrix:
 def _dense_block_polynomial(block: RationalMatrix, roots) -> RationalMatrix:
     """Evaluate prod (B - c) over the roots c.
 
-    Fraction-free: with S the lcm of the denominators of B and of the roots,
-    the integer matrices S B - S c are multiplied as dense rows and the
-    product is divided once, by S^len(roots).  Entries are emitted column by
-    column, the order of a RationalMatrix.matmul.
+    Fraction-free: with S the lcm of B's denominator and the roots'
+    denominators, the integer matrices S B - S c are multiplied as dense
+    rows and the product is divided once, by S^len(roots).  Entries are
+    emitted column by column, the order of a RationalMatrix.matmul.
     """
     n = block.rows
-    s = lcm(*{x.denominator for x in block.entries.values()},
-            *{c.denominator for c in roots})
+    s = lcm(block.den, *{c.denominator for c in roots})
+    t = s // block.den
     sb = [[0] * n for _ in range(n)]
-    for (i, j), x in block.entries.items():
-        sb[i][j] = _times(x, s)
+    for (i, j), x in block.num.items():
+        sb[i][j] = x * t
     cols = [[int(i == j) for i in range(n)] for j in range(n)]  # the product, by columns
     for c in roots:
         sc = _times(c, s)
         rows = [row[:i] + [row[i] - sc] + row[i + 1:] for i, row in enumerate(sb)]
         cols = [[sum(map(mul, row, col)) for row in rows] for col in cols]
-    den = s ** len(roots)
-    return RationalMatrix(n, n, {(i, j): Fraction(x, den) for j, col in enumerate(cols)
-                                 for i, x in enumerate(col) if x})
+    return RationalMatrix.from_integers(n, n, {(i, j): x for j, col in enumerate(cols)
+                                               for i, x in enumerate(col) if x},
+                                        s ** len(roots))
 
 
 def isotypic_projection(m: WeightModule, hw: HighestWeight, *,

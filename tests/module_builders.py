@@ -5,8 +5,11 @@ checked against, the composed nabla-bar that the one-pass cyclic sum of
 infalex.alex_module is checked against, the one-vector-at-a-time
 read-outs that EchelonBasis.quotient and EchelonBasis.kernel are checked
 against, the Fraction arithmetic in Q[x]/Phi_m that the integer
-CyclotomicScalar is checked against, and the quotient-algebra dimensions and
-all-pairs bracket quotient that infalex.quad_lie is checked against."""
+CyclotomicScalar is checked against, the quotient-algebra dimensions and
+all-pairs bracket quotient that infalex.quad_lie is checked against, the
+Fraction loops that the integer RationalMatrix is checked against, and the
+annihilator exponent on the Sym side that the exp/log transport is checked
+against."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -15,6 +18,7 @@ from infalex.alex_module import GradedMap, SymbolBlock, koszul_map
 from infalex.exact_linalg import (EchelonBasis, RationalMatrix, Vec, act_vec, axpy,
                                   cyclotomic_polynomial)
 from infalex.free_lie import GradedDims, _lyndon_words_cached, basis_bracket, lyndon_index
+from infalex.nilpotent_transport import FinDimSymModule, _annihilator_exponent
 from infalex.quad_lie import LiePresentation, _ideal_echelon, beta_matrix
 from infalex.rep_semisimple import (HighestWeight, WeightModule, _algebra_basis,
                                     _dual_coefficients, shifted_block, sym_act)
@@ -297,3 +301,53 @@ def all_pairs_bb_direct(p: LiePresentation, q: int) -> tuple[int, list[tuple[int
     words = _lyndon_words_cached(n, d)
     basis = [words[i] for i in span.free(len(words))]
     return len(basis), basis
+
+
+# -- the Fraction loops that the integer RationalMatrix is checked against ------
+
+def transpose(m: RationalMatrix) -> RationalMatrix:
+    """Test oracle: rank(m) == rank(transpose(m)) checks the echelon code on
+    both orientations."""
+    return RationalMatrix(m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()})
+
+
+def _fraction_columns(m: RationalMatrix) -> list[Vec]:
+    cols: list[Vec] = [{} for _ in range(m.cols)]
+    for (i, j), v in m.entries.items():
+        cols[j][i] = v
+    return cols
+
+
+def fraction_matvec(m: RationalMatrix, v) -> Vec:
+    """Test oracle: m applied to v, summed entry by entry in Fractions (or in
+    Q(zeta_m)) over the columns of m.entries."""
+    return act_vec(_fraction_columns(m), v)
+
+
+def fraction_matmul(a: RationalMatrix, b: RationalMatrix) -> dict:
+    """Test oracle: the entries of a b, column by column of b, each column
+    a Fraction act_vec over the columns of a."""
+    left = _fraction_columns(a)
+    return {(i, j): x for j, col in enumerate(_fraction_columns(b))
+            for i, x in act_vec(left, col).items()}
+
+
+def fraction_add(a: RationalMatrix, b: RationalMatrix) -> dict:
+    """Test oracle: the entries of a + b, b's added into a copy of a's."""
+    entries = dict(a.entries)
+    axpy(entries, 1, b.entries)
+    return entries
+
+
+def fraction_scale(m: RationalMatrix, c) -> dict:
+    """Test oracle: the entries of c m, each multiplied on its own."""
+    return {k: c * v for k, v in m.entries.items()} if c else {}
+
+
+# -- the Sym side of the exp/log transport ----------------------------------------
+
+def sym_annihilator_exponent(m: FinDimSymModule) -> int | None:
+    """Test oracle: least q with (X_1, ..., X_k)^q M = 0, or None when not
+    nilpotent.  The transport preserves annihilator exponents, so it must
+    equal is_nilpotent of exp_transport(m)."""
+    return _annihilator_exponent(m.dimension, m.actions)

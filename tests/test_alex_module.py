@@ -332,3 +332,40 @@ def test_multiplication_action_nilpotent():
         for _ in range(4):
             power = power.matmul(m)
         assert power.is_zero()
+
+
+def test_coker_dims_and_action_share_each_degree(monkeypatch):
+    p = LiePresentation.make(4, [{(0, 1): Fraction(1, 2), (2, 3): -1}])
+    gm = nabla(p)
+    built = []
+    instantiate = GradedMap.instantiate
+    monkeypatch.setattr(GradedMap, "instantiate",
+                        lambda self, q: built.append(q) or instantiate(self, q))
+    dims = coker_dims(gm, 2)
+    total, mats = coker_multiplication_action(gm, 2)
+    assert built == [0, 1, 2] and sorted(gm._matrices) == [0, 1, 2]
+    assert total == sum(dims.dims)
+    # the cache is no part of the map's value, and changes no answer
+    fresh = nabla(p)
+    assert not fresh._matrices and fresh == gm and hash(fresh) == hash(gm)
+    assert coker_multiplication_action(fresh, 2) == (total, mats)
+    assert built == [0, 1, 2] + [0, 1, 2]
+    for q in range(3):
+        assert gm.matrix(q) == instantiate(gm, q)
+
+
+def test_instantiate_brings_blocks_over_one_denominator():
+    # the relation is stored with lead 1 as (1, -4/3): a block over 3 beside
+    # the unit cyclic-sum block
+    p = LiePresentation.make(3, [{(0, 1): Fraction(1, 2), (1, 2): Fraction(-2, 3)}])
+    gm = nabla(p)
+    assert [b.den for b in gm.blocks] == [3, 1]
+    for q in range(3):
+        m = gm.instantiate(q)
+        expected = {}
+        tgt_idx = monomial_index(3, q)
+        for col, (bi, mono, j) in enumerate(gm.walk(q)):
+            for row, c in gm.column(tgt_idx, bi, mono, j).items():
+                if c:
+                    expected[(row, col)] = Fraction(c, gm.blocks[bi].den)
+        assert list(m.entries.items()) == list(expected.items())

@@ -8,8 +8,10 @@ from infalex.exact_linalg import (MAX_CYCLOTOMIC_ORDER, CyclotomicScalar, Ration
                                   _phi_degree, _power_reductions, act_vec, axpy,
                                   cyclotomic_polynomial, echelon_basis, promote)
 
-from module_builders import (kernel_column, oracle_add, oracle_inverse, oracle_mul,
-                             oracle_neg, oracle_pow, oracle_repr, reduced_coordinates)
+from module_builders import (fraction_add, fraction_matmul, fraction_matvec, fraction_scale,
+                             kernel_column, oracle_add, oracle_inverse, oracle_mul,
+                             oracle_neg, oracle_pow, oracle_repr, reduced_coordinates,
+                             transpose)
 
 
 def test_rank_identity():
@@ -60,7 +62,7 @@ def test_rank_equals_transpose_rank():
         entries = {(i, j): Fraction(rng.randint(-4, 4))
                    for i in range(r) for j in range(c) if rng.random() < 0.4}
         m = RationalMatrix(r, c, entries)
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == transpose(m).rank()
 
 
 def test_cokernel_dimension():
@@ -264,7 +266,7 @@ def test_cyclotomic_rank_transpose_random():
                         if v:
                             entries[(i, j)] = v
             mat = RationalMatrix(r, c, entries)
-            assert mat.rank() == mat.transpose().rank()
+            assert mat.rank() == transpose(mat).rank()
             kernel = mat.kernel_basis()
             assert mat.rank() + len(kernel) == c
             assert all(not mat.matvec(k) for k in kernel)
@@ -604,15 +606,96 @@ def test_property_kernel_is_read_in_one_pass(field):
     check()
 
 
-def test_column_vectors_are_built_once_and_match_the_entries():
+def test_numerator_columns_are_built_once_and_match_the_entries():
     m = RationalMatrix.from_rows([[1, 0, "1/2"], [0, 0, 3]])
-    cols = m.column_vectors()
-    assert m.column_vectors() is cols
-    assert len(cols) == m.cols
-    assert {(i, j): x for j, col in enumerate(cols) for i, x in col.items()} == m.entries
-    assert cols == [{0: Fraction(1)}, {}, {0: Fraction(1, 2), 1: Fraction(3)}]
+    assert (m.num, m.den) == ({(0, 0): 2, (0, 2): 1, (1, 2): 6}, 2)
+    cols = m.numerator_columns()
+    assert m.numerator_columns() is cols
+    assert cols == [{0: 2}, {}, {0: 1, 1: 6}]
+    # the Fraction views divide the same numerators by den
+    views = m.column_vectors()
+    assert views == [{0: Fraction(1)}, {}, {0: Fraction(1, 2), 1: Fraction(3)}]
+    assert all(type(x) is Fraction for col in views for x in col.values())
+    assert {(i, j): x for j, col in enumerate(views) for i, x in col.items()} == m.entries
     # matvec and matmul read the same columns and leave them as they were
     assert m.matvec({2: Fraction(2)}) == {0: Fraction(1), 1: Fraction(6)}
     assert m.matmul(RationalMatrix.identity(3)) == m
-    assert m.column_vectors() is cols
-    assert cols == [{0: Fraction(1)}, {}, {0: Fraction(1, 2), 1: Fraction(3)}]
+    assert m.numerator_columns() is cols
+    assert cols == [{0: 2}, {}, {0: 1, 1: 6}]
+
+
+# ---------------------------------------------------------------------------
+# property test: the integer RationalMatrix against the Fraction loops
+# ---------------------------------------------------------------------------
+
+def _matrix_field(st, field):
+    """(entry strategy for the constructor, scalar strategy, examples) over Q,
+    non-reduced inputs among them, or over Q(zeta_5)."""
+    scalar = st.one_of(st.sampled_from([0, 1, -1, 2, Fraction(3, 6), Fraction(-4, 6)]),
+                       st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+                       st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 12)))
+    if field == "Q":
+        entry = st.one_of(st.sampled_from([0, 0, "2/4", "-3/6", "1e-2"]), scalar)
+        return entry, scalar, 150
+    coeffs = st.lists(st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 1, 2, 6])),
+                      min_size=4, max_size=4)
+    cyc = st.builds(lambda cs: CyclotomicScalar(5, cs), coeffs)
+    return st.one_of(st.just(0), cyc), st.one_of(scalar, cyc), 60
+
+
+def _rational_matrices(st, entry, r, c):
+    """An r x c matrix: drawn entries, or the zero matrix, or the identity."""
+    drawn = st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r).map(
+        lambda rows: RationalMatrix(r, c, {(i, j): x for i, row in enumerate(rows)
+                                           for j, x in enumerate(row)}))
+    special = [st.builds(RationalMatrix.zeros, st.just(r), st.just(c))]
+    if r == c:
+        special.append(st.builds(RationalMatrix.identity, st.just(r)))
+    return st.one_of(drawn, drawn, *special)
+
+
+def _assert_stored_in_lowest_terms(m):
+    assert all(m.num.values())
+    if m._order() is None:
+        assert all(type(x) is int for x in m.num.values())
+        assert m.den > 0 and gcd(m.den, *m.num.values()) == 1
+    else:
+        assert m.den == 1
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(zeta_5)"])
+def test_property_integer_matrix_matches_fraction_loops(field):
+    given, settings, st = _hypothesis()
+    entry, scalar, examples = _matrix_field(st, field)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+    def check(r, k, c, data):
+        a = data.draw(_rational_matrices(st, entry, r, k))
+        a2 = data.draw(_rational_matrices(st, entry, r, k))
+        b = data.draw(_rational_matrices(st, entry, k, c))
+        v = {j: x for j, x in enumerate(data.draw(st.lists(scalar, min_size=k, max_size=k)))
+             if x}
+        s = data.draw(scalar)
+        for m in (a, a2, b):
+            _assert_stored_in_lowest_terms(m)
+        # values and key order: the order feeds the kernels that golden digests cover
+        assert list(a.matmul(b).entries.items()) == list(fraction_matmul(a, b).items())
+        assert list(a.matvec(v).items()) == list(fraction_matvec(a, v).items())
+        assert list((a + a2).entries.items()) == list(fraction_add(a, a2).items())
+        assert (a - a2).entries == fraction_add(a, RationalMatrix(r, k, fraction_scale(a2, -1)))
+        assert list(a.scale(s).entries.items()) == list(fraction_scale(a, s).items())
+        for m in (a.matmul(b), a + a2, a - a2, a.scale(s)):
+            _assert_stored_in_lowest_terms(m)
+        # equal matrices, however they were reached, hash equal
+        twins = [RationalMatrix(r, k, a.entries), a.matmul(RationalMatrix.identity(k)),
+                 a + RationalMatrix.zeros(r, k), a.scale(2).scale(Fraction(1, 2))]
+        if field == "Q":  # the same values over Q(zeta_5)
+            twins.append(RationalMatrix(r, k, {key: promote(x, 5)
+                                               for key, x in a.entries.items()}))
+        for twin in twins:
+            assert twin == a and hash(twin) == hash(a)
+        if a2 != a:
+            assert (a - a2).num
+
+    check()

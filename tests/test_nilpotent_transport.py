@@ -5,14 +5,15 @@ import pytest
 
 from infalex.alex_module import coker_dims, coker_multiplication_action, nabla
 from infalex.errors import InternalInconsistencyError
-from infalex.exact_linalg import RationalMatrix
+from infalex.exact_linalg import CyclotomicScalar, RationalMatrix
 from infalex.nilpotent_transport import (AnnihilatorMatch, FinDimLaurentModule,
                                          FinDimSymModule,
                                          annihilator_exponent_match,
                                          exp_transport, is_nilpotent,
-                                         log_transport, matrix_exp_nilpotent,
-                                         sym_annihilator_exponent)
+                                         log_transport, matrix_exp_nilpotent)
 from infalex.quad_lie import LiePresentation
+
+from module_builders import sym_annihilator_exponent
 
 
 def jordan(d):
@@ -132,3 +133,18 @@ def test_match_vacuous_and_inconsistent():
 def test_exp_of_non_nilpotent_rejected():
     with pytest.raises(ValueError):
         matrix_exp_nilpotent(RationalMatrix.from_rows([[1, 0], [0, 1]]))
+
+
+def test_transport_over_a_cyclotomic_field():
+    # the series sums Q(zeta_5) numerators over the factorials; exp adds the
+    # rational identity, which is promoted
+    z = CyclotomicScalar.zeta(5)
+    three = CyclotomicScalar.from_rational(5, 3)
+    x = RationalMatrix(3, 3, {(0, 1): z, (1, 2): three, (0, 2): z * z})
+    sym = FinDimSymModule.make(3, [x])
+    lau = exp_transport(sym)
+    (t,) = lau.actions
+    assert t.den == 1 and all(isinstance(v, CyclotomicScalar) for v in t.entries.values())
+    assert t.entries[(0, 2)] == z * z + CyclotomicScalar.from_rational(5, Fraction(3, 2)) * z
+    assert is_nilpotent(lau) == (True, 3) == (True, sym_annihilator_exponent(sym))
+    assert log_transport(lau).actions == (x,)

@@ -17,7 +17,7 @@ from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec,
 
 from module_builders import (all_blocks_highest_weight_vectors, fraction_casimir_column,
                              lowering_closure, matmul_block_polynomial, sym_power,
-                             tensor_product, weyl_orbit)
+                             tensor_product, transpose, weyl_orbit)
 
 SP3 = LieAlgebraSpec("sp", 3)
 SL2 = LieAlgebraSpec("sl", 2)
@@ -40,7 +40,7 @@ def test_defining_matrices_form_the_algebra(spec):
         for _label, cols in basis:
             X = RationalMatrix(d, d, {(r, j): v for j, col in enumerate(cols)
                                       for r, v in col.items()})
-            assert X.transpose().matmul(J) + J.matmul(X) == RationalMatrix.zeros(d, d)
+            assert transpose(X).matmul(J) + J.matmul(X) == RationalMatrix.zeros(d, d)
     else:
         for _label, cols in basis:
             tr = sum(cols[j].get(j, Fraction(0)) for j in range(d))
@@ -296,7 +296,10 @@ def _denominators(m):
 def _row_key_orders(mat):
     # the key order of each row is what kernel_basis, and so the recorded
     # johnson_context digests, can see of an entry order
-    return [list(row) for row in mat.row_vectors()]
+    rows = [[] for _ in range(mat.rows)]
+    for i, j in mat.entries:
+        rows[i].append(j)
+    return rows
 
 
 def test_casimir_blocks_match_fraction_columns():
