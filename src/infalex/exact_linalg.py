@@ -338,10 +338,13 @@ def axpy(target: Vec, c, source: Mapping) -> None:
 
 
 def _lift(v: Mapping) -> tuple[Vec, int]:
-    """(r, d) with r = d * v and no zeros: a rational v is scaled by d, the
-    lcm of its denominators, to integers.  A vector with a cyclotomic entry
-    is promoted to its Q(zeta_m), with d = 1."""
+    """(r, d) with r = d * v and no zeros, r a new dict that reduce may
+    mutate: an all-int v is copied as it is, with d = 1; a rational v is
+    scaled by d, the lcm of its denominators, to integers.  A vector with a
+    cyclotomic entry is promoted to its Q(zeta_m), with d = 1."""
     r = {k: x for k, x in v.items() if x}
+    if all(type(x) is int for x in r.values()):
+        return r, 1
     cyc = next((x for x in r.values() if isinstance(x, CyclotomicScalar)), None)
     if cyc is not None:
         return {k: promote(x, cyc.order) for k, x in r.items()}, 1
@@ -392,7 +395,9 @@ class EchelonBasis:
     Rows are keyed by their lead (least index) and never mutated in place.
     One basis holds one kind of scalar, as a RationalMatrix does.  A rational
     row is stored as a primitive integer vector with a positive lead, a
-    cyclotomic row normalized to 1 at its lead; one elimination step,
+    cyclotomic row normalized to 1 at its lead.  Input that is already all
+    int, as integer columns and products are, enters as it is; other
+    rational input is first scaled to integers by ``_lift``.  One elimination step,
     ``_clear``, serves both, and every value read out is a ``Fraction`` or a
     ``CyclotomicScalar``.  Callers that only need a spanning set of the span
     (``_ideal_echelon``, ``nilpotent_transport``, ``quotient_module``) read

@@ -157,10 +157,7 @@ def _abelianize_gr(elt: GroupRingElt, n: int) -> LaurentPoly:
 class LaurentMatrix:
     rows: int
     cols: int
-    entries: dict  # (r, c) -> LaurentPoly
-
-    def entry(self, r: int, c: int) -> LaurentPoly:
-        return self.entries.get((r, c), {})
+    entries: dict  # (r, c) -> LaurentPoly, nonzero entries only
 
     def evaluate(self, rho: "Character") -> RationalMatrix:
         """The matrix at the point rho of the character torus.
@@ -201,95 +198,6 @@ def alexander_matrix(p: GroupPresentation) -> LaurentMatrix:
             if poly:
                 entries[(r, j)] = poly
     return LaurentMatrix(len(p.relators), n, entries)
-
-
-# generic rank over the fraction field Q(t_1..t_n): fraction-free elimination,
-# a test oracle with its polynomial helpers
-
-def _poly_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Part of the test oracle generic_rank."""
-    out: LaurentPoly = {}
-    for ea, ca in a.items():
-        axpy(out, ca, {tuple(x + y for x, y in zip(ea, eb)): cb for eb, cb in b.items()})
-    return out
-
-
-def _poly_sub(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Part of the test oracle generic_rank."""
-    out = dict(a)
-    axpy(out, -1, b)
-    return out
-
-
-def _poly_divide_exact(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """Exact division of multivariate polynomials (lex leading terms).  Part
-    of the test oracle generic_rank."""
-    if not d:
-        raise ZeroDivisionError
-    out: LaurentPoly = {}
-    lead_d = max(d)
-    f = dict(f)
-    while f:
-        lead_f = max(f)
-        e = tuple(x - y for x, y in zip(lead_f, lead_d))
-        if any(x < 0 for x in e):
-            raise ArithmeticError("non-exact polynomial division")
-        c = f[lead_f] / d[lead_d]
-        out[e] = c
-        f = _poly_sub(f, _poly_mul({e: c}, d))
-    return out
-
-
-def generic_rank(m: LaurentMatrix) -> int:
-    """Rank over the fraction field, treating each t_i as an indeterminate.
-
-    Rows are shifted by monomial units so all entries become polynomials;
-    then Bareiss fraction-free elimination with exact divisions.
-
-    Test oracle: it bounds the rank of evaluate(rho) at every character rho,
-    so it checks the special ranks that the cv command computes; no CLI path
-    calls it.
-    """
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    rows: list[list[LaurentPoly]] = []
-    for r in range(m.rows):
-        row = [dict(m.entry(r, c)) for c in range(m.cols)]
-        mins = None
-        for poly in row:
-            for e in poly:
-                mins = list(e) if mins is None else [min(a, b) for a, b in zip(mins, e)]
-        if mins is not None and any(x < 0 for x in mins):
-            shift = tuple(-min(x, 0) for x in mins)
-            row = [{tuple(a + s for a, s in zip(e, shift)): c for e, c in poly.items()}
-                   for poly in row]
-        rows.append(row)
-    rank = 0
-    prev_pivot: LaurentPoly = {}
-    col = 0
-    ncols = m.cols
-    while rank < len(rows) and col < ncols:
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if not any(rows[r][c] for c in range(col, ncols)):
-                continue
-            for c in range(ncols - 1, col - 1, -1):
-                num = _poly_sub(_poly_mul(pivot, rows[r][c]),
-                                _poly_mul(rows[r][col], rows[rank][c]))
-                rows[r][c] = _poly_divide_exact(num, prev_pivot) if prev_pivot else num
-        prev_pivot = pivot
-        rank += 1
-        col += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------

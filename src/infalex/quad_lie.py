@@ -2,14 +2,16 @@
 
 Graded pieces are computed as quotients inside the free Lie algebra: the
 degree-q piece of the ideal is spanned by ad_{e_k} applied to the piece one
-degree down, starting from R in degree 2.  The brute-force route to the
-infinitesimal Alexander invariant (``bb_direct``) quotients the degree q+2
-piece by ideal(R)_{q+2} and the brackets of two quotient words, the
-Lyndon words of degree a >= 2 that are not pivots of ideal(R)_a: since
-L_a = ideal(R)_a + span(quotient words) and ideal(R) is an ideal, every
-other bracket [L_a, L_b] already lies in the span.  It uses brackets only,
-and exists as the independent oracle for the presentation-matrix route in
-``alex_module``.
+degree down, starting from R in degree 2.  Once the ideal is all of
+L_{q-1}, it is all of L_q, since L_q = [V, L_{q-1}] in a free Lie algebra;
+that piece is written down as the identity basis, not eliminated.  The
+brute-force route to the infinitesimal Alexander invariant (``bb_direct``)
+quotients the degree q+2 piece by ideal(R)_{q+2} and the brackets of two
+quotient words, the Lyndon words of degree a >= 2 that are not pivots of
+ideal(R)_a: since L_a = ideal(R)_a + span(quotient words) and ideal(R) is
+an ideal, every other bracket [L_a, L_b] already lies in the span.  It uses
+brackets only, and exists as the independent oracle for the
+presentation-matrix route in ``alex_module``.
 """
 
 from __future__ import annotations
@@ -109,7 +111,13 @@ class LiePresentation:
 # ---------------------------------------------------------------------------
 
 def _ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
-    """Echelonized span of ideal(R)_q in Lyndon coordinates of L_q, cached."""
+    """Echelonized span of ideal(R)_q in Lyndon coordinates of L_q, cached.
+
+    When ideal(R)_{q-1} has the rank of L_{q-1}, it is all of L_{q-1}, and
+    ideal(R)_q = [V, L_{q-1}] = L_q: a free Lie algebra is generated in
+    degree 1.  That piece is the basis with one unit row per Lyndon word, and
+    no ad_{e_k} image is eliminated.  The rank test is an exact count.
+    """
     if q < 2:
         raise ValueError("the ideal lives in degrees >= 2")
     if q == 2:
@@ -121,8 +129,12 @@ def _ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
         return cached
     n = p.dim_v
     prev = _ideal_echelon(p, q - 1)
-    ads = [ad_generator_matrix(n, i, q - 1) for i in range(n)]
-    eb = echelon_basis(m.matvec(v) for v in prev.rows.values() for m in ads)
+    if prev.rank == len(_lyndon_words_cached(n, q - 1)):
+        eb = EchelonBasis()
+        eb.rows = {k: {k: 1} for k in range(len(_lyndon_words_cached(n, q)))}
+    else:
+        ads = [ad_generator_matrix(n, i, q - 1) for i in range(n)]
+        eb = echelon_basis(m.matvec(v) for v in prev.rows.values() for m in ads)
     p._cache[key] = eb
     return eb
 

@@ -4,20 +4,26 @@ Fraction-valued references that the integer kernels of rep_semisimple are
 checked against, the composed nabla-bar that the one-pass cyclic sum of
 infalex.alex_module is checked against, the one-vector-at-a-time
 read-outs that EchelonBasis.quotient and EchelonBasis.kernel are checked
-against, the Fraction arithmetic in Q[x]/Phi_m that the integer
-CyclotomicScalar is checked against, the quotient-algebra dimensions and
-all-pairs bracket quotient that infalex.quad_lie is checked against, the
-Fraction loops that the integer RationalMatrix is checked against, and the
-annihilator exponent on the Sym side that the exp/log transport is checked
-against."""
+against, the input lift with no all-int shortcut that EchelonBasis is
+checked against, the Fraction arithmetic in Q[x]/Phi_m that the integer
+CyclotomicScalar is checked against, the quotient-algebra dimensions, the
+ideal eliminated with no filled-degree shortcut and the all-pairs bracket
+quotient that infalex.quad_lie is checked against, the Fraction loops that
+the integer RationalMatrix is checked against, the annihilator exponent on
+the Sym side that the exp/log transport is checked against, and the generic
+rank over Q(t_1..t_n) that bounds the special ranks of infalex.fox_alex."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from math import lcm
 
 from infalex.alex_module import GradedMap, SymbolBlock, koszul_map
-from infalex.exact_linalg import (EchelonBasis, RationalMatrix, Vec, act_vec, axpy,
-                                  cyclotomic_polynomial)
-from infalex.free_lie import GradedDims, _lyndon_words_cached, basis_bracket, lyndon_index
+from infalex.exact_linalg import (CyclotomicScalar, EchelonBasis, RationalMatrix, Vec,
+                                  act_vec, axpy, cyclotomic_polynomial, echelon_basis,
+                                  promote)
+from infalex.fox_alex import LaurentMatrix, LaurentPoly
+from infalex.free_lie import (GradedDims, _lyndon_words_cached, ad_generator_matrix,
+                              basis_bracket, lyndon_index)
 from infalex.nilpotent_transport import FinDimSymModule, _annihilator_exponent
 from infalex.quad_lie import LiePresentation, _ideal_echelon, beta_matrix
 from infalex.rep_semisimple import (HighestWeight, WeightModule, _algebra_basis,
@@ -143,10 +149,22 @@ def composed_nabla_bar(p) -> GradedMap:
     return GradedMap(n, beta.rows, (SymbolBlock("wedge3", 1, tuple(symbol)),))
 
 
-# -- one-vector-at-a-time references for the EchelonBasis read-outs -------------
+# -- the input lift and the one-vector-at-a-time read-outs of EchelonBasis ------
 
 def _over(x, d):
     return Fraction(x, d) if isinstance(x, int) else x
+
+
+def general_lift(v) -> tuple[Vec, int]:
+    """Test oracle: EchelonBasis's input lift with no all-int shortcut: every
+    rational v is scaled by the lcm of its denominators and rebuilt, and a
+    vector with a cyclotomic entry is promoted to its Q(zeta_m)."""
+    r = {k: x for k, x in v.items() if x}
+    cyc = next((x for x in r.values() if isinstance(x, CyclotomicScalar)), None)
+    if cyc is not None:
+        return {k: promote(x, cyc.order) for k, x in r.items()}, 1
+    d = lcm(*[x.denominator for x in r.values()])
+    return {k: x.numerator * (d // x.denominator) for k, x in r.items()}, d
 
 
 def reduced_coordinates(eb: EchelonBasis, v: Vec, pos: dict[int, int]) -> Vec:
@@ -279,6 +297,17 @@ def graded_dims(p: LiePresentation, max_degree: int) -> GradedDims:
     return GradedDims(1, tuple(dims[:max_degree]))
 
 
+def plain_ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
+    """Test oracle: ideal(R)_q eliminated degree by degree from R, every
+    ad_{e_k} image of every row one degree down, with no shortcut for a
+    degree that fills L_q and no cache."""
+    eb = p.relation_span()
+    for d in range(3, q + 1):
+        ads = [ad_generator_matrix(p.dim_v, i, d - 1) for i in range(p.dim_v)]
+        eb = echelon_basis(m.matvec(v) for v in eb.rows.values() for m in ads)
+    return eb
+
+
 def all_pairs_bb_direct(p: LiePresentation, q: int) -> tuple[int, list[tuple[int, ...]]]:
     """Test oracle: bb_direct(p, q) with every pair of Lyndon words of
     degrees a <= b, a + b = q + 2, bracketed, not only the quotient words:
@@ -351,3 +380,90 @@ def sym_annihilator_exponent(m: FinDimSymModule) -> int | None:
     nilpotent.  The transport preserves annihilator exponents, so it must
     equal is_nilpotent of exp_transport(m)."""
     return _annihilator_exponent(m.dimension, m.actions)
+
+
+# -- the generic rank that bounds the special ranks of infalex.fox_alex --------
+
+def _poly_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Part of the test oracle generic_rank."""
+    out: LaurentPoly = {}
+    for ea, ca in a.items():
+        axpy(out, ca, {tuple(x + y for x, y in zip(ea, eb)): cb for eb, cb in b.items()})
+    return out
+
+
+def _poly_sub(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Part of the test oracle generic_rank."""
+    out = dict(a)
+    axpy(out, -1, b)
+    return out
+
+
+def _poly_divide_exact(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
+    """Exact division of multivariate polynomials (lex leading terms).  Part
+    of the test oracle generic_rank."""
+    if not d:
+        raise ZeroDivisionError
+    out: LaurentPoly = {}
+    lead_d = max(d)
+    f = dict(f)
+    while f:
+        lead_f = max(f)
+        e = tuple(x - y for x, y in zip(lead_f, lead_d))
+        if any(x < 0 for x in e):
+            raise ArithmeticError("non-exact polynomial division")
+        c = f[lead_f] / d[lead_d]
+        out[e] = c
+        f = _poly_sub(f, _poly_mul({e: c}, d))
+    return out
+
+
+def generic_rank(m: LaurentMatrix) -> int:
+    """Rank over the fraction field, treating each t_i as an indeterminate.
+
+    Rows are shifted by monomial units so all entries become polynomials;
+    then Bareiss fraction-free elimination with exact divisions.
+
+    Test oracle: it bounds the rank of evaluate(rho) at every character rho,
+    so it checks the special ranks that the cv command computes.
+    """
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    rows: list[list[LaurentPoly]] = []
+    for r in range(m.rows):
+        row = [dict(m.entries.get((r, c), {})) for c in range(m.cols)]
+        mins = None
+        for poly in row:
+            for e in poly:
+                mins = list(e) if mins is None else [min(a, b) for a, b in zip(mins, e)]
+        if mins is not None and any(x < 0 for x in mins):
+            shift = tuple(-min(x, 0) for x in mins)
+            row = [{tuple(a + s for a, s in zip(e, shift)): c for e, c in poly.items()}
+                   for poly in row]
+        rows.append(row)
+    rank = 0
+    prev_pivot: LaurentPoly = {}
+    col = 0
+    ncols = m.cols
+    while rank < len(rows) and col < ncols:
+        piv = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                piv = r
+                break
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivot = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            if not any(rows[r][c] for c in range(col, ncols)):
+                continue
+            for c in range(ncols - 1, col - 1, -1):
+                num = _poly_sub(_poly_mul(pivot, rows[r][c]),
+                                _poly_mul(rows[r][col], rows[rank][c]))
+                rows[r][c] = _poly_divide_exact(num, prev_pivot) if prev_pivot else num
+        prev_pivot = pivot
+        rank += 1
+        col += 1
+    return rank

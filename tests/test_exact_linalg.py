@@ -1,17 +1,19 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 
+from infalex import exact_linalg
 from infalex.exact_linalg import (MAX_CYCLOTOMIC_ORDER, CyclotomicScalar, RationalMatrix,
                                   _phi_degree, _power_reductions, act_vec, axpy,
                                   cyclotomic_polynomial, echelon_basis, promote)
 
 from module_builders import (fraction_add, fraction_matmul, fraction_matvec, fraction_scale,
-                             kernel_column, oracle_add, oracle_inverse, oracle_mul,
-                             oracle_neg, oracle_pow, oracle_repr, reduced_coordinates,
-                             transpose)
+                             general_lift, kernel_column, oracle_add, oracle_inverse,
+                             oracle_mul, oracle_neg, oracle_pow, oracle_repr,
+                             reduced_coordinates, transpose)
 
 
 def test_rank_identity():
@@ -604,6 +606,57 @@ def test_property_kernel_is_read_in_one_pass(field):
                 assert not sum((exact(x) * v.get(j, 0) for j, x in enumerate(row)), exact(0))
 
     check()
+
+
+def _lift_kinds(st):
+    """Entry strategies for the vector kinds that _lift tells apart; every
+    kind holds zeros."""
+    ints = st.one_of(st.sampled_from([0, 0, 1, -1, 2, -3]), st.integers(-2 ** 70, 2 ** 70))
+    over_one = st.builds(Fraction, st.integers(-3, 3))
+    fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+    coeffs = st.lists(st.integers(-2, 2), min_size=4, max_size=4)
+    return {"int": ints,
+            "Fraction over 1": over_one,
+            "Fraction": st.one_of(st.just(Fraction(0)), fractions),
+            "int and Fraction": st.one_of(ints, fractions),
+            "Q(zeta_5)": st.one_of(st.just(0), st.builds(lambda cs: CyclotomicScalar(5, cs),
+                                                         coeffs))}
+
+
+def test_property_int_lift_matches_the_general_lift():
+    # an all-int vector skips the rebuild; the basis it gives is the one the
+    # general lift gives, and no caller's dict is touched
+    given, settings, st = _hypothesis()
+    kinds = _lift_kinds(st)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(kinds)), st.data())
+    def check(kind, data):
+        n, rows = data.draw(_matrices(st, kinds[kind], max_n=6, max_rows=5))
+        vecs = [dict(enumerate(row)) for row in rows]  # zeros kept
+        w = dict(enumerate(data.draw(_vector(st, n, kinds[kind]))))
+        before = [dict(v) for v in vecs + [w]]
+        eb = echelon_basis(vecs)
+        with patch.object(exact_linalg, "_lift", general_lift):
+            ref = echelon_basis(vecs)
+        assert eb.rows == ref.rows and eb.rank == ref.rank
+        assert eb.free(n) == ref.free(n)
+        eb.reduce(w)
+        eb.contains(w)
+        eb.add(w)
+        ref.add(w)
+        assert eb.vectors() == ref.vectors()
+        assert vecs + [w] == before
+
+    check()
+
+
+def test_int_lift_returns_a_new_dict_of_ints():
+    v = {0: 2, 1: 0, 2: -4}
+    r, d = exact_linalg._lift(v)
+    assert (r, d) == ({0: 2, 2: -4}, 1) and r is not v
+    # bool is not int: True lifts to the int 1 by the general path
+    assert [type(x) for x in exact_linalg._lift({0: True, 1: 3})[0].values()] == [int, int]
 
 
 def test_numerator_columns_are_built_once_and_match_the_entries():

@@ -32,6 +32,8 @@ COMMANDS = {
                      "--method", "nabla-bar"],
     "bb_direct": ["bb", "--presentation", "@presentation.json", "--max-degree", "3",
                   "--method", "direct"],
+    "bb_direct_filled": ["bb", "--presentation", "@presentation_filled.json",
+                         "--max-degree", "4", "--method", "direct"],
     "johnson_g3": ["johnson", "--genus", "3", "--max-degree", "1"],
     "johnson_g3_deg2": ["johnson", "--genus", "3", "--max-degree", "2"],
     "johnson_g4": ["johnson", "--genus", "4", "--max-degree", "1", "--allow-large"],
@@ -83,8 +85,8 @@ def test_golden_stdout(name):
 
 
 # one command per layer whose output could follow set or dict iteration order
-HASH_SEED_COMMANDS = ["johnson_g3", "decompose_g3_central_z", "bb_direct", "fox_f2xz",
-                      "cv_torsion5"]
+HASH_SEED_COMMANDS = ["johnson_g3", "decompose_g3_central_z", "bb_direct", "bb_direct_filled",
+                      "fox_f2xz", "cv_torsion5"]
 
 
 @pytest.mark.parametrize("name", HASH_SEED_COMMANDS)

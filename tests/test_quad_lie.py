@@ -9,7 +9,7 @@ from infalex.free_lie import lyndon_words, witt_dims
 from infalex.quad_lie import (LiePresentation, _ideal_echelon, bb_direct, beta_matrix,
                               wedge2_pairs)
 
-from module_builders import all_pairs_bb_direct, graded_dims
+from module_builders import all_pairs_bb_direct, graded_dims, plain_ideal_echelon
 
 
 def full_relations(n):
@@ -100,20 +100,23 @@ def test_bb_direct_quotient_words_match_all_pairs_n4_q4():
         assert bb_direct(p, q) == all_pairs_bb_direct(p, q), q
 
 
+def _presentations(st, n, max_relations):
+    """Presentations on n generators with up to max_relations relations,
+    coefficients in [-2, 2]."""
+    pairs = wedge2_pairs(n)
+    relation = st.lists(st.integers(-2, 2), min_size=len(pairs), max_size=len(pairs))
+    return st.lists(relation, max_size=max_relations).map(lambda rels: LiePresentation.make(
+        n, [{pair: c for pair, c in zip(pairs, r) if c} for r in rels]))
+
+
 def test_property_bb_direct_quotient_words_match_all_pairs():
     # bracketing only the free words of ideal(R)_a and ideal(R)_b spans the
     # same quotient as bracketing every pair: same dimension, same basis words
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    def presentations(n):
-        pairs = wedge2_pairs(n)
-        relation = st.lists(st.integers(-2, 2), min_size=len(pairs), max_size=len(pairs))
-        return st.lists(relation, max_size=4).map(lambda rels: LiePresentation.make(
-            n, [{pair: c for pair, c in zip(pairs, r) if c} for r in rels]))
-
     @hypothesis.settings(max_examples=100, deadline=None)
-    @hypothesis.given(st.sampled_from((2, 3, 4)).flatmap(presentations))
+    @hypothesis.given(st.sampled_from((2, 3, 4)).flatmap(lambda n: _presentations(st, n, 4)))
     def check(p):
         for q in range(5 if p.dim_v <= 3 else 4):
             assert bb_direct(p, q) == all_pairs_bb_direct(p, q), q
@@ -121,11 +124,37 @@ def test_property_bb_direct_quotient_words_match_all_pairs():
     check()
 
 
-def test_bb_direct_abelian_zero():
-    p = LiePresentation.make(3, full_relations(3))
-    for q in range(4):
-        dim, basis = bb_direct(p, q)
-        assert dim == 0 and basis == []
+def test_property_ideal_echelon_matches_plain_elimination():
+    # a degree that fills L_{q-1} gives all of L_q without elimination; the
+    # ideal is the one that eliminating every ad image gives, in every degree
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.sampled_from((2, 3, 4)).flatmap(lambda n: _presentations(st, n, 6)))
+    def check(p):
+        for q in range(2, (6 if p.dim_v <= 3 else 4) + 1):
+            eb, ref = _ideal_echelon(p, q), plain_ideal_echelon(p, q)
+            size = len(lyndon_words(p.dim_v, q))
+            assert eb.rank == ref.rank, q
+            assert eb.free(size) == ref.free(size), q
+            assert eb.vectors() == ref.vectors(), q
+
+    check()
+
+
+def test_bb_direct_abelian_zero(monkeypatch):
+    # R = wedge^2 V fills L_2, so every higher degree of the ideal is all of
+    # L_q and no ad_{e_k} image is taken
+    calls = []
+    matvec = RationalMatrix.matvec
+    monkeypatch.setattr(RationalMatrix, "matvec",
+                        lambda self, v: calls.append(1) or matvec(self, v))
+    for rels in (full_relations(3), [{(0, 1): 1, (1, 2): 2}, {(0, 2): -1}, {(1, 2): 3}]):
+        p = LiePresentation.make(3, rels)
+        for q in range(5):
+            assert bb_direct(p, q) == (0, []), q
+    assert not calls
 
 
 def test_bb_vanishing_persists():
