@@ -17,20 +17,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
 from operator import add, mul
 
 from .errors import InternalInconsistencyError
-from .exact_linalg import ONE, EchelonBasis, RationalMatrix, Vec
+from .exact_linalg import EchelonBasis, RationalMatrix, Vec
 from .free_lie import GradedDims
 from .quad_lie import LiePresentation, beta_matrix, wedge2_index, wedge2_pairs
 
 # a symbol term (i, k, c): multiply by x_i (or by 1 when i is None), land on
-# target generator k with coefficient c
-Term = tuple[int | None, int, Fraction]
+# target generator k with integer coefficient c, over the block's den
+Term = tuple[int | None, int, int]
 
 
 # recursive: one call at n generators and degree q fills up to n * (q + 1)
@@ -60,9 +59,13 @@ def sym_dim(n: int, q: int) -> int:
 
 @dataclass(frozen=True)
 class SymbolBlock:
+    """One source block of a graded map, stored as RationalMatrix stores a
+    matrix: integer symbol terms over one positive denominator, so the
+    block's map is symbol / den.  The builder lifts its coefficients once."""
     name: str
     shift: int  # 0 or 1
     symbol: tuple[tuple[Term, ...], ...]  # one term tuple per source generator
+    den: int = 1
 
     def __post_init__(self):
         if self.shift not in (0, 1):
@@ -71,13 +74,6 @@ class SymbolBlock:
             for (i, _k, _c) in terms:
                 if (i is None) != (self.shift == 0):
                     raise ValueError("term multiplier degree must equal the block shift")
-
-    @cached_property
-    def den(self) -> int:
-        """The lcm of the denominators of the symbol's coefficients: den * c
-        is an int for every coefficient c.  Each column lifts its own terms,
-        which costs less than a second, integer copy of a large symbol."""
-        return lcm(*{c.denominator for terms in self.symbol for (_i, _k, c) in terms})
 
 
 @dataclass(frozen=True)
@@ -102,17 +98,15 @@ class GradedMap:
 
     def column(self, tgt_idx: dict, bi: int, mono: tuple[int, ...], j: int) -> Vec:
         """The column of source generator j of block bi at monomial mono,
-        times the block's denominator (SymbolBlock.den): an int vector, which
-        spans what the column spans.
+        times the block's denominator (SymbolBlock.den): the int vector of
+        its symbol terms, which spans what the column spans.
 
         tgt_idx is monomial_index(base_dim, q) for the column's degree q.
         Terms landing on the same row are summed plainly, so the column may
         hold zeros; instantiate and EchelonBasis.add drop them.
         """
-        block = self.blocks[bi]
-        den = block.den
         col: Vec = {}
-        for (i, k, c) in block.symbol[j]:
+        for (i, k, c) in self.blocks[bi].symbol[j]:
             if i is None:
                 tgt_mono = mono
             else:
@@ -120,7 +114,7 @@ class GradedMap:
                 tgt_mono[i] += 1
                 tgt_mono = tuple(tgt_mono)
             row = tgt_idx[tgt_mono] * self.target_dim + k
-            col[row] = col.get(row, 0) + c.numerator * (den // c.denominator)
+            col[row] = col.get(row, 0) + c
         return col
 
     def instantiate(self, q: int) -> RationalMatrix:
@@ -155,33 +149,12 @@ class GradedMap:
 # the standard maps
 # ---------------------------------------------------------------------------
 
-def koszul_map(n: int, k: int) -> GradedMap:
-    """Sym (x) wedge^k V -> Sym (x) wedge^(k-1) V,
-    a_1^...^a_k |-> sum_t (-1)^(t+1) a_t (x) (a_1 ^ .. omit t .. ^ a_k).
-
-    Test oracle: koszul_map(n, 3) is delta3(n) built by the general
-    formula, and the Koszul complex tests compose its degrees."""
-    if k < 1:
-        raise ValueError("k >= 1 required")
-    source = list(combinations(range(n), k))
-    target_idx = {c: i for i, c in enumerate(combinations(range(n), k - 1))}
-    symbol = []
-    for gens in source:
-        terms = []
-        for t, i in enumerate(gens):
-            rest = gens[:t] + gens[t + 1:]
-            sign = Fraction(1) if t % 2 == 0 else Fraction(-1)
-            terms.append((i, target_idx[rest], sign))
-        symbol.append(tuple(terms))
-    block = SymbolBlock(f"wedge{k}", 1, tuple(symbol))
-    return GradedMap(n, len(target_idx), (block,))
-
-
-def _cyclic_sum(n: int, columns, target_dim: int) -> GradedMap:
+def _cyclic_sum(n: int, columns, target_dim: int, den: int = 1) -> GradedMap:
     """Sym (x) wedge^3 V -> Sym (x) W,
     a^b^c |-> a (x) f(b^c) - b (x) f(a^c) + c (x) f(a^b),
-    for f: wedge^2 V -> W given by its columns: columns[k] lists the sorted
-    (row, coefficient) pairs of f on the k-th pair of wedge2_pairs(n).
+    for f = F / den: wedge^2 V -> W given by the integer columns of F:
+    columns[k] lists the sorted (row, coefficient) pairs of F on the k-th
+    pair of wedge2_pairs(n).  The symbol is that of F, over den.
 
     The three terms multiply by different variables, so they never share a
     symbol entry and nothing is summed; with a < b < c the terms come out
@@ -194,21 +167,23 @@ def _cyclic_sum(n: int, columns, target_dim: int) -> GradedMap:
         terms += [(b, r, -x) for r, x in columns[idx[a, c]]]
         terms += [(c, r, x) for r, x in columns[idx[a, b]]]
         symbol.append(tuple(terms))
-    return GradedMap(n, target_dim, (SymbolBlock("wedge3", 1, tuple(symbol)),))
+    return GradedMap(n, target_dim, (SymbolBlock("wedge3", 1, tuple(symbol), den),))
 
 
 def delta3(n: int) -> GradedMap:
     """The cyclic-sum map Sym (x) wedge^3 V -> Sym (x) wedge^2 V:
     a^b^c |-> a (x) b^c + b (x) c^a + c (x) a^b."""
     dim = comb(n, 2)
-    return _cyclic_sum(n, [((k, ONE),) for k in range(dim)], dim)
+    return _cyclic_sum(n, [((k, 1),) for k in range(dim)], dim)
 
 
 def _relation_block(p: LiePresentation) -> SymbolBlock:
-    symbol = []
-    for rel in p.relations:
-        symbol.append(tuple((None, k, c) for k, c in sorted(rel.items())))
-    return SymbolBlock("relations", 0, tuple(symbol))
+    """The inclusion of R: the relations' integer numerators over their lcm,
+    read off the matrix whose columns they are."""
+    rels = RationalMatrix.from_columns(p.relations, len(wedge2_pairs(p.dim_v)))
+    symbol = tuple(tuple((None, k, c) for k, c in sorted(col.items()))
+                   for col in rels.numerator_columns())
+    return SymbolBlock("relations", 0, symbol, rels.den)
 
 
 def nabla(p: LiePresentation) -> GradedMap:
@@ -221,10 +196,11 @@ def nabla(p: LiePresentation) -> GradedMap:
 
 def nabla_bar(p: LiePresentation) -> GradedMap:
     """The simplified presentation: the cyclic sum composed with the
-    bracket projection beta onto G_2, target Sym (x) G_2."""
+    bracket projection beta onto G_2, target Sym (x) G_2.  The symbol holds
+    beta's integer numerators, over beta's denominator."""
     beta = beta_matrix(p)
-    columns = [sorted(c.items()) for c in beta.column_vectors()]
-    return _cyclic_sum(p.dim_v, columns, beta.rows)
+    columns = [sorted(c.items()) for c in beta.numerator_columns()]
+    return _cyclic_sum(p.dim_v, columns, beta.rows, beta.den)
 
 
 # ---------------------------------------------------------------------------

@@ -527,7 +527,7 @@ class RationalMatrix:
     matrix over one Q(zeta_m) keeps its CyclotomicScalar entries in num over
     den = 1, as _lift treats a cyclotomic vector.  Products, sums and
     scaling run on the numerators and divide once, by one gcd; ``entries``
-    and ``column_vectors()`` are read out as ``Fraction``s.
+    is read out as ``Fraction``s.
     """
 
     __slots__ = ("rows", "cols", "num", "den", "_columns", "_span")
@@ -641,11 +641,6 @@ class RationalMatrix:
         for (i, j), x in self.num.items():
             out[i][j] = x
         return out
-
-    def column_vectors(self) -> list[Vec]:
-        """The columns as sparse vectors of Fractions, built on each call."""
-        cols = self.numerator_columns()
-        return cols if self._order() is not None else [self._fractions(c) for c in cols]
 
     def is_zero(self) -> bool:
         return not self.num

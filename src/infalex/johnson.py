@@ -87,6 +87,7 @@ class JohnsonContext:
             raise InternalInconsistencyError("invariant line of wedge^2 V should be unique")
         self.z_vec = zs[0]
         self._build_r(constituents)
+        self._q_map: GradedMap | None = None
 
     # -- R, and dim Q certified by Weyl ------------------------------------------
 
@@ -136,8 +137,11 @@ class JohnsonContext:
         return LiePresentation.make(self.V.dimension, rels)
 
     def q_map(self) -> GradedMap:
-        """nabla-bar of L(V)/(R + C z): the cyclic sum into Sym (x) Q."""
-        return nabla_bar(self.presentation_with_z)
+        """nabla-bar of L(V)/(R + C z): the cyclic sum into Sym (x) Q, built
+        on the first call and kept with the context."""
+        if self._q_map is None:
+            self._q_map = nabla_bar(self.presentation_with_z)
+        return self._q_map
 
     def weight_data(self):
         """The (base, target) weights of q_map() for coker_dims.
@@ -302,8 +306,8 @@ def target_act(ctx: JohnsonContext, label: str, tvec: dict) -> dict:
 
 
 def apply_q_to_vector(ctx: JohnsonContext, svec: dict) -> dict:
-    """Apply the symbol of q_map() to a Sym (x) wedge^3 V vector.  Part of
-    the test oracle equivariance_defect."""
+    """Apply the integer symbol of q_map(), that is den times q, to a
+    Sym (x) wedge^3 V vector.  Part of the test oracle equivariance_defect."""
     out: dict = {}
     for (mono, tri), coeff in svec.items():
         terms = {}
@@ -316,7 +320,8 @@ def apply_q_to_vector(ctx: JohnsonContext, svec: dict) -> dict:
 
 
 def equivariance_defect(ctx: JohnsonContext, label: str, svec: dict) -> dict:
-    """q(x . v) - x . q(v); the empty dict iff equivariance holds on v.
+    """den (q(x . v) - x . q(v)), den > 0 the denominator of q's symbol;
+    the empty dict iff equivariance holds on v.
 
     Test oracle: checks that q is sp(2g)-equivariant (acceptance criterion
     5), which the weight-bucketed rank in johnson_module_dims relies on; no

@@ -1,23 +1,24 @@
 """Weight modules built only as test inputs: symmetric powers and tensor
 products of the modules that infalex.rep_semisimple constructs.  Also the
 Fraction-valued references that the integer kernels of rep_semisimple are
-checked against, the composed nabla-bar that the one-pass cyclic sum of
-infalex.alex_module is checked against, the one-vector-at-a-time
-read-outs that EchelonBasis.quotient and EchelonBasis.kernel are checked
-against, the input lift with no all-int shortcut that EchelonBasis is
-checked against, the Fraction arithmetic in Q[x]/Phi_m that the integer
-CyclotomicScalar is checked against, the quotient-algebra dimensions, the
-ideal eliminated with no filled-degree shortcut and the all-pairs bracket
-quotient that infalex.quad_lie is checked against, the Fraction loops that
-the integer RationalMatrix is checked against, the annihilator exponent on
-the Sym side that the exp/log transport is checked against, and the generic
-rank over Q(t_1..t_n) that bounds the special ranks of infalex.fox_alex."""
+checked against, the Koszul differential and the composed nabla-bar that
+the one-pass cyclic sum of infalex.alex_module is checked against, the
+one-vector-at-a-time read-outs that EchelonBasis.quotient and
+EchelonBasis.kernel are checked against, the input lift with no all-int
+shortcut that EchelonBasis is checked against, the Fraction arithmetic in
+Q[x]/Phi_m that the integer CyclotomicScalar is checked against, the
+quotient-algebra dimensions, the ideal eliminated with no filled-degree
+shortcut and the all-pairs bracket quotient that infalex.quad_lie is
+checked against, the Fraction loops that the integer RationalMatrix is
+checked against, the annihilator exponent on the Sym side that the exp/log
+transport is checked against, and the generic rank over Q(t_1..t_n) that
+bounds the special ranks of infalex.fox_alex."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import lcm
 
-from infalex.alex_module import GradedMap, SymbolBlock, koszul_map
+from infalex.alex_module import GradedMap, SymbolBlock
 from infalex.exact_linalg import (CyclotomicScalar, EchelonBasis, RationalMatrix, Vec,
                                   act_vec, axpy, cyclotomic_polynomial, echelon_basis,
                                   promote)
@@ -131,22 +132,47 @@ def all_blocks_highest_weight_vectors(m: WeightModule) -> list[tuple[HighestWeig
     return out
 
 
-# -- the composed reference for nabla-bar ---------------------------------------
+# -- the Koszul differential and the composed reference for nabla-bar ----------
+
+def koszul_map(n: int, k: int) -> GradedMap:
+    """Sym (x) wedge^k V -> Sym (x) wedge^(k-1) V,
+    a_1^...^a_k |-> sum_t (-1)^(t+1) a_t (x) (a_1 ^ .. omit t .. ^ a_k).
+
+    Test oracle: koszul_map(n, 3) is delta3(n) built by the general
+    formula, and the Koszul complex tests compose its degrees."""
+    if k < 1:
+        raise ValueError("k >= 1 required")
+    source = list(combinations(range(n), k))
+    target_idx = {c: i for i, c in enumerate(combinations(range(n), k - 1))}
+    symbol = []
+    for gens in source:
+        terms = []
+        for t, i in enumerate(gens):
+            rest = gens[:t] + gens[t + 1:]
+            terms.append((i, target_idx[rest], 1 if t % 2 == 0 else -1))
+        symbol.append(tuple(terms))
+    block = SymbolBlock(f"wedge{k}", 1, tuple(symbol))
+    return GradedMap(n, len(target_idx), (block,))
+
 
 def composed_nabla_bar(p) -> GradedMap:
     """nabla-bar of the presentation p the long way: each term of the symbol
-    of koszul_map(n, 3) mapped through the columns of beta_matrix(p),
-    accumulated with axpy, then sorted by (variable, row)."""
+    of koszul_map(n, 3) mapped through the Fraction columns of
+    beta_matrix(p), accumulated with axpy and sorted by (variable, row),
+    then lifted to integers over the lcm of the symbol's own denominators."""
     n = p.dim_v
     beta = beta_matrix(p)
-    beta_cols = beta.column_vectors()
+    beta_cols = fraction_columns(beta)
     symbol = []
     for terms in koszul_map(n, 3).blocks[0].symbol:
         out: Vec = {}
         for (i, k, c) in terms:
             axpy(out, c, {(i, kk): b for kk, b in beta_cols[k].items()})
-        symbol.append(tuple((i, kk, c) for (i, kk), c in sorted(out.items())))
-    return GradedMap(n, beta.rows, (SymbolBlock("wedge3", 1, tuple(symbol)),))
+        symbol.append(sorted(out.items()))
+    den = lcm(*{c.denominator for terms in symbol for _key, c in terms})
+    lifted = tuple(tuple((i, kk, c.numerator * (den // c.denominator)) for (i, kk), c in terms)
+                   for terms in symbol)
+    return GradedMap(n, beta.rows, (SymbolBlock("wedge3", 1, lifted, den),))
 
 
 # -- the input lift and the one-vector-at-a-time read-outs of EchelonBasis ------
@@ -340,7 +366,9 @@ def transpose(m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()})
 
 
-def _fraction_columns(m: RationalMatrix) -> list[Vec]:
+def fraction_columns(m: RationalMatrix) -> list[Vec]:
+    """Test oracle: the columns of m as sparse vectors of its entries, read
+    off m.entries one at a time."""
     cols: list[Vec] = [{} for _ in range(m.cols)]
     for (i, j), v in m.entries.items():
         cols[j][i] = v
@@ -350,14 +378,14 @@ def _fraction_columns(m: RationalMatrix) -> list[Vec]:
 def fraction_matvec(m: RationalMatrix, v) -> Vec:
     """Test oracle: m applied to v, summed entry by entry in Fractions (or in
     Q(zeta_m)) over the columns of m.entries."""
-    return act_vec(_fraction_columns(m), v)
+    return act_vec(fraction_columns(m), v)
 
 
 def fraction_matmul(a: RationalMatrix, b: RationalMatrix) -> dict:
     """Test oracle: the entries of a b, column by column of b, each column
     a Fraction act_vec over the columns of a."""
-    left = _fraction_columns(a)
-    return {(i, j): x for j, col in enumerate(_fraction_columns(b))
+    left = fraction_columns(a)
+    return {(i, j): x for j, col in enumerate(fraction_columns(b))
             for i, x in act_vec(left, col).items()}
 
 

@@ -6,14 +6,16 @@ from operator import add
 import pytest
 
 from infalex.alex_module import (GradedMap, SymbolBlock, coker_dims, delta3,
-                                 koszul_map, monomial_index, monomials, nabla,
-                                 nabla_bar, sym_dim, coker_multiplication_action,
-                                 _generator_weights, _weight_buckets)
+                                 monomial_index, monomials, nabla, nabla_bar, sym_dim,
+                                 coker_multiplication_action, _generator_weights,
+                                 _weight_buckets)
 from infalex.errors import InternalInconsistencyError
-from infalex.quad_lie import LiePresentation, bb_direct, quotient_pairs, wedge2_pairs
+from infalex.exact_linalg import RationalMatrix
+from infalex.quad_lie import (LiePresentation, bb_direct, beta_matrix, quotient_pairs,
+                              wedge2_pairs)
 from infalex.rep_semisimple import LieAlgebraSpec
 
-from module_builders import composed_nabla_bar
+from module_builders import composed_nabla_bar, fraction_columns, koszul_map
 
 
 def full_relations(n):
@@ -106,9 +108,10 @@ def test_nabla_bar_free_equals_delta3():
 
 
 def test_property_nabla_bar_matches_composition():
-    # the one-pass cyclic sum through beta's columns against koszul_map(n, 3)
-    # composed with beta term by term, on presentations with n <= 6 and coefficients
-    # p/r, |p| <= 3, 1 <= r <= 3
+    # the one-pass cyclic sum through beta's integer columns against
+    # koszul_map(n, 3) composed with beta's Fraction columns term by term, and
+    # each degree's matrix against 1 (x) beta times the matrix of delta3, on
+    # presentations with n <= 6 and coefficients p/r, |p| <= 3, 1 <= r <= 3
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     coefficient = st.one_of(st.just(0), st.builds(Fraction, st.integers(-3, 3),
@@ -123,7 +126,15 @@ def test_property_nabla_bar_matches_composition():
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(st.integers(1, 6).flatmap(presentations))
     def check(p):
-        assert nabla_bar(p) == composed_nabla_bar(p)
+        nb, n = nabla_bar(p), p.dim_v
+        assert nb == composed_nabla_bar(p)
+        beta, d3 = beta_matrix(p), delta3(n)
+        for q in range(3):
+            s = sym_dim(n, q)
+            beta_q = RationalMatrix(s * beta.rows, s * beta.cols, {
+                (m * beta.rows + r, m * beta.cols + k): x
+                for m in range(s) for (r, k), x in beta.entries.items()})
+            assert nb.instantiate(q) == beta_q.matmul(d3.instantiate(q))
 
     check()
 
@@ -167,8 +178,8 @@ def test_sym_linearity_of_instantiation():
     gm = nabla(p)
     n = gm.base_dim
     for q in (1, 2):
-        cols_q = gm.instantiate(q).column_vectors()
-        cols_next = gm.instantiate(q + 1).column_vectors()
+        cols_q = fraction_columns(gm.instantiate(q))
+        cols_next = fraction_columns(gm.instantiate(q + 1))
         tgt_now = monomials(n, q)
         tgt_idx = monomial_index(n, q + 1)
         samples = []

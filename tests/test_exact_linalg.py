@@ -10,9 +10,9 @@ from infalex.exact_linalg import (MAX_CYCLOTOMIC_ORDER, CyclotomicScalar, Ration
                                   _phi_degree, _power_reductions, act_vec, axpy,
                                   cyclotomic_polynomial, echelon_basis, promote)
 
-from module_builders import (fraction_add, fraction_matmul, fraction_matvec, fraction_scale,
-                             general_lift, kernel_column, oracle_add, oracle_inverse,
-                             oracle_mul, oracle_neg, oracle_pow, oracle_repr,
+from module_builders import (fraction_add, fraction_columns, fraction_matmul, fraction_matvec,
+                             fraction_scale, general_lift, kernel_column, oracle_add,
+                             oracle_inverse, oracle_mul, oracle_neg, oracle_pow, oracle_repr,
                              reduced_coordinates, transpose)
 
 
@@ -665,11 +665,11 @@ def test_numerator_columns_are_built_once_and_match_the_entries():
     cols = m.numerator_columns()
     assert m.numerator_columns() is cols
     assert cols == [{0: 2}, {}, {0: 1, 1: 6}]
-    # the Fraction views divide the same numerators by den
-    views = m.column_vectors()
+    # the Fraction entries are the same numerators divided by den
+    views = fraction_columns(m)
     assert views == [{0: Fraction(1)}, {}, {0: Fraction(1, 2), 1: Fraction(3)}]
     assert all(type(x) is Fraction for col in views for x in col.values())
-    assert {(i, j): x for j, col in enumerate(views) for i, x in col.items()} == m.entries
+    assert views == [{i: Fraction(x, m.den) for i, x in col.items()} for col in cols]
     # matvec and matmul read the same columns and leave them as they were
     assert m.matvec({2: Fraction(2)}) == {0: Fraction(1), 1: Fraction(6)}
     assert m.matmul(RationalMatrix.identity(3)) == m

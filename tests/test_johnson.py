@@ -19,7 +19,7 @@ from infalex.johnson import (JohnsonContext, central_z_check, decompose_wedge2_V
 from infalex.rep_semisimple import (HighestWeight, act_vec, casimir_blocks,
                                     highest_weight_vectors, isotypic_projection, weyl_dim)
 
-from module_builders import composed_nabla_bar, weyl_orbit
+from module_builders import composed_nabla_bar, fraction_columns, weyl_orbit
 
 # sha256 of the repr of each context field, so values, dict key order and
 # container types all count; recorded before the single-pass context build.
@@ -134,7 +134,7 @@ def test_r_basis_is_kernel_of_oracle_projections_g4():
     assert len(kernel) == ctx.r_dim == 819
     # the projection onto Q kills every relation of L(V)/(R + C z), and z
     # is fixed by its own projection
-    q_cols, z_cols = p_q.column_vectors(), p_z.column_vectors()
+    q_cols, z_cols = fraction_columns(p_q), fraction_columns(p_z)
     for v in ctx.presentation_with_z.relations:
         assert act_vec(q_cols, v) == {}
     assert act_vec(z_cols, ctx.z_vec) == ctx.z_vec
@@ -337,19 +337,18 @@ def test_orbit_route_matches_bucket_ranks_g4():
 
 
 @pytest.mark.slow
-def test_orbit_route_at_g5_with_uneven_zero_columns(capsys, monkeypatch, fresh_contexts):
+def test_orbit_route_at_g5_with_uneven_zero_columns(capsys, fresh_contexts):
     # genus 5 is the first genus at which generators with an empty symbol
     # fall unevenly within Weyl orbits, so column counts differ across an
     # orbit while target rows do not.  One context, built in an emptied cache
-    # and dropped after the test, and its map q (2 s to build) serve the pins
-    # and the CLI run
+    # and dropped after the test, and the map q it keeps serve the pins and
+    # the CLI run
     from infalex.cli import main
     ctx = johnson_context(5)
     assert (ctx.V.dimension, ctx.r_dim, ctx.q_dim) == (110, 5214, 780)
     assert ctx.q_dim == weyl_dim(ctx.spec, ctx.hw_two_l2)
     assert ctx.V.dimension == weyl_dim(ctx.spec, HighestWeight((0, 0, 1, 0, 0)))
     gm = ctx.q_map()
-    monkeypatch.setattr(ctx, "q_map", lambda: gm)
     base_w, target_w = ctx.weight_data()
     buckets = _weight_buckets(gm, 1, base_w, _generator_weights(gm, base_w, target_w))
     # the orbit of (2, 1, 0, 0, 0): its buckets differ in column count, yet
@@ -362,6 +361,7 @@ def test_orbit_route_at_g5_with_uneven_zero_columns(capsys, monkeypatch, fresh_c
     report = json.loads(capsys.readouterr().out)
     assert report["coker_q"] == [780, 4212]
     assert report["dims"] == {"V": 110, "Q": 780, "wedge2V": [5214, 780, 1]}
+    assert johnson_context(5).q_map() is gm
 
 
 def test_invariance_certificate_refuses_a_non_invariant_r(monkeypatch):

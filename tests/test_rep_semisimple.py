@@ -67,7 +67,7 @@ def test_cartan_relations_on_defining(spec):
             # a_ij = <alpha_j, alpha_i^vee>; read alpha_j off any vector it moves
             aij = None
             for col in range(m.dimension):
-                img = e.column_vectors()[col]
+                img = e.numerator_columns()[col]
                 if img:
                     row = next(iter(img))
                     alpha_j = tuple(a - b for a, b in zip(m.weights[row], m.weights[col]))
