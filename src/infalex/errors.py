@@ -16,7 +16,3 @@ class BudgetExceededError(RuntimeError):
 class InternalInconsistencyError(RuntimeError):
     """Two routes that must agree produced different answers."""
 
-
-class AmbiguousDecompositionError(RuntimeError):
-    """An isotypic projection was requested where the Casimir operator cannot
-    separate constituents (eigenvalue collision or multiplicity above one)."""

@@ -7,7 +7,9 @@ Ingredients, all exact:
   summand of weight 2 lambda_2 and z spanning the invariant line, so that
   Q = wedge^2 V / (R (+) C z); R is the kernel of one integer polynomial in
   the Casimir operator per weight block, and dim Q is certified by the Weyl
-  dimension formula;
+  dimension formula.  The Casimir of wedge^2 V is assembled from the actions
+  of V, and the actions on wedge^2 V are built per label on first read, so
+  a run builds only the 2g simple root operators it applies;
 * q = nabla-bar of the quadratic Lie algebra L(V)/(R + C z): the
   Sym(V)-linear map sending f (x) (a0 ^ a1 ^ a2) to the cyclic sum
   f a_i (x) [a_{i+1} ^ a_{i+2}], classes taken in Q; its degree-wise
@@ -104,12 +106,16 @@ class JohnsonContext:
         The Weyl dimensions of the listed constituents must also add up to
         dim wedge^2 V: a constituent listed twice leaves the roots, and so
         ker f(C), unchanged.
+
+        The blocks of C come from V alone (casimir_blocks(V, 2)): C on
+        u ^ w is Cu ^ w + u ^ Cw plus twice the cross term of the dual
+        bases, so no action on wedge^2 V is built for them.
         """
         c_q = casimir_eigenvalue(self.spec, self.hw_two_l2)
         c_z = casimir_eigenvalue(self.spec, self.hw_zero)
         eigenvalues = sorted({casimir_eigenvalue(self.spec, hw) for hw, _v in constituents})
         roots = [c for c in eigenvalues if c not in (c_q, c_z)]
-        blocks = casimir_blocks(self.W2)
+        blocks = casimir_blocks(self.V, 2)
         decomp = self.W2.weight_decomposition()
         r_basis: list[Vec] = []
         for w in sorted(blocks):

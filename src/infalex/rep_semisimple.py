@@ -16,14 +16,14 @@ Euclidean form for sl).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
-from math import factorial, lcm, prod
+from math import factorial, lcm
 from operator import mul
 
-from .errors import AmbiguousDecompositionError
 from .exact_linalg import ONE, ZERO, RationalMatrix, Vec, act_vec, axpy, echelon_basis
 
 ColMat = tuple  # tuple of {row: Fraction} dicts, one per column
@@ -250,13 +250,41 @@ class WeightModule:
     algebra: LieAlgebraSpec
     dimension: int
     weights: tuple[tuple[int, ...], ...]
-    actions: dict  # label -> ColMat
+    actions: Mapping  # label -> ColMat
 
     def weight_decomposition(self) -> dict[tuple[int, ...], list[int]]:
-        out: dict[tuple[int, ...], list[int]] = {}
-        for i, w in enumerate(self.weights):
-            out.setdefault(w, []).append(i)
-        return out
+        return _weight_decomposition(self.weights)
+
+
+def _weight_decomposition(weights) -> dict[tuple[int, ...], list[int]]:
+    """weight -> the positions of that weight, in increasing order."""
+    out: dict[tuple[int, ...], list[int]] = {}
+    for i, w in enumerate(weights):
+        out.setdefault(w, []).append(i)
+    return out
+
+
+class LazyActions(Mapping):
+    """label -> ColMat on a module made from another: the columns of a label
+    are built by build(source[label]) on their first read and kept.  The
+    keys are those of source, one per algebra basis element, so what is kept
+    is bounded by the dimension of the algebra."""
+
+    def __init__(self, source: Mapping, build):
+        self._source, self._build = source, build
+        self._built: dict = {}
+
+    def __getitem__(self, label):
+        cols = self._built.get(label)
+        if cols is None:
+            cols = self._built[label] = self._build(self._source[label])
+        return cols
+
+    def __iter__(self):
+        return iter(self._source)
+
+    def __len__(self):
+        return len(self._source)
 
 
 def defining_module(spec: LieAlgebraSpec) -> WeightModule:
@@ -310,16 +338,25 @@ def _move_unit(expt: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
     return tuple(tgt)
 
 
-def wedge_power(m: WeightModule, k: int) -> WeightModule:
+def _wedge_basis(m: WeightModule, k: int):
+    """The sorted monomials of wedge^k m in basis order, and their weights."""
     combos = list(combinations(range(m.dimension), k))
-    index = {c: i for i, c in enumerate(combos)}
     weights = tuple(tuple(sum(m.weights[i][t] for i in c) for t in range(len(m.weights[0])))
                     for c in combos)
-    actions = {}
-    for label, cols in m.actions.items():
-        actions[label] = tuple({index[new]: v for new, v in wedge_act(cols, combo).items()}
-                               for combo in combos)
-    return WeightModule(m.algebra, len(combos), weights, actions)
+    return combos, weights
+
+
+def wedge_power(m: WeightModule, k: int) -> WeightModule:
+    """wedge^k m; the columns of each label are built on their first read
+    (LazyActions), so a caller pays only for the operators it applies."""
+    combos, weights = _wedge_basis(m, k)
+    index = {c: i for i, c in enumerate(combos)}
+
+    def build(cols):
+        return tuple({index[new]: v for new, v in wedge_act(cols, combo).items()}
+                     for combo in combos)
+
+    return WeightModule(m.algebra, len(combos), weights, LazyActions(m.actions, build))
 
 
 def quotient_module(m: WeightModule, spanning: list[Vec]) -> WeightModule:
@@ -435,8 +472,28 @@ def chen_module_weight(n: int, q: int) -> HighestWeight:
 
 
 # ---------------------------------------------------------------------------
-# Casimir operator, highest weight vectors, isotypic projections
+# Casimir operator and highest weight vectors
 # ---------------------------------------------------------------------------
+
+def _basis_images(actions: list, dm: int, j: int) -> dict:
+    """{b: dm x_b e_j} in integers, over the basis elements x_b that do not
+    kill e_j; actions and dm as in _casimir_column."""
+    return {b: _scaled(cols[j], dm) for b, cols in enumerate(actions) if cols[j]}
+
+
+def _dual_images(us: dict, dual) -> dict:
+    """{a: D dm (dual of x_a) e_j} in integers, over the nonzero ones, from
+    us = _basis_images(actions, dm, j) and (dual, D) = _integral_dual."""
+    out = {}
+    for a, row in enumerate(dual):
+        v: dict = {}
+        for b, c in row:
+            if b in us:
+                axpy(v, c, us[b])
+        if v:
+            out[a] = v
+    return out
+
 
 def _casimir_column(actions: list, dual, dm: int, j: int) -> dict:
     """D * dm^2 times column j of the Casimir, in integers.
@@ -444,58 +501,88 @@ def _casimir_column(actions: list, dual, dm: int, j: int) -> dict:
     actions holds the columns of each algebra basis element in basis order,
     (dual, D) is _integral_dual, and dm clears every denominator of actions.
     """
-    # u_b = dm x_b e_j for each basis element that does not kill e_j
-    us = {b: _scaled(cols[j], dm) for b, cols in enumerate(actions) if cols[j]}
     out: dict = {}
-    for cols, row in zip(actions, dual):
-        # v = D dm (dual of x_a) e_j, then out += dm x_a v
-        v: dict = {}
-        for b, c in row:
-            if b in us:
-                axpy(v, c, us[b])
+    # out += dm x_a v for each v = D dm (dual of x_a) e_j
+    for a, v in _dual_images(_basis_images(actions, dm, j), dual).items():
+        cols = actions[a]
         for r, x in v.items():
             axpy(out, x, _scaled(cols[r], dm))
     return out
 
 
-def casimir_blocks(m: WeightModule) -> dict[tuple[int, ...], RationalMatrix]:
-    """Sparse Casimir block per weight; the operator preserves weight spaces.
+def _wedge_into(out: dict, c: int, u: dict, v: dict, index: dict) -> None:
+    """out += c u ^ v for integer vectors u, v of m, out keyed by the
+    position index[r, s] (r < s) of e_r ^ e_s in wedge^2 m."""
+    for r, x in u.items():
+        cx = c * x
+        for s, y in v.items():
+            if r < s:
+                k = index[r, s]
+                out[k] = out.get(k, 0) + cx * y
+            elif r > s:
+                k = index[s, r]
+                out[k] = out.get(k, 0) - cx * y
 
-    Columns are summed in integers scaled by D dm^2 (see _casimir_column),
-    and each entry is divided once.
+
+def _wedge2_casimir_columns(actions: list, dual, dm: int, combos: list):
+    """t -> D * dm^2 times the Casimir column of the pair combos[t] of
+    wedge^2 m, in integers, from the actions of m alone:
+
+        C (e_i ^ e_j) = C e_i ^ e_j + e_i ^ C e_j
+                        + 2 sum_a (x_a e_i) ^ ((dual of x_a) e_j),
+
+    the Casimir of a tensor square with D symmetric (Humphreys 6.2)."""
+    n = len(actions[0])
+    index = {c: t for t, c in enumerate(combos)}
+    cas = [_casimir_column(actions, dual, dm, j) for j in range(n)]
+    us = [_basis_images(actions, dm, j) for j in range(n)]
+    duals = [_dual_images(u, dual) for u in us]
+
+    def column(t: int) -> dict:
+        i, j = combos[t]
+        out: dict = {}
+        _wedge_into(out, 1, cas[i], {j: 1}, index)
+        _wedge_into(out, 1, {i: 1}, cas[j], index)
+        dj = duals[j]
+        for a, u in us[i].items():
+            if a in dj:
+                _wedge_into(out, 2, u, dj[a], index)
+        return {k: x for k, x in out.items() if x}
+
+    return column
+
+
+def casimir_blocks(m: WeightModule, k: int = 1) -> dict[tuple[int, ...], RationalMatrix]:
+    """Sparse Casimir block per weight of wedge^k m (k = 1 or 2), from the
+    actions of m; the operator preserves weight spaces.
+
+    Columns are summed in integers scaled by D dm^2 (see _casimir_column,
+    and _wedge2_casimir_columns for k = 2), and each entry is divided once.
     """
-    decomp = m.weight_decomposition()
     actions = [m.actions[label] for label, _cols in _algebra_basis(m.algebra)]
     dual, d = _integral_dual(m.algebra)
     dm = lcm(*{x.denominator for cols in actions for col in cols for x in col.values()})
     scale = d * dm * dm
+    if k == 1:
+        decomp = m.weight_decomposition()
+        column = partial(_casimir_column, actions, dual, dm)
+    elif k == 2:
+        combos, weights = _wedge_basis(m, 2)
+        decomp = _weight_decomposition(weights)
+        column = _wedge2_casimir_columns(actions, dual, dm, combos)
+    else:
+        raise ValueError("the Casimir of wedge^k m is built for k = 1 and 2 only")
     blocks = {}
     for w in sorted(decomp):
         idx = decomp[w]
         pos = {i: t for t, i in enumerate(idx)}
-        cols = [_casimir_column(actions, dual, dm, j) for j in idx]
+        cols = [column(j) for j in idx]
         if any(col.keys() - pos.keys() for col in cols):
             raise ArithmeticError("Casimir does not preserve weight spaces")
         blocks[w] = RationalMatrix.from_integers(
             len(idx), len(idx),
             {(pos[r], t): x for t, col in enumerate(cols) for r, x in col.items()}, scale)
     return blocks
-
-
-def _embed_blocks(m: WeightModule, blocks: dict) -> RationalMatrix:
-    """The block-diagonal operator on m with the given per-weight blocks."""
-    decomp = m.weight_decomposition()
-    entries = {}
-    for w, block in blocks.items():
-        idx = decomp[w]
-        for (rr, cc), v in block.entries.items():
-            entries[(idx[rr], idx[cc])] = v
-    return RationalMatrix(m.dimension, m.dimension, entries)
-
-
-def casimir_matrix(m: WeightModule) -> RationalMatrix:
-    """The Casimir operator on m.  A test oracle: no CLI path calls it."""
-    return _embed_blocks(m, casimir_blocks(m))
 
 
 def highest_weight_vectors(m: WeightModule) -> list[tuple[HighestWeight, Vec]]:
@@ -527,12 +614,6 @@ def highest_weight_vectors(m: WeightModule) -> list[tuple[HighestWeight, Vec]]:
     return out
 
 
-def shifted_block(block: RationalMatrix, c) -> RationalMatrix:
-    """The square block minus c * I.  Part of the test oracle
-    casimir_eigenspace."""
-    return block - RationalMatrix.identity(block.rows).scale(c)
-
-
 def _dense_block_polynomial(block: RationalMatrix, roots) -> RationalMatrix:
     """Evaluate prod (B - c) over the roots c.
 
@@ -555,53 +636,3 @@ def _dense_block_polynomial(block: RationalMatrix, roots) -> RationalMatrix:
     return RationalMatrix.from_integers(n, n, {(i, j): x for j, col in enumerate(cols)
                                                for i, x in enumerate(col) if x},
                                         s ** len(roots))
-
-
-def isotypic_projection(m: WeightModule, hw: HighestWeight, *,
-                        blocks=None, constituents=None) -> RationalMatrix:
-    """Exact idempotent projecting onto the hw-isotypic constituent.
-
-    Requires multiplicity at most one and no Casimir eigenvalue collision
-    between hw and a non-isomorphic constituent.  ``blocks`` and
-    ``constituents`` accept precomputed Casimir blocks and highest-weight
-    data to avoid recomputation.  A test oracle: no CLI path calls it.
-    """
-    spec = m.algebra
-    target = casimir_eigenvalue(spec, hw)
-    if constituents is None:
-        constituents = highest_weight_vectors(m)
-    emap: dict[Fraction, list[HighestWeight]] = {}
-    for h, _vec in constituents:
-        emap.setdefault(casimir_eigenvalue(spec, h), []).append(h)
-    for c, hws in emap.items():
-        if c == target:
-            others = [h for h in hws if h != hw]
-            if others:
-                raise AmbiguousDecompositionError(
-                    f"Casimir eigenvalue {c} shared by {hw} and {others}; "
-                    "a finer invariant operator is needed")
-            if hws.count(hw) > 1:
-                raise AmbiguousDecompositionError(
-                    f"constituent {hw} has multiplicity {hws.count(hw)} > 1")
-    others = [c for c in sorted(emap) if c != target]
-    if blocks is None:
-        blocks = casimir_blocks(m)
-    norm = ONE / prod(target - c for c in others)
-    return _embed_blocks(m, {w: _dense_block_polynomial(block, others).scale(norm)
-                             for w, block in blocks.items()})
-
-
-def casimir_eigenspace(m: WeightModule, eigenvalue: Fraction, *, blocks=None) -> list[Vec]:
-    """Echelonized basis of ker(Casimir - eigenvalue), weight block by block.
-
-    A test oracle: no CLI path calls it.
-    """
-    decomp = m.weight_decomposition()
-    if blocks is None:
-        blocks = casimir_blocks(m)
-    out = []
-    for w, block in sorted(blocks.items()):
-        idx = decomp[w]
-        for kv in shifted_block(block, eigenvalue).kernel_basis():
-            out.append({idx[t]: v for t, v in kv.items()})
-    return out

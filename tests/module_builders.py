@@ -1,6 +1,8 @@
 """Weight modules built only as test inputs: symmetric powers and tensor
 products of the modules that infalex.rep_semisimple constructs.  Also the
-Fraction-valued references that the integer kernels of rep_semisimple are
+Casimir oracles (the whole operator, its eigenspaces and the isotypic
+projections, built from the running Casimir blocks), the Fraction-valued
+references that the integer kernels of rep_semisimple are
 checked against, the Koszul differential and the composed nabla-bar that
 the one-pass cyclic sum of infalex.alex_module is checked against, the
 one-vector-at-a-time read-outs that EchelonBasis.quotient and
@@ -16,7 +18,7 @@ bounds the special ranks of infalex.fox_alex."""
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import lcm
+from math import lcm, prod
 
 from infalex.alex_module import GradedMap, SymbolBlock
 from infalex.exact_linalg import (CyclotomicScalar, EchelonBasis, RationalMatrix, Vec,
@@ -28,7 +30,9 @@ from infalex.free_lie import (GradedDims, _lyndon_words_cached, ad_generator_mat
 from infalex.nilpotent_transport import FinDimSymModule, _annihilator_exponent
 from infalex.quad_lie import LiePresentation, _ideal_echelon, beta_matrix
 from infalex.rep_semisimple import (HighestWeight, WeightModule, _algebra_basis,
-                                    _dual_coefficients, shifted_block, sym_act)
+                                    _dense_block_polynomial, _dual_coefficients,
+                                    casimir_blocks, casimir_eigenvalue,
+                                    highest_weight_vectors, sym_act)
 
 
 def sym_power(m: WeightModule, k: int) -> WeightModule:
@@ -83,6 +87,84 @@ def lowering_closure(m: WeightModule, v: Vec) -> list[Vec]:
         frontier = [w for u in frontier for label in m.algebra.lowering_labels()
                     if (w := act_vec(m.actions[label], u))]
         out += frontier
+    return out
+
+
+# -- the Casimir oracles: operators built from the running Casimir blocks ---------
+
+class AmbiguousDecompositionError(RuntimeError):
+    """An isotypic projection was requested where the Casimir operator cannot
+    separate constituents (eigenvalue collision or multiplicity above one)."""
+
+
+def _embed_blocks(m: WeightModule, blocks: dict) -> RationalMatrix:
+    """The block-diagonal operator on m with the given per-weight blocks."""
+    decomp = m.weight_decomposition()
+    entries = {}
+    for w, block in blocks.items():
+        idx = decomp[w]
+        for (rr, cc), v in block.entries.items():
+            entries[(idx[rr], idx[cc])] = v
+    return RationalMatrix(m.dimension, m.dimension, entries)
+
+
+def casimir_matrix(m: WeightModule) -> RationalMatrix:
+    """Test oracle: the Casimir operator on m, from its running blocks."""
+    return _embed_blocks(m, casimir_blocks(m))
+
+
+def shifted_block(block: RationalMatrix, c) -> RationalMatrix:
+    """The square block minus c * I.  Part of the test oracle
+    casimir_eigenspace."""
+    return block - RationalMatrix.identity(block.rows).scale(c)
+
+
+def isotypic_projection(m: WeightModule, hw: HighestWeight, *,
+                        blocks=None, constituents=None) -> RationalMatrix:
+    """Exact idempotent projecting onto the hw-isotypic constituent.
+
+    Requires multiplicity at most one and no Casimir eigenvalue collision
+    between hw and a non-isomorphic constituent.  ``blocks`` and
+    ``constituents`` accept precomputed Casimir blocks and highest-weight
+    data to avoid recomputation.  Test oracle: the projection is built from
+    the running casimir_blocks and _dense_block_polynomial.
+    """
+    spec = m.algebra
+    target = casimir_eigenvalue(spec, hw)
+    if constituents is None:
+        constituents = highest_weight_vectors(m)
+    emap: dict[Fraction, list[HighestWeight]] = {}
+    for h, _vec in constituents:
+        emap.setdefault(casimir_eigenvalue(spec, h), []).append(h)
+    for c, hws in emap.items():
+        if c == target:
+            others = [h for h in hws if h != hw]
+            if others:
+                raise AmbiguousDecompositionError(
+                    f"Casimir eigenvalue {c} shared by {hw} and {others}; "
+                    "a finer invariant operator is needed")
+            if hws.count(hw) > 1:
+                raise AmbiguousDecompositionError(
+                    f"constituent {hw} has multiplicity {hws.count(hw)} > 1")
+    others = [c for c in sorted(emap) if c != target]
+    if blocks is None:
+        blocks = casimir_blocks(m)
+    norm = Fraction(1) / prod(target - c for c in others)
+    return _embed_blocks(m, {w: _dense_block_polynomial(block, others).scale(norm)
+                             for w, block in blocks.items()})
+
+
+def casimir_eigenspace(m: WeightModule, eigenvalue: Fraction, *, blocks=None) -> list[Vec]:
+    """Test oracle: echelonized basis of ker(Casimir - eigenvalue), weight
+    block by block, from the running casimir_blocks."""
+    decomp = m.weight_decomposition()
+    if blocks is None:
+        blocks = casimir_blocks(m)
+    out = []
+    for w, block in sorted(blocks.items()):
+        idx = decomp[w]
+        for kv in shifted_block(block, eigenvalue).kernel_basis():
+            out.append({idx[t]: v for t, v in kv.items()})
     return out
 
 

@@ -24,9 +24,10 @@ from infalex.nilpotent_transport import (FinDimSymModule,
                                          exp_transport, log_transport)
 from infalex.quad_lie import LiePresentation, bb_direct, wedge2_index
 from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, casimir_blocks,
-                                    casimir_eigenspace, casimir_eigenvalue,
-                                    chen_module_weight, highest_weight_vectors,
-                                    weyl_dim)
+                                    casimir_eigenvalue, chen_module_weight,
+                                    highest_weight_vectors, weyl_dim)
+
+from module_builders import casimir_eigenspace
 
 PASS = "PASS criterion {}: {}"
 

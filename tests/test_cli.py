@@ -3,7 +3,8 @@ import json
 import pytest
 
 from infalex.cli import main
-from infalex.errors import AmbiguousDecompositionError
+
+from module_builders import AmbiguousDecompositionError
 
 PRES = {"dim_v": 3, "relations": [[{"i": 0, "j": 1, "c": "1"}]]}
 GROUP_Z2 = {"generators": 2, "relators": [[1, 2, -1, -2]]}

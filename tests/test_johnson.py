@@ -17,9 +17,10 @@ from infalex.johnson import (JohnsonContext, central_z_check, decompose_wedge2_V
                              equivariance_defect, johnson_context,
                              johnson_module_dims)
 from infalex.rep_semisimple import (HighestWeight, act_vec, casimir_blocks,
-                                    highest_weight_vectors, isotypic_projection, weyl_dim)
+                                    highest_weight_vectors, weyl_dim)
 
-from module_builders import composed_nabla_bar, fraction_columns, weyl_orbit
+from module_builders import (composed_nabla_bar, fraction_columns, isotypic_projection,
+                             weyl_orbit)
 
 # sha256 of the repr of each context field, so values, dict key order and
 # container types all count; recorded before the single-pass context build.
@@ -329,6 +330,18 @@ def _check_orbit_route(g, max_degree):
 
 def test_orbit_route_matches_bucket_ranks_g3():
     assert _check_orbit_route(3, 2) == (90, 896, 5355)
+
+
+def test_johnson_run_builds_only_the_simple_root_actions_of_wedge2_v(fresh_contexts):
+    # the Casimir of wedge^2 V comes from V; highest_weight_vectors reads the
+    # g raising operators and certify_invariance those and the g lowering
+    # ones, so a run builds 2g of the g(2g + 1) actions on wedge^2 V
+    report = johnson_module_dims(4, 1)
+    assert report.coker_q == (308, 1232)
+    ctx = johnson_context(4)
+    simple = ctx.spec.raising_labels() + ctx.spec.lowering_labels()
+    assert sorted(ctx.W2.actions._built) == sorted(simple)
+    assert len(simple) == 8 and len(ctx.W2.actions) == 36
 
 
 @pytest.mark.slow

@@ -1,23 +1,22 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
-from infalex.errors import AmbiguousDecompositionError
 from infalex.exact_linalg import RationalMatrix
 from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec,
-                                    casimir_blocks, casimir_eigenvalue, casimir_matrix,
-                                    casimir_eigenspace, chen_module_weight,
+                                    casimir_blocks, casimir_eigenvalue, chen_module_weight,
                                     defining_module, fundamental_module,
-                                    highest_weight_vectors, isotypic_projection,
-                                    quotient_module, wedge_power, weyl_dim,
-                                    _algebra_basis, _dense_block_polynomial,
-                                    _dual_coefficients, _integral_dual)
+                                    highest_weight_vectors, quotient_module, wedge_act,
+                                    wedge_power, weyl_dim, _algebra_basis,
+                                    _dense_block_polynomial, _dual_coefficients,
+                                    _integral_dual)
 
-from module_builders import (all_blocks_highest_weight_vectors, fraction_casimir_column,
-                             lowering_closure, matmul_block_polynomial, sym_power,
-                             tensor_product, transpose, weyl_orbit)
+from module_builders import (AmbiguousDecompositionError, all_blocks_highest_weight_vectors,
+                             casimir_eigenspace, casimir_matrix, fraction_casimir_column,
+                             isotypic_projection, lowering_closure, matmul_block_polynomial,
+                             sym_power, tensor_product, transpose, weyl_orbit)
 
 SP3 = LieAlgebraSpec("sp", 3)
 SL2 = LieAlgebraSpec("sl", 2)
@@ -324,6 +323,44 @@ def test_casimir_blocks_match_fraction_columns():
     assert casimir_matrix(quotient) == RationalMatrix.identity(8).scale(c)
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: fundamental_module(SP3, 3), id="sp6-lambda3"),
+    pytest.param(lambda: fundamental_module(LieAlgebraSpec("sp", 4), 3), id="sp8-lambda3"),
+    pytest.param(lambda: defining_module(LieAlgebraSpec("sl", 4)), id="sl4-defining"),
+    pytest.param(_adjoint_sl3_quotient, id="sl3-adjoint-quotient"),
+])
+def test_wedge2_casimir_blocks_match_the_wedge_square(make):
+    # the Casimir of wedge^2 m assembled from the actions of m against the
+    # Casimir of the module wedge_power(m, 2), whose actions are all built;
+    # the sl(3) quotient has fractional actions, so dm > 1 there
+    m = make()
+    assembled = casimir_blocks(m, 2)
+    square = casimir_blocks(wedge_power(m, 2))
+    assert list(assembled) == list(square)
+    for w, block in square.items():
+        assert assembled[w] == block
+
+
+def test_casimir_blocks_of_other_wedge_powers_are_refused():
+    with pytest.raises(ValueError):
+        casimir_blocks(defining_module(SL3), 3)
+
+
+def test_lazy_wedge_actions_match_an_eager_build_g3():
+    # every label read off the lazy actions against the columns that
+    # wedge_act gives, label by label and combo by combo, built up front
+    v = fundamental_module(SP3, 3)
+    combos = list(combinations(range(v.dimension), 2))
+    index = {c: i for i, c in enumerate(combos)}
+    eager = {label: tuple({index[new]: x for new, x in wedge_act(cols, combo).items()}
+                          for combo in combos)
+             for label, cols in v.actions.items()}
+    lazy = wedge_power(v, 2).actions
+    assert not lazy._built
+    # repr: the same columns with the same key order and scalar types
+    assert repr({label: lazy[label] for label in lazy}) == repr(eager)
+
+
 def test_dense_block_polynomial_matches_matmul_chain_on_g3_blocks():
     from infalex.johnson import johnson_context
     ctx = johnson_context(3)
@@ -380,3 +417,14 @@ def test_dominant_highest_weight_vectors_match_all_blocks():
 def test_algebra_caches_are_bounded():
     for cached in (_algebra_basis, _dual_coefficients, _integral_dual):
         assert cached.cache_info().maxsize is not None
+    # the per-label cache of a wedge power keeps one entry per algebra label
+    # however often, and with whatever key, it is read
+    m = wedge_power(defining_module(SP3), 2)
+    labels = [label for label, _cols in _algebra_basis(SP3)]
+    for _ in range(2):
+        for label in labels:
+            assert m.actions[label] is m.actions[label]
+    with pytest.raises(KeyError):
+        m.actions["no such label"]
+    assert list(m.actions._built) == labels == list(m.actions)
+    assert len(m.actions) == SP3.rank * (2 * SP3.rank + 1)
