@@ -15,12 +15,14 @@ degree, which fixes the matrix layout once and for all.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
-from operator import add, mul
+from operator import add, eq, itemgetter, mul, sub
 
 from .errors import InternalInconsistencyError
 from .exact_linalg import EchelonBasis, RationalMatrix, Vec
@@ -57,6 +59,134 @@ def sym_dim(n: int, q: int) -> int:
     return comb(n + q - 1, q) if q >= 0 else 0
 
 
+def _triple(n: int, j: int) -> tuple[int, int, int]:
+    """The j-th triple of combinations(range(n), 3)."""
+    a = 0
+    while j >= comb(n - 1 - a, 2):
+        j -= comb(n - 1 - a, 2)
+        a += 1
+    b = a + 1
+    while j >= n - 1 - b:
+        j -= n - 1 - b
+        b += 1
+    return a, b, b + 1 + j
+
+
+class CyclicSumSymbol(Sequence):
+    """The symbol of a^b^c |-> a (x) f(b^c) - b (x) f(a^c) + c (x) f(a^b):
+    one term tuple per sorted triple, in the order of
+    combinations(range(n), 3).  f is given by its integer columns, one
+    tuple of sorted (row, coefficient) pairs per pair of wedge2_pairs(n).
+
+    The term tuple of triple j is built on its first read and kept, so what
+    is kept is bounded by C(n, 3), and a rank that reads a few generators
+    builds only theirs.  The three terms multiply different variables, so
+    they never share a symbol entry and nothing is summed; with a < b < c
+    they come out sorted by (variable, row).  Equal to, and hashed as, the
+    tuple of all its term tuples."""
+
+    def __init__(self, n: int, columns):
+        self.n = n
+        self.columns = tuple(map(tuple, columns))
+        self._index = wedge2_index(n)
+        self._len = comb(n, 3)
+        self._built: dict[int, tuple[Term, ...]] = {}
+
+    def _terms(self, a: int, b: int, c: int) -> tuple[Term, ...]:
+        idx, cols = self._index, self.columns
+        terms = [(a, r, x) for r, x in cols[idx[b, c]]]
+        terms += [(b, r, -x) for r, x in cols[idx[a, c]]]
+        terms += [(c, r, x) for r, x in cols[idx[a, b]]]
+        return tuple(terms)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[i] for i in range(self._len)[j])
+        terms = self._built.get(j)
+        if terms is None:
+            j = range(self._len)[j]
+            terms = self._built.get(j)
+            if terms is None:
+                terms = self._built[j] = self._terms(*_triple(self.n, j))
+        return terms
+
+    def __iter__(self):
+        for j, triple in enumerate(combinations(range(self.n), 3)):
+            terms = self._built.get(j)
+            if terms is None:
+                terms = self._built[j] = self._terms(*triple)
+            yield terms
+
+    def __len__(self):
+        return self._len
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, CyclicSumSymbol)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"CyclicSumSymbol({self.n}, {self.columns!r})"
+
+    def generators_by_weight(self, base_weights, target_weights, name: str):
+        """The function from a weight w to the generators of weight w, in
+        increasing order.  The triple a < b < c has the weight w_a + w_b + w_c,
+        and its generator is left out when its symbol is empty, which is when
+        f is zero on all three of its pairs.
+
+        The weights are certified once on f instead of read off each symbol:
+        every row r of the column of f on the pair (b, c) must have the
+        weight w_b + w_c, else ValueError.  Then every term (a, r, x) of the
+        symbol of a^b^c lands on w_a + w_b + w_c, so each symbol is weight
+        homogeneous of its triple's weight.  The generators of a weight are
+        found by convolution, a beside the pairs (b, c) of weight w - w_a,
+        on the first call for that weight, and kept with the function; no
+        symbol is built.
+        """
+        n, cols = self.n, self.columns
+        if not self._len:
+            return lambda w: []  # no triple, no generator to weigh
+        pairs = wedge2_pairs(n)
+        pairs_by_weight: dict[tuple, list[int]] = {}
+        for k, ((b, c), col) in enumerate(zip(pairs, cols)):
+            w = _wsum(base_weights[b], base_weights[c])
+            for r, _x in col:
+                if tuple(target_weights[r]) != w:
+                    j = next(j for j, t in enumerate(combinations(range(n), 3))
+                             if b in t and c in t)
+                    raise ValueError(
+                        f"symbol of block {name} generator {j} is not weight homogeneous "
+                        f"of its triple's weight: f on the pair ({b}, {c}) of weight {w} "
+                        f"lands on row {r} of weight {tuple(target_weights[r])}")
+            pairs_by_weight.setdefault(w, []).append(k)
+        nonzero = [bool(col) for col in cols]
+        found: dict[tuple, list[int]] = {}
+
+        def of_weight(w) -> list[int]:
+            js = found.get(w)
+            if js is None:
+                js = found[w] = []
+                for a in range(n):
+                    ks = pairs_by_weight.get(_wdiff(w, base_weights[a]))
+                    if not ks:
+                        continue
+                    # the pairs (b, c) with b > a follow the pairs (a, x), in
+                    # the order of the triples (a, b, c)
+                    first = a * n - a * (a + 1) // 2
+                    rest = first + n - a - 1
+                    offset = self._len - comb(n - a, 3) - rest
+                    for k in ks[bisect_left(ks, rest):]:
+                        b, c = pairs[k]
+                        if nonzero[k] or nonzero[first + b - a - 1] or nonzero[first + c - a - 1]:
+                            js.append(offset + k)
+            return js
+
+        return of_weight
+
+
 @dataclass(frozen=True)
 class SymbolBlock:
     """One source block of a graded map, stored as RationalMatrix stores a
@@ -64,12 +194,19 @@ class SymbolBlock:
     block's map is symbol / den.  The builder lifts its coefficients once."""
     name: str
     shift: int  # 0 or 1
-    symbol: tuple[tuple[Term, ...], ...]  # one term tuple per source generator
+    # one term tuple per source generator: a tuple, or a CyclicSumSymbol
+    symbol: Sequence[tuple[Term, ...]]
     den: int = 1
 
     def __post_init__(self):
         if self.shift not in (0, 1):
             raise ValueError("shift must be 0 or 1")
+        # every term of a cyclic sum multiplies by a variable, so only its
+        # shift is checked; a symbol given as tuples is checked term by term
+        if isinstance(self.symbol, CyclicSumSymbol):
+            if self.shift != 1:
+                raise ValueError("term multiplier degree must equal the block shift")
+            return
         for terms in self.symbol:
             for (i, _k, _c) in terms:
                 if (i is None) != (self.shift == 0):
@@ -154,20 +291,12 @@ def _cyclic_sum(n: int, columns, target_dim: int, den: int = 1) -> GradedMap:
     a^b^c |-> a (x) f(b^c) - b (x) f(a^c) + c (x) f(a^b),
     for f = F / den: wedge^2 V -> W given by the integer columns of F:
     columns[k] lists the sorted (row, coefficient) pairs of F on the k-th
-    pair of wedge2_pairs(n).  The symbol is that of F, over den.
-
-    The three terms multiply by different variables, so they never share a
-    symbol entry and nothing is summed; with a < b < c the terms come out
-    sorted by (variable, row).
+    pair of wedge2_pairs(n).  The symbol is that of F, over den, built per
+    triple on first read (CyclicSumSymbol), and the weight of a generator
+    comes from its triple, certified once on F.
     """
-    idx = wedge2_index(n)
-    symbol = []
-    for a, b, c in combinations(range(n), 3):
-        terms = [(a, r, x) for r, x in columns[idx[b, c]]]
-        terms += [(b, r, -x) for r, x in columns[idx[a, c]]]
-        terms += [(c, r, x) for r, x in columns[idx[a, b]]]
-        symbol.append(tuple(terms))
-    return GradedMap(n, target_dim, (SymbolBlock("wedge3", 1, tuple(symbol), den),))
+    symbol = CyclicSumSymbol(n, columns)
+    return GradedMap(n, target_dim, (SymbolBlock("wedge3", 1, symbol, den),))
 
 
 def delta3(n: int) -> GradedMap:
@@ -211,23 +340,37 @@ def _wsum(a, b) -> tuple:
     return tuple(map(add, a, b))
 
 
-def _generator_weights(gm: GradedMap, base_weights, target_weights) -> list[list]:
-    """The weight of each source generator, per block, read off its symbol.
+def _wdiff(a, b) -> tuple:
+    return tuple(map(sub, a, b))
 
-    Every term (x_i, e_k) of a generator must land on the same weight
+
+def _generators_by_weight(gm: GradedMap, base_weights, target_weights) -> list:
+    """Per block, the function from a weight to the block's generators of
+    that weight, in increasing order; a generator with an empty symbol has
+    a zero column and none.
+
+    A cyclic-sum block gives each generator the weight of its triple,
+    certified once on f (CyclicSumSymbol.generators_by_weight), and builds
+    no symbol.  Any other block reads it off the symbol: every term
+    (x_i, e_k) of a generator must land on the same weight
     target_weights[k] + base_weights[i] (x_i = 1 adds nothing), else
-    ValueError; block ranks rely on it.  An empty symbol gets None.
+    ValueError.  Block ranks rely on it.
     """
     out = []
     for block in gm.blocks:
-        out.append([])
+        if isinstance(block.symbol, CyclicSumSymbol):
+            out.append(block.symbol.generators_by_weight(base_weights, target_weights,
+                                                         block.name))
+            continue
+        weighted = []
         for j, terms in enumerate(block.symbol):
             found = {tuple(target_weights[k]) if i is None
                      else _wsum(target_weights[k], base_weights[i]) for (i, k, _c) in terms}
             if len(found) > 1:
                 raise ValueError(f"symbol of block {block.name} generator {j} "
                                  f"is not weight homogeneous: {sorted(found)}")
-            out[-1].append(found.pop() if found else None)
+            weighted.append((j, found.pop() if found else None))
+        out.append(_by_weight(weighted).get)
     return out
 
 
@@ -238,42 +381,64 @@ def _monomial_weights(n: int, q: int, base_weights) -> dict:
             for mono in monomials(n, q)}
 
 
-def _weight_buckets(gm: GradedMap, q: int, base_weights, generator_weights) -> dict:
-    """The degree-q columns grouped by total weight: weight -> walk(q) keys.
+def _by_weight(weighted) -> dict:
+    """weight -> the items of that weight, in the order given, from
+    (item, weight) pairs; an item of weight None joins none."""
+    out: dict = {}
+    for item, w in weighted:
+        if w is not None:
+            out.setdefault(w, []).append(item)
+    return out
 
-    With generator_weights from _generator_weights, each column lies in the
-    rows of its own total weight, so the matrix is block diagonal over these
-    buckets.  Generators without a weight have zero columns and join none.
+
+def _bucket_keys(gm: GradedMap, mu, monomials_by_weight: dict, generators_by_weight: list):
+    """The degree-q columns of total weight mu, as walk(q) keys in walk
+    order (block, then monomial, then generator), formed by convolution:
+    each monomial of weight mw beside the generators of weight mu - mw.
+
+    monomials_by_weight maps a block shift to _by_weight of the monomials of
+    Sym_{q-shift}; generators_by_weight is _generators_by_weight of gm.  No
+    other column key is listed.
     """
-    mono_w = {}
-    for shift in {b.shift for b in gm.blocks}:
-        mono_w.update(_monomial_weights(gm.base_dim, q - shift, base_weights))
-    buckets: dict[tuple, list] = {}
-    for key in gm.walk(q):
-        bi, mono, j = key
-        gw = generator_weights[bi][j]
-        if gw is not None:
-            buckets.setdefault(_wsum(mono_w[mono], gw), []).append(key)
-    return buckets
+    for bi, block in enumerate(gm.blocks):
+        generators = generators_by_weight[bi]
+        found = []
+        for mw, monos in monomials_by_weight[block.shift].items():
+            js = generators(_wdiff(mu, mw))
+            if js:
+                found += [(mono, js) for mono in monos]
+        # monomials are exponent vectors, so their order is the walk's
+        found.sort(key=itemgetter(0))
+        for mono, js in found:
+            for j in js:
+                yield bi, mono, j
 
 
-def _weighted_rank(gm: GradedMap, q: int, base_weights, target_weights, generator_weights,
+def _weighted_rank(gm: GradedMap, q: int, base_weights, target_weights, generators_by_weight,
                    weyl=None) -> int:
     """Rank of the degree-q matrix, the sum of its weight-bucket ranks.
+
+    The rows of each weight are counted from the base and target weights,
+    and a column's weight is that of its monomial plus that of its
+    generator (generators_by_weight, from _generators_by_weight), so the
+    matrix is block diagonal over weights and its buckets are formed by
+    convolution (_bucket_keys): only the columns of a bucket that is
+    reduced are listed and built.
 
     With weyl (a LieAlgebraSpec of type C) the map must be equivariant for
     that algebra: the rank of a bucket is then the dimension of a weight
     space of the image, which is constant on Weyl orbits, so only the
     dominant bucket of each orbit is reduced and its rank counts orbit_size
-    times.  The target rows of each weight, counted from the base and
-    target weights alone, must be equally many on every weight of an orbit,
-    else InternalInconsistencyError: the weights do not come from a module.
-    Columns are not counted: which generators have an empty symbol depends
-    on the basis, not on the orbit.  Without weyl each weight is its own
-    orbit, of size 1.
+    times.  The target rows of each weight must be equally many on every
+    weight of an orbit, else InternalInconsistencyError: the weights do not
+    come from a module.  Columns are not counted: which generators have an
+    empty symbol depends on the basis, not on the orbit.  Without weyl each
+    weight is its own orbit, of size 1.
     """
-    buckets = _weight_buckets(gm, q, base_weights, generator_weights)
-    mono_counts = Counter(_monomial_weights(gm.base_dim, q, base_weights).values())
+    n = gm.base_dim
+    monos = {shift: _by_weight(_monomial_weights(n, q - shift, base_weights).items())
+             for shift in {b.shift for b in gm.blocks}}
+    mono_counts = Counter(_monomial_weights(n, q, base_weights).values())
     target_counts = Counter(map(tuple, target_weights))
     rows: Counter = Counter()
     for mw, a in mono_counts.items():
@@ -282,7 +447,7 @@ def _weighted_rank(gm: GradedMap, q: int, base_weights, target_weights, generato
     orbits: dict[tuple, list[int]] = {}
     for w, count in rows.items():
         orbits.setdefault(w if weyl is None else weyl.dominant(w), []).append(count)
-    tgt_idx = monomial_index(gm.base_dim, q)
+    tgt_idx = monomial_index(n, q)
     total_rank = 0
     for mu in sorted(orbits):
         size = 1 if weyl is None else weyl.orbit_size(mu)
@@ -291,9 +456,8 @@ def _weighted_rank(gm: GradedMap, q: int, base_weights, target_weights, generato
             raise InternalInconsistencyError(
                 f"degree {q}: the {size} weights of the Weyl orbit of {mu} hold "
                 f"unequal row counts, {len(counts)} weights of sizes {sorted(set(counts))}")
-        # columns are built only when their bucket is reduced
         eb = EchelonBasis()
-        for key in buckets.get(mu, ()):
+        for key in _bucket_keys(gm, mu, monos, generators_by_weight):
             eb.add(gm.column(tgt_idx, *key))
         total_rank += size * eb.rank
     return total_rank
@@ -303,18 +467,20 @@ def coker_dims(gm: GradedMap, max_degree: int, *, weights=None, weyl=None) -> Gr
     """Degree-wise cokernel dimensions of the map, degrees 0..max_degree.
 
     weights = (base, target) gives a weight per variable and per target
-    generator of an equivariant map.  The weight of each source generator
-    is read off its symbol, which must then be weight homogeneous (else
-    ValueError), and ranks are computed per weight block; the result is
-    identical, the blocks are just small.  weyl = spec further ranks one
-    block per Weyl orbit (see _weighted_rank); the caller vouches that the
-    map is spec-equivariant with these weights.
+    generator of an equivariant map.  A generator of a cyclic-sum block has
+    the weight of its triple, certified once on the map f it is built from;
+    any other generator's weight is read off its symbol.  Either way a term
+    off its generator's weight raises ValueError.  Ranks are then computed
+    per weight block, and only the symbols of the buckets ranked are built;
+    the result is identical, the blocks are just small.  weyl = spec
+    further ranks one block per Weyl orbit (see _weighted_rank); the caller
+    vouches that the map is spec-equivariant with these weights.
     """
     if weyl is not None and weights is None:
         raise ValueError("weyl needs weights")
     if weights is not None:
         base_w, target_w = weights
-        gen_w = _generator_weights(gm, base_w, target_w)
+        gen_w = _generators_by_weight(gm, base_w, target_w)
     dims = []
     for q in range(max_degree + 1):
         target = gm.target_dim_in_degree(q)

@@ -96,16 +96,6 @@ def _exponents(word: Word, n: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def gr_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
-    """The product in the group ring.  Part of the test oracle
-    fox_identity_defect."""
-    out: GroupRingElt = {}
-    for wa, ca in a.items():
-        # distinct reduced words wb give distinct products wa wb
-        axpy(out, ca, {free_reduce(wa + wb): cb for wb, cb in b.items()})
-    return out
-
-
 def fox_derivative(word, j: int) -> GroupRingElt:
     """d(word)/dx_j with the Leibniz rule d(uv) = du + u dv.
 
@@ -124,22 +114,6 @@ def fox_derivative(word, j: int) -> GroupRingElt:
             axpy(out, 1, term)
         prefix.append(x)
     return out
-
-
-def fox_identity_defect(word, n: int) -> GroupRingElt:
-    """sum_j d(w)/dx_j (x_j - 1) - (w - 1); zero for every word.
-
-    Test oracle: the fundamental formula of Fox calculus (acceptance
-    criterion 8) checks fox_derivative, which alexander_matrix runs; no CLI
-    path calls it."""
-    w = free_reduce(word)
-    total: GroupRingElt = {}
-    for j in range(n):
-        x_j_minus_1 = {(j + 1,): Fraction(1), (): Fraction(-1)}
-        axpy(total, 1, gr_mul(fox_derivative(w, j), x_j_minus_1))
-    if w:
-        axpy(total, -1, {w: Fraction(1), (): Fraction(-1)})
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,20 @@ uses those of quad_lie.beta_matrix.  Instantiated matrices of q are
 equivariant, hence block diagonal over weights, and the rank of a weight
 block depends only on the Weyl orbit of its weight: once the sp(2g)
 invariance of R + C z is checked, one dominant block per orbit is ranked,
-which is what makes genus 4 affordable.  Results for g < 6
-are linear algebra facts about the same maps; the finiteness guarantee for
-coker(q) starts at g = 6.
+which is what makes genus 4 affordable.  The generator a0 ^ a1 ^ a2 of q
+has the weight of its triple, w_0 + w_1 + w_2, certified once on beta
+(every row of the column of beta on a pair has the pair's weight), so the
+blocks are counted and formed from weights alone, and the symbol of a
+triple is built on its first read: a run builds only the symbols of the
+dominant blocks it ranks.  Results for g < 6 are linear algebra facts
+about the same maps; the finiteness guarantee for coker(q) starts at
+g = 6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from operator import add
 
 from .alex_module import GradedMap, coker_dims, nabla_bar
@@ -38,11 +42,10 @@ from .errors import BudgetExceededError, InternalInconsistencyError
 from .exact_linalg import Vec, act_vec, axpy, echelon_basis
 from .free_lie import basis_bracket
 from .quad_lie import LiePresentation, quotient_pairs, wedge2_pairs
-from .rep_semisimple import (HighestWeight, LieAlgebraSpec, WeightModule,
-                             casimir_blocks, casimir_eigenvalue,
-                             fundamental_module, highest_weight_vectors,
-                             quotient_module, sym_act, wedge_act, wedge_power,
-                             weyl_dim, _dense_block_polynomial)
+from .rep_semisimple import (HighestWeight, LieAlgebraSpec, casimir_blocks,
+                             casimir_eigenvalue, fundamental_module,
+                             highest_weight_vectors, wedge_power, weyl_dim,
+                             _dense_block_polynomial)
 
 MIN_GENUS = 3
 
@@ -143,8 +146,9 @@ class JohnsonContext:
         return LiePresentation.make(self.V.dimension, rels)
 
     def q_map(self) -> GradedMap:
-        """nabla-bar of L(V)/(R + C z): the cyclic sum into Sym (x) Q, built
-        on the first call and kept with the context."""
+        """nabla-bar of L(V)/(R + C z): the cyclic sum into Sym (x) Q, made
+        on the first call and kept with the context.  Its symbol holds the
+        columns of beta and builds the terms of a triple on first read."""
         if self._q_map is None:
             self._q_map = nabla_bar(self.presentation_with_z)
         return self._q_map
@@ -174,22 +178,6 @@ class JohnsonContext:
                 if not span.contains(act_vec(cols, v)):
                     raise InternalInconsistencyError(
                         f"R + C z is not invariant under {label}")
-
-    # -- the equivariance oracle; johnson_module_dims builds neither -------------
-
-    @cached_property
-    def q_module(self) -> WeightModule:
-        """Q = wedge^2 V / (R + C z) in the coordinates of the target of q_map();
-        building it checks that R + C z is invariant.  Part of the test
-        oracle equivariance_defect."""
-        return quotient_module(self.W2, self.r_basis + [self.z_vec])
-
-    @cached_property
-    def q_symbol(self) -> dict:
-        """The symbol of q_map(), keyed by sorted triple.  Part of the test
-        oracle equivariance_defect."""
-        triples = combinations(range(self.V.dimension), 3)
-        return dict(zip(triples, self.q_map().blocks[0].symbol))
 
 
 @lru_cache(maxsize=2)
@@ -282,56 +270,3 @@ def central_z_check(g: int, *, allow_large: bool = False) -> bool:
         if not all(block.contains(bracket(j, ctx.z_vec)) for j in js):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# equivariance of q, tested on vectors (no full instantiation needed)
-# ---------------------------------------------------------------------------
-
-def source_act(ctx: JohnsonContext, label: str, svec: dict) -> dict:
-    """Action on Sym (x) wedge^3 V vectors keyed by (monomial, sorted triple).
-    Part of the test oracle equivariance_defect."""
-    vcols = ctx.V.actions[label]
-    out: dict = {}
-    for (mono, tri), coeff in svec.items():
-        axpy(out, coeff, {(m2, tri): c for m2, c in sym_act(vcols, mono).items()})
-        axpy(out, coeff, {(mono, t2): c for t2, c in wedge_act(vcols, tri).items()})
-    return out
-
-
-def target_act(ctx: JohnsonContext, label: str, tvec: dict) -> dict:
-    """Action on Sym (x) Q vectors keyed by (monomial, Q index).  Part of the
-    test oracle equivariance_defect."""
-    vcols = ctx.V.actions[label]
-    qcols = ctx.q_module.actions[label]
-    out: dict = {}
-    for (mono, k), coeff in tvec.items():
-        axpy(out, coeff, {(m2, k): c for m2, c in sym_act(vcols, mono).items()})
-        axpy(out, coeff, {(mono, kk): c for kk, c in qcols[k].items()})
-    return out
-
-
-def apply_q_to_vector(ctx: JohnsonContext, svec: dict) -> dict:
-    """Apply the integer symbol of q_map(), that is den times q, to a
-    Sym (x) wedge^3 V vector.  Part of the test oracle equivariance_defect."""
-    out: dict = {}
-    for (mono, tri), coeff in svec.items():
-        terms = {}
-        for (i, k, c) in ctx.q_symbol[tri]:
-            m2 = list(mono)
-            m2[i] += 1
-            terms[(tuple(m2), k)] = c
-        axpy(out, coeff, terms)
-    return out
-
-
-def equivariance_defect(ctx: JohnsonContext, label: str, svec: dict) -> dict:
-    """den (q(x . v) - x . q(v)), den > 0 the denominator of q's symbol;
-    the empty dict iff equivariance holds on v.
-
-    Test oracle: checks that q is sp(2g)-equivariant (acceptance criterion
-    5), which the weight-bucketed rank in johnson_module_dims relies on; no
-    CLI path calls it."""
-    lhs = apply_q_to_vector(ctx, source_act(ctx, label, svec))
-    axpy(lhs, -1, target_act(ctx, label, apply_q_to_vector(ctx, svec)))
-    return lhs

@@ -320,24 +320,6 @@ def wedge_act(cols: ColMat, combo: tuple[int, ...]) -> dict:
     return out
 
 
-def sym_act(cols: ColMat, expt: tuple[int, ...]) -> dict:
-    """An operator (given by its columns) acting as a derivation on the
-    monomial with exponent vector expt; keyed by exponent vectors.  Part of
-    the test oracle johnson.equivariance_defect."""
-    out: dict = {}
-    for i, mult in enumerate(expt):
-        if mult:
-            axpy(out, mult, {_move_unit(expt, i, j): v for j, v in cols[i].items()})
-    return out
-
-
-def _move_unit(expt: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
-    tgt = list(expt)
-    tgt[i] -= 1
-    tgt[j] += 1
-    return tuple(tgt)
-
-
 def _wedge_basis(m: WeightModule, k: int):
     """The sorted monomials of wedge^k m in basis order, and their weights."""
     combos = list(combinations(range(m.dimension), k))
@@ -457,18 +439,6 @@ def casimir_eigenvalue(spec: LieAlgebraSpec, hw: HighestWeight) -> Fraction:
     rho = spec.rho()
     shifted = tuple(x + 2 * r for x, r in zip(lam, rho))
     return spec.weight_form(lam, shifted)
-
-
-def chen_module_weight(n: int, q: int) -> HighestWeight:
-    """The sl_n highest weight q*lambda_1 + lambda_2 (lambda_2 read as 0 when n = 2).
-
-    Test oracle: names the constituent whose weyl_dim the Chen ranks must
-    equal (acceptance criterion 2); no CLI path calls it."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    if n == 2:
-        return HighestWeight((q,))
-    return HighestWeight((q, 1) + (0,) * (n - 3))
 
 
 # ---------------------------------------------------------------------------

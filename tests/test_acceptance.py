@@ -16,18 +16,18 @@ import pytest
 from infalex.alex_module import (coker_dims, coker_multiplication_action,
                                  delta3, monomial_index, nabla, nabla_bar)
 from infalex.cli import main as cli_main
-from infalex.fox_alex import (Character, GroupPresentation, cv_membership,
-                              fox_identity_defect, torsion_sweep)
-from infalex.johnson import equivariance_defect, johnson_context, johnson_module_dims
+from infalex.fox_alex import Character, GroupPresentation, cv_membership, torsion_sweep
+from infalex.johnson import johnson_context, johnson_module_dims
 from infalex.nilpotent_transport import (FinDimSymModule,
                                          annihilator_exponent_match,
                                          exp_transport, log_transport)
 from infalex.quad_lie import LiePresentation, bb_direct, wedge2_index
 from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, casimir_blocks,
-                                    casimir_eigenvalue, chen_module_weight,
+                                    casimir_eigenvalue,
                                     highest_weight_vectors, weyl_dim)
 
-from module_builders import casimir_eigenspace
+from module_builders import (casimir_eigenspace, chen_module_weight, equivariance_defect,
+                             fox_identity_defect)
 
 PASS = "PASS criterion {}: {}"
 

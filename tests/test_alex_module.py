@@ -7,15 +7,15 @@ import pytest
 
 from infalex.alex_module import (GradedMap, SymbolBlock, coker_dims, delta3,
                                  monomial_index, monomials, nabla, nabla_bar, sym_dim,
-                                 coker_multiplication_action, _generator_weights,
-                                 _weight_buckets)
+                                 coker_multiplication_action)
 from infalex.errors import InternalInconsistencyError
 from infalex.exact_linalg import RationalMatrix
 from infalex.quad_lie import (LiePresentation, bb_direct, beta_matrix, quotient_pairs,
                               wedge2_pairs)
 from infalex.rep_semisimple import LieAlgebraSpec
 
-from module_builders import composed_nabla_bar, fraction_columns, koszul_map
+from module_builders import (composed_nabla_bar, fraction_columns, generator_weights,
+                             koszul_map, weight_buckets)
 
 
 def full_relations(n):
@@ -55,6 +55,37 @@ def test_delta3_is_the_koszul_differential(n):
     # the cyclic sum on unit columns against the general Koszul formula: the
     # same symbol tuples, term order and coefficients
     assert delta3(n) == koszul_map(n, 3)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_cyclic_sum_symbol_builds_each_triple_once_on_read(n):
+    # random reads build exactly the triples read, each once, and agree with
+    # a full iteration of another copy and with the tuple symbol of the
+    # Koszul differential
+    symbol = delta3(n).blocks[0].symbol
+    reference = koszul_map(n, 3).blocks[0].symbol
+    assert len(symbol) == len(reference) == comb(n, 3)
+    rng = random.Random(n)
+    read = [rng.randrange(len(symbol)) for _ in range(10)]
+    for j in read:
+        assert symbol[j] == reference[j]
+        assert symbol[j] is symbol[j]
+    assert sorted(symbol._built) == sorted(set(read))
+    assert symbol[-1] == reference[-1] and symbol[2:5] == reference[2:5]
+    with pytest.raises(IndexError):
+        symbol[len(symbol)]
+    assert tuple(delta3(n).blocks[0].symbol) == reference
+    # equal to the tuple both ways round, and hashed as it, equal or not
+    assert symbol == reference and reference == symbol and hash(symbol) == hash(reference)
+    assert symbol != reference[:-1] and symbol != list(reference)
+    # what is kept is bounded by the number of triples
+    assert sorted(symbol._built) == list(range(comb(n, 3)))
+
+
+def test_cyclic_sum_block_checks_its_shift_once():
+    # every term of a cyclic sum multiplies by a variable
+    with pytest.raises(ValueError, match="block shift"):
+        SymbolBlock("wedge3", 0, delta3(4).blocks[0].symbol)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -268,6 +299,19 @@ def test_weighted_rank_skips_empty_symbols(n, rels, expected):
         assert weighted.dims == _plain_coker(gm, 3) == expected
 
 
+def test_weighted_rank_builds_only_the_symbols_it_ranks():
+    # with each coordinate-torus weight its own orbit every bucket is ranked,
+    # so every nonempty symbol is built, and none of the empty ones
+    p = LiePresentation.make(4, [{(0, 1): 1}, {(0, 2): 1}, {(1, 2): 1}])
+    gm = nabla_bar(p)
+    base_w = [_unit(4, i) for i in range(4)]
+    bar_w = [_pair_weights(4)[k] for k in quotient_pairs(p)]
+    coker_dims(gm, 1, weights=(base_w, bar_w))
+    symbol = gm.blocks[0].symbol
+    nonempty = [j for j, terms in enumerate(composed_nabla_bar(p).blocks[0].symbol) if terms]
+    assert sorted(symbol._built) == nonempty == [1, 2, 3]
+
+
 def test_weight_homogeneity_violation_detected():
     # e0^e1^e2 |-> x0 e12 + x1 e20 + x2 e01 lands on weights 1, 2 and 4
     gm = delta3(3)
@@ -312,8 +356,8 @@ def test_weyl_orbit_rank_ignores_uneven_zero_columns():
     second = SymbolBlock("wedge3 again", 1, ((),) + block.symbol[1:])
     gm = GradedMap(4, d3.target_dim, (block, second))
     pair_w = [tuple(map(add, h_w[i], h_w[j])) for i, j in wedge2_pairs(4)]
-    gen_w = _generator_weights(gm, h_w, pair_w)
-    columns = [len(keys) for w, keys in sorted(_weight_buckets(gm, 1, h_w, gen_w).items())
+    gen_w = generator_weights(gm, h_w, pair_w)
+    columns = [len(keys) for w, keys in sorted(weight_buckets(gm, 1, h_w, gen_w).items())
                if spec.dominant(w) == (1, 0)]
     assert len(set(columns)) > 1
     assert coker_dims(gm, 3, weights=(h_w, pair_w), weyl=spec).dims == _plain_coker(d3, 3)

@@ -8,11 +8,10 @@ from infalex.errors import BudgetExceededError
 from infalex.exact_linalg import CyclotomicScalar
 from infalex.fox_alex import (Character, CharacterError, GroupPresentation,
                               alexander_matrix, betti_one, cv_membership,
-                              factors_through_free_part, fox_derivative,
-                              fox_identity_defect, free_reduce, gr_mul,
+                              factors_through_free_part, fox_derivative, free_reduce,
                               saturated_relator_lattice, torsion_sweep, twisted_h1_dim)
 
-from module_builders import generic_rank
+from module_builders import fox_identity_defect, generic_rank, gr_mul
 
 F2 = GroupPresentation.make(2, [])
 Z2 = GroupPresentation.make(2, [(1, 2, -1, -2)])

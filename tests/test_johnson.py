@@ -7,19 +7,19 @@ from pathlib import Path
 
 import pytest
 
-from infalex.alex_module import (_generator_weights, _weight_buckets, coker_dims,
-                                 monomial_index, nabla, nabla_bar)
+from infalex.alex_module import (_generators_by_weight, coker_dims, monomial_index,
+                                 monomials, nabla, nabla_bar)
 from infalex.errors import BudgetExceededError, InternalInconsistencyError
 from infalex.exact_linalg import EchelonBasis
 from infalex.free_lie import ad_generator_matrix
 from infalex.quad_lie import LiePresentation, _ideal_echelon, bb_direct
 from infalex.johnson import (JohnsonContext, central_z_check, decompose_wedge2_V,
-                             equivariance_defect, johnson_context,
-                             johnson_module_dims)
+                             johnson_context, johnson_module_dims)
 from infalex.rep_semisimple import (HighestWeight, act_vec, casimir_blocks,
                                     highest_weight_vectors, weyl_dim)
 
-from module_builders import (composed_nabla_bar, fraction_columns, isotypic_projection,
+from module_builders import (composed_nabla_bar, equivariance_defect, fraction_columns,
+                             generator_weights, isotypic_projection, weight_buckets,
                              weyl_orbit)
 
 # sha256 of the repr of each context field, so values, dict key order and
@@ -315,12 +315,12 @@ def _check_orbit_route(g, max_degree):
     ctx = johnson_context(g)
     gm = ctx.q_map()
     base_w, target_w = ctx.weight_data()
-    gen_w = _generator_weights(gm, base_w, target_w)
+    gen_w = generator_weights(gm, base_w, target_w)
     full = []
     for q in range(max_degree + 1):
         tgt_idx = monomial_index(gm.base_dim, q)
         ranks = {w: _bucket_rank(gm, tgt_idx, keys)
-                 for w, keys in _weight_buckets(gm, q, base_w, gen_w).items()}
+                 for w, keys in weight_buckets(gm, q, base_w, gen_w).items()}
         for mu in {ctx.spec.dominant(w) for w in ranks}:
             assert len({ranks.get(w, 0) for w in weyl_orbit(mu)}) == 1, (q, mu)
         full.append(gm.target_dim_in_degree(q) - sum(ranks.values()))
@@ -330,6 +330,52 @@ def _check_orbit_route(g, max_degree):
 
 def test_orbit_route_matches_bucket_ranks_g3():
     assert _check_orbit_route(3, 2) == (90, 896, 5355)
+
+
+@pytest.mark.parametrize("g,empty", [(3, 0), (4, 64)])
+def test_every_symbol_of_q_has_its_triples_weight(g, empty):
+    # the running route takes a generator's weight from its triple and
+    # certifies it once on beta; here every symbol is built and walked:
+    # each nonempty one is weight homogeneous of its triple's weight
+    ctx = johnson_context(g)
+    gm = ctx.q_map()
+    base_w, target_w = ctx.weight_data()
+    triples = itertools.combinations(range(ctx.V.dimension), 3)
+    sums = [tuple(map(sum, zip(*(base_w[i] for i in t)))) for t in triples]
+    (walked,) = generator_weights(gm, base_w, target_w)
+    assert len(gm.blocks[0].symbol._built) == len(walked) == len(sums)
+    assert sum(w is None for w in walked) == empty
+    assert all(w is None or w == s for w, s in zip(walked, sums))
+
+
+def test_weight_certificate_refuses_a_beta_row_of_the_wrong_weight():
+    # one row of beta (a Q coordinate) given the weight of another: the
+    # certificate on beta refuses it before any symbol is built
+    ctx = JohnsonContext(3)
+    gm = ctx.q_map()
+    base_w, target_w = ctx.weight_data()
+    r = next(r for r, w in enumerate(target_w) if w != target_w[0])
+    wrong = list(target_w)
+    wrong[r] = target_w[0]
+    with pytest.raises(ValueError, match="not weight homogeneous of its triple's weight"):
+        coker_dims(gm, 1, weights=(base_w, wrong), weyl=ctx.spec)
+    assert not gm.blocks[0].symbol._built
+    assert coker_dims(gm, 1, weights=(base_w, target_w), weyl=ctx.spec).dims == (90, 896)
+
+
+def test_johnson_run_builds_only_the_symbols_of_dominant_buckets_g4(fresh_contexts):
+    # at degree 1 a column is one generator, and only the dominant bucket of
+    # each Weyl orbit is ranked: 503 of the 17,296 triples are built, each
+    # of dominant weight
+    assert johnson_module_dims(4, 1).coker_q == (308, 1232)
+    ctx = johnson_context(4)
+    symbol = ctx.q_map().blocks[0].symbol
+    base_w = ctx.V.weights
+    triples = list(itertools.combinations(range(ctx.V.dimension), 3))
+    built = [tuple(map(sum, zip(*(base_w[i] for i in triples[j])))) for j in symbol._built]
+    assert len(symbol) == 17296 and 0 < len(built) <= 503
+    assert all(ctx.spec.dominant(w) == w for w in built)
+    assert all(symbol._built.values())
 
 
 def test_johnson_run_builds_only_the_simple_root_actions_of_wedge2_v(fresh_contexts):
@@ -362,11 +408,15 @@ def test_orbit_route_at_g5_with_uneven_zero_columns(capsys, fresh_contexts):
     assert ctx.q_dim == weyl_dim(ctx.spec, ctx.hw_two_l2)
     assert ctx.V.dimension == weyl_dim(ctx.spec, HighestWeight((0, 0, 1, 0, 0)))
     gm = ctx.q_map()
-    base_w, target_w = ctx.weight_data()
-    buckets = _weight_buckets(gm, 1, base_w, _generator_weights(gm, base_w, target_w))
+    # the degree-1 columns of weight w: one per generator of weight w, whose
+    # weight the running route takes from its triple (the symbol walk checks
+    # that at genus 3 and 4), so no other symbol is built here
+    (of_weight,) = _generators_by_weight(gm, *ctx.weight_data())
+    (one,) = monomials(gm.base_dim, 0)
+    buckets = {w: [(0, one, j) for j in of_weight(w)] for w in weyl_orbit((2, 1, 0, 0, 0))}
     # the orbit of (2, 1, 0, 0, 0): its buckets differ in column count, yet
     # each has the same rank
-    orbit = [w for w in weyl_orbit((2, 1, 0, 0, 0)) if w in buckets]
+    orbit = [w for w, keys in buckets.items() if keys]
     assert len(orbit) == 80 and len({len(buckets[w]) for w in orbit}) > 1
     tgt_idx = monomial_index(gm.base_dim, 1)
     assert len({_bucket_rank(gm, tgt_idx, buckets[w]) for w in orbit}) == 1

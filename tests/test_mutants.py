@@ -5,13 +5,16 @@ A mutant test adds to the check it exercises and never replaces it: the
 check itself stays in its own test file, and here it must fail."""
 
 import json
+from itertools import combinations
+from operator import add
 
 import pytest
 
-from infalex import rep_semisimple
+from infalex import alex_module, rep_semisimple
+from infalex.alex_module import CyclicSumSymbol, coker_dims
 from infalex.cli import main
 from infalex.errors import InternalInconsistencyError
-from infalex.johnson import JohnsonContext
+from infalex.johnson import JohnsonContext, johnson_context, johnson_module_dims
 from infalex.rep_semisimple import (LieAlgebraSpec, casimir_blocks, fundamental_module,
                                     wedge_power)
 
@@ -46,3 +49,76 @@ def test_cross_term_mutant_exits_4(capsys, fresh_contexts, cross_term_without_it
     code = main(["johnson", "--genus", "4", "--max-degree", "1"])
     assert code == 4
     assert json.loads(capsys.readouterr().out)["error"] == "inconsistency"
+
+
+# -- the weights of the orbit route ---------------------------------------------
+
+def _orbit_route_against_plain_rank_g3():
+    # the cross-check of test_weighted_rank_matches_plain_instantiation_g3,
+    # on the orbit route that johnson_module_dims takes, up to degree 2,
+    # where the columns hold monomials of 14 variables
+    ctx = johnson_context(3)
+    plain = coker_dims(ctx.q_map(), 2).dims
+    return johnson_module_dims(3, 2).coker_q, plain
+
+
+@pytest.fixture
+def triple_weight_from_two_of_its_three(monkeypatch):
+    """Each generator of a cyclic sum weighed by w_b + w_c, dropping the w_a
+    of its triple a < b < c; empty symbols still join no bucket."""
+    def mutant(self, base_weights, target_weights, name):
+        grouped: dict = {}
+        for j, (_a, b, c) in enumerate(combinations(range(self.n), 3)):
+            if self[j]:
+                grouped.setdefault(tuple(map(add, base_weights[b], base_weights[c])),
+                                   []).append(j)
+        return lambda w: grouped.get(w, [])
+
+    monkeypatch.setattr(CyclicSumSymbol, "generators_by_weight", mutant)
+
+
+def test_two_of_three_weight_mutant_fails_the_plain_rank_cross_check(
+        fresh_contexts, triple_weight_from_two_of_its_three):
+    orbit, plain = _orbit_route_against_plain_rank_g3()
+    assert plain == (90, 896, 5355) and orbit != plain
+
+
+@pytest.fixture
+def orbit_size_off_by_one(monkeypatch):
+    """|W . mu| one too large for every dominant weight."""
+    orbit_size = LieAlgebraSpec.orbit_size
+    monkeypatch.setattr(LieAlgebraSpec, "orbit_size", lambda self, w: orbit_size(self, w) + 1)
+
+
+def test_orbit_size_mutant_fails_the_row_count_check(orbit_size_off_by_one):
+    with pytest.raises(InternalInconsistencyError, match="unequal row counts"):
+        johnson_module_dims(3, 1)
+
+
+def test_orbit_size_mutant_exits_4(capsys, orbit_size_off_by_one):
+    code = main(["johnson", "--genus", "3", "--max-degree", "1"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().out)["error"] == "inconsistency"
+
+
+@pytest.fixture
+def bucket_without_one_monomial_weight(monkeypatch):
+    """Every bucket formed without the monomials of the last weight listed:
+    in degree 1 the monomial 1, in degree 2 the variables of one weight of
+    V.  (At genus 3, degree 2, 4 of the 14 weights of V hold only
+    redundant columns in the dominant buckets, so dropping one of those
+    keeps the rank.)"""
+    bucket_keys = alex_module._bucket_keys
+
+    def mutant(gm, mu, monomials_by_weight, generators_by_weight):
+        dropped = {shift: dict(list(by_weight.items())[:-1])
+                   for shift, by_weight in monomials_by_weight.items()}
+        return bucket_keys(gm, mu, dropped, generators_by_weight)
+
+    monkeypatch.setattr(alex_module, "_bucket_keys", mutant)
+
+
+def test_dropped_monomial_weight_mutant_fails_the_plain_rank_cross_check(
+        fresh_contexts, bucket_without_one_monomial_weight):
+    orbit, plain = _orbit_route_against_plain_rank_g3()
+    assert plain == (90, 896, 5355) and orbit[1] != plain[1] and orbit[2] != plain[2]

@@ -6,15 +6,16 @@ import pytest
 
 from infalex.exact_linalg import RationalMatrix
 from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec,
-                                    casimir_blocks, casimir_eigenvalue, chen_module_weight,
-                                    defining_module, fundamental_module,
-                                    highest_weight_vectors, quotient_module, wedge_act,
+                                    casimir_blocks, casimir_eigenvalue, defining_module,
+                                    fundamental_module, highest_weight_vectors,
+                                    quotient_module, wedge_act,
                                     wedge_power, weyl_dim, _algebra_basis,
                                     _dense_block_polynomial, _dual_coefficients,
                                     _integral_dual)
 
 from module_builders import (AmbiguousDecompositionError, all_blocks_highest_weight_vectors,
-                             casimir_eigenspace, casimir_matrix, fraction_casimir_column,
+                             casimir_eigenspace, casimir_matrix, chen_module_weight,
+                             fraction_casimir_column,
                              isotypic_projection, lowering_closure, matmul_block_polynomial,
                              sym_power, tensor_product, transpose, weyl_orbit)
 
