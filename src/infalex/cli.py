@@ -140,6 +140,9 @@ def cmd_fox(args) -> dict:
 
 def cmd_cv(args) -> dict:
     _at_least("--depth", args.depth, 1)
+    if args.torsion is not None and (args.character is not None or args.restricted):
+        flag = "--character" if args.character is not None else "--restricted"
+        raise ValueError(f"--torsion cannot be combined with {flag}")
     p = GroupPresentation.from_json(_read(args.presentation))
     if args.torsion is not None:
         found = torsion_sweep(p, _at_least("--torsion", args.torsion, 1), args.depth,

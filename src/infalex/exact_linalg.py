@@ -2,10 +2,11 @@
 
 Everything here is exact: scalars are ``fractions.Fraction`` or
 :class:`CyclotomicScalar`, an integer vector modulo Phi_m over one
-denominator whose arithmetic runs on ints.  A :class:`RationalMatrix` is
-stored the same way, as a sparse dict of integer numerators over one
-positive denominator in lowest terms (a matrix over Q(zeta_m) is over 1):
-its products, sums and scalings run on ints and divide once.
+denominator whose arithmetic runs on ints.  A :class:`RationalMatrix` holds
+rationals only, stored the same way, as a sparse dict of integer numerators
+over one positive denominator in lowest terms: its products and sums run on
+ints and divide once.  Q(zeta_m) lives in scalars, sparse vectors and the
+rows of an :class:`EchelonBasis`.
 Elimination over Q is fraction-free: rows are primitive integer vectors,
 and a pivot is cleared by integer multiples of both rows (Bareiss, Math.
 Comp. 22, 1968).  Over Q(zeta_m) it is pivoted Gaussian elimination over
@@ -22,11 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from . import documents
-
-Scalar = Union[Fraction, "CyclotomicScalar"]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -393,7 +392,7 @@ class EchelonBasis:
     """Echelon basis of a span of sparse vectors, grown one vector at a time.
 
     Rows are keyed by their lead (least index) and never mutated in place.
-    One basis holds one kind of scalar, as a RationalMatrix does.  A rational
+    One basis holds one kind of scalar: rationals, or one Q(zeta_m).  A rational
     row is stored as a primitive integer vector with a positive lead, a
     cyclotomic row normalized to 1 at its lead.  Input that is already all
     int, as integer columns and products are, enters as it is; other
@@ -520,14 +519,13 @@ def echelon_basis(vectors: Iterable[Mapping]) -> EchelonBasis:
 # ---------------------------------------------------------------------------
 
 class RationalMatrix:
-    """Sparse exact matrix: integer numerators over one denominator.
+    """Sparse exact matrix over Q: integer numerators over one denominator.
 
     num maps (i, j) to a nonzero int and den > 0, in lowest terms
-    (gcd(den, *num) == 1), so equal rational matrices are stored alike.  A
-    matrix over one Q(zeta_m) keeps its CyclotomicScalar entries in num over
-    den = 1, as _lift treats a cyclotomic vector.  Products, sums and
-    scaling run on the numerators and divide once, by one gcd; ``entries``
-    is read out as ``Fraction``s.
+    (gcd(den, *num) == 1), so equal matrices are stored alike.  Products
+    and sums run on the numerators and divide once, by one gcd; ``entries``
+    is read out as ``Fraction``s.  A matrix over Q(zeta_m) is a list of
+    sparse columns, ranked by ``echelon_basis``.
     """
 
     __slots__ = ("rows", "cols", "num", "den", "_columns", "_span")
@@ -535,33 +533,19 @@ class RationalMatrix:
     def __init__(self, rows: int, cols: int, entries: Mapping | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        cleaned: dict[tuple[int, int], Scalar] = {}
-        order = None
-        seen_rational = False
+        cleaned: dict[tuple[int, int], int | Fraction] = {}
         for (i, j), v in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i},{j}) out of bounds for {rows}x{cols}")
-            if isinstance(v, CyclotomicScalar):
-                if order is None:
-                    order = v.order
-                elif order != v.order:
-                    raise ValueError("mixed cyclotomic orders in one matrix")
-            else:
-                if type(v) is not int:
-                    v = _to_fraction(v)
-                seen_rational = True
+            if type(v) is not int:
+                v = _to_fraction(v)
             if v:
                 cleaned[(i, j)] = v
-        if order is not None:
-            if seen_rational:
-                cleaned = {k: promote(v, order) for k, v in cleaned.items()}
-            den = 1
-        else:
-            # each value is in lowest terms, so over the lcm of their
-            # denominators the numerators share no factor with it
-            den = lcm(*{v.denominator for v in cleaned.values()})
-            cleaned = {k: v.numerator * (den // v.denominator) for k, v in cleaned.items()}
-        self.rows, self.cols, self.num, self.den = rows, cols, cleaned, den
+        # each value is in lowest terms, so over the lcm of their
+        # denominators the numerators share no factor with it
+        den = lcm(*{v.denominator for v in cleaned.values()})
+        num = {k: v.numerator * (den // v.denominator) for k, v in cleaned.items()}
+        self.rows, self.cols, self.num, self.den = rows, cols, num, den
         self._columns = self._span = None   # built once, on first use
 
     # -- constructors ---------------------------------------------------------
@@ -570,16 +554,11 @@ class RationalMatrix:
     def from_integers(rows: int, cols: int, num: dict, den: int = 1) -> "RationalMatrix":
         """num / den for nonzero int numerators num {(i, j): int} inside the
         shape and den > 0, divided by gcd(den, *num); num is kept, not
-        copied.  CyclotomicScalar numerators are divided by den themselves,
-        so a matrix over Q(zeta_m) ends over 1."""
+        copied."""
         if den != 1:
-            if isinstance(next(iter(num.values()), None), CyclotomicScalar):
-                inv = Fraction(1, den)
-                num, den = {k: x * inv for k, x in num.items()}, 1
-            else:
-                g = gcd(den, *num.values())
-                if g != 1:
-                    num, den = {k: x // g for k, x in num.items()}, den // g
+            g = gcd(den, *num.values())
+            if g != 1:
+                num, den = {k: x // g for k, x in num.items()}, den // g
         out = object.__new__(RationalMatrix)
         out.rows, out.cols, out.num, out.den = rows, cols, num, den
         out._columns = out._span = None
@@ -603,27 +582,17 @@ class RationalMatrix:
     def identity(n: int) -> "RationalMatrix":
         return RationalMatrix.from_integers(n, n, {(i, i): 1 for i in range(n)})
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix.from_integers(rows, cols, {})
-
     # -- access ----------------------------------------------------------------
 
-    def _order(self) -> int | None:
-        """m for a matrix over Q(zeta_m), None for a rational one."""
-        x = next(iter(self.num.values()), None)
-        return x.order if isinstance(x, CyclotomicScalar) else None
-
     def _fractions(self, vec: Mapping) -> Vec:
-        """vec / den as Fractions, for a vector of rational numerators."""
+        """vec / den as Fractions, for a vector of numerators."""
         den = self.den
         return {k: Fraction(x, den) for k, x in vec.items()}
 
     @property
     def entries(self) -> dict:
-        """{(i, j): value} with Fraction values, or CyclotomicScalar ones
-        over Q(zeta_m); a rational view is built on each read."""
-        return self.num if self._order() is not None else self._fractions(self.num)
+        """{(i, j): value} with Fraction values, a view built on each read."""
+        return self._fractions(self.num)
 
     def numerator_columns(self) -> list[Vec]:
         """The columns of den * self as sparse vectors, built once and shared
@@ -649,13 +618,9 @@ class RationalMatrix:
         if not isinstance(other, RationalMatrix) or (self.rows, self.cols) != (other.rows,
                                                                              other.cols):
             return False
-        if self._order() == other._order():
-            return self.den == other.den and self.num == other.num
-        # a matrix over Q(zeta_m), kept over 1, against a rational one
-        return self.entries == other.entries
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        # equal matrices have one support, whatever their kinds of scalar
         return hash((self.rows, self.cols, frozenset(self.num)))
 
     def __repr__(self):
@@ -667,11 +632,6 @@ class RationalMatrix:
         """self + sign * other over the lcm of the two denominators."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        if self._order() != other._order():
-            # beside a matrix over Q(zeta_m), the constructor promotes the rationals
-            entries = dict(self.entries)
-            axpy(entries, sign, other.entries)
-            return RationalMatrix(self.rows, self.cols, entries)
         d, e = self.den, other.den
         g = gcd(d, e)
         u, v = e // g, d // g          # d * u = e * v = lcm(d, e)
@@ -684,18 +644,6 @@ class RationalMatrix:
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self._plus(other, -1)
-
-    def scale(self, c) -> "RationalMatrix":
-        if not c:
-            return RationalMatrix.zeros(self.rows, self.cols)
-        if isinstance(c, CyclotomicScalar):
-            p, q = c, 1
-        else:
-            c = _to_fraction(c)
-            p, q = c.numerator, c.denominator
-        return RationalMatrix.from_integers(self.rows, self.cols,
-                                            {k: p * x for k, x in self.num.items()},
-                                            self.den * q)
 
     def matvec(self, v: Mapping) -> Vec:
         """self applied to v, summed over the numerator columns and divided
@@ -711,8 +659,6 @@ class RationalMatrix:
         for j, col in enumerate(other.numerator_columns()):
             for i, x in act_vec(left_cols, col).items():
                 num[(i, j)] = x
-        # beside a matrix over Q(zeta_m) every product is cyclotomic, and
-        # from_integers divides it by the rational denominator
         return RationalMatrix.from_integers(self.rows, other.cols, num, self.den * other.den)
 
     # -- rank / kernel / membership ------------------------------------------------

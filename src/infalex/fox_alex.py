@@ -23,7 +23,7 @@ from math import gcd, lcm, log2
 
 from . import documents
 from .errors import BudgetExceededError
-from .exact_linalg import CyclotomicScalar, RationalMatrix, axpy, promote
+from .exact_linalg import CyclotomicScalar, RationalMatrix, Vec, axpy, echelon_basis, promote
 
 Word = tuple[int, ...]
 GroupRingElt = dict  # {freely reduced word: Fraction}
@@ -133,8 +133,10 @@ class LaurentMatrix:
     cols: int
     entries: dict  # (r, c) -> LaurentPoly, nonzero entries only
 
-    def evaluate(self, rho: "Character") -> RationalMatrix:
-        """The matrix at the point rho of the character torus.
+    def evaluate(self, rho: "Character") -> list[Vec]:
+        """The matrix at the point rho of the character torus, as its sparse
+        columns: one {row: value} dict per column, values in Q or in
+        Q(zeta_m), the input of ``echelon_basis``.
 
         When rho = zeta_m^a (every value a power of zeta_m), the monomial t^e
         takes the value zeta_m^<a, e>.  So each entry's coefficients, as
@@ -144,7 +146,7 @@ class LaurentMatrix:
         character each monomial is evaluated by evaluate_exponent."""
         order = rho.cyclotomic_order()
         exps = rho.torsion_exponents()
-        ent = {}
+        cols: list[Vec] = [{} for _ in range(self.cols)]
         for (r, c), poly in self.entries.items():
             if exps is not None:
                 den = lcm(*[coeff.denominator for coeff in poly.values()])
@@ -158,8 +160,8 @@ class LaurentMatrix:
                 for e, coeff in poly.items():
                     val = val + promote(coeff, order) * rho.evaluate_exponent(e)
             if val:
-                ent[(r, c)] = val
-        return RationalMatrix(self.rows, self.cols, ent)
+                cols[c][r] = val
+        return cols
 
 
 def alexander_matrix(p: GroupPresentation) -> LaurentMatrix:
@@ -309,8 +311,7 @@ def twisted_h1_dim(p: GroupPresentation, rho: Character) -> int:
     _check_character(p, rho)
     if rho.is_trivial():
         return betti_one(p)
-    a = p.alexander.evaluate(rho)
-    return (p.num_generators - 1) - a.rank()
+    return (p.num_generators - 1) - echelon_basis(p.alexander.evaluate(rho)).rank
 
 
 def factors_through_free_part(p: GroupPresentation, rho: Character) -> bool:

@@ -12,9 +12,10 @@ Q[x]/Phi_m that the integer CyclotomicScalar is checked against, the
 quotient-algebra dimensions, the ideal eliminated with no filled-degree
 shortcut and the all-pairs bracket quotient that infalex.quad_lie is
 checked against, the Fraction loops that the integer RationalMatrix is
-checked against, the annihilator exponent on the Sym side that the exp/log
-transport is checked against, and the generic rank over Q(t_1..t_n) that
-bounds the special ranks of infalex.fox_alex."""
+checked against, the scaling of a RationalMatrix by a rational, the
+annihilator exponent on the Sym side that the exp/log transport is checked
+against, and the generic rank over Q(t_1..t_n) that bounds the special
+ranks of infalex.fox_alex."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -118,7 +119,7 @@ def casimir_matrix(m: WeightModule) -> RationalMatrix:
 def shifted_block(block: RationalMatrix, c) -> RationalMatrix:
     """The square block minus c * I.  Part of the test oracle
     casimir_eigenspace."""
-    return block - RationalMatrix.identity(block.rows).scale(c)
+    return block - scale(RationalMatrix.identity(block.rows), c)
 
 
 def isotypic_projection(m: WeightModule, hw: HighestWeight, *,
@@ -152,7 +153,7 @@ def isotypic_projection(m: WeightModule, hw: HighestWeight, *,
     if blocks is None:
         blocks = casimir_blocks(m)
     norm = Fraction(1) / prod(target - c for c in others)
-    return _embed_blocks(m, {w: _dense_block_polynomial(block, others).scale(norm)
+    return _embed_blocks(m, {w: scale(_dense_block_polynomial(block, others), norm)
                              for w, block in blocks.items()})
 
 
@@ -624,8 +625,8 @@ def fraction_columns(m: RationalMatrix) -> list[Vec]:
 
 
 def fraction_matvec(m: RationalMatrix, v) -> Vec:
-    """Test oracle: m applied to v, summed entry by entry in Fractions (or in
-    Q(zeta_m)) over the columns of m.entries."""
+    """Test oracle: m applied to v, summed entry by entry in Fractions over
+    the columns of m.entries."""
     return act_vec(fraction_columns(m), v)
 
 
@@ -642,6 +643,14 @@ def fraction_add(a: RationalMatrix, b: RationalMatrix) -> dict:
     entries = dict(a.entries)
     axpy(entries, 1, b.entries)
     return entries
+
+
+def scale(m: RationalMatrix, c) -> RationalMatrix:
+    """c m for a rational c: the numerators of m times c's numerator, over
+    den times c's denominator."""
+    c = Fraction(c)
+    num = {k: c.numerator * x for k, x in m.num.items()} if c else {}
+    return RationalMatrix.from_integers(m.rows, m.cols, num, m.den * c.denominator)
 
 
 def fraction_scale(m: RationalMatrix, c) -> dict:
@@ -700,8 +709,9 @@ def generic_rank(m: LaurentMatrix) -> int:
     Rows are shifted by monomial units so all entries become polynomials;
     then Bareiss fraction-free elimination with exact divisions.
 
-    Test oracle: it bounds the rank of evaluate(rho) at every character rho,
-    so it checks the special ranks that the cv command computes.
+    Test oracle: it bounds the rank of the columns evaluate(rho) returns at
+    every character rho, so it checks the special ranks that the cv command
+    computes.
     """
     if m.rows == 0 or m.cols == 0:
         return 0

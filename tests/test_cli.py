@@ -328,6 +328,9 @@ ARGV = {
     (["cv", "--torsion", "0"], "--torsion must be >= 1, got 0"),
     (["cv", "--torsion", "2", "--depth", "0"], "--depth must be >= 1, got 0"),
     (["cv", "--character=1,1", "--depth", "-1"], "--depth must be >= 1, got -1"),
+    (["cv", "--torsion", "3", "--restricted"], "--torsion cannot be combined with --restricted"),
+    (["cv", "--torsion", "3", "--character", "1,1"],
+     "--torsion cannot be combined with --character"),
 ])
 def test_bad_argument_usage_error(capsys, files, argv, needle):
     if argv[0] == "cv":
@@ -592,47 +595,56 @@ def test_package_has_no_uncalled_code():
     # Every function, class and method of the package must be reachable from
     # a root: module- and class-level statements, dunder methods, cli.main,
     # or a definition whose docstring marks it as (part of) a test oracle.
-    # The walk is by name: a use of x or of .x on any object reaches every
-    # definition named x, so a dead method that shares its name with a live
-    # one still passes.
+    # The walk is by name: a use of .x on any object reaches every method
+    # named x, and a use of x or of .x reaches every module-level definition
+    # named x.  A bare name never reaches a method, so a local variable that
+    # shares a method's name keeps no dead method alive; a dead method that
+    # shares its name with a live attribute still passes.
     import ast
     import pathlib
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "infalex"
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def names(nodes):
-        return {n.id if isinstance(n, ast.Name) else n.attr
-                for node in nodes for n in ast.walk(node)
-                if isinstance(n, (ast.Name, ast.Attribute))}
+        """(bare names, attribute names) used in nodes."""
+        walked = [n for node in nodes for n in ast.walk(node)]
+        return ({n.id for n in walked if isinstance(n, ast.Name)},
+                {n.attr for n in walked if isinstance(n, ast.Attribute)})
 
-    defs = []        # (label, name, names it uses, is a root)
-    wanted = set()   # names used by what is reached so far
+    defs = []        # (label, name, is a method, names it uses, is a root)
+    bare, attrs = set(), set()   # names used by what is reached so far
+
+    def use(used):
+        bare.update(used[0])
+        attrs.update(used[1])
+
     for path in sorted(src.glob("*.py")):
         for stmt in ast.parse(path.read_text(), str(path)).body:
             if not isinstance(stmt, funcs + (ast.ClassDef,)):
-                wanted |= names([stmt])
+                use(names([stmt]))
                 continue
             if isinstance(stmt, ast.ClassDef):
-                wanted |= names(m for m in stmt.body if not isinstance(m, funcs))
-                members = [(stmt.name, stmt, names(stmt.bases + stmt.decorator_list))]
-                members += [(f"{stmt.name}.{m.name}", m, names([m]))
+                use(names(m for m in stmt.body if not isinstance(m, funcs)))
+                members = [(stmt.name, stmt, False, names(stmt.bases + stmt.decorator_list))]
+                members += [(f"{stmt.name}.{m.name}", m, True, names([m]))
                             for m in stmt.body if isinstance(m, funcs)]
             else:
-                members = [(stmt.name, stmt, names([stmt]))]
-            for label, node, used in members:
+                members = [(stmt.name, stmt, False, names([stmt]))]
+            for label, node, method, used in members:
                 label = f"{path.stem}.{label}"
                 root = (label == "cli.main"
                         or node.name.startswith("__") and node.name.endswith("__")
                         or "test oracle" in (ast.get_docstring(node) or "").lower())
-                defs.append((label, node.name, used, root))
+                defs.append((label, node.name, method, used, root))
     reached = set()
     grew = True
     while grew:
         grew = False
-        for label, name, used, root in defs:
-            if label not in reached and (root or name in wanted):
+        for label, name, method, used, root in defs:
+            if label not in reached and (root or name in attrs
+                                         or not method and name in bare):
                 reached.add(label)
-                wanted |= used
+                use(used)
                 grew = True
     uncalled = [label for label, *_ in defs if label not in reached]
     assert not uncalled, uncalled

@@ -10,13 +10,16 @@ from operator import add
 
 import pytest
 
-from infalex import alex_module, rep_semisimple
+from infalex import alex_module, fox_alex, rep_semisimple
 from infalex.alex_module import CyclicSumSymbol, coker_dims
 from infalex.cli import main
 from infalex.errors import InternalInconsistencyError
+from infalex.fox_alex import torsion_sweep
 from infalex.johnson import JohnsonContext, johnson_context, johnson_module_dims
 from infalex.rep_semisimple import (LieAlgebraSpec, casimir_blocks, fundamental_module,
                                     wedge_power)
+
+from test_fox_alex import F2XZ, TREFOIL, X3_COMMUTING, _brute_force_sweep
 
 
 @pytest.fixture
@@ -122,3 +125,22 @@ def test_dropped_monomial_weight_mutant_fails_the_plain_rank_cross_check(
         fresh_contexts, bucket_without_one_monomial_weight):
     orbit, plain = _orbit_route_against_plain_rank_g3()
     assert plain == (90, 896, 5355) and orbit[1] != plain[1] and orbit[2] != plain[2]
+
+
+# -- the Galois orbits of the torsion sweep ---------------------------------------
+
+@pytest.fixture
+def non_units_in_the_galois_orbits(monkeypatch):
+    """Every nonzero u mod m counted as a unit, so that the orbit of an
+    exponent vector e also takes in u e for the zero divisors u, and
+    multiplying by those need not keep the rank."""
+    monkeypatch.setattr(fox_alex, "gcd", lambda u, m: 1 if u else m)
+
+
+@pytest.mark.parametrize("m", [6, 8])
+@pytest.mark.parametrize("p,k", [(TREFOIL, 1), (F2XZ, 1), (X3_COMMUTING, 1), (F2XZ, 2)],
+                         ids=["trefoil-k1", "f2xz-k1", "x3-commuting-k1", "f2xz-k2"])
+def test_non_unit_orbit_mutant_fails_the_brute_force_sweep(non_units_in_the_galois_orbits,
+                                                           p, k, m):
+    # the cross-check of test_orbit_sweep_matches_brute_force
+    assert torsion_sweep(p, m, k) != _brute_force_sweep(p, m, k)

@@ -17,7 +17,7 @@ from module_builders import (AmbiguousDecompositionError, all_blocks_highest_wei
                              casimir_eigenspace, casimir_matrix, chen_module_weight,
                              fraction_casimir_column,
                              isotypic_projection, lowering_closure, matmul_block_polynomial,
-                             sym_power, tensor_product, transpose, weyl_orbit)
+                             scale, sym_power, tensor_product, transpose, weyl_orbit)
 
 SP3 = LieAlgebraSpec("sp", 3)
 SL2 = LieAlgebraSpec("sl", 2)
@@ -40,7 +40,7 @@ def test_defining_matrices_form_the_algebra(spec):
         for _label, cols in basis:
             X = RationalMatrix(d, d, {(r, j): v for j, col in enumerate(cols)
                                       for r, v in col.items()})
-            assert transpose(X).matmul(J) + J.matmul(X) == RationalMatrix.zeros(d, d)
+            assert transpose(X).matmul(J) + J.matmul(X) == RationalMatrix(d, d)
     else:
         for _label, cols in basis:
             tr = sum(cols[j].get(j, Fraction(0)) for j in range(d))
@@ -73,7 +73,7 @@ def test_cartan_relations_on_defining(spec):
                     alpha_j = tuple(a - b for a, b in zip(m.weights[row], m.weights[col]))
                     aij = spec.simple_coroot_pairing(alpha_j, i)
                     break
-            assert commutator == e.scale(aij)
+            assert commutator == scale(e, aij)
 
 
 # -- Weyl dimension formula ----------------------------------------------------
@@ -143,11 +143,11 @@ def test_casimir_scalar_on_defining():
     c = casimir_matrix(m)
     ev = casimir_eigenvalue(SP3, HighestWeight((1, 0, 0)))
     assert ev == Fraction(7, 2)
-    assert c == RationalMatrix.identity(m.dimension).scale(ev)
+    assert c == scale(RationalMatrix.identity(m.dimension), ev)
     msl = defining_module(SL3)
     evsl = casimir_eigenvalue(SL3, HighestWeight((1, 0)))
     assert evsl == Fraction(8, 3)
-    assert casimir_matrix(msl) == RationalMatrix.identity(3).scale(evsl)
+    assert casimir_matrix(msl) == scale(RationalMatrix.identity(3), evsl)
 
 
 def test_casimir_commutes_with_action():
@@ -212,7 +212,7 @@ def test_projection_idempotent_equivariant():
         assert p.matmul(a) == a.matmul(p)
     p0 = isotypic_projection(m, HighestWeight((0, 0, 0)))
     assert p0.rank() == 1
-    assert p0.matmul(p) == RationalMatrix.zeros(m.dimension, m.dimension)
+    assert p0.matmul(p) == RationalMatrix(m.dimension, m.dimension)
 
 
 def test_projection_of_absent_constituent_is_zero():
@@ -321,7 +321,7 @@ def test_casimir_blocks_match_fraction_columns():
             assert all(type(x) is Fraction for x in block.entries.values())
     # the adjoint module of sl(3) is irreducible: its Casimir is one scalar
     c = casimir_eigenvalue(SL3, HighestWeight((1, 1)))
-    assert casimir_matrix(quotient) == RationalMatrix.identity(8).scale(c)
+    assert casimir_matrix(quotient) == scale(RationalMatrix.identity(8), c)
 
 
 @pytest.mark.parametrize("make", [
