@@ -514,10 +514,13 @@ def coker_multiplication_action(gm: GradedMap, max_degree: int) -> tuple[int, li
         quotients.append(eb.quotient(rows) if q else None)
         offsets.append(total)
         total += len(free_rows[q])
+    den = lcm(*(m.den for m in quotients[1:]))  # one denominator for every degree
     mats = []
     for i in range(n):
-        entries = {}
+        num = {}
         for q in range(max_degree):
+            columns = quotients[q + 1].numerator_columns()
+            s = den // quotients[q + 1].den
             src_idx = monomials(n, q)
             tgt_idx = monomial_index(n, q + 1)
             for r, col_local in free_rows[q].items():
@@ -526,7 +529,7 @@ def coker_multiplication_action(gm: GradedMap, max_degree: int) -> tuple[int, li
                 up = list(mono)
                 up[i] += 1
                 row = tgt_idx[tuple(up)] * gm.target_dim + k
-                for t, c in quotients[q + 1][row].items():
-                    entries[(offsets[q + 1] + t, offsets[q] + col_local)] = c
-        mats.append(RationalMatrix(total, total, entries))
+                for t, x in columns[row].items():
+                    num[offsets[q + 1] + t, offsets[q] + col_local] = x * s
+        mats.append(RationalMatrix.from_integers(total, total, num, den))
     return total, mats

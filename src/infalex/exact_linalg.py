@@ -474,18 +474,29 @@ class EchelonBasis:
         rows = self.rows
         return {k: t for t, k in enumerate(k for k in range(n) if k not in rows)}
 
-    def quotient(self, n: int) -> list[Vec]:
-        """The quotient map of positions 0..n-1 onto the basis free(n), as
-        sparse columns: act_vec(quotient, v) is the class of v.
+    def quotient(self, n: int) -> "RationalMatrix":
+        """The quotient map of positions 0..n-1 onto the basis free(n), as a
+        (n - rank) x n matrix over Q: quotient.matvec(v) is the class of v.
 
         A free position is its own basis vector.  Inter-reduced, the row with
         lead l carries free positions only besides l, so e_l is minus the rest
-        of that row over its lead, modulo the span.
+        of that row over its lead, modulo the span.  The numerators are taken
+        over the lcm of the leads, column by column.
         """
         self._inter_reduce()
         pos, rows = self.free(n), self.rows
-        return [{pos[f]: _over(-x, rows[k][k]) for f, x in rows[k].items() if f != k}
-                if k in rows else {pos[k]: ONE} for k in range(n)]
+        den = lcm(*{row[k] for k, row in rows.items()})
+        num: dict = {}
+        for k in range(n):
+            row = rows.get(k)
+            if row is None:
+                num[pos[k], k] = den
+            else:
+                s = den // row[k]
+                for f, x in row.items():
+                    if f != k:
+                        num[pos[f], k] = -x * s
+        return RationalMatrix.from_integers(len(pos), n, num, den)
 
     def vectors(self) -> list[Vec]:
         """The reduced row echelon form: inter-reduced rows with lead 1."""
@@ -647,9 +658,13 @@ class RationalMatrix:
 
     def matvec(self, v: Mapping) -> Vec:
         """self applied to v, summed over the numerator columns and divided
-        once: an integral matrix applied to an int vector gives ints."""
+        once: an integral matrix applied to an int vector gives ints, and
+        every other product is read out as Fractions (act_vec leaves the
+        int numerators of a column that v takes with coefficient 1)."""
         out = act_vec(self.numerator_columns(), v)
-        return out if self.den == 1 else self._fractions(out)
+        if self.den == 1 and all(type(x) is int for x in v.values()):
+            return out
+        return self._fractions(out)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:

@@ -79,7 +79,7 @@ class JohnsonContext:
         if g < MIN_GENUS:
             raise ValueError(f"genus >= {MIN_GENUS} required")
         self.g = g
-        self.spec = LieAlgebraSpec("sp", g)
+        self.spec = LieAlgebraSpec(g)
         self.V = fundamental_module(self.spec, 3)
         self.W2 = wedge_power(self.V, 2)
         self.pairs = wedge2_pairs(self.V.dimension)

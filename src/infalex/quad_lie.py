@@ -153,7 +153,7 @@ def beta_matrix(p: LiePresentation) -> RationalMatrix:
     """
     span = p.relation_span()
     total = len(wedge2_pairs(p.dim_v))
-    return RationalMatrix.from_columns(span.quotient(total), total - span.rank)
+    return span.quotient(total)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Rational representation theory of sp(2g) and sl(n), by explicit matrices.
+"""Rational representation theory of sp(2g), by explicit matrices.
 
 Irreducibles are realized concretely: the defining module, wedge powers,
 and the fundamental symplectic modules wedge^k H / (theta ^ wedge^(k-2) H).
@@ -9,8 +9,7 @@ Casimir-related block-diagonalizes over weights.
 Casimir normalization: dual bases with respect to the trace form of the
 defining representation.  The eigenvalue on the irreducible of highest
 weight lambda is then <lambda, lambda + 2 rho> for the induced form on
-weights (coefficient 1/2 per coordinate for sp, the trace-zero-corrected
-Euclidean form for sl).
+weights, which is 1/2 times the Euclidean form in those coordinates.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ ColMat = tuple  # tuple of {row: Fraction} dicts, one per column
 
 
 # ---------------------------------------------------------------------------
-# the two algebra families
+# the algebra sp(2g)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -46,74 +45,51 @@ class HighestWeight:
 
 @dataclass(frozen=True)
 class LieAlgebraSpec:
-    family: str  # 'sp' (type C_g) or 'sl' (type A_{n-1})
-    rank: int    # g, respectively n
+    """sp(2g), of type C_g, for g = rank >= 1."""
+
+    rank: int
 
     def __post_init__(self):
-        if self.family not in ("sp", "sl"):
-            raise ValueError("family must be 'sp' or 'sl'")
-        if self.family == "sp" and self.rank < 1:
+        if self.rank < 1:
             raise ValueError("sp rank must be >= 1")
-        if self.family == "sl" and self.rank < 2:
-            raise ValueError("sl needs n >= 2")
 
     @property
     def defining_dim(self) -> int:
-        return 2 * self.rank if self.family == "sp" else self.rank
+        return 2 * self.rank
 
     @property
     def num_fundamental(self) -> int:
-        return self.rank if self.family == "sp" else self.rank - 1
+        return self.rank
 
     # -- structure data -------------------------------------------------------
 
     def raising_labels(self) -> list[str]:
-        if self.family == "sp":
-            g = self.rank
-            labels = [f"X_{i}_{i+1}" for i in range(g - 1)]
-            labels.append(f"U_{g-1}")
-            return labels
-        n = self.rank
-        return [f"E_{i}_{i+1}" for i in range(n - 1)]
+        g = self.rank
+        return [f"X_{i}_{i+1}" for i in range(g - 1)] + [f"U_{g-1}"]
 
     def lowering_labels(self) -> list[str]:
         """The negative simple root vectors, in the order of raising_labels();
         together the two lists generate the algebra."""
-        if self.family == "sp":
-            g = self.rank
-            labels = [f"X_{i+1}_{i}" for i in range(g - 1)]
-            labels.append(f"V_{g-1}")
-            return labels
-        n = self.rank
-        return [f"E_{i+1}_{i}" for i in range(n - 1)]
+        g = self.rank
+        return [f"X_{i+1}_{i}" for i in range(g - 1)] + [f"V_{g-1}"]
 
     # -- the Weyl group W(C_g), signed permutations of epsilon coordinates -------
 
-    def _weyl_type_c(self):
-        if self.family != "sp":
-            raise NotImplementedError("Weyl orbits are implemented for sp (type C) only")
-
     def dominant(self, w: tuple[int, ...]) -> tuple[int, ...]:
         """The dominant weight (x1 >= ... >= xg >= 0) of the Weyl orbit of w."""
-        self._weyl_type_c()
         return tuple(sorted(map(abs, w), reverse=True))
 
     def orbit_size(self, w: tuple[int, ...]) -> int:
         """|W . w|: g! / prod(multiplicity of each |x_i|)! times 2^(nonzero x_i)."""
-        self._weyl_type_c()
         size = factorial(len(w)) << sum(1 for x in w if x)
         for mult in Counter(map(abs, w)).values():
             size //= factorial(mult)
         return size
 
     def simple_coroot_pairing(self, w: tuple[int, ...], i: int) -> int:
-        """<w, alpha_i^vee> for the i-th simple root (0-based)."""
-        if self.family == "sp":
-            g = self.rank
-            if i < g - 1:
-                return w[i] - w[i + 1]
-            return w[g - 1]
-        return w[i] - w[i + 1]
+        """<w, alpha_i^vee> for the i-th simple root (0-based): the short
+        roots eps_i - eps_{i+1}, then the long root 2 eps_g."""
+        return w[i] - w[i + 1] if i < self.rank - 1 else w[i]
 
     def fundamental_from_weight(self, w: tuple[int, ...]) -> HighestWeight:
         return HighestWeight(tuple(self.simple_coroot_pairing(w, i)
@@ -124,33 +100,20 @@ class LieAlgebraSpec:
         n_i = hw.coefficients
         if len(n_i) != self.num_fundamental:
             raise ValueError("wrong number of fundamental coefficients")
-        m = []
-        for i in range(self.rank):
-            m.append(sum(n_i[k] for k in range(i, len(n_i))))
-        return tuple(m)
+        return tuple(sum(n_i[i:]) for i in range(self.rank))
 
     def rho(self) -> tuple[int, ...]:
-        if self.family == "sp":
-            g = self.rank
-            return tuple(g - i for i in range(g))
-        n = self.rank
-        return tuple(n - 1 - i for i in range(n))
+        g = self.rank
+        return tuple(g - i for i in range(g))
 
     def weight_form(self, a, b) -> Fraction:
         """Form on weights induced by the trace form of the defining rep."""
-        if self.family == "sp":
-            return Fraction(sum(x * y for x, y in zip(a, b)), 2)
-        n = self.rank
-        dot = sum(x * y for x, y in zip(a, b))
-        return Fraction(dot) - Fraction(sum(a) * sum(b), n)
+        return Fraction(sum(x * y for x, y in zip(a, b)), 2)
 
     def defining_weights(self) -> tuple[tuple[int, ...], ...]:
-        if self.family == "sp":
-            g = self.rank
-            eps = [tuple(1 if t == i else 0 for t in range(g)) for i in range(g)]
-            return tuple(eps + [tuple(-x for x in e) for e in eps])
-        n = self.rank
-        return tuple(tuple(1 if t == i else 0 for t in range(n)) for i in range(n))
+        g = self.rank
+        eps = [tuple(1 if t == i else 0 for t in range(g)) for i in range(g)]
+        return tuple(eps + [tuple(-x for x in e) for e in eps])
 
 
 @lru_cache(maxsize=8)
@@ -164,33 +127,24 @@ def _algebra_basis(spec: LieAlgebraSpec) -> tuple[tuple[str, ColMat], ...]:
             cols[j][i] = Fraction(c)
         return tuple(cols)
 
+    g = spec.rank
     out: list[tuple[str, ColMat]] = []
-    if spec.family == "sp":
-        g = spec.rank
-        for i in range(g):
-            out.append((f"H_{i}", from_terms([(i, i, 1), (g + i, g + i, -1)])))
-        for i in range(g):
-            for j in range(g):
-                if i != j:
-                    out.append((f"X_{i}_{j}", from_terms([(i, j, 1), (g + j, g + i, -1)])))
-        for i in range(g):
-            for j in range(i + 1, g):
-                out.append((f"Y_{i}_{j}", from_terms([(i, g + j, 1), (j, g + i, 1)])))
-        for i in range(g):
-            out.append((f"U_{i}", from_terms([(i, g + i, 1)])))
-        for i in range(g):
-            for j in range(i + 1, g):
-                out.append((f"Z_{i}_{j}", from_terms([(g + i, j, 1), (g + j, i, 1)])))
-        for i in range(g):
-            out.append((f"V_{i}", from_terms([(g + i, i, 1)])))
-    else:
-        n = spec.rank
-        for i in range(n - 1):
-            out.append((f"H_{i}", from_terms([(i, i, 1), (i + 1, i + 1, -1)])))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    out.append((f"E_{i}_{j}", from_terms([(i, j, 1)])))
+    for i in range(g):
+        out.append((f"H_{i}", from_terms([(i, i, 1), (g + i, g + i, -1)])))
+    for i in range(g):
+        for j in range(g):
+            if i != j:
+                out.append((f"X_{i}_{j}", from_terms([(i, j, 1), (g + j, g + i, -1)])))
+    for i in range(g):
+        for j in range(i + 1, g):
+            out.append((f"Y_{i}_{j}", from_terms([(i, g + j, 1), (j, g + i, 1)])))
+    for i in range(g):
+        out.append((f"U_{i}", from_terms([(i, g + i, 1)])))
+    for i in range(g):
+        for j in range(i + 1, g):
+            out.append((f"Z_{i}_{j}", from_terms([(g + i, j, 1), (g + j, i, 1)])))
+    for i in range(g):
+        out.append((f"V_{i}", from_terms([(g + i, i, 1)])))
     return tuple(out)
 
 
@@ -355,44 +309,39 @@ def quotient_module(m: WeightModule, spanning: list[Vec]) -> WeightModule:
     quotient = eb.quotient(m.dimension)
     pos = eb.free(m.dimension)
     weights = tuple(m.weights[i] for i in pos)
-    actions = {label: tuple(act_vec(quotient, cols[i]) for i in pos)
+    actions = {label: tuple(quotient.matvec(cols[i]) for i in pos)
                for label, cols in m.actions.items()}
     return WeightModule(m.algebra, len(pos), weights, actions)
 
 
 def fundamental_module(spec: LieAlgebraSpec, k: int) -> WeightModule:
-    """V(lambda_k): for sp, wedge^k H modulo theta ^ wedge^(k-2) H; for sl, wedge^k."""
-    if spec.family == "sp":
-        g = spec.rank
-        if not (1 <= k <= g):
-            raise ValueError(f"k must be in 1..{g}")
-        H = defining_module(spec)
-        if k == 1:
-            return H
-        W = wedge_power(H, k)
-        index = {c: i for i, c in enumerate(combinations(range(2 * g), k))}
-        spanning = []
-        for rest in combinations(range(2 * g), k - 2):
-            # theta ^ rest; each pair (i, g+i) lands on a different monomial
-            vec: Vec = {}
-            for i in range(g):
-                pair = (i, g + i)
-                if pair[0] in rest or pair[1] in rest:
-                    continue
-                merged = tuple(sorted(rest + pair))
-                # sign of sorting (i, g+i, rest...) - count inversions of the
-                # concatenation pair + rest
-                seq = list(pair) + list(rest)
-                inv = sum(1 for s in range(len(seq)) for t in range(s + 1, len(seq))
-                          if seq[s] > seq[t])
-                vec[index[merged]] = ONE if inv % 2 == 0 else -ONE
-            if vec:
-                spanning.append(vec)
-        return quotient_module(W, spanning)
-    n = spec.rank
-    if not (1 <= k <= n - 1):
-        raise ValueError(f"k must be in 1..{n - 1}")
-    return wedge_power(defining_module(spec), k)
+    """V(lambda_k): wedge^k H modulo theta ^ wedge^(k-2) H."""
+    g = spec.rank
+    if not (1 <= k <= g):
+        raise ValueError(f"k must be in 1..{g}")
+    H = defining_module(spec)
+    if k == 1:
+        return H
+    W = wedge_power(H, k)
+    index = {c: i for i, c in enumerate(combinations(range(2 * g), k))}
+    spanning = []
+    for rest in combinations(range(2 * g), k - 2):
+        # theta ^ rest; each pair (i, g+i) lands on a different monomial
+        vec: Vec = {}
+        for i in range(g):
+            pair = (i, g + i)
+            if pair[0] in rest or pair[1] in rest:
+                continue
+            merged = tuple(sorted(rest + pair))
+            # sign of sorting (i, g+i, rest...) - count inversions of the
+            # concatenation pair + rest
+            seq = list(pair) + list(rest)
+            inv = sum(1 for s in range(len(seq)) for t in range(s + 1, len(seq))
+                      if seq[s] > seq[t])
+            vec[index[merged]] = ONE if inv % 2 == 0 else -ONE
+        if vec:
+            spanning.append(vec)
+    return quotient_module(W, spanning)
 
 
 # ---------------------------------------------------------------------------
@@ -400,34 +349,23 @@ def fundamental_module(spec: LieAlgebraSpec, k: int) -> WeightModule:
 # ---------------------------------------------------------------------------
 
 def weyl_dim(spec: LieAlgebraSpec, hw: HighestWeight) -> int:
-    """dim of the irreducible of highest weight hw, by the Weyl formula.
+    """dim of the irreducible of sp(2g) of highest weight hw, by the Weyl
+    formula: prod over i < j of (l_i^2 - l_j^2) / (r_i^2 - r_j^2) times
+    prod of l_i / r_i, for l = lambda + rho and r = rho.
 
     JohnsonContext certifies dim Q and the constituents of wedge^2 V with it
     on every run.  Test oracle: an independent count against the computed
-    cokernel dims (acceptance criteria 2 and 4)."""
+    Johnson decomposition (acceptance criterion 4)."""
     m = spec.partition_from_fundamental(hw)
-    if spec.family == "sp":
-        g = spec.rank
-        l = [m[i] + (g - i) for i in range(g)]
-        r = [g - i for i in range(g)]
-        num, den = 1, 1
-        for i in range(g):
-            for j in range(i + 1, g):
-                num *= l[i] ** 2 - l[j] ** 2
-                den *= r[i] ** 2 - r[j] ** 2
-            num *= l[i]
-            den *= r[i]
-        q, rem = divmod(num, den)
-        if rem:
-            raise ArithmeticError("Weyl dimension is not integral")
-        return q
-    n = spec.rank
-    l = [m[i] + (n - 1 - i) for i in range(n)]
+    r = spec.rho()
+    l = [x + y for x, y in zip(m, r)]
     num, den = 1, 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= l[i] - l[j]
-            den *= j - i
+    for i in range(spec.rank):
+        for j in range(i + 1, spec.rank):
+            num *= l[i] ** 2 - l[j] ** 2
+            den *= r[i] ** 2 - r[j] ** 2
+        num *= l[i]
+        den *= r[i]
     q, rem = divmod(num, den)
     if rem:
         raise ArithmeticError("Weyl dimension is not integral")

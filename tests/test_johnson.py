@@ -167,7 +167,7 @@ def test_degree0_equals_weyl_dim():
         rep = johnson_module_dims(g, 0)
         spec_hw = HighestWeight((0, 2) + (0,) * (g - 2))
         from infalex.rep_semisimple import LieAlgebraSpec
-        assert rep.coker_q[0] == weyl_dim(LieAlgebraSpec("sp", g), spec_hw)
+        assert rep.coker_q[0] == weyl_dim(LieAlgebraSpec(g), spec_hw)
         assert rep.m_dims[0] == rep.coker_q[0] + 1
 
 

@@ -10,7 +10,7 @@ from operator import add
 
 import pytest
 
-from infalex import alex_module, fox_alex, rep_semisimple
+from infalex import alex_module, exact_linalg, fox_alex, rep_semisimple
 from infalex.alex_module import CyclicSumSymbol, coker_dims
 from infalex.cli import main
 from infalex.errors import InternalInconsistencyError
@@ -19,6 +19,7 @@ from infalex.johnson import JohnsonContext, johnson_context, johnson_module_dims
 from infalex.rep_semisimple import (LieAlgebraSpec, casimir_blocks, fundamental_module,
                                     wedge_power)
 
+import test_exact_linalg
 from test_fox_alex import F2XZ, TREFOIL, X3_COMMUTING, _brute_force_sweep
 
 
@@ -35,7 +36,7 @@ def cross_term_without_its_factor_2(monkeypatch):
 
 
 def test_cross_term_mutant_fails_the_wedge_square_cross_check(cross_term_without_its_factor_2):
-    v = fundamental_module(LieAlgebraSpec("sp", 3), 3)
+    v = fundamental_module(LieAlgebraSpec(3), 3)
     assembled = casimir_blocks(v, 2)
     square = casimir_blocks(wedge_power(v, 2))
     assert any(assembled[w] != block for w, block in square.items())
@@ -52,6 +53,27 @@ def test_cross_term_mutant_exits_4(capsys, fresh_contexts, cross_term_without_it
     code = main(["johnson", "--genus", "4", "--max-degree", "1"])
     assert code == 4
     assert json.loads(capsys.readouterr().out)["error"] == "inconsistency"
+
+
+# -- the highest weights read off sp(2g) -------------------------------------------
+
+@pytest.fixture
+def long_root_pairing_of_type_b(monkeypatch):
+    """<w, alpha_g^vee> read as 2 w_g, the pairing of the short root eps_g of
+    type B, in place of w_g for the long root 2 eps_g of type C: every
+    highest weight is named wrongly in its last fundamental coefficient."""
+    pairing = LieAlgebraSpec.simple_coroot_pairing
+
+    def mutant(self, w, i):
+        return 2 * w[i] if i == self.rank - 1 else pairing(self, w, i)
+
+    monkeypatch.setattr(LieAlgebraSpec, "simple_coroot_pairing", mutant)
+
+
+def test_type_b_pairing_mutant_fails_the_weyl_certificate_g4(long_root_pairing_of_type_b):
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"dim Q = 1100 against weyl_dim\(2 lambda_2\) = 308"):
+        JohnsonContext(4)
 
 
 # -- the weights of the orbit route ---------------------------------------------
@@ -144,3 +166,23 @@ def test_non_unit_orbit_mutant_fails_the_brute_force_sweep(non_units_in_the_galo
                                                            p, k, m):
     # the cross-check of test_orbit_sweep_matches_brute_force
     assert torsion_sweep(p, m, k) != _brute_force_sweep(p, m, k)
+
+
+# -- the input lift of EchelonBasis ------------------------------------------------
+
+@pytest.fixture
+def lift_that_aliases_its_input(monkeypatch):
+    """An all-int vector handed back as it is instead of copied, so that
+    reduce clears pivots in the caller's own dict: the numerator columns a
+    RationalMatrix shares with every later product, say."""
+    lift = exact_linalg._lift
+
+    def mutant(v):
+        return (v, 1) if all(type(x) is int for x in v.values()) else lift(v)
+
+    monkeypatch.setattr(exact_linalg, "_lift", mutant)
+
+
+def test_aliasing_lift_mutant_fails_the_kernel_count_check(lift_that_aliases_its_input):
+    with pytest.raises(AssertionError):
+        test_exact_linalg.test_kernel_count_matches_rank()

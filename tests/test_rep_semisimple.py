@@ -17,40 +17,41 @@ from module_builders import (AmbiguousDecompositionError, all_blocks_highest_wei
                              casimir_eigenspace, casimir_matrix, chen_module_weight,
                              fraction_casimir_column,
                              isotypic_projection, lowering_closure, matmul_block_polynomial,
-                             scale, sym_power, tensor_product, transpose, weyl_orbit)
+                             scale, sl_weyl_dim, sym_power, tensor_product, transpose,
+                             weyl_orbit)
 
-SP3 = LieAlgebraSpec("sp", 3)
-SL2 = LieAlgebraSpec("sl", 2)
-SL3 = LieAlgebraSpec("sl", 3)
+SP1 = LieAlgebraSpec(1)   # sp(2), which is sl(2)
+SP2 = LieAlgebraSpec(2)
+SP3 = LieAlgebraSpec(3)
 
 
 # -- structural checks on the algebra bases -----------------------------------
 
-@pytest.mark.parametrize("spec", [SP3, LieAlgebraSpec("sp", 2), SL2, SL3])
+@pytest.mark.parametrize("spec", [SP3, SP2, SP1, LieAlgebraSpec(4)])
 def test_defining_matrices_form_the_algebra(spec):
     basis = list(defining_module(spec).actions.items())
     d = spec.defining_dim
-    if spec.family == "sp":
-        g = spec.rank
-        theta = {}
-        for i in range(g):
-            theta[(i, g + i)] = Fraction(1)
-            theta[(g + i, i)] = Fraction(-1)
-        J = RationalMatrix(d, d, theta)
-        for _label, cols in basis:
-            X = RationalMatrix(d, d, {(r, j): v for j, col in enumerate(cols)
-                                      for r, v in col.items()})
-            assert transpose(X).matmul(J) + J.matmul(X) == RationalMatrix(d, d)
-    else:
-        for _label, cols in basis:
-            tr = sum(cols[j].get(j, Fraction(0)) for j in range(d))
-            assert tr == 0
+    g = spec.rank
+    theta = {}
+    for i in range(g):
+        theta[(i, g + i)] = Fraction(1)
+        theta[(g + i, i)] = Fraction(-1)
+    J = RationalMatrix(d, d, theta)
+    for _label, cols in basis:
+        X = RationalMatrix(d, d, {(r, j): v for j, col in enumerate(cols)
+                                  for r, v in col.items()})
+        assert transpose(X).matmul(J) + J.matmul(X) == RationalMatrix(d, d)
     # count = dimension of the algebra
-    expected = spec.rank * (2 * spec.rank + 1) if spec.family == "sp" else spec.rank ** 2 - 1
-    assert len(basis) == expected
+    assert len(basis) == g * (2 * g + 1)
 
 
-@pytest.mark.parametrize("spec", [SP3, SL3])
+def test_spec_is_sp_of_positive_rank():
+    assert LieAlgebraSpec(1) == SP1 and SP1.defining_dim == 2
+    with pytest.raises(ValueError):
+        LieAlgebraSpec(0)
+
+
+@pytest.mark.parametrize("spec", [SP3, SP2])
 def test_cartan_relations_on_defining(spec):
     # [h_i, e_j] = a_ij e_j with a the Cartan matrix, checked as matrices
     m = defining_module(spec)
@@ -79,15 +80,15 @@ def test_cartan_relations_on_defining(spec):
 # -- Weyl dimension formula ----------------------------------------------------
 
 def test_weyl_sl2_classical():
+    # sp(2) is sl(2): V(q lambda_1) is Sym^q of the defining module
     for q in range(7):
-        assert weyl_dim(SL2, HighestWeight((q,))) == q + 1
+        assert weyl_dim(SP1, HighestWeight((q,))) == q + 1 == sl_weyl_dim(2, HighestWeight((q,)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_weyl_chen_weights(n):
-    spec = LieAlgebraSpec("sl", n)
     for q in range(6):
-        assert weyl_dim(spec, chen_module_weight(n, q)) == comb(q + n, q + 2) * (q + 1)
+        assert sl_weyl_dim(n, chen_module_weight(n, q)) == comb(q + n, q + 2) * (q + 1)
 
 
 @pytest.mark.slow
@@ -96,27 +97,26 @@ def test_weyl_chen_equals_free_invariant(n):
     # the graded invariant of the free Lie algebra carries the irreducible
     # of highest weight q l1 + l2 in each degree
     from infalex.quad_lie import LiePresentation, bb_direct
-    spec = LieAlgebraSpec("sl", n)
     p = LiePresentation.make(n, [])
     for q in range(5):
-        assert weyl_dim(spec, chen_module_weight(n, q)) == bb_direct(p, q)[0]
+        assert sl_weyl_dim(n, chen_module_weight(n, q)) == bb_direct(p, q)[0]
 
 
 def test_weyl_sp_values():
     assert weyl_dim(SP3, HighestWeight((0, 2, 0))) == 90
     assert weyl_dim(SP3, HighestWeight((0, 0, 1))) == 14
     assert weyl_dim(SP3, HighestWeight((1, 0, 0))) == 6
-    sp4 = LieAlgebraSpec("sp", 4)
+    sp4 = LieAlgebraSpec(4)
     assert weyl_dim(sp4, HighestWeight((0, 2, 0, 0))) == 308
     assert weyl_dim(sp4, HighestWeight((0, 0, 1, 0))) == 48
-    assert weyl_dim(LieAlgebraSpec("sp", 2), HighestWeight((0, 1))) == 5
+    assert weyl_dim(SP2, HighestWeight((0, 1))) == 5
 
 
 def test_fundamental_module_dims():
     assert fundamental_module(SP3, 1).dimension == 6
     assert fundamental_module(SP3, 2).dimension == 14               # C(6,2)-1
     assert fundamental_module(SP3, 3).dimension == 20 - 6           # C(6,3)-6
-    assert fundamental_module(LieAlgebraSpec("sp", 4), 3).dimension == 56 - 8
+    assert fundamental_module(LieAlgebraSpec(4), 3).dimension == 56 - 8
     for k in (1, 2, 3):
         m = fundamental_module(SP3, k)
         assert m.dimension == weyl_dim(SP3, HighestWeight(
@@ -124,16 +124,15 @@ def test_fundamental_module_dims():
 
 
 def test_fundamental_module_range_errors():
-    with pytest.raises(ValueError):
-        fundamental_module(SP3, 4)
-    with pytest.raises(ValueError):
-        fundamental_module(SL3, 3)
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            fundamental_module(SP3, k)
 
 
 # -- Casimir -------------------------------------------------------------------
 
 def test_casimir_trivial_module():
-    triv = sym_power(defining_module(SL2), 0)
+    triv = sym_power(defining_module(SP1), 0)
     assert triv.dimension == 1
     assert casimir_matrix(triv).is_zero()
 
@@ -144,10 +143,10 @@ def test_casimir_scalar_on_defining():
     ev = casimir_eigenvalue(SP3, HighestWeight((1, 0, 0)))
     assert ev == Fraction(7, 2)
     assert c == scale(RationalMatrix.identity(m.dimension), ev)
-    msl = defining_module(SL3)
-    evsl = casimir_eigenvalue(SL3, HighestWeight((1, 0)))
-    assert evsl == Fraction(8, 3)
-    assert casimir_matrix(msl) == scale(RationalMatrix.identity(3), evsl)
+    # sp(2) = sl(2): the trace form gives the defining module 3/2
+    ev1 = casimir_eigenvalue(SP1, HighestWeight((1,)))
+    assert ev1 == Fraction(3, 2)
+    assert casimir_matrix(defining_module(SP1)) == scale(RationalMatrix.identity(2), ev1)
 
 
 def test_casimir_commutes_with_action():
@@ -179,7 +178,7 @@ def test_hw_vector_of_irreducible():
 
 
 def test_clebsch_gordan_sl2():
-    v = defining_module(SL2)
+    v = defining_module(SP1)
     m = tensor_product(v, v)
     hwv = highest_weight_vectors(m)
     weights = sorted(hw.coefficients for hw, _ in hwv)
@@ -187,11 +186,11 @@ def test_clebsch_gordan_sl2():
 
 
 def test_sym_tensor_wedge_weights():
-    v = defining_module(SL3)
+    v = defining_module(SP2)
     m = tensor_product(sym_power(v, 2), wedge_power(v, 2))
     hwv = highest_weight_vectors(m)
-    # contains the Chen constituent q*l1 + l2 for q = 2
-    assert any(hw == chen_module_weight(3, 2) for hw, _ in hwv)
+    # contains the Cartan component 2 l1 + l2 of V(2 l1) (x) V(l2)
+    assert any(hw == HighestWeight((2, 1)) for hw, _ in hwv)
 
 
 # -- isotypic projections ---------------------------------------------------------
@@ -222,7 +221,7 @@ def test_projection_of_absent_constituent_is_zero():
 
 
 def test_projection_multiplicity_refusal():
-    v = defining_module(SL2)
+    v = defining_module(SP1)
     # (V (x) V) (x) V contains V(1) with multiplicity 2
     m = tensor_product(tensor_product(v, v), v)
     with pytest.raises(AmbiguousDecompositionError):
@@ -240,7 +239,7 @@ def test_weights_sum_to_module():
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_weyl_helpers_match_brute_force(g):
     # every weight of the box [-3, 3]^g against its enumerated orbit
-    spec = LieAlgebraSpec("sp", g)
+    spec = LieAlgebraSpec(g)
     box = list(product(range(-3, 4), repeat=g))
     seen = set()
     for w in box:
@@ -255,14 +254,7 @@ def test_weyl_helpers_match_brute_force(g):
     assert sum(spec.orbit_size(w) for w in box if spec.dominant(w) == w) == 7 ** g
 
 
-def test_weyl_helpers_are_type_c_only():
-    with pytest.raises(NotImplementedError):
-        SL3.dominant((1, 0, -1))
-    with pytest.raises(NotImplementedError):
-        SL3.orbit_size((1, 0, -1))
-
-
-@pytest.mark.parametrize("spec", [SP3, LieAlgebraSpec("sp", 2), SL3])
+@pytest.mark.parametrize("spec", [SP3, SP2, SP1])
 def test_lowering_labels_pair_with_raising_labels(spec):
     # on the defining module each raising operator moves weights by a simple
     # root alpha_i, and the lowering operator at the same position by -alpha_i
@@ -280,12 +272,14 @@ def test_lowering_labels_pair_with_raising_labels(spec):
 
 # -- the integer kernels against their Fraction references ----------------------
 
-def _adjoint_sl3_quotient():
-    """Sym^2 V (x) V / Sym^3 V for sl(3), the adjoint module in the quotient
-    coordinates of quotient_module: its actions have denominator 2."""
-    v = defining_module(SL3)
-    m = tensor_product(sym_power(v, 2), v)
-    top = next(vec for hw, vec in highest_weight_vectors(m) if hw == HighestWeight((3, 0)))
+def _sym_quotient(spec):
+    """Sym^2 H (x) H / Sym^3 H for sp(2g), in the quotient coordinates of
+    quotient_module: its actions have denominator 2.  At g = 1 it is the
+    irreducible V(lambda_1), at g = 2 it has 20 dimensions."""
+    h = defining_module(spec)
+    m = tensor_product(sym_power(h, 2), h)
+    top_weight = HighestWeight((3,) + (0,) * (spec.rank - 1))
+    top = next(vec for hw, vec in highest_weight_vectors(m) if hw == top_weight)
     return quotient_module(m, lowering_closure(m, top))
 
 
@@ -304,10 +298,12 @@ def _row_key_orders(mat):
 
 def test_casimir_blocks_match_fraction_columns():
     sp_module = wedge_power(fundamental_module(SP3, 3), 2)
-    quotient = _adjoint_sl3_quotient()
-    assert _denominators(quotient) - {1}, "the sl(3) quotient should have fractional actions"
-    assert _integral_dual(SL3)[1] > 1, "the sl(3) dual coefficients should have denominators"
-    for m in (sp_module, quotient, defining_module(SL2)):
+    quotient, irreducible = _sym_quotient(SP2), _sym_quotient(SP1)
+    for m in (quotient, irreducible):
+        assert _denominators(m) == {1, 2}, "the quotient should have fractional actions"
+    for spec in (SP1, SP2, SP3):
+        assert _integral_dual(spec)[1] > 1, "the dual coefficients should have denominators"
+    for m in (sp_module, quotient, irreducible, defining_module(SP1)):
         blocks = casimir_blocks(m)
         decomp = m.weight_decomposition()
         assert list(blocks) == sorted(decomp)
@@ -319,21 +315,22 @@ def test_casimir_blocks_match_fraction_columns():
                 len(idx))
             assert list(block.entries.items()) == list(expected.entries.items())
             assert all(type(x) is Fraction for x in block.entries.values())
-    # the adjoint module of sl(3) is irreducible: its Casimir is one scalar
-    c = casimir_eigenvalue(SL3, HighestWeight((1, 1)))
-    assert casimir_matrix(quotient) == scale(RationalMatrix.identity(8), c)
+    # the quotient at g = 1 is irreducible: its Casimir is one scalar
+    assert irreducible.dimension == 2
+    c = casimir_eigenvalue(SP1, HighestWeight((1,)))
+    assert casimir_matrix(irreducible) == scale(RationalMatrix.identity(2), c)
 
 
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: fundamental_module(SP3, 3), id="sp6-lambda3"),
-    pytest.param(lambda: fundamental_module(LieAlgebraSpec("sp", 4), 3), id="sp8-lambda3"),
-    pytest.param(lambda: defining_module(LieAlgebraSpec("sl", 4)), id="sl4-defining"),
-    pytest.param(_adjoint_sl3_quotient, id="sl3-adjoint-quotient"),
+    pytest.param(lambda: fundamental_module(LieAlgebraSpec(4), 3), id="sp8-lambda3"),
+    pytest.param(lambda: _sym_quotient(SP1), id="sp2-sym-quotient"),
+    pytest.param(lambda: _sym_quotient(SP2), id="sp4-sym-quotient"),
 ])
 def test_wedge2_casimir_blocks_match_the_wedge_square(make):
     # the Casimir of wedge^2 m assembled from the actions of m against the
     # Casimir of the module wedge_power(m, 2), whose actions are all built;
-    # the sl(3) quotient has fractional actions, so dm > 1 there
+    # the quotients have fractional actions, so dm > 1 there
     m = make()
     assembled = casimir_blocks(m, 2)
     square = casimir_blocks(wedge_power(m, 2))
@@ -344,7 +341,7 @@ def test_wedge2_casimir_blocks_match_the_wedge_square(make):
 
 def test_casimir_blocks_of_other_wedge_powers_are_refused():
     with pytest.raises(ValueError):
-        casimir_blocks(defining_module(SL3), 3)
+        casimir_blocks(defining_module(SP3), 3)
 
 
 def test_lazy_wedge_actions_match_an_eager_build_g3():
@@ -404,10 +401,10 @@ def test_dense_block_polynomial_matches_matmul_chain_on_rational_blocks():
 
 def test_dominant_highest_weight_vectors_match_all_blocks():
     sp_w2 = wedge_power(fundamental_module(SP3, 3), 2)
-    for m in (sp_w2, fundamental_module(SP3, 2), _adjoint_sl3_quotient(),
-              tensor_product(sym_power(defining_module(SL3), 2), wedge_power(defining_module(SL3), 2)),
-              tensor_product(tensor_product(defining_module(SL2), defining_module(SL2)),
-                             defining_module(SL2))):
+    for m in (sp_w2, fundamental_module(SP3, 2), _sym_quotient(SP2),
+              tensor_product(sym_power(defining_module(SP2), 2), wedge_power(defining_module(SP2), 2)),
+              tensor_product(tensor_product(defining_module(SP1), defining_module(SP1)),
+                             defining_module(SP1))):
         # repr: the same vectors with the same key order and scalar types
         assert repr(highest_weight_vectors(m)) == repr(all_blocks_highest_weight_vectors(m))
     # what the cut saves: most weight blocks of wedge^2 V are not dominant
