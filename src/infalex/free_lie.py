@@ -172,8 +172,10 @@ def basis_bracket(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
     return tuple(sorted(out.items()))
 
 
-# one matrix per generator and degree: the ideal of a genus-4 R in degree 3
-# takes 48, a presentation on 4 generators up to degree 6 about 20
+# one matrix per generator and degree, built only for _ideal_echelon, which
+# only bb_direct reaches: bb_direct up to degree q on n generators takes at
+# most n * q, so the bb-direct benchmark (n = 3 to q = 4, n = 4 to q = 2)
+# holds 20 and acceptance criterion 3 (n = 2, 3, 4 to q = 4) 36
 @lru_cache(maxsize=128)
 def ad_generator_matrix(n: int, i: int, q: int) -> RationalMatrix:
     """Matrix of ad_{e_i}: L_q -> L_{q+1} in the Lyndon bases."""

@@ -21,7 +21,7 @@ from math import factorial, lcm
 
 from . import documents
 from .errors import InternalInconsistencyError
-from .exact_linalg import RationalMatrix, act_vec, axpy, echelon_basis
+from .exact_linalg import EchelonBasis, RationalMatrix, act_vec, axpy
 
 
 def _check_family(dimension: int, matrices, *, invertible: bool) -> tuple[RationalMatrix, ...]:
@@ -76,27 +76,41 @@ class FinDimSymModule:
 
 
 def _annihilator_exponent(dimension: int, steps) -> int | None:
-    """Least q with I^q M = 0 for the ideal I the steps generate, or None when
-    the filtration M, I M, I^2 M, ... stabilizes above zero.  Each term is
-    the image of the one before under the steps.  A step is applied as its
-    integer numerator: scaling a step by a positive constant leaves every
-    I^q M unchanged, so the spans stay integer throughout.  Most images of a
-    nilpotent step are zero, and those are not echelonized."""
+    """Least q with I^q M = 0 for the ideal I the steps N_1, ..., N_k
+    generate, or None when the filtration M, I M, I^2 M, ... stabilizes
+    above zero.  The steps must commute.
+
+    Then I^(q+1) M is the sum over k of N_k S_k, where S_k is spanned by
+    the products N^a v with |a| = q whose steps are all <= k: each monomial
+    of degree q + 1 is written once, with its largest step applied last.
+    One echelon basis per level takes the images step by step, and right
+    after step k its rows span S_k of the next level.  A step is applied as
+    its integer numerator: scaling a step by a positive constant leaves
+    every I^q M unchanged, so the spans stay integer throughout.  A vector
+    whose support misses every nonzero column of a step has image zero and
+    is skipped."""
     cols = [m.numerator_columns() for m in steps]
-    span = [{i: 1} for i in range(dimension)]
+    supports = [{j for j, c in enumerate(col) if c} for col in cols]
+    spans = [[{i: 1} for i in range(dimension)]] * len(cols)   # every S_k of M is M
     rank, q = dimension, 0
     while rank:
-        images = (act_vec(c, v) for v in span for c in cols)
-        eb = echelon_basis(w for w in images if w)
+        eb = EchelonBasis()
+        for k, (col, support) in enumerate(zip(cols, supports)):
+            for v in spans[k]:
+                if not support.isdisjoint(v):
+                    eb.add(act_vec(col, v))
+            spans[k] = list(eb.rows.values())
         if eb.rank == rank:
             return None
-        span, rank, q = eb.rows.values(), eb.rank, q + 1
+        rank, q = eb.rank, q + 1
     return q
 
 
 def is_nilpotent(m: FinDimLaurentModule) -> tuple[bool, int | None]:
     """Whether the ideal (T_i - 1) is nilpotent on m; the least q with
-    I^q M = 0 when it is (0 for the zero module, 1 for trivial nonzero)."""
+    I^q M = 0 when it is (0 for the zero module, 1 for trivial nonzero).
+    The T_i must commute, so that the steps T_i - 1 do: make checks it, and
+    exp_transport gives commuting T_i by construction."""
     one = RationalMatrix.identity(m.dimension)
     q = _annihilator_exponent(m.dimension, [t - one for t in m.actions])
     return q is not None, q

@@ -134,7 +134,7 @@ def _ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
         eb.rows = {k: {k: 1} for k in range(len(_lyndon_words_cached(n, q)))}
     else:
         ads = [ad_generator_matrix(n, i, q - 1) for i in range(n)]
-        eb = echelon_basis(m.matvec(v) for v in prev.rows.values() for m in ads)
+        eb = echelon_basis(m.matvec(v) for m in ads for v in prev.rows.values())
     p._cache[key] = eb
     return eb
 

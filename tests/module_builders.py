@@ -13,10 +13,11 @@ Q[x]/Phi_m that the integer CyclotomicScalar is checked against, the
 quotient-algebra dimensions, the ideal eliminated with no filled-degree
 shortcut and the all-pairs bracket quotient that infalex.quad_lie is
 checked against, the Fraction loops that the integer RationalMatrix is
-checked against, the scaling of a RationalMatrix by a rational, the
-annihilator exponent on the Sym side that the exp/log transport is checked
-against, and the generic rank over Q(t_1..t_n) that bounds the special
-ranks of infalex.fox_alex."""
+checked against, the scaling of a RationalMatrix by a rational, the plain
+I-adic filtration that the step-ordered nilpotence test is checked against,
+the annihilator exponent on the Sym side that the exp/log transport is
+checked against, and the generic rank over Q(t_1..t_n) that bounds the
+special ranks of infalex.fox_alex."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +32,7 @@ from infalex.exact_linalg import (CyclotomicScalar, EchelonBasis, RationalMatrix
 from infalex.fox_alex import LaurentMatrix, LaurentPoly, fox_derivative, free_reduce
 from infalex.free_lie import (GradedDims, _lyndon_words_cached, ad_generator_matrix,
                               basis_bracket, lyndon_index)
-from infalex.nilpotent_transport import FinDimSymModule, _annihilator_exponent
+from infalex.nilpotent_transport import FinDimSymModule
 from infalex.quad_lie import LiePresentation, _ideal_echelon, beta_matrix
 from infalex.rep_semisimple import (HighestWeight, WeightModule, _algebra_basis,
                                     _dense_block_polynomial, _dual_coefficients,
@@ -683,11 +684,28 @@ def fraction_scale(m: RationalMatrix, c) -> dict:
 
 # -- the Sym side of the exp/log transport ----------------------------------------
 
+def plain_annihilator_exponent(dimension: int, steps) -> int | None:
+    """Test oracle: least q with I^q M = 0 for the ideal I the steps
+    generate, or None when the filtration stabilizes above zero.  Each term
+    is spanned by every step applied to every row of the term before, row
+    by row: it uses neither that the steps commute nor that most images of
+    a nilpotent step are zero."""
+    cols = [m.numerator_columns() for m in steps]
+    span = [{i: 1} for i in range(dimension)]
+    rank, q = dimension, 0
+    while rank:
+        eb = echelon_basis(act_vec(c, v) for v in span for c in cols)
+        if eb.rank == rank:
+            return None
+        span, rank, q = list(eb.rows.values()), eb.rank, q + 1
+    return q
+
+
 def sym_annihilator_exponent(m: FinDimSymModule) -> int | None:
     """Test oracle: least q with (X_1, ..., X_k)^q M = 0, or None when not
     nilpotent.  The transport preserves annihilator exponents, so it must
     equal is_nilpotent of exp_transport(m)."""
-    return _annihilator_exponent(m.dimension, m.actions)
+    return plain_annihilator_exponent(m.dimension, m.actions)
 
 
 # -- the generic rank that bounds the special ranks of infalex.fox_alex --------

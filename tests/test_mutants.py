@@ -10,16 +10,21 @@ from operator import add
 
 import pytest
 
-from infalex import alex_module, exact_linalg, fox_alex, rep_semisimple
+from infalex import (alex_module, cli, exact_linalg, fox_alex, nilpotent_transport, quad_lie,
+                     rep_semisimple)
 from infalex.alex_module import CyclicSumSymbol, coker_dims
 from infalex.cli import main
 from infalex.errors import InternalInconsistencyError
+from infalex.exact_linalg import EchelonBasis, act_vec
 from infalex.fox_alex import torsion_sweep
 from infalex.johnson import JohnsonContext, johnson_context, johnson_module_dims
 from infalex.rep_semisimple import (LieAlgebraSpec, casimir_blocks, fundamental_module,
                                     wedge_power)
 
+import test_acceptance
 import test_exact_linalg
+import test_nilpotent_transport
+import test_quad_lie
 from test_fox_alex import F2XZ, TREFOIL, X3_COMMUTING, _brute_force_sweep
 
 
@@ -186,3 +191,101 @@ def lift_that_aliases_its_input(monkeypatch):
 def test_aliasing_lift_mutant_fails_the_kernel_count_check(lift_that_aliases_its_input):
     with pytest.raises(AssertionError):
         test_exact_linalg.test_kernel_count_matches_rank()
+
+
+# -- the step order of the nilpotence test ------------------------------------------
+
+@pytest.fixture
+def snapshot_before_its_step(monkeypatch):
+    """Each S_k taken before step k's images join the level, so that at the
+    next level step k is applied to S_(k-1): only monomials in distinct
+    steps are formed, and N_k^2, for one, never is.  The modules of the bb-nabla cells (q <= 2)
+    do not see it: I^3 M is zero by degree, and a smaller I^2 M that is
+    still nonzero gives the same exponent 3.  The random commuting families
+    and jordan(4) must."""
+    def mutant(dimension, steps):
+        cols = [m.numerator_columns() for m in steps]
+        supports = [{j for j, c in enumerate(col) if c} for col in cols]
+        spans = [[{i: 1} for i in range(dimension)]] * len(cols)
+        rank, q = dimension, 0
+        while rank:
+            eb = EchelonBasis()
+            for k, (col, support) in enumerate(zip(cols, supports)):
+                before = list(eb.rows.values())
+                for v in spans[k]:
+                    if not support.isdisjoint(v):
+                        eb.add(act_vec(col, v))
+                spans[k] = before
+            if eb.rank == rank:
+                return None
+            rank, q = eb.rank, q + 1
+        return q
+
+    monkeypatch.setattr(nilpotent_transport, "_annihilator_exponent", mutant)
+
+
+def test_early_snapshot_mutant_fails_the_jordan_exponent_check(snapshot_before_its_step):
+    with pytest.raises(AssertionError):
+        test_nilpotent_transport.test_filtration_strictly_decreasing_until_zero()
+
+
+@pytest.mark.parametrize("check", ["random_commuting", "jordan"])
+def test_early_snapshot_mutant_fails_the_plain_filtration_cross_check(
+        snapshot_before_its_step, check):
+    with pytest.raises(AssertionError):
+        getattr(test_nilpotent_transport,
+                f"test_step_order_matches_plain_filtration_{check}")()
+
+
+def test_early_snapshot_mutant_fails_the_oracle_check(capsys, snapshot_before_its_step):
+    # a free draw on 2 generators reads exponent 3 against dims that never
+    # vanish up to degree 3
+    assert main(["oracle-check", "--trials", "20", "--seed", "32"]) == 4
+    assert "never vanish" in json.loads(capsys.readouterr().out)["detail"]
+
+
+# -- the quotient-word loop of bb_direct ---------------------------------------------
+
+@pytest.fixture
+def one_pair_skipped(monkeypatch):
+    """bb_direct with the loop over pairs of free words stopping one pair
+    early in each split a + b = q + 2, everywhere bb_direct is bound."""
+    def mutant(p, q):
+        n, d = p.dim_v, q + 2
+        span = quad_lie._ideal_echelon(p, d).copy()
+        idx = quad_lie.lyndon_index(n, d)
+        for a in range(2, d // 2 + 1):
+            b = d - a
+            words_a = quad_lie._lyndon_words_cached(n, a)
+            words_b = quad_lie._lyndon_words_cached(n, b)
+            free_a = [words_a[k] for k in quad_lie._ideal_echelon(p, a).free(len(words_a))]
+            free_b = [words_b[k] for k in quad_lie._ideal_echelon(p, b).free(len(words_b))]
+            pairs = [(wa, wb) for i, wa in enumerate(free_a) for j, wb in enumerate(free_b)
+                     if not (a == b and j <= i)]
+            for wa, wb in pairs[:-1]:
+                res = quad_lie.basis_bracket(wa, wb)
+                if res:
+                    span.add({idx[w]: c for w, c in res})
+        words = quad_lie._lyndon_words_cached(n, d)
+        basis = [words[i] for i in span.free(len(words))]
+        return len(basis), basis
+
+    for module in (quad_lie, test_quad_lie, test_acceptance, cli):
+        monkeypatch.setattr(module, "bb_direct", mutant)
+
+
+def test_skipped_pair_mutant_fails_the_all_pairs_cross_check(one_pair_skipped):
+    with pytest.raises(AssertionError):
+        test_quad_lie.test_bb_direct_quotient_words_match_all_pairs_n4_q4()
+
+
+def test_skipped_pair_mutant_fails_the_nabla_cross_check(one_pair_skipped):
+    # criterion 3: nabla, nabla-bar and direct dims on 54 presentations
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_3_presentation_oracle_equivalence()
+
+
+def test_skipped_pair_mutant_fails_the_oracle_check(capsys, one_pair_skipped):
+    assert main(["oracle-check", "--trials", "20", "--seed", "32"]) == 4
+    assert any("presentation routes" in f
+               for f in json.loads(capsys.readouterr().out)["failures"])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from infalex import nilpotent_transport
 from infalex.alex_module import coker_dims, coker_multiplication_action, nabla
 from infalex.errors import InternalInconsistencyError
 from infalex.exact_linalg import RationalMatrix
@@ -13,7 +14,7 @@ from infalex.nilpotent_transport import (AnnihilatorMatch, FinDimLaurentModule,
                                          log_transport, matrix_exp_nilpotent)
 from infalex.quad_lie import LiePresentation
 
-from module_builders import scale, sym_annihilator_exponent
+from module_builders import plain_annihilator_exponent, scale, sym_annihilator_exponent
 
 
 def jordan(d):
@@ -105,6 +106,77 @@ def test_transport_preserves_annihilator_exponent():
         sym = FinDimSymModule.make(d, [x])
         lau = exp_transport(sym)
         assert sym_annihilator_exponent(sym) == is_nilpotent(lau)[1]
+
+
+# -- the step-ordered filtration against the plain one -----------------------------
+
+def _filtrations_agree(dimension, steps):
+    """The exponent of the running filtration, read through the module so
+    that a patched one is what runs, checked against the plain filtration."""
+    got = nilpotent_transport._annihilator_exponent(dimension, steps)
+    assert got == plain_annihilator_exponent(dimension, steps), (dimension, got)
+    return got
+
+
+def _polynomial(a: RationalMatrix, coeffs) -> RationalMatrix:
+    """sum_k coeffs[k] a^k."""
+    out, power = RationalMatrix(a.rows, a.cols), RationalMatrix.identity(a.rows)
+    for c in coeffs:
+        out, power = out + scale(power, c), a.matmul(power)
+    return out
+
+
+def test_step_order_matches_plain_filtration_random_commuting():
+    # polynomials in one integer matrix commute; those without a constant
+    # term in a strictly upper triangular matrix are nilpotent, and the
+    # others mostly give a filtration that stabilizes above zero
+    rng = random.Random(32)
+    seen = set()
+    for trial in range(60):
+        d = rng.randint(1, 5)
+        nilpotent = trial % 2 == 0
+        a = RationalMatrix(d, d, {(i, j): rng.randint(-2, 2) for i in range(d)
+                                  for j in range(d) if i < j or not nilpotent})
+        steps = [_polynomial(a, [0 if nilpotent else rng.randint(-1, 1)]
+                             + [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))])
+                 for _ in range(rng.randint(1, 3))]
+        seen.add(_filtrations_agree(d, steps))
+    assert None in seen and {2, 3, 4} <= seen
+
+
+def test_step_order_edge_cases():
+    assert _filtrations_agree(0, []) == 0
+    assert _filtrations_agree(3, []) == 1
+    assert _filtrations_agree(0, [RationalMatrix(0, 0)]) == 0
+    assert _filtrations_agree(2, [RationalMatrix(2, 2), RationalMatrix(2, 2)]) == 1
+
+
+def test_step_order_matches_plain_filtration_jordan():
+    n = jordan(4) - RationalMatrix.identity(4)
+    n2 = n.matmul(n)
+    for steps in ([n], [n, n2], [n2, n], [n2, n2, n], [n2]):
+        assert _filtrations_agree(4, steps) == (2 if steps == [n2] else 4)
+
+
+# the cells of the bb-nabla benchmark workload: (generators, relations)
+BB_NABLA_CELLS = [(5, 0), (5, 1), (5, 2), (5, 4), (5, 6), (6, 0), (6, 1)]
+
+
+def test_step_order_matches_plain_filtration_bb_nabla_cells():
+    rng = random.Random(101)
+    for n, r in BB_NABLA_CELLS:
+        rels = []
+        while len(rels) < r:
+            rel = {(i, j): c for i in range(n) for j in range(i + 1, n)
+                   if (c := rng.randint(-2, 2))}
+            if rel:
+                rels.append(rel)
+        p = LiePresentation.make(n, rels)
+        total, mats = coker_multiplication_action(nabla(p), 2)
+        lau = exp_transport(FinDimSymModule.make(total, mats))
+        one = RationalMatrix.identity(total)
+        q = _filtrations_agree(total, [t - one for t in lau.actions])
+        assert q is not None and q > 0, (n, r)
 
 
 def test_match_results():
