@@ -3,9 +3,10 @@ Laurent polynomials, twisted first homology, and point tests on
 characteristic varieties.
 
 Words are tuples of nonzero signed integers, +-(i+1) standing for the i-th
-generator or its inverse; they are freely reduced on ingestion.  Characters
-take values in Q* or in roots of unity mu_m (cyclotomic arithmetic); no
-floating point is ever used.
+generator or its inverse; they are freely reduced on ingestion.  The
+Alexander matrix is read in one pass per relator, with integer
+coefficients.  Characters take values in Q* or in roots of unity mu_m
+(cyclotomic arithmetic); no floating point is ever used.
 
 The twisted homology of the presentation 2-complex: for a character rho != 1
 the first homology has dimension (n - 1) - rank A(rho), with A the
@@ -19,15 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd, lcm, log2
+from math import gcd, log2
 
 from . import documents
 from .errors import BudgetExceededError
 from .exact_linalg import CyclotomicScalar, RationalMatrix, Vec, axpy, echelon_basis, promote
 
 Word = tuple[int, ...]
-GroupRingElt = dict  # {freely reduced word: Fraction}
-LaurentPoly = dict   # {exponent tuple: Fraction}
+LaurentPoly = dict   # {exponent tuple: nonzero int}
 
 
 def free_reduce(word) -> Word:
@@ -72,11 +72,16 @@ class GroupPresentation:
                   for t, x in enumerate(documents.array(rel, f"relators[{r}]")))
             for r, rel in enumerate(relators)])
 
-    def abelianized_relator(self, r: Word) -> tuple[int, ...]:
-        return _exponents(r, self.num_generators)
-
-    def relator_exponent_matrix(self) -> list[tuple[int, ...]]:
-        return [self.abelianized_relator(r) for r in self.relators]
+    @cached_property
+    def relator_exponents(self) -> tuple[tuple[int, ...], ...]:
+        """Each relator's image in the abelianization Z^n."""
+        out = []
+        for r in self.relators:
+            e = [0] * self.num_generators
+            for x in r:
+                e[abs(x) - 1] += 1 if x > 0 else -1
+            out.append(tuple(e))
+        return tuple(out)
 
     @cached_property
     def alexander(self) -> "LaurentMatrix":
@@ -85,47 +90,8 @@ class GroupPresentation:
 
 
 # ---------------------------------------------------------------------------
-# group ring and Fox derivatives
-# ---------------------------------------------------------------------------
-
-def _exponents(word: Word, n: int) -> tuple[int, ...]:
-    """Image of a word in the abelianization Z^n."""
-    e = [0] * n
-    for x in word:
-        e[abs(x) - 1] += 1 if x > 0 else -1
-    return tuple(e)
-
-
-def fox_derivative(word, j: int) -> GroupRingElt:
-    """d(word)/dx_j with the Leibniz rule d(uv) = du + u dv.
-
-    ``j`` is 0-based; the word must freely reduce to itself (it is reduced
-    defensively here).
-    """
-    w = free_reduce(word)
-    out: GroupRingElt = {}
-    prefix: list[int] = []
-    for x in w:
-        if abs(x) - 1 == j:
-            if x > 0:
-                term = {tuple(prefix): Fraction(1)}
-            else:
-                term = {tuple(prefix + [x]): Fraction(-1)}
-            axpy(out, 1, term)
-        prefix.append(x)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Laurent matrices
 # ---------------------------------------------------------------------------
-
-def _abelianize_gr(elt: GroupRingElt, n: int) -> LaurentPoly:
-    out: LaurentPoly = {}
-    for w, c in elt.items():
-        axpy(out, 1, {_exponents(w, n): c})
-    return out
-
 
 @dataclass(frozen=True)
 class LaurentMatrix:
@@ -139,22 +105,19 @@ class LaurentMatrix:
         Q(zeta_m), the input of ``echelon_basis``.
 
         When rho = zeta_m^a (every value a power of zeta_m), the monomial t^e
-        takes the value zeta_m^<a, e>.  So each entry's coefficients, as
-        integers over the lcm of their denominators, are summed into m bins
-        at index <a, e> mod m, and the bins are reduced modulo Phi_m once: no
-        cyclotomic multiply or inverse.  At any other
-        character each monomial is evaluated by evaluate_exponent."""
+        takes the value zeta_m^<a, e>.  So each entry's integer coefficients
+        are summed into m bins at index <a, e> mod m, and the bins are
+        reduced modulo Phi_m once: no cyclotomic multiply or inverse.  At any
+        other character each monomial is evaluated by evaluate_exponent."""
         order = rho.cyclotomic_order()
         exps = rho.torsion_exponents()
         cols: list[Vec] = [{} for _ in range(self.cols)]
         for (r, c), poly in self.entries.items():
             if exps is not None:
-                den = lcm(*[coeff.denominator for coeff in poly.values()])
                 bins = [0] * order
                 for e, coeff in poly.items():
-                    bins[sum(a * k for a, k in zip(exps, e)) % order] += (
-                        coeff.numerator * (den // coeff.denominator))
-                val = CyclotomicScalar.from_polynomial(order, bins, den)
+                    bins[sum(a * k for a, k in zip(exps, e)) % order] += coeff
+                val = CyclotomicScalar.from_polynomial(order, bins)
             else:
                 val = promote(0, order)
                 for e, coeff in poly.items():
@@ -165,15 +128,27 @@ class LaurentMatrix:
 
 
 def alexander_matrix(p: GroupPresentation) -> LaurentMatrix:
-    """Fox Jacobian of the relators pushed down to the abelianization."""
+    """Fox Jacobian of the relators pushed down to the abelianization, read
+    in one pass per relator.
+
+    The pass carries the exponent vector e of the prefix read so far.  Since
+    d(u x_j)/dx_j = du + u and d(u x_j^-1)/dx_j = du - u x_j^-1, a letter x_j
+    adds t^e to entry (r, j) and then raises e_j, and a letter x_j^-1 first
+    lowers e_j and then subtracts t^e.  A cancelling pair x x^-1 adds and
+    removes the same t^e, so the words need not be freely reduced."""
     n = p.num_generators
     entries = {}
     for r, rel in enumerate(p.relators):
-        for j in range(n):
-            poly = _abelianize_gr(fox_derivative(rel, j), n)
-            if poly:
-                entries[(r, j)] = poly
-    return LaurentMatrix(len(p.relators), n, entries)
+        e = [0] * n
+        for x in rel:
+            j = abs(x) - 1
+            if x > 0:
+                axpy(entries.setdefault((r, j), {}), 1, {tuple(e): 1})
+                e[j] += 1
+            else:
+                e[j] -= 1
+                axpy(entries.setdefault((r, j), {}), -1, {tuple(e): 1})
+    return LaurentMatrix(len(p.relators), n, {k: poly for k, poly in entries.items() if poly})
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +267,7 @@ class Character:
 def _check_character(p: GroupPresentation, rho: Character):
     if len(rho.values) != p.num_generators:
         raise CharacterError("one value per generator required")
-    for r in p.relators:
-        e = p.abelianized_relator(r)
+    for r, e in zip(p.relators, p.relator_exponents):
         if rho.evaluate_exponent(e) != 1:
             raise CharacterError(f"relator {r} not respected by the character")
 
@@ -303,7 +277,7 @@ def _check_character(p: GroupPresentation, rho: Character):
 # ---------------------------------------------------------------------------
 
 def betti_one(p: GroupPresentation) -> int:
-    return p.num_generators - RationalMatrix.from_rows(p.relator_exponent_matrix()).rank()
+    return p.num_generators - RationalMatrix.from_rows(p.relator_exponents).rank()
 
 
 def twisted_h1_dim(p: GroupPresentation, rho: Character) -> int:
@@ -417,5 +391,5 @@ def saturated_relator_lattice(p: GroupPresentation) -> list[tuple[int, ...]]:
     of the relator exponent matrix.
     """
     n = p.num_generators
-    kernel = _integer_kernel(p.relator_exponent_matrix(), n)
+    kernel = _integer_kernel(p.relator_exponents, n)
     return [tuple(r) for r in _row_hnf(_integer_kernel(kernel, n))]

@@ -53,14 +53,6 @@ class LieAlgebraSpec:
         if self.rank < 1:
             raise ValueError("sp rank must be >= 1")
 
-    @property
-    def defining_dim(self) -> int:
-        return 2 * self.rank
-
-    @property
-    def num_fundamental(self) -> int:
-        return self.rank
-
     # -- structure data -------------------------------------------------------
 
     def raising_labels(self) -> list[str]:
@@ -93,12 +85,12 @@ class LieAlgebraSpec:
 
     def fundamental_from_weight(self, w: tuple[int, ...]) -> HighestWeight:
         return HighestWeight(tuple(self.simple_coroot_pairing(w, i)
-                                   for i in range(self.num_fundamental)))
+                                   for i in range(self.rank)))
 
     def partition_from_fundamental(self, hw: HighestWeight) -> tuple[int, ...]:
         """Weight in the epsilon coordinates (a partition m_1 >= m_2 >= ...)."""
         n_i = hw.coefficients
-        if len(n_i) != self.num_fundamental:
+        if len(n_i) != self.rank:
             raise ValueError("wrong number of fundamental coefficients")
         return tuple(sum(n_i[i:]) for i in range(self.rank))
 
@@ -118,7 +110,7 @@ class LieAlgebraSpec:
 
 @lru_cache(maxsize=8)
 def _algebra_basis(spec: LieAlgebraSpec) -> tuple[tuple[str, ColMat], ...]:
-    d = spec.defining_dim
+    d = 2 * spec.rank
 
     def from_terms(terms):
         # sum of c * E_ij; the positions (i, j) within one element are distinct
@@ -243,7 +235,7 @@ class LazyActions(Mapping):
 
 def defining_module(spec: LieAlgebraSpec) -> WeightModule:
     actions = {label: cols for label, cols in _algebra_basis(spec)}
-    return WeightModule(spec, spec.defining_dim, spec.defining_weights(), actions)
+    return WeightModule(spec, 2 * spec.rank, spec.defining_weights(), actions)
 
 
 def _wedge_parity_and_target(combo: tuple[int, ...], slot: int, j: int):
@@ -505,7 +497,7 @@ def highest_weight_vectors(m: WeightModule) -> list[tuple[HighestWeight, Vec]]:
     decomp = m.weight_decomposition()
     out = []
     for w in sorted(decomp, reverse=True):
-        if any(spec.simple_coroot_pairing(w, i) < 0 for i in range(spec.num_fundamental)):
+        if any(spec.simple_coroot_pairing(w, i) < 0 for i in range(spec.rank)):
             continue
         idx = decomp[w]
         entries = {}

@@ -16,8 +16,9 @@ checked against, the Fraction loops that the integer RationalMatrix is
 checked against, the scaling of a RationalMatrix by a rational, the plain
 I-adic filtration that the step-ordered nilpotence test is checked against,
 the annihilator exponent on the Sym side that the exp/log transport is
-checked against, and the generic rank over Q(t_1..t_n) that bounds the
-special ranks of infalex.fox_alex."""
+checked against, the group-ring Fox derivative that the one-pass Alexander
+matrix of infalex.fox_alex is checked against, and the generic rank over
+Q(t_1..t_n) that bounds the special ranks of infalex.fox_alex."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +30,7 @@ from infalex.alex_module import GradedMap, SymbolBlock, monomials
 from infalex.exact_linalg import (CyclotomicScalar, EchelonBasis, RationalMatrix, Vec,
                                   act_vec, axpy, cyclotomic_polynomial, echelon_basis,
                                   promote)
-from infalex.fox_alex import LaurentMatrix, LaurentPoly, fox_derivative, free_reduce
+from infalex.fox_alex import LaurentMatrix, LaurentPoly, free_reduce
 from infalex.free_lie import (GradedDims, _lyndon_words_cached, ad_generator_matrix,
                               basis_bracket, lyndon_index)
 from infalex.nilpotent_transport import FinDimSymModule
@@ -422,7 +423,46 @@ def sl_weyl_dim(n: int, hw: HighestWeight) -> int:
     return q
 
 
-# -- the fundamental formula of Fox calculus -----------------------------------
+# -- Fox derivatives in the group ring and the fundamental formula -------------
+
+def fox_derivative(word, j: int) -> dict:
+    """d(word)/dx_j in the group ring, keyed by reduced word, by the Leibniz
+    rule d(uv) = du + u dv; j is 0-based, and the word is freely reduced
+    first.
+
+    Test oracle: the fundamental formula (acceptance criterion 8) is checked
+    on it, and its abelianization on the one-pass alexander_matrix."""
+    w = free_reduce(word)
+    out: dict = {}
+    prefix: list[int] = []
+    for x in w:
+        if abs(x) - 1 == j:
+            if x > 0:
+                term = {tuple(prefix): Fraction(1)}
+            else:
+                term = {tuple(prefix + [x]): Fraction(-1)}
+            axpy(out, 1, term)
+        prefix.append(x)
+    return out
+
+
+def exponent_vector(word, n: int) -> tuple[int, ...]:
+    """The image of a word in the abelianization Z^n.  Part of the test
+    oracle fox_derivative."""
+    e = [0] * n
+    for x in word:
+        e[abs(x) - 1] += 1 if x > 0 else -1
+    return tuple(e)
+
+
+def abelianize(elt: dict, n: int) -> LaurentPoly:
+    """The image in Z[Z^n] of a group-ring element keyed by word.  Part of the
+    test oracle fox_derivative."""
+    out: LaurentPoly = {}
+    for w, c in elt.items():
+        axpy(out, 1, {exponent_vector(w, n): c})
+    return out
+
 
 def gr_mul(a: dict, b: dict) -> dict:
     """The product in the group ring, elements keyed by reduced word."""
@@ -437,7 +477,8 @@ def fox_identity_defect(word, n: int) -> dict:
     """sum_j d(w)/dx_j (x_j - 1) - (w - 1); zero for every word.
 
     Test oracle: the fundamental formula of Fox calculus (acceptance
-    criterion 8) checks fox_derivative, which alexander_matrix runs."""
+    criterion 8) checks fox_derivative, whose abelianization is checked
+    against alexander_matrix."""
     w = free_reduce(word)
     total: dict = {}
     for j in range(n):
@@ -445,6 +486,23 @@ def fox_identity_defect(word, n: int) -> dict:
         axpy(total, 1, gr_mul(fox_derivative(w, j), x_j_minus_1))
     if w:
         axpy(total, -1, {w: Fraction(1), (): Fraction(-1)})
+    return total
+
+
+def alexander_row_defect(am: LaurentMatrix, r: int, e) -> LaurentPoly:
+    """sum_j A_rj (t_j - 1) - (t^e - 1) for row r of an Alexander matrix, e
+    the exponent vector of its relator: the fundamental formula pushed down
+    to Z[Z^n], zero for every row.
+
+    Test oracle (acceptance criterion 8), on the matrix that cv ranks."""
+    n = am.cols
+    one = (0,) * n
+    total: LaurentPoly = {}
+    for j in range(n):
+        t_j = tuple(int(i == j) for i in range(n))
+        axpy(total, 1, _poly_mul(am.entries.get((r, j), {}), {t_j: 1, one: -1}))
+    axpy(total, -1, {tuple(e): 1})
+    axpy(total, 1, {one: 1})
     return total
 
 
@@ -738,7 +796,7 @@ def _poly_divide_exact(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
         e = tuple(x - y for x, y in zip(lead_f, lead_d))
         if any(x < 0 for x in e):
             raise ArithmeticError("non-exact polynomial division")
-        c = f[lead_f] / d[lead_d]
+        c = Fraction(f[lead_f]) / d[lead_d]
         out[e] = c
         f = _poly_sub(f, _poly_mul({e: c}, d))
     return out

@@ -26,8 +26,8 @@ from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, casimir_block
                                     casimir_eigenvalue,
                                     highest_weight_vectors, weyl_dim)
 
-from module_builders import (casimir_eigenspace, chen_module_weight, equivariance_defect,
-                             fox_identity_defect, sl_weyl_dim)
+from module_builders import (alexander_row_defect, casimir_eigenspace, chen_module_weight,
+                             equivariance_defect, fox_identity_defect, sl_weyl_dim)
 
 PASS = "PASS criterion {}: {}"
 
@@ -220,7 +220,11 @@ def test_criterion_8_fox_identity():
         letters = [s * (i + 1) for i in range(n) for s in (1, -1)]
         w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 20)))
         assert fox_identity_defect(w, n) == {}, w
-    print(PASS.format(8, "sum_j dw/dx_j (x_j - 1) = w - 1 for 200 random words"))
+        # the same identity on the running matrix, over Z[Z^n]
+        p = GroupPresentation.make(n, [w])
+        assert alexander_row_defect(p.alexander, 0, p.relator_exponents[0]) == {}, w
+    print(PASS.format(8, "sum_j dw/dx_j (x_j - 1) = w - 1 for 200 random words, "
+                         "and sum_j A_j (t_j - 1) = t^e - 1 on their Alexander rows"))
 
 
 def test_criterion_9_cli_determinism(tmp_path, capsys):

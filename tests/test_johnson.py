@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from infalex import johnson
 from infalex.alex_module import (_generators_by_weight, coker_dims, monomial_index,
                                  monomials, nabla, nabla_bar)
 from infalex.errors import BudgetExceededError, InternalInconsistencyError
@@ -272,6 +273,24 @@ def test_central_z_g4_membership_holds():
     # in the degree-3 piece of the ideal, by weight blocks and whole
     assert central_z_check(4) is True
     assert _central_z_full_route(4) is True
+
+
+def test_central_z_eliminates_one_block_per_weight_of_v_g4(monkeypatch):
+    # z has weight 0, so each weight of V is one block holding its [e_j, z];
+    # when every block passes, each is eliminated once.  The answer cannot
+    # show a block left out: R is sp(2g)-invariant, so blocks are refused in
+    # whole Weyl orbits, never one alone
+    ctx = johnson_context(4)
+    built = []
+    echelon_basis = johnson.echelon_basis
+
+    def counted(vectors):
+        built.append(echelon_basis(vectors))
+        return built[-1]
+
+    monkeypatch.setattr(johnson, "echelon_basis", counted)
+    assert central_z_check(4) is True
+    assert len(built) == len(set(ctx.V.weights)) == 40
 
 
 @pytest.mark.slow

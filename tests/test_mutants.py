@@ -10,19 +10,23 @@ from operator import add
 
 import pytest
 
-from infalex import (alex_module, cli, exact_linalg, fox_alex, nilpotent_transport, quad_lie,
-                     rep_semisimple)
+from infalex import (alex_module, cli, exact_linalg, fox_alex, johnson, nilpotent_transport,
+                     quad_lie, rep_semisimple)
 from infalex.alex_module import CyclicSumSymbol, coker_dims
 from infalex.cli import main
 from infalex.errors import InternalInconsistencyError
-from infalex.exact_linalg import EchelonBasis, act_vec
-from infalex.fox_alex import torsion_sweep
+from infalex.exact_linalg import EchelonBasis, act_vec, axpy
+from infalex.fox_alex import LaurentMatrix, torsion_sweep
 from infalex.johnson import JohnsonContext, johnson_context, johnson_module_dims
 from infalex.rep_semisimple import (LieAlgebraSpec, casimir_blocks, fundamental_module,
                                     wedge_power)
 
+import module_builders
 import test_acceptance
 import test_exact_linalg
+import test_fox_alex
+import test_golden
+import test_johnson
 import test_nilpotent_transport
 import test_quad_lie
 from test_fox_alex import F2XZ, TREFOIL, X3_COMMUTING, _brute_force_sweep
@@ -173,6 +177,64 @@ def test_non_unit_orbit_mutant_fails_the_brute_force_sweep(non_units_in_the_galo
     assert torsion_sweep(p, m, k) != _brute_force_sweep(p, m, k)
 
 
+# -- the one-pass read of the Alexander matrix -------------------------------------
+
+def one_pass_read(read_after_step):
+    """alexander_matrix's pass over each relator, with a letter x read
+    (t^e added to or subtracted from its entry) after its step of e exactly
+    when read_after_step(x): the running code reads the inverse letters
+    after their decrement and the positive letters before their increment."""
+    def alexander_matrix(p):
+        n = p.num_generators
+        entries: dict = {}
+        for r, rel in enumerate(p.relators):
+            e = [0] * n
+            for x in rel:
+                j, step = abs(x) - 1, 1 if x > 0 else -1
+                after = read_after_step(x)
+                if after:
+                    e[j] += step
+                axpy(entries.setdefault((r, j), {}), step, {tuple(e): 1})
+                if not after:
+                    e[j] += step
+        return LaurentMatrix(len(p.relators), n, {k: v for k, v in entries.items() if v})
+
+    return alexander_matrix
+
+
+@pytest.fixture(params=["inverse-before-its-decrement", "positive-after-its-increment"])
+def misread_letter(request, monkeypatch):
+    """(a) every letter read before its step, so that x_j^-1 subtracts
+    t^(e + 1_j) in place of t^e; (b) every letter read after its step, so
+    that x_j adds t^(e + 1_j) in place of t^e; everywhere alexander_matrix is
+    bound."""
+    mutant = one_pass_read(lambda x: request.param.startswith("positive"))
+    for module in (fox_alex, test_fox_alex):
+        monkeypatch.setattr(module, "alexander_matrix", mutant)
+
+
+def test_one_pass_read_in_the_running_order_passes_the_cross_check(monkeypatch):
+    monkeypatch.setattr(test_fox_alex, "alexander_matrix", one_pass_read(lambda x: x < 0))
+    test_fox_alex.test_alexander_matrix_matches_abelianized_fox_derivatives()
+    test_fox_alex.test_alexander_z2()
+
+
+def test_misread_letter_mutant_fails_the_fox_derivative_cross_check(misread_letter):
+    with pytest.raises(AssertionError):
+        test_fox_alex.test_alexander_matrix_matches_abelianized_fox_derivatives()
+
+
+def test_misread_letter_mutant_fails_the_z2_matrix(misread_letter):
+    with pytest.raises(AssertionError):
+        test_fox_alex.test_alexander_z2()
+
+
+def test_misread_letter_mutant_fails_criterion_8(misread_letter):
+    # GroupPresentation.alexander reaches the mutant through fox_alex
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_8_fox_identity()
+
+
 # -- the input lift of EchelonBasis ------------------------------------------------
 
 @pytest.fixture
@@ -289,3 +351,105 @@ def test_skipped_pair_mutant_fails_the_oracle_check(capsys, one_pair_skipped):
     assert main(["oracle-check", "--trials", "20", "--seed", "32"]) == 4
     assert any("presentation routes" in f
                for f in json.loads(capsys.readouterr().out)["failures"])
+
+
+# -- the filled degrees of the ideal ---------------------------------------------------
+
+@pytest.fixture
+def filled_basis_one_row_short(monkeypatch):
+    """_ideal_echelon with a degree that fills L_q written down one unit row
+    short, its last Lyndon word left out, everywhere _ideal_echelon is bound.
+    The mutant keeps its pieces in a cache of its own, so that no
+    presentation is left holding them."""
+    cache: dict = {}
+
+    def mutant(p, q):
+        if q == 2:
+            return p.relation_span()
+        if (id(p), q) not in cache:
+            n = p.dim_v
+            prev = mutant(p, q - 1)
+            if prev.rank == len(quad_lie._lyndon_words_cached(n, q - 1)):
+                eb = EchelonBasis()
+                eb.rows = {k: {k: 1} for k in range(len(quad_lie._lyndon_words_cached(n, q)) - 1)}
+            else:
+                ads = [quad_lie.ad_generator_matrix(n, i, q - 1) for i in range(n)]
+                eb = quad_lie.echelon_basis(m.matvec(v) for m in ads for v in prev.rows.values())
+            cache[(id(p), q)] = p, eb
+        return cache[(id(p), q)][1]
+
+    for module in (quad_lie, module_builders, test_quad_lie, test_johnson):
+        monkeypatch.setattr(module, "_ideal_echelon", mutant)
+
+
+def test_short_filled_basis_mutant_fails_the_nabla_cross_check(filled_basis_one_row_short):
+    # criterion 3: nabla, nabla-bar and direct dims on 54 presentations
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_3_presentation_oracle_equivalence()
+
+
+def test_short_filled_basis_mutant_fails_the_all_pairs_cross_check(filled_basis_one_row_short):
+    with pytest.raises(AssertionError):
+        test_quad_lie.test_property_bb_direct_quotient_words_match_all_pairs()
+
+
+def test_short_filled_basis_mutant_fails_the_plain_elimination_cross_check(
+        filled_basis_one_row_short):
+    with pytest.raises(AssertionError):
+        test_quad_lie.test_property_ideal_echelon_matches_plain_elimination()
+
+
+def test_short_filled_basis_mutant_fails_the_filled_golden(filled_basis_one_row_short):
+    with pytest.raises(AssertionError):
+        test_golden.test_golden_stdout("bb_direct_filled")
+
+
+# -- the weight blocks of the centrality check -------------------------------------------
+
+@pytest.fixture
+def first_block_skipped(monkeypatch):
+    """central_z_check with its loop over weight blocks starting at the
+    second, everywhere central_z_check is bound."""
+    def mutant(g, *, allow_large=False):
+        johnson._check_budget(g, allow_large)
+        ctx = johnson.johnson_context(g)
+        n, wt = ctx.V.dimension, ctx.V.weights
+
+        def bracket(i, v):
+            out = {}
+            for k, c in v.items():
+                axpy(out, c, dict(johnson.basis_bracket((i,), ctx.pairs[k])))
+            return out
+
+        def weight(v):
+            weights = {ctx.W2.weights[k] for k in v}
+            if len(weights) != 1:
+                raise InternalInconsistencyError("R + C z should have a basis of weight vectors")
+            return weights.pop()
+
+        spanning: dict = {}
+        for r in ctx.r_basis:
+            w_r = weight(r)
+            for i in range(n):
+                spanning.setdefault(tuple(map(add, wt[i], w_r)), []).append((i, r))
+        targets: dict = {}
+        w_z = weight(ctx.z_vec)
+        for j in range(n):
+            targets.setdefault(tuple(map(add, wt[j], w_z)), []).append(j)
+        for mu, js in sorted(targets.items())[1:]:
+            block = johnson.echelon_basis(bracket(i, r) for i, r in spanning.get(mu, ()))
+            if not all(block.contains(bracket(j, ctx.z_vec)) for j in js):
+                return False
+        return True
+
+    for module in (johnson, cli, test_johnson):
+        monkeypatch.setattr(module, "central_z_check", mutant)
+
+
+def test_skipped_block_mutant_fails_the_block_count(monkeypatch, first_block_skipped):
+    # an sp(2g)-invariant R has its blocks refused in whole Weyl orbits, so
+    # no answer shows the block left out: false at g = 3, true at g = 4
+    test_johnson.test_central_z_g3_literal_false()
+    assert johnson.central_z_check(4) is True
+    with pytest.raises(AssertionError):
+        test_johnson.test_central_z_eliminates_one_block_per_weight_of_v_g4(monkeypatch)

@@ -30,8 +30,8 @@ SP3 = LieAlgebraSpec(3)
 @pytest.mark.parametrize("spec", [SP3, SP2, SP1, LieAlgebraSpec(4)])
 def test_defining_matrices_form_the_algebra(spec):
     basis = list(defining_module(spec).actions.items())
-    d = spec.defining_dim
     g = spec.rank
+    d = 2 * g
     theta = {}
     for i in range(g):
         theta[(i, g + i)] = Fraction(1)
@@ -46,7 +46,7 @@ def test_defining_matrices_form_the_algebra(spec):
 
 
 def test_spec_is_sp_of_positive_rank():
-    assert LieAlgebraSpec(1) == SP1 and SP1.defining_dim == 2
+    assert LieAlgebraSpec(1) == SP1 and defining_module(SP1).dimension == 2
     with pytest.raises(ValueError):
         LieAlgebraSpec(0)
 
@@ -56,7 +56,7 @@ def test_cartan_relations_on_defining(spec):
     # [h_i, e_j] = a_ij e_j with a the Cartan matrix, checked as matrices
     m = defining_module(spec)
     raising = spec.raising_labels()
-    num = spec.num_fundamental
+    num = spec.rank
     for i in range(num):
         # h_i as a diagonal matrix from the weights
         hi = RationalMatrix(m.dimension, m.dimension,
