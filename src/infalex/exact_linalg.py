@@ -10,9 +10,13 @@ rows of an :class:`EchelonBasis`.
 Elimination over Q is fraction-free: rows are primitive integer vectors,
 and a pivot is cleared by integer multiples of both rows (Bareiss, Math.
 Comp. 22, 1968).  Over Q(zeta_m) it is pivoted Gaussian elimination over
-the field: rows keep lead 1, with one integer inverse per stored row.  No
-floating point anywhere; ranks and kernels are therefore deterministic and
-reproducible bit for bit.
+the field: rows keep lead 1, with one integer inverse per stored row.
+``axpy`` is the one accumulate step, of maps and vectors alike, and
+``_clear`` the one elimination step: it clears a pivot in one pass over the
+row and queues the pivots that row brings in, so ``reduce`` has one path.
+A product skips the empty columns of its right factor.  No floating point
+anywhere; ranks and kernels are therefore deterministic and reproducible
+bit for bit.
 
 Vectors are sparse dicts ``{index: scalar}`` with no stored zeros.
 """
@@ -342,29 +346,46 @@ def _lift(v: Mapping) -> tuple[Vec, int]:
     scaled by d, the lcm of its denominators, to integers.  A vector with a
     cyclotomic entry is promoted to its Q(zeta_m), with d = 1."""
     r = {k: x for k, x in v.items() if x}
-    if all(type(x) is int for x in r.values()):
+    kinds = set(map(type, r.values()))
+    if kinds <= {int}:
         return r, 1
-    cyc = next((x for x in r.values() if isinstance(x, CyclotomicScalar)), None)
-    if cyc is not None:
-        return {k: promote(x, cyc.order) for k, x in r.items()}, 1
+    if CyclotomicScalar in kinds:
+        order = next(x for x in r.values() if type(x) is CyclotomicScalar).order
+        return {k: promote(x, order) for k, x in r.items()}, 1
     d = lcm(*[x.denominator for x in r.values()])
     return {k: x.numerator * (d // x.denominator) for k, x in r.items()}, d
 
 
-def _clear(r: Vec, p, row: Vec) -> int:
+def _clear(r: Vec, p, row: Vec, rows: Mapping, heap: list) -> int:
     """Clear position p of r against the row with lead p, in place: r <- s*r - t*row
     with s = b/g, t = r[p]/g, g = gcd(r[p], b) for lead b; returns s.  A row
-    with lead 1, such as every cyclotomic row, gives s = 1 and t = r[p]."""
+    with lead 1, such as every cyclotomic row, gives s = 1 and t = r[p].
+
+    The one elimination step: one pass over row adds -t*row, drops the
+    entries that cancel and pushes onto heap each position that is new to r
+    and a lead of rows, the pivots a row not yet inter-reduced brings in."""
     a, b = r[p], row[p]
     if b == 1:
-        axpy(r, -a, row)
-        return 1
-    g = gcd(a, b)
-    s = b // g
-    if s != 1:
-        for k in r:
-            r[k] *= s
-    axpy(r, -(a // g), row)
+        s, t = 1, a
+    else:
+        g = gcd(a, b)
+        s, t = b // g, a // g
+        if s != 1:
+            for k in r:
+                r[k] *= s
+    u = -t
+    for k, x in row.items():
+        cur = r.get(k)
+        if cur is None:
+            r[k] = u * x
+            if k in rows:
+                heappush(heap, k)
+        else:
+            nv = cur + u * x
+            if nv:
+                r[k] = nv
+            else:
+                del r[k]
     return s
 
 
@@ -418,18 +439,17 @@ class EchelonBasis:
         """(d * w, d) for w the canonical representative of v modulo the span,
         the one supported on non-pivot positions; the entries of d * w are
         integers for a rational v.  A row with lead p only touches positions
-        above p, so pivots are eliminated in increasing order, through a heap."""
+        above p, so pivots are eliminated in increasing order, through a heap;
+        ``_clear`` queues the later pivots a row not yet inter-reduced brings
+        in, and an inter-reduced row brings in none."""
         r, d = _lift(v)
-        rows, fill = self.rows, not self._reduced
+        rows = self.rows
         heap = [k for k in r if k in rows]
         heapify(heap)
         while heap:
             p = heappop(heap)
             if p in r:
-                if fill:  # a row not yet inter-reduced can bring in later pivots
-                    for k in (rows[p].keys() & rows.keys()) - r.keys():
-                        heappush(heap, k)
-                d *= _clear(r, p, rows[p])
+                d *= _clear(r, p, rows[p], rows, heap)
         return r, d
 
     def add(self, v: Mapping) -> bool:
@@ -452,8 +472,8 @@ class EchelonBasis:
                 hits = [k for k in row if k != lead and k in rows]
                 if hits:
                     new = dict(row)
-                    for k in hits:
-                        _clear(new, k, rows[k])
+                    for k in hits:   # rows[k] is reduced: it brings in no lead
+                        _clear(new, k, rows[k], {}, [])
                     rows[lead] = _normalize(new, lead)
             self._reduced = True
 
@@ -672,8 +692,9 @@ class RationalMatrix:
         left_cols = self.numerator_columns()
         num: dict = {}
         for j, col in enumerate(other.numerator_columns()):
-            for i, x in act_vec(left_cols, col).items():
-                num[(i, j)] = x
+            if col:   # an empty column of other is an empty column of the product
+                for i, x in act_vec(left_cols, col).items():
+                    num[(i, j)] = x
         return RationalMatrix.from_integers(self.rows, other.cols, num, self.den * other.den)
 
     # -- rank / kernel / membership ------------------------------------------------

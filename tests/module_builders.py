@@ -8,7 +8,8 @@ checked against, the Koszul differential and the composed nabla-bar that
 the one-pass cyclic sum of infalex.alex_module is checked against, the
 one-vector-at-a-time read-outs that EchelonBasis.quotient and
 EchelonBasis.kernel are checked against, the input lift with no all-int
-shortcut that EchelonBasis is checked against, the Fraction arithmetic in
+shortcut and the reduction that finds its pivots by set algebra that
+EchelonBasis is checked against, the Fraction arithmetic in
 Q[x]/Phi_m that the integer CyclotomicScalar is checked against, the
 quotient-algebra dimensions, the ideal eliminated with no filled-degree
 shortcut and the all-pairs bracket quotient that infalex.quad_lie is
@@ -22,8 +23,9 @@ Q(t_1..t_n) that bounds the special ranks of infalex.fox_alex."""
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add, mul
 
 from infalex.alex_module import GradedMap, SymbolBlock, monomials
@@ -506,7 +508,7 @@ def alexander_row_defect(am: LaurentMatrix, r: int, e) -> LaurentPoly:
     return total
 
 
-# -- the input lift and the one-vector-at-a-time read-outs of EchelonBasis ------
+# -- the input lift, the set-algebra reduce and the read-outs of EchelonBasis ---
 
 def _over(x, d):
     return Fraction(x, d) if isinstance(x, int) else x
@@ -522,6 +524,37 @@ def general_lift(v) -> tuple[Vec, int]:
         return {k: promote(x, cyc.order) for k, x in r.items()}, 1
     d = lcm(*[x.denominator for x in r.values()])
     return {k: x.numerator * (d // x.denominator) for k, x in r.items()}, d
+
+
+def plain_reduce(eb: EchelonBasis, v) -> tuple[Vec, int]:
+    """Test oracle: EchelonBasis.reduce with the pivots found by set algebra.
+    On a basis not yet inter-reduced, each popped pivot p first queues the
+    leads that rows[p] holds and the remainder does not, and then p is
+    cleared by axpy: r <- s*r - t*rows[p] with s = b/g, t = r[p]/g,
+    g = gcd(r[p], b) for lead b, or t = r[p] for lead 1."""
+    r, d = general_lift(v)
+    rows, fill = eb.rows, not eb._reduced
+    heap = [k for k in r if k in rows]
+    heapify(heap)
+    while heap:
+        p = heappop(heap)
+        if p in r:
+            row = rows[p]
+            if fill:
+                for k in (row.keys() & rows.keys()) - r.keys():
+                    heappush(heap, k)
+            a, b = r[p], row[p]
+            if b == 1:
+                axpy(r, -a, row)
+                continue
+            g = gcd(a, b)
+            s = b // g
+            if s != 1:
+                for k in r:
+                    r[k] *= s
+            axpy(r, -(a // g), row)
+            d *= s
+    return r, d
 
 
 def reduced_coordinates(eb: EchelonBasis, v: Vec, pos: dict[int, int]) -> Vec:

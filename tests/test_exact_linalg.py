@@ -6,14 +6,14 @@ from unittest.mock import patch
 import pytest
 
 from infalex import exact_linalg
-from infalex.exact_linalg import (MAX_CYCLOTOMIC_ORDER, CyclotomicScalar, RationalMatrix,
-                                  _phi_degree, _power_reductions, act_vec, axpy,
-                                  cyclotomic_polynomial, echelon_basis, promote)
+from infalex.exact_linalg import (MAX_CYCLOTOMIC_ORDER, CyclotomicScalar, EchelonBasis,
+                                  RationalMatrix, _phi_degree, _power_reductions, act_vec,
+                                  axpy, cyclotomic_polynomial, echelon_basis, promote)
 
 from module_builders import (fraction_add, fraction_columns, fraction_matmul, fraction_matvec,
                              fraction_scale, general_lift, kernel_column, oracle_add,
                              oracle_inverse, oracle_mul, oracle_neg, oracle_pow, oracle_repr,
-                             reduced_coordinates, scale, transpose)
+                             plain_reduce, reduced_coordinates, scale, transpose)
 
 
 def test_rank_identity():
@@ -673,6 +673,55 @@ def test_int_lift_returns_a_new_dict_of_ints():
     assert (r, d) == ({0: 2, 2: -4}, 1) and r is not v
     # bool is not int: True lifts to the int 1 by the general path
     assert [type(x) for x in exact_linalg._lift({0: True, 1: 3})[0].values()] == [int, int]
+
+
+def _stored(eb):
+    # the rows with their key order, which the johnson_context digests hash
+    return [(lead, list(row.items())) for lead, row in eb.rows.items()]
+
+
+def _assert_reduce_matches_the_oracle(eb, ref, vecs, ws):
+    """Grow eb by add and ref by add through plain_reduce, one vector of vecs
+    at a time; before each step the two reduce each probe to the same (r, d)
+    with the same key order, and after it they store the same rows."""
+    for v in vecs:
+        for w in ws + [v]:
+            got, want = eb.reduce(w), plain_reduce(ref, w)
+            assert got == want and list(got[0]) == list(want[0])
+        eb.add(v)
+        with patch.object(EchelonBasis, "reduce", plain_reduce):
+            ref.add(v)
+        assert _stored(eb) == _stored(ref)
+
+
+def test_property_reduce_matches_the_set_algebra_reduce():
+    # _clear queues the leads a row not yet inter-reduced brings in; the
+    # oracle finds them by set algebra.  Both kinds of basis: grown by add
+    # only, and read through vectors() (inter-reduced) and then grown again
+    given, settings, st = _hypothesis()
+    kinds = _lift_kinds(st)
+    brought_in = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["int", "Fraction", "Q(zeta_5)"]), st.data())
+    def check(kind, data):
+        entry = kinds[kind]
+        n, rows = data.draw(_matrices(st, entry, max_n=7, max_rows=6))
+        vecs = [dict(enumerate(row)) for row in rows]
+        ws = [dict(enumerate(data.draw(_vector(st, n, entry)))) for _ in range(2)]
+        eb, ref = EchelonBasis(), EchelonBasis()
+        _assert_reduce_matches_the_oracle(eb, ref, vecs + ws, ws)
+        brought_in.append(any(k != lead and k in eb.rows
+                              for lead, row in eb.rows.items() for k in row))
+        split = data.draw(st.integers(0, len(vecs)))
+        eb, ref = echelon_basis(vecs[:split]), echelon_basis(vecs[:split])
+        eb.vectors()
+        ref.vectors()
+        _assert_reduce_matches_the_oracle(eb, ref, vecs[split:] + ws, ws)
+
+    check()
+    # the draws reach rows that carry other leads, where the two differ in method
+    assert any(brought_in)
 
 
 def test_numerator_columns_are_built_once_and_match_the_entries():

@@ -15,7 +15,7 @@ from infalex import (alex_module, cli, exact_linalg, fox_alex, johnson, nilpoten
 from infalex.alex_module import CyclicSumSymbol, coker_dims
 from infalex.cli import main
 from infalex.errors import InternalInconsistencyError
-from infalex.exact_linalg import EchelonBasis, act_vec, axpy
+from infalex.exact_linalg import EchelonBasis, RationalMatrix, act_vec, axpy
 from infalex.fox_alex import LaurentMatrix, torsion_sweep
 from infalex.johnson import JohnsonContext, johnson_context, johnson_module_dims
 from infalex.rep_semisimple import (LieAlgebraSpec, casimir_blocks, fundamental_module,
@@ -253,6 +253,66 @@ def lift_that_aliases_its_input(monkeypatch):
 def test_aliasing_lift_mutant_fails_the_kernel_count_check(lift_that_aliases_its_input):
     with pytest.raises(AssertionError):
         test_exact_linalg.test_kernel_count_matches_rank()
+
+
+# -- the elimination step of EchelonBasis and the product of RationalMatrix ---------
+
+@pytest.fixture
+def clear_that_queues_no_lead(monkeypatch):
+    """A clear step that queues none of the leads it brings in, as if every
+    stored row were inter-reduced: after add, a pivot that a row carries is
+    left in the remainder, and add stores the remainder under a lead that
+    another row already holds, replacing that row."""
+    clear = exact_linalg._clear
+    monkeypatch.setattr(exact_linalg, "_clear",
+                        lambda r, p, row, rows, heap: clear(r, p, row, {}, heap))
+
+
+def test_lead_dropping_clear_mutant_fails_the_kernel_count_check(clear_that_queues_no_lead):
+    with pytest.raises(AssertionError):
+        test_exact_linalg.test_kernel_count_matches_rank()
+
+
+@pytest.fixture
+def matmul_that_skips_one_entry_columns(monkeypatch):
+    """A product that skips each column of the right factor with fewer than
+    two entries, not only the empty ones: the image of a unit column, a
+    column of the left factor, goes missing."""
+    def mutant(self, other):
+        left_cols, num = self.numerator_columns(), {}
+        for j, col in enumerate(other.numerator_columns()):
+            if len(col) > 1:
+                for i, x in act_vec(left_cols, col).items():
+                    num[(i, j)] = x
+        return RationalMatrix.from_integers(self.rows, other.cols, num, self.den * other.den)
+
+    monkeypatch.setattr(RationalMatrix, "matmul", mutant)
+
+
+@pytest.fixture
+def first_failure_reported():
+    """Hypothesis raises the first failure it draws, unshrunk and alone, not
+    a group of the distinct ones, so that pytest.raises sees the
+    AssertionError at the cost of one search."""
+    hypothesis = pytest.importorskip("hypothesis")
+    hypothesis.settings.register_profile(
+        "first-failure", report_multiple_bugs=False, database=None,
+        phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate])
+    hypothesis.settings.load_profile("first-failure")
+    yield
+    hypothesis.settings.load_profile("default")
+
+
+def test_one_entry_column_mutant_fails_the_fraction_loops_check(
+        matmul_that_skips_one_entry_columns, first_failure_reported):
+    with pytest.raises(AssertionError):
+        test_exact_linalg.test_property_integer_matrix_matches_fraction_loops()
+
+
+def test_one_entry_column_mutant_fails_the_round_trip(matmul_that_skips_one_entry_columns):
+    # log(exp X) = X on commuting nilpotents
+    with pytest.raises(AssertionError):
+        test_nilpotent_transport.test_round_trip_random_commuting()
 
 
 # -- the step order of the nilpotence test ------------------------------------------
