@@ -110,13 +110,6 @@ class CyclicSumSymbol(Sequence):
                 terms = self._built[j] = self._terms(*_triple(self.n, j))
         return terms
 
-    def __iter__(self):
-        for j, triple in enumerate(combinations(range(self.n), 3)):
-            terms = self._built.get(j)
-            if terms is None:
-                terms = self._built[j] = self._terms(*triple)
-            yield terms
-
     def __len__(self):
         return self._len
 

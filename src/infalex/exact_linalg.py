@@ -9,14 +9,16 @@ ints and divide once.  Q(zeta_m) lives in scalars, sparse vectors and the
 rows of an :class:`EchelonBasis`.
 Elimination over Q is fraction-free: rows are primitive integer vectors,
 and a pivot is cleared by integer multiples of both rows (Bareiss, Math.
-Comp. 22, 1968).  Over Q(zeta_m) it is pivoted Gaussian elimination over
+Comp. 22, 1968), so ``reduce`` returns the remainder only up to a
+positive factor.  Over Q(zeta_m) it is pivoted Gaussian elimination over
 the field: rows keep lead 1, with one integer inverse per stored row.
 ``axpy`` is the one accumulate step, of maps and vectors alike, and
 ``_clear`` the one elimination step: it clears a pivot in one pass over the
 row and queues the pivots that row brings in, so ``reduce`` has one path.
-A product skips the empty columns of its right factor.  No floating point
-anywhere; ranks and kernels are therefore deterministic and reproducible
-bit for bit.
+A matrix's rank reads its column span, whatever its shape, and a product
+skips the empty columns of its right factor.  No floating point anywhere;
+ranks and kernels are therefore deterministic and reproducible bit for
+bit.
 
 Vectors are sparse dicts ``{index: scalar}`` with no stored zeros.
 """
@@ -199,15 +201,8 @@ class CyclotomicScalar:
 
     # -- ring structure -----------------------------------------------------
 
-    def _coerce(self, other) -> "CyclotomicScalar":
-        if isinstance(other, CyclotomicScalar):
-            if other.order != self.order:
-                raise ValueError("mixed cyclotomic orders")
-            return other
-        return CyclotomicScalar.from_rational(self.order, other)
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = promote(other, self.order)
         d, e = self.den, o.den
         u, v = e // gcd(d, e), d // gcd(d, e)   # d * u = e * v = lcm(d, e)
         return CyclotomicScalar._lowest(self.order,
@@ -219,7 +214,7 @@ class CyclotomicScalar:
         return CyclotomicScalar._lowest(self.order, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = promote(other, self.order)
         return CyclotomicScalar.from_polynomial(self.order, _polymul(self.num, o.num),
                                                 self.den * o.den)
 
@@ -255,11 +250,10 @@ class CyclotomicScalar:
         return CyclotomicScalar.from_polynomial(self.order, [self.den * x for x in s1], c)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.inverse()
+        return self * promote(other, self.order).inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return promote(other, self.order) * self.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
@@ -340,25 +334,25 @@ def axpy(target: Vec, c, source: Mapping) -> None:
             del target[k]
 
 
-def _lift(v: Mapping) -> tuple[Vec, int]:
-    """(r, d) with r = d * v and no zeros, r a new dict that reduce may
-    mutate: an all-int v is copied as it is, with d = 1; a rational v is
-    scaled by d, the lcm of its denominators, to integers.  A vector with a
-    cyclotomic entry is promoted to its Q(zeta_m), with d = 1."""
+def _lift(v: Mapping) -> Vec:
+    """v without zeros as a new dict that reduce may mutate: an all-int v is
+    copied as it is; a rational v is scaled to integers by the lcm of its
+    denominators.  A vector with a cyclotomic entry is promoted to its
+    Q(zeta_m)."""
     r = {k: x for k, x in v.items() if x}
     kinds = set(map(type, r.values()))
     if kinds <= {int}:
-        return r, 1
+        return r
     if CyclotomicScalar in kinds:
         order = next(x for x in r.values() if type(x) is CyclotomicScalar).order
-        return {k: promote(x, order) for k, x in r.items()}, 1
+        return {k: promote(x, order) for k, x in r.items()}
     d = lcm(*[x.denominator for x in r.values()])
-    return {k: x.numerator * (d // x.denominator) for k, x in r.items()}, d
+    return {k: x.numerator * (d // x.denominator) for k, x in r.items()}
 
 
-def _clear(r: Vec, p, row: Vec, rows: Mapping, heap: list) -> int:
+def _clear(r: Vec, p, row: Vec, rows: Mapping, heap: list) -> None:
     """Clear position p of r against the row with lead p, in place: r <- s*r - t*row
-    with s = b/g, t = r[p]/g, g = gcd(r[p], b) for lead b; returns s.  A row
+    with s = b/g, t = r[p]/g, g = gcd(r[p], b) for lead b, so s > 0.  A row
     with lead 1, such as every cyclotomic row, gives s = 1 and t = r[p].
 
     The one elimination step: one pass over row adds -t*row, drops the
@@ -386,7 +380,6 @@ def _clear(r: Vec, p, row: Vec, rows: Mapping, heap: list) -> int:
                 r[k] = nv
             else:
                 del r[k]
-    return s
 
 
 def _normalize(r: Vec, lead) -> Vec:
@@ -435,26 +428,27 @@ class EchelonBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Mapping):
-        """(d * w, d) for w the canonical representative of v modulo the span,
-        the one supported on non-pivot positions; the entries of d * w are
-        integers for a rational v.  A row with lead p only touches positions
-        above p, so pivots are eliminated in increasing order, through a heap;
-        ``_clear`` queues the later pivots a row not yet inter-reduced brings
-        in, and an inter-reduced row brings in none."""
-        r, d = _lift(v)
+    def reduce(self, v: Mapping) -> Vec:
+        """The remainder of v modulo the span: a positive multiple of the
+        canonical representative, the one supported on non-pivot positions,
+        with integer entries for a rational v (over Q(zeta_m) the multiple
+        is 1).  A row with lead p only touches positions above p, so pivots
+        are eliminated in increasing order, through a heap; ``_clear`` queues
+        the later pivots a row not yet inter-reduced brings in, and an
+        inter-reduced row brings in none."""
+        r = _lift(v)
         rows = self.rows
         heap = [k for k in r if k in rows]
         heapify(heap)
         while heap:
             p = heappop(heap)
             if p in r:
-                d *= _clear(r, p, rows[p], rows, heap)
-        return r, d
+                _clear(r, p, rows[p], rows, heap)
+        return r
 
     def add(self, v: Mapping) -> bool:
         """Insert v; returns True when the rank grew."""
-        r, _d = self.reduce(v)
+        r = self.reduce(v)
         if not r:
             return False
         lead = min(r)
@@ -485,7 +479,7 @@ class EchelonBasis:
         return eb
 
     def contains(self, v: Mapping) -> bool:
-        return not self.reduce(v)[0]
+        return not self.reduce(v)
 
     def free(self, n: int) -> dict[int, int]:
         """The quotient of positions 0..n-1 by the span: each non-pivot
@@ -636,12 +630,6 @@ class RationalMatrix:
             self._columns = out
         return self._columns
 
-    def _numerator_rows(self) -> list[Vec]:
-        out: list[Vec] = [dict() for _ in range(self.rows)]
-        for (i, j), x in self.num.items():
-            out[i][j] = x
-        return out
-
     def is_zero(self) -> bool:
         return not self.num
 
@@ -702,10 +690,7 @@ class RationalMatrix:
     # echelonizes the numerators
 
     def rank(self) -> int:
-        # echelonize whichever orientation has fewer vectors
-        if self.cols <= self.rows:
-            return self.column_span().rank
-        return echelon_basis(self._numerator_rows()).rank
+        return self.column_span().rank
 
     def kernel_basis(self) -> list[Vec]:
         """Exact basis of the right kernel, canonical (RREF) form.
@@ -721,8 +706,11 @@ class RationalMatrix:
         other free column, so coordinates of a kernel element are read off at
         the free positions.
         """
+        rows: list[Vec] = [dict() for _ in range(self.rows)]
+        for (i, j), x in self.num.items():
+            rows[i][j] = x
         # stacked operators leave most rows empty, and those span nothing
-        eb = echelon_basis(v for v in self._numerator_rows() if v)
+        eb = echelon_basis(v for v in rows if v)
         return list(eb.kernel(self.cols).items())
 
     def column_span(self) -> EchelonBasis:

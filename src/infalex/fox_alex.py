@@ -17,14 +17,14 @@ n - rank A(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, log2
 
 from . import documents
 from .errors import BudgetExceededError
-from .exact_linalg import CyclotomicScalar, RationalMatrix, Vec, axpy, echelon_basis, promote
+from .exact_linalg import (CyclotomicScalar, RationalMatrix, Vec, _to_fraction, axpy,
+                           echelon_basis, promote)
 
 Word = tuple[int, ...]
 LaurentPoly = dict   # {exponent tuple: nonzero int}
@@ -175,7 +175,7 @@ class Character:
 
     @staticmethod
     def rational(values) -> "Character":
-        vals = tuple(Fraction(v) if not isinstance(v, Fraction) else v for v in values)
+        vals = tuple(map(_to_fraction, values))
         if any(v == 0 for v in vals):
             raise ValueError("character values must be nonzero")
         return Character(vals)

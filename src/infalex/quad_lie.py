@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import documents
-from .exact_linalg import ZERO, EchelonBasis, RationalMatrix, Vec, echelon_basis
+from .exact_linalg import ZERO, EchelonBasis, RationalMatrix, Vec, _to_fraction, echelon_basis
 from .free_lie import _lyndon_words_cached, ad_generator_matrix, basis_bracket, lyndon_index
 
 Pair = tuple[int, int]
@@ -45,7 +45,7 @@ def _normalize_relation(n: int, idx: dict[Pair, int], rel: dict) -> Vec:
     out: Vec = {}
     for key, c in rel.items():
         i, j = key
-        c = Fraction(c) if not isinstance(c, Fraction) else c
+        c = _to_fraction(c)
         if not c:
             continue
         if i == j:

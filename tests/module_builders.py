@@ -1,7 +1,8 @@
 """Weight modules built only as test inputs: symmetric powers and tensor
 products of the modules that infalex.rep_semisimple constructs.  Also the
 Casimir oracles (the whole operator, its eigenspaces and the isotypic
-projections, built from the running Casimir blocks), the Weyl dimension of
+projections, built from the running Casimir blocks), the closure under the
+lowering operators that R is checked against with no Casimir, the Weyl dimension of
 sl_n that the Chen ranks are checked against, the Fraction-valued
 references that the integer kernels of rep_semisimple are
 checked against, the Koszul differential and the composed nabla-bar that
@@ -96,6 +97,22 @@ def lowering_closure(m: WeightModule, v: Vec) -> list[Vec]:
                     if (w := act_vec(m.actions[label], u))]
         out += frontier
     return out
+
+
+def span_closure(m: WeightModule, vectors) -> EchelonBasis:
+    """Test oracle: the span of the submodule that vectors generate under the
+    simple lowering operators, found with no Casimir and no eigenvalue.  An
+    image is kept only when it grows the span, and only kept vectors are
+    lowered again: a lowered image of the span lies in the span of the lowered
+    kept vectors.  The work is bounded by the dimension of the span, where
+    lowering_closure's grows with the number of lowering paths."""
+    eb = EchelonBasis()
+    lowering = [m.actions[label] for label in m.algebra.lowering_labels()]
+    frontier = [v for v in vectors if eb.add(v)]
+    while frontier:
+        frontier = [w for u in frontier for cols in lowering
+                    if (w := act_vec(cols, u)) and eb.add(w)]
+    return eb
 
 
 # -- the Casimir oracles: operators built from the running Casimir blocks ---------
@@ -514,25 +531,35 @@ def _over(x, d):
     return Fraction(x, d) if isinstance(x, int) else x
 
 
-def general_lift(v) -> tuple[Vec, int]:
+def _lift_scale(v) -> int:
+    """The d with general_lift(v) = d * v: the lcm of the denominators of a
+    rational v, and 1 for a vector with a cyclotomic entry."""
+    if any(isinstance(x, CyclotomicScalar) for x in v.values()):
+        return 1
+    return lcm(*[x.denominator for x in v.values() if x])
+
+
+def general_lift(v) -> Vec:
     """Test oracle: EchelonBasis's input lift with no all-int shortcut: every
     rational v is scaled by the lcm of its denominators and rebuilt, and a
     vector with a cyclotomic entry is promoted to its Q(zeta_m)."""
     r = {k: x for k, x in v.items() if x}
     cyc = next((x for x in r.values() if isinstance(x, CyclotomicScalar)), None)
     if cyc is not None:
-        return {k: promote(x, cyc.order) for k, x in r.items()}, 1
-    d = lcm(*[x.denominator for x in r.values()])
-    return {k: x.numerator * (d // x.denominator) for k, x in r.items()}, d
+        return {k: promote(x, cyc.order) for k, x in r.items()}
+    d = _lift_scale(r)
+    return {k: x.numerator * (d // x.denominator) for k, x in r.items()}
 
 
 def plain_reduce(eb: EchelonBasis, v) -> tuple[Vec, int]:
-    """Test oracle: EchelonBasis.reduce with the pivots found by set algebra.
-    On a basis not yet inter-reduced, each popped pivot p first queues the
-    leads that rows[p] holds and the remainder does not, and then p is
-    cleared by axpy: r <- s*r - t*rows[p] with s = b/g, t = r[p]/g,
-    g = gcd(r[p], b) for lead b, or t = r[p] for lead 1."""
-    r, d = general_lift(v)
+    """Test oracle: EchelonBasis.reduce with the pivots found by set algebra,
+    and the scale it leaves out: (r, d) with r = d * w for w the canonical
+    representative of v modulo the span.  On a basis not yet inter-reduced,
+    each popped pivot p first queues the leads that rows[p] holds and the
+    remainder does not, and then p is cleared by axpy: r <- s*r - t*rows[p]
+    with s = b/g, t = r[p]/g, g = gcd(r[p], b) for lead b, or t = r[p] for
+    lead 1."""
+    r, d = general_lift(v), _lift_scale(v)
     rows, fill = eb.rows, not eb._reduced
     heap = [k for k in r if k in rows]
     heapify(heap)
@@ -559,10 +586,10 @@ def plain_reduce(eb: EchelonBasis, v) -> tuple[Vec, int]:
 
 def reduced_coordinates(eb: EchelonBasis, v: Vec, pos: dict[int, int]) -> Vec:
     """The class of v in the quotient basis pos = eb.free(n), one vector at a
-    time: reduce v against the inter-reduced rows, divide by the scale d,
-    renumber the surviving non-pivot positions by pos."""
+    time: reduce v against the inter-reduced rows by the set-algebra oracle,
+    divide by its scale d, renumber the surviving non-pivot positions by pos."""
     eb._inter_reduce()
-    r, d = eb.reduce(v)
+    r, d = plain_reduce(eb, v)
     return {pos[k]: _over(x, d) for k, x in r.items()}
 
 

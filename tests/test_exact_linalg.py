@@ -9,6 +9,8 @@ from infalex import exact_linalg
 from infalex.exact_linalg import (MAX_CYCLOTOMIC_ORDER, CyclotomicScalar, EchelonBasis,
                                   RationalMatrix, _phi_degree, _power_reductions, act_vec,
                                   axpy, cyclotomic_polynomial, echelon_basis, promote)
+from infalex.fox_alex import Character
+from infalex.quad_lie import LiePresentation
 
 from module_builders import (fraction_add, fraction_columns, fraction_matmul, fraction_matvec,
                              fraction_scale, general_lift, kernel_column, oracle_add,
@@ -239,11 +241,26 @@ def test_cyclotomic_rank():
 
 def test_mixed_order_rejected():
     z3, z4 = CyclotomicScalar.zeta(3), CyclotomicScalar.zeta(4)
-    with pytest.raises(ValueError, match="mixed cyclotomic orders"):
-        echelon_basis([{0: z3, 1: z4}])
+    for build in (lambda: echelon_basis([{0: z3, 1: z4}]), lambda: z3 + z4,
+                  lambda: z3 * z4, lambda: z3 / z4):
+        with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+            build()
     # a RationalMatrix holds rationals only
     with pytest.raises(TypeError, match="exact rational"):
         RationalMatrix(1, 2, {(0, 0): z3})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RationalMatrix(1, 1, {(0, 0): 0.1}),
+    lambda: CyclotomicScalar(5, [0.1]),
+    lambda: CyclotomicScalar(5, [1]) / 0.1,
+    lambda: Character.rational([0.1, 1]),
+    lambda: LiePresentation.make(2, [{(0, 1): 0.1}]),
+], ids=["matrix", "cyclotomic", "cyclotomic-quotient", "character", "lie-relation"])
+def test_every_outside_rational_refuses_a_float(build):
+    # one coercion: a float is refused, never stored as its binary value
+    with pytest.raises(TypeError, match="cannot coerce 0.1 to an exact rational"):
+        build()
 
 
 def test_cyclotomic_order_bound():
@@ -464,16 +481,22 @@ def test_property_reduce_is_the_remainder_on_non_pivots():
     def check(shape, data):
         n, rows = shape
         eb = echelon_basis(_sparse(r) for r in rows)
-        _rref, pivots = _dense_rref(rows, n)
+        rref, pivots = _dense_rref(rows, n)
         w = data.draw(_vector(st, n))
-        # reduce returns d times the remainder: integer entries, d > 0
-        scaled, d = eb.reduce(_sparse(w))
-        assert type(d) is int and d > 0
+        # reduce returns a positive multiple of the remainder, in integers
+        scaled = eb.reduce(_sparse(w))
         assert all(type(x) is int for x in scaled.values())
-        r = {j: Fraction(x, d) for j, x in scaled.items()}
-        assert not set(r) & set(pivots)
-        diff = [Fraction(x) - r.get(j, 0) for j, x in enumerate(w)]
-        assert _dense_rank(rows + [diff], n) == len(pivots)
+        assert not set(scaled) & set(pivots)
+        # the dense remainder: w less w[p] times the rref row of each pivot p
+        dense = [Fraction(x) for x in w]
+        for row, p in zip(rref, pivots):
+            c = dense[p]
+            dense = [x - c * y for x, y in zip(dense, row)]
+        r = _sparse(dense)
+        assert scaled.keys() == r.keys()
+        if r:
+            factor = scaled[min(r)] / r[min(r)]
+            assert factor > 0 and scaled == {j: factor * x for j, x in r.items()}
         pos = eb.free(n)
         coords = eb.quotient(n).matvec(_sparse(w))
         assert coords == {pos[k]: x for k, x in r.items()}
@@ -536,7 +559,7 @@ def test_property_add_after_vectors_clears_the_reduced_state():
         assert grown.vectors() == [_sparse(r) for r in rref]
         assert eb.vectors() == before
         w = data.draw(_vector(st, n))
-        assert not set(grown.reduce(_sparse(w))[0]) & set(pivots)
+        assert not set(grown.reduce(_sparse(w))) & set(pivots)
 
     check()
 
@@ -555,9 +578,8 @@ def test_property_cyclotomic_echelon_is_the_dense_rref():
         assert eb.rank == len(pivots)
         assert all(row[lead] == 1 for lead, row in eb.rows.items())
         w = data.draw(_vector(st, n, entry))
-        # a cyclotomic remainder needs no scale
-        r, d = eb.reduce(_sparse(w, exact))
-        assert d == 1
+        # a cyclotomic remainder needs no scale: it is the remainder itself
+        r = eb.reduce(_sparse(w, exact))
         assert not set(r) & set(pivots)
         diff = [exact(x) + -r.get(j, exact(0)) for j, x in enumerate(w)]
         assert _dense_rank(rows + [diff], n, exact) == len(pivots)
@@ -669,10 +691,10 @@ def test_property_int_lift_matches_the_general_lift():
 
 def test_int_lift_returns_a_new_dict_of_ints():
     v = {0: 2, 1: 0, 2: -4}
-    r, d = exact_linalg._lift(v)
-    assert (r, d) == ({0: 2, 2: -4}, 1) and r is not v
+    r = exact_linalg._lift(v)
+    assert r == {0: 2, 2: -4} and r is not v
     # bool is not int: True lifts to the int 1 by the general path
-    assert [type(x) for x in exact_linalg._lift({0: True, 1: 3})[0].values()] == [int, int]
+    assert [type(x) for x in exact_linalg._lift({0: True, 1: 3}).values()] == [int, int]
 
 
 def _stored(eb):
@@ -682,14 +704,15 @@ def _stored(eb):
 
 def _assert_reduce_matches_the_oracle(eb, ref, vecs, ws):
     """Grow eb by add and ref by add through plain_reduce, one vector of vecs
-    at a time; before each step the two reduce each probe to the same (r, d)
-    with the same key order, and after it they store the same rows."""
+    at a time; before each step the two reduce each probe to the same
+    remainder with the same key order, and after it they store the same
+    rows."""
     for v in vecs:
         for w in ws + [v]:
-            got, want = eb.reduce(w), plain_reduce(ref, w)
-            assert got == want and list(got[0]) == list(want[0])
+            got, (want, _d) = eb.reduce(w), plain_reduce(ref, w)
+            assert got == want and list(got) == list(want)
         eb.add(v)
-        with patch.object(EchelonBasis, "reduce", plain_reduce):
+        with patch.object(EchelonBasis, "reduce", lambda b, w: plain_reduce(b, w)[0]):
             ref.add(v)
         assert _stored(eb) == _stored(ref)
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -16,12 +17,12 @@ from infalex.free_lie import ad_generator_matrix
 from infalex.quad_lie import LiePresentation, _ideal_echelon, bb_direct
 from infalex.johnson import (JohnsonContext, central_z_check, decompose_wedge2_V,
                              johnson_context, johnson_module_dims)
-from infalex.rep_semisimple import (HighestWeight, act_vec, casimir_blocks,
+from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec, casimir_blocks,
                                     highest_weight_vectors, weyl_dim)
 
 from module_builders import (composed_nabla_bar, equivariance_defect, fraction_columns,
-                             generator_weights, isotypic_projection, weight_buckets,
-                             weyl_orbit)
+                             generator_weights, isotypic_projection, span_closure,
+                             weight_buckets, weyl_orbit)
 
 # sha256 of the repr of each context field, so values, dict key order and
 # container types all count; recorded before the single-pass context build.
@@ -140,6 +141,21 @@ def test_r_basis_is_kernel_of_oracle_projections_g4():
     for v in ctx.presentation_with_z.relations:
         assert act_vec(q_cols, v) == {}
     assert act_vec(z_cols, ctx.z_vec) == ctx.z_vec
+
+
+@pytest.mark.parametrize("g", [3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_r_is_the_lowering_closure_of_the_other_constituents(g):
+    # a route to R with no Casimir: a highest-weight vector generates its
+    # irreducible under the simple lowering operators, so R is the closure
+    # of the highest-weight vectors of wedge^2 V other than those of
+    # 2 lambda_2 and 0.  The context is built outside the shared cache, so
+    # the genus-5 one is dropped after the test
+    ctx = JohnsonContext(g)
+    others = [v for hw, v in highest_weight_vectors(ctx.W2)
+              if hw not in (ctx.hw_two_l2, ctx.hw_zero)]
+    closure = span_closure(ctx.W2, others)
+    assert closure.rank == ctx.r_dim == {3: 0, 4: 819, 5: 5214}[g]
+    assert all(closure.contains(r) for r in ctx.r_basis)
 
 
 def test_coker_q_degree1_matches_bb_direct_g3():
@@ -265,6 +281,17 @@ def test_decompose_g4():
     assert parts[1] == (HighestWeight((0, 2, 0, 0)), 308)
     assert parts[2][1] == 1
     assert parts[0] == ("R-complement", 819)
+
+
+@pytest.mark.slow
+def test_decompose_g6(fresh_contexts):
+    # the first genus of the paper's explicit presentation; degree 1 (11088)
+    # waits on a route that does not share the Weyl-orbit shortcut
+    two_l2, zero = HighestWeight((0, 2, 0, 0, 0, 0)), HighestWeight((0,) * 6)
+    parts = decompose_wedge2_V(6, allow_large=True)
+    assert parts == [("R-complement", 19877), (two_l2, 1650), (zero, 1)]
+    assert weyl_dim(LieAlgebraSpec(6), two_l2) == 1650
+    assert sum(d for _l, d in parts) == comb(208, 2) == 21528
 
 
 @pytest.mark.slow

@@ -245,7 +245,7 @@ def lift_that_aliases_its_input(monkeypatch):
     lift = exact_linalg._lift
 
     def mutant(v):
-        return (v, 1) if all(type(x) is int for x in v.values()) else lift(v)
+        return v if all(type(x) is int for x in v.values()) else lift(v)
 
     monkeypatch.setattr(exact_linalg, "_lift", mutant)
 
@@ -448,13 +448,14 @@ def test_short_filled_basis_mutant_fails_the_nabla_cross_check(filled_basis_one_
         test_acceptance.test_criterion_3_presentation_oracle_equivalence()
 
 
-def test_short_filled_basis_mutant_fails_the_all_pairs_cross_check(filled_basis_one_row_short):
+def test_short_filled_basis_mutant_fails_the_all_pairs_cross_check(
+        filled_basis_one_row_short, first_failure_reported):
     with pytest.raises(AssertionError):
         test_quad_lie.test_property_bb_direct_quotient_words_match_all_pairs()
 
 
 def test_short_filled_basis_mutant_fails_the_plain_elimination_cross_check(
-        filled_basis_one_row_short):
+        filled_basis_one_row_short, first_failure_reported):
     with pytest.raises(AssertionError):
         test_quad_lie.test_property_ideal_echelon_matches_plain_elimination()
 

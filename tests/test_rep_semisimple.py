@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from infalex.exact_linalg import RationalMatrix
+from infalex.exact_linalg import RationalMatrix, echelon_basis
 from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec,
                                     casimir_blocks, casimir_eigenvalue, defining_module,
                                     fundamental_module, highest_weight_vectors,
@@ -17,8 +17,8 @@ from module_builders import (AmbiguousDecompositionError, all_blocks_highest_wei
                              casimir_eigenspace, casimir_matrix, chen_module_weight,
                              fraction_casimir_column,
                              isotypic_projection, lowering_closure, matmul_block_polynomial,
-                             scale, sl_weyl_dim, sym_power, tensor_product, transpose,
-                             weyl_orbit)
+                             scale, sl_weyl_dim, span_closure, sym_power, tensor_product,
+                             transpose, weyl_orbit)
 
 SP1 = LieAlgebraSpec(1)   # sp(2), which is sl(2)
 SP2 = LieAlgebraSpec(2)
@@ -281,6 +281,19 @@ def _sym_quotient(spec):
     top_weight = HighestWeight((3,) + (0,) * (spec.rank - 1))
     top = next(vec for hw, vec in highest_weight_vectors(m) if hw == top_weight)
     return quotient_module(m, lowering_closure(m, top))
+
+
+@pytest.mark.parametrize("spec", [SP1, SP2, SP3], ids=["sp2", "sp4", "sp6"])
+def test_span_closure_spans_the_lowering_closure(spec):
+    # the closure that keeps only the images that grow the span, against the
+    # one that keeps every image: Sym^3 H inside Sym^2 H (x) H
+    h = defining_module(spec)
+    m = tensor_product(sym_power(h, 2), h)
+    top_weight = HighestWeight((3,) + (0,) * (spec.rank - 1))
+    top = next(vec for hw, vec in highest_weight_vectors(m) if hw == top_weight)
+    closure = span_closure(m, [top])
+    assert closure.rows == echelon_basis(lowering_closure(m, top)).rows
+    assert closure.rank == weyl_dim(spec, top_weight) == comb(2 * spec.rank + 2, 3)
 
 
 def _denominators(m):
