@@ -142,6 +142,32 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], in
     return q, r, s
 
 
+@lru_cache(maxsize=256)
+def _unit_cofactor(order: int, num: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(s, c) with num * s = c mod Phi_order and c > 0, so 1/(num/d) = d * s / c:
+    extended Euclid in Z[x] against Phi_m (irreducible over Q) by
+    pseudo-remainders, keeping r_k = s_k * num mod Phi_m with the content of
+    (r_k, s_k) taken out jointly (Cohen, GTM 138, 3.3).  Cached by value, as
+    a torsion sweep inverts a few values many times."""
+    r0, s0, r1, s1 = list(cyclotomic_polynomial(order)), [0], list(num), [1]
+    while len(r1) > 1 and not r1[-1]:
+        r1.pop()
+    while len(r1) > 1:
+        q, r, s = _pseudo_divmod(r0, r1)
+        t = _polymul(q, s1)
+        t = [-x for x in t] + [0] * (len(s0) - len(t))
+        for i, x in enumerate(s0):
+            t[i] += s * x
+        g = gcd(*r, *t)
+        if g != 1:
+            r, t = [x // g for x in r], [x // g for x in t]
+        r0, s0, r1, s1 = r1, s1, r, t
+    c = r1[0]
+    if not c:
+        raise ArithmeticError("gcd with cyclotomic polynomial is not a unit")
+    return (tuple(s1), c) if c > 0 else (tuple(-x for x in s1), -c)
+
+
 class CyclotomicScalar:
     """An element of Q(zeta_m): an integer coefficient vector num modulo Phi_m
     over one positive denominator den, in lowest terms (gcd(den, *num) == 1,
@@ -223,31 +249,8 @@ class CyclotomicScalar:
     def inverse(self) -> "CyclotomicScalar":
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
-        # extended Euclid in Z[x] against Phi_m (irreducible over Q) by
-        # pseudo-remainders, keeping r_k = s_k * num mod Phi_m with the content
-        # of (r_k, s_k) taken out jointly (Cohen, GTM 138, 3.3)
-        num = list(self.num)
-        while len(num) > 1 and not num[-1]:
-            num.pop()
-        r0, s0 = list(cyclotomic_polynomial(self.order)), [0]
-        r1, s1 = num, [1]
-        while len(r1) > 1:
-            q, r, s = _pseudo_divmod(r0, r1)
-            t = _polymul(q, s1)
-            t = [-x for x in t] + [0] * (len(s0) - len(t))
-            for i, x in enumerate(s0):
-                t[i] += s * x
-            g = gcd(*r, *t)
-            if g != 1:
-                r, t = [x // g for x in r], [x // g for x in t]
-            r0, s0, r1, s1 = r1, s1, r, t
-        c = r1[0]
-        if not c:
-            raise ArithmeticError("gcd with cyclotomic polynomial is not a unit")
-        # num * s1 = c mod Phi_m, so 1/self = den * s1 / c
-        if c < 0:
-            c, s1 = -c, [-x for x in s1]
-        return CyclotomicScalar.from_polynomial(self.order, [self.den * x for x in s1], c)
+        s, c = _unit_cofactor(self.order, self.num)
+        return CyclotomicScalar.from_polynomial(self.order, [self.den * x for x in s], c)
 
     def __truediv__(self, other):
         return self * promote(other, self.order).inverse()

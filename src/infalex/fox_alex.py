@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, log2
+from operator import mul
 
 from . import documents
 from .errors import BudgetExceededError
@@ -116,7 +117,7 @@ class LaurentMatrix:
             if exps is not None:
                 bins = [0] * order
                 for e, coeff in poly.items():
-                    bins[sum(a * k for a, k in zip(exps, e)) % order] += coeff
+                    bins[sum(map(mul, exps, e)) % order] += coeff
                 val = CyclotomicScalar.from_polynomial(order, bins)
             else:
                 val = promote(0, order)
@@ -256,7 +257,7 @@ class Character:
         order = self.cyclotomic_order()
         exps = self.torsion_exponents()
         if exps is not None:
-            return _zeta_table(order)[0][sum(a * k for a, k in zip(exps, e)) % order]
+            return _zeta_table(order)[0][sum(map(mul, exps, e)) % order]
         out = promote(1, order)
         for v, k in zip(self.values, e):
             if k:

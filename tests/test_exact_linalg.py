@@ -7,8 +7,9 @@ import pytest
 
 from infalex import exact_linalg
 from infalex.exact_linalg import (MAX_CYCLOTOMIC_ORDER, CyclotomicScalar, EchelonBasis,
-                                  RationalMatrix, _phi_degree, _power_reductions, act_vec,
-                                  axpy, cyclotomic_polynomial, echelon_basis, promote)
+                                  RationalMatrix, _phi_degree, _power_reductions,
+                                  _unit_cofactor, act_vec, axpy, cyclotomic_polynomial,
+                                  echelon_basis, promote)
 from infalex.fox_alex import Character
 from infalex.quad_lie import LiePresentation
 
@@ -214,6 +215,18 @@ def test_cyclotomic_caches_are_bounded():
     for m in range(1, 80):
         CyclotomicScalar.zeta(m)
     assert _power_reductions.cache_info().currsize <= 64
+
+
+def test_cyclotomic_inverse_reuses_the_cofactor_of_its_numerator():
+    # the Euclid cofactor is cached by (order, num), so the same numerator over
+    # another denominator is a hit, and each inverse still matches the oracle
+    _unit_cofactor.cache_clear()
+    a = [Fraction(3), Fraction(-1), Fraction(2), Fraction(1)]
+    for d in (1, 7, 1):
+        x = CyclotomicScalar(5, [c / d for c in a])
+        _same_stored(x.inverse(), oracle_inverse(5, [c / d for c in a]))
+    info = _unit_cofactor.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 2, 256)
 
 
 def _cyclotomic_rank(entries: dict, r: int, c: int) -> int:
