@@ -9,7 +9,8 @@ Ingredients, all exact:
   the Casimir operator per weight block, and dim Q is certified by the Weyl
   dimension formula.  The Casimir of wedge^2 V is assembled from the actions
   of V, and the actions on wedge^2 V are built per label on first read, so
-  a run builds only the 2g simple root operators it applies;
+  a run builds only the 2g simple root operators it applies: the g raising
+  ones find the highest-weight vectors, the g lowering ones certify R + C z;
 * q = nabla-bar of the quadratic Lie algebra L(V)/(R + C z): the
   Sym(V)-linear map sending f (x) (a0 ^ a1 ^ a2) to the cyclic sum
   f a_i (x) [a_{i+1} ^ a_{i+2}], classes taken in Q; its degree-wise
@@ -20,7 +21,9 @@ is used, so coker(q) does not depend on the coordinates chosen on Q; q
 uses those of quad_lie.beta_matrix.  Instantiated matrices of q are
 equivariant, hence block diagonal over weights, and the rank of a weight
 block depends only on the Weyl orbit of its weight: once the sp(2g)
-invariance of R + C z is checked, one dominant block per orbit is ranked,
+invariance of R + C z is certified (from the highest-weight vectors of its
+constituents, their Weyl dimensions and the g lowering operators; see
+certify_invariance), one dominant block per orbit is ranked,
 which is what makes genus 4 affordable.  The generator a0 ^ a1 ^ a2 of q
 has the weight of its triple, w_0 + w_1 + w_2, certified once on beta
 (every row of the column of beta on a pair has the pair's weight), so the
@@ -86,17 +89,19 @@ class JohnsonContext:
 
         self.hw_two_l2 = HighestWeight((0, 2) + (0,) * (g - 2))
         self.hw_zero = HighestWeight((0,) * g)
-        constituents = highest_weight_vectors(self.W2)
-        zs = [v for hw, v in constituents if hw == self.hw_zero]
+        # (highest weight, vector) per constituent: R, dim Q and the
+        # invariance certificate are read off them
+        self.constituents = highest_weight_vectors(self.W2)
+        zs = [v for hw, v in self.constituents if hw == self.hw_zero]
         if len(zs) != 1:
             raise InternalInconsistencyError("invariant line of wedge^2 V should be unique")
         self.z_vec = zs[0]
-        self._build_r(constituents)
+        self._build_r()
         self._q_map: GradedMap | None = None
 
     # -- R, and dim Q certified by Weyl ------------------------------------------
 
-    def _build_r(self, constituents):
+    def _build_r(self):
         """R_w = ker f(C_w) on each weight block w, f(x) = prod (x - c) over
         the Casimir eigenvalues of the constituents other than c_q and c_z.
 
@@ -116,7 +121,7 @@ class JohnsonContext:
         """
         c_q = casimir_eigenvalue(self.spec, self.hw_two_l2)
         c_z = casimir_eigenvalue(self.spec, self.hw_zero)
-        eigenvalues = sorted({casimir_eigenvalue(self.spec, hw) for hw, _v in constituents})
+        eigenvalues = sorted({casimir_eigenvalue(self.spec, hw) for hw, _v in self.constituents})
         roots = [c for c in eigenvalues if c not in (c_q, c_z)]
         blocks = casimir_blocks(self.V, 2)
         decomp = self.W2.weight_decomposition()
@@ -129,7 +134,7 @@ class JohnsonContext:
         self.r_dim = len(r_basis)
         self.q_dim = self.W2.dimension - self.r_dim - 1
         q_weyl = weyl_dim(self.spec, self.hw_two_l2)
-        listed = sum(weyl_dim(self.spec, hw) for hw, _v in constituents)
+        listed = sum(weyl_dim(self.spec, hw) for hw, _v in self.constituents)
         if (self.q_dim, listed) != (q_weyl, self.W2.dimension):
             raise InternalInconsistencyError(
                 f"dim Q = {self.q_dim} against weyl_dim(2 lambda_2) = {q_weyl}, and "
@@ -164,15 +169,38 @@ class JohnsonContext:
 
     def certify_invariance(self):
         """Check that R + C z is invariant under sp(2g), else
-        InternalInconsistencyError.
+        InternalInconsistencyError.  With v_lambda the highest-weight vectors
+        of the constituents of wedge^2 V other than V(2 lambda_2), three
+        facts are checked:
 
-        The raising and lowering simple root vectors generate sp(2g), so it
-        suffices that each maps every vector of R + C z back into its span.
-        Then q is sp(2g)-equivariant, the weight multiplicities of its image
-        are Weyl invariant, and coker_dims may rank one bucket per orbit.
+        (a) rank(R + C z) is the sum of weyl_dim(lambda);
+        (b) every v_lambda lies in R + C z;
+        (c) each simple lowering operator f_i maps every vector of R + C z
+            into its span.
+
+        Each v_lambda is killed by n+, so U(g) v_lambda = U(n-) v_lambda, a
+        copy of V(lambda); the f_i generate n-, so (b) and (c) put the sum
+        of the U(g) v_lambda inside R + C z.  That sum is direct, the
+        v_lambda being independent highest-weight vectors, and by (a) its
+        dimension is the rank of R + C z, so the two are equal and R + C z
+        is a submodule (Humphreys, Introduction to Lie Algebras and
+        Representation Theory, sections 20-21).  Then q is
+        sp(2g)-equivariant, the weight multiplicities of its image are Weyl
+        invariant, and coker_dims may rank one bucket per orbit.
         """
         span = self.presentation_with_z.relation_span()
-        for label in self.spec.raising_labels() + self.spec.lowering_labels():
+        others = [(hw, v) for hw, v in self.constituents if hw != self.hw_two_l2]
+        expected = sum(weyl_dim(self.spec, hw) for hw, _v in others)
+        if span.rank != expected:
+            raise InternalInconsistencyError(
+                f"R + C z is not invariant: rank {span.rank} against the "
+                f"{expected} of its constituents")
+        for hw, v in others:
+            if not span.contains(v):
+                raise InternalInconsistencyError(
+                    f"R + C z is not invariant: it misses the highest-weight "
+                    f"vector of {hw.coefficients}")
+        for label in self.spec.lowering_labels():
             cols = self.W2.actions[label]
             for v in self.r_basis + [self.z_vec]:
                 if not span.contains(act_vec(cols, v)):

@@ -14,6 +14,7 @@ weights, which is 1/2 times the Euclidean form in those coordinates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -241,13 +242,13 @@ def defining_module(spec: LieAlgebraSpec) -> WeightModule:
 def _wedge_parity_and_target(combo: tuple[int, ...], slot: int, j: int):
     """Replace combo[slot] by j inside a sorted wedge monomial: the parity of
     the sorting permutation (1 for a sign change) and the sorted monomial;
-    None if it dies."""
+    None if it dies.  The rest of combo is still sorted, so sorting moves j
+    from position slot to its insertion position p, past |slot - p| factors."""
     if j in combo and j != combo[slot]:
         return None
     rest = combo[:slot] + combo[slot + 1:]
-    inversions = sum(1 for s, c in enumerate(rest)
-                     if (c > j and s < slot) or (c < j and s >= slot))
-    return inversions % 2, tuple(sorted(rest + (j,)))
+    p = bisect_left(rest, j)
+    return (slot - p) % 2, rest[:p] + (j,) + rest[p:]
 
 
 def wedge_act(cols: ColMat, combo: tuple[int, ...]) -> dict:
@@ -519,19 +520,26 @@ def _dense_block_polynomial(block: RationalMatrix, roots) -> RationalMatrix:
 
     Fraction-free: with S the lcm of B's denominator and the roots'
     denominators, the integer matrices S B - S c are multiplied as dense
-    rows and the product is divided once, by S^len(roots).  Entries are
-    emitted column by column, the order of a RationalMatrix.matmul.
+    rows, starting from the first of them, and the product is divided once,
+    by S^len(roots).  Entries are emitted column by column, so each row's
+    keys come in the order of a RationalMatrix.matmul.
     """
     n = block.rows
+    if not roots:
+        return RationalMatrix.identity(n)
     s = lcm(block.den, *{c.denominator for c in roots})
     t = s // block.den
     sb = [[0] * n for _ in range(n)]
     for (i, j), x in block.num.items():
         sb[i][j] = x * t
-    cols = [[int(i == j) for i in range(n)] for j in range(n)]  # the product, by columns
-    for c in roots:
+
+    def shifted(c):
         sc = _times(c, s)
-        rows = [row[:i] + [row[i] - sc] + row[i + 1:] for i, row in enumerate(sb)]
+        return [row[:i] + [row[i] - sc] + row[i + 1:] for i, row in enumerate(sb)]
+
+    cols = [list(col) for col in zip(*shifted(roots[0]))]  # the product, by columns
+    for c in roots[1:]:
+        rows = shifted(c)
         cols = [[sum(map(mul, row, col)) for row in rows] for col in cols]
     return RationalMatrix.from_integers(n, n, {(i, j): x for j, col in enumerate(cols)
                                                for i, x in enumerate(col) if x},

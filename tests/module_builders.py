@@ -2,7 +2,10 @@
 products of the modules that infalex.rep_semisimple constructs.  Also the
 Casimir oracles (the whole operator, its eigenspaces and the isotypic
 projections, built from the running Casimir blocks), the closure under the
-lowering operators that R is checked against with no Casimir, the Weyl dimension of
+lowering operators that R is checked against with no Casimir, the check of
+R + C z under all 2g simple root operators that the highest-weight
+invariance certificate is checked against, the inversion count that the
+sign of a wedge monomial is checked against, the Weyl dimension of
 sl_n that the Chen ranks are checked against, the Fraction-valued
 references that the integer kernels of rep_semisimple are
 checked against, the Koszul differential and the composed nabla-bar that
@@ -113,6 +116,47 @@ def span_closure(m: WeightModule, vectors) -> EchelonBasis:
         frontier = [w for u in frontier for cols in lowering
                     if (w := act_vec(cols, u)) and eb.add(w)]
     return eb
+
+
+def simple_root_invariance(ctx) -> bool:
+    """Test oracle: whether R + C z of a JohnsonContext is sp(2g)-invariant,
+    checked by the generators: each of the 2g simple raising and lowering
+    operators, which together generate sp(2g), must map every vector of
+    R + C z into its span.  JohnsonContext.certify_invariance reaches its
+    verdict from the highest-weight vectors and the g lowering operators."""
+    span = ctx.presentation_with_z.relation_span()
+    labels = ctx.spec.raising_labels() + ctx.spec.lowering_labels()
+    return all(span.contains(act_vec(ctx.W2.actions[label], v))
+               for label in labels for v in ctx.r_basis + [ctx.z_vec])
+
+
+def _joint_kernel(m: WeightModule, labels, idx: list[int]) -> list[Vec]:
+    """A basis of the vectors on the positions idx that every operator of
+    labels kills."""
+    ops = [m.actions[label] for label in labels]
+    stacked = RationalMatrix(len(ops) * m.dimension, len(idx), {
+        (s * m.dimension + r, t): v
+        for s, cols in enumerate(ops) for t, j in enumerate(idx)
+        for r, v in cols[j].items()})
+    return [{idx[t]: v for t, v in kv.items()} for kv in stacked.kernel_basis()]
+
+
+def lowest_weight_vectors(m: WeightModule, w: tuple[int, ...]) -> list[Vec]:
+    """A basis of the joint kernel of the simple lowering operators on the
+    weight-w block of m: the lowest-weight vectors of weight w."""
+    return _joint_kernel(m, m.algebra.lowering_labels(), m.weight_decomposition()[w])
+
+
+def inversion_parity_and_target(combo: tuple[int, ...], slot: int, j: int):
+    """Test oracle: rep_semisimple._wedge_parity_and_target by counting the
+    inversions that j makes with the rest of combo from position slot, and
+    sorting the new monomial; None if j already sits elsewhere in combo."""
+    if j in combo and j != combo[slot]:
+        return None
+    rest = combo[:slot] + combo[slot + 1:]
+    inversions = sum(1 for s, c in enumerate(rest)
+                     if (c > j and s < slot) or (c < j and s >= slot))
+    return inversions % 2, tuple(sorted(rest + (j,)))
 
 
 # -- the Casimir oracles: operators built from the running Casimir blocks ---------
@@ -227,16 +271,9 @@ def all_blocks_highest_weight_vectors(m: WeightModule) -> list[tuple[HighestWeig
     weight block, dominant or not, in the order of highest_weight_vectors.
     A kernel vector on a non-dominant block would fail fundamental_from_weight."""
     spec = m.algebra
-    raising = [m.actions[label] for label in spec.raising_labels()]
-    out = []
-    for w, idx in sorted(m.weight_decomposition().items(), reverse=True):
-        stacked = RationalMatrix(len(raising) * m.dimension, len(idx), {
-            (s * m.dimension + r, t): v
-            for s, cols in enumerate(raising) for t, j in enumerate(idx)
-            for r, v in cols[j].items()})
-        for kv in stacked.kernel_basis():
-            out.append((spec.fundamental_from_weight(w), {idx[t]: v for t, v in kv.items()}))
-    return out
+    return [(spec.fundamental_from_weight(w), v)
+            for w, idx in sorted(m.weight_decomposition().items(), reverse=True)
+            for v in _joint_kernel(m, spec.raising_labels(), idx)]
 
 
 # -- the Koszul differential and the composed reference for nabla-bar ----------

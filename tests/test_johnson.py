@@ -21,8 +21,9 @@ from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec, casi
                                     highest_weight_vectors, weyl_dim)
 
 from module_builders import (composed_nabla_bar, equivariance_defect, fraction_columns,
-                             generator_weights, isotypic_projection, span_closure,
-                             weight_buckets, weyl_orbit)
+                             generator_weights, isotypic_projection, lowest_weight_vectors,
+                             simple_root_invariance, span_closure, weight_buckets,
+                             weyl_orbit)
 
 # sha256 of the repr of each context field, so values, dict key order and
 # container types all count; recorded before the single-pass context build.
@@ -285,13 +286,17 @@ def test_decompose_g4():
 
 @pytest.mark.slow
 def test_decompose_g6(fresh_contexts):
-    # the first genus of the paper's explicit presentation; degree 1 (11088)
-    # waits on a route that does not share the Weyl-orbit shortcut
+    # the first genus of the paper's explicit presentation; degree 1 on the
+    # same context, by the orbit route under the invariance certificate
     two_l2, zero = HighestWeight((0, 2, 0, 0, 0, 0)), HighestWeight((0,) * 6)
     parts = decompose_wedge2_V(6, allow_large=True)
     assert parts == [("R-complement", 19877), (two_l2, 1650), (zero, 1)]
     assert weyl_dim(LieAlgebraSpec(6), two_l2) == 1650
     assert sum(d for _l, d in parts) == comb(208, 2) == 21528
+    report = johnson_module_dims(6, 1, allow_large=True)
+    assert report.to_json_dict() == {
+        "genus": 6, "dims": {"V": 208, "Q": 1650, "wedge2V": [19877, 1650, 1]},
+        "coker_q": [1650, 11088], "M": [1651, 11088]}
 
 
 @pytest.mark.slow
@@ -426,8 +431,8 @@ def test_johnson_run_builds_only_the_symbols_of_dominant_buckets_g4(fresh_contex
 
 def test_johnson_run_builds_only_the_simple_root_actions_of_wedge2_v(fresh_contexts):
     # the Casimir of wedge^2 V comes from V; highest_weight_vectors reads the
-    # g raising operators and certify_invariance those and the g lowering
-    # ones, so a run builds 2g of the g(2g + 1) actions on wedge^2 V
+    # g raising operators and certify_invariance the g lowering ones, so a
+    # run builds 2g of the g(2g + 1) actions on wedge^2 V
     report = johnson_module_dims(4, 1)
     assert report.coker_q == (308, 1232)
     ctx = johnson_context(4)
@@ -488,6 +493,81 @@ def test_invariance_certificate_refuses_a_non_invariant_r(monkeypatch):
     monkeypatch.setattr(johnson, "coker_dims", no_rank)
     with pytest.raises(InternalInconsistencyError, match="not invariant"):
         johnson_module_dims(3, 1)
+
+
+@pytest.mark.parametrize("g", [3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_invariance_certificate_and_the_simple_root_oracle_pass(g):
+    ctx = JohnsonContext(g)
+    ctx.certify_invariance()
+    assert simple_root_invariance(ctx)
+
+
+def test_simple_root_oracle_refuses_a_non_invariant_r():
+    # the context of test_invariance_certificate_refuses_a_non_invariant_r
+    ctx = JohnsonContext(3)
+    k = next(k for k, w in enumerate(ctx.W2.weights) if any(w))
+    ctx.r_basis.append({k: Fraction(1)})
+    assert not simple_root_invariance(ctx)
+
+
+def _q_lowest_weight_vector(ctx):
+    # the one vector of wedge^2 V of weight -2 lambda_2 that every simple
+    # lowering operator kills: the lowest-weight vector of Q
+    low = tuple(-x for x in ctx.spec.partition_from_fundamental(ctx.hw_two_l2))
+    (v,) = lowest_weight_vectors(ctx.W2, low)
+    return v
+
+
+def test_invariance_certificate_refuses_the_lowest_weight_vector_of_q_in_r():
+    # R + C z grown by a vector that the lowering operators kill stays stable
+    # under them and keeps z, so only the rank, 2 against weyl_dim(0) = 1,
+    # refuses it
+    ctx = JohnsonContext(3)
+    low = _q_lowest_weight_vector(ctx)
+    ctx.r_basis.append(low)
+    assert not any(act_vec(ctx.W2.actions[label], low) for label in ctx.spec.lowering_labels())
+    with pytest.raises(InternalInconsistencyError, match="not invariant: rank 2 against the 1"):
+        ctx.certify_invariance()
+    assert not simple_root_invariance(ctx)
+
+
+def test_invariance_certificate_refuses_a_z_that_is_no_highest_weight_vector():
+    # z replaced by the lowest-weight vector of Q before the presentation is
+    # read: the span has rank 1 = weyl_dim(0) and the lowering operators kill
+    # it, so only the missing invariant vector refuses it
+    ctx = JohnsonContext(3)
+    ctx.z_vec = _q_lowest_weight_vector(ctx)
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"not invariant: it misses the highest-weight vector of \(0, 0, 0\)"):
+        ctx.certify_invariance()
+    assert not simple_root_invariance(ctx)
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_invariance_certificate_refuses_an_r_stable_under_all_but_one_lowering_operator(i):
+    # at genus 4, R = V(l2 + l4) (+) V(l2).  An extremal weight mu of
+    # V(l2 + l4) = V(2, 2, 1, 1) whose only negative simple coroot pairing
+    # is <mu, alpha_i^vee> is reached from above by f_i alone, and by no
+    # weight of V(l2), so R with its vector of weight mu traded for the
+    # lowest-weight vector of Q keeps its rank and highest-weight vectors and
+    # is stable under every f_j but f_i, which alone refuses it
+    ctx = JohnsonContext(4)
+    spec = ctx.spec
+    mu = min(w for w in weyl_orbit((2, 2, 1, 1))
+             if [j for j in range(4) if spec.simple_coroot_pairing(w, j) < 0] == [i])
+    kept = [v for v in ctx.r_basis if ctx.W2.weights[next(iter(v))] != mu]
+    assert len(kept) == len(ctx.r_basis) - 1
+    ctx.r_basis = kept + [_q_lowest_weight_vector(ctx)]
+    span = ctx.presentation_with_z.relation_span()
+    assert span.rank == ctx.r_dim + 1
+    label = spec.lowering_labels()[i]
+    for other in spec.lowering_labels():
+        if other != label:
+            cols = ctx.W2.actions[other]
+            assert all(span.contains(act_vec(cols, v)) for v in ctx.r_basis)
+    with pytest.raises(InternalInconsistencyError, match=f"not invariant under {label}$"):
+        ctx.certify_invariance()
+    assert not simple_root_invariance(ctx)
 
 
 def test_weyl_certificate_refuses_a_casimir_collision(monkeypatch):

@@ -85,6 +85,71 @@ def test_type_b_pairing_mutant_fails_the_weyl_certificate_g4(long_root_pairing_o
         JohnsonContext(4)
 
 
+# -- the invariance certificate of R + C z -------------------------------------------
+
+def _certificate_without(fact, left_out=None):
+    """JohnsonContext.certify_invariance with one of its facts dropped:
+    "rank" (a), "highest-weight" (b), or the lowering operator left_out
+    from (c)."""
+    def mutant(self):
+        span = self.presentation_with_z.relation_span()
+        others = [(hw, v) for hw, v in self.constituents if hw != self.hw_two_l2]
+        if fact != "rank" and span.rank != sum(johnson.weyl_dim(self.spec, hw)
+                                                for hw, _v in others):
+            raise InternalInconsistencyError("R + C z is not invariant: rank")
+        if fact != "highest-weight" and not all(span.contains(v) for _hw, v in others):
+            raise InternalInconsistencyError("R + C z is not invariant: highest weight")
+        for label in self.spec.lowering_labels():
+            if label != left_out and not all(
+                    span.contains(act_vec(self.W2.actions[label], v))
+                    for v in self.r_basis + [self.z_vec]):
+                raise InternalInconsistencyError(f"R + C z is not invariant under {label}")
+
+    return mutant
+
+
+@pytest.fixture
+def certificate_without_its_rank(monkeypatch):
+    """The certificate with no rank fact (a)."""
+    monkeypatch.setattr(JohnsonContext, "certify_invariance", _certificate_without("rank"))
+
+
+@pytest.fixture
+def certificate_without_its_highest_weight_vectors(monkeypatch):
+    """The certificate with no membership of the highest-weight vectors (b)."""
+    monkeypatch.setattr(JohnsonContext, "certify_invariance",
+                        _certificate_without("highest-weight"))
+
+
+@pytest.fixture(params=range(4))
+def certificate_without_one_lowering_operator(request, monkeypatch):
+    """The certificate with one of the g = 4 simple lowering operators left
+    out of (c); the parameter is its position in lowering_labels()."""
+    label = LieAlgebraSpec(4).lowering_labels()[request.param]
+    monkeypatch.setattr(JohnsonContext, "certify_invariance",
+                        _certificate_without(None, left_out=label))
+    return request.param
+
+
+def test_rankless_certificate_mutant_fails_the_lowest_weight_r_check(
+        certificate_without_its_rank):
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_johnson.test_invariance_certificate_refuses_the_lowest_weight_vector_of_q_in_r()
+
+
+def test_highest_weight_free_certificate_mutant_fails_the_lowest_weight_z_check(
+        certificate_without_its_highest_weight_vectors):
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_johnson.test_invariance_certificate_refuses_a_z_that_is_no_highest_weight_vector()
+
+
+def test_one_lowering_operator_mutant_fails_the_traded_weight_vector_check(
+        certificate_without_one_lowering_operator):
+    i = certificate_without_one_lowering_operator
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_johnson.test_invariance_certificate_refuses_an_r_stable_under_all_but_one_lowering_operator(i)
+
+
 # -- the weights of the orbit route ---------------------------------------------
 
 def _orbit_route_against_plain_rank_g3():

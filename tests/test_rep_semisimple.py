@@ -11,11 +11,11 @@ from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec,
                                     quotient_module, wedge_act,
                                     wedge_power, weyl_dim, _algebra_basis,
                                     _dense_block_polynomial, _dual_coefficients,
-                                    _integral_dual)
+                                    _integral_dual, _wedge_parity_and_target)
 
 from module_builders import (AmbiguousDecompositionError, all_blocks_highest_weight_vectors,
                              casimir_eigenspace, casimir_matrix, chen_module_weight,
-                             fraction_casimir_column,
+                             fraction_casimir_column, inversion_parity_and_target,
                              isotypic_projection, lowering_closure, matmul_block_polynomial,
                              scale, sl_weyl_dim, span_closure, sym_power, tensor_product,
                              transpose, weyl_orbit)
@@ -370,6 +370,37 @@ def test_lazy_wedge_actions_match_an_eager_build_g3():
     assert not lazy._built
     # repr: the same columns with the same key order and scalar types
     assert repr({label: lazy[label] for label in lazy}) == repr(eager)
+
+
+def test_wedge_parity_and_target_matches_the_inversion_count():
+    # every (combo, slot, j) with k <= 4 and indices below 9: 7,533 inputs
+    cases = [(combo, slot, j) for k in range(1, 5) for combo in combinations(range(9), k)
+             for slot in range(k) for j in range(9)]
+    assert len(cases) == 7533
+    for case in cases:
+        # repr: the same parity, monomial and types
+        assert repr(_wedge_parity_and_target(*case)) == repr(inversion_parity_and_target(*case))
+
+
+@pytest.mark.parametrize("roots", [
+    [], [Fraction(1, 2)], [Fraction(-3), Fraction(5, 4)],
+    [Fraction(2), Fraction(-1, 3), Fraction(1, 6)]], ids=len)
+def test_dense_block_polynomial_matches_a_plain_product(roots):
+    # a block over the denominator 6 against the chain of (B - c) products,
+    # entry by entry and in each row's key order, with the entries emitted
+    # column by column; no root is the identity, the polynomial of R at
+    # genus 3, where Q and z are the only constituents and R = ker 1 = 0
+    block = RationalMatrix.from_rows([
+        [Fraction(1, 2), Fraction(0), Fraction(-2, 3)],
+        [Fraction(1, 6), Fraction(3), Fraction(0)],
+        [Fraction(0), Fraction(-5, 2), Fraction(1, 3)]])
+    got = _dense_block_polynomial(block, roots)
+    expected = matmul_block_polynomial(block, roots)
+    assert got == expected
+    assert _row_key_orders(got) == _row_key_orders(expected)
+    assert list(got.entries) == sorted(got.entries, key=lambda ij: ij[::-1])
+    if not roots:
+        assert got == RationalMatrix.identity(3) and not got.kernel_basis()
 
 
 def test_dense_block_polynomial_matches_matmul_chain_on_g3_blocks():
