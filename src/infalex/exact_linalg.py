@@ -15,8 +15,10 @@ the field: rows keep lead 1, with one integer inverse per stored row.
 ``axpy`` is the one accumulate step, of maps and vectors alike, and
 ``_clear`` the one elimination step: it clears a pivot in one pass over the
 row and queues the pivots that row brings in, so ``reduce`` has one path.
-A matrix's rank reads its column span, whatever its shape, and a product
-skips the empty columns of its right factor.  No floating point anywhere;
+A matrix's rank reads its column span, whatever its shape.  Its empty
+columns are all the one read-only ``EMPTY`` mapping, a product skips the
+empty columns of its right factor, and ``act_vec`` the entries of v whose
+column is empty.  No floating point anywhere;
 ranks and kernels are therefore deterministic and reproducible bit for
 bit.
 
@@ -29,12 +31,14 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import documents
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+EMPTY: Mapping = MappingProxyType({})   # the one empty column, shared and read-only
 
 
 def _to_fraction(x) -> Fraction:
@@ -622,14 +626,19 @@ class RationalMatrix:
         """{(i, j): value} with Fraction values, a view built on each read."""
         return self._fractions(self.num)
 
-    def numerator_columns(self) -> list[Vec]:
+    def numerator_columns(self) -> list[Mapping]:
         """The columns of den * self as sparse vectors, built once and shared
         by every caller: num never changes after construction, and no caller
-        mutates the list or its vectors."""
+        mutates the list or its vectors.  Every empty column is the one
+        read-only ``EMPTY`` mapping, so a sparse matrix allocates only the
+        columns it fills."""
         if self._columns is None:
-            out: list[Vec] = [dict() for _ in range(self.cols)]
+            out: list[Mapping] = [EMPTY] * self.cols
             for (i, j), x in self.num.items():
-                out[j][i] = x
+                col = out[j]
+                if col is EMPTY:
+                    col = out[j] = {}
+                col[i] = x
             self._columns = out
         return self._columns
 
@@ -725,9 +734,12 @@ class RationalMatrix:
 
 
 def act_vec(cols: Sequence[Mapping], v: Mapping) -> Vec:
-    """sum_j v[j] * cols[j]: the matrix with sparse columns cols applied to v."""
+    """sum_j v[j] * cols[j]: the matrix with sparse columns cols applied to
+    v.  An entry of v whose column is empty adds nothing and is skipped."""
     out: Vec = {}
     for j, c in v.items():
         if c:
-            axpy(out, c, cols[j])
+            col = cols[j]
+            if col:
+                axpy(out, c, col)
     return out

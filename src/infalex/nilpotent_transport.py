@@ -6,8 +6,12 @@ augmentation ideal is generated by the T_i - 1 and the module is nilpotent
 when the filtration M, I M, I^2 M, ... reaches zero.  For unipotent T_i the
 logarithms X_i = log T_i are nilpotent, commute, and satisfy exp X_i = T_i
 exactly; annihilator exponents are preserved under the transport.  Log and
-exp are one power series, whose powers are summed as integer numerators
-over one common denominator and divided once.
+exp are one power series from k = 0, whose powers are summed as integer
+numerators over one common denominator and divided once; exp's identity is
+its constant term on the diagonal of that sum.  T - 1 subtracts T's
+denominator on the diagonal of its numerators.  make checks commutation
+pair by pair and column by column on the integer numerators, stopping at
+the first column that differs, with no product matrix built.
 
 Exponent conventions: the zero module has exponent 0; a nonzero module with
 all T_i = 1 has exponent 1.
@@ -21,7 +25,7 @@ from math import factorial, lcm
 
 from . import documents
 from .errors import InternalInconsistencyError
-from .exact_linalg import EchelonBasis, RationalMatrix, act_vec, axpy
+from .exact_linalg import ZERO, EchelonBasis, RationalMatrix, act_vec, axpy
 
 
 def _check_family(dimension: int, matrices, *, invertible: bool) -> tuple[RationalMatrix, ...]:
@@ -31,10 +35,15 @@ def _check_family(dimension: int, matrices, *, invertible: bool) -> tuple[Ration
             raise ValueError(f"expected square {dimension}-dim matrices")
         if invertible and m.rank() != dimension:
             raise ValueError("action matrices must be invertible")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if mats[i].matmul(mats[j]) != mats[j].matmul(mats[i]):
-                raise ValueError("action matrices must commute pairwise")
+    # X_i X_j = X_j X_i exactly when the integer numerators A_i, A_j of
+    # X_i = A_i / d_i and X_j = A_j / d_j commute: column c of A_i A_j is
+    # A_i applied to column c of A_j.  A column empty in both is 0 on both sides.
+    cols = [m.numerator_columns() for m in mats]
+    for i, a in enumerate(cols):
+        for b in cols[i + 1:]:
+            for ac, bc in zip(a, b):
+                if (ac or bc) and act_vec(a, bc) != act_vec(b, ac):
+                    raise ValueError("action matrices must commute pairwise")
     return mats
 
 
@@ -111,15 +120,31 @@ def is_nilpotent(m: FinDimLaurentModule) -> tuple[bool, int | None]:
     I^q M = 0 when it is (0 for the zero module, 1 for trivial nonzero).
     The T_i must commute, so that the steps T_i - 1 do: make checks it, and
     exp_transport gives commuting T_i by construction."""
-    one = RationalMatrix.identity(m.dimension)
-    q = _annihilator_exponent(m.dimension, [t - one for t in m.actions])
+    q = _annihilator_exponent(m.dimension, [_minus_identity(t) for t in m.actions])
     return q is not None, q
 
 
+def _minus_identity(t: RationalMatrix) -> RationalMatrix:
+    """T - 1 over T's own denominator: den is subtracted on the diagonal of
+    T's numerators, and no identity matrix is built.  The numerators stay
+    coprime to den (an entry that becomes 0 was den itself), so nothing is
+    divided out."""
+    num, den = dict(t.num), t.den
+    for i in range(t.rows):
+        x = num.get((i, i), 0) - den
+        if x:
+            num[i, i] = x
+        else:
+            del num[i, i]
+    return RationalMatrix.from_integers(t.rows, t.cols, num, den)
+
+
 def _nilpotent_series(x: RationalMatrix, coeff, kind: str):
-    """sum_{k>=1} coeff(k) X^k; ValueError when X^k != 0 for some k > n,
-    i.e. when X is not nilpotent.  The powers are summed as integer
-    numerators over one common denominator and divided once."""
+    """sum_{k>=0} coeff(k) X^k, with X^0 = 1; ValueError when X^k != 0 for
+    some k > n, i.e. when X is not nilpotent.  The powers are summed as
+    integer numerators over one common denominator and divided once; the
+    constant term goes on the diagonal of that sum, so no identity matrix
+    is built."""
     n = x.rows
     terms = []
     power, k = x, 1
@@ -129,21 +154,23 @@ def _nilpotent_series(x: RationalMatrix, coeff, kind: str):
         terms.append((coeff(k), power))
         power = x.matmul(power)
         k += 1
-    den = lcm(*[c.denominator * p.den for c, p in terms])
-    num: dict = {}
+    c0 = coeff(0)
+    den = lcm(c0.denominator, *[c.denominator * p.den for c, p in terms])
+    d0 = c0.numerator * (den // c0.denominator)
+    num = {(i, i): d0 for i in range(n)} if d0 else {}
     for c, p in terms:
         axpy(num, c.numerator * (den // (c.denominator * p.den)), p.num)
     return RationalMatrix.from_integers(n, n, num, den)
 
 
 def _nilpotent_log(t: RationalMatrix) -> RationalMatrix:
-    return _nilpotent_series(t - RationalMatrix.identity(t.rows),
-                             lambda k: Fraction((-1) ** (k + 1), k), "unipotent")
+    return _nilpotent_series(_minus_identity(t),
+                             lambda k: Fraction((-1) ** (k + 1), k) if k else ZERO,
+                             "unipotent")
 
 
 def matrix_exp_nilpotent(x: RationalMatrix) -> RationalMatrix:
-    return RationalMatrix.identity(x.rows) + _nilpotent_series(
-        x, lambda k: Fraction(1, factorial(k)), "nilpotent")
+    return _nilpotent_series(x, lambda k: Fraction(1, factorial(k)), "nilpotent")
 
 
 def log_transport(m: FinDimLaurentModule) -> FinDimSymModule:

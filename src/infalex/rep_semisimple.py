@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -26,7 +26,7 @@ from operator import mul
 
 from .exact_linalg import ONE, ZERO, RationalMatrix, Vec, act_vec, axpy, echelon_basis
 
-ColMat = tuple  # tuple of {row: Fraction} dicts, one per column
+ColMat = Sequence  # {row: Fraction} dicts, one per column: a tuple, or LazyColumns
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +211,44 @@ def _weight_decomposition(weights) -> dict[tuple[int, ...], list[int]]:
     return out
 
 
-class LazyActions(Mapping):
-    """label -> ColMat on a module made from another: the columns of a label
-    are built by build(source[label]) on their first read and kept.  The
-    keys are those of source, one per algebra basis element, so what is kept
-    is bounded by the dimension of the algebra."""
+class LazyColumns(Sequence):
+    """The columns of one operator, column j built by build(j) on its first
+    read and kept, so a caller that reads a few columns builds only those.
+    Its repr is that of the tuple of all its columns."""
 
-    def __init__(self, source: Mapping, build):
-        self._source, self._build = source, build
+    def __init__(self, n: int, build):
+        self._build = build
+        self._built: list = [None] * n   # None until column j is read
+
+    def __getitem__(self, j):
+        col = self._built[j]   # IndexError past the end, which ends iteration
+        if col is None:
+            col = self._built[j] = self._build(j)
+        return col
+
+    def __len__(self):
+        return len(self._built)
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
+class LazyActions(Mapping):
+    """label -> LazyColumns on a module of the given dimension made from
+    another: column j of a label is build(source[label], j), made on its
+    first read and kept.  The keys are those of source, one per algebra
+    basis element, so what is kept is bounded by the dimension of the
+    algebra times that of the module."""
+
+    def __init__(self, source: Mapping, dimension: int, build):
+        self._source, self._dimension, self._build = source, dimension, build
         self._built: dict = {}
 
     def __getitem__(self, label):
         cols = self._built.get(label)
         if cols is None:
-            cols = self._built[label] = self._build(self._source[label])
+            cols = self._built[label] = LazyColumns(
+                self._dimension, partial(self._build, self._source[label]))
         return cols
 
     def __iter__(self):
@@ -276,16 +300,16 @@ def _wedge_basis(m: WeightModule, k: int):
 
 
 def wedge_power(m: WeightModule, k: int) -> WeightModule:
-    """wedge^k m; the columns of each label are built on their first read
-    (LazyActions), so a caller pays only for the operators it applies."""
+    """wedge^k m; each column of each label is built on its first read
+    (LazyActions), so a caller pays only for the columns it applies."""
     combos, weights = _wedge_basis(m, k)
     index = {c: i for i, c in enumerate(combos)}
 
-    def build(cols):
-        return tuple({index[new]: v for new, v in wedge_act(cols, combo).items()}
-                     for combo in combos)
+    def column(cols, j):
+        return {index[new]: v for new, v in wedge_act(cols, combos[j]).items()}
 
-    return WeightModule(m.algebra, len(combos), weights, LazyActions(m.actions, build))
+    return WeightModule(m.algebra, len(combos), weights,
+                        LazyActions(m.actions, len(combos), column))
 
 
 def quotient_module(m: WeightModule, spanning: list[Vec]) -> WeightModule:

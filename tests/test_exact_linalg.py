@@ -778,6 +778,44 @@ def test_numerator_columns_are_built_once_and_match_the_entries():
     assert cols == [{0: 2}, {}, {0: 1, 1: 6}]
 
 
+def test_numerator_columns_share_one_read_only_empty_column():
+    m = RationalMatrix.from_rows([[0, 1, 0, 0], [0, 2, 0, "1/3"]])
+    cols = m.numerator_columns()
+    assert cols == [{}, {0: 3, 1: 6}, {}, {1: 1}]
+    assert cols[0] is cols[2] is exact_linalg.EMPTY
+    with pytest.raises(TypeError):
+        cols[0][1] = 1
+    assert exact_linalg.EMPTY == {}
+    assert all(c is exact_linalg.EMPTY for c in RationalMatrix(2, 3).numerator_columns())
+    # the column span echelonizes EMPTY among the columns and writes to none
+    assert m.rank() == 2 and exact_linalg.EMPTY == {}
+
+
+def test_act_vec_on_empty_columns_equals_the_dense_product():
+    # v has entries on empty, one-entry and fuller columns: the empty ones
+    # add nothing, and every other one still counts
+    m = RationalMatrix.from_rows([[0, 1, 0, 2, 0], [0, 0, 0, 3, "1/2"]])
+    v = {0: 1, 1: 2, 2: 5, 3: -1, 4: 4}
+    # den 2: row 0 reads 2*2 - 4*1 = 0 and row 1 reads -6*1 + 1*4 = -2
+    assert act_vec(m.numerator_columns(), v) == {1: -2}
+    assert m.matvec(v) == {1: Fraction(-1)}
+    rng = random.Random(37)
+    kinds = set()
+    for _ in range(80):
+        r, c = rng.randint(1, 5), rng.randint(1, 6)
+        dense = [[rng.choice([0, 0, 0, 0, 1, -2, Fraction(1, 3)]) for _ in range(c)]
+                 for _ in range(r)]
+        m = RationalMatrix.from_rows(dense)
+        v = {j: x for j in range(c) if (x := rng.choice([0, 1, -1, 3, Fraction(2, 5)]))}
+        want = {i: y for i in range(r)
+                if (y := sum(Fraction(dense[i][j]) * x for j, x in v.items()))}
+        cols = m.numerator_columns()
+        kinds |= {min(len(cols[j]), 2) for j in v}
+        assert {i: Fraction(y, m.den) for i, y in act_vec(cols, v).items()} == want
+        assert m.matvec(v) == want
+    assert kinds == {0, 1, 2}
+
+
 # ---------------------------------------------------------------------------
 # property test: the integer RationalMatrix against the Fraction loops
 # ---------------------------------------------------------------------------

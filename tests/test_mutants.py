@@ -380,6 +380,91 @@ def test_one_entry_column_mutant_fails_the_round_trip(matmul_that_skips_one_entr
         test_nilpotent_transport.test_round_trip_random_commuting()
 
 
+@pytest.fixture
+def act_vec_that_skips_one_entry_columns(monkeypatch):
+    """act_vec skipping each column with fewer than two entries, not only
+    the empty ones, everywhere act_vec is bound: the image of a one-entry
+    column goes missing."""
+    def mutant(cols, v):
+        out = {}
+        for j, c in v.items():
+            col = cols[j]
+            if c and len(col) > 1:
+                axpy(out, c, col)
+        return out
+
+    for module in (exact_linalg, nilpotent_transport, rep_semisimple, johnson,
+                   test_exact_linalg):
+        monkeypatch.setattr(module, "act_vec", mutant)
+
+
+def test_one_entry_act_vec_mutant_fails_the_dense_product_check(
+        act_vec_that_skips_one_entry_columns):
+    with pytest.raises(AssertionError):
+        test_exact_linalg.test_act_vec_on_empty_columns_equals_the_dense_product()
+
+
+# -- the commutation check and the series of the exp/log transport ------------------
+
+@pytest.fixture
+def commutation_check_without_its_last_column(monkeypatch):
+    """make's pairwise commutation check stopping one column short: a pair
+    whose products differ in the last column alone passes as commuting."""
+    def mutant(dimension, matrices, *, invertible):
+        mats = tuple(matrices)
+        for m in mats:
+            if not isinstance(m, RationalMatrix) or m.rows != dimension or m.cols != dimension:
+                raise ValueError(f"expected square {dimension}-dim matrices")
+            if invertible and m.rank() != dimension:
+                raise ValueError("action matrices must be invertible")
+        cols = [m.numerator_columns() for m in mats]
+        for i, a in enumerate(cols):
+            for b in cols[i + 1:]:
+                for ac, bc in zip(a[:-1], b[:-1]):
+                    if (ac or bc) and act_vec(a, bc) != act_vec(b, ac):
+                        raise ValueError("action matrices must commute pairwise")
+        return mats
+
+    monkeypatch.setattr(nilpotent_transport, "_check_family", mutant)
+
+
+def test_last_column_mutant_fails_the_all_but_last_column_check(
+        commutation_check_without_its_last_column):
+    # the test's own pytest.raises(ValueError) sees nothing raised
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_nilpotent_transport.test_family_that_commutes_on_all_but_the_last_column_is_refused()
+
+
+def test_last_column_mutant_fails_the_products_property(
+        commutation_check_without_its_last_column, first_failure_reported):
+    with pytest.raises(AssertionError):
+        test_nilpotent_transport.test_property_commutation_check_agrees_with_the_products()
+
+
+@pytest.fixture
+def series_without_its_constant_term(monkeypatch):
+    """The transport series summed from k = 1: log, whose constant term is
+    0, is unchanged, and exp loses its identity."""
+    series = nilpotent_transport._nilpotent_series
+
+    def mutant(x, coeff, kind):
+        return series(x, lambda k: coeff(k) if k else exact_linalg.ZERO, kind)
+
+    monkeypatch.setattr(nilpotent_transport, "_nilpotent_series", mutant)
+
+
+def test_constant_free_series_mutant_fails_the_exp_of_zero_check(
+        series_without_its_constant_term):
+    with pytest.raises(AssertionError):
+        test_nilpotent_transport.test_exp_of_zero_is_the_identity()
+
+
+def test_constant_free_series_mutant_fails_the_round_trip(series_without_its_constant_term):
+    # exp X is no longer unipotent, so the log series refuses it
+    with pytest.raises(ValueError, match="not unipotent"):
+        test_nilpotent_transport.test_round_trip_random_commuting()
+
+
 # -- the step order of the nilpotence test ------------------------------------------
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -35,6 +36,85 @@ def test_filtration_strictly_decreasing_until_zero():
     m = FinDimLaurentModule.make(4, [jordan(4)])
     nilpotent, q = is_nilpotent(m)
     assert nilpotent and q == 4
+
+
+def test_family_that_commutes_on_all_but_the_last_column_is_refused():
+    # X = E_01 / 2 and Y = E_12: XY = E_02 / 2 and YX = 0, so the two
+    # products agree on every column but the last
+    x = RationalMatrix(3, 3, {(0, 1): Fraction(1, 2)})
+    y = RationalMatrix(3, 3, {(1, 2): 1})
+    xy, yx = x.matmul(y).numerator_columns(), y.matmul(x).numerator_columns()
+    assert xy[:-1] == yx[:-1] and xy[-1] != yx[-1]
+    with pytest.raises(ValueError, match="commute"):
+        FinDimSymModule.make(3, [x, y])
+    one = RationalMatrix.identity(3)
+    with pytest.raises(ValueError, match="commute"):
+        FinDimLaurentModule.make(3, [one + x, one, one + y])
+    # the pair that commutes (XY = YX = 0) is accepted
+    assert FinDimSymModule.make(3, [y, x.matmul(x)]).dimension == 3
+
+
+def test_property_commutation_check_agrees_with_the_products():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(1, 4), st.data())
+    def check(d, data):
+        square = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d,
+                          max_size=d).map(RationalMatrix.from_rows)
+        base = data.draw(square)
+        # polynomials in one matrix commute; free draws mostly do not
+        member = st.one_of(square, st.lists(entry, max_size=3).map(
+            lambda cs: _polynomial(base, cs)))
+        mats = data.draw(st.lists(member, min_size=2, max_size=3))
+        agree = all(a.matmul(b) == b.matmul(a) for a, b in combinations(mats, 2))
+        try:
+            nilpotent_transport._check_family(d, mats, invertible=False)
+        except ValueError:
+            assert not agree
+        else:
+            assert agree
+
+    check()
+
+
+def test_minus_identity_is_the_matrix_difference():
+    # T - 1 read off T's numerators against t - identity: the same den and
+    # the same entries in the same key order, on rational unipotent T
+    rng = random.Random(37)
+    dropped = kept = 0
+    for trial in range(80):
+        n = rng.randint(0, 5)
+        if trial % 2:
+            # 1 + N, N strictly upper triangular: every diagonal entry of T - 1 is 0
+            t = RationalMatrix(n, n, {(i, i): 1 for i in range(n)}
+                               | {(i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                  for i in range(n) for j in range(i + 1, n)})
+        else:
+            # 1 + u w^T with w.u = 0, a rank-one nilpotent with a full diagonal
+            u = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            w = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            uu = sum(a * a for a in u)
+            if uu:
+                wu = sum(a * b for a, b in zip(w, u))
+                w = [b - wu / uu * a for a, b in zip(u, w)]
+            t = RationalMatrix(n, n, {(i, j): (i == j) + u[i] * w[j]
+                                      for i in range(n) for j in range(n)})
+        assert is_nilpotent(FinDimLaurentModule.make(n, [t]))[0]
+        got = nilpotent_transport._minus_identity(t)
+        want = t - RationalMatrix.identity(n)
+        assert repr((got.rows, got.cols, list(got.num.items()), got.den)) \
+            == repr((want.rows, want.cols, list(want.num.items()), want.den))
+        dropped += sum(t.num.get((i, i)) == t.den for i in range(n))
+        kept += sum(t.num.get((i, i)) != t.den for i in range(n))
+    assert dropped and kept
+
+
+def test_exp_of_zero_is_the_identity():
+    for n in (0, 1, 4):
+        assert matrix_exp_nilpotent(RationalMatrix(n, n)) == RationalMatrix.identity(n)
 
 
 def test_invertibility_and_commutation_enforced():

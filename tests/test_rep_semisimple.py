@@ -8,7 +8,7 @@ from infalex.exact_linalg import RationalMatrix, echelon_basis
 from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec,
                                     casimir_blocks, casimir_eigenvalue, defining_module,
                                     fundamental_module, highest_weight_vectors,
-                                    quotient_module, wedge_act,
+                                    WeightModule, quotient_module, wedge_act,
                                     wedge_power, weyl_dim, _algebra_basis,
                                     _dense_block_polynomial, _dual_coefficients,
                                     _integral_dual, _wedge_parity_and_target)
@@ -370,6 +370,38 @@ def test_lazy_wedge_actions_match_an_eager_build_g3():
     assert not lazy._built
     # repr: the same columns with the same key order and scalar types
     assert repr({label: lazy[label] for label in lazy}) == repr(eager)
+
+
+def _built_columns(cols) -> list[int]:
+    return [j for j, col in enumerate(cols._built) if col is not None]
+
+
+def test_lazy_columns_are_built_one_at_a_time_and_kept():
+    v = fundamental_module(SP3, 3)
+    cols = wedge_power(v, 2).actions[SP3.raising_labels()[0]]
+    assert not _built_columns(cols)
+    col = cols[5]
+    assert cols[5] is col and cols[5 - len(cols)] is col and _built_columns(cols) == [5]
+    with pytest.raises(IndexError):
+        cols[len(cols)]
+    assert len(tuple(cols)) == len(cols) == comb(v.dimension, 2) == len(_built_columns(cols))
+
+
+def test_highest_weight_search_builds_only_the_dominant_columns():
+    # the raising operators are read on the dominant weight blocks alone, and
+    # the vectors found are those of a search on fully built actions
+    w2 = wedge_power(fundamental_module(SP3, 3), 2)
+    found = highest_weight_vectors(w2)
+    dominant = sorted(j for w, idx in w2.weight_decomposition().items()
+                      if all(SP3.simple_coroot_pairing(w, i) >= 0 for i in range(SP3.rank))
+                      for j in idx)
+    assert sorted(w2.actions._built) == sorted(SP3.raising_labels())
+    for label in SP3.raising_labels():
+        assert _built_columns(w2.actions[label]) == dominant
+    assert 5 * len(dominant) < w2.dimension
+    eager = WeightModule(SP3, w2.dimension, w2.weights,
+                         {label: tuple(cols) for label, cols in w2.actions.items()})
+    assert repr(highest_weight_vectors(eager)) == repr(found)
 
 
 def test_wedge_parity_and_target_matches_the_inversion_count():
