@@ -27,7 +27,7 @@ from operator import add, eq, itemgetter, mul, sub
 from .errors import InternalInconsistencyError
 from .exact_linalg import EchelonBasis, RationalMatrix, Vec
 from .free_lie import GradedDims
-from .quad_lie import LiePresentation, beta_matrix, wedge2_index, wedge2_pairs
+from .quad_lie import LiePresentation, wedge2_index, wedge2_pairs
 
 # a symbol term (i, k, c): multiply by x_i (or by 1 when i is None), land on
 # target generator k with integer coefficient c, over the block's den
@@ -279,24 +279,23 @@ class GradedMap:
 # the standard maps
 # ---------------------------------------------------------------------------
 
-def _cyclic_sum(n: int, columns, target_dim: int, den: int = 1) -> GradedMap:
-    """Sym (x) wedge^3 V -> Sym (x) W,
-    a^b^c |-> a (x) f(b^c) - b (x) f(a^c) + c (x) f(a^b),
-    for f = F / den: wedge^2 V -> W given by the integer columns of F:
-    columns[k] lists the sorted (row, coefficient) pairs of F on the k-th
-    pair of wedge2_pairs(n).  The symbol is that of F, over den, built per
-    triple on first read (CyclicSumSymbol), and the weight of a generator
-    comes from its triple, certified once on F.
-    """
+def quotient_cyclic_sum(n: int, span: EchelonBasis) -> GradedMap:
+    """Sym (x) wedge^3 V -> Sym (x) wedge^2 V / span,
+    a^b^c |-> a (x) [b^c] - b (x) [a^c] + c (x) [a^b], the one builder of a
+    cyclic sum.  The symbol holds the integer columns of the quotient map
+    span.quotient(C(n, 2)), over its den, built per triple on first read
+    (CyclicSumSymbol); a generator's weight is its triple's, certified once
+    on those columns."""
+    beta = span.quotient(comb(n, 2))
+    columns = [sorted(c.items()) for c in beta.numerator_columns()]
     symbol = CyclicSumSymbol(n, columns)
-    return GradedMap(n, target_dim, (SymbolBlock("wedge3", 1, symbol, den),))
+    return GradedMap(n, beta.rows, (SymbolBlock("wedge3", 1, symbol, beta.den),))
 
 
 def delta3(n: int) -> GradedMap:
     """The cyclic-sum map Sym (x) wedge^3 V -> Sym (x) wedge^2 V:
-    a^b^c |-> a (x) b^c + b (x) c^a + c (x) a^b."""
-    dim = comb(n, 2)
-    return _cyclic_sum(n, [((k, 1),) for k in range(dim)], dim)
+    a^b^c |-> a (x) b^c + b (x) c^a + c (x) a^b, the quotient by nothing."""
+    return quotient_cyclic_sum(n, EchelonBasis())
 
 
 def _relation_block(p: LiePresentation) -> SymbolBlock:
@@ -317,12 +316,9 @@ def nabla(p: LiePresentation) -> GradedMap:
 
 
 def nabla_bar(p: LiePresentation) -> GradedMap:
-    """The simplified presentation: the cyclic sum composed with the
-    bracket projection beta onto G_2, target Sym (x) G_2.  The symbol holds
-    beta's integer numerators, over beta's denominator."""
-    beta = beta_matrix(p)
-    columns = [sorted(c.items()) for c in beta.numerator_columns()]
-    return _cyclic_sum(p.dim_v, columns, beta.rows, beta.den)
+    """The simplified presentation: the cyclic sum into Sym (x) G_2,
+    G_2 = wedge^2 V / R, the quotient by p.relation_span()."""
+    return quotient_cyclic_sum(p.dim_v, p.relation_span())
 
 
 # ---------------------------------------------------------------------------

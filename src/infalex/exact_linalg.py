@@ -4,9 +4,9 @@ Everything here is exact: scalars are ``fractions.Fraction`` or
 :class:`CyclotomicScalar`, an integer vector modulo Phi_m over one
 denominator whose arithmetic runs on ints.  A :class:`RationalMatrix` holds
 rationals only, stored the same way, as a sparse dict of integer numerators
-over one positive denominator in lowest terms: its products and sums run on
-ints and divide once.  Q(zeta_m) lives in scalars, sparse vectors and the
-rows of an :class:`EchelonBasis`.
+over one positive denominator in lowest terms: its products run on ints and
+divide once.  Q(zeta_m) lives in scalars, sparse vectors and the rows of an
+:class:`EchelonBasis`.
 Elimination over Q is fraction-free: rows are primitive integer vectors,
 and a pivot is cleared by integer multiples of both rows (Bareiss, Math.
 Comp. 22, 1968), so ``reduce`` returns the remainder only up to a
@@ -555,9 +555,9 @@ class RationalMatrix:
 
     num maps (i, j) to a nonzero int and den > 0, in lowest terms
     (gcd(den, *num) == 1), so equal matrices are stored alike.  Products
-    and sums run on the numerators and divide once, by one gcd; ``entries``
-    is read out as ``Fraction``s.  A matrix over Q(zeta_m) is a list of
-    sparse columns, ranked by ``echelon_basis``.
+    run on the numerators and divide once, by one gcd; ``entries`` is read
+    out as ``Fraction``s.  A matrix over Q(zeta_m) is a list of sparse
+    columns, ranked by ``echelon_basis``.
     """
 
     __slots__ = ("rows", "cols", "num", "den", "_columns", "_span")
@@ -658,23 +658,6 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, nnz={len(self.num)})"
 
     # -- arithmetic --------------------------------------------------------------
-
-    def _plus(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
-        """self + sign * other over the lcm of the two denominators."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        d, e = self.den, other.den
-        g = gcd(d, e)
-        u, v = e // g, d // g          # d * u = e * v = lcm(d, e)
-        num = dict(self.num) if u == 1 else {k: x * u for k, x in self.num.items()}
-        axpy(num, sign * v, other.num)
-        return RationalMatrix.from_integers(self.rows, self.cols, num, d * u)
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._plus(other, -1)
 
     def matvec(self, v: Mapping) -> Vec:
         """self applied to v, summed over the numerator columns and divided

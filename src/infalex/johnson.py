@@ -17,16 +17,17 @@ Ingredients, all exact:
   cokernel plus one trivial summand in degree zero is the module M.
 
 The kernel of wedge^2 V ->> Q is R (+) C z whichever equivariant surjection
-is used, so coker(q) does not depend on the coordinates chosen on Q; q
-uses those of quad_lie.beta_matrix.  Instantiated matrices of q are
+is used, so coker(q) does not depend on the coordinates chosen on Q; q is
+read off the span of R + C z alone (alex_module.quotient_cyclic_sum), and no
+presentation of L(V)/(R + C z) is built.  Instantiated matrices of q are
 equivariant, hence block diagonal over weights, and the rank of a weight
 block depends only on the Weyl orbit of its weight: once the sp(2g)
 invariance of R + C z is certified (from the highest-weight vectors of its
 constituents, their Weyl dimensions and the g lowering operators; see
 certify_invariance), one dominant block per orbit is ranked,
 which is what makes genus 4 affordable.  The generator a0 ^ a1 ^ a2 of q
-has the weight of its triple, w_0 + w_1 + w_2, certified once on beta
-(every row of the column of beta on a pair has the pair's weight), so the
+has the weight of its triple, w_0 + w_1 + w_2, certified once on the
+quotient map (every row of its column on a pair has the pair's weight), so the
 blocks are counted and formed from weights alone, and the symbol of a
 triple is built on its first read: a run builds only the symbols of the
 dominant blocks it ranks.  Results for g < 6 are linear algebra facts
@@ -40,11 +41,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add
 
-from .alex_module import GradedMap, coker_dims, nabla_bar
+from .alex_module import GradedMap, coker_dims, quotient_cyclic_sum
 from .errors import BudgetExceededError, InternalInconsistencyError
-from .exact_linalg import Vec, act_vec, axpy, echelon_basis
+from .exact_linalg import EchelonBasis, Vec, act_vec, axpy, echelon_basis
 from .free_lie import basis_bracket
-from .quad_lie import LiePresentation, quotient_pairs, wedge2_pairs
+from .quad_lie import wedge2_pairs
 from .rep_semisimple import (HighestWeight, LieAlgebraSpec, casimir_blocks,
                              casimir_eigenvalue, fundamental_module,
                              highest_weight_vectors, wedge_power, weyl_dim,
@@ -144,27 +145,25 @@ class JohnsonContext:
     # -- the map q ---------------------------------------------------------------
 
     @cached_property
-    def presentation_with_z(self) -> LiePresentation:
-        """L(V) modulo (R + C z); its G_2 is Q."""
-        rels = [{self.pairs[k]: c for k, c in v.items()}
-                for v in self.r_basis + [self.z_vec]]
-        return LiePresentation.make(self.V.dimension, rels)
+    def rz_span(self) -> EchelonBasis:
+        """The echelonized span of R + C z: Q = wedge^2 V / rz_span, read by
+        q, its weights and the invariance certificate."""
+        return echelon_basis(self.r_basis + [self.z_vec])
 
     def q_map(self) -> GradedMap:
         """nabla-bar of L(V)/(R + C z): the cyclic sum into Sym (x) Q, made
-        on the first call and kept with the context.  Its symbol holds the
-        columns of beta and builds the terms of a triple on first read."""
+        on the first call and kept with the context."""
         if self._q_map is None:
-            self._q_map = nabla_bar(self.presentation_with_z)
+            self._q_map = quotient_cyclic_sum(self.V.dimension, self.rz_span)
         return self._q_map
 
     def weight_data(self):
         """The (base, target) weights of q_map() for coker_dims.
 
-        The target weights are those of the pair positions that survive the
-        echelonized R + C z, which index the rows of beta.
+        The target weights are those of the pairs that rz_span leaves free,
+        which index the rows of q's target.
         """
-        kept = quotient_pairs(self.presentation_with_z)
+        kept = self.rz_span.free(len(self.pairs))
         return self.V.weights, tuple(self.W2.weights[k] for k in kept)
 
     def certify_invariance(self):
@@ -188,7 +187,7 @@ class JohnsonContext:
         sp(2g)-equivariant, the weight multiplicities of its image are Weyl
         invariant, and coker_dims may rank one bucket per orbit.
         """
-        span = self.presentation_with_z.relation_span()
+        span = self.rz_span
         others = [(hw, v) for hw, v in self.constituents if hw != self.hw_two_l2]
         expected = sum(weyl_dim(self.spec, hw) for hw, _v in others)
         if span.rank != expected:

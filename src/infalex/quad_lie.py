@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import documents
-from .exact_linalg import ZERO, EchelonBasis, RationalMatrix, Vec, _to_fraction, echelon_basis
+from .exact_linalg import ZERO, EchelonBasis, Vec, _to_fraction, echelon_basis
 from .free_lie import _lyndon_words_cached, ad_generator_matrix, basis_bracket, lyndon_index
 
 Pair = tuple[int, int]
@@ -99,7 +99,8 @@ class LiePresentation:
 
     def relation_span(self) -> EchelonBasis:
         """The echelonized span of R, which is also ideal(R)_2; make() keeps
-        the one it builds."""
+        the one it builds.  G_2 = wedge^2 V / R is read off it: its free
+        pairs index a basis, and its quotient map is nabla-bar's beta."""
         eb = self._cache.get(("ideal", 2))
         if eb is None:
             eb = self._cache[("ideal", 2)] = echelon_basis(self.relations)
@@ -137,23 +138,6 @@ def _ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
         eb = echelon_basis(m.matvec(v) for m in ads for v in prev.rows.values())
     p._cache[key] = eb
     return eb
-
-
-def quotient_pairs(p: LiePresentation) -> dict[int, int]:
-    """Pair positions whose classes form the basis of G_2 = wedge^2 V / R,
-    each mapped to its row of beta_matrix(p)."""
-    return p.relation_span().free(len(wedge2_pairs(p.dim_v)))
-
-
-def beta_matrix(p: LiePresentation) -> RationalMatrix:
-    """The surjection wedge^2 V -> G_2 = wedge^2 V / R, kernel exactly R.
-
-    Rows are indexed by quotient_pairs(p), so the matrix reads off canonical
-    quotient coordinates.
-    """
-    span = p.relation_span()
-    total = len(wedge2_pairs(p.dim_v))
-    return span.quotient(total)
 
 
 # ---------------------------------------------------------------------------

@@ -10,20 +10,23 @@ sl_n that the Chen ranks are checked against, the Fraction-valued
 references that the integer kernels of rep_semisimple are
 checked against, the Koszul differential and the composed nabla-bar that
 the one-pass cyclic sum of infalex.alex_module is checked against, the
-one-vector-at-a-time read-outs that EchelonBasis.quotient and
-EchelonBasis.kernel are checked against, the input lift with no all-int
-shortcut and the reduction that finds its pivots by set algebra that
-EchelonBasis is checked against, the Fraction arithmetic in
-Q[x]/Phi_m that the integer CyclotomicScalar is checked against, the
+presentation route to G_2 = wedge^2 V / R (beta_matrix, quotient_pairs and
+L(V)/(R + C z) made by LiePresentation.make) that the Johnson map read off
+the span of R + C z is checked against, the one-vector-at-a-time read-outs
+that EchelonBasis.quotient and EchelonBasis.kernel are checked against, the
+input lift with no all-int shortcut and the reduction that finds its pivots
+by set algebra that EchelonBasis is checked against, the Fraction arithmetic
+in Q[x]/Phi_m that the integer CyclotomicScalar is checked against, the
 quotient-algebra dimensions, the ideal eliminated with no filled-degree
 shortcut and the all-pairs bracket quotient that infalex.quad_lie is
 checked against, the Fraction loops that the integer RationalMatrix is
-checked against, the scaling of a RationalMatrix by a rational, the plain
-I-adic filtration that the step-ordered nilpotence test is checked against,
-the annihilator exponent on the Sym side that the exp/log transport is
-checked against, the group-ring Fox derivative that the one-pass Alexander
-matrix of infalex.fox_alex is checked against, and the generic rank over
-Q(t_1..t_n) that bounds the special ranks of infalex.fox_alex."""
+checked against, the scaling of a RationalMatrix by a rational and the sum
+of two, the plain I-adic filtration that the step-ordered nilpotence test
+is checked against, the annihilator exponent on the Sym side that the
+exp/log transport is checked against, the group-ring Fox derivative that the
+one-pass Alexander matrix of infalex.fox_alex is checked against, and the
+generic rank over Q(t_1..t_n) that bounds the special ranks of
+infalex.fox_alex."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +43,7 @@ from infalex.fox_alex import LaurentMatrix, LaurentPoly, free_reduce
 from infalex.free_lie import (GradedDims, _lyndon_words_cached, ad_generator_matrix,
                               basis_bracket, lyndon_index)
 from infalex.nilpotent_transport import FinDimSymModule
-from infalex.quad_lie import LiePresentation, _ideal_echelon, beta_matrix
+from infalex.quad_lie import LiePresentation, _ideal_echelon, wedge2_pairs
 from infalex.rep_semisimple import (HighestWeight, WeightModule, _algebra_basis,
                                     _dense_block_polynomial, _dual_coefficients,
                                     casimir_blocks, casimir_eigenvalue,
@@ -124,7 +127,7 @@ def simple_root_invariance(ctx) -> bool:
     operators, which together generate sp(2g), must map every vector of
     R + C z into its span.  JohnsonContext.certify_invariance reaches its
     verdict from the highest-weight vectors and the g lowering operators."""
-    span = ctx.presentation_with_z.relation_span()
+    span = ctx.rz_span
     labels = ctx.spec.raising_labels() + ctx.spec.lowering_labels()
     return all(span.contains(act_vec(ctx.W2.actions[label], v))
                for label in labels for v in ctx.r_basis + [ctx.z_vec])
@@ -185,7 +188,7 @@ def casimir_matrix(m: WeightModule) -> RationalMatrix:
 def shifted_block(block: RationalMatrix, c) -> RationalMatrix:
     """The square block minus c * I.  Part of the test oracle
     casimir_eigenspace."""
-    return block - scale(RationalMatrix.identity(block.rows), c)
+    return matrix_sum(block, scale(RationalMatrix.identity(block.rows), c), -1)
 
 
 def isotypic_projection(m: WeightModule, hw: HighestWeight, *,
@@ -274,6 +277,31 @@ def all_blocks_highest_weight_vectors(m: WeightModule) -> list[tuple[HighestWeig
     return [(spec.fundamental_from_weight(w), v)
             for w, idx in sorted(m.weight_decomposition().items(), reverse=True)
             for v in _joint_kernel(m, spec.raising_labels(), idx)]
+
+
+# -- the presentation route to G_2 = wedge^2 V / R ---------------------------------
+
+def quotient_pairs(p: LiePresentation) -> dict[int, int]:
+    """Pair positions whose classes form the basis of G_2 = wedge^2 V / R,
+    each mapped to its row of beta_matrix(p)."""
+    return p.relation_span().free(len(wedge2_pairs(p.dim_v)))
+
+
+def beta_matrix(p: LiePresentation) -> RationalMatrix:
+    """The surjection wedge^2 V -> G_2 = wedge^2 V / R, kernel exactly R,
+    rows indexed by quotient_pairs(p): the matrix whose integer columns
+    nabla_bar(p) reads."""
+    return p.relation_span().quotient(len(wedge2_pairs(p.dim_v)))
+
+
+def presentation_with_z(ctx) -> LiePresentation:
+    """L(V) modulo (R + C z) of a JohnsonContext, through
+    LiePresentation.make from pair-keyed relations; its G_2 is Q.  Test
+    oracle: the presentation route that ctx.q_map() and ctx.weight_data(),
+    read off ctx.rz_span alone, are checked against, and the input of the
+    nabla and bb_direct cross-checks of coker(q)."""
+    rels = [{ctx.pairs[k]: c for k, c in v.items()} for v in ctx.r_basis + [ctx.z_vec]]
+    return LiePresentation.make(ctx.V.dimension, rels)
 
 
 # -- the Koszul differential and the composed reference for nabla-bar ----------
@@ -822,6 +850,19 @@ def fraction_add(a: RationalMatrix, b: RationalMatrix) -> dict:
     entries = dict(a.entries)
     axpy(entries, 1, b.entries)
     return entries
+
+
+def matrix_sum(a: RationalMatrix, b: RationalMatrix, sign: int = 1) -> RationalMatrix:
+    """a + sign * b over the lcm of the two denominators, on the integer
+    numerators: b's added into a copy of a's, each brought over the lcm."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    d, e = a.den, b.den
+    g = gcd(d, e)
+    u, v = e // g, d // g          # d * u = e * v = lcm(d, e)
+    num = dict(a.num) if u == 1 else {k: x * u for k, x in a.num.items()}
+    axpy(num, sign * v, b.num)
+    return RationalMatrix.from_integers(a.rows, a.cols, num, d * u)
 
 
 def scale(m: RationalMatrix, c) -> RationalMatrix:

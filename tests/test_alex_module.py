@@ -5,17 +5,16 @@ from operator import add
 
 import pytest
 
-from infalex.alex_module import (GradedMap, SymbolBlock, coker_dims, delta3,
+from infalex.alex_module import (CyclicSumSymbol, GradedMap, SymbolBlock, coker_dims, delta3,
                                  monomial_index, monomials, nabla, nabla_bar, sym_dim,
                                  coker_multiplication_action)
 from infalex.errors import InternalInconsistencyError
-from infalex.exact_linalg import RationalMatrix
-from infalex.quad_lie import (LiePresentation, bb_direct, beta_matrix, quotient_pairs,
-                              wedge2_pairs)
+from infalex.exact_linalg import EchelonBasis, RationalMatrix
+from infalex.quad_lie import LiePresentation, bb_direct, wedge2_pairs
 from infalex.rep_semisimple import LieAlgebraSpec
 
-from module_builders import (composed_nabla_bar, fraction_columns, generator_weights,
-                             koszul_map, weight_buckets)
+from module_builders import (beta_matrix, composed_nabla_bar, fraction_columns,
+                             generator_weights, koszul_map, quotient_pairs, weight_buckets)
 
 
 def full_relations(n):
@@ -55,6 +54,26 @@ def test_delta3_is_the_koszul_differential(n):
     # the cyclic sum on unit columns against the general Koszul formula: the
     # same symbol tuples, term order and coefficients
     assert delta3(n) == koszul_map(n, 3)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_quotient_by_the_empty_span_is_the_identity(n):
+    # delta3 is the cyclic sum into wedge^2 V modulo nothing
+    q = EchelonBasis().quotient(n)
+    assert q == RationalMatrix.identity(n) and q.den == 1
+    assert list(q.num.items()) == [((k, k), 1) for k in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_delta3_is_the_cyclic_sum_on_unit_columns(n):
+    # the unit column of each pair over den 1, written out; n = 1 and 2
+    # have no triple
+    unit = CyclicSumSymbol(n, [((k, 1),) for k in range(comb(n, 2))])
+    gm = delta3(n)
+    (block,) = gm.blocks
+    assert block.symbol.columns == unit.columns and block.den == 1
+    assert len(unit) == comb(n, 3) and tuple(block.symbol) == tuple(unit)
+    assert gm == GradedMap(n, comb(n, 2), (SymbolBlock("wedge3", 1, unit),))
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

@@ -569,6 +569,34 @@ def test_package_has_no_unused_imports():
     assert not unused, unused
 
 
+def test_package_defines_no_function_it_never_names():
+    # every function and method of the package but a dunder is named, as a
+    # bare name or an attribute, somewhere in src/infalex outside its own
+    # def: code that neither the package nor the CLI calls does not stay in
+    # src/.  A documented test oracle that the package never names would be
+    # listed in oracles; none is today.  A name shared by two definitions
+    # counts for both
+    import ast
+    import pathlib
+    from collections import Counter
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "infalex"
+    oracles: set[str] = set()
+
+    def named(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    trees = [(path, ast.parse(path.read_text(), str(path))) for path in sorted(src.glob("*.py"))]
+    uses = Counter(name for _path, tree in trees for name in named(tree))
+    unnamed = [f"{path.name}:{node.lineno}: {node.name}" for path, tree in trees
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))
+               and node.name not in oracles
+               and uses[node.name] == named(node).count(node.name)]
+    assert not unnamed, unnamed
+
+
 def test_package_caches_are_bounded():
     # every lru_cache of the package, at module level or on a class, has a
     # maxsize: a long-lived caller must not grow one without limit

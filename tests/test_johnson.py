@@ -11,6 +11,7 @@ import pytest
 from infalex import johnson
 from infalex.alex_module import (_generators_by_weight, coker_dims, monomial_index,
                                  monomials, nabla, nabla_bar)
+from infalex.cli import main
 from infalex.errors import BudgetExceededError, InternalInconsistencyError
 from infalex.exact_linalg import EchelonBasis
 from infalex.free_lie import ad_generator_matrix
@@ -22,6 +23,7 @@ from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec, casi
 
 from module_builders import (composed_nabla_bar, equivariance_defect, fraction_columns,
                              generator_weights, isotypic_projection, lowest_weight_vectors,
+                             matrix_sum, presentation_with_z, quotient_pairs,
                              simple_root_invariance, span_closure, weight_buckets,
                              weyl_orbit)
 
@@ -95,7 +97,36 @@ def test_johnson_dims_g3():
 @pytest.mark.parametrize("g", [3, 4])
 def test_q_map_matches_composed_nabla_bar(g):
     ctx = johnson_context(g)
-    assert ctx.q_map() == composed_nabla_bar(ctx.presentation_with_z)
+    assert ctx.q_map() == composed_nabla_bar(presentation_with_z(ctx))
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_q_map_and_weights_match_the_presentation_route(g):
+    # q and its target weights are read off the span of R + C z alone; the
+    # presentation L(V)/(R + C z) made from pair-keyed relations, its
+    # nabla-bar and its free pairs give the same symbol and weights
+    ctx = johnson_context(g)
+    pres = presentation_with_z(ctx)
+    assert ctx.q_map() == nabla_bar(pres)
+    base_w, target_w = ctx.weight_data()
+    assert base_w == ctx.V.weights
+    assert target_w == tuple(ctx.W2.weights[k] for k in quotient_pairs(pres))
+    assert len(target_w) == ctx.q_dim == ctx.q_map().target_dim
+
+
+@pytest.mark.parametrize("g,degree", [(3, 2), (4, 1)])
+def test_johnson_and_decompose_runs_build_no_lie_presentation(capsys, monkeypatch,
+                                                              fresh_contexts, g, degree):
+    # the Johnson path reads R + C z as a span: no L(V)/(R + C z) is made
+    def refused(dim_v, relations):
+        raise AssertionError("LiePresentation.make called on the Johnson path")
+
+    monkeypatch.setattr(LiePresentation, "make", staticmethod(refused))
+    decompose = ["decompose", "--genus", str(g)] + (["--central-z"] if g == 3 else [])
+    assert main(decompose) == 0
+    assert main(["johnson", "--genus", str(g), "--max-degree", str(degree)]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["coker_q"] == {3: [90, 896, 5355], 4: [308, 1232]}[g]
 
 
 def test_weighted_rank_matches_plain_instantiation_g3():
@@ -110,7 +141,7 @@ def test_coker_q_matches_presentation_route_g3():
     # q is nabla-bar of the presentation with relations R + C z; nabla
     # presents the same invariant on Sym (x) wedge^2 V without beta
     ctx = johnson_context(3)
-    pres = ctx.presentation_with_z
+    pres = presentation_with_z(ctx)
     assert pres.dim_v == 14
     assert pres.num_relations() == 1     # R = 0 at genus 3, only z
     nb = nabla(pres)
@@ -132,14 +163,14 @@ def test_r_basis_is_kernel_of_oracle_projections_g4():
     kw = {"blocks": casimir_blocks(ctx.W2), "constituents": highest_weight_vectors(ctx.W2)}
     p_q = isotypic_projection(ctx.W2, ctx.hw_two_l2, **kw)
     p_z = isotypic_projection(ctx.W2, ctx.hw_zero, **kw)
-    kernel = (p_q + p_z).kernel_basis()
+    kernel = matrix_sum(p_q, p_z).kernel_basis()
     assert ({frozenset(v.items()) for v in ctx.r_basis}
             == {frozenset(v.items()) for v in kernel})
     assert len(kernel) == ctx.r_dim == 819
     # the projection onto Q kills every relation of L(V)/(R + C z), and z
     # is fixed by its own projection
     q_cols, z_cols = fraction_columns(p_q), fraction_columns(p_z)
-    for v in ctx.presentation_with_z.relations:
+    for v in presentation_with_z(ctx).relations:
         assert act_vec(q_cols, v) == {}
     assert act_vec(z_cols, ctx.z_vec) == ctx.z_vec
 
@@ -164,7 +195,7 @@ def test_coker_q_degree1_matches_bb_direct_g3():
     # generators modulo the single relation z, so the degree-1 value is
     # dim L_3(C^14) - rank [z, V] = 910 - 14
     ctx = johnson_context(3)
-    pres = ctx.presentation_with_z
+    pres = presentation_with_z(ctx)
     dim, _basis = bb_direct(pres, 1)
     rep = johnson_module_dims(3, 1)
     assert rep.coker_q[1] == dim == 896
@@ -173,7 +204,7 @@ def test_coker_q_degree1_matches_bb_direct_g3():
 @pytest.mark.slow
 def test_coker_q_degree2_matches_bb_direct_g3():
     ctx = johnson_context(3)
-    pres = ctx.presentation_with_z
+    pres = presentation_with_z(ctx)
     dim, _basis = bb_direct(pres, 2)
     rep = johnson_module_dims(3, 2)
     assert rep.coker_q == (90, 896, 5355)
@@ -330,7 +361,7 @@ def test_coker_q_matches_presentation_route_g4():
     # the unweighted oracle: plain elimination of the full degree-1 matrix
     # of q = nabla-bar(L(V)/(R + C z)), against its weighted block ranks
     ctx = johnson_context(4)
-    pres = ctx.presentation_with_z
+    pres = presentation_with_z(ctx)
     assert pres.num_relations() == 820
     dims_pres = coker_dims(nabla_bar(pres), 1)
     rep = johnson_module_dims(4, 1)
@@ -343,7 +374,7 @@ def test_coker_q_matches_nabla_route_g4():
     # targets Sym (x) wedge^2 V, so it never uses beta; it is equivariant
     # too, since its relations are weight vectors
     ctx = johnson_context(4)
-    pres = ctx.presentation_with_z
+    pres = presentation_with_z(ctx)
     dims_nabla = coker_dims(nabla(pres), 1, weights=(ctx.V.weights, ctx.W2.weights))
     assert tuple(dims_nabla.dims) == johnson_module_dims(4, 1).coker_q
 
@@ -453,7 +484,6 @@ def test_orbit_route_at_g5_with_uneven_zero_columns(capsys, fresh_contexts):
     # orbit while target rows do not.  One context, built in an emptied cache
     # and dropped after the test, and the map q it keeps serve the pins and
     # the CLI run
-    from infalex.cli import main
     ctx = johnson_context(5)
     assert (ctx.V.dimension, ctx.r_dim, ctx.q_dim) == (110, 5214, 780)
     assert ctx.q_dim == weyl_dim(ctx.spec, ctx.hw_two_l2)
@@ -558,7 +588,7 @@ def test_invariance_certificate_refuses_an_r_stable_under_all_but_one_lowering_o
     kept = [v for v in ctx.r_basis if ctx.W2.weights[next(iter(v))] != mu]
     assert len(kept) == len(ctx.r_basis) - 1
     ctx.r_basis = kept + [_q_lowest_weight_vector(ctx)]
-    span = ctx.presentation_with_z.relation_span()
+    span = ctx.rz_span
     assert span.rank == ctx.r_dim + 1
     label = spec.lowering_labels()[i]
     for other in spec.lowering_labels():

@@ -92,7 +92,7 @@ def _certificate_without(fact, left_out=None):
     "rank" (a), "highest-weight" (b), or the lowering operator left_out
     from (c)."""
     def mutant(self):
-        span = self.presentation_with_z.relation_span()
+        span = self.rz_span
         others = [(hw, v) for hw, v in self.constituents if hw != self.hw_two_l2]
         if fact != "rank" and span.rank != sum(johnson.weyl_dim(self.spec, hw)
                                                 for hw, _v in others):
@@ -148,6 +148,50 @@ def test_one_lowering_operator_mutant_fails_the_traded_weight_vector_check(
     i = certificate_without_one_lowering_operator
     with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
         test_johnson.test_invariance_certificate_refuses_an_r_stable_under_all_but_one_lowering_operator(i)
+
+
+# -- the span of R + C z that q, its weights and the certificate read -------------
+
+@pytest.fixture
+def johnson_span_without_z(monkeypatch):
+    """The span that q is read off built from R alone, with no z."""
+    monkeypatch.setattr(JohnsonContext, "rz_span",
+                        property(lambda self: exact_linalg.echelon_basis(self.r_basis)))
+
+
+def test_z_free_span_mutant_fails_the_presentation_route_check(fresh_contexts,
+                                                                johnson_span_without_z):
+    with pytest.raises(AssertionError):
+        test_johnson.test_q_map_and_weights_match_the_presentation_route(3)
+
+
+def test_z_free_span_mutant_fails_the_rank_certificate(johnson_span_without_z):
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"not invariant: rank 819 against the 820 of its constituents"):
+        JohnsonContext(4).certify_invariance()
+
+
+@pytest.fixture
+def weights_off_the_free_pairs_of_r(monkeypatch):
+    """weight_data's target weights read off the pairs that R alone leaves
+    free, one more than the rows of q's target."""
+    def mutant(self):
+        kept = exact_linalg.echelon_basis(self.r_basis).free(len(self.pairs))
+        return self.V.weights, tuple(self.W2.weights[k] for k in kept)
+
+    monkeypatch.setattr(JohnsonContext, "weight_data", mutant)
+
+
+def test_r_free_pairs_mutant_fails_the_presentation_route_check(
+        fresh_contexts, weights_off_the_free_pairs_of_r):
+    with pytest.raises(AssertionError):
+        test_johnson.test_q_map_and_weights_match_the_presentation_route(4)
+
+
+def test_r_free_pairs_mutant_fails_the_weight_certificate(fresh_contexts,
+                                                          weights_off_the_free_pairs_of_r):
+    with pytest.raises(ValueError, match="not weight homogeneous of its triple's weight"):
+        johnson_module_dims(3, 1)
 
 
 # -- the weights of the orbit route ---------------------------------------------

@@ -6,10 +6,9 @@ import pytest
 
 from infalex.exact_linalg import RationalMatrix
 from infalex.free_lie import lyndon_words, witt_dims
-from infalex.quad_lie import (LiePresentation, _ideal_echelon, bb_direct, beta_matrix,
-                              wedge2_pairs)
+from infalex.quad_lie import LiePresentation, _ideal_echelon, bb_direct, wedge2_pairs
 
-from module_builders import all_pairs_bb_direct, graded_dims, plain_ideal_echelon
+from module_builders import all_pairs_bb_direct, beta_matrix, graded_dims, plain_ideal_echelon
 
 
 def full_relations(n):

@@ -17,7 +17,7 @@ from module_builders import (AmbiguousDecompositionError, all_blocks_highest_wei
                              casimir_eigenspace, casimir_matrix, chen_module_weight,
                              fraction_casimir_column, inversion_parity_and_target,
                              isotypic_projection, lowering_closure, matmul_block_polynomial,
-                             scale, sl_weyl_dim, span_closure, sym_power, tensor_product,
+                             matrix_sum, scale, sl_weyl_dim, span_closure, sym_power, tensor_product,
                              transpose, weyl_orbit)
 
 SP1 = LieAlgebraSpec(1)   # sp(2), which is sl(2)
@@ -40,7 +40,7 @@ def test_defining_matrices_form_the_algebra(spec):
     for _label, cols in basis:
         X = RationalMatrix(d, d, {(r, j): v for j, col in enumerate(cols)
                                   for r, v in col.items()})
-        assert transpose(X).matmul(J) + J.matmul(X) == RationalMatrix(d, d)
+        assert matrix_sum(transpose(X).matmul(J), J.matmul(X)) == RationalMatrix(d, d)
     # count = dimension of the algebra
     assert len(basis) == g * (2 * g + 1)
 
@@ -64,7 +64,7 @@ def test_cartan_relations_on_defining(spec):
                              for t in range(m.dimension)})
         for j, label in enumerate(raising):
             e = RationalMatrix.from_columns(m.actions[label], m.dimension)
-            commutator = hi.matmul(e) - e.matmul(hi)
+            commutator = matrix_sum(hi.matmul(e), e.matmul(hi), -1)
             # a_ij = <alpha_j, alpha_i^vee>; read alpha_j off any vector it moves
             aij = None
             for col in range(m.dimension):
