@@ -25,7 +25,7 @@ from math import comb, lcm
 from operator import add, eq, itemgetter, mul, sub
 
 from .errors import InternalInconsistencyError
-from .exact_linalg import EchelonBasis, RationalMatrix, Vec
+from .exact_linalg import EMPTY, EchelonBasis, RationalMatrix, Vec, echelon_basis
 from .free_lie import GradedDims
 from .quad_lie import LiePresentation, wedge2_index, wedge2_pairs
 
@@ -132,12 +132,14 @@ class CyclicSumSymbol(Sequence):
 
         The weights are certified once on f instead of read off each symbol:
         every row r of the column of f on the pair (b, c) must have the
-        weight w_b + w_c, else ValueError.  Then every term (a, r, x) of the
-        symbol of a^b^c lands on w_a + w_b + w_c, so each symbol is weight
-        homogeneous of its triple's weight.  The generators of a weight are
-        found by convolution, a beside the pairs (b, c) of weight w - w_a,
-        on the first call for that weight, and kept with the function; no
-        symbol is built.
+        weight w_b + w_c, else InternalInconsistencyError: f and the
+        weights are read off one module (JohnsonContext.weight_data on the
+        Johnson path), so a mismatch is no usage error.  Then every term
+        (a, r, x) of the symbol of a^b^c lands on w_a + w_b + w_c, so each
+        symbol is weight homogeneous of its triple's weight.  The
+        generators of a weight are found by convolution, a beside the pairs
+        (b, c) of weight w - w_a, on the first call for that weight, and
+        kept with the function; no symbol is built.
         """
         n, cols = self.n, self.columns
         if not self._len:
@@ -150,7 +152,7 @@ class CyclicSumSymbol(Sequence):
                 if tuple(target_weights[r]) != w:
                     j = next(j for j, t in enumerate(combinations(range(n), 3))
                              if b in t and c in t)
-                    raise ValueError(
+                    raise InternalInconsistencyError(
                         f"symbol of block {name} generator {j} is not weight homogeneous "
                         f"of its triple's weight: f on the pair ({b}, {c}) of weight {w} "
                         f"lands on row {r} of weight {tuple(target_weights[r])}")
@@ -217,15 +219,6 @@ class GradedMap:
     def target_dim_in_degree(self, q: int) -> int:
         return sym_dim(self.base_dim, q) * self.target_dim
 
-    def walk(self, q: int):
-        """The degree-q columns in matrix order, as (block index, monomial,
-        source generator): blocks in turn, then the monomials of
-        Sym_{q-shift}, then the generators of the block."""
-        for bi, block in enumerate(self.blocks):
-            for mono in monomials(self.base_dim, q - block.shift):
-                for j in range(len(block.symbol)):
-                    yield bi, mono, j
-
     def column(self, tgt_idx: dict, bi: int, mono: tuple[int, ...], j: int) -> Vec:
         """The column of source generator j of block bi at monomial mono,
         times the block's denominator (SymbolBlock.den): the int vector of
@@ -250,29 +243,66 @@ class GradedMap:
     def instantiate(self, q: int) -> RationalMatrix:
         """The exact matrix of the map in module degree q.
 
-        Rows: (monomial of Sym_q, target generator); columns: walk(q).  Each
-        block's columns are brought over the lcm of the block denominators.
+        Rows: (monomial of Sym_q, target generator).  Columns, keyed as
+        column() keys them: the blocks in turn, then the monomials of
+        Sym_{q-shift}, then the generators of the block.  Each block's
+        columns are brought over the lcm of the block denominators.  Each
+        column is built once and handed to the matrix as its numerator
+        column, num being filled in the same pass, so numerator_columns()
+        transposes nothing (RationalMatrix.from_integers).
         """
-        tgt_idx = monomial_index(self.base_dim, q)
+        n = self.base_dim
+        tgt_idx = monomial_index(n, q)
         den = lcm(*[b.den for b in self.blocks])
-        scales = [den // b.den for b in self.blocks]
-        keys = list(self.walk(q))
-        num = {}
-        for col, key in enumerate(keys):
-            s = scales[key[0]]
-            for row, c in self.column(tgt_idx, *key).items():
-                if c:
-                    num[(row, col)] = c * s
-        return RationalMatrix.from_integers(len(tgt_idx) * self.target_dim, len(keys), num, den)
+        num: dict = {}
+        columns: list = []
+        for bi, block in enumerate(self.blocks):
+            s = den // block.den
+            for mono in monomials(n, q - block.shift):
+                for j in range(len(block.symbol)):
+                    col = self.column(tgt_idx, bi, mono, j)
+                    if s != 1 or 0 in col.values():
+                        col = {row: c * s for row, c in col.items() if c}
+                    k = len(columns)
+                    for row, c in col.items():
+                        num[row, k] = c
+                    columns.append(col or EMPTY)
+        return RationalMatrix.from_integers(len(tgt_idx) * self.target_dim, len(columns), num,
+                                            den, columns)
 
     def matrix(self, q: int) -> RationalMatrix:
         """instantiate(q), built once per degree: coker_dims and
         coker_multiplication_action on one map share it, and so its column
-        span."""
+        span.  When the first block has shift 0, the span starts from that
+        block's columns, eliminated once and shifted (_leading_span), and
+        only the later blocks' columns are added to it."""
         m = self._matrices.get(q)
         if m is None:
             m = self._matrices[q] = self.instantiate(q)
+            if self.blocks and self.blocks[0].shift == 0:
+                m.seed_span(*self._leading_span(q, m.numerator_columns()))
         return m
+
+    def _leading_span(self, q: int, columns) -> tuple[EchelonBasis, int]:
+        """The echelon basis that adding the first block's degree-q columns
+        in order builds, and their count, for a first block of shift 0.
+
+        That block is I (x) A, block diagonal over the monomials of Sym_q:
+        monomial t fills rows t * target_dim to t * target_dim + target_dim
+        - 1 with the columns of A.  A column of monomial t holds no lead of
+        another monomial, so eliminating it meets only the rows of its own
+        monomial, and the rows stored for monomial t are those of monomial
+        0 shifted by t * target_dim, in the same key order.  So monomial
+        0's columns are added (EchelonBasis.add) and their rows copied for
+        every other t."""
+        width, count = len(self.blocks[0].symbol), sym_dim(self.base_dim, q)
+        span = echelon_basis(columns[:width])
+        first = [(lead, list(row.items())) for lead, row in span.rows.items()]
+        for t in range(1, count):
+            off = t * self.target_dim
+            for lead, items in first:
+                span.rows[lead + off] = {k + off: x for k, x in items}
+        return span, width * count
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +337,19 @@ def _relation_block(p: LiePresentation) -> SymbolBlock:
     return SymbolBlock("relations", 0, symbol, rels.den)
 
 
+# one entry per number of generators: a bb-direct run holds 2
+@lru_cache(maxsize=16)
+def _cyclic_block(n: int) -> SymbolBlock:
+    """delta3(n)'s block, shared by every nabla on n generators: its symbol
+    depends on n alone, so the terms of a triple are built once per n."""
+    return delta3(n).blocks[0]
+
+
 def nabla(p: LiePresentation) -> GradedMap:
     """Presentation map of the infinitesimal Alexander invariant:
     the inclusion of R plus the cyclic-sum block, target Sym (x) wedge^2 V."""
     n = p.dim_v
-    d3 = delta3(n)
-    return GradedMap(n, len(wedge2_pairs(n)), (_relation_block(p),) + d3.blocks)
+    return GradedMap(n, len(wedge2_pairs(n)), (_relation_block(p), _cyclic_block(n)))
 
 
 def nabla_bar(p: LiePresentation) -> GradedMap:
@@ -339,11 +376,11 @@ def _generators_by_weight(gm: GradedMap, base_weights, target_weights) -> list:
     a zero column and none.
 
     A cyclic-sum block gives each generator the weight of its triple,
-    certified once on f (CyclicSumSymbol.generators_by_weight), and builds
-    no symbol.  Any other block reads it off the symbol: every term
-    (x_i, e_k) of a generator must land on the same weight
-    target_weights[k] + base_weights[i] (x_i = 1 adds nothing), else
-    ValueError.  Block ranks rely on it.
+    certified once on f (CyclicSumSymbol.generators_by_weight, else
+    InternalInconsistencyError), and builds no symbol.  Any other block
+    reads it off the symbol: every term (x_i, e_k) of a generator must land
+    on the same weight target_weights[k] + base_weights[i] (x_i = 1 adds
+    nothing), else ValueError.  Block ranks rely on it.
     """
     out = []
     for block in gm.blocks:
@@ -381,9 +418,10 @@ def _by_weight(weighted) -> dict:
 
 
 def _bucket_keys(gm: GradedMap, mu, monomials_by_weight: dict, generators_by_weight: list):
-    """The degree-q columns of total weight mu, as walk(q) keys in walk
-    order (block, then monomial, then generator), formed by convolution:
-    each monomial of weight mw beside the generators of weight mu - mw.
+    """The degree-q columns of total weight mu, as column() keys in the
+    matrix's column order (block, then monomial, then generator), formed
+    by convolution: each monomial of weight mw beside the generators of
+    weight mu - mw.
 
     monomials_by_weight maps a block shift to _by_weight of the monomials of
     Sym_{q-shift}; generators_by_weight is _generators_by_weight of gm.  No
@@ -396,7 +434,7 @@ def _bucket_keys(gm: GradedMap, mu, monomials_by_weight: dict, generators_by_wei
             js = generators(_wdiff(mu, mw))
             if js:
                 found += [(mono, js) for mono in monos]
-        # monomials are exponent vectors, so their order is the walk's
+        # monomials are exponent vectors, so their order is the matrix's
         found.sort(key=itemgetter(0))
         for mono, js in found:
             for j in js:
@@ -457,9 +495,10 @@ def coker_dims(gm: GradedMap, max_degree: int, *, weights=None, weyl=None) -> Gr
 
     weights = (base, target) gives a weight per variable and per target
     generator of an equivariant map.  A generator of a cyclic-sum block has
-    the weight of its triple, certified once on the map f it is built from;
-    any other generator's weight is read off its symbol.  Either way a term
-    off its generator's weight raises ValueError.  Ranks are then computed
+    the weight of its triple, certified once on the map f it is built from,
+    and a row of f off its pair's weight raises InternalInconsistencyError;
+    any other generator's weight is read off its symbol, and a term off its
+    generator's weight raises ValueError.  Ranks are then computed
     per weight block, and only the symbols of the buckets ranked are built;
     the result is identical, the blocks are just small.  weyl = spec
     further ranks one block per Weyl orbit (see _weighted_rank); the caller

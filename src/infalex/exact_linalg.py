@@ -30,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -39,6 +40,7 @@ from . import documents
 ZERO = Fraction(0)
 ONE = Fraction(1)
 EMPTY: Mapping = MappingProxyType({})   # the one empty column, shared and read-only
+_INTS = frozenset((int,))   # _INTS.issuperset(map(type, xs)): all int, in one C-level scan
 
 
 def _to_fraction(x) -> Fraction:
@@ -346,11 +348,11 @@ def _lift(v: Mapping) -> Vec:
     copied as it is; a rational v is scaled to integers by the lcm of its
     denominators.  A vector with a cyclotomic entry is promoted to its
     Q(zeta_m)."""
+    if _INTS.issuperset(map(type, v.values())):
+        # both scans and the copy run in C when v has no zero
+        return {k: x for k, x in v.items() if x} if 0 in v.values() else dict(v)
     r = {k: x for k, x in v.items() if x}
-    kinds = set(map(type, r.values()))
-    if kinds <= {int}:
-        return r
-    if CyclotomicScalar in kinds:
+    if CyclotomicScalar in set(map(type, r.values())):
         order = next(x for x in r.values() if type(x) is CyclotomicScalar).order
         return {k: promote(x, order) for k, x in r.items()}
     d = lcm(*[x.denominator for x in r.values()])
@@ -539,8 +541,10 @@ class EchelonBasis:
         return out
 
 
-def echelon_basis(vectors: Iterable[Mapping]) -> EchelonBasis:
-    eb = EchelonBasis()
+def echelon_basis(vectors: Iterable[Mapping], eb: EchelonBasis | None = None) -> EchelonBasis:
+    """eb, or a new basis, grown by the vectors in order."""
+    if eb is None:
+        eb = EchelonBasis()
     for v in vectors:
         eb.add(v)
     return eb
@@ -560,7 +564,7 @@ class RationalMatrix:
     columns, ranked by ``echelon_basis``.
     """
 
-    __slots__ = ("rows", "cols", "num", "den", "_columns", "_span")
+    __slots__ = ("rows", "cols", "num", "den", "_columns", "_span", "_seed")
 
     def __init__(self, rows: int, cols: int, entries: Mapping | None = None):
         if rows < 0 or cols < 0:
@@ -578,22 +582,26 @@ class RationalMatrix:
         den = lcm(*{v.denominator for v in cleaned.values()})
         num = {k: v.numerator * (den // v.denominator) for k, v in cleaned.items()}
         self.rows, self.cols, self.num, self.den = rows, cols, num, den
-        self._columns = self._span = None   # built once, on first use
+        self._columns = self._span = self._seed = None   # built once, on first use
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def from_integers(rows: int, cols: int, num: dict, den: int = 1) -> "RationalMatrix":
+    def from_integers(rows: int, cols: int, num: dict, den: int = 1,
+                      columns: list | None = None) -> "RationalMatrix":
         """num / den for nonzero int numerators num {(i, j): int} inside the
         shape and den > 0, divided by gcd(den, *num); num is kept, not
-        copied."""
+        copied.  columns, when given, are the columns of num as
+        numerator_columns() lists them, built by the caller in the pass
+        that filled num: they are kept as they are when nothing is divided
+        out, and dropped otherwise, for numerator_columns to transpose."""
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
-                num, den = {k: x // g for k, x in num.items()}, den // g
+                num, den, columns = {k: x // g for k, x in num.items()}, den // g, None
         out = object.__new__(RationalMatrix)
         out.rows, out.cols, out.num, out.den = rows, cols, num, den
-        out._columns = out._span = None
+        out._columns, out._span, out._seed = columns, None, None
         return out
 
     @staticmethod
@@ -631,7 +639,9 @@ class RationalMatrix:
         by every caller: num never changes after construction, and no caller
         mutates the list or its vectors.  Every empty column is the one
         read-only ``EMPTY`` mapping, so a sparse matrix allocates only the
-        columns it fills."""
+        columns it fills.  A matrix built column by column (an instantiated
+        graded map, a product) is handed its columns by from_integers and
+        transposes nothing; any other transposes num on the first call."""
         if self._columns is None:
             out: list[Mapping] = [EMPTY] * self.cols
             for (i, j), x in self.num.items():
@@ -665,20 +675,31 @@ class RationalMatrix:
         every other product is read out as Fractions (act_vec leaves the
         int numerators of a column that v takes with coefficient 1)."""
         out = act_vec(self.numerator_columns(), v)
-        if self.den == 1 and all(type(x) is int for x in v.values()):
+        if self.den == 1 and _INTS.issuperset(map(type, v.values())):
             return out
         return self._fractions(out)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
+        """self * other, one column at a time: column j of the product is
+        self applied to column j of other (act_vec on the numerators), and
+        an empty column of other gives an empty one.  The product keeps the
+        columns it was built from (from_integers), so the next product with
+        it as the right factor, as a power series takes, transposes nothing
+        unless a common factor was divided out."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         left_cols = self.numerator_columns()
         num: dict = {}
+        columns: list[Mapping] = [EMPTY] * other.cols
         for j, col in enumerate(other.numerator_columns()):
             if col:   # an empty column of other is an empty column of the product
-                for i, x in act_vec(left_cols, col).items():
-                    num[(i, j)] = x
-        return RationalMatrix.from_integers(self.rows, other.cols, num, self.den * other.den)
+                out = act_vec(left_cols, col)
+                if out:
+                    columns[j] = out
+                    for i, x in out.items():
+                        num[i, j] = x
+        return RationalMatrix.from_integers(self.rows, other.cols, num, self.den * other.den,
+                                            columns)
 
     # -- rank / kernel / membership ------------------------------------------------
     # den * self has the rank, kernel and column span of self, so each of them
@@ -710,10 +731,22 @@ class RationalMatrix:
 
     def column_span(self) -> EchelonBasis:
         """The span of the columns, built once and shared with rank(): its
-        callers read it and add nothing to it."""
+        callers read it and add nothing to it.  The columns are added in
+        order, from a seed (seed_span) when one was given."""
         if self._span is None:
-            self._span = echelon_basis(self.numerator_columns())
+            span, count = self._seed or (None, 0)
+            self._span = echelon_basis(islice(self.numerator_columns(), count, None), span)
+            self._seed = None
         return self._span
+
+    def seed_span(self, span: EchelonBasis, count: int) -> None:
+        """Start column_span from span, which must be the basis that adding
+        the first count columns in order builds, rows and key order alike:
+        then only the later columns are added to it.  The caller vouches
+        for span (alex_module.GradedMap.matrix builds it by shifting); a
+        span already built is kept."""
+        if self._span is None:
+            self._seed = span, count
 
 
 def act_vec(cols: Sequence[Mapping], v: Mapping) -> Vec:

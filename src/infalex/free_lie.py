@@ -54,7 +54,15 @@ def _lyndon_words_cached(n: int, q: int) -> tuple[Word, ...]:
     return tuple(lyndon_words(n, q))
 
 
+# bb_direct and ad_generator_matrix ask for it on every call: the bb-direct
+# benchmark (n = 3 to degree 6, n = 4 to degree 4) holds 8 entries, and
+# acceptance criterion 3 (n = 2 to 4, degrees 2 to 6) 15.  An entry holds
+# every word of its degree, so a caller at large n indexes only the words
+# it needs
+@lru_cache(maxsize=32)
 def lyndon_index(n: int, q: int) -> dict[Word, int]:
+    """Lyndon word -> its index in _lyndon_words_cached(n, q), shared by
+    every caller, which only reads it."""
     return {w: i for i, w in enumerate(_lyndon_words_cached(n, q))}
 
 

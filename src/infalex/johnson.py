@@ -186,6 +186,10 @@ class JohnsonContext:
         Representation Theory, sections 20-21).  Then q is
         sp(2g)-equivariant, the weight multiplicities of its image are Weyl
         invariant, and coker_dims may rank one bucket per orbit.
+
+        Run after q_map(), as johnson_module_dims does, the memberships
+        meet the span that q's quotient inter-reduced, and each clears its
+        pivots in one pass.
         """
         span = self.rz_span
         others = [(hw, v) for hw, v in self.constituents if hw != self.hw_two_l2]
@@ -244,8 +248,9 @@ class JohnsonModuleReport:
 def johnson_module_dims(g: int, max_degree: int, *, allow_large: bool = False) -> JohnsonModuleReport:
     _check_budget(g, allow_large, max_degree=max_degree)
     ctx = johnson_context(g)
+    gm = ctx.q_map()   # first: its quotient inter-reduces the span the certificate reads
     ctx.certify_invariance()
-    dims = coker_dims(ctx.q_map(), max_degree, weights=ctx.weight_data(), weyl=ctx.spec)
+    dims = coker_dims(gm, max_degree, weights=ctx.weight_data(), weyl=ctx.spec)
     coker = tuple(dims.dims)
     m_dims = tuple(d + (1 if q == 0 else 0) for q, d in enumerate(coker))
     return JohnsonModuleReport(g, ctx.V.dimension, ctx.q_dim,

@@ -37,7 +37,8 @@ def wedge2_index(n: int) -> dict[Pair, int]:
 
 def _normalize_relation(n: int, idx: dict[Pair, int], rel: dict) -> Vec:
     """Relation vector keyed by wedge-pair index idx = wedge2_index(n),
-    entries exact.
+    entries exact: an int coefficient stays an int, so an all-int relation
+    enters the echelon basis as it is, and any other is a Fraction.
 
     Terms on the same pair are summed plainly; the echelon basis that
     receives the vector drops entries that cancel.
@@ -45,7 +46,8 @@ def _normalize_relation(n: int, idx: dict[Pair, int], rel: dict) -> Vec:
     out: Vec = {}
     for key, c in rel.items():
         i, j = key
-        c = _to_fraction(c)
+        if type(c) is not int:
+            c = _to_fraction(c)
         if not c:
             continue
         if i == j:
@@ -55,7 +57,7 @@ def _normalize_relation(n: int, idx: dict[Pair, int], rel: dict) -> Vec:
         k = idx.get((i, j))
         if k is None:
             raise ValueError(f"wedge pair ({i}, {j}) out of range for dim_v {n}")
-        out[k] = out.get(k, ZERO) + c
+        out[k] = out.get(k, 0) + c
     return out
 
 

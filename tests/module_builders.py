@@ -20,7 +20,9 @@ in Q[x]/Phi_m that the integer CyclotomicScalar is checked against, the
 quotient-algebra dimensions, the ideal eliminated with no filled-degree
 shortcut and the all-pairs bracket quotient that infalex.quad_lie is
 checked against, the Fraction loops that the integer RationalMatrix is
-checked against, the scaling of a RationalMatrix by a rational and the sum
+checked against, num transposed column by column that the columns an
+instantiated graded map or a product is handed are checked against, the
+column keys of a graded map in matrix order, the scaling of a RationalMatrix by a rational and the sum
 of two, the plain I-adic filtration that the step-ordered nilpotence test
 is checked against, the annihilator exponent on the Sym side that the
 exp/log transport is checked against, the group-ring Fox derivative that the
@@ -349,6 +351,16 @@ def composed_nabla_bar(p) -> GradedMap:
 
 # -- weights read off every symbol, and every weight bucket -------------------
 
+def column_keys(gm: GradedMap, q: int):
+    """The degree-q column keys (block index, monomial, source generator)
+    of gm in matrix order: blocks in turn, then the monomials of
+    Sym_{q-shift}, then the generators of the block."""
+    for bi, block in enumerate(gm.blocks):
+        for mono in monomials(gm.base_dim, q - block.shift):
+            for j in range(len(block.symbol)):
+                yield bi, mono, j
+
+
 def generator_weights(gm: GradedMap, base_weights, target_weights) -> list[list]:
     """The weight of each source generator, per block, read off its symbol:
     every term (x_i, e_k) must land on the same weight target_weights[k] +
@@ -372,18 +384,18 @@ def generator_weights(gm: GradedMap, base_weights, target_weights) -> list[list]
 
 
 def weight_buckets(gm: GradedMap, q: int, base_weights, generator_weights) -> dict:
-    """The degree-q columns grouped by total weight: weight -> walk(q) keys,
-    in walk order.  Generators without a weight have zero columns and join
-    none.
+    """The degree-q columns grouped by total weight: weight -> column_keys
+    of degree q, in matrix order.  Generators without a weight have zero
+    columns and join none.
 
-    Test oracle: lists every column key of the walk, where the weighted
+    Test oracle: lists every column key of the matrix, where the weighted
     rank forms only the buckets it ranks, by convolution."""
     per_coordinate = list(zip(*base_weights))
     mono_w = {mono: tuple(sum(map(mul, mono, ws)) for ws in per_coordinate)
               for shift in {b.shift for b in gm.blocks}
               for mono in monomials(gm.base_dim, q - shift)}
     buckets: dict[tuple, list] = {}
-    for key in gm.walk(q):
+    for key in column_keys(gm, q):
         bi, mono, j = key
         gw = generator_weights[bi][j]
         if gw is not None:
@@ -820,6 +832,17 @@ def transpose(m: RationalMatrix) -> RationalMatrix:
     """Test oracle: rank(m) == rank(transpose(m)) checks the echelon code on
     both orientations."""
     return RationalMatrix(m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()})
+
+
+def num_columns(m: RationalMatrix) -> list[list]:
+    """The columns of m's numerators transposed from num, each the list of
+    its (row, numerator) items in num's order: what numerator_columns() must
+    list, whether it transposed num or was handed the columns m was built
+    from."""
+    out: list[list] = [[] for _ in range(m.cols)]
+    for (i, j), x in m.num.items():
+        out[j].append((i, x))
+    return out
 
 
 def fraction_columns(m: RationalMatrix) -> list[Vec]:

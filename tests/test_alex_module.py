@@ -9,12 +9,13 @@ from infalex.alex_module import (CyclicSumSymbol, GradedMap, SymbolBlock, coker_
                                  monomial_index, monomials, nabla, nabla_bar, sym_dim,
                                  coker_multiplication_action)
 from infalex.errors import InternalInconsistencyError
-from infalex.exact_linalg import EchelonBasis, RationalMatrix
+from infalex.exact_linalg import EMPTY, EchelonBasis, RationalMatrix, echelon_basis
 from infalex.quad_lie import LiePresentation, bb_direct, wedge2_pairs
 from infalex.rep_semisimple import LieAlgebraSpec
 
-from module_builders import (beta_matrix, composed_nabla_bar, fraction_columns,
-                             generator_weights, koszul_map, quotient_pairs, weight_buckets)
+from module_builders import (beta_matrix, column_keys, composed_nabla_bar, fraction_columns,
+                             generator_weights, koszul_map, num_columns, quotient_pairs,
+                             weight_buckets)
 
 
 def full_relations(n):
@@ -136,6 +137,15 @@ def test_nabla_full_relations_degree0():
     assert coker_dims(nabla(p), 0)[0] == 0
 
 
+def test_nabla_maps_share_the_cyclic_block():
+    # the cyclic sum depends on n alone: every nabla on n generators reads
+    # one block, so the terms of a triple are built once per n
+    a = nabla(LiePresentation.make(4, [{(0, 1): 1}]))
+    b = nabla(LiePresentation.make(4, []))
+    assert a.blocks[1] is b.blocks[1] and a.blocks[1] == delta3(4).blocks[0]
+    assert nabla(LiePresentation.make(3, [])).blocks[1] == delta3(3).blocks[0]
+
+
 def test_nabla_free_equals_delta3():
     p = LiePresentation.make(3, [])
     gm, d3 = nabla(p), delta3(3)
@@ -195,6 +205,78 @@ def test_nabla_bar_full_relations_zero_target():
     assert nb.target_dim == 0
     for q in range(3):
         assert coker_dims(nb, q)[q] == 0
+
+
+def _span_rows(eb):
+    # the stored rows with their values and key order
+    return [(lead, list(row.items())) for lead, row in eb.rows.items()]
+
+
+def test_property_seeded_span_matches_plain_elimination():
+    # matrix(q) of nabla starts its span from the relation block, eliminated
+    # for monomial 0 and shifted for the others; nabla-bar takes the plain
+    # path.  Either way the rows, values and key order alike, are those that
+    # adding every column in order stores, on presentations with n <= 6 and
+    # up to 4 relations (none included), int or p/r coefficients, at q <= 3
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficient = st.one_of(st.just(0), st.integers(-2, 2),
+                            st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+    def presentations(n):
+        pairs = wedge2_pairs(n)
+        relation = st.lists(coefficient, min_size=len(pairs), max_size=len(pairs))
+        return st.lists(relation, max_size=4).map(lambda rels: LiePresentation.make(
+            n, [{pair: c for pair, c in zip(pairs, r) if c} for r in rels]))
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(1, 6).flatmap(presentations), st.integers(0, 3))
+    def check(p, q):
+        for gm in (nabla(p), nabla_bar(p)):
+            m = gm.matrix(q)
+            plain = echelon_basis(m.numerator_columns())
+            assert _span_rows(m.column_span()) == _span_rows(plain)
+            assert m.rank() == plain.rank
+
+    check()
+
+
+def test_relation_block_second_takes_the_plain_path(monkeypatch):
+    # the blocks of nabla in the other order: the matrix holds the same
+    # columns, so the same ranks, but its first block has shift 1, so no
+    # span is seeded
+    p = LiePresentation.make(4, [{(0, 1): 1, (2, 3): Fraction(-1, 2)}, {(0, 2): 2, (1, 3): 1}])
+    gm = nabla(p)
+    ranks = [gm.matrix(q).rank() for q in range(4)]
+    swapped = GradedMap(gm.base_dim, gm.target_dim, gm.blocks[::-1])
+    monkeypatch.setattr(GradedMap, "_leading_span",
+                        lambda self, q, columns: pytest.fail("a shift-1 first block seeded"))
+    for q in range(4):
+        m = swapped.matrix(q)
+        assert _span_rows(m.column_span()) == _span_rows(echelon_basis(m.numerator_columns()))
+        assert m.rank() == ranks[q]
+    assert coker_dims(swapped, 3).dims == coker_dims(gm, 3).dims
+
+
+@pytest.mark.parametrize("gm", [
+    nabla(LiePresentation.make(3, [{(0, 1): Fraction(1, 2), (1, 2): Fraction(-2, 3)}])),
+    nabla(LiePresentation.make(4, [])),
+    delta3(2),                                         # no triple: the zero map
+    nabla_bar(LiePresentation.make(3, [{(i, j): 1} for i in range(3)
+                                       for j in range(i + 1, 3)])),   # no target row
+    # an empty symbol and one whose terms cancel give empty columns
+    GradedMap(2, 2, (SymbolBlock("holes", 0, (((None, 0, 1), (None, 0, -1)), (),
+                                              ((None, 1, 2), (None, 0, 1)))),)),
+    # even numerators over den 2: from_integers divides, and transposes
+    GradedMap(2, 2, (SymbolBlock("even", 1, (((0, 0, 2), (1, 1, -4)),), 2),)),
+])
+def test_instantiated_columns_are_the_transpose_of_num(gm):
+    for q in range(3):
+        m = gm.instantiate(q)
+        cols = m.numerator_columns()
+        assert [list(c.items()) for c in cols] == num_columns(m)
+        assert all(c is EMPTY for c in cols if not c)
+        assert m.numerator_columns() is cols
 
 
 def test_zero_map_coker_is_target():
@@ -334,7 +416,7 @@ def test_weighted_rank_builds_only_the_symbols_it_ranks():
 def test_weight_homogeneity_violation_detected():
     # e0^e1^e2 |-> x0 e12 + x1 e20 + x2 e01 lands on weights 1, 2 and 4
     gm = delta3(3)
-    with pytest.raises(ValueError, match="block wedge3 generator 0"):
+    with pytest.raises(InternalInconsistencyError, match="block wedge3 generator 0"):
         coker_dims(gm, 2, weights=([(1,), (2,), (4,)], [(0,)] * gm.target_dim))
 
 
@@ -438,7 +520,7 @@ def test_instantiate_brings_blocks_over_one_denominator():
         m = gm.instantiate(q)
         expected = {}
         tgt_idx = monomial_index(3, q)
-        for col, (bi, mono, j) in enumerate(gm.walk(q)):
+        for col, (bi, mono, j) in enumerate(column_keys(gm, q)):
             for row, c in gm.column(tgt_idx, bi, mono, j).items():
                 if c:
                     expected[(row, col)] = Fraction(c, gm.blocks[bi].den)

@@ -613,8 +613,8 @@ def test_package_caches_are_bounded():
             for key, value in vars(holder).items():
                 if hasattr(value, "cache_info") and value.__module__ == module.__name__:
                     found[f"{info.name}.{key}"] = value.cache_info().maxsize
-    assert {"alex_module.monomials", "alex_module.monomial_index",
-            "free_lie._lyndon_words_cached", "free_lie.tensor_expansion",
+    assert {"alex_module.monomials", "alex_module.monomial_index", "alex_module._cyclic_block",
+            "free_lie._lyndon_words_cached", "free_lie.lyndon_index", "free_lie.tensor_expansion",
             "free_lie.basis_bracket", "free_lie.ad_generator_matrix"} <= found.keys()
     assert [name for name, maxsize in found.items() if maxsize is None] == []
 

@@ -14,7 +14,7 @@ from infalex.fox_alex import Character
 from infalex.quad_lie import LiePresentation
 
 from module_builders import (fraction_add, fraction_columns, fraction_matmul, fraction_matvec,
-                             fraction_scale, general_lift, kernel_column, matrix_sum,
+                             fraction_scale, general_lift, kernel_column, matrix_sum, num_columns,
                              oracle_add, oracle_inverse, oracle_mul, oracle_neg, oracle_pow,
                              oracle_repr, plain_reduce, reduced_coordinates, scale, transpose)
 
@@ -778,6 +778,21 @@ def test_numerator_columns_are_built_once_and_match_the_entries():
     assert cols == [{0: 2}, {}, {0: 1, 1: 6}]
 
 
+def test_product_columns_are_the_transpose_of_num():
+    # kept as built when nothing is divided out, transposed from the
+    # divided num when something is; empty columns are EMPTY either way
+    a = RationalMatrix.from_rows([[1, 0, 2], [0, 0, "1/2"]])       # den 2
+    b = RationalMatrix.from_rows([[1, 0, 0], [0, 0, 5], [1, 0, 0]])
+    kept, divided = a.matmul(b), a.matmul(RationalMatrix.from_rows([[2, 0], [0, 0], [0, 0]]))
+    assert (kept.den, divided.den) == (2, 1)
+    for m in (kept, divided, RationalMatrix(2, 3).matmul(b)):
+        cols = m.numerator_columns()
+        assert [list(col.items()) for col in cols] == num_columns(m)
+        assert all(col is exact_linalg.EMPTY for col in cols if not col)
+    assert kept.numerator_columns() == [{0: 6, 1: 1}, {}, {}]
+    assert divided.numerator_columns() == [{0: 2}, {}]
+
+
 def test_numerator_columns_share_one_read_only_empty_column():
     m = RationalMatrix.from_rows([[0, 1, 0, 0], [0, 2, 0, "1/3"]])
     cols = m.numerator_columns()
@@ -870,6 +885,10 @@ def test_property_integer_matrix_matches_fraction_loops():
         assert list(scale(a, s).entries.items()) == list(fraction_scale(a, s).items())
         for m in (a.matmul(b), matrix_sum(a, a2), matrix_sum(a, a2, -1), scale(a, s)):
             _assert_stored_in_lowest_terms(m)
+        # a product lists the columns it was built from, or transposes num
+        # when a common factor was divided out: either way num's columns
+        product = a.matmul(b)
+        assert [list(col.items()) for col in product.numerator_columns()] == num_columns(product)
         # equal matrices, however they were reached, hash equal
         twins = [RationalMatrix(r, k, a.entries), a.matmul(RationalMatrix.identity(k)),
                  matrix_sum(a, RationalMatrix(r, k)), scale(scale(a, 2), Fraction(1, 2))]

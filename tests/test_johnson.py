@@ -439,7 +439,8 @@ def test_weight_certificate_refuses_a_beta_row_of_the_wrong_weight():
     r = next(r for r, w in enumerate(target_w) if w != target_w[0])
     wrong = list(target_w)
     wrong[r] = target_w[0]
-    with pytest.raises(ValueError, match="not weight homogeneous of its triple's weight"):
+    with pytest.raises(InternalInconsistencyError,
+                       match="not weight homogeneous of its triple's weight"):
         coker_dims(gm, 1, weights=(base_w, wrong), weyl=ctx.spec)
     assert not gm.blocks[0].symbol._built
     assert coker_dims(gm, 1, weights=(base_w, target_w), weyl=ctx.spec).dims == (90, 896)
@@ -523,6 +524,17 @@ def test_invariance_certificate_refuses_a_non_invariant_r(monkeypatch):
     monkeypatch.setattr(johnson, "coker_dims", no_rank)
     with pytest.raises(InternalInconsistencyError, match="not invariant"):
         johnson_module_dims(3, 1)
+
+
+def test_certificate_reads_the_inter_reduced_span(monkeypatch, fresh_contexts):
+    # johnson_module_dims builds q before the certificate, so the
+    # memberships meet the rows that q's quotient inter-reduced
+    seen = []
+    certify = JohnsonContext.certify_invariance
+    monkeypatch.setattr(JohnsonContext, "certify_invariance",
+                        lambda self: seen.append(self.rz_span._reduced) or certify(self))
+    assert johnson_module_dims(3, 1).coker_q == (90, 896)
+    assert seen == [True]
 
 
 @pytest.mark.parametrize("g", [3, 4, pytest.param(5, marks=pytest.mark.slow)])

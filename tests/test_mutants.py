@@ -12,7 +12,7 @@ import pytest
 
 from infalex import (alex_module, cli, exact_linalg, fox_alex, johnson, nilpotent_transport,
                      quad_lie, rep_semisimple)
-from infalex.alex_module import CyclicSumSymbol, coker_dims
+from infalex.alex_module import CyclicSumSymbol, GradedMap, coker_dims, sym_dim
 from infalex.cli import main
 from infalex.errors import InternalInconsistencyError
 from infalex.exact_linalg import EchelonBasis, RationalMatrix, act_vec, axpy
@@ -23,6 +23,7 @@ from infalex.rep_semisimple import (LieAlgebraSpec, casimir_blocks, fundamental_
 
 import module_builders
 import test_acceptance
+import test_alex_module
 import test_exact_linalg
 import test_fox_alex
 import test_golden
@@ -190,8 +191,76 @@ def test_r_free_pairs_mutant_fails_the_presentation_route_check(
 
 def test_r_free_pairs_mutant_fails_the_weight_certificate(fresh_contexts,
                                                           weights_off_the_free_pairs_of_r):
-    with pytest.raises(ValueError, match="not weight homogeneous of its triple's weight"):
+    with pytest.raises(InternalInconsistencyError,
+                       match="not weight homogeneous of its triple's weight"):
         johnson_module_dims(3, 1)
+
+
+def test_r_free_pairs_mutant_exits_4(capsys, fresh_contexts, weights_off_the_free_pairs_of_r):
+    # the weights come from the context, not from the user: no usage error
+    code = main(["johnson", "--genus", "3", "--max-degree", "1"])
+    assert code == 4
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "inconsistency" and "triple's weight" in out["detail"]
+
+
+# -- the span of nabla's relation block, seeded by shifting -------------------------
+
+@pytest.fixture
+def copies_one_monomial_up(monkeypatch):
+    """_leading_span with the rows of monomial t copied to those of monomial
+    t + 1: monomial 1 is left without rows, and the last copy lands past the
+    last row of the degree."""
+    def mutant(self, q, columns):
+        width, count = len(self.blocks[0].symbol), sym_dim(self.base_dim, q)
+        span = exact_linalg.echelon_basis(columns[:width])
+        first = [(lead, list(row.items())) for lead, row in span.rows.items()]
+        for t in range(1, count):
+            off = (t + 1) * self.target_dim
+            for lead, items in first:
+                span.rows[lead + off] = {k + off: x for k, x in items}
+        return span, width * count
+
+    monkeypatch.setattr(GradedMap, "_leading_span", mutant)
+
+
+def test_misplaced_copies_mutant_fails_the_seeded_span_property(copies_one_monomial_up,
+                                                                first_failure_reported):
+    with pytest.raises(AssertionError):
+        test_alex_module.test_property_seeded_span_matches_plain_elimination()
+
+
+def test_misplaced_copies_mutant_fails_the_nabla_cross_check(copies_one_monomial_up):
+    # criterion 3: nabla, nabla-bar and direct dims on 54 presentations
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_3_presentation_oracle_equivalence()
+
+
+@pytest.fixture
+def seed_from_any_first_block(monkeypatch):
+    """matrix(q) seeding its span from the first block whatever its shift,
+    so also from the shift-1 cyclic sum of delta3, nabla-bar and q."""
+    def mutant(self, q):
+        m = self._matrices.get(q)
+        if m is None:
+            m = self._matrices[q] = self.instantiate(q)
+            if self.blocks:
+                m.seed_span(*self._leading_span(q, m.numerator_columns()))
+        return m
+
+    monkeypatch.setattr(GradedMap, "matrix", mutant)
+
+
+def test_any_block_seed_mutant_fails_the_seeded_span_property(seed_from_any_first_block,
+                                                              first_failure_reported):
+    with pytest.raises(AssertionError):
+        test_alex_module.test_property_seeded_span_matches_plain_elimination()
+
+
+def test_any_block_seed_mutant_fails_the_free_nabla_check(seed_from_any_first_block):
+    # with no relation, nabla and delta3 have one cokernel
+    with pytest.raises(AssertionError):
+        test_alex_module.test_nabla_free_equals_delta3()
 
 
 # -- the weights of the orbit route ---------------------------------------------
