@@ -329,12 +329,14 @@ def delta3(n: int) -> GradedMap:
 
 
 def _relation_block(p: LiePresentation) -> SymbolBlock:
-    """The inclusion of R: the relations' integer numerators over their lcm,
-    read off the matrix whose columns they are."""
-    rels = RationalMatrix.from_columns(p.relations, len(wedge2_pairs(p.dim_v)))
-    symbol = tuple(tuple((None, k, c) for k, c in sorted(col.items()))
-                   for col in rels.numerator_columns())
-    return SymbolBlock("relations", 0, symbol, rels.den)
+    """The inclusion of R: the inter-reduced primitive rows of
+    p.relation_span() in lead order, each times lcm(leads) / lead, over
+    lcm(leads), which are the reduced echelon relations over their lcm."""
+    rows = sorted(p.relation_span().rows.items())
+    den = lcm(*(row[l] for l, row in rows))
+    symbol = tuple(tuple((None, k, c * (den // row[l])) for k, c in sorted(row.items()))
+                   for l, row in rows)
+    return SymbolBlock("relations", 0, symbol, den)
 
 
 # one entry per number of generators: a bb-direct run holds 2

@@ -422,8 +422,8 @@ class EchelonBasis:
     rational input is first scaled to integers by ``_lift``.  One elimination step,
     ``_clear``, serves both, and every value read out is a ``Fraction`` or a
     ``CyclotomicScalar``.  Callers that only need a spanning set of the span
-    (``_ideal_echelon``, ``nilpotent_transport``, ``quotient_module``) read
-    ``rows.values()`` directly, which scaled rows still are.
+    (``_ideal_echelon``, ``nilpotent_transport``, ``quotient_module``, the
+    Johnson certificate) read ``rows.values()``, which scaled rows still are.
 
     rank, free and contains need only the leads, so add does no back-reduction;
     vectors, quotient and kernel read inter-reduced rows.
@@ -612,11 +612,6 @@ class RationalMatrix:
             raise ValueError("ragged rows")
         return RationalMatrix(rows, cols, {(i, j): v for i, row in enumerate(data)
                                            for j, v in enumerate(row)})
-
-    @staticmethod
-    def from_columns(columns: Sequence[Mapping], rows: int) -> "RationalMatrix":
-        return RationalMatrix(rows, len(columns), {(i, j): v for j, col in enumerate(columns)
-                                                   for i, v in col.items()})
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":

@@ -174,8 +174,8 @@ class JohnsonContext:
 
         (a) rank(R + C z) is the sum of weyl_dim(lambda);
         (b) every v_lambda lies in R + C z;
-        (c) each simple lowering operator f_i maps every vector of R + C z
-            into its span.
+        (c) each simple lowering operator f_i maps a basis of R + C z into
+            its span.
 
         Each v_lambda is killed by n+, so U(g) v_lambda = U(n-) v_lambda, a
         copy of V(lambda); the f_i generate n-, so (b) and (c) put the sum
@@ -187,9 +187,9 @@ class JohnsonContext:
         sp(2g)-equivariant, the weight multiplicities of its image are Weyl
         invariant, and coker_dims may rank one bucket per orbit.
 
-        Run after q_map(), as johnson_module_dims does, the memberships
-        meet the span that q's quotient inter-reduced, and each clears its
-        pivots in one pass.
+        (c) reads the integer rows rz_span stores; run after q_map(), as
+        johnson_module_dims does, these are the rows q's quotient
+        inter-reduced, and each membership clears its pivots in one pass.
         """
         span = self.rz_span
         others = [(hw, v) for hw, v in self.constituents if hw != self.hw_two_l2]
@@ -205,7 +205,7 @@ class JohnsonContext:
                     f"vector of {hw.coefficients}")
         for label in self.spec.lowering_labels():
             cols = self.W2.actions[label]
-            for v in self.r_basis + [self.z_vec]:
+            for v in span.rows.values():
                 if not span.contains(act_vec(cols, v)):
                     raise InternalInconsistencyError(
                         f"R + C z is not invariant under {label}")

@@ -100,13 +100,12 @@ class LiePresentation:
         return len(self.relations)
 
     def relation_span(self) -> EchelonBasis:
-        """The echelonized span of R, which is also ideal(R)_2; make() keeps
-        the one it builds.  G_2 = wedge^2 V / R is read off it: its free
-        pairs index a basis, and its quotient map is nabla-bar's beta."""
-        eb = self._cache.get(("ideal", 2))
-        if eb is None:
-            eb = self._cache[("ideal", 2)] = echelon_basis(self.relations)
-        return eb
+        """The echelonized span of R, also ideal(R)_2, that make() builds
+        and inter-reduces (the relations are its vectors()).  nabla's
+        relation block reads its rows, and G_2 = wedge^2 V / R is read off
+        it: its free pairs index a basis, its quotient map is nabla-bar's
+        beta."""
+        return self._cache[("ideal", 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from operator import mul
 
 from .exact_linalg import ONE, ZERO, RationalMatrix, Vec, act_vec, axpy, echelon_basis
 
-ColMat = Sequence  # {row: Fraction} dicts, one per column: a tuple, or LazyColumns
+ColMat = Sequence  # {row: int or Fraction} dicts, one per column: a tuple, or LazyColumns
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +111,15 @@ class LieAlgebraSpec:
 
 @lru_cache(maxsize=8)
 def _algebra_basis(spec: LieAlgebraSpec) -> tuple[tuple[str, ColMat], ...]:
+    """(label, int columns on H) per basis element of sp(2g): the modules
+    built from H keep int columns wherever a quotient divides nothing."""
     d = 2 * spec.rank
 
     def from_terms(terms):
         # sum of c * E_ij; the positions (i, j) within one element are distinct
         cols = [dict() for _ in range(d)]
         for (i, j, c) in terms:
-            cols[j][i] = Fraction(c)
+            cols[j][i] = c
         return tuple(cols)
 
     g = spec.rank
@@ -350,12 +352,11 @@ def fundamental_module(spec: LieAlgebraSpec, k: int) -> WeightModule:
             if pair[0] in rest or pair[1] in rest:
                 continue
             merged = tuple(sorted(rest + pair))
-            # sign of sorting (i, g+i, rest...) - count inversions of the
-            # concatenation pair + rest
-            seq = list(pair) + list(rest)
-            inv = sum(1 for s in range(len(seq)) for t in range(s + 1, len(seq))
-                      if seq[s] > seq[t])
-            vec[index[merged]] = ONE if inv % 2 == 0 else -ONE
+            # the sign of sorting (i, g+i, rest...), rest sorted: an entry of
+            # rest below i passes both i and g+i, so only those strictly
+            # between them change the parity
+            odd = sum(i < r < g + i for r in rest) % 2
+            vec[index[merged]] = -1 if odd else 1
         if vec:
             spanning.append(vec)
     return quotient_module(W, spanning)

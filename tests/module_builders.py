@@ -164,6 +164,25 @@ def inversion_parity_and_target(combo: tuple[int, ...], slot: int, j: int):
     return inversions % 2, tuple(sorted(rest + (j,)))
 
 
+def theta_wedge_vectors(g: int, k: int) -> list[Vec]:
+    """Test oracle: the nonzero theta ^ rest, rest a sorted (k - 2)-subset of
+    range(2g), in the basis of wedge^k H, as fundamental_module spans them:
+    the term of (i, g+i) carries the sign of the inversions of the whole
+    sequence (i, g+i, rest...), counted pair by pair."""
+    index = {c: t for t, c in enumerate(combinations(range(2 * g), k))}
+    out = []
+    for rest in combinations(range(2 * g), k - 2):
+        vec: Vec = {}
+        for i in range(g):
+            seq = (i, g + i) + rest
+            if len(set(seq)) == k:
+                inversions = sum(a > b for a, b in combinations(seq, 2))
+                vec[index[tuple(sorted(seq))]] = (-1) ** inversions
+        if vec:
+            out.append(vec)
+    return out
+
+
 # -- the Casimir oracles: operators built from the running Casimir blocks ---------
 
 class AmbiguousDecompositionError(RuntimeError):
@@ -832,6 +851,23 @@ def transpose(m: RationalMatrix) -> RationalMatrix:
     """Test oracle: rank(m) == rank(transpose(m)) checks the echelon code on
     both orientations."""
     return RationalMatrix(m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()})
+
+
+def matrix_from_columns(columns, rows: int) -> RationalMatrix:
+    """The rows x len(columns) matrix whose j-th column is the sparse vector
+    columns[j] of exact rationals, through the entry constructor."""
+    return RationalMatrix(rows, len(columns), {(i, j): v for j, col in enumerate(columns)
+                                               for i, v in col.items()})
+
+
+def rref_relation_block(p: LiePresentation) -> SymbolBlock:
+    """Test oracle: nabla's relation block as the reduced echelon relations
+    p.relations, one column each, brought to integer numerators over their
+    lcm through the entry constructor."""
+    rels = matrix_from_columns(p.relations, len(wedge2_pairs(p.dim_v)))
+    symbol = tuple(tuple((None, k, c) for k, c in sorted(col.items()))
+                   for col in rels.numerator_columns())
+    return SymbolBlock("relations", 0, symbol, rels.den)
 
 
 def num_columns(m: RationalMatrix) -> list[list]:

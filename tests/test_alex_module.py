@@ -15,7 +15,7 @@ from infalex.rep_semisimple import LieAlgebraSpec
 
 from module_builders import (beta_matrix, column_keys, composed_nabla_bar, fraction_columns,
                              generator_weights, koszul_map, num_columns, quotient_pairs,
-                             weight_buckets)
+                             rref_relation_block, weight_buckets)
 
 
 def full_relations(n):
@@ -256,6 +256,39 @@ def test_relation_block_second_takes_the_plain_path(monkeypatch):
         assert _span_rows(m.column_span()) == _span_rows(echelon_basis(m.numerator_columns()))
         assert m.rank() == ranks[q]
     assert coker_dims(swapped, 3).dims == coker_dims(gm, 3).dims
+
+
+# relations whose rows are stored against lead order ((1, 2) before (0, 1))
+# and whose reduced echelon form has a fraction (1/2): the lead-2 row sets den
+RELATIONS_OUT_OF_LEAD_ORDER = [{(1, 2): 1}, {(0, 1): 2, (0, 2): 1}]
+
+
+def test_property_relation_block_is_the_rref_numerators_over_their_lcm():
+    # nabla's relation block, read off the stored rows of relation_span(),
+    # against the reduced echelon relations brought over their lcm through
+    # the entry constructor, symbol and den alike, on presentations with
+    # n <= 6 and up to 4 relations (none included), int or p/r coefficients
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficient = st.one_of(st.just(0), st.integers(-2, 2),
+                            st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+    def presentations(n):
+        pairs = wedge2_pairs(n)
+        relation = st.lists(coefficient, min_size=len(pairs), max_size=len(pairs))
+        return st.lists(relation, max_size=4).map(lambda rels: LiePresentation.make(
+            n, [{pair: c for pair, c in zip(pairs, r) if c} for r in rels]))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.integers(1, 6).flatmap(presentations))
+    @hypothesis.example(LiePresentation.make(3, RELATIONS_OUT_OF_LEAD_ORDER))
+    @hypothesis.example(LiePresentation.make(4, []))
+    def check(p):
+        block = nabla(p).blocks[0]
+        assert block == rref_relation_block(p)
+        assert all(type(c) is int for terms in block.symbol for _i, _k, c in terms)
+
+    check()
 
 
 @pytest.mark.parametrize("gm", [

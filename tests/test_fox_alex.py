@@ -11,7 +11,8 @@ from infalex.fox_alex import (Character, CharacterError, GroupPresentation,
                               factors_through_free_part, free_reduce,
                               saturated_relator_lattice, torsion_sweep, twisted_h1_dim)
 
-from module_builders import abelianize, fox_derivative, fox_identity_defect, generic_rank, gr_mul
+from module_builders import (abelianize, fox_derivative, fox_identity_defect, generic_rank, gr_mul,
+                             matrix_from_columns)
 
 F2 = GroupPresentation.make(2, [])
 Z2 = GroupPresentation.make(2, [(1, 2, -1, -2)])
@@ -223,10 +224,9 @@ def _rational_coordinates(basis, v):
     """The c with sum c_i basis[i] == v, by an exact rational solve; None when
     v is outside the span.  The basis must be linearly independent: then the
     last column of [basis | v] is free exactly when v is in the span."""
-    from infalex.exact_linalg import RationalMatrix
     r = len(basis)
-    m = RationalMatrix.from_columns([{i: x for i, x in enumerate(b) if x}
-                                     for b in list(basis) + [v]], len(v))
+    m = matrix_from_columns([{i: x for i, x in enumerate(b) if x}
+                             for b in list(basis) + [v]], len(v))
     for free, kv in m.kernel_basis_with_free():
         if free == r:
             return [-kv.get(i, 0) for i in range(r)]

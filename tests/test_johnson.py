@@ -537,6 +537,31 @@ def test_certificate_reads_the_inter_reduced_span(monkeypatch, fresh_contexts):
     assert seen == [True]
 
 
+@pytest.mark.parametrize("g", [3, 4])
+def test_certificate_applies_integer_lowering_columns_to_every_stored_row(monkeypatch, g):
+    # fact (c) reads the rows rz_span stores, every one of them in key
+    # order for each lowering label, and those rows and the lowering
+    # columns applied to them are all int: no image is rescaled
+    from infalex import johnson
+    ctx = JohnsonContext(g)
+    ctx.q_map()
+    applied = []
+
+    def recording(cols, v):
+        applied.append((cols, v))
+        return act_vec(cols, v)
+
+    monkeypatch.setattr(johnson, "act_vec", recording)
+    ctx.certify_invariance()
+    rows = list(ctx.rz_span.rows.values())
+    lowering = [ctx.W2.actions[label] for label in ctx.spec.lowering_labels()]
+    assert len(applied) == g * len(rows) == g * (ctx.r_dim + 1)
+    assert all(cols is want_cols and v is want_v for (cols, v), (want_cols, want_v)
+               in zip(applied, [(c, v) for c in lowering for v in rows]))
+    assert all(type(x) is int for v in rows for x in v.values())
+    assert all(type(x) is int for cols, v in applied for j in v for x in cols[j].values())
+
+
 @pytest.mark.parametrize("g", [3, 4, pytest.param(5, marks=pytest.mark.slow)])
 def test_invariance_certificate_and_the_simple_root_oracle_pass(g):
     ctx = JohnsonContext(g)

@@ -6,6 +6,7 @@ check itself stays in its own test file, and here it must fail."""
 
 import json
 from itertools import combinations
+from math import lcm
 from operator import add
 
 import pytest
@@ -30,6 +31,7 @@ import test_golden
 import test_johnson
 import test_nilpotent_transport
 import test_quad_lie
+import test_rep_semisimple
 from test_fox_alex import F2XZ, TREFOIL, X3_COMMUTING, _brute_force_sweep
 
 
@@ -90,8 +92,8 @@ def test_type_b_pairing_mutant_fails_the_weyl_certificate_g4(long_root_pairing_o
 
 def _certificate_without(fact, left_out=None):
     """JohnsonContext.certify_invariance with one of its facts dropped:
-    "rank" (a), "highest-weight" (b), or the lowering operator left_out
-    from (c)."""
+    "rank" (a), "highest-weight" (b), the lowering operator left_out from
+    (c), or "last-row", the last stored row of the span left out of (c)."""
     def mutant(self):
         span = self.rz_span
         others = [(hw, v) for hw, v in self.constituents if hw != self.hw_two_l2]
@@ -100,10 +102,12 @@ def _certificate_without(fact, left_out=None):
             raise InternalInconsistencyError("R + C z is not invariant: rank")
         if fact != "highest-weight" and not all(span.contains(v) for _hw, v in others):
             raise InternalInconsistencyError("R + C z is not invariant: highest weight")
+        rows = list(span.rows.values())
+        if fact == "last-row":
+            rows.pop()
         for label in self.spec.lowering_labels():
             if label != left_out and not all(
-                    span.contains(act_vec(self.W2.actions[label], v))
-                    for v in self.r_basis + [self.z_vec]):
+                    span.contains(johnson.act_vec(self.W2.actions[label], v)) for v in rows):
                 raise InternalInconsistencyError(f"R + C z is not invariant under {label}")
 
     return mutant
@@ -120,6 +124,12 @@ def certificate_without_its_highest_weight_vectors(monkeypatch):
     """The certificate with no membership of the highest-weight vectors (b)."""
     monkeypatch.setattr(JohnsonContext, "certify_invariance",
                         _certificate_without("highest-weight"))
+
+
+@pytest.fixture
+def certificate_without_its_last_row(monkeypatch):
+    """The certificate with the last row rz_span stores left out of (c)."""
+    monkeypatch.setattr(JohnsonContext, "certify_invariance", _certificate_without("last-row"))
 
 
 @pytest.fixture(params=range(4))
@@ -142,6 +152,14 @@ def test_highest_weight_free_certificate_mutant_fails_the_lowest_weight_z_check(
         certificate_without_its_highest_weight_vectors):
     with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
         test_johnson.test_invariance_certificate_refuses_a_z_that_is_no_highest_weight_vector()
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_last_row_free_certificate_mutant_fails_the_every_stored_row_check(
+        monkeypatch, certificate_without_its_last_row, g):
+    with pytest.raises(AssertionError):
+        test_johnson.test_certificate_applies_integer_lowering_columns_to_every_stored_row(
+            monkeypatch, g)
 
 
 def test_one_lowering_operator_mutant_fails_the_traded_weight_vector_check(
@@ -261,6 +279,81 @@ def test_any_block_seed_mutant_fails_the_free_nabla_check(seed_from_any_first_bl
     # with no relation, nabla and delta3 have one cokernel
     with pytest.raises(AssertionError):
         test_alex_module.test_nabla_free_equals_delta3()
+
+
+# -- nabla's relation block, read off the stored rows of relation_span() ------------
+
+def _relation_block_from(order, scaled):
+    """alex_module._relation_block with the rows taken in lead order, or in
+    the span's dict order, and scaled over lcm(leads), or left primitive
+    over den 1."""
+    def mutant(p):
+        rows = list(p.relation_span().rows.items())
+        if order == "lead":
+            rows.sort()
+        den = lcm(*(row[l] for l, row in rows)) if scaled else 1
+        symbol = tuple(tuple((None, k, c * (den // row[l] if scaled else 1))
+                             for k, c in sorted(row.items())) for l, row in rows)
+        return alex_module.SymbolBlock("relations", 0, symbol, den)
+
+    return mutant
+
+
+@pytest.fixture
+def relation_rows_over_den_1(monkeypatch):
+    """The relation block as the primitive rows over 1: the same span, other
+    entries."""
+    monkeypatch.setattr(alex_module, "_relation_block", _relation_block_from("lead", False))
+
+
+@pytest.fixture
+def relation_rows_in_dict_order(monkeypatch):
+    """The relation block with its rows in the order the span stored them,
+    not in lead order."""
+    monkeypatch.setattr(alex_module, "_relation_block", _relation_block_from("dict", True))
+
+
+def test_den_1_relation_mutant_fails_the_rref_numerators_property(relation_rows_over_den_1,
+                                                                  first_failure_reported):
+    with pytest.raises(AssertionError):
+        test_alex_module.test_property_relation_block_is_the_rref_numerators_over_their_lcm()
+
+
+def test_dict_order_relation_mutant_fails_the_rref_numerators_property(
+        relation_rows_in_dict_order, first_failure_reported):
+    with pytest.raises(AssertionError):
+        test_alex_module.test_property_relation_block_is_the_rref_numerators_over_their_lcm()
+
+
+# -- the invariance check of quotient_module -------------------------------------------
+
+@pytest.fixture
+def quotient_checked_under_raising_operators_only(monkeypatch):
+    """quotient_module with its invariance check run over the simple raising
+    labels alone, everywhere quotient_module is bound."""
+    def mutant(m, spanning):
+        eb = exact_linalg.echelon_basis(spanning)
+        for v in eb.rows.values():
+            for label in m.algebra.raising_labels():
+                if not eb.contains(act_vec(m.actions[label], v)):
+                    raise ValueError(f"subspace not invariant under {label}")
+        quotient = eb.quotient(m.dimension)
+        pos = eb.free(m.dimension)
+        actions = {label: tuple(quotient.matvec(cols[i]) for i in pos)
+                   for label, cols in m.actions.items()}
+        return rep_semisimple.WeightModule(m.algebra, len(pos),
+                                           tuple(m.weights[i] for i in pos), actions)
+
+    for module in (rep_semisimple, test_rep_semisimple):
+        monkeypatch.setattr(module, "quotient_module", mutant)
+
+
+@pytest.mark.parametrize("spec,label", [(LieAlgebraSpec(1), "V_0"), (LieAlgebraSpec(3), "X_1_0")])
+def test_raising_only_quotient_mutant_fails_the_highest_weight_line_check(
+        quotient_checked_under_raising_operators_only, spec, label):
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_rep_semisimple.test_quotient_module_refuses_a_line_only_the_raising_operators_keep(
+            spec, label)
 
 
 # -- the weights of the orbit route ---------------------------------------------

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from infalex import rep_semisimple
 from infalex.exact_linalg import RationalMatrix, echelon_basis
 from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec,
                                     casimir_blocks, casimir_eigenvalue, defining_module,
@@ -17,8 +18,9 @@ from module_builders import (AmbiguousDecompositionError, all_blocks_highest_wei
                              casimir_eigenspace, casimir_matrix, chen_module_weight,
                              fraction_casimir_column, inversion_parity_and_target,
                              isotypic_projection, lowering_closure, matmul_block_polynomial,
-                             matrix_sum, scale, sl_weyl_dim, span_closure, sym_power, tensor_product,
-                             transpose, weyl_orbit)
+                             matrix_from_columns, matrix_sum, scale, sl_weyl_dim, span_closure,
+                             sym_power, tensor_product, theta_wedge_vectors, transpose,
+                             weyl_orbit)
 
 SP1 = LieAlgebraSpec(1)   # sp(2), which is sl(2)
 SP2 = LieAlgebraSpec(2)
@@ -63,7 +65,7 @@ def test_cartan_relations_on_defining(spec):
                             {(t, t): Fraction(spec.simple_coroot_pairing(m.weights[t], i))
                              for t in range(m.dimension)})
         for j, label in enumerate(raising):
-            e = RationalMatrix.from_columns(m.actions[label], m.dimension)
+            e = matrix_from_columns(m.actions[label], m.dimension)
             commutator = matrix_sum(hi.matmul(e), e.matmul(hi), -1)
             # a_ij = <alpha_j, alpha_i^vee>; read alpha_j off any vector it moves
             aij = None
@@ -129,6 +131,36 @@ def test_fundamental_module_range_errors():
             fundamental_module(SP3, k)
 
 
+def test_theta_sign_rule_matches_the_inversion_count(monkeypatch):
+    # fundamental_module signs theta ^ rest by the entries of rest strictly
+    # between i and g+i; the vectors it hands quotient_module must be those
+    # whose signs count every inversion of (i, g+i, rest...), in key order
+    seen = []
+
+    def spy(m, spanning):
+        seen.append([list(v.items()) for v in spanning])
+        return quotient_module(m, spanning)
+
+    monkeypatch.setattr(rep_semisimple, "quotient_module", spy)
+    cases = [(g, k) for g in range(2, 6) for k in range(2, min(4, g) + 1)]
+    for g, k in cases:
+        fundamental_module(LieAlgebraSpec(g), k)
+    assert len(seen) == len(cases) == 9
+    for (g, k), vectors in zip(cases, seen):
+        assert vectors == [list(v.items()) for v in theta_wedge_vectors(g, k)], (g, k)
+
+
+@pytest.mark.parametrize("spec,label", [(SP1, "V_0"), (SP2, "X_1_0"), (SP3, "X_1_0")],
+                         ids=["sp2", "sp4", "sp6"])
+def test_quotient_module_refuses_a_line_only_the_raising_operators_keep(spec, label):
+    # e_0 spans the highest-weight line of H: every raising operator kills
+    # it, and the first lowering label in basis order moves it to e_1
+    m = defining_module(spec)
+    assert not any(act_vec(m.actions[r], {0: 1}) for r in spec.raising_labels())
+    with pytest.raises(ValueError, match=f"^subspace not invariant under {label}$"):
+        quotient_module(m, [{0: 1}])
+
+
 # -- Casimir -------------------------------------------------------------------
 
 def test_casimir_trivial_module():
@@ -153,7 +185,7 @@ def test_casimir_commutes_with_action():
     m = fundamental_module(SP3, 2)
     c = casimir_matrix(m)
     for label in ("H_0", "X_0_1", "U_2", "Z_1_2", "Y_0_1", "V_0"):
-        a = RationalMatrix.from_columns(m.actions[label], m.dimension)
+        a = matrix_from_columns(m.actions[label], m.dimension)
         assert c.matmul(a) == a.matmul(c)
 
 
@@ -207,7 +239,7 @@ def test_projection_idempotent_equivariant():
     assert p.matmul(p) == p
     assert p.rank() == 14
     for label in ("X_0_1", "U_0", "V_2"):
-        a = RationalMatrix.from_columns(m.actions[label], m.dimension)
+        a = matrix_from_columns(m.actions[label], m.dimension)
         assert p.matmul(a) == a.matmul(p)
     p0 = isotypic_projection(m, HighestWeight((0, 0, 0)))
     assert p0.rank() == 1
@@ -323,7 +355,7 @@ def test_casimir_blocks_match_fraction_columns():
         for w, block in blocks.items():
             idx = decomp[w]
             pos = {i: t for t, i in enumerate(idx)}
-            expected = RationalMatrix.from_columns(
+            expected = matrix_from_columns(
                 [{pos[r]: v for r, v in fraction_casimir_column(m, j).items()} for j in idx],
                 len(idx))
             assert list(block.entries.items()) == list(expected.entries.items())
