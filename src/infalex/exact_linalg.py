@@ -424,6 +424,9 @@ class EchelonBasis:
     ``CyclotomicScalar``.  Callers that only need a spanning set of the span
     (``_ideal_echelon``, ``nilpotent_transport``, ``quotient_module``, the
     Johnson certificate) read ``rows.values()``, which scaled rows still are.
+    Callers that need a linear map read ``quotient``: the cyclic sum, the
+    multiplication action on a cokernel, ``quotient_module`` and the
+    projected ad_{e_i} on L / L'' of ``quad_lie``.
 
     rank, free and contains need only the leads, so add does no back-reduction;
     vectors, quotient and kernel read inter-reduced rows.
@@ -479,13 +482,6 @@ class EchelonBasis:
                         _clear(new, k, rows[k], {}, [])
                     rows[lead] = _normalize(new, lead)
             self._reduced = True
-
-    def copy(self) -> "EchelonBasis":
-        """A basis of the same span that grows on its own.  The rows are
-        shared, which is safe because no stored row is mutated in place."""
-        eb = EchelonBasis()
-        eb.rows, eb._reduced = dict(self.rows), self._reduced
-        return eb
 
     def contains(self, v: Mapping) -> bool:
         return not self.reduce(v)

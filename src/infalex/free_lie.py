@@ -54,11 +54,11 @@ def _lyndon_words_cached(n: int, q: int) -> tuple[Word, ...]:
     return tuple(lyndon_words(n, q))
 
 
-# bb_direct and ad_generator_matrix ask for it on every call: the bb-direct
-# benchmark (n = 3 to degree 6, n = 4 to degree 4) holds 8 entries, and
-# acceptance criterion 3 (n = 2 to 4, degrees 2 to 6) 15.  An entry holds
-# every word of its degree, so a caller at large n indexes only the words
-# it needs
+# ad_generator_matrix and quad_lie._second_derived ask for it once per entry
+# they build, and both are cached: the bb-direct benchmark (n = 3 to degree
+# 6, n = 4 to degree 4) holds 8 entries, and acceptance criterion 3 (n = 2 to
+# 4, degrees 2 to 6) 15.  An entry holds every word of its degree, so a
+# caller at large n indexes only the words it needs
 @lru_cache(maxsize=32)
 def lyndon_index(n: int, q: int) -> dict[Word, int]:
     """Lyndon word -> its index in _lyndon_words_cached(n, q), shared by
@@ -180,10 +180,12 @@ def basis_bracket(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
     return tuple(sorted(out.items()))
 
 
-# one matrix per generator and degree, built only for _ideal_echelon, which
-# only bb_direct reaches: bb_direct up to degree q on n generators takes at
-# most n * q, so the bb-direct benchmark (n = 3 to q = 4, n = 4 to q = 2)
-# holds 20 and acceptance criterion 3 (n = 2, 3, 4 to q = 4) 36
+# one matrix per generator and degree, read only by quad_lie._metabelian_ad,
+# which is cached too and which a presentation with R = 0 or R = wedge^2 V
+# never asks for: bb_direct up to degree q on n generators takes at most
+# n * q, so the bb-direct benchmark (n = 3 to q = 4, n = 4 to q = 2) holds 20
+# and acceptance criterion 3 (n = 3, 4 to q = 4; at n = 2 every R is 0 or
+# all of L_2) 28
 @lru_cache(maxsize=128)
 def ad_generator_matrix(n: int, i: int, q: int) -> RationalMatrix:
     """Matrix of ad_{e_i}: L_q -> L_{q+1} in the Lyndon bases."""

@@ -1,27 +1,32 @@
 """Quadratic graded Lie algebras L(V)/ideal(R) with R inside wedge^2 V.
 
-Graded pieces are computed as quotients inside the free Lie algebra: the
-degree-q piece of the ideal is spanned by ad_{e_k} applied to the piece one
-degree down, starting from R in degree 2.  Once the ideal is all of
-L_{q-1}, it is all of L_q, since L_q = [V, L_{q-1}] in a free Lie algebra;
-that piece is written down as the identity basis, not eliminated.  The
-brute-force route to the infinitesimal Alexander invariant (``bb_direct``)
-quotients the degree q+2 piece by ideal(R)_{q+2} and the brackets of two
-quotient words, the Lyndon words of degree a >= 2 that are not pivots of
-ideal(R)_a: since L_a = ideal(R)_a + span(quotient words) and ideal(R) is
-an ideal, every other bracket [L_a, L_b] already lies in the span.  It uses
-brackets only, and exists as the independent oracle for the
-presentation-matrix route in ``alex_module``.
+The brute-force route to the infinitesimal Alexander invariant
+(``bb_direct``) reads the degree-q piece of G'/G'' as L_d / (ideal(R)_d +
+L''_d), d = q + 2, where L'' = [L', L'] is the second derived algebra of
+L = L(V).  It works in the free metabelian quotient M = L / L'', whose
+dimensions are the Chen ranks of the free group (Papadima-Suciu, "Chen Lie
+algebras", IMRN 2004).  Two pieces depend on (n, d) alone and are cached:
+the echelon basis of L''_d, whose free Lyndon words are the basis of M_d,
+and each ad_{e_i}: M_{d-1} -> M_d.  Per presentation, the image of
+ideal(R) in M, the ideal of M that the image of R generates, is spanned
+degree by degree by the ad_{e_k} images of the piece one degree down,
+starting from R in degree 2.  After a zero degree every later one is zero,
+and after a degree that is all of M_{q-1} every later one is all of M_q;
+those pieces are written down, not eliminated.  The route uses brackets
+only, and exists as the independent oracle for the presentation-matrix
+route in ``alex_module``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from . import documents
-from .exact_linalg import ZERO, EchelonBasis, Vec, _to_fraction, echelon_basis
+from .exact_linalg import (ZERO, EchelonBasis, RationalMatrix, Vec, _to_fraction, act_vec,
+                           echelon_basis)
 from .free_lie import _lyndon_words_cached, ad_generator_matrix, basis_bracket, lyndon_index
 
 Pair = tuple[int, int]
@@ -109,21 +114,92 @@ class LiePresentation:
 
 
 # ---------------------------------------------------------------------------
-# graded pieces of the ideal and of the quotient
+# the free metabelian quotient M = L / L''
+# ---------------------------------------------------------------------------
+
+# Both pieces below depend on (n, degree) alone, not on R, and each is built
+# once per key.  A bb-direct benchmark run (n = 3 to degree 6, n = 4 to
+# degree 4) holds 8 spans of L'' and 20 projected ad_{e_i}; acceptance
+# criterion 3 (n = 2 to 4, degrees 2 to 6) holds 15 and 28: at n = 2 every
+# R is 0 or all of L_2, and neither takes an ad image.
+@lru_cache(maxsize=32)
+def _second_derived(n: int, d: int) -> EchelonBasis:
+    """Echelon basis of L''_d = sum of [L_a, L_b] over a, b >= 2, a + b = d,
+    in Lyndon coordinates of L_d: the bracket of every pair of Lyndon words,
+    a <= b, each unordered pair once when a == b.  Zero below degree 4.
+
+    Its free positions are the Lyndon words that index a basis of M_d.
+    Shared by every caller, which reads it: quotient() inter-reduces its rows
+    in place, which changes no span and no lead."""
+    idx = lyndon_index(n, d)
+    eb = EchelonBasis()
+    for a in range(2, d // 2 + 1):
+        b = d - a
+        words_a = _lyndon_words_cached(n, a)
+        words_b = _lyndon_words_cached(n, b)
+        for i, wa in enumerate(words_a):
+            for j, wb in enumerate(words_b):
+                if a == b and j <= i:
+                    continue
+                res = basis_bracket(wa, wb)
+                if res:
+                    eb.add({idx[w]: c for w, c in res})
+    return eb
+
+
+def _metabelian_free(n: int, d: int) -> dict[int, int]:
+    """The basis of M_d: each Lyndon word index that L''_d leaves free,
+    mapped to its coordinate in M_d."""
+    return _second_derived(n, d).free(len(_lyndon_words_cached(n, d)))
+
+
+@lru_cache(maxsize=128)
+def _metabelian_ad(n: int, i: int, q: int) -> RationalMatrix:
+    """ad_{e_i}: M_q -> M_{q+1}, the bracket with e_i on M = L / L''.
+
+    ad_{e_i} maps L''_q into L''_{q+1}, since L'' is an ideal, so it induces
+    this map: a basis word of M_q is sent to the class of its bracket, read
+    through the exact quotient map of L''_{q+1}.  Its denominator, the lcm of
+    the leads of L''_{q+1}, is 1 wherever it was measured (n = 2 and 3 to
+    degree 7, n = 4 to 5, n = 5 to 4), so the matrix is integral and int
+    rows map to int rows.
+    ``reduce`` is no substitute: it returns each column up to its own
+    positive factor, and the images of a span would change."""
+    ad = ad_generator_matrix(n, i, q).numerator_columns()
+    quot = _second_derived(n, q + 1).quotient(len(_lyndon_words_cached(n, q + 1)))
+    cols = quot.numerator_columns()
+    src = _metabelian_free(n, q)
+    num: dict = {}
+    for t, k in enumerate(src):
+        for r, x in act_vec(cols, ad[k]).items():
+            num[r, t] = x
+    return RationalMatrix.from_integers(quot.rows, len(src), num, quot.den)
+
+
+# ---------------------------------------------------------------------------
+# graded pieces of the ideal, read in M
 # ---------------------------------------------------------------------------
 
 def _ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
-    """Echelonized span of ideal(R)_q in Lyndon coordinates of L_q, cached.
+    """Echelonized span of pi(ideal(R))_q in the coordinates of M_q, cached,
+    where pi: L -> M = L / L'' and M_q has the basis _metabelian_free(n, q).
+    Below degree 4 L''_q = 0, so M_q = L_q and this is ideal(R)_q in Lyndon
+    coordinates; in degree 2 it is R.
 
-    When ideal(R)_{q-1} has the rank of L_{q-1}, it is all of L_{q-1}, and
-    ideal(R)_q = [V, L_{q-1}] = L_q: a free Lie algebra is generated in
-    degree 1.  That piece is the basis with one unit row per Lyndon word, and
-    no ad_{e_k} image is eliminated.  The rank test is an exact count.
+    pi is onto and a map of Lie algebras, so pi(ideal(R)) is the ideal of M
+    generated by pi(R).  M is generated in degree 1, so that ideal's
+    degree-q piece is spanned by the ad_{e_k} images of the piece one degree
+    down; ad_{e_k} maps L'' into L'', so it acts on M, as the projected ad
+    (_metabelian_ad).  Two degrees are written down without elimination:
+    after a zero degree the next is zero (R = 0 builds no projection), and
+    after a degree that has the rank of M_{q-1} the next is all of M_q, the
+    basis with one unit row per coordinate.  Both rank tests are exact
+    counts.
     """
     if q < 2:
         raise ValueError("the ideal lives in degrees >= 2")
     if q == 2:
-        # wedge^2 V and L_2 share the (i<j) basis order
+        # wedge^2 V and L_2 = M_2 share the (i<j) basis order
         return p.relation_span()
     key = ("ideal", q)
     cached = p._cache.get(key)
@@ -131,11 +207,13 @@ def _ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
         return cached
     n = p.dim_v
     prev = _ideal_echelon(p, q - 1)
-    if prev.rank == len(_lyndon_words_cached(n, q - 1)):
+    if not prev.rank:
         eb = EchelonBasis()
-        eb.rows = {k: {k: 1} for k in range(len(_lyndon_words_cached(n, q)))}
+    elif prev.rank == len(_metabelian_free(n, q - 1)):
+        eb = EchelonBasis()
+        eb.rows = {k: {k: 1} for k in range(len(_metabelian_free(n, q)))}
     else:
-        ads = [ad_generator_matrix(n, i, q - 1) for i in range(n)]
+        ads = [_metabelian_ad(n, i, q - 1) for i in range(n)]
         eb = echelon_basis(m.matvec(v) for m in ads for v in prev.rows.values())
     p._cache[key] = eb
     return eb
@@ -148,34 +226,21 @@ def _ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
 def bb_direct(p: LiePresentation, q: int) -> tuple[int, list[tuple[int, ...]]]:
     """dim of the degree-q piece of G'_ab (degrees shifted by 2), with a basis.
 
-    Works in L_{q+2}: quotient by ideal(R)_{q+2} together with the brackets
-    [L_a, L_b] for a, b >= 2, a + b = q + 2.  Only the free words of each
-    degree, the Lyndon words that are not pivots of ideal(R)_a, are
-    bracketed: L_a = ideal(R)_a + span(free words), and [ideal(R)_a, L_b]
-    lies in ideal(R)_{q+2}, so modulo the ideal [L_a, L_b] is spanned by the
-    brackets of free words.  Every element of L_a lifts some class of the
-    quotient algebra, so no explicit section is needed.  Returns the
-    dimension and the Lyndon words indexing a basis of the quotient.
+    The piece is L_d / (ideal(R)_d + L''_d), d = q + 2, which is
+    M_d / pi(ideal(R))_d: the free positions of _ideal_echelon(p, d) in M_d,
+    mapped back to Lyndon words through the free positions of L''_d.  Those
+    are the words that the echelon basis of ideal(R)_d + L''_d in L_d leaves
+    free: reducing that span by L''_d gives an echelon basis whose rows are
+    those of L''_d and those of pi(ideal(R))_d on the free words, in the same
+    order, and an echelon basis's set of leads is fixed by its span.
+    Returns the dimension and the Lyndon words indexing a basis of the
+    quotient.
     """
     if q < 0:
         raise ValueError("q >= 0 required")
     n = p.dim_v
     d = q + 2
-    span = _ideal_echelon(p, d).copy()
-    idx = lyndon_index(n, d)
-    for a in range(2, d // 2 + 1):
-        b = d - a
-        words_a = _lyndon_words_cached(n, a)
-        words_b = _lyndon_words_cached(n, b)
-        free_a = [words_a[k] for k in _ideal_echelon(p, a).free(len(words_a))]
-        free_b = [words_b[k] for k in _ideal_echelon(p, b).free(len(words_b))]
-        for i, wa in enumerate(free_a):
-            for j, wb in enumerate(free_b):
-                if a == b and j <= i:
-                    continue
-                res = basis_bracket(wa, wb)
-                if res:
-                    span.add({idx[w]: c for w, c in res})
     words = _lyndon_words_cached(n, d)
-    basis = [words[i] for i in span.free(len(words))]
+    free = list(_metabelian_free(n, d))
+    basis = [words[free[t]] for t in _ideal_echelon(p, d).free(len(free))]
     return len(basis), basis

@@ -17,9 +17,9 @@ that EchelonBasis.quotient and EchelonBasis.kernel are checked against, the
 input lift with no all-int shortcut and the reduction that finds its pivots
 by set algebra that EchelonBasis is checked against, the Fraction arithmetic
 in Q[x]/Phi_m that the integer CyclotomicScalar is checked against, the
-quotient-algebra dimensions, the ideal eliminated with no filled-degree
-shortcut and the all-pairs bracket quotient that infalex.quad_lie is
-checked against, the Fraction loops that the integer RationalMatrix is
+quotient-algebra dimensions, the ideal eliminated in L with no shortcut,
+L'' from every ordered pair of brackets and the all-pairs bracket quotient
+that infalex.quad_lie is checked against, the Fraction loops that the integer RationalMatrix is
 checked against, num transposed column by column that the columns an
 instantiated graded map or a product is handed are checked against, the
 column keys of a graded map in matrix order, the scaling of a RationalMatrix by a rational and the sum
@@ -45,7 +45,7 @@ from infalex.fox_alex import LaurentMatrix, LaurentPoly, free_reduce
 from infalex.free_lie import (GradedDims, _lyndon_words_cached, ad_generator_matrix,
                               basis_bracket, lyndon_index)
 from infalex.nilpotent_transport import FinDimSymModule
-from infalex.quad_lie import LiePresentation, _ideal_echelon, wedge2_pairs
+from infalex.quad_lie import LiePresentation, wedge2_pairs
 from infalex.rep_semisimple import (HighestWeight, WeightModule, _algebra_basis,
                                     _dense_block_polynomial, _dual_coefficients,
                                     casimir_blocks, casimir_eigenvalue,
@@ -801,33 +801,46 @@ def oracle_repr(m: int, a) -> str:
 
 def graded_dims(p: LiePresentation, max_degree: int) -> GradedDims:
     """Test oracle: dim of the degree-q piece of L(V)/ideal(R), degrees
-    1..max_degree.  With R = 0 the dims are the Witt numbers, which checks
-    ad_generator_matrix and the ideal echelon that bb_direct runs."""
+    1..max_degree, from the ideal eliminated in L (plain_ideal_echelon).
+    With R = 0 the dims are the Witt numbers, which checks
+    ad_generator_matrix."""
     dims = [p.dim_v]
     for q in range(2, max_degree + 1):
         free_dim = len(_lyndon_words_cached(p.dim_v, q))
-        dims.append(free_dim - _ideal_echelon(p, q).rank)
+        dims.append(free_dim - plain_ideal_echelon(p, q).rank)
     return GradedDims(1, tuple(dims[:max_degree]))
 
 
 def plain_ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
-    """Test oracle: ideal(R)_q eliminated degree by degree from R, every
-    ad_{e_k} image of every row one degree down, with no shortcut for a
-    degree that fills L_q and no cache."""
-    eb = p.relation_span()
+    """Test oracle: ideal(R)_q in Lyndon coordinates of L_q, eliminated
+    degree by degree from R, every ad_{e_k} image of every row one degree
+    down, with no shortcut for a zero or a filled degree, no quotient by
+    L'' and no cache.  A new basis, which the caller may grow."""
+    eb = echelon_basis(p.relation_span().rows.values())
     for d in range(3, q + 1):
         ads = [ad_generator_matrix(p.dim_v, i, d - 1) for i in range(p.dim_v)]
         eb = echelon_basis(m.matvec(v) for v in eb.rows.values() for m in ads)
     return eb
 
 
+def plain_second_derived(n: int, d: int) -> EchelonBasis:
+    """Test oracle: L''_d in Lyndon coordinates of L_d, the bracket of every
+    ordered pair of Lyndon words of degrees a, b >= 2, a + b = d, with no
+    pair skipped and no cache."""
+    idx = lyndon_index(n, d)
+    return echelon_basis({idx[w]: c for w, c in basis_bracket(wa, wb)}
+                         for a in range(2, d - 1)
+                         for wa in _lyndon_words_cached(n, a)
+                         for wb in _lyndon_words_cached(n, d - a))
+
+
 def all_pairs_bb_direct(p: LiePresentation, q: int) -> tuple[int, list[tuple[int, ...]]]:
-    """Test oracle: bb_direct(p, q) with every pair of Lyndon words of
-    degrees a <= b, a + b = q + 2, bracketed, not only the quotient words:
-    the quotient of L_{q+2} by ideal(R)_{q+2} and all of [L_a, L_b]."""
+    """Test oracle: the degree-q piece of G'_ab as L_{q+2} / (ideal(R)_{q+2}
+    + L''_{q+2}), with ideal(R) from plain_ideal_echelon and every pair of
+    Lyndon words of degrees a <= b, a + b = q + 2, bracketed."""
     n = p.dim_v
     d = q + 2
-    span = _ideal_echelon(p, d).copy()
+    span = plain_ideal_echelon(p, d)
     idx = lyndon_index(n, d)
     for a in range(2, d // 2 + 1):
         b = d - a

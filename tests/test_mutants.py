@@ -22,7 +22,6 @@ from infalex.johnson import JohnsonContext, johnson_context, johnson_module_dims
 from infalex.rep_semisimple import (LieAlgebraSpec, casimir_blocks, fundamental_module,
                                     wedge_power)
 
-import module_builders
 import test_acceptance
 import test_alex_module
 import test_exact_linalg
@@ -722,39 +721,65 @@ def test_early_snapshot_mutant_fails_the_oracle_check(capsys, snapshot_before_it
     assert "never vanish" in json.loads(capsys.readouterr().out)["detail"]
 
 
-# -- the quotient-word loop of bb_direct ---------------------------------------------
+# -- the free metabelian quotient M = L / L'' of bb_direct --------------------------
 
 @pytest.fixture
-def one_pair_skipped(monkeypatch):
-    """bb_direct with the loop over pairs of free words stopping one pair
-    early in each split a + b = q + 2, everywhere bb_direct is bound."""
-    def mutant(p, q):
-        n, d = p.dim_v, q + 2
-        span = quad_lie._ideal_echelon(p, d).copy()
-        idx = quad_lie.lyndon_index(n, d)
-        for a in range(2, d // 2 + 1):
-            b = d - a
-            words_a = quad_lie._lyndon_words_cached(n, a)
-            words_b = quad_lie._lyndon_words_cached(n, b)
-            free_a = [words_a[k] for k in quad_lie._ideal_echelon(p, a).free(len(words_a))]
-            free_b = [words_b[k] for k in quad_lie._ideal_echelon(p, b).free(len(words_b))]
-            pairs = [(wa, wb) for i, wa in enumerate(free_a) for j, wb in enumerate(free_b)
-                     if not (a == b and j <= i)]
-            for wa, wb in pairs[:-1]:
-                res = quad_lie.basis_bracket(wa, wb)
-                if res:
-                    span.add({idx[w]: c for w, c in res})
-        words = quad_lie._lyndon_words_cached(n, d)
-        basis = [words[i] for i in span.free(len(words))]
-        return len(basis), basis
-
-    for module in (quad_lie, test_quad_lie, test_acceptance, cli):
-        monkeypatch.setattr(module, "bb_direct", mutant)
+def fresh_projected_ad():
+    """An empty projected-ad cache for the test, emptied again after it, so
+    that no projection built from a mutant's L'' outlives it, nor one built
+    before it hides the mutant."""
+    quad_lie._metabelian_ad.cache_clear()
+    yield
+    quad_lie._metabelian_ad.cache_clear()
 
 
-def test_skipped_pair_mutant_fails_the_all_pairs_cross_check(one_pair_skipped):
+def _second_derived_mutant(monkeypatch, splits, pairs_kept):
+    """quad_lie._second_derived built from the splits a of degree d that
+    splits(d) lists, each keeping the pairs that pairs_kept cuts from its
+    list, in a cache of its own."""
+    cache: dict = {}
+
+    def mutant(n, d):
+        if (n, d) not in cache:
+            idx = quad_lie.lyndon_index(n, d)
+            eb = EchelonBasis()
+            for a in splits(d):
+                b = d - a
+                words_a = quad_lie._lyndon_words_cached(n, a)
+                words_b = quad_lie._lyndon_words_cached(n, b)
+                pairs = [(wa, wb) for i, wa in enumerate(words_a)
+                         for j, wb in enumerate(words_b) if not (a == b and j <= i)]
+                for wa, wb in pairs_kept(pairs):
+                    res = quad_lie.basis_bracket(wa, wb)
+                    if res:
+                        eb.add({idx[w]: c for w, c in res})
+            cache[n, d] = eb
+        return cache[n, d]
+
+    monkeypatch.setattr(quad_lie, "_second_derived", mutant)
+
+
+@pytest.fixture
+def one_pair_skipped(monkeypatch, fresh_projected_ad):
+    """L''_d with the loop over pairs of Lyndon words stopping one pair early
+    in each split a + b = d, everywhere bb_direct reads it."""
+    _second_derived_mutant(monkeypatch, lambda d: range(2, d // 2 + 1), lambda pairs: pairs[:-1])
+
+
+def test_skipped_pair_mutant_fails_the_all_pairs_cross_check(one_pair_skipped,
+                                                             first_failure_reported):
+    # the fixed n = 4 draw of test_bb_direct_quotient_words_match_all_pairs_n4_q4
+    # has two relations, whose ideal covers the skipped bracket; the property
+    # test draws free presentations as well
     with pytest.raises(AssertionError):
-        test_quad_lie.test_bb_direct_quotient_words_match_all_pairs_n4_q4()
+        test_quad_lie.test_property_bb_direct_quotient_words_match_all_pairs()
+
+
+def test_skipped_pair_mutant_fails_the_chen_values(one_pair_skipped):
+    with pytest.raises(AssertionError):
+        test_quad_lie.test_bb_direct_free_chen_values()
+    with pytest.raises(AssertionError):
+        test_quad_lie.test_metabelian_free_words_count_the_chen_dims()
 
 
 def test_skipped_pair_mutant_fails_the_nabla_cross_check(one_pair_skipped):
@@ -769,14 +794,67 @@ def test_skipped_pair_mutant_fails_the_oracle_check(capsys, one_pair_skipped):
                for f in json.loads(capsys.readouterr().out)["failures"])
 
 
-# -- the filled degrees of the ideal ---------------------------------------------------
+@pytest.fixture
+def equal_split_left_out(monkeypatch, fresh_projected_ad):
+    """L''_d with the split a == b = d / 2 left out: [L_2, L_2] is missing
+    from L''_4, everywhere bb_direct reads it."""
+    _second_derived_mutant(monkeypatch, lambda d: range(2, (d + 1) // 2), lambda pairs: pairs)
+
+
+def test_equal_split_mutant_fails_the_chen_values(equal_split_left_out):
+    with pytest.raises(AssertionError):
+        test_quad_lie.test_metabelian_free_words_count_the_chen_dims()
+    with pytest.raises(AssertionError):
+        test_quad_lie.test_bb_direct_free_chen_values()
+
+
+def test_equal_split_mutant_fails_the_nabla_cross_check(equal_split_left_out):
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_3_presentation_oracle_equivalence()
+
 
 @pytest.fixture
-def filled_basis_one_row_short(monkeypatch):
-    """_ideal_echelon with a degree that fills L_q written down one unit row
-    short, its last Lyndon word left out, everywhere _ideal_echelon is bound.
-    The mutant keeps its pieces in a cache of its own, so that no
-    presentation is left holding them."""
+def ad_projected_by_reduce(monkeypatch):
+    """The projected ad_{e_i} with each column read through
+    ``L''_{q+1}.reduce`` in place of the quotient map: each column comes out
+    times its own positive factor.  The mutant builds L'' afresh, its rows as
+    added and not inter-reduced, as nothing inter-reduces them when the
+    quotient map is never read, and keeps its matrices in a cache of its
+    own."""
+    cache: dict = {}
+
+    def mutant(n, i, q):
+        if (n, i, q) not in cache:
+            second = quad_lie._second_derived.__wrapped__(n, q + 1)
+            tgt = second.free(len(quad_lie._lyndon_words_cached(n, q + 1)))
+            src = quad_lie._metabelian_free(n, q)
+            ad = quad_lie.ad_generator_matrix(n, i, q).numerator_columns()
+            num = {(tgt[r], t): x for t, k in enumerate(src)
+                   for r, x in second.reduce(ad[k]).items()}
+            cache[n, i, q] = RationalMatrix.from_integers(len(tgt), len(src), num)
+        return cache[n, i, q]
+
+    for module in (quad_lie, test_quad_lie):
+        monkeypatch.setattr(module, "_metabelian_ad", mutant)
+
+
+def test_reduce_mutant_fails_the_projected_ad_check(ad_projected_by_reduce):
+    with pytest.raises(AssertionError):
+        test_quad_lie.test_metabelian_ad_is_ad_modulo_second_derived()
+
+
+def test_reduce_mutant_fails_the_nabla_cross_check(ad_projected_by_reduce):
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_3_presentation_oracle_equivalence()
+
+
+# -- the zero and the filled degrees of the ideal ----------------------------------------
+
+def _ideal_echelon_mutant(monkeypatch, zero, filled_rows):
+    """_ideal_echelon with its zero test zero(rank) and a filled degree
+    written down as filled_rows(dim M_q) unit rows, everywhere
+    _ideal_echelon is bound.  The mutant keeps its pieces in a cache of its
+    own, so that no presentation is left holding them."""
     cache: dict = {}
 
     def mutant(p, q):
@@ -785,17 +863,27 @@ def filled_basis_one_row_short(monkeypatch):
         if (id(p), q) not in cache:
             n = p.dim_v
             prev = mutant(p, q - 1)
-            if prev.rank == len(quad_lie._lyndon_words_cached(n, q - 1)):
-                eb = EchelonBasis()
-                eb.rows = {k: {k: 1} for k in range(len(quad_lie._lyndon_words_cached(n, q)) - 1)}
+            eb = EchelonBasis()
+            if zero(prev.rank):
+                pass
+            elif prev.rank == len(quad_lie._metabelian_free(n, q - 1)):
+                eb.rows = {k: {k: 1} for k in range(filled_rows(
+                    len(quad_lie._metabelian_free(n, q))))}
             else:
-                ads = [quad_lie.ad_generator_matrix(n, i, q - 1) for i in range(n)]
+                ads = [quad_lie._metabelian_ad(n, i, q - 1) for i in range(n)]
                 eb = quad_lie.echelon_basis(m.matvec(v) for m in ads for v in prev.rows.values())
             cache[(id(p), q)] = p, eb
         return cache[(id(p), q)][1]
 
-    for module in (quad_lie, module_builders, test_quad_lie, test_johnson):
+    for module in (quad_lie, test_quad_lie, test_johnson):
         monkeypatch.setattr(module, "_ideal_echelon", mutant)
+
+
+@pytest.fixture
+def filled_basis_one_row_short(monkeypatch):
+    """A degree that fills M_q written down one unit row short, its last
+    coordinate left out."""
+    _ideal_echelon_mutant(monkeypatch, lambda rank: not rank, lambda size: size - 1)
 
 
 def test_short_filled_basis_mutant_fails_the_nabla_cross_check(filled_basis_one_row_short):
@@ -819,6 +907,29 @@ def test_short_filled_basis_mutant_fails_the_plain_elimination_cross_check(
 def test_short_filled_basis_mutant_fails_the_filled_golden(filled_basis_one_row_short):
     with pytest.raises(AssertionError):
         test_golden.test_golden_stdout("bb_direct_filled")
+
+
+@pytest.fixture
+def zero_shortcut_at_rank_one(monkeypatch):
+    """The zero shortcut firing after a degree of rank <= 1, not only after
+    a zero one: one relation reads as none from degree 3 on."""
+    _ideal_echelon_mutant(monkeypatch, lambda rank: rank <= 1, lambda size: size)
+
+
+def test_rank_one_zero_mutant_fails_the_quotient_dims(zero_shortcut_at_rank_one):
+    with pytest.raises(AssertionError):
+        test_quad_lie.test_graded_piece_dimensions()
+
+
+def test_rank_one_zero_mutant_fails_the_plain_elimination_cross_check(
+        zero_shortcut_at_rank_one, first_failure_reported):
+    with pytest.raises(AssertionError):
+        test_quad_lie.test_property_ideal_echelon_matches_plain_elimination()
+
+
+def test_rank_one_zero_mutant_fails_the_nabla_cross_check(zero_shortcut_at_rank_one):
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_3_presentation_oracle_equivalence()
 
 
 # -- the weight blocks of the centrality check -------------------------------------------

@@ -4,11 +4,13 @@ from math import comb
 
 import pytest
 
-from infalex.exact_linalg import RationalMatrix
-from infalex.free_lie import lyndon_words, witt_dims
-from infalex.quad_lie import LiePresentation, _ideal_echelon, bb_direct, wedge2_pairs
+from infalex.exact_linalg import RationalMatrix, echelon_basis
+from infalex.free_lie import ad_generator_matrix, lyndon_words, witt_dims
+from infalex.quad_lie import (LiePresentation, _ideal_echelon, _metabelian_ad, _metabelian_free,
+                              bb_direct, wedge2_pairs)
 
-from module_builders import all_pairs_bb_direct, beta_matrix, graded_dims, plain_ideal_echelon
+from module_builders import (all_pairs_bb_direct, beta_matrix, graded_dims, plain_ideal_echelon,
+                             plain_second_derived)
 
 
 def full_relations(n):
@@ -21,13 +23,27 @@ def test_ideal_free_case_zero():
         assert _ideal_echelon(p, q).rank == 0
 
 
+def metabelian_dim(n, q):
+    # dim of the degree-q piece, q >= 2, of the free metabelian Lie algebra
+    # L / L'' (Chen)
+    return (q - 1) * comb(n + q - 2, q)
+
+
+def test_metabelian_free_words_count_the_chen_dims():
+    for n, top in ((1, 6), (2, 7), (3, 7), (4, 6), (5, 4)):
+        for q in range(2, top + 1):
+            free = _metabelian_free(n, q)
+            assert len(free) == metabelian_dim(n, q), (n, q)
+            assert free == plain_second_derived(n, q).free(len(lyndon_words(n, q))), (n, q)
+
+
 def test_ideal_full_relations_abelian():
     p = LiePresentation.make(3, full_relations(3))
     dims = graded_dims(p, 5)
     assert dims.dims == (3, 0, 0, 0, 0)
-    for q in range(2, 5):
-        # full in every degree
-        assert _ideal_echelon(p, q).rank == len(lyndon_words(3, q))
+    for q in range(2, 6):
+        # all of M_q in every degree
+        assert _ideal_echelon(p, q).rank == metabelian_dim(3, q)
 
 
 def test_ideal_one_relation_degree2():
@@ -90,7 +106,8 @@ def test_bb_direct_free_chen_values():
 
 
 def test_bb_direct_quotient_words_match_all_pairs_n4_q4():
-    # one fixed draw at the largest size, where the cut drops the most pairs
+    # one fixed draw at the largest size: M_6 / pi(ideal(R)_6) against
+    # L_6 / (ideal(R)_6 + L''_6) eliminated in L
     rng = random.Random(22)
     p = LiePresentation.make(4, [{(i, j): c for i in range(4) for j in range(i + 1, 4)
                                   if (c := rng.randint(-2, 2))} for _ in range(2)])
@@ -109,8 +126,9 @@ def _presentations(st, n, max_relations):
 
 
 def test_property_bb_direct_quotient_words_match_all_pairs():
-    # bracketing only the free words of ideal(R)_a and ideal(R)_b spans the
-    # same quotient as bracketing every pair: same dimension, same basis words
+    # the image of the ideal in M = L / L'' leaves free the words that
+    # ideal(R) + L'' eliminated in L leaves free: same dimension, same basis
+    # words
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -124,8 +142,10 @@ def test_property_bb_direct_quotient_words_match_all_pairs():
 
 
 def test_property_ideal_echelon_matches_plain_elimination():
-    # a degree that fills L_{q-1} gives all of L_q without elimination; the
-    # ideal is the one that eliminating every ad image gives, in every degree
+    # a zero degree gives zero and a degree that fills M_{q-1} gives all of
+    # M_q, without elimination; in every degree the span is the image in
+    # M_q of ideal(R)_q eliminated in L_q with every ad image, that is
+    # ideal(R)_q + L''_q read through the quotient map of L''_q
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -134,17 +154,18 @@ def test_property_ideal_echelon_matches_plain_elimination():
     def check(p):
         for q in range(2, (6 if p.dim_v <= 3 else 4) + 1):
             eb, ref = _ideal_echelon(p, q), plain_ideal_echelon(p, q)
-            size = len(lyndon_words(p.dim_v, q))
-            assert eb.rank == ref.rank, q
-            assert eb.free(size) == ref.free(size), q
-            assert eb.vectors() == ref.vectors(), q
+            to_m = plain_second_derived(p.dim_v, q).quotient(len(lyndon_words(p.dim_v, q)))
+            image = [to_m.matvec(v) for v in ref.rows.values()]
+            assert eb.rank == echelon_basis(image).rank, q
+            assert all(eb.contains(v) for v in image), q
+            assert all(k < to_m.rows for row in eb.rows.values() for k in row), q
 
     check()
 
 
 def test_bb_direct_abelian_zero(monkeypatch):
     # R = wedge^2 V fills L_2, so every higher degree of the ideal is all of
-    # L_q and no ad_{e_k} image is taken
+    # M_q and no ad_{e_k} image is taken
     calls = []
     matvec = RationalMatrix.matvec
     monkeypatch.setattr(RationalMatrix, "matvec",
@@ -154,6 +175,39 @@ def test_bb_direct_abelian_zero(monkeypatch):
         for q in range(5):
             assert bb_direct(p, q) == (0, []), q
     assert not calls
+
+
+def test_metabelian_ad_is_ad_modulo_second_derived():
+    # column t of the projected ad_{e_i}, placed on the free words of
+    # L''_{q+1}, differs from ad_{e_i} of the t-th free word of L''_q by an
+    # element of L''_{q+1}: the class of the bracket, column by column
+    for n, top in ((2, 6), (3, 5), (4, 4)):
+        for q in range(1, top + 1):
+            words = lyndon_words(n, q + 1)
+            second = plain_second_derived(n, q + 1)
+            lift = list(second.free(len(words)))
+            for i in range(n):
+                ad, proj = ad_generator_matrix(n, i, q), _metabelian_ad(n, i, q)
+                assert proj.den == 1, (n, i, q)
+                for t, k in enumerate(_metabelian_free(n, q)):
+                    diff = dict(ad.matvec({k: 1}))
+                    for r, x in proj.matvec({t: 1}).items():
+                        diff[lift[r]] = diff.get(lift[r], 0) - x
+                    assert second.contains(diff), (n, i, q, t)
+
+
+def test_free_presentation_builds_no_projected_ad():
+    # after a zero degree every later one is zero, so R = 0 takes no ad image
+    # and adds nothing to the projected-ad cache
+    before = _metabelian_ad.cache_info()
+    for n in (2, 3, 4, 5):
+        p = LiePresentation.make(n, [])
+        for q in range(2, 7):
+            assert _ideal_echelon(p, q).rank == 0
+        assert bb_direct(p, 3)[0] == comb(3 + n, 5) * 4
+    after = _metabelian_ad.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses,
+                                                          before.currsize)
 
 
 def test_bb_vanishing_persists():
