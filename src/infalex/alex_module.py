@@ -25,7 +25,7 @@ from math import comb, lcm
 from operator import add, eq, itemgetter, mul, sub
 
 from .errors import InternalInconsistencyError
-from .exact_linalg import EMPTY, EchelonBasis, RationalMatrix, Vec, echelon_basis
+from .exact_linalg import EMPTY, EchelonBasis, LazyColumns, RationalMatrix, Vec, echelon_basis
 from .free_lie import GradedDims
 from .quad_lie import LiePresentation, wedge2_index, wedge2_pairs
 
@@ -72,46 +72,32 @@ def _triple(n: int, j: int) -> tuple[int, int, int]:
     return a, b, b + 1 + j
 
 
-class CyclicSumSymbol(Sequence):
+class CyclicSumSymbol(LazyColumns):
     """The symbol of a^b^c |-> a (x) f(b^c) - b (x) f(a^c) + c (x) f(a^b):
     one term tuple per sorted triple, in the order of
     combinations(range(n), 3).  f is given by its integer columns, one
     tuple of sorted (row, coefficient) pairs per pair of wedge2_pairs(n).
 
-    The term tuple of triple j is built on its first read and kept, so what
-    is kept is bounded by C(n, 3), and a rank that reads a few generators
-    builds only theirs.  The three terms multiply different variables, so
-    they never share a symbol entry and nothing is summed; with a < b < c
-    they come out sorted by (variable, row).  Equal to, and hashed as, the
-    tuple of all its term tuples."""
+    The term tuple of triple j is built on its first read and kept
+    (LazyColumns), so what is kept is bounded by C(n, 3), and a rank that
+    reads a few generators builds only theirs.  The three terms multiply
+    different variables, so they never share a symbol entry and nothing is
+    summed; with a < b < c they come out sorted by (variable, row).  Equal
+    to, and hashed as, the tuple of all its term tuples."""
 
     def __init__(self, n: int, columns):
+        super().__init__(comb(n, 3), self._terms)
         self.n = n
         self.columns = tuple(map(tuple, columns))
         self._index = wedge2_index(n)
-        self._len = comb(n, 3)
-        self._built: dict[int, tuple[Term, ...]] = {}
 
-    def _terms(self, a: int, b: int, c: int) -> tuple[Term, ...]:
+    def _terms(self, j: int) -> tuple[Term, ...]:
+        a, b, c = _triple(self.n, j)
         idx, cols = self._index, self.columns
         terms = [(a, r, x) for r, x in cols[idx[b, c]]]
         terms += [(b, r, -x) for r, x in cols[idx[a, c]]]
         terms += [(c, r, x) for r, x in cols[idx[a, b]]]
         return tuple(terms)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return tuple(self[i] for i in range(self._len)[j])
-        terms = self._built.get(j)
-        if terms is None:
-            j = range(self._len)[j]
-            terms = self._built.get(j)
-            if terms is None:
-                terms = self._built[j] = self._terms(*_triple(self.n, j))
-        return terms
-
-    def __len__(self):
-        return self._len
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, CyclicSumSymbol)):
@@ -142,7 +128,7 @@ class CyclicSumSymbol(Sequence):
         kept with the function; no symbol is built.
         """
         n, cols = self.n, self.columns
-        if not self._len:
+        if not len(self):
             return lambda w: []  # no triple, no generator to weigh
         pairs = wedge2_pairs(n)
         pairs_by_weight: dict[tuple, list[int]] = {}
@@ -172,7 +158,7 @@ class CyclicSumSymbol(Sequence):
                     # the order of the triples (a, b, c)
                     first = a * n - a * (a + 1) // 2
                     rest = first + n - a - 1
-                    offset = self._len - comb(n - a, 3) - rest
+                    offset = len(self) - comb(n - a, 3) - rest
                     for k in ks[bisect_left(ks, rest):]:
                         b, c = pairs[k]
                         if nonzero[k] or nonzero[first + b - a - 1] or nonzero[first + c - a - 1]:

@@ -18,22 +18,24 @@ row and queues the pivots that row brings in, so ``reduce`` has one path.
 A matrix's rank reads its column span, whatever its shape.  Its empty
 columns are all the one read-only ``EMPTY`` mapping, a product skips the
 empty columns of its right factor, and ``act_vec`` the entries of v whose
-column is empty.  No floating point anywhere;
-ranks and kernels are therefore deterministic and reproducible bit for
-bit.
+column is empty.  :class:`LazyColumns` is a sequence, such as the columns
+of one operator, whose entry j is built on its first read and kept, so a
+caller that reads a few entries builds only those.  No floating point
+anywhere; ranks and kernels are therefore deterministic and reproducible
+bit for bit.
 
 Vectors are sparse dicts ``{index: scalar}`` with no stored zeros.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 from . import documents
 
@@ -738,6 +740,34 @@ class RationalMatrix:
         span already built is kept."""
         if self._span is None:
             self._seed = span, count
+
+
+class LazyColumns(Sequence):
+    """A sequence of n entries, entry j made by build(j) on its first read
+    and kept in a dict keyed by j, so a caller that reads a few entries
+    builds and holds only those.  Indices and slices read as on a tuple,
+    and an index past the end raises IndexError, which ends iteration.  Its
+    repr is that of the tuple of all its entries."""
+
+    def __init__(self, n: int, build):
+        self._n, self._build = n, build
+        self._built: dict = {}
+
+    def __getitem__(self, j):
+        if type(j) is int and 0 <= j < self._n:
+            entry = self._built.get(j)
+            if entry is None:
+                entry = self._built[j] = self._build(j)
+            return entry
+        if isinstance(j, slice):
+            return tuple(self[i] for i in range(self._n)[j])
+        return self[range(self._n)[j]]   # a negative index, or a tuple's IndexError
+
+    def __len__(self):
+        return self._n
+
+    def __repr__(self):
+        return repr(tuple(self))
 
 
 def act_vec(cols: Sequence[Mapping], v: Mapping) -> Vec:

@@ -8,9 +8,10 @@ Ingredients, all exact:
   Q = wedge^2 V / (R (+) C z); R is the kernel of one integer polynomial in
   the Casimir operator per weight block, and dim Q is certified by the Weyl
   dimension formula.  The Casimir of wedge^2 V is assembled from the actions
-  of V, and the actions on wedge^2 V are built per label on first read, so
-  a run builds only the 2g simple root operators it applies: the g raising
-  ones find the highest-weight vectors, the g lowering ones certify R + C z;
+  of V, and each column of an action on wedge^2 V is built on its first
+  read, so a run builds columns of only the 2g simple root operators it
+  applies: the g raising ones find the highest-weight vectors, the g
+  lowering ones certify R + C z;
 * q = nabla-bar of the quadratic Lie algebra L(V)/(R + C z): the
   Sym(V)-linear map sending f (x) (a0 ^ a1 ^ a2) to the cyclic sum
   f a_i (x) [a_{i+1} ^ a_{i+2}], classes taken in Q; its degree-wise

@@ -74,6 +74,11 @@ class LiePresentation:
     relations: tuple[Vec, ...] = ()
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
+    def __post_init__(self):
+        # relation_span() and every route read the span that make() builds
+        if ("ideal", 2) not in self._cache:
+            raise ValueError("build a LiePresentation by LiePresentation.make(dim_v, relations)")
+
     @staticmethod
     def make(dim_v: int, relations) -> "LiePresentation":
         if dim_v < 1:

@@ -24,9 +24,12 @@ from itertools import combinations
 from math import factorial, lcm
 from operator import mul
 
-from .exact_linalg import ONE, ZERO, RationalMatrix, Vec, act_vec, axpy, echelon_basis
+from .exact_linalg import (ONE, ZERO, LazyColumns, RationalMatrix, Vec, act_vec, axpy,
+                           echelon_basis)
 
-ColMat = Sequence  # {row: int or Fraction} dicts, one per column: a tuple, or LazyColumns
+# {row: int or Fraction} dicts, one per column: a tuple, or the LazyColumns
+# of a wedge power's operator, whose columns are built on their first read
+ColMat = Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -213,53 +216,6 @@ def _weight_decomposition(weights) -> dict[tuple[int, ...], list[int]]:
     return out
 
 
-class LazyColumns(Sequence):
-    """The columns of one operator, column j built by build(j) on its first
-    read and kept, so a caller that reads a few columns builds only those.
-    Its repr is that of the tuple of all its columns."""
-
-    def __init__(self, n: int, build):
-        self._build = build
-        self._built: list = [None] * n   # None until column j is read
-
-    def __getitem__(self, j):
-        col = self._built[j]   # IndexError past the end, which ends iteration
-        if col is None:
-            col = self._built[j] = self._build(j)
-        return col
-
-    def __len__(self):
-        return len(self._built)
-
-    def __repr__(self):
-        return repr(tuple(self))
-
-
-class LazyActions(Mapping):
-    """label -> LazyColumns on a module of the given dimension made from
-    another: column j of a label is build(source[label], j), made on its
-    first read and kept.  The keys are those of source, one per algebra
-    basis element, so what is kept is bounded by the dimension of the
-    algebra times that of the module."""
-
-    def __init__(self, source: Mapping, dimension: int, build):
-        self._source, self._dimension, self._build = source, dimension, build
-        self._built: dict = {}
-
-    def __getitem__(self, label):
-        cols = self._built.get(label)
-        if cols is None:
-            cols = self._built[label] = LazyColumns(
-                self._dimension, partial(self._build, self._source[label]))
-        return cols
-
-    def __iter__(self):
-        return iter(self._source)
-
-    def __len__(self):
-        return len(self._source)
-
-
 def defining_module(spec: LieAlgebraSpec) -> WeightModule:
     actions = {label: cols for label, cols in _algebra_basis(spec)}
     return WeightModule(spec, 2 * spec.rank, spec.defining_weights(), actions)
@@ -302,8 +258,9 @@ def _wedge_basis(m: WeightModule, k: int):
 
 
 def wedge_power(m: WeightModule, k: int) -> WeightModule:
-    """wedge^k m; each column of each label is built on its first read
-    (LazyActions), so a caller pays only for the columns it applies."""
+    """wedge^k m; its actions map each label to the LazyColumns of its
+    operator, whose column j is built on its first read, so a caller pays
+    only for the columns it applies."""
     combos, weights = _wedge_basis(m, k)
     index = {c: i for i, c in enumerate(combos)}
 
@@ -311,7 +268,8 @@ def wedge_power(m: WeightModule, k: int) -> WeightModule:
         return {index[new]: v for new, v in wedge_act(cols, combos[j]).items()}
 
     return WeightModule(m.algebra, len(combos), weights,
-                        LazyActions(m.actions, len(combos), column))
+                        {label: LazyColumns(len(combos), partial(column, cols))
+                         for label, cols in m.actions.items()})
 
 
 def quotient_module(m: WeightModule, spanning: list[Vec]) -> WeightModule:

@@ -7,7 +7,7 @@ import pytest
 
 from infalex import exact_linalg
 from infalex.exact_linalg import (MAX_CYCLOTOMIC_ORDER, CyclotomicScalar, EchelonBasis,
-                                  RationalMatrix, _phi_degree, _power_reductions,
+                                  LazyColumns, RationalMatrix, _phi_degree, _power_reductions,
                                   _unit_cofactor, act_vec, axpy, cyclotomic_polynomial,
                                   echelon_basis, promote)
 from infalex.fox_alex import Character
@@ -755,6 +755,27 @@ def test_property_reduce_matches_the_set_algebra_reduce():
     check()
     # the draws reach rows that carry other leads, where the two differ in method
     assert any(brought_in)
+
+
+def test_lazy_columns_build_each_entry_once_and_read_as_a_tuple():
+    calls = []
+
+    def build(j):
+        calls.append(j)
+        return {j: j + 1}
+
+    entries = tuple({j: j + 1} for j in range(7))
+    lazy = LazyColumns(7, build)
+    assert len(lazy) == 7 and not calls
+    assert lazy[-2] is lazy[5] and calls == [5]
+    for key in (slice(1, -2, 2), slice(None, None, -3), slice(9, 3, -1), slice(4, 4)):
+        assert lazy[key] == entries[key]
+    for j in (7, -8):
+        with pytest.raises(IndexError):
+            lazy[j]
+    assert sorted(calls) == sorted(set(calls)) == [0, 1, 3, 4, 5, 6]
+    assert repr(lazy) == repr(entries) and tuple(lazy) == entries
+    assert sorted(lazy._built) == sorted(calls) == list(range(7))
 
 
 def test_numerator_columns_are_built_once_and_match_the_entries():

@@ -446,6 +446,17 @@ def test_weight_certificate_refuses_a_beta_row_of_the_wrong_weight():
     assert coker_dims(gm, 1, weights=(base_w, target_w), weyl=ctx.spec).dims == (90, 896)
 
 
+@pytest.mark.parametrize("key", [-1, -17, 0, slice(0, 3), slice(None, None, -1), slice(-9, None),
+                                 slice(4, -4, 7), slice(-3, 2, -5), slice(8, 2), slice(-999, 999)])
+def test_symbol_of_q_reads_as_the_tuple_of_its_triples(key):
+    # each read on a symbol with nothing built yet
+    symbol = JohnsonContext(3).q_map().blocks[0].symbol
+    assert symbol[key] == tuple(JohnsonContext(3).q_map().blocks[0].symbol)[key]
+    assert all(0 <= j < len(symbol) for j in symbol._built)
+    with pytest.raises(IndexError):
+        symbol[-len(symbol) - 1]
+
+
 def test_johnson_run_builds_only_the_symbols_of_dominant_buckets_g4(fresh_contexts):
     # at degree 1 a column is one generator, and only the dominant bucket of
     # each Weyl orbit is ranked: 503 of the 17,296 triples are built, each
@@ -469,7 +480,8 @@ def test_johnson_run_builds_only_the_simple_root_actions_of_wedge2_v(fresh_conte
     assert report.coker_q == (308, 1232)
     ctx = johnson_context(4)
     simple = ctx.spec.raising_labels() + ctx.spec.lowering_labels()
-    assert sorted(ctx.W2.actions._built) == sorted(simple)
+    built = sorted(label for label, cols in ctx.W2.actions.items() if cols._built)
+    assert built == sorted(simple)
     assert len(simple) == 8 and len(ctx.W2.actions) == 36
 
 

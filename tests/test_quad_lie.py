@@ -23,6 +23,16 @@ def test_ideal_free_case_zero():
         assert _ideal_echelon(p, q).rank == 0
 
 
+def test_a_presentation_is_built_through_make():
+    # every route reads the span of R that make() echelonizes once, so the
+    # bare constructor, which would leave it out, is refused
+    for args in ((3,), (3, ({0: 1},))):
+        with pytest.raises(ValueError, match=r"LiePresentation\.make"):
+            LiePresentation(*args)
+    p = LiePresentation.make(3, [{(0, 1): 2}])
+    assert p.relations == ({0: 1},) and p.relation_span().rank == 1
+
+
 def metabelian_dim(n, q):
     # dim of the degree-q piece, q >= 2, of the free metabelian Lie algebra
     # L / L'' (Chen)

@@ -399,13 +399,17 @@ def test_lazy_wedge_actions_match_an_eager_build_g3():
                           for combo in combos)
              for label, cols in v.actions.items()}
     lazy = wedge_power(v, 2).actions
-    assert not lazy._built
+    assert not _built_labels(lazy)
     # repr: the same columns with the same key order and scalar types
     assert repr({label: lazy[label] for label in lazy}) == repr(eager)
 
 
 def _built_columns(cols) -> list[int]:
-    return [j for j, col in enumerate(cols._built) if col is not None]
+    return sorted(cols._built)
+
+
+def _built_labels(actions) -> list[str]:
+    return sorted(label for label, cols in actions.items() if cols._built)
 
 
 def test_lazy_columns_are_built_one_at_a_time_and_kept():
@@ -419,6 +423,23 @@ def test_lazy_columns_are_built_one_at_a_time_and_kept():
     assert len(tuple(cols)) == len(cols) == comb(v.dimension, 2) == len(_built_columns(cols))
 
 
+# indices and slices of every kind, read before any column is built
+_READS = (-1, -3, 0, slice(0, 3), slice(None), slice(None, None, -1), slice(-4, None),
+          slice(2, -2, 3), slice(-2, 1, -2), slice(5, 2), slice(-100, 100))
+
+
+@pytest.mark.parametrize("key", _READS)
+@pytest.mark.parametrize("g,label", [(2, "X_0_1"), (3, "Y_0_2")])
+def test_wedge_action_reads_as_the_tuple_of_its_columns(g, label, key):
+    v = defining_module(SP2) if g == 2 else fundamental_module(SP3, 3)
+    cols = wedge_power(v, 2).actions[label]
+    assert cols[key] == tuple(wedge_power(v, 2).actions[label])[key]
+    with pytest.raises(IndexError):
+        cols[len(cols)]
+    with pytest.raises(IndexError):
+        cols[-len(cols) - 1]
+
+
 def test_highest_weight_search_builds_only_the_dominant_columns():
     # the raising operators are read on the dominant weight blocks alone, and
     # the vectors found are those of a search on fully built actions
@@ -427,7 +448,7 @@ def test_highest_weight_search_builds_only_the_dominant_columns():
     dominant = sorted(j for w, idx in w2.weight_decomposition().items()
                       if all(SP3.simple_coroot_pairing(w, i) >= 0 for i in range(SP3.rank))
                       for j in idx)
-    assert sorted(w2.actions._built) == sorted(SP3.raising_labels())
+    assert _built_labels(w2.actions) == sorted(SP3.raising_labels())
     for label in SP3.raising_labels():
         assert _built_columns(w2.actions[label]) == dominant
     assert 5 * len(dominant) < w2.dimension
@@ -523,8 +544,9 @@ def test_dominant_highest_weight_vectors_match_all_blocks():
 def test_algebra_caches_are_bounded():
     for cached in (_algebra_basis, _dual_coefficients, _integral_dual):
         assert cached.cache_info().maxsize is not None
-    # the per-label cache of a wedge power keeps one entry per algebra label
-    # however often, and with whatever key, it is read
+    # a wedge power holds one column memo per algebra label, and reading a
+    # label builds none of its columns; a memo keeps at most one entry per
+    # column however often, and with whatever index or slice, it is read
     m = wedge_power(defining_module(SP3), 2)
     labels = [label for label, _cols in _algebra_basis(SP3)]
     for _ in range(2):
@@ -532,5 +554,11 @@ def test_algebra_caches_are_bounded():
             assert m.actions[label] is m.actions[label]
     with pytest.raises(KeyError):
         m.actions["no such label"]
-    assert list(m.actions._built) == labels == list(m.actions)
+    assert list(m.actions) == labels and not _built_labels(m.actions)
     assert len(m.actions) == SP3.rank * (2 * SP3.rank + 1)
+    cols = m.actions[labels[0]]
+    for _ in range(2):
+        backwards = tuple(cols[j] for j in range(-1, -len(cols) - 1, -1))
+        assert cols[::-1] == backwards == cols[-len(cols):][::-1]
+    assert _built_columns(cols) == list(range(m.dimension))
+    assert _built_labels(m.actions) == [labels[0]]
