@@ -257,38 +257,45 @@ class GradedMap:
                                             den, columns)
 
     def matrix(self, q: int) -> RationalMatrix:
-        """instantiate(q), built once per degree: coker_dims and
-        coker_multiplication_action on one map share it, and so its column
-        span.  When the first block has shift 0, the span starts from that
-        block's columns, eliminated once and shifted (_leading_span), and
-        only the later blocks' columns are added to it."""
+        """The degree-q matrix whose column span and rank are the map's,
+        built once per degree: coker_dims and coker_multiplication_action
+        on one map share it, and so its column span.  When the first block
+        has shift 0, its columns are not built: the matrix holds the later
+        blocks' columns alone (instantiate of the map without the first
+        block), and its span starts from the first block's, eliminated for
+        one monomial and shifted (_leading_span).  Otherwise it is
+        instantiate(q)."""
         m = self._matrices.get(q)
         if m is None:
-            m = self._matrices[q] = self.instantiate(q)
             if self.blocks and self.blocks[0].shift == 0:
-                m.seed_span(*self._leading_span(q, m.numerator_columns()))
+                m = GradedMap(self.base_dim, self.target_dim, self.blocks[1:]).instantiate(q)
+                m.seed_span(self._leading_span(q))
+            else:
+                m = self.instantiate(q)
+            self._matrices[q] = m
         return m
 
-    def _leading_span(self, q: int, columns) -> tuple[EchelonBasis, int]:
+    def _leading_span(self, q: int) -> EchelonBasis:
         """The echelon basis that adding the first block's degree-q columns
-        in order builds, and their count, for a first block of shift 0.
+        in order builds, for a first block of shift 0.
 
         That block is I (x) A, block diagonal over the monomials of Sym_q:
         monomial t fills rows t * target_dim to t * target_dim + target_dim
         - 1 with the columns of A.  A column of monomial t holds no lead of
         another monomial, so eliminating it meets only the rows of its own
         monomial, and the rows stored for monomial t are those of monomial
-        0 shifted by t * target_dim, in the same key order.  So monomial
-        0's columns are added (EchelonBasis.add) and their rows copied for
-        every other t."""
-        width, count = len(self.blocks[0].symbol), sym_dim(self.base_dim, q)
-        span = echelon_basis(columns[:width])
-        first = [(lead, list(row.items())) for lead, row in span.rows.items()]
-        for t in range(1, count):
+        0 shifted by t * target_dim, in the same key order.  Monomial 0 of
+        Sym_q has index 0 in every degree, so its columns are those of the
+        block in degree 0, where 1 is the only monomial: those are added
+        (EchelonBasis.add) and their rows copied for every other t."""
+        first = GradedMap(self.base_dim, self.target_dim, self.blocks[:1]).instantiate(0)
+        span = echelon_basis(first.numerator_columns())
+        rows = [(lead, list(row.items())) for lead, row in span.rows.items()]
+        for t in range(1, sym_dim(self.base_dim, q)):
             off = t * self.target_dim
-            for lead, items in first:
+            for lead, items in rows:
                 span.rows[lead + off] = {k + off: x for k, x in items}
-        return span, width * count
+        return span
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import islice
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -725,21 +724,20 @@ class RationalMatrix:
     def column_span(self) -> EchelonBasis:
         """The span of the columns, built once and shared with rank(): its
         callers read it and add nothing to it.  The columns are added in
-        order, from a seed (seed_span) when one was given."""
+        order, to a seed (seed_span) when one was given."""
         if self._span is None:
-            span, count = self._seed or (None, 0)
-            self._span = echelon_basis(islice(self.numerator_columns(), count, None), span)
+            self._span = echelon_basis(self.numerator_columns(), self._seed)
             self._seed = None
         return self._span
 
-    def seed_span(self, span: EchelonBasis, count: int) -> None:
-        """Start column_span from span, which must be the basis that adding
-        the first count columns in order builds, rows and key order alike:
-        then only the later columns are added to it.  The caller vouches
-        for span (alex_module.GradedMap.matrix builds it by shifting); a
-        span already built is kept."""
+    def seed_span(self, span: EchelonBasis) -> None:
+        """Add the columns to span, not to an empty basis: column_span and
+        rank are then those of the columns beside span's rows.  A caller
+        whose own columns are only part of a map seeds the span of the rest
+        (alex_module.GradedMap.matrix builds it by shifting); a span already
+        built is kept."""
         if self._span is None:
-            self._seed = span, count
+            self._seed = span
 
 
 class LazyColumns(Sequence):

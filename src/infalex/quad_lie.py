@@ -9,12 +9,16 @@ algebras", IMRN 2004).  Two pieces depend on (n, d) alone and are cached:
 the echelon basis of L''_d, whose free Lyndon words are the basis of M_d,
 and each ad_{e_i}: M_{d-1} -> M_d.  Per presentation, the image of
 ideal(R) in M, the ideal of M that the image of R generates, is spanned
-degree by degree by the ad_{e_k} images of the piece one degree down,
-starting from R in degree 2.  After a zero degree every later one is zero,
-and after a degree that is all of M_{q-1} every later one is all of M_q;
-those pieces are written down, not eliminated.  The route uses brackets
-only, and exists as the independent oracle for the presentation-matrix
-route in ``alex_module``.
+degree by degree by the monomials ad_{e_k1} ... ad_{e_kd} applied to R in
+degree 2.  On M' = M_{>=2} the ad_{e_k} commute: by Jacobi,
+[e_k, [e_l, m]] - [e_l, [e_k, m]] = [[e_k, e_l], m], which lies in
+[M', M'] = 0.  So each monomial is taken once, with its steps in
+increasing order, as the nilpotence test of ``nilpotent_transport`` takes
+its commuting steps.  After a zero degree every later one is zero, and
+after a degree that is all of M_{q-1} every later one is all of M_q; those
+pieces are written down, not eliminated.  The route uses brackets only, and
+exists as the independent oracle for the presentation-matrix route in
+``alex_module``.
 """
 
 from __future__ import annotations
@@ -158,6 +162,11 @@ def _metabelian_free(n: int, d: int) -> dict[int, int]:
     return _second_derived(n, d).free(len(_lyndon_words_cached(n, d)))
 
 
+def _metabelian_dim(n: int, d: int) -> int:
+    """dim M_d, counted off the rank of L''_d: no basis is built."""
+    return len(_lyndon_words_cached(n, d)) - _second_derived(n, d).rank
+
+
 @lru_cache(maxsize=128)
 def _metabelian_ad(n: int, i: int, q: int) -> RationalMatrix:
     """ad_{e_i}: M_q -> M_{q+1}, the bracket with e_i on M = L / L''.
@@ -193,13 +202,21 @@ def _ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
 
     pi is onto and a map of Lie algebras, so pi(ideal(R)) is the ideal of M
     generated by pi(R).  M is generated in degree 1, so that ideal's
-    degree-q piece is spanned by the ad_{e_k} images of the piece one degree
-    down; ad_{e_k} maps L'' into L'', so it acts on M, as the projected ad
-    (_metabelian_ad).  Two degrees are written down without elimination:
-    after a zero degree the next is zero (R = 0 builds no projection), and
-    after a degree that has the rank of M_{q-1} the next is all of M_q, the
-    basis with one unit row per coordinate.  Both rank tests are exact
-    counts.
+    degree-q piece is spanned by the monomials ad_{e_k1} ... ad_{e_kd} r,
+    d = q - 2, r in R; ad_{e_k} maps L'' into L'', so it acts on M, as the
+    projected ad (_metabelian_ad).  The ad_{e_k} commute on M_{>=2}, which
+    holds R and every image: [e_k, [e_l, m]] - [e_l, [e_k, m]] =
+    [[e_k, e_l], m] lies in [M', M'] = 0.  So each monomial is taken once,
+    its steps applied in increasing order: degree q + 1 is the sum over k
+    of ad_{e_k} S_k, where S_k is spanned by the monomials of degree q whose
+    steps are all <= k.  One echelon basis per degree takes the images step
+    by step, and right after step k its rows span S_k of the next degree;
+    those row lists are cached beside it.  In degree 2 every S_k is R.
+
+    Two degrees are written down without elimination: after a zero degree
+    the next is zero (R = 0 builds no projection), and after a degree that
+    has the rank of M_{q-1} the next is all of M_q, the basis with one unit
+    row per coordinate.  Both rank tests are exact counts.
     """
     if q < 2:
         raise ValueError("the ideal lives in degrees >= 2")
@@ -212,14 +229,20 @@ def _ideal_echelon(p: LiePresentation, q: int) -> EchelonBasis:
         return cached
     n = p.dim_v
     prev = _ideal_echelon(p, q - 1)
+    eb = EchelonBasis()
     if not prev.rank:
-        eb = EchelonBasis()
-    elif prev.rank == len(_metabelian_free(n, q - 1)):
-        eb = EchelonBasis()
-        eb.rows = {k: {k: 1} for k in range(len(_metabelian_free(n, q)))}
+        pass
+    elif prev.rank == _metabelian_dim(n, q - 1):
+        eb.rows = {k: {k: 1} for k in range(_metabelian_dim(n, q))}
     else:
-        ads = [_metabelian_ad(n, i, q - 1) for i in range(n)]
-        eb = echelon_basis(m.matvec(v) for m in ads for v in prev.rows.values())
+        spans = (list(p._cache["spans", q - 1]) if q > 3
+                 else [list(prev.rows.values())] * n)
+        for k in range(n):
+            ad = _metabelian_ad(n, k, q - 1)
+            for v in spans[k]:
+                eb.add(ad.matvec(v))
+            spans[k] = list(eb.rows.values())
+        p._cache["spans", q] = spans
     p._cache[key] = eb
     return eb
 

@@ -213,11 +213,12 @@ def _span_rows(eb):
 
 
 def test_property_seeded_span_matches_plain_elimination():
-    # matrix(q) of nabla starts its span from the relation block, eliminated
-    # for monomial 0 and shifted for the others; nabla-bar takes the plain
-    # path.  Either way the rows, values and key order alike, are those that
-    # adding every column in order stores, on presentations with n <= 6 and
-    # up to 4 relations (none included), int or p/r coefficients, at q <= 3
+    # matrix(q) of nabla holds the cyclic-sum columns alone, and starts its
+    # span from the relation block, eliminated for monomial 0 and shifted
+    # for the others; nabla-bar takes the plain path.  Either way the rows,
+    # values and key order alike, are those that adding every column of
+    # instantiate(q) in order stores, on presentations with n <= 6 and up to
+    # 4 relations (none included), int or p/r coefficients, at q <= 3
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     coefficient = st.one_of(st.just(0), st.integers(-2, 2),
@@ -234,7 +235,7 @@ def test_property_seeded_span_matches_plain_elimination():
     def check(p, q):
         for gm in (nabla(p), nabla_bar(p)):
             m = gm.matrix(q)
-            plain = echelon_basis(m.numerator_columns())
+            plain = echelon_basis(gm.instantiate(q).numerator_columns())
             assert _span_rows(m.column_span()) == _span_rows(plain)
             assert m.rank() == plain.rank
 
@@ -250,9 +251,10 @@ def test_relation_block_second_takes_the_plain_path(monkeypatch):
     ranks = [gm.matrix(q).rank() for q in range(4)]
     swapped = GradedMap(gm.base_dim, gm.target_dim, gm.blocks[::-1])
     monkeypatch.setattr(GradedMap, "_leading_span",
-                        lambda self, q, columns: pytest.fail("a shift-1 first block seeded"))
+                        lambda self, q: pytest.fail("a shift-1 first block seeded"))
     for q in range(4):
         m = swapped.matrix(q)
+        assert m == swapped.instantiate(q)
         assert _span_rows(m.column_span()) == _span_rows(echelon_basis(m.numerator_columns()))
         assert m.rank() == ranks[q]
     assert coker_dims(swapped, 3).dims == coker_dims(gm, 3).dims
@@ -528,19 +530,28 @@ def test_coker_dims_and_action_share_each_degree(monkeypatch):
     gm = nabla(p)
     built = []
     instantiate = GradedMap.instantiate
-    monkeypatch.setattr(GradedMap, "instantiate",
-                        lambda self, q: built.append(q) or instantiate(self, q))
+    monkeypatch.setattr(GradedMap, "instantiate", lambda self, q: built.append(
+        (tuple(b.name for b in self.blocks), q)) or instantiate(self, q))
     dims = coker_dims(gm, 2)
     total, mats = coker_multiplication_action(gm, 2)
-    assert built == [0, 1, 2] and sorted(gm._matrices) == [0, 1, 2]
+    # per degree: the cyclic-sum block in degree q, and the relation block
+    # in degree 0, whose columns are monomial 0's (_leading_span)
+    once = [block for q in range(3) for block in ((("wedge3",), q), (("relations",), 0))]
+    assert built == once and sorted(gm._matrices) == [0, 1, 2]
     assert total == sum(dims.dims)
     # the cache is no part of the map's value, and changes no answer
     fresh = nabla(p)
     assert not fresh._matrices and fresh == gm and hash(fresh) == hash(gm)
     assert coker_multiplication_action(fresh, 2) == (total, mats)
-    assert built == [0, 1, 2] + [0, 1, 2]
+    assert built == once + once
+    # the shared matrix holds the cyclic-sum columns alone, and its span
+    # is that of every column of instantiate(q): the action's quotient has
+    # inter-reduced it, so the reduced echelon forms are compared
     for q in range(3):
-        assert gm.matrix(q) == instantiate(gm, q)
+        m = gm.matrix(q)
+        assert m == instantiate(GradedMap(gm.base_dim, gm.target_dim, gm.blocks[1:]), q)
+        plain = echelon_basis(instantiate(gm, q).numerator_columns())
+        assert m.column_span().vectors() == plain.vectors() and m.rank() == plain.rank
 
 
 def test_instantiate_brings_blocks_over_one_denominator():

@@ -228,15 +228,15 @@ def copies_one_monomial_up(monkeypatch):
     """_leading_span with the rows of monomial t copied to those of monomial
     t + 1: monomial 1 is left without rows, and the last copy lands past the
     last row of the degree."""
-    def mutant(self, q, columns):
-        width, count = len(self.blocks[0].symbol), sym_dim(self.base_dim, q)
-        span = exact_linalg.echelon_basis(columns[:width])
-        first = [(lead, list(row.items())) for lead, row in span.rows.items()]
-        for t in range(1, count):
+    def mutant(self, q):
+        first = GradedMap(self.base_dim, self.target_dim, self.blocks[:1]).instantiate(0)
+        span = exact_linalg.echelon_basis(first.numerator_columns())
+        rows = [(lead, list(row.items())) for lead, row in span.rows.items()]
+        for t in range(1, sym_dim(self.base_dim, q)):
             off = (t + 1) * self.target_dim
-            for lead, items in first:
+            for lead, items in rows:
                 span.rows[lead + off] = {k + off: x for k, x in items}
-        return span, width * count
+        return span
 
     monkeypatch.setattr(GradedMap, "_leading_span", mutant)
 
@@ -255,14 +255,16 @@ def test_misplaced_copies_mutant_fails_the_nabla_cross_check(copies_one_monomial
 
 @pytest.fixture
 def seed_from_any_first_block(monkeypatch):
-    """matrix(q) seeding its span from the first block whatever its shift,
-    so also from the shift-1 cyclic sum of delta3, nabla-bar and q."""
+    """matrix(q) taking the first block's span by shifting whatever its
+    shift, so also for the shift-1 cyclic sum of delta3, nabla-bar and q:
+    that block has no columns in degree 0, and its span is left empty."""
     def mutant(self, q):
         m = self._matrices.get(q)
         if m is None:
-            m = self._matrices[q] = self.instantiate(q)
+            m = GradedMap(self.base_dim, self.target_dim, self.blocks[1:]).instantiate(q)
             if self.blocks:
-                m.seed_span(*self._leading_span(q, m.numerator_columns()))
+                m.seed_span(self._leading_span(q))
+            self._matrices[q] = m
         return m
 
     monkeypatch.setattr(GradedMap, "matrix", mutant)
@@ -278,6 +280,36 @@ def test_any_block_seed_mutant_fails_the_free_nabla_check(seed_from_any_first_bl
     # with no relation, nabla and delta3 have one cokernel
     with pytest.raises(AssertionError):
         test_alex_module.test_nabla_free_equals_delta3()
+
+
+@pytest.fixture
+def later_blocks_unseeded(monkeypatch):
+    """matrix(q) holding the later blocks' columns of a map whose first
+    block has shift 0, with no span seeded from the first block: nabla is
+    ranked without its relation columns."""
+    def mutant(self, q):
+        m = self._matrices.get(q)
+        if m is None:
+            if self.blocks and self.blocks[0].shift == 0:
+                m = GradedMap(self.base_dim, self.target_dim, self.blocks[1:]).instantiate(q)
+            else:
+                m = self.instantiate(q)
+            self._matrices[q] = m
+        return m
+
+    monkeypatch.setattr(GradedMap, "matrix", mutant)
+
+
+def test_unseeded_mutant_fails_the_seeded_span_property(later_blocks_unseeded,
+                                                        first_failure_reported):
+    with pytest.raises(AssertionError):
+        test_alex_module.test_property_seeded_span_matches_plain_elimination()
+
+
+def test_unseeded_mutant_fails_the_nabla_cross_check(later_blocks_unseeded):
+    # criterion 3: nabla, nabla-bar and direct dims on 54 presentations
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_3_presentation_oracle_equivalence()
 
 
 # -- nabla's relation block, read off the stored rows of relation_span() ------------
@@ -850,11 +882,15 @@ def test_reduce_mutant_fails_the_nabla_cross_check(ad_projected_by_reduce):
 
 # -- the zero and the filled degrees of the ideal ----------------------------------------
 
-def _ideal_echelon_mutant(monkeypatch, zero, filled_rows):
-    """_ideal_echelon with its zero test zero(rank) and a filled degree
-    written down as filled_rows(dim M_q) unit rows, everywhere
-    _ideal_echelon is bound.  The mutant keeps its pieces in a cache of its
-    own, so that no presentation is left holding them."""
+def _ideal_echelon_mutant(monkeypatch, zero=lambda rank: not rank, filled_rows=lambda size: size,
+                          read=lambda spans, k: spans[k],
+                          kept=lambda before, after: after):
+    """_ideal_echelon with its zero test zero(rank), a filled degree written
+    down as filled_rows(dim M_q) unit rows, step k reading the rows
+    read(spans, k) of the degree below, and S_k of the next degree kept as
+    kept(rows before step k, rows after it), everywhere _ideal_echelon is
+    bound.  The mutant keeps its pieces in a cache of its own, so that no
+    presentation is left holding them."""
     cache: dict = {}
 
     def mutant(p, q):
@@ -863,16 +899,23 @@ def _ideal_echelon_mutant(monkeypatch, zero, filled_rows):
         if (id(p), q) not in cache:
             n = p.dim_v
             prev = mutant(p, q - 1)
-            eb = EchelonBasis()
+            eb, spans = EchelonBasis(), None
             if zero(prev.rank):
                 pass
-            elif prev.rank == len(quad_lie._metabelian_free(n, q - 1)):
+            elif prev.rank == quad_lie._metabelian_dim(n, q - 1):
                 eb.rows = {k: {k: 1} for k in range(filled_rows(
-                    len(quad_lie._metabelian_free(n, q))))}
+                    quad_lie._metabelian_dim(n, q)))}
             else:
-                ads = [quad_lie._metabelian_ad(n, i, q - 1) for i in range(n)]
-                eb = quad_lie.echelon_basis(m.matvec(v) for m in ads for v in prev.rows.values())
-            cache[(id(p), q)] = p, eb
+                # every S_k of R, or of a degree written down, is all of it
+                below = (q > 3 and cache[(id(p), q - 1)][2]) or [list(prev.rows.values())] * n
+                spans = []
+                for k in range(n):
+                    ad = quad_lie._metabelian_ad(n, k, q - 1)
+                    before = list(eb.rows.values())
+                    for v in read(below, k):
+                        eb.add(ad.matvec(v))
+                    spans.append(kept(before, list(eb.rows.values())))
+            cache[(id(p), q)] = p, eb, spans
         return cache[(id(p), q)][1]
 
     for module in (quad_lie, test_quad_lie, test_johnson):
@@ -883,7 +926,7 @@ def _ideal_echelon_mutant(monkeypatch, zero, filled_rows):
 def filled_basis_one_row_short(monkeypatch):
     """A degree that fills M_q written down one unit row short, its last
     coordinate left out."""
-    _ideal_echelon_mutant(monkeypatch, lambda rank: not rank, lambda size: size - 1)
+    _ideal_echelon_mutant(monkeypatch, filled_rows=lambda size: size - 1)
 
 
 def test_short_filled_basis_mutant_fails_the_nabla_cross_check(filled_basis_one_row_short):
@@ -913,7 +956,7 @@ def test_short_filled_basis_mutant_fails_the_filled_golden(filled_basis_one_row_
 def zero_shortcut_at_rank_one(monkeypatch):
     """The zero shortcut firing after a degree of rank <= 1, not only after
     a zero one: one relation reads as none from degree 3 on."""
-    _ideal_echelon_mutant(monkeypatch, lambda rank: rank <= 1, lambda size: size)
+    _ideal_echelon_mutant(monkeypatch, zero=lambda rank: rank <= 1)
 
 
 def test_rank_one_zero_mutant_fails_the_quotient_dims(zero_shortcut_at_rank_one):
@@ -928,6 +971,42 @@ def test_rank_one_zero_mutant_fails_the_plain_elimination_cross_check(
 
 
 def test_rank_one_zero_mutant_fails_the_nabla_cross_check(zero_shortcut_at_rank_one):
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_3_presentation_oracle_equivalence()
+
+
+@pytest.fixture
+def step_span_read_before_its_images(monkeypatch):
+    """S_k of the next degree kept as the rows from before step k's images
+    were added: the monomials whose largest step is k are left out of it."""
+    _ideal_echelon_mutant(monkeypatch, kept=lambda before, after: before)
+
+
+def test_early_span_mutant_fails_the_plain_elimination_cross_check(
+        step_span_read_before_its_images, first_failure_reported):
+    with pytest.raises(AssertionError):
+        test_quad_lie.test_property_ideal_echelon_matches_plain_elimination()
+
+
+def test_early_span_mutant_fails_the_nabla_cross_check(step_span_read_before_its_images):
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_3_presentation_oracle_equivalence()
+
+
+@pytest.fixture
+def every_step_reading_s0(monkeypatch):
+    """Every step reading S_0 of the degree below, the monomials with step
+    0 alone, in place of its own S_k."""
+    _ideal_echelon_mutant(monkeypatch, read=lambda spans, k: spans[0])
+
+
+def test_s0_mutant_fails_the_plain_elimination_cross_check(every_step_reading_s0,
+                                                           first_failure_reported):
+    with pytest.raises(AssertionError):
+        test_quad_lie.test_property_ideal_echelon_matches_plain_elimination()
+
+
+def test_s0_mutant_fails_the_nabla_cross_check(every_step_reading_s0):
     with pytest.raises(AssertionError):
         test_acceptance.test_criterion_3_presentation_oracle_equivalence()
 

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -204,6 +205,20 @@ def test_metabelian_ad_is_ad_modulo_second_derived():
                     for r, x in proj.matvec({t: 1}).items():
                         diff[lift[r]] = diff.get(lift[r], 0) - x
                     assert second.contains(diff), (n, i, q, t)
+
+
+def test_projected_ads_commute_from_degree_2():
+    # _ideal_echelon takes each monomial of steps once, which rests on
+    # ad_{e_k} ad_{e_l} = ad_{e_l} ad_{e_k} on M_{>=2}: [[e_k, e_l], m] lies
+    # in [M', M'] = 0.  Pinned wherever criterion 3 and the bb-direct
+    # benchmark apply two steps (into degree <= 6 for n <= 4, <= 4 for
+    # n = 5), and refuted from degree 1, where [[e_k, e_l], e_k] != 0
+    for n, top in ((2, 6), (3, 6), (4, 6), (5, 4)):
+        for q in range(1, top - 1):
+            for k, l in combinations(range(n), 2):
+                kl = _metabelian_ad(n, k, q + 1).matmul(_metabelian_ad(n, l, q))
+                lk = _metabelian_ad(n, l, q + 1).matmul(_metabelian_ad(n, k, q))
+                assert (kl == lk) == (q >= 2), (n, k, l, q)
 
 
 def test_free_presentation_builds_no_projected_ad():
