@@ -40,11 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add
+from operator import add, sub
 
-from .alex_module import GradedMap, coker_dims, quotient_cyclic_sum
+from .alex_module import GradedMap, _by_weight, coker_dims, quotient_cyclic_sum
 from .errors import BudgetExceededError, InternalInconsistencyError
-from .exact_linalg import EchelonBasis, Vec, act_vec, axpy, echelon_basis
+from .exact_linalg import EchelonBasis, Vec, act_vec, echelon_basis
 from .free_lie import basis_bracket
 from .quad_lie import wedge2_pairs
 from .rep_semisimple import (HighestWeight, LieAlgebraSpec, casimir_blocks,
@@ -259,47 +259,46 @@ def johnson_module_dims(g: int, max_degree: int, *, allow_large: bool = False) -
 
 
 def central_z_check(g: int, *, allow_large: bool = False) -> bool:
-    """Degree-3 membership [z, V] inside ideal(R): reported literally.
+    """Degree-3 membership [z, V] inside ideal(R), reported literally: false
+    at g = 3, where R = 0 and z is not central in the free Lie algebra.
 
-    At g = 3 the decomposition gives R = 0, so the ideal is zero and z is a
-    nonzero degree-2 element of a free Lie algebra; the check then reports
-    whether [z, V] = 0, which is false.  For larger g the relation space is
-    big and the membership is a genuine computation.
-
-    ideal(R)_3 is spanned by the [e_i, r], r in r_basis.  Every r and z is a
-    weight vector (checked), and so is every Lyndon word, so the weight-mu
-    part of ideal(R)_3 is spanned by the [e_i, r] of weight mu, and each
-    [e_j, z] is tested in the block of its own weight; membership ignores
-    the sign of [e_j, z] = -[z, e_j].
+    Once R + C z and R are certified invariant, (R + C z)/R is a trivial
+    line, so x.z lies in R for every x in sp(2g), and v -> [z, v] mod
+    ideal(R)_3 is an sp(2g)-map out of the irreducible V = V(lambda_3),
+    zero exactly when it kills e_j, the basis vector of weight lambda_3
+    (Humphreys, sections 20-21).  ideal(R)_3 is spanned by the [e_i, r];
+    every r, z and Lyndon word is a weight vector (checked), so [e_j, z] is
+    tested against the [e_i, r] of its own weight, sign aside.
     """
     _check_budget(g, allow_large)
     ctx = johnson_context(g)
-    n, wt = ctx.V.dimension, ctx.V.weights
-
-    def weight(v: Vec) -> tuple:
-        weights = {ctx.W2.weights[k] for k in v}
-        if len(weights) != 1:
-            raise InternalInconsistencyError("R + C z should have a basis of weight vectors")
-        return weights.pop()
 
     def bracket(i: int, v: Vec) -> Vec:
         # [e_i, v] keyed by Lyndon word: the pairs of wedge^2 V are the words of L_2
-        out: Vec = {}
-        for k, c in v.items():
-            axpy(out, c, dict(basis_bracket((i,), ctx.pairs[k])))
-        return out
+        return act_vec({k: dict(basis_bracket((i,), ctx.pairs[k])) for k in v}, v)
 
-    spanning: dict[tuple, list] = {}
-    for r in ctx.r_basis:
-        w_r = weight(r)
-        for i in range(n):
-            spanning.setdefault(tuple(map(add, wt[i], w_r)), []).append((i, r))
-    targets: dict[tuple, list[int]] = {}
-    w_z = weight(ctx.z_vec)
-    for j in range(n):
-        targets.setdefault(tuple(map(add, wt[j], w_z)), []).append(j)
-    for mu, js in sorted(targets.items()):
-        block = echelon_basis(bracket(i, r) for i, r in spanning.get(mu, ()))
-        if not all(block.contains(bracket(j, ctx.z_vec)) for j in js):
-            return False
-    return True
+    weights = [{ctx.W2.weights[k] for k in v} for v in ctx.r_basis + [ctx.z_vec]]
+    if any(len(ws) != 1 for ws in weights):
+        raise InternalInconsistencyError("R + C z should have a basis of weight vectors")
+    *r_weights, w_z = [ws.pop() for ws in weights]
+    r_blocks = _by_weight(zip(ctx.r_basis, r_weights))
+    ctx.certify_invariance()
+    # R itself: R + C z is invariant and R a sum of weight blocks, so the i-th
+    # raising (lowering) operator, of weight alpha_i (-alpha_i), takes R_w out of
+    # R only into C z, at w + alpha_i = w_z (w - alpha_i = w_z): the 2g, which
+    # generate sp(2g), must map those R_w into R_(w_z), and build only their columns
+    span = echelon_basis(r_blocks.get(w_z, ()))
+    roots = [(0,) * i + (1, -1) + (0,) * (g - 2 - i) for i in range(g - 1)]
+    for root, up, down in zip(roots + [(0,) * (g - 1) + (2,)],
+                              ctx.spec.raising_labels(), ctx.spec.lowering_labels()):
+        for op, label in ((sub, up), (add, down)):
+            if not all(span.contains(act_vec(ctx.W2.actions[label], r))
+                       for r in r_blocks.get(tuple(map(op, w_z, root)), ())):
+                raise InternalInconsistencyError(f"R is not invariant under {label}")
+    line = ctx.V.weight_decomposition().get((1, 1, 1) + (0,) * (g - 3), [])
+    if len(line) != 1:
+        raise InternalInconsistencyError("V has no single line of weight lambda_3")
+    mu = tuple(map(add, ctx.V.weights[line[0]], w_z))
+    block = echelon_basis(bracket(i, r) for i, w in enumerate(ctx.V.weights)
+                          for r in r_blocks.get(tuple(map(sub, mu, w)), ()))
+    return block.contains(bracket(line[0], ctx.z_vec))

@@ -4,7 +4,9 @@ Casimir oracles (the whole operator, its eigenspaces and the isotypic
 projections, built from the running Casimir blocks), the closure under the
 lowering operators that R is checked against with no Casimir, the check of
 R + C z under all 2g simple root operators that the highest-weight
-invariance certificate is checked against, the inversion count that the
+invariance certificate is checked against, the every-block test of [z, V]
+inside ideal(R)_3 that the one-vector centrality check is checked against,
+the inversion count that the
 sign of a wedge monomial is checked against, the Weyl dimension of
 sl_n that the Chen ranks are checked against, the Fraction-valued
 references that the integer kernels of rep_semisimple are
@@ -133,6 +135,45 @@ def simple_root_invariance(ctx) -> bool:
     labels = ctx.spec.raising_labels() + ctx.spec.lowering_labels()
     return all(span.contains(act_vec(ctx.W2.actions[label], v))
                for label in labels for v in ctx.r_basis + [ctx.z_vec])
+
+
+def central_z_every_block(ctx) -> bool:
+    """Test oracle: [z, V] inside ideal(R)_3 for a JohnsonContext, tested at
+    every weight of V, with no invariance argument.  ideal(R)_3 is spanned
+    by the [e_i, r], r in r_basis; every r, z and Lyndon word is a weight
+    vector (checked), so the weight-mu part of ideal(R)_3 is spanned by the
+    [e_i, r] of weight mu, and each [e_j, z] is tested in the block of its
+    own weight, one elimination per weight of V (40 at g = 4).
+    johnson.central_z_check tests the one vector of weight lambda_3 once R
+    and R + C z are certified invariant."""
+    n, wt = ctx.V.dimension, ctx.V.weights
+
+    def weight(v):
+        weights = {ctx.W2.weights[k] for k in v}
+        assert len(weights) == 1, "R + C z should have a basis of weight vectors"
+        return weights.pop()
+
+    def bracket(i, v):
+        # [e_i, v] keyed by Lyndon word: the pairs of wedge^2 V are the words of L_2
+        out = {}
+        for k, c in v.items():
+            axpy(out, c, dict(basis_bracket((i,), ctx.pairs[k])))
+        return out
+
+    spanning: dict = {}
+    for r in ctx.r_basis:
+        w_r = weight(r)
+        for i in range(n):
+            spanning.setdefault(tuple(map(add, wt[i], w_r)), []).append((i, r))
+    targets: dict = {}
+    w_z = weight(ctx.z_vec)
+    for j in range(n):
+        targets.setdefault(tuple(map(add, wt[j], w_z)), []).append(j)
+    for mu, js in sorted(targets.items()):
+        block = echelon_basis(bracket(i, r) for i, r in spanning.get(mu, ()))
+        if not all(block.contains(bracket(j, ctx.z_vec)) for j in js):
+            return False
+    return True
 
 
 def _joint_kernel(m: WeightModule, labels, idx: list[int]) -> list[Vec]:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -13,7 +14,7 @@ from infalex.alex_module import (_generators_by_weight, coker_dims, monomial_ind
                                  monomials, nabla, nabla_bar)
 from infalex.cli import main
 from infalex.errors import BudgetExceededError, InternalInconsistencyError
-from infalex.exact_linalg import EchelonBasis
+from infalex.exact_linalg import EchelonBasis, axpy
 from infalex.free_lie import ad_generator_matrix
 from infalex.quad_lie import LiePresentation, _ideal_echelon, bb_direct
 from infalex.johnson import (JohnsonContext, central_z_check, decompose_wedge2_V,
@@ -21,11 +22,11 @@ from infalex.johnson import (JohnsonContext, central_z_check, decompose_wedge2_V
 from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec, casimir_blocks,
                                     highest_weight_vectors, weyl_dim)
 
-from module_builders import (composed_nabla_bar, equivariance_defect, fraction_columns,
-                             generator_weights, isotypic_projection, lowest_weight_vectors,
-                             matrix_sum, presentation_with_z, quotient_pairs,
-                             simple_root_invariance, span_closure, weight_buckets,
-                             weyl_orbit)
+from module_builders import (central_z_every_block, composed_nabla_bar, equivariance_defect,
+                             fraction_columns, generator_weights, isotypic_projection,
+                             lowest_weight_vectors, matrix_sum, presentation_with_z,
+                             quotient_pairs, simple_root_invariance, span_closure,
+                             weight_buckets, weyl_orbit)
 
 # sha256 of the repr of each context field, so values, dict key order and
 # container types all count; recorded before the single-pass context build.
@@ -248,8 +249,8 @@ def _central_z_full_route(g):
     """[z, e_i] in ideal(R)_3 for every i, with ideal(R)_3 echelonized whole
     in Lyndon coordinates of L_3 from the ad_{e_i} matrices, without weights.
 
-    Test oracle: it uses no weights, so it checks the weight blocks of
-    central_z_check."""
+    Test oracle: it uses no weights and no invariance, so it checks the
+    weight block and the one-vector argument of central_z_check."""
     ctx = johnson_context(g)
     n = ctx.V.dimension
     pres = LiePresentation.make(
@@ -266,6 +267,54 @@ def test_central_z_g3_literal_false():
     # algebra, and z is not central: the membership check reports that fact
     assert central_z_check(3) is False
     assert _central_z_full_route(3) is False
+
+
+@pytest.mark.parametrize("g, central", [(3, False), (4, True)])
+def test_central_z_check_agrees_with_the_every_block_oracle(g, central):
+    # one vector of weight lambda_3 against one elimination per weight of V
+    assert central_z_check(g) is central
+    assert central_z_every_block(johnson_context(g)) is central
+
+
+def _r_with_z_added_to_a_weight_0_vector(ctx):
+    """r_basis with its first r of weight 0 traded for r + z: R + C z, and so
+    every fact certify_invariance reads, is unchanged, but R is not
+    invariant, since R + C z has no other invariant line than C z."""
+    zero = (0,) * ctx.g
+    k = next(t for t, r in enumerate(ctx.r_basis) if ctx.W2.weights[next(iter(r))] == zero)
+    r = dict(ctx.r_basis[k])
+    axpy(r, 1, ctx.z_vec)
+    return ctx.r_basis[:k] + [r] + ctx.r_basis[k + 1:]
+
+
+def test_central_z_refuses_an_r_traded_within_r_plus_cz(capsys, monkeypatch, fresh_contexts):
+    # the R certificate refuses what certify_invariance cannot see, and the
+    # CLI reports it as one inconsistency line, exit 4, with no traceback
+    ctx = johnson_context(4)
+    monkeypatch.setattr(ctx, "r_basis", _r_with_z_added_to_a_weight_0_vector(ctx))
+    ctx.certify_invariance()
+    code = main(["decompose", "--genus", "4", "--central-z"])
+    captured = capsys.readouterr()
+    assert code == 4
+    (line,) = captured.out.splitlines()
+    assert json.loads(line) == {"error": "inconsistency",
+                                "detail": "R is not invariant under X_0_1"}
+    assert captured.err == ""
+
+
+def test_central_z_refuses_a_v_without_a_single_line_of_weight_lambda3(capsys, monkeypatch,
+                                                                       fresh_contexts):
+    # V's weights are the context's, not the user's: a second vector of
+    # weight lambda_3 is an inconsistency (exit 4), never a usage error
+    ctx = johnson_context(3)
+    weights = list(ctx.V.weights)
+    weights[weights.index((1, 1, -1))] = (1, 1, 1)
+    monkeypatch.setattr(ctx, "V", dataclasses.replace(ctx.V, weights=tuple(weights)))
+    code = main(["decompose", "--genus", "3", "--central-z"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert json.loads(captured.out) == {
+        "error": "inconsistency", "detail": "V has no single line of weight lambda_3"}
 
 
 def test_central_z_refuses_a_relation_that_is_not_a_weight_vector(monkeypatch,
@@ -333,27 +382,41 @@ def test_decompose_g6(fresh_contexts):
 @pytest.mark.slow
 def test_central_z_g4_membership_holds():
     # with the large relation space at genus 4 the brackets [z, e_i] all land
-    # in the degree-3 piece of the ideal, by weight blocks and whole
+    # in the degree-3 piece of the ideal, by one certified vector and whole
     assert central_z_check(4) is True
     assert _central_z_full_route(4) is True
 
 
-def test_central_z_eliminates_one_block_per_weight_of_v_g4(monkeypatch):
-    # z has weight 0, so each weight of V is one block holding its [e_j, z];
-    # when every block passes, each is eliminated once.  The answer cannot
-    # show a block left out: R is sp(2g)-invariant, so blocks are refused in
-    # whole Weyl orbits, never one alone
+@pytest.mark.slow
+def test_central_z_g5_holds(fresh_contexts):
+    # the first genus above the default ceiling; the every-block oracle
+    # takes about 16 s here and is not run
+    assert central_z_check(5, allow_large=True) is True
+
+
+def test_central_z_eliminates_one_block_of_weight_lambda3_g4(monkeypatch, fresh_contexts):
+    # three echelon bases: R + C z for certify_invariance, R's weight-0
+    # vectors for the R certificate, and one block of L_3, the [e_i, r] of
+    # weight lambda_3 = (1, 1, 1, 0) that [e_j, z] is tested against
     ctx = johnson_context(4)
     built = []
     echelon_basis = johnson.echelon_basis
 
-    def counted(vectors):
-        built.append(echelon_basis(vectors))
-        return built[-1]
+    def recording(vectors):
+        built.append(list(vectors))
+        return echelon_basis(built[-1])
 
-    monkeypatch.setattr(johnson, "echelon_basis", counted)
+    monkeypatch.setattr(johnson, "echelon_basis", recording)
     assert central_z_check(4) is True
-    assert len(built) == len(set(ctx.V.weights)) == 40
+    rz, r_zero, block = built
+    assert len(rz) == ctx.r_dim + 1 == 820
+    assert len(r_zero) == 19
+    assert {ctx.W2.weights[k] for v in r_zero for k in v} == {(0, 0, 0, 0)}
+    words = {word for v in block for word in v}
+    assert all(len(word) == 3 for word in words)
+    assert {tuple(map(sum, zip(*(ctx.V.weights[i] for i in word)))) for word in words} == {
+        (1, 1, 1, 0)}
+    assert len(block) == 250 and echelon_basis(block).rank == 231
 
 
 @pytest.mark.slow

@@ -4,7 +4,11 @@ show that a committed cross-check or certificate catches it.
 A mutant test adds to the check it exercises and never replaces it: the
 check itself stays in its own test file, and here it must fail."""
 
+import __future__
+import inspect
 import json
+import textwrap
+import types
 from itertools import combinations
 from math import lcm
 from operator import add
@@ -1011,52 +1015,80 @@ def test_s0_mutant_fails_the_nabla_cross_check(every_step_reading_s0):
         test_acceptance.test_criterion_3_presentation_oracle_equivalence()
 
 
-# -- the weight blocks of the centrality check -------------------------------------------
+# -- the one-vector centrality check ------------------------------------------------
+
+def _rewritten(function, old: str, new: str):
+    """function compiled again from its source with the one occurrence of old
+    replaced by new, over its own module's globals, so a patch of the
+    module is seen by the rewritten function too."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    module_code = compile(source.replace(old, new), inspect.getsourcefile(function), "exec",
+                          flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    code = next(c for c in module_code.co_consts
+                if isinstance(c, types.CodeType) and c.co_name == function.__name__)
+    rewritten = types.FunctionType(code, function.__globals__, function.__name__,
+                                   function.__defaults__)
+    rewritten.__kwdefaults__ = function.__kwdefaults__
+    return rewritten
+
 
 @pytest.fixture
-def first_block_skipped(monkeypatch):
-    """central_z_check with its loop over weight blocks starting at the
-    second, everywhere central_z_check is bound."""
-    def mutant(g, *, allow_large=False):
-        johnson._check_budget(g, allow_large)
-        ctx = johnson.johnson_context(g)
-        n, wt = ctx.V.dimension, ctx.V.weights
-
-        def bracket(i, v):
-            out = {}
-            for k, c in v.items():
-                axpy(out, c, dict(johnson.basis_bracket((i,), ctx.pairs[k])))
-            return out
-
-        def weight(v):
-            weights = {ctx.W2.weights[k] for k in v}
-            if len(weights) != 1:
-                raise InternalInconsistencyError("R + C z should have a basis of weight vectors")
-            return weights.pop()
-
-        spanning: dict = {}
-        for r in ctx.r_basis:
-            w_r = weight(r)
-            for i in range(n):
-                spanning.setdefault(tuple(map(add, wt[i], w_r)), []).append((i, r))
-        targets: dict = {}
-        w_z = weight(ctx.z_vec)
-        for j in range(n):
-            targets.setdefault(tuple(map(add, wt[j], w_z)), []).append(j)
-        for mu, js in sorted(targets.items())[1:]:
-            block = johnson.echelon_basis(bracket(i, r) for i, r in spanning.get(mu, ()))
-            if not all(block.contains(bracket(j, ctx.z_vec)) for j in js):
-                return False
-        return True
-
+def r_certificate_skipped(monkeypatch):
+    """central_z_check with R + C z certified and R not: its refusal of an
+    image outside R_(w_z) taken out, everywhere central_z_check is bound."""
+    mutant = _rewritten(johnson.central_z_check,
+                        'raise InternalInconsistencyError(f"R is not invariant under {label}")',
+                        "pass")
     for module in (johnson, cli, test_johnson):
         monkeypatch.setattr(module, "central_z_check", mutant)
 
 
-def test_skipped_block_mutant_fails_the_block_count(monkeypatch, first_block_skipped):
-    # an sp(2g)-invariant R has its blocks refused in whole Weyl orbits, so
-    # no answer shows the block left out: false at g = 3, true at g = 4
-    test_johnson.test_central_z_g3_literal_false()
-    assert johnson.central_z_check(4) is True
+def test_skipped_r_certificate_mutant_fails_the_traded_r_refusal(
+        capsys, monkeypatch, fresh_contexts, r_certificate_skipped):
+    # without the certificate the traded R answers true at g = 4, as the
+    # true R does: only the refusal shows it
     with pytest.raises(AssertionError):
-        test_johnson.test_central_z_eliminates_one_block_per_weight_of_v_g4(monkeypatch)
+        test_johnson.test_central_z_refuses_an_r_traded_within_r_plus_cz(capsys, monkeypatch,
+                                                                         None)
+
+
+@pytest.fixture
+def membership_read_at_another_weight(monkeypatch):
+    """central_z_check testing the line of weight (1, 1, -1, 0, ...), in the
+    Weyl orbit of lambda_3, everywhere central_z_check is bound."""
+    mutant = _rewritten(johnson.central_z_check, "(1, 1, 1) + (0,) * (g - 3)",
+                        "(1, 1, -1) + (0,) * (g - 3)")
+    for module in (johnson, cli, test_johnson):
+        monkeypatch.setattr(module, "central_z_check", mutant)
+
+
+def test_other_weight_mutant_fails_the_one_block_check(monkeypatch, fresh_contexts,
+                                                       membership_read_at_another_weight):
+    # once R is invariant every nonzero vector of V gives the same answer,
+    # false at g = 3 and true at g = 4: only the block's weight shows the
+    # mutant
+    with pytest.raises(AssertionError):
+        test_johnson.test_central_z_eliminates_one_block_of_weight_lambda3_g4(monkeypatch,
+                                                                              None)
+    test_johnson.test_central_z_check_agrees_with_the_every_block_oracle(3, False)
+    test_johnson.test_central_z_check_agrees_with_the_every_block_oracle(4, True)
+
+
+@pytest.fixture
+def z_outside_r_plus_cz(monkeypatch, fresh_contexts):
+    """The z that central_z_check brackets at g = 4 replaced by a pair vector
+    of weight 0 outside R + C z, once rz_span, which certify_invariance
+    reads, is built from the true z."""
+    ctx = johnson_context(4)
+    span = ctx.rz_span
+    k = next(k for k, w in enumerate(ctx.W2.weights)
+             if not any(w) and not span.contains({k: 1}))
+    monkeypatch.setattr(ctx, "z_vec", {k: 1})
+
+
+def test_z_outside_mutant_fails_the_every_block_agreement(z_outside_r_plus_cz):
+    # both certificates pass, and the answer turns false
+    with pytest.raises(AssertionError):
+        test_johnson.test_central_z_check_agrees_with_the_every_block_oracle(4, True)
+    assert johnson.central_z_check(4) is False
