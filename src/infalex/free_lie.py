@@ -180,13 +180,6 @@ def basis_bracket(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
     return tuple(sorted(out.items()))
 
 
-# one matrix per generator and degree, read only by quad_lie._metabelian_ad,
-# which is cached too and which a presentation with R = 0 or R = wedge^2 V
-# never asks for: bb_direct up to degree q on n generators takes at most
-# n * q, so the bb-direct benchmark (n = 3 to q = 4, n = 4 to q = 2) holds 20
-# and acceptance criterion 3 (n = 3, 4 to q = 4; at n = 2 every R is 0 or
-# all of L_2) 28
-@lru_cache(maxsize=128)
 def ad_generator_matrix(n: int, i: int, q: int) -> RationalMatrix:
     """Matrix of ad_{e_i}: L_q -> L_{q+1} in the Lyndon bases."""
     src = _lyndon_words_cached(n, q)

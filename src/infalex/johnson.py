@@ -11,7 +11,7 @@ Ingredients, all exact:
   of V, and each column of an action on wedge^2 V is built on its first
   read, so a run builds columns of only the 2g simple root operators it
   applies: the g raising ones find the highest-weight vectors, the g
-  lowering ones certify R + C z;
+  lowering ones certify R and C z;
 * q = nabla-bar of the quadratic Lie algebra L(V)/(R + C z): the
   Sym(V)-linear map sending f (x) (a0 ^ a1 ^ a2) to the cyclic sum
   f a_i (x) [a_{i+1} ^ a_{i+2}], classes taken in Q; its degree-wise
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add, sub
+from operator import sub
 
 from .alex_module import GradedMap, _by_weight, coker_dims, quotient_cyclic_sum
 from .errors import BudgetExceededError, InternalInconsistencyError
@@ -167,31 +167,53 @@ class JohnsonContext:
         kept = self.rz_span.free(len(self.pairs))
         return self.V.weights, tuple(self.W2.weights[k] for k in kept)
 
+    @cached_property
+    def r_blocks(self) -> dict:
+        """R grouped by weight, {w: the r of weight w}, read by the invariance
+        certificate (R_0) and by central_z_check; every r must be a weight
+        vector, else InternalInconsistencyError."""
+        weights = [{self.W2.weights[k] for k in r} for r in self.r_basis]
+        if any(len(ws) != 1 for ws in weights):
+            raise InternalInconsistencyError("R should have a basis of weight vectors")
+        return _by_weight(zip(self.r_basis, (ws.pop() for ws in weights)))
+
     def certify_invariance(self):
-        """Check that R + C z is invariant under sp(2g), else
+        """Check that R and C z are sp(2g)-submodules, else
         InternalInconsistencyError.  With v_lambda the highest-weight vectors
-        of the constituents of wedge^2 V other than V(2 lambda_2), three
-        facts are checked:
+        of the constituents of wedge^2 V other than V(2 lambda_2), and R_0
+        the span of R's weight-0 vectors (r_blocks), four facts are checked:
 
         (a) rank(R + C z) is the sum of weyl_dim(lambda);
         (b) every v_lambda lies in R + C z;
         (c) each simple lowering operator f_i maps a basis of R + C z into
-            its span.
+            its span, and into R_0 where the image has weight 0;
+        (d) z has weight 0, and each f_i kills it.
 
         Each v_lambda is killed by n+, so U(g) v_lambda = U(n-) v_lambda, a
         copy of V(lambda); the f_i generate n-, so (b) and (c) put the sum
-        of the U(g) v_lambda inside R + C z.  That sum is direct, the
+        of the U(g) v_lambda inside M = R + C z.  That sum is direct, the
         v_lambda being independent highest-weight vectors, and by (a) its
-        dimension is the rank of R + C z, so the two are equal and R + C z
-        is a submodule (Humphreys, Introduction to Lie Algebras and
-        Representation Theory, sections 20-21).  Then q is
-        sp(2g)-equivariant, the weight multiplicities of its image are Weyl
-        invariant, and coker_dims may rank one bucket per orbit.
+        dimension is the rank of M, so M is that sum, a submodule.  Of the
+        ranks M may have, dim R and dim R + 1, the Weyl checks of _build_r
+        leave only the second for that sum: z is not in R.  A vector of
+        weight 0 that n- kills is invariant, so by (d) z spans the invariant
+        line, and M = N (+) C z with N = sp(2g) M, which agrees with R off
+        weight 0.  The f_i generate U(n-), so N_0 is the sum of the
+        f_i N_(alpha_i) = f_i R_(alpha_i), which (c) puts in R_0; as
+        dim N_0 = dim M_0 - 1 = dim R_0, N = R is a submodule (Humphreys,
+        Introduction to Lie Algebras and Representation Theory, sections
+        20-21).  Then q is sp(2g)-equivariant, the weight multiplicities of
+        its image are Weyl invariant, and coker_dims may rank one bucket per
+        orbit.
 
-        (c) reads the integer rows rz_span stores; run after q_map(), as
-        johnson_module_dims does, these are the rows q's quotient
-        inter-reduced, and each membership clears its pivots in one pass.
+        (c) reads the integer rows rz_span stores, weight vectors since an
+        elimination combines only vectors that share a position; run after
+        q_map(), as johnson_module_dims does, these are the rows q's
+        quotient inter-reduced, and each membership clears its pivots in
+        one pass.
         """
+        zero = (0,) * self.g
+        r0 = echelon_basis(self.r_blocks.get(zero, ()))
         span = self.rz_span
         others = [(hw, v) for hw, v in self.constituents if hw != self.hw_two_l2]
         expected = sum(weyl_dim(self.spec, hw) for hw, _v in others)
@@ -204,12 +226,17 @@ class JohnsonContext:
                 raise InternalInconsistencyError(
                     f"R + C z is not invariant: it misses the highest-weight "
                     f"vector of {hw.coefficients}")
+        weights = self.W2.weights
+        if any(weights[k] != zero for k in self.z_vec):
+            raise InternalInconsistencyError("z is not of weight 0")
         for label in self.spec.lowering_labels():
             cols = self.W2.actions[label]
+            if act_vec(cols, self.z_vec):
+                raise InternalInconsistencyError(f"z is not invariant under {label}")
             for v in span.rows.values():
-                if not span.contains(act_vec(cols, v)):
-                    raise InternalInconsistencyError(
-                        f"R + C z is not invariant under {label}")
+                u = act_vec(cols, v)
+                if u and not (r0 if weights[next(iter(u))] == zero else span).contains(u):
+                    raise InternalInconsistencyError(f"R is not invariant under {label}")
 
 
 @lru_cache(maxsize=2)
@@ -259,16 +286,16 @@ def johnson_module_dims(g: int, max_degree: int, *, allow_large: bool = False) -
 
 
 def central_z_check(g: int, *, allow_large: bool = False) -> bool:
-    """Degree-3 membership [z, V] inside ideal(R), reported literally: false
+    """Degree-3 membership [z, V] inside ideal(R)_3, reported literally: false
     at g = 3, where R = 0 and z is not central in the free Lie algebra.
 
-    Once R + C z and R are certified invariant, (R + C z)/R is a trivial
-    line, so x.z lies in R for every x in sp(2g), and v -> [z, v] mod
-    ideal(R)_3 is an sp(2g)-map out of the irreducible V = V(lambda_3),
-    zero exactly when it kills e_j, the basis vector of weight lambda_3
-    (Humphreys, sections 20-21).  ideal(R)_3 is spanned by the [e_i, r];
-    every r, z and Lyndon word is a weight vector (checked), so [e_j, z] is
-    tested against the [e_i, r] of its own weight, sign aside.
+    Once R and C z are certified submodules, x.z = 0 lies in R for every x
+    in sp(2g), and v -> [z, v] mod ideal(R)_3 is an sp(2g)-map out of the
+    irreducible V = V(lambda_3), zero exactly when it kills e_j, the basis
+    vector of weight lambda_3 (Humphreys, sections 20-21).  ideal(R)_3 is
+    spanned by the [e_i, r]; every r, z and Lyndon word is a weight vector
+    (r_blocks), so [e_j, z] is tested against the [e_i, r] of its own
+    weight, sign aside.
     """
     _check_budget(g, allow_large)
     ctx = johnson_context(g)
@@ -277,28 +304,11 @@ def central_z_check(g: int, *, allow_large: bool = False) -> bool:
         # [e_i, v] keyed by Lyndon word: the pairs of wedge^2 V are the words of L_2
         return act_vec({k: dict(basis_bracket((i,), ctx.pairs[k])) for k in v}, v)
 
-    weights = [{ctx.W2.weights[k] for k in v} for v in ctx.r_basis + [ctx.z_vec]]
-    if any(len(ws) != 1 for ws in weights):
-        raise InternalInconsistencyError("R + C z should have a basis of weight vectors")
-    *r_weights, w_z = [ws.pop() for ws in weights]
-    r_blocks = _by_weight(zip(ctx.r_basis, r_weights))
     ctx.certify_invariance()
-    # R itself: R + C z is invariant and R a sum of weight blocks, so the i-th
-    # raising (lowering) operator, of weight alpha_i (-alpha_i), takes R_w out of
-    # R only into C z, at w + alpha_i = w_z (w - alpha_i = w_z): the 2g, which
-    # generate sp(2g), must map those R_w into R_(w_z), and build only their columns
-    span = echelon_basis(r_blocks.get(w_z, ()))
-    roots = [(0,) * i + (1, -1) + (0,) * (g - 2 - i) for i in range(g - 1)]
-    for root, up, down in zip(roots + [(0,) * (g - 1) + (2,)],
-                              ctx.spec.raising_labels(), ctx.spec.lowering_labels()):
-        for op, label in ((sub, up), (add, down)):
-            if not all(span.contains(act_vec(ctx.W2.actions[label], r))
-                       for r in r_blocks.get(tuple(map(op, w_z, root)), ())):
-                raise InternalInconsistencyError(f"R is not invariant under {label}")
-    line = ctx.V.weight_decomposition().get((1, 1, 1) + (0,) * (g - 3), [])
+    mu = (1, 1, 1) + (0,) * (g - 3)
+    line = ctx.V.weight_decomposition().get(mu, [])
     if len(line) != 1:
         raise InternalInconsistencyError("V has no single line of weight lambda_3")
-    mu = tuple(map(add, ctx.V.weights[line[0]], w_z))
     block = echelon_basis(bracket(i, r) for i, w in enumerate(ctx.V.weights)
-                          for r in r_blocks.get(tuple(map(sub, mu, w)), ()))
+                          for r in ctx.r_blocks.get(tuple(map(sub, mu, w)), ()))
     return block.contains(bracket(line[0], ctx.z_vec))

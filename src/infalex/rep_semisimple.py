@@ -7,9 +7,10 @@ Fulton-Harris), so weight spaces are index sets and everything
 Casimir-related block-diagonalizes over weights.
 
 Casimir normalization: dual bases with respect to the trace form of the
-defining representation.  The eigenvalue on the irreducible of highest
-weight lambda is then <lambda, lambda + 2 rho> for the induced form on
-weights, which is 1/2 times the Euclidean form in those coordinates.
+defining representation, which pairs each basis element with one partner
+(_integral_dual).  The eigenvalue on the irreducible of highest weight
+lambda is then <lambda, lambda + 2 rho> for the induced form on weights,
+which is 1/2 times the Euclidean form in those coordinates.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from itertools import combinations
 from math import factorial, lcm
 from operator import mul
 
-from .exact_linalg import (ONE, ZERO, LazyColumns, RationalMatrix, Vec, act_vec, axpy,
-                           echelon_basis)
+from .exact_linalg import LazyColumns, RationalMatrix, Vec, act_vec, axpy, echelon_basis
 
 # {row: int or Fraction} dicts, one per column: a tuple, or the LazyColumns
 # of a wedge power's operator, whose columns are built on their first read
@@ -146,28 +146,6 @@ def _algebra_basis(spec: LieAlgebraSpec) -> tuple[tuple[str, ColMat], ...]:
     return tuple(out)
 
 
-def _trace_product(a: ColMat, b: ColMat) -> Fraction:
-    total = Fraction(0)
-    for j, col in enumerate(b):
-        for i, v in col.items():
-            x = a[i].get(j)
-            if x:
-                total += x * v
-    return total
-
-
-@lru_cache(maxsize=8)
-def _dual_coefficients(spec: LieAlgebraSpec) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse Gram matrix of the algebra basis under the defining trace form."""
-    basis = _algebra_basis(spec)
-    n = len(basis)
-    gram = [[_trace_product(basis[a][1], basis[b][1]) for b in range(n)] for a in range(n)]
-    # G is invertible, so the reduced echelon rows of [G | I] are [I | G^-1]
-    aug = echelon_basis({**{b: x for b, x in enumerate(row) if x}, n + a: ONE}
-                        for a, row in enumerate(gram))
-    return tuple(tuple(row.get(n + b, ZERO) for b in range(n)) for row in aug.vectors())
-
-
 def _times(x, d: int) -> int:
     """d * x as an int, for a rational x whose denominator divides d."""
     return x.numerator * (d // x.denominator)
@@ -178,13 +156,20 @@ def _scaled(col: Vec, d: int) -> dict:
     return {r: x.numerator * (d // x.denominator) for r, x in col.items()}
 
 
-@lru_cache(maxsize=8)
 def _integral_dual(spec: LieAlgebraSpec) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
-    """(rows, D): row a lists (b, D * dual[a][b]) over the nonzero dual
-    coefficients, D the lcm of their denominators."""
-    dual = _dual_coefficients(spec)
-    d = lcm(*{c.denominator for row in dual for c in row})
-    return tuple(tuple((b, _times(c, d)) for b, c in enumerate(row) if c) for row in dual), d
+    """(rows, D) with D = 2: row a is ((b, D / tr(x_a x_b)),) for the one
+    basis element x_b that the trace form of H pairs with x_a, so the dual
+    of x_a is x_b / tr(x_a x_b).  H_i pairs with itself, X_ij with X_ji and
+    Y_ij with Z_ij, each with trace 2, and U_i with V_i, with trace 1."""
+    labels = [label for label, _cols in _algebra_basis(spec)]
+    index = {label: b for b, label in enumerate(labels)}
+    pair = {"H": "H", "X": "X", "Y": "Z", "Z": "Y", "U": "V", "V": "U"}
+    rows = []
+    for label in labels:
+        kind, *ij = label.split("_")
+        partner = "_".join([pair[kind], *(ij[::-1] if kind == "X" else ij)])
+        rows.append(((index[partner], 2 if kind in ("U", "V") else 1),))
+    return tuple(rows), 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ lowering operators that R is checked against with no Casimir, the check of
 R + C z under all 2g simple root operators that the highest-weight
 invariance certificate is checked against, the every-block test of [z, V]
 inside ideal(R)_3 that the one-vector centrality check is checked against,
-the inversion count that the
+the Gram inversion of the trace form that the dual basis read off the
+labels is checked against, the inversion count that the
 sign of a wedge monomial is checked against, the Weyl dimension of
 sl_n that the Chen ranks are checked against, the Fraction-valued
 references that the integer kernels of rep_semisimple are
@@ -49,8 +50,7 @@ from infalex.free_lie import (GradedDims, _lyndon_words_cached, ad_generator_mat
 from infalex.nilpotent_transport import FinDimSymModule
 from infalex.quad_lie import LiePresentation, wedge2_pairs
 from infalex.rep_semisimple import (HighestWeight, WeightModule, _algebra_basis,
-                                    _dense_block_polynomial, _dual_coefficients,
-                                    casimir_blocks, casimir_eigenvalue,
+                                    _dense_block_polynomial, casimir_blocks, casimir_eigenvalue,
                                     highest_weight_vectors, quotient_module, wedge_act)
 
 
@@ -145,7 +145,7 @@ def central_z_every_block(ctx) -> bool:
     [e_i, r] of weight mu, and each [e_j, z] is tested in the block of its
     own weight, one elimination per weight of V (40 at g = 4).
     johnson.central_z_check tests the one vector of weight lambda_3 once R
-    and R + C z are certified invariant."""
+    and C z are certified submodules."""
     n, wt = ctx.V.dimension, ctx.V.weights
 
     def weight(v):
@@ -304,11 +304,36 @@ def casimir_eigenspace(m: WeightModule, eigenvalue: Fraction, *, blocks=None) ->
 
 # -- Fraction references for the integer kernels of rep_semisimple --------------
 
+def _trace_product(a, b) -> Fraction:
+    total = Fraction(0)
+    for j, col in enumerate(b):
+        for i, v in col.items():
+            x = a[i].get(j)
+            if x:
+                total += x * v
+    return total
+
+
+@lru_cache(maxsize=8)
+def gram_dual(spec) -> tuple[tuple[Fraction, ...], ...]:
+    """Test oracle: the dual basis of sp(2g) under the trace form of H, as
+    the inverse of the Gram matrix of the algebra basis, found by
+    elimination with no assumption on which elements pair.  The labels'
+    pairing of rep_semisimple._integral_dual is checked against it."""
+    basis = _algebra_basis(spec)
+    n = len(basis)
+    gram = [[_trace_product(basis[a][1], basis[b][1]) for b in range(n)] for a in range(n)]
+    # G is invertible, so the reduced echelon rows of [G | I] are [I | G^-1]
+    aug = echelon_basis({**{b: x for b, x in enumerate(row) if x}, n + a: Fraction(1)}
+                        for a, row in enumerate(gram))
+    return tuple(tuple(row.get(n + b, Fraction(0)) for b in range(n)) for row in aug.vectors())
+
+
 def fraction_casimir_column(m: WeightModule, j: int) -> Vec:
     """Column j of the Casimir of m, summed in Fractions: sum over a of
-    x_a (dual of x_a) e_j."""
+    x_a (dual of x_a) e_j, the dual basis taken from gram_dual."""
     basis = _algebra_basis(m.algebra)
-    dual = _dual_coefficients(m.algebra)
+    dual = gram_dual(m.algebra)
     us = [m.actions[label][j] for label, _cols in basis]
     out: Vec = {}
     for a, (label, _cols) in enumerate(basis):

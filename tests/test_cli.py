@@ -615,7 +615,7 @@ def test_package_caches_are_bounded():
                     found[f"{info.name}.{key}"] = value.cache_info().maxsize
     assert {"alex_module.monomials", "alex_module.monomial_index", "alex_module._cyclic_block",
             "free_lie._lyndon_words_cached", "free_lie.lyndon_index", "free_lie.tensor_expansion",
-            "free_lie.basis_bracket", "free_lie.ad_generator_matrix"} <= found.keys()
+            "free_lie.basis_bracket"} <= found.keys()
     assert [name for name, maxsize in found.items() if maxsize is None] == []
 
 

@@ -14,7 +14,7 @@ from infalex.alex_module import (_generators_by_weight, coker_dims, monomial_ind
                                  monomials, nabla, nabla_bar)
 from infalex.cli import main
 from infalex.errors import BudgetExceededError, InternalInconsistencyError
-from infalex.exact_linalg import EchelonBasis, axpy
+from infalex.exact_linalg import EchelonBasis, axpy, echelon_basis
 from infalex.free_lie import ad_generator_matrix
 from infalex.quad_lie import LiePresentation, _ideal_echelon, bb_direct
 from infalex.johnson import (JohnsonContext, central_z_check, decompose_wedge2_V,
@@ -288,17 +288,46 @@ def _r_with_z_added_to_a_weight_0_vector(ctx):
 
 
 def test_central_z_refuses_an_r_traded_within_r_plus_cz(capsys, monkeypatch, fresh_contexts):
-    # the R certificate refuses what certify_invariance cannot see, and the
-    # CLI reports it as one inconsistency line, exit 4, with no traceback
+    # R + C z is unchanged, but an image of weight 0 leaves R_0: the
+    # certificate refuses the traded R, and the CLI reports it as one
+    # inconsistency line, exit 4, with no traceback
     ctx = johnson_context(4)
     monkeypatch.setattr(ctx, "r_basis", _r_with_z_added_to_a_weight_0_vector(ctx))
-    ctx.certify_invariance()
+    with pytest.raises(InternalInconsistencyError, match="^R is not invariant under X_1_0$"):
+        ctx.certify_invariance()
     code = main(["decompose", "--genus", "4", "--central-z"])
     captured = capsys.readouterr()
     assert code == 4
     (line,) = captured.out.splitlines()
     assert json.loads(line) == {"error": "inconsistency",
-                                "detail": "R is not invariant under X_0_1"}
+                                "detail": "R is not invariant under X_1_0"}
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("moved, detail", [("weight 0", "z is not invariant under X_1_0"),
+                                           ("lowest", "z is not of weight 0")])
+@pytest.mark.parametrize("command", [
+    ["johnson", "--genus", "4", "--max-degree", "1"],
+    ["decompose", "--genus", "4", "--central-z"],
+])
+def test_a_z_moved_within_r_plus_cz_exits_4(capsys, monkeypatch, fresh_contexts, command,
+                                            moved, detail):
+    # z + r for an r in R leaves R + C z, and so facts (a) to (c), as they
+    # are; fact (d) refuses it: with r of weight 0 a lowering operator moves
+    # z + r, and with r a lowest-weight vector z + r is not of weight 0
+    ctx = johnson_context(4)
+    lowering = [ctx.W2.actions[label] for label in ctx.spec.lowering_labels()]
+    r = next(r for r in ctx.r_basis
+             if (not any(ctx.W2.weights[next(iter(r))]) if moved == "weight 0"
+                 else not any(act_vec(cols, r) for cols in lowering)))
+    z = dict(ctx.z_vec)
+    axpy(z, 1, r)
+    monkeypatch.setattr(ctx, "z_vec", z)
+    code = main(command)
+    captured = capsys.readouterr()
+    assert code == 4
+    (line,) = captured.out.splitlines()
+    assert json.loads(line) == {"error": "inconsistency", "detail": detail}
     assert captured.err == ""
 
 
@@ -395,9 +424,9 @@ def test_central_z_g5_holds(fresh_contexts):
 
 
 def test_central_z_eliminates_one_block_of_weight_lambda3_g4(monkeypatch, fresh_contexts):
-    # three echelon bases: R + C z for certify_invariance, R's weight-0
-    # vectors for the R certificate, and one block of L_3, the [e_i, r] of
-    # weight lambda_3 = (1, 1, 1, 0) that [e_j, z] is tested against
+    # three echelon bases: R's weight-0 vectors and R + C z for
+    # certify_invariance, and one block of L_3, the [e_i, r] of weight
+    # lambda_3 = (1, 1, 1, 0) that [e_j, z] is tested against
     ctx = johnson_context(4)
     built = []
     echelon_basis = johnson.echelon_basis
@@ -408,7 +437,7 @@ def test_central_z_eliminates_one_block_of_weight_lambda3_g4(monkeypatch, fresh_
 
     monkeypatch.setattr(johnson, "echelon_basis", recording)
     assert central_z_check(4) is True
-    rz, r_zero, block = built
+    r_zero, rz, block = built
     assert len(rz) == ctx.r_dim + 1 == 820
     assert len(r_zero) == 19
     assert {ctx.W2.weights[k] for v in r_zero for k in v} == {(0, 0, 0, 0)}
@@ -614,9 +643,10 @@ def test_certificate_reads_the_inter_reduced_span(monkeypatch, fresh_contexts):
 
 @pytest.mark.parametrize("g", [3, 4])
 def test_certificate_applies_integer_lowering_columns_to_every_stored_row(monkeypatch, g):
-    # fact (c) reads the rows rz_span stores, every one of them in key
-    # order for each lowering label, and those rows and the lowering
-    # columns applied to them are all int: no image is rescaled
+    # each lowering label is applied to z (fact (d)) and then to the rows
+    # rz_span stores, every one of them in key order (fact (c)); those rows
+    # and the lowering columns applied to them are all int: no image is
+    # rescaled
     from infalex import johnson
     ctx = JohnsonContext(g)
     ctx.q_map()
@@ -630,9 +660,9 @@ def test_certificate_applies_integer_lowering_columns_to_every_stored_row(monkey
     ctx.certify_invariance()
     rows = list(ctx.rz_span.rows.values())
     lowering = [ctx.W2.actions[label] for label in ctx.spec.lowering_labels()]
-    assert len(applied) == g * len(rows) == g * (ctx.r_dim + 1)
+    assert len(applied) == g * (len(rows) + 1) == g * (ctx.r_dim + 2)
     assert all(cols is want_cols and v is want_v for (cols, v), (want_cols, want_v)
-               in zip(applied, [(c, v) for c in lowering for v in rows]))
+               in zip(applied, [(c, v) for c in lowering for v in [ctx.z_vec] + rows]))
     assert all(type(x) is int for v in rows for x in v.values())
     assert all(type(x) is int for cols, v in applied for j in v for x in cols[j].values())
 
@@ -676,11 +706,34 @@ def test_invariance_certificate_refuses_the_lowest_weight_vector_of_q_in_r():
 def test_invariance_certificate_refuses_a_z_that_is_no_highest_weight_vector():
     # z replaced by the lowest-weight vector of Q before the presentation is
     # read: the span has rank 1 = weyl_dim(0) and the lowering operators kill
-    # it, so only the missing invariant vector refuses it
+    # it, so the missing invariant vector refuses it, before the weight of z
+    # would
     ctx = JohnsonContext(3)
     ctx.z_vec = _q_lowest_weight_vector(ctx)
     with pytest.raises(InternalInconsistencyError,
                        match=r"not invariant: it misses the highest-weight vector of \(0, 0, 0\)"):
+        ctx.certify_invariance()
+    assert not simple_root_invariance(ctx)
+
+
+def test_invariance_certificate_refuses_an_r_without_the_highest_weight_vector_of_v_l2():
+    # at genus 4, R = V(l2 + l4) (+) V(l2).  At the weight l2 = (1, 1, 0, 0),
+    # the top of V(l2), R keeps only the lowering images from above, which
+    # span V(l2 + l4)'s part, and gains the lowest-weight vector of Q in
+    # exchange: the rank, z and R_0 are as they were and the lowering
+    # operators keep the new R, so only the missing highest-weight vector of
+    # V(l2) refuses it
+    ctx = JohnsonContext(4)
+    l2 = (1, 1, 0, 0)
+    lowering = [ctx.W2.actions[label] for label in ctx.spec.lowering_labels()]
+    above = echelon_basis(act_vec(cols, r) for cols in lowering for r in ctx.r_basis
+                          if ctx.W2.weights[next(iter(r))] != l2)
+    from_above = [v for v in above.rows.values() if ctx.W2.weights[next(iter(v))] == l2]
+    kept = [r for r in ctx.r_basis if ctx.W2.weights[next(iter(r))] != l2]
+    assert len(kept) + len(from_above) == ctx.r_dim - 1
+    ctx.r_basis = kept + from_above + [_q_lowest_weight_vector(ctx)]
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"not invariant: it misses the highest-weight vector of \(0, 1, 0, 0\)"):
         ctx.certify_invariance()
     assert not simple_root_invariance(ctx)
 

@@ -70,6 +70,26 @@ def test_cross_term_mutant_exits_4(capsys, fresh_contexts, cross_term_without_it
     assert json.loads(capsys.readouterr().out)["error"] == "inconsistency"
 
 
+@pytest.fixture
+def dual_with_two_partners_swapped(monkeypatch):
+    """The trace-form dual read off the labels with the partners of its
+    first two basis elements exchanged, each row keeping its coefficient."""
+    integral_dual = rep_semisimple._integral_dual
+
+    def mutant(spec):
+        (((b0, c0),), ((b1, c1),), *rest), d = integral_dual(spec)
+        return (((b1, c0),), ((b0, c1),), *rest), d
+
+    monkeypatch.setattr(rep_semisimple, "_integral_dual", mutant)
+
+
+def test_swapped_partner_mutant_fails_the_gram_oracle(dual_with_two_partners_swapped):
+    with pytest.raises(AssertionError):
+        test_rep_semisimple.test_label_pairing_is_the_inverse_gram_matrix(3)
+    with pytest.raises(AssertionError):
+        test_rep_semisimple.test_casimir_blocks_match_fraction_columns()
+
+
 # -- the highest weights read off sp(2g) -------------------------------------------
 
 @pytest.fixture
@@ -91,58 +111,66 @@ def test_type_b_pairing_mutant_fails_the_weyl_certificate_g4(long_root_pairing_o
         JohnsonContext(4)
 
 
-# -- the invariance certificate of R + C z -------------------------------------------
+# -- the invariance certificate of R and C z ---------------------------------------
 
-def _certificate_without(fact, left_out=None):
-    """JohnsonContext.certify_invariance with one of its facts dropped:
-    "rank" (a), "highest-weight" (b), the lowering operator left_out from
-    (c), or "last-row", the last stored row of the span left out of (c)."""
-    def mutant(self):
-        span = self.rz_span
-        others = [(hw, v) for hw, v in self.constituents if hw != self.hw_two_l2]
-        if fact != "rank" and span.rank != sum(johnson.weyl_dim(self.spec, hw)
-                                                for hw, _v in others):
-            raise InternalInconsistencyError("R + C z is not invariant: rank")
-        if fact != "highest-weight" and not all(span.contains(v) for _hw, v in others):
-            raise InternalInconsistencyError("R + C z is not invariant: highest weight")
-        rows = list(span.rows.values())
-        if fact == "last-row":
-            rows.pop()
-        for label in self.spec.lowering_labels():
-            if label != left_out and not all(
-                    span.contains(johnson.act_vec(self.W2.actions[label], v)) for v in rows):
-                raise InternalInconsistencyError(f"R + C z is not invariant under {label}")
-
-    return mutant
+def _certificate_rewritten(old: str, new: str):
+    """JohnsonContext.certify_invariance compiled again with old replaced by
+    new (see _rewritten)."""
+    return _rewritten(JohnsonContext.certify_invariance, old, new)
 
 
 @pytest.fixture
 def certificate_without_its_rank(monkeypatch):
     """The certificate with no rank fact (a)."""
-    monkeypatch.setattr(JohnsonContext, "certify_invariance", _certificate_without("rank"))
+    monkeypatch.setattr(JohnsonContext, "certify_invariance",
+                        _certificate_rewritten("if span.rank != expected:", "if False:"))
 
 
 @pytest.fixture
 def certificate_without_its_highest_weight_vectors(monkeypatch):
     """The certificate with no membership of the highest-weight vectors (b)."""
     monkeypatch.setattr(JohnsonContext, "certify_invariance",
-                        _certificate_without("highest-weight"))
+                        _certificate_rewritten("if not span.contains(v):", "if False:"))
 
 
 @pytest.fixture
 def certificate_without_its_last_row(monkeypatch):
     """The certificate with the last row rz_span stores left out of (c)."""
-    monkeypatch.setattr(JohnsonContext, "certify_invariance", _certificate_without("last-row"))
+    monkeypatch.setattr(JohnsonContext, "certify_invariance", _certificate_rewritten(
+        "for v in span.rows.values():", "for v in list(span.rows.values())[:-1]:"))
 
 
 @pytest.fixture(params=range(4))
 def certificate_without_one_lowering_operator(request, monkeypatch):
     """The certificate with one of the g = 4 simple lowering operators left
-    out of (c); the parameter is its position in lowering_labels()."""
+    out of (c) and (d); the parameter is its position in lowering_labels()."""
     label = LieAlgebraSpec(4).lowering_labels()[request.param]
-    monkeypatch.setattr(JohnsonContext, "certify_invariance",
-                        _certificate_without(None, left_out=label))
+    monkeypatch.setattr(JohnsonContext, "certify_invariance", _certificate_rewritten(
+        "for label in self.spec.lowering_labels():",
+        f"for label in [l for l in self.spec.lowering_labels() if l != {label!r}]:"))
     return request.param
+
+
+@pytest.fixture
+def certificate_without_its_weight_0_images_in_r(monkeypatch):
+    """The certificate testing every image of (c) in R + C z, the weight-0
+    ones too: R + C z is certified, and R is not."""
+    monkeypatch.setattr(JohnsonContext, "certify_invariance", _certificate_rewritten(
+        "(r0 if weights[next(iter(u))] == zero else span)", "span"))
+
+
+@pytest.fixture
+def certificate_without_z_lowered(monkeypatch):
+    """The certificate with no f_i applied to z in (d)."""
+    monkeypatch.setattr(JohnsonContext, "certify_invariance",
+                        _certificate_rewritten("if act_vec(cols, self.z_vec):", "if False:"))
+
+
+@pytest.fixture
+def certificate_without_the_weight_of_z(monkeypatch):
+    """The certificate with no weight-0 check of z in (d)."""
+    monkeypatch.setattr(JohnsonContext, "certify_invariance", _certificate_rewritten(
+        "if any(weights[k] != zero for k in self.z_vec):", "if False:"))
 
 
 def test_rankless_certificate_mutant_fails_the_lowest_weight_r_check(
@@ -153,8 +181,15 @@ def test_rankless_certificate_mutant_fails_the_lowest_weight_r_check(
 
 def test_highest_weight_free_certificate_mutant_fails_the_lowest_weight_z_check(
         certificate_without_its_highest_weight_vectors):
-    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+    # the weight of z still refuses this z, but not as a missing vector
+    with pytest.raises(AssertionError, match="Regex pattern did not match"):
         test_johnson.test_invariance_certificate_refuses_a_z_that_is_no_highest_weight_vector()
+
+
+def test_highest_weight_free_certificate_mutant_fails_the_missing_v_l2_check(
+        certificate_without_its_highest_weight_vectors):
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_johnson.test_invariance_certificate_refuses_an_r_without_the_highest_weight_vector_of_v_l2()
 
 
 @pytest.mark.parametrize("g", [3, 4])
@@ -1033,24 +1068,34 @@ def _rewritten(function, old: str, new: str):
     return rewritten
 
 
-@pytest.fixture
-def r_certificate_skipped(monkeypatch):
-    """central_z_check with R + C z certified and R not: its refusal of an
-    image outside R_(w_z) taken out, everywhere central_z_check is bound."""
-    mutant = _rewritten(johnson.central_z_check,
-                        'raise InternalInconsistencyError(f"R is not invariant under {label}")',
-                        "pass")
-    for module in (johnson, cli, test_johnson):
-        monkeypatch.setattr(module, "central_z_check", mutant)
-
-
 def test_skipped_r_certificate_mutant_fails_the_traded_r_refusal(
-        capsys, monkeypatch, fresh_contexts, r_certificate_skipped):
-    # without the certificate the traded R answers true at g = 4, as the
-    # true R does: only the refusal shows it
-    with pytest.raises(AssertionError):
+        capsys, monkeypatch, fresh_contexts, certificate_without_its_weight_0_images_in_r):
+    # R + C z is unchanged by the trade, so only the weight-0 images of (c)
+    # tested in R_0 refuse it
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
         test_johnson.test_central_z_refuses_an_r_traded_within_r_plus_cz(capsys, monkeypatch,
                                                                          None)
+
+
+@pytest.mark.parametrize("command", [["johnson", "--genus", "4", "--max-degree", "1"],
+                                     ["decompose", "--genus", "4", "--central-z"]])
+def test_z_unlowered_certificate_mutant_fails_the_moved_z_refusal(
+        capsys, monkeypatch, fresh_contexts, certificate_without_z_lowered, command):
+    # z + r0, r0 of weight 0 in R, has weight 0 and the same R + C z: only
+    # the lowering operators applied to z refuse it
+    with pytest.raises(AssertionError):
+        test_johnson.test_a_z_moved_within_r_plus_cz_exits_4(
+            capsys, monkeypatch, None, command, "weight 0", "z is not invariant under X_1_0")
+
+
+def test_weightless_z_certificate_mutant_fails_the_moved_z_refusal(
+        capsys, monkeypatch, fresh_contexts, certificate_without_the_weight_of_z):
+    # z + r, r a lowest-weight vector of R, is killed by every f_i and
+    # leaves R + C z as it is: only the weight of z refuses it
+    with pytest.raises(AssertionError):
+        test_johnson.test_a_z_moved_within_r_plus_cz_exits_4(
+            capsys, monkeypatch, None, ["decompose", "--genus", "4", "--central-z"], "lowest",
+            "z is not of weight 0")
 
 
 @pytest.fixture
@@ -1076,10 +1121,11 @@ def test_other_weight_mutant_fails_the_one_block_check(monkeypatch, fresh_contex
 
 
 @pytest.fixture
-def z_outside_r_plus_cz(monkeypatch, fresh_contexts):
+def z_outside_r_plus_cz(monkeypatch, fresh_contexts, certificate_without_z_lowered):
     """The z that central_z_check brackets at g = 4 replaced by a pair vector
     of weight 0 outside R + C z, once rz_span, which certify_invariance
-    reads, is built from the true z."""
+    reads, is built from the true z, and the certificate with no f_i
+    applied to z, which alone refuses that z."""
     ctx = johnson_context(4)
     span = ctx.rz_span
     k = next(k for k, w in enumerate(ctx.W2.weights)
@@ -1088,7 +1134,7 @@ def z_outside_r_plus_cz(monkeypatch, fresh_contexts):
 
 
 def test_z_outside_mutant_fails_the_every_block_agreement(z_outside_r_plus_cz):
-    # both certificates pass, and the answer turns false
+    # the weakened certificate passes, and the answer turns false
     with pytest.raises(AssertionError):
         test_johnson.test_central_z_check_agrees_with_the_every_block_oracle(4, True)
     assert johnson.central_z_check(4) is False

@@ -11,12 +11,12 @@ from infalex.rep_semisimple import (HighestWeight, LieAlgebraSpec, act_vec,
                                     fundamental_module, highest_weight_vectors,
                                     WeightModule, quotient_module, wedge_act,
                                     wedge_power, weyl_dim, _algebra_basis,
-                                    _dense_block_polynomial, _dual_coefficients,
-                                    _integral_dual, _wedge_parity_and_target)
+                                    _dense_block_polynomial, _integral_dual,
+                                    _wedge_parity_and_target)
 
 from module_builders import (AmbiguousDecompositionError, all_blocks_highest_weight_vectors,
                              casimir_eigenspace, casimir_matrix, chen_module_weight,
-                             fraction_casimir_column, inversion_parity_and_target,
+                             fraction_casimir_column, gram_dual, inversion_parity_and_target,
                              isotypic_projection, lowering_closure, matmul_block_polynomial,
                              matrix_from_columns, matrix_sum, scale, sl_weyl_dim, span_closure,
                              sym_power, tensor_product, theta_wedge_vectors, transpose,
@@ -341,6 +341,19 @@ def _row_key_orders(mat):
     return rows
 
 
+@pytest.mark.parametrize("g", range(1, 8))
+def test_label_pairing_is_the_inverse_gram_matrix(g):
+    # the dual basis read off the labels, one partner per element over
+    # D = 2, against the Gram matrix of the trace form inverted whole; read
+    # through the module, so that a patched pairing is the one checked
+    spec = LieAlgebraSpec(g)
+    rows, d = rep_semisimple._integral_dual(spec)
+    dual = gram_dual(spec)
+    assert d == 2 and len(rows) == len(dual) == g * (2 * g + 1)
+    assert [dict(row) for row in rows] == [{b: d * c for b, c in enumerate(coeffs) if c}
+                                          for coeffs in dual]
+
+
 def test_casimir_blocks_match_fraction_columns():
     sp_module = wedge_power(fundamental_module(SP3, 3), 2)
     quotient, irreducible = _sym_quotient(SP2), _sym_quotient(SP1)
@@ -542,8 +555,7 @@ def test_dominant_highest_weight_vectors_match_all_blocks():
 
 
 def test_algebra_caches_are_bounded():
-    for cached in (_algebra_basis, _dual_coefficients, _integral_dual):
-        assert cached.cache_info().maxsize is not None
+    assert _algebra_basis.cache_info().maxsize is not None
     # a wedge power holds one column memo per algebra label, and reading a
     # label builds none of its columns; a memo keeps at most one entry per
     # column however often, and with whatever index or slice, it is read
