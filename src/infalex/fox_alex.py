@@ -11,7 +11,10 @@ coefficients.  Characters take values in Q* or in roots of unity mu_m
 The twisted homology of the presentation 2-complex: for a character rho != 1
 the first homology has dimension (n - 1) - rank A(rho), with A the
 abelianized Fox Jacobian; at rho = 1 it is the first Betti number
-n - rank A(1).
+n - rank A(1).  Fox's formula bounds rank A(rho) by n - 1, so at a torsion
+character a rank of n - 1 modulo one prime p = 1 mod m, where zeta_m
+goes to a root of unity of order m, is a certificate that H_1 vanishes;
+only below it is A(rho) ranked over Q(zeta_m).
 """
 
 from __future__ import annotations
@@ -107,18 +110,16 @@ class LaurentMatrix:
 
         When rho = zeta_m^a (every value a power of zeta_m), the monomial t^e
         takes the value zeta_m^<a, e>.  So each entry's integer coefficients
-        are summed into m bins at index <a, e> mod m, and the bins are
-        reduced modulo Phi_m once: no cyclotomic multiply or inverse.  At any
-        other character each monomial is evaluated by evaluate_exponent."""
+        are summed into m bins at index <a, e> mod m (``_bins``), and the
+        bins are reduced modulo Phi_m once: no cyclotomic multiply or
+        inverse.  At any other character each monomial is evaluated by
+        evaluate_exponent."""
         order = rho.cyclotomic_order()
         exps = rho.torsion_exponents()
         cols: list[Vec] = [{} for _ in range(self.cols)]
         for (r, c), poly in self.entries.items():
             if exps is not None:
-                bins = [0] * order
-                for e, coeff in poly.items():
-                    bins[sum(map(mul, exps, e)) % order] += coeff
-                val = CyclotomicScalar.from_polynomial(order, bins)
+                val = CyclotomicScalar.from_polynomial(order, _bins(poly, exps, order))
             else:
                 val = promote(0, order)
                 for e, coeff in poly.items():
@@ -126,6 +127,93 @@ class LaurentMatrix:
             if val:
                 cols[c][r] = val
         return cols
+
+    def rank_mod_p(self, exps, order: int) -> int:
+        """The rank over F_p of the matrix at zeta_m^a with zeta_m sent to
+        omega, (p, omega) = _modular_root(m): each entry is sum_k bins[k]
+        omega^k mod p, and the dense matrix is eliminated on ints below p.
+        A lower bound for the rank over Q(zeta_m) (see twisted_h1_dim)."""
+        p, omega = _modular_root(order)
+        powers = [pow(omega, k, p) for k in range(order)]
+        rows = [[0] * self.cols for _ in range(self.rows)]
+        for (r, c), poly in self.entries.items():
+            rows[r][c] = sum(map(mul, _bins(poly, exps, order), powers)) % p
+        return _rank_mod(rows, p)
+
+
+def _bins(poly: LaurentPoly, exps, order: int) -> list[int]:
+    """The integer coefficients of poly summed into ``order`` bins at index
+    <a, e> mod order: poly at zeta_m^a is sum_k bins[k] zeta_m^k."""
+    bins = [0] * order
+    for e, coeff in poly.items():
+        bins[sum(map(mul, exps, e)) % order] += coeff
+    return bins
+
+
+def _rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p of dense rows of ints in [0, p): each pivot row clears
+    its lead column from the rows left, and leaves them."""
+    rank = 0
+    rows = [r for r in rows if any(r)]
+    while rows:
+        pivot = rows.pop()
+        c = next(j for j, x in enumerate(pivot) if x)
+        inv = pow(pivot[c], -1, p)
+        rank += 1
+        left = []
+        for r in rows:
+            if r[c]:
+                f = r[c] * inv % p
+                r = [(x - f * y) % p for x, y in zip(r, pivot)]
+            if any(r):
+                left.append(r)
+        rows = left
+    return rank
+
+
+# Miller-Rabin witnesses that decide primality of every n < 3.3 * 10^24
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=64)
+def _modular_root(order: int) -> tuple[int, int]:
+    """(p, omega): the least prime p > 2^31 with p = 1 mod order, and
+    omega = g^((p - 1)/order) for the least g >= 2 that gives omega exact
+    order ``order`` in F_p^*.  Then p does not divide order, the roots of
+    x^order - 1 in F_p are distinct, and omega is a root of Phi_order."""
+    p = (1 << 31) + (1 - (1 << 31)) % order
+    while not _is_prime(p):
+        p += order
+    g = 2
+    while True:
+        omega = pow(g, (p - 1) // order, p)
+        if all(pow(omega, d, p) != 1 for d in range(1, order) if order % d == 0):
+            return p, omega
+        g += 1
 
 
 def alexander_matrix(p: GroupPresentation) -> LaurentMatrix:
@@ -266,10 +354,15 @@ class Character:
 
 
 def _check_character(p: GroupPresentation, rho: Character):
+    """Raise CharacterError unless rho has one value per generator and
+    respects every relator.  rho = zeta_m^a respects r exactly when
+    <a, e_r> = 0 mod m, as zeta_m is primitive: an integer congruence."""
     if len(rho.values) != p.num_generators:
         raise CharacterError("one value per generator required")
+    exps, order = rho.torsion_exponents(), rho.cyclotomic_order()
     for r, e in zip(p.relators, p.relator_exponents):
-        if rho.evaluate_exponent(e) != 1:
+        if (sum(map(mul, exps, e)) % order if exps is not None
+                else rho.evaluate_exponent(e) != 1):
             raise CharacterError(f"relator {r} not respected by the character")
 
 
@@ -282,11 +375,27 @@ def betti_one(p: GroupPresentation) -> int:
 
 
 def twisted_h1_dim(p: GroupPresentation, rho: Character) -> int:
-    """dim H_1 of the presentation 2-complex with coefficients twisted by rho."""
+    """dim H_1 of the presentation 2-complex with coefficients twisted by rho.
+
+    At rho = zeta_m^a != 1 the rank of A(rho) is first taken mod p
+    (``LaurentMatrix.rank_mod_p``), and when it is n - 1 the answer is 0
+    with no elimination over Q(zeta_m).  That is exact:
+    - lower bound: zeta_m -> omega is a ring map Z[zeta_m] -> F_p, since
+      omega has exact order m, p does not divide m and so Phi_m(omega) = 0;
+      a minor nonzero mod p is nonzero over Q(zeta_m), so rank >= rank_p;
+    - upper bound: rho respects the relators and rho != 1, so by Fox's
+      formula sum_j rho(dr/dx_j) (rho(x_j) - 1) = rho(r) - 1 = 0 for each
+      relator r, the nonzero vector (rho(x_j) - 1)_j lies in the kernel of
+      A(rho), and rank <= n - 1.
+    A lower rank mod p proves nothing (p may divide a minor), so there the
+    rank is the exact one over Q(zeta_m) or Q."""
     _check_character(p, rho)
     if rho.is_trivial():
         return betti_one(p)
-    return (p.num_generators - 1) - echelon_basis(p.alexander.evaluate(rho)).rank
+    n, exps = p.num_generators, rho.torsion_exponents()
+    if exps is not None and p.alexander.rank_mod_p(exps, rho.cyclotomic_order()) == n - 1:
+        return 0
+    return (n - 1) - echelon_basis(p.alexander.evaluate(rho)).rank
 
 
 def factors_through_free_part(p: GroupPresentation, rho: Character) -> bool:

@@ -1,13 +1,15 @@
 import random
 from itertools import product
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from infalex.errors import BudgetExceededError
 from infalex.exact_linalg import CyclotomicScalar, echelon_basis
-from infalex.fox_alex import (Character, CharacterError, GroupPresentation,
-                              alexander_matrix, betti_one, cv_membership,
+from infalex import fox_alex
+from infalex.fox_alex import (Character, CharacterError, GroupPresentation, LaurentMatrix,
+                              _check_character, alexander_matrix, betti_one, cv_membership,
                               factors_through_free_part, free_reduce,
                               saturated_relator_lattice, torsion_sweep, twisted_h1_dim)
 
@@ -390,3 +392,119 @@ def test_bin_evaluation_matches_zeta_products():
             for a, k in zip(exps, e):
                 value = value * CyclotomicScalar.zeta(m, a) ** k
             assert rho.evaluate_exponent(e) == value
+
+
+# -- the rank mod p at torsion characters ---------------------------------------
+
+F2XF2 = GroupPresentation.make(4, [(x, y, -x, -y) for x in (1, 2) for y in (3, 4)])
+
+
+def _exact_h1(p, rho):
+    """dim H_1 from the rank over Q(zeta_m) alone, with no rank mod p."""
+    if rho.is_trivial():
+        return betti_one(p)
+    return (p.num_generators - 1) - echelon_basis(p.alexander.evaluate(rho)).rank
+
+
+def _commutator_presentations(seed, count):
+    """Presentations whose relators are commutators [u, v] of random words,
+    so every point of the character torus is a character."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 3)
+        relators = []
+        for _ in range(rng.randint(1, 2)):
+            u, v = random_word(rng, n, rng.randint(1, 3)), random_word(rng, n, 2)
+            relators.append(u + v + word_inverse(u) + word_inverse(v))
+        out.append(GroupPresentation.make(n, relators))
+    return out
+
+
+def _characters(p, m):
+    for exps in product(range(m), repeat=p.num_generators):
+        rho = Character.torsion(m, exps)
+        try:
+            _check_character(p, rho)
+        except CharacterError:
+            continue
+        yield rho
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 12])
+def test_rank_mod_p_agrees_with_the_exact_rank(m):
+    groups = _commutator_presentations(m, 6) + [TREFOIL, F2XZ, X3_COMMUTING]
+    for p in groups:
+        for rho in _characters(p, m):
+            assert twisted_h1_dim(p, rho) == _exact_h1(p, rho), (p, rho.torsion_exponents())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 12])
+def test_rank_mod_p_agrees_with_the_exact_rank_f2xf2(m):
+    for rho in _characters(F2XF2, m):
+        assert twisted_h1_dim(F2XF2, rho) == _exact_h1(F2XF2, rho), rho.torsion_exponents()
+
+
+def _is_prime_by_trial_division(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_modular_root(m):
+    p, omega = fox_alex._modular_root(m)
+    assert p > 2 ** 31 and (p - 1) % m == 0 and _is_prime_by_trial_division(p)
+    # the least such prime: every p' = 1 mod m between 2^31 and p is composite
+    assert not any(_is_prime_by_trial_division(q) for q in range(p - m, 2 ** 31, -m))
+    # exact order m
+    assert pow(omega, m, p) == 1
+    assert all(pow(omega, d, p) != 1 for d in range(1, m))
+
+
+def _counting_evaluate(monkeypatch):
+    calls = []
+    evaluate = LaurentMatrix.evaluate
+
+    def counted(self, rho):
+        calls.append(rho.torsion_exponents())
+        return evaluate(self, rho)
+
+    monkeypatch.setattr(LaurentMatrix, "evaluate", counted)
+    return calls
+
+
+def test_a_bad_prime_falls_back_to_the_exact_rank(monkeypatch):
+    # A(-1, -1) of the trefoil is (3, -3), so mod 3 its rank is 0 < n - 1 = 1:
+    # that proves nothing, and the rank over Q(zeta_2) = Q is taken instead
+    root = fox_alex._modular_root
+    monkeypatch.setattr(fox_alex, "_modular_root", lambda m: (3, 2) if m == 2 else root(m))
+    calls = _counting_evaluate(monkeypatch)
+    rho = Character.torsion(2, (1, 1))
+    assert TREFOIL.alexander.rank_mod_p((1, 1), 2) == 0
+    assert twisted_h1_dim(TREFOIL, rho) == 0
+    assert calls == [(1, 1)]
+
+
+def test_exact_rank_runs_once_per_member_orbit(monkeypatch):
+    # F_2 x F_2 at m = 5: 49 members in 13 orbits, one of them the trivial
+    # character (ranked by betti_one), so 12 eliminations over Q(zeta_5)
+    calls = _counting_evaluate(monkeypatch)
+    assert len(torsion_sweep(F2XF2, 5, 1)) == 2 * 5 * 5 - 1
+    assert len(calls) == 12
+
+
+def test_relator_congruence_matches_the_relator_values():
+    rng = random.Random(49)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        p = GroupPresentation.make(n, [random_word(rng, n, rng.randint(1, 6))
+                                       for _ in range(rng.randint(1, 2))])
+        m = rng.randint(1, 8)
+        for exps in product(range(m), repeat=n):
+            rho = Character.torsion(m, exps)
+            respects = all(rho.evaluate_exponent(e) == 1 for e in p.relator_exponents)
+            try:
+                _check_character(p, rho)
+                assert respects, (p, exps)
+            except CharacterError:
+                assert not respects, (p, exps)

@@ -20,7 +20,7 @@ from infalex import (alex_module, cli, exact_linalg, fox_alex, johnson, nilpoten
 from infalex.alex_module import CyclicSumSymbol, GradedMap, coker_dims, sym_dim
 from infalex.cli import main
 from infalex.errors import InternalInconsistencyError
-from infalex.exact_linalg import EchelonBasis, RationalMatrix, act_vec, axpy
+from infalex.exact_linalg import EchelonBasis, RationalMatrix, act_vec, axpy, echelon_basis
 from infalex.fox_alex import LaurentMatrix, torsion_sweep
 from infalex.johnson import JohnsonContext, johnson_context, johnson_module_dims
 from infalex.rep_semisimple import (LieAlgebraSpec, casimir_blocks, fundamental_module,
@@ -516,6 +516,80 @@ def test_non_unit_orbit_mutant_fails_the_brute_force_sweep(non_units_in_the_galo
                                                            p, k, m):
     # the cross-check of test_orbit_sweep_matches_brute_force
     assert torsion_sweep(p, m, k) != _brute_force_sweep(p, m, k)
+
+
+# -- the rank mod p at torsion characters ------------------------------------------
+
+def twisted_h1_trusting(trusted):
+    """twisted_h1_dim with its rank mod p, whose answer (n - 1) - rank_p is
+    taken exactly when trusted(rank_p, n): the running code trusts only
+    rank_p == n - 1, the one value that the Fox bound rank <= n - 1 makes a
+    proof."""
+    def twisted_h1_dim(p, rho):
+        fox_alex._check_character(p, rho)
+        if rho.is_trivial():
+            return fox_alex.betti_one(p)
+        n, exps = p.num_generators, rho.torsion_exponents()
+        if exps is not None:
+            rank_p = p.alexander.rank_mod_p(exps, rho.cyclotomic_order())
+            if trusted(rank_p, n):
+                return (n - 1) - rank_p
+        return (n - 1) - echelon_basis(p.alexander.evaluate(rho)).rank
+
+    return twisted_h1_dim
+
+
+def _patch_twisted_h1(monkeypatch, trusted):
+    for module in (fox_alex, test_fox_alex):
+        monkeypatch.setattr(module, "twisted_h1_dim", twisted_h1_trusting(trusted))
+
+
+def test_rank_mod_p_trusted_at_full_rank_passes_the_checks(monkeypatch):
+    _patch_twisted_h1(monkeypatch, lambda rank_p, n: rank_p == n - 1)
+    test_fox_alex.test_a_bad_prime_falls_back_to_the_exact_rank(monkeypatch)
+    test_fox_alex.test_exact_rank_runs_once_per_member_orbit(monkeypatch)
+
+
+def test_trusted_low_rank_mod_p_mutant_fails_the_bad_prime_check(monkeypatch):
+    # every rank mod p taken as the rank: at p = 3 the trefoil's A(-1, -1) =
+    # (3, -3) reads rank 0, and dim H_1 reads 1 in place of 0
+    _patch_twisted_h1(monkeypatch, lambda rank_p, n: True)
+    with pytest.raises(AssertionError):
+        test_fox_alex.test_a_bad_prime_falls_back_to_the_exact_rank(monkeypatch)
+
+
+def test_bound_n_mutant_fails_the_evaluate_count(monkeypatch):
+    # rank_p == n never holds, as rank_p <= rank <= n - 1: the shortcut is
+    # dead and every orbit is eliminated over Q(zeta_5), 156 in place of 12
+    _patch_twisted_h1(monkeypatch, lambda rank_p, n: rank_p == n)
+    with pytest.raises(AssertionError):
+        test_fox_alex.test_exact_rank_runs_once_per_member_orbit(monkeypatch)
+
+
+@pytest.fixture
+def omega_of_half_order(monkeypatch):
+    """At even m, omega^2 in place of omega: a root of order m/2, not of
+    Phi_m, so zeta_m -> omega^2 is no ring map and the rank mod p is that
+    of A at rho^2."""
+    root = fox_alex._modular_root
+
+    def mutant(m):
+        p, omega = root(m)
+        return p, (omega * omega % p if m % 2 == 0 else omega)
+
+    monkeypatch.setattr(fox_alex, "_modular_root", mutant)
+
+
+@pytest.mark.parametrize("m", [2, 6, 12])
+def test_half_order_omega_mutant_fails_the_root_check(omega_of_half_order, m):
+    with pytest.raises(AssertionError):
+        test_fox_alex.test_modular_root(m)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 12])
+def test_half_order_omega_mutant_fails_the_exact_rank_agreement(omega_of_half_order, m):
+    with pytest.raises(AssertionError):
+        test_fox_alex.test_rank_mod_p_agrees_with_the_exact_rank(m)
 
 
 # -- the one-pass read of the Alexander matrix -------------------------------------
