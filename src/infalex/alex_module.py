@@ -20,7 +20,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
 from operator import add, eq, itemgetter, mul, sub
 
@@ -28,26 +28,27 @@ from .errors import InternalInconsistencyError
 from .exact_linalg import EMPTY, EchelonBasis, LazyColumns, RationalMatrix, Vec, echelon_basis
 from .free_lie import GradedDims
 from .quad_lie import LiePresentation, wedge2_index, wedge2_pairs
+from .rep_semisimple import _by_weight
 
 # a symbol term (i, k, c): multiply by x_i (or by 1 when i is None), land on
 # target generator k with integer coefficient c, over the block's den
 Term = tuple[int | None, int, int]
 
 
-# recursive: one call at n generators and degree q fills up to n * (q + 1)
-# entries, which must fit, or the recursion recomputes what it evicts
-@lru_cache(maxsize=1024)
+# the multisets of q variables come in lexicographic order, the reverse of
+# the lexicographic order of their exponent vectors
+@lru_cache(maxsize=64)
 def monomials(n: int, q: int) -> tuple[tuple[int, ...], ...]:
     """Exponent vectors of Sym_q(V), dim V = n, sorted lexicographically."""
     if q < 0:
         return ()
-    if n == 1:
-        return ((q,),)
     out = []
-    for first in range(q + 1):
-        for rest in monomials(n - 1, q - first):
-            out.append((first,) + rest)
-    return tuple(sorted(out))
+    for multiset in combinations_with_replacement(range(n), q):
+        e = [0] * n
+        for i in multiset:
+            e[i] += 1
+        out.append(tuple(e))
+    return tuple(reversed(out))
 
 
 @lru_cache(maxsize=64)
@@ -400,16 +401,6 @@ def _monomial_weights(n: int, q: int, base_weights) -> dict:
     per_coordinate = list(zip(*base_weights))
     return {mono: tuple(sum(map(mul, mono, ws)) for ws in per_coordinate)
             for mono in monomials(n, q)}
-
-
-def _by_weight(weighted) -> dict:
-    """weight -> the items of that weight, in the order given, from
-    (item, weight) pairs; an item of weight None joins none."""
-    out: dict = {}
-    for item, w in weighted:
-        if w is not None:
-            out.setdefault(w, []).append(item)
-    return out
 
 
 def _bucket_keys(gm: GradedMap, mu, monomials_by_weight: dict, generators_by_weight: list):

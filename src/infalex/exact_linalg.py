@@ -1,11 +1,12 @@
 """Exact sparse linear algebra over Q and over cyclotomic extensions Q(zeta_m).
 
-Everything here is exact: scalars are ``fractions.Fraction`` or
-:class:`CyclotomicScalar`, an integer vector modulo Phi_m over one
-denominator whose arithmetic runs on ints.  A :class:`RationalMatrix` holds
-rationals only, stored the same way, as a sparse dict of integer numerators
-over one positive denominator in lowest terms: its products run on ints and
-divide once.  Q(zeta_m) lives in scalars, sparse vectors and the rows of an
+Everything here is exact: scalars enter as ``int``, ``fractions.Fraction``
+or :class:`CyclotomicScalar`, an integer vector modulo Phi_m over one
+denominator whose arithmetic runs on ints (text becomes a rational in
+``documents`` only).  A :class:`RationalMatrix` holds rationals only, stored
+the same way, as a sparse dict of integer numerators over one positive
+denominator in lowest terms: its products run on ints and divide once.
+Q(zeta_m) lives in scalars, sparse vectors and the rows of an
 :class:`EchelonBasis`.
 Elimination over Q is fraction-free: rows are primitive integer vectors,
 and a pivot is cleared by integer multiples of both rows (Bareiss, Math.
@@ -36,8 +37,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from types import MappingProxyType
 
-from . import documents
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 EMPTY: Mapping = MappingProxyType({})   # the one empty column, shared and read-only
@@ -49,8 +48,6 @@ def _to_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return documents.fraction(x, "a scalar")
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
@@ -92,7 +89,6 @@ def _polydiv_exact_int(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=64)
 def _phi_degree(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd, log2
+from math import gcd, isqrt, log2
 from operator import mul
 
 from . import documents
@@ -171,42 +171,15 @@ def _rank_mod(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-# Miller-Rabin witnesses that decide primality of every n < 3.3 * 10^24
-# (Sorenson and Webster, Math. Comp. 86, 2017)
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3 * 10^24."""
-    if n < 2:
-        return False
-    for q in _PRIME_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @lru_cache(maxsize=64)
 def _modular_root(order: int) -> tuple[int, int]:
-    """(p, omega): the least prime p > 2^31 with p = 1 mod order, and
-    omega = g^((p - 1)/order) for the least g >= 2 that gives omega exact
-    order ``order`` in F_p^*.  Then p does not divide order, the roots of
+    """(p, omega): the least prime p > 2^24 with p = 1 mod order, each
+    candidate tested by trial division up to sqrt(p), and omega =
+    g^((p - 1)/order) for the least g >= 2 that gives omega exact order
+    ``order`` in F_p^*.  Then p does not divide order, the roots of
     x^order - 1 in F_p are distinct, and omega is a root of Phi_order."""
-    p = (1 << 31) + (1 - (1 << 31)) % order
-    while not _is_prime(p):
+    p = (1 << 24) + (1 - (1 << 24)) % order
+    while not all(p % d for d in range(2, isqrt(p) + 1)):
         p += order
     g = 2
     while True:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import sub
 
-from .alex_module import GradedMap, _by_weight, coker_dims, quotient_cyclic_sum
+from .alex_module import GradedMap, coker_dims, quotient_cyclic_sum
 from .errors import BudgetExceededError, InternalInconsistencyError
 from .exact_linalg import EchelonBasis, Vec, act_vec, echelon_basis
 from .free_lie import basis_bracket
@@ -50,7 +50,7 @@ from .quad_lie import wedge2_pairs
 from .rep_semisimple import (HighestWeight, LieAlgebraSpec, casimir_blocks,
                              casimir_eigenvalue, fundamental_module,
                              highest_weight_vectors, wedge_power, weyl_dim,
-                             _dense_block_polynomial)
+                             _by_weight, _dense_block_polynomial)
 
 MIN_GENUS = 3
 

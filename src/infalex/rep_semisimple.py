@@ -190,14 +190,16 @@ class WeightModule:
     actions: Mapping  # label -> ColMat
 
     def weight_decomposition(self) -> dict[tuple[int, ...], list[int]]:
-        return _weight_decomposition(self.weights)
+        return _by_weight(enumerate(self.weights))
 
 
-def _weight_decomposition(weights) -> dict[tuple[int, ...], list[int]]:
-    """weight -> the positions of that weight, in increasing order."""
-    out: dict[tuple[int, ...], list[int]] = {}
-    for i, w in enumerate(weights):
-        out.setdefault(w, []).append(i)
+def _by_weight(weighted) -> dict:
+    """weight -> the items of that weight, in the order given, from
+    (item, weight) pairs; an item of weight None joins none."""
+    out: dict = {}
+    for item, w in weighted:
+        if w is not None:
+            out.setdefault(w, []).append(item)
     return out
 
 
@@ -437,7 +439,7 @@ def casimir_blocks(m: WeightModule, k: int = 1) -> dict[tuple[int, ...], Rationa
         column = partial(_casimir_column, actions, dual, dm)
     elif k == 2:
         combos, weights = _wedge_basis(m, 2)
-        decomp = _weight_decomposition(weights)
+        decomp = _by_weight(enumerate(weights))
         column = _wedge2_casimir_columns(actions, dual, dm, combos)
     else:
         raise ValueError("the Casimir of wedge^k m is built for k = 1 and 2 only")

@@ -9,7 +9,8 @@ inside ideal(R)_3 that the one-vector centrality check is checked against,
 the Gram inversion of the trace form that the dual basis read off the
 labels is checked against, the inversion count that the
 sign of a wedge monomial is checked against, the Weyl dimension of
-sl_n that the Chen ranks are checked against, the Fraction-valued
+sl_n that the Chen ranks are checked against, the recursive enumeration of
+Sym_q that infalex.alex_module.monomials is checked against, the Fraction-valued
 references that the integer kernels of rep_semisimple are
 checked against, the Koszul differential and the composed nabla-bar that
 the one-pass cyclic sum of infalex.alex_module is checked against, the
@@ -389,6 +390,25 @@ def presentation_with_z(ctx) -> LiePresentation:
     nabla and bb_direct cross-checks of coker(q)."""
     rels = [{ctx.pairs[k]: c for k, c in v.items()} for v in ctx.r_basis + [ctx.z_vec]]
     return LiePresentation.make(ctx.V.dimension, rels)
+
+
+# -- Sym_q by recursion on the number of variables ----------------------------
+
+def recursive_monomials(n: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent vectors of Sym_q(V), dim V = n, sorted lexicographically:
+    each exponent of the first variable, then Sym of the other n - 1.
+
+    Test oracle: the recursive enumeration that alex_module.monomials is
+    checked against; it recurses once per variable."""
+    if q < 0:
+        return ()
+    if n == 1:
+        return ((q,),)
+    out = []
+    for first in range(q + 1):
+        for rest in recursive_monomials(n - 1, q - first):
+            out.append((first,) + rest)
+    return tuple(sorted(out))
 
 
 # -- the Koszul differential and the composed reference for nabla-bar ----------

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 from math import comb
 from operator import add
@@ -15,7 +17,7 @@ from infalex.rep_semisimple import LieAlgebraSpec
 
 from module_builders import (beta_matrix, column_keys, composed_nabla_bar, fraction_columns,
                              generator_weights, koszul_map, num_columns, quotient_pairs,
-                             rref_relation_block, weight_buckets)
+                             recursive_monomials, rref_relation_block, weight_buckets)
 
 
 def full_relations(n):
@@ -30,6 +32,32 @@ def test_monomials_graded_lex():
         assert len(ms) == sym_dim(n, q)
         assert list(ms) == sorted(ms)
         assert all(sum(m) == q for m in ms)
+
+
+def test_monomials_match_the_recursive_enumeration():
+    for n in range(1, 9):
+        for q in range(-1, 6):
+            assert monomials(n, q) == recursive_monomials(n, q), (n, q)
+
+
+def test_monomials_past_the_recursion_limit():
+    # 600 variables: a recursion per variable through an lru_cache exhausts
+    # CPython's default recursion limit from about 490 variables
+    for q in (0, 1):
+        assert len(monomials(600, q)) == sym_dim(600, q)
+    assert monomials(600, 1)[0] == (0,) * 599 + (1,)
+    # degree 2 under a recursion limit 40 frames above this one, which the
+    # recursion per variable exceeds at 120 variables: Sym_2 of 600 variables
+    # holds 180,300 vectors of 600 entries, about 850 MB
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        with pytest.raises(RecursionError):
+            recursive_monomials(120, 2)
+        assert len(monomials(120, 2)) == sym_dim(120, 2)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_delta3_n2_zero_map():

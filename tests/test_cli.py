@@ -52,6 +52,23 @@ def test_bb_methods_agree(capsys, files):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_chen_at_500_generators(capsys):
+    # wedge^2 of 500 variables: Sym_0 and Sym_1 are enumerated with no
+    # recursion per variable, so a valid input past the recursion limit answers
+    code, out = run(capsys, ["chen", "-n", "500", "-q", "0"])
+    assert code == 0
+    assert json.loads(out) == {"closed_form": 124750, "computed": 124750, "match": True,
+                               "n": 500, "q": 0}
+
+
+def test_bb_on_a_free_presentation_at_500_generators(capsys, tmp_path):
+    path = tmp_path / "free500.json"
+    path.write_text(json.dumps({"dim_v": 500, "relations": []}))
+    code, out = run(capsys, ["bb", "--max-degree", "0", "--presentation", str(path)])
+    assert code == 0
+    assert json.loads(out)["dims"] == [124750]
+
+
 def test_johnson_degree0(capsys):
     code, out = run(capsys, ["johnson", "--genus", "3", "--max-degree", "0"])
     assert code == 0

@@ -187,13 +187,14 @@ def test_cyclotomic_arithmetic_matches_fraction_oracle(m):
 def test_cyclotomic_values_stored_in_lowest_terms():
     half = CyclotomicScalar(5, [Fraction(2, 4)])
     for other in (CyclotomicScalar.from_rational(5, Fraction(1, 2)),
-                  CyclotomicScalar(5, ["1/2", 0]), CyclotomicScalar(5, ["0.5"]),
+                  CyclotomicScalar(5, [Fraction(1, 2), 0]),
+                  CyclotomicScalar(5, [Fraction(3, 6), Fraction(0, 7)]),
                   CyclotomicScalar.zeta(5) * Fraction(1, 2) * CyclotomicScalar.zeta(5, -1)):
         assert (other.num, other.den) == (half.num, half.den) == ((1, 0, 0, 0), 2)
         assert other == half and hash(other) == hash(half) == hash(Fraction(1, 2))
-    assert half == Fraction(1, 2) and half != 1 and half == CyclotomicScalar(7, ["2/4"])
+    assert half == Fraction(1, 2) and half != 1 and half == CyclotomicScalar(7, [Fraction(2, 4)])
     assert CyclotomicScalar(5, [3, 0, 6]).den == 1
-    mixed = CyclotomicScalar(5, [Fraction(1, 6), Fraction(3, 4), "-1/3"])
+    mixed = CyclotomicScalar(5, [Fraction(1, 6), Fraction(3, 4), Fraction(-1, 3)])
     assert (mixed.num, mixed.den) == ((2, 9, -4, 0), 12)
     assert mixed.coeffs == (Fraction(1, 6), Fraction(3, 4), Fraction(-1, 3), Fraction(0))
     assert repr(mixed) == "Cyc(5, ['1/6', '3/4', '-1/3', '0'])"
@@ -210,7 +211,7 @@ def test_cyclotomic_inverse_at_large_order(m):
 
 
 def test_cyclotomic_caches_are_bounded():
-    for cached in (cyclotomic_polynomial, _phi_degree, _power_reductions):
+    for cached in (cyclotomic_polynomial, _power_reductions):
         assert cached.cache_info().maxsize == 64
     for m in range(1, 80):
         CyclotomicScalar.zeta(m)
@@ -288,16 +289,18 @@ def test_cyclotomic_order_bound():
             build()
 
 
-def test_decimal_strings_have_a_bounded_exponent():
-    # Fraction would build 10**400000 exactly; the exponent is refused first
-    import time
-    start = time.perf_counter()
-    for build in (lambda: RationalMatrix.from_rows([["1e-400000"]]),
-                  lambda: CyclotomicScalar(3, ["1e-400000"])):
-        with pytest.raises(ValueError, match="decimal exponent"):
-            build()
-    assert time.perf_counter() - start < 1.0
-    m = RationalMatrix.from_rows([["3/2", "1e-3"]])
+def test_the_exact_core_refuses_text():
+    # text becomes a rational in documents only (whose decimal exponent is
+    # bounded, see test_cli); the exact core takes int, Fraction and
+    # CyclotomicScalar, and refuses a string whatever it spells
+    for text in ("3/2", "1e-3", "1e-400000"):
+        for build in (lambda: RationalMatrix.from_rows([[text]]),
+                      lambda: CyclotomicScalar(3, [text]),
+                      lambda: promote(text, None),
+                      lambda: Character.rational([text])):
+            with pytest.raises(TypeError, match="exact rational"):
+                build()
+    m = RationalMatrix.from_rows([[Fraction(3, 2), Fraction(1, 1000)]])
     assert m.entries == {(0, 0): Fraction(3, 2), (0, 1): Fraction(1, 1000)}
 
 
@@ -779,7 +782,7 @@ def test_lazy_columns_build_each_entry_once_and_read_as_a_tuple():
 
 
 def test_numerator_columns_are_built_once_and_match_the_entries():
-    m = RationalMatrix.from_rows([[1, 0, "1/2"], [0, 0, 3]])
+    m = RationalMatrix.from_rows([[1, 0, Fraction(1, 2)], [0, 0, 3]])
     assert (m.num, m.den) == ({(0, 0): 2, (0, 2): 1, (1, 2): 6}, 2)
     cols = m.numerator_columns()
     assert m.numerator_columns() is cols
@@ -799,7 +802,7 @@ def test_numerator_columns_are_built_once_and_match_the_entries():
 def test_product_columns_are_the_transpose_of_num():
     # kept as built when nothing is divided out, transposed from the
     # divided num when something is; empty columns are EMPTY either way
-    a = RationalMatrix.from_rows([[1, 0, 2], [0, 0, "1/2"]])       # den 2
+    a = RationalMatrix.from_rows([[1, 0, 2], [0, 0, Fraction(1, 2)]])   # den 2
     b = RationalMatrix.from_rows([[1, 0, 0], [0, 0, 5], [1, 0, 0]])
     kept, divided = a.matmul(b), a.matmul(RationalMatrix.from_rows([[2, 0], [0, 0], [0, 0]]))
     assert (kept.den, divided.den) == (2, 1)
@@ -812,7 +815,7 @@ def test_product_columns_are_the_transpose_of_num():
 
 
 def test_numerator_columns_share_one_read_only_empty_column():
-    m = RationalMatrix.from_rows([[0, 1, 0, 0], [0, 2, 0, "1/3"]])
+    m = RationalMatrix.from_rows([[0, 1, 0, 0], [0, 2, 0, Fraction(1, 3)]])
     cols = m.numerator_columns()
     assert cols == [{}, {0: 3, 1: 6}, {}, {1: 1}]
     assert cols[0] is cols[2] is exact_linalg.EMPTY
@@ -827,7 +830,7 @@ def test_numerator_columns_share_one_read_only_empty_column():
 def test_act_vec_on_empty_columns_equals_the_dense_product():
     # v has entries on empty, one-entry and fuller columns: the empty ones
     # add nothing, and every other one still counts
-    m = RationalMatrix.from_rows([[0, 1, 0, 2, 0], [0, 0, 0, 3, "1/2"]])
+    m = RationalMatrix.from_rows([[0, 1, 0, 2, 0], [0, 0, 0, 3, Fraction(1, 2)]])
     v = {0: 1, 1: 2, 2: 5, 3: -1, 4: 4}
     # den 2: row 0 reads 2*2 - 4*1 = 0 and row 1 reads -6*1 + 1*4 = -2
     assert act_vec(m.numerator_columns(), v) == {1: -2}
@@ -859,7 +862,7 @@ def _matrix_entries(st):
     scalar = st.one_of(st.sampled_from([0, 1, -1, 2, Fraction(3, 6), Fraction(-4, 6)]),
                        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
                        st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 12)))
-    return st.one_of(st.sampled_from([0, 0, "2/4", "-3/6", "1e-2"]), scalar), scalar
+    return st.one_of(st.sampled_from([0, 0, Fraction(2, 4), Fraction(-3, 6), Fraction(1, 100)]), scalar), scalar
 
 
 def _rational_matrices(st, entry, r, c):

@@ -446,16 +446,23 @@ def test_rank_mod_p_agrees_with_the_exact_rank_f2xf2(m):
         assert twisted_h1_dim(F2XF2, rho) == _exact_h1(F2XF2, rho), rho.torsion_exponents()
 
 
-def _is_prime_by_trial_division(n):
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+def _primes_in_window(lo, hi):
+    """The primes in [lo, hi], 2 <= lo, by a sieve of that window with every
+    d <= sqrt(hi)."""
+    composite = bytearray(hi - lo + 1)
+    for d in range(2, isqrt(hi) + 1):
+        start = max(d * d, -(-lo // d) * d)
+        composite[start - lo::d] = b"\x01" * len(range(start, hi + 1, d))
+    return {lo + i for i, c in enumerate(composite) if not c}
 
 
 @pytest.mark.parametrize("m", range(1, 31))
 def test_modular_root(m):
     p, omega = fox_alex._modular_root(m)
-    assert p > 2 ** 31 and (p - 1) % m == 0 and _is_prime_by_trial_division(p)
-    # the least such prime: every p' = 1 mod m between 2^31 and p is composite
-    assert not any(_is_prime_by_trial_division(q) for q in range(p - m, 2 ** 31, -m))
+    assert p > 2 ** 24 and (p - 1) % m == 0
+    # the sieve of [2^24, p] shows p prime, and every p' = 1 mod m between
+    # 2^24 and p composite
+    assert [q for q in sorted(_primes_in_window(2 ** 24, p)) if (q - 1) % m == 0] == [p]
     # exact order m
     assert pow(omega, m, p) == 1
     assert all(pow(omega, d, p) != 1 for d in range(1, m))

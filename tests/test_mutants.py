@@ -9,7 +9,7 @@ import inspect
 import json
 import textwrap
 import types
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 from operator import add
 
@@ -497,6 +497,35 @@ def test_dropped_monomial_weight_mutant_fails_the_plain_rank_cross_check(
         fresh_contexts, bucket_without_one_monomial_weight):
     orbit, plain = _orbit_route_against_plain_rank_g3()
     assert plain == (90, 896, 5355) and orbit[1] != plain[1] and orbit[2] != plain[2]
+
+
+# -- the enumeration of Sym_q ------------------------------------------------------
+
+@pytest.fixture
+def sym_q_unreversed(monkeypatch):
+    """The multisets of combinations_with_replacement read in the order they
+    come, not reversed: the same exponent vectors, in the reverse of
+    lexicographic order, everywhere monomials is bound, and monomial_index
+    emptied before and after."""
+    def mutant(n, q):
+        if q < 0:
+            return ()
+        return tuple(tuple(multiset.count(i) for i in range(n))
+                     for multiset in combinations_with_replacement(range(n), q))
+
+    for module in (alex_module, test_alex_module):
+        monkeypatch.setattr(module, "monomials", mutant)
+    alex_module.monomial_index.cache_clear()
+    yield
+    alex_module.monomial_index.cache_clear()
+
+
+@pytest.mark.parametrize("check", ["test_monomials_graded_lex",
+                                   "test_monomials_match_the_recursive_enumeration",
+                                   "test_monomials_past_the_recursion_limit"])
+def test_unreversed_sym_q_mutant_fails_the_order_checks(sym_q_unreversed, check):
+    with pytest.raises(AssertionError):
+        getattr(test_alex_module, check)()
 
 
 # -- the Galois orbits of the torsion sweep ---------------------------------------
