@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
-from operator import add, eq, itemgetter, mul, sub
+from operator import add, eq, mul, sub
 
 from .errors import InternalInconsistencyError
 from .exact_linalg import EMPTY, EchelonBasis, LazyColumns, RationalMatrix, Vec, echelon_basis
@@ -366,36 +366,6 @@ def _wdiff(a, b) -> tuple:
     return tuple(map(sub, a, b))
 
 
-def _generators_by_weight(gm: GradedMap, base_weights, target_weights) -> list:
-    """Per block, the function from a weight to the block's generators of
-    that weight, in increasing order; a generator with an empty symbol has
-    a zero column and none.
-
-    A cyclic-sum block gives each generator the weight of its triple,
-    certified once on f (CyclicSumSymbol.generators_by_weight, else
-    InternalInconsistencyError), and builds no symbol.  Any other block
-    reads it off the symbol: every term (x_i, e_k) of a generator must land
-    on the same weight target_weights[k] + base_weights[i] (x_i = 1 adds
-    nothing), else ValueError.  Block ranks rely on it.
-    """
-    out = []
-    for block in gm.blocks:
-        if isinstance(block.symbol, CyclicSumSymbol):
-            out.append(block.symbol.generators_by_weight(base_weights, target_weights,
-                                                         block.name))
-            continue
-        weighted = []
-        for j, terms in enumerate(block.symbol):
-            found = {tuple(target_weights[k]) if i is None
-                     else _wsum(target_weights[k], base_weights[i]) for (i, k, _c) in terms}
-            if len(found) > 1:
-                raise ValueError(f"symbol of block {block.name} generator {j} "
-                                 f"is not weight homogeneous: {sorted(found)}")
-            weighted.append((j, found.pop() if found else None))
-        out.append(_by_weight(weighted).get)
-    return out
-
-
 def _monomial_weights(n: int, q: int, base_weights) -> dict:
     """The weight of each monomial of Sym_q: the sum of its variables' weights."""
     per_coordinate = list(zip(*base_weights))
@@ -403,40 +373,17 @@ def _monomial_weights(n: int, q: int, base_weights) -> dict:
             for mono in monomials(n, q)}
 
 
-def _bucket_keys(gm: GradedMap, mu, monomials_by_weight: dict, generators_by_weight: list):
-    """The degree-q columns of total weight mu, as column() keys in the
-    matrix's column order (block, then monomial, then generator), formed
-    by convolution: each monomial of weight mw beside the generators of
-    weight mu - mw.
-
-    monomials_by_weight maps a block shift to _by_weight of the monomials of
-    Sym_{q-shift}; generators_by_weight is _generators_by_weight of gm.  No
-    other column key is listed.
-    """
-    for bi, block in enumerate(gm.blocks):
-        generators = generators_by_weight[bi]
-        found = []
-        for mw, monos in monomials_by_weight[block.shift].items():
-            js = generators(_wdiff(mu, mw))
-            if js:
-                found += [(mono, js) for mono in monos]
-        # monomials are exponent vectors, so their order is the matrix's
-        found.sort(key=itemgetter(0))
-        for mono, js in found:
-            for j in js:
-                yield bi, mono, j
-
-
-def _weighted_rank(gm: GradedMap, q: int, base_weights, target_weights, generators_by_weight,
+def _weighted_rank(gm: GradedMap, q: int, base_weights, target_weights, generators,
                    weyl=None) -> int:
-    """Rank of the degree-q matrix, the sum of its weight-bucket ranks.
+    """Rank of the degree-q matrix of gm, one cyclic-sum block, the sum of
+    its weight-bucket ranks.
 
     The rows of each weight are counted from the base and target weights,
-    and a column's weight is that of its monomial plus that of its
-    generator (generators_by_weight, from _generators_by_weight), so the
-    matrix is block diagonal over weights and its buckets are formed by
-    convolution (_bucket_keys): only the columns of a bucket that is
-    reduced are listed and built.
+    and a column's weight is that of its monomial of Sym_{q-1} plus that of
+    its generator (generators, CyclicSumSymbol.generators_by_weight), so
+    the matrix is block diagonal over weights.  A bucket is formed by
+    convolution, each monomial of weight mw beside generators(mu - mw), in
+    the matrix's column order: only the buckets reduced are built.
 
     With weyl (a LieAlgebraSpec of type C) the map must be equivariant for
     that algebra: the rank of a bucket is then the dimension of a weight
@@ -449,8 +396,7 @@ def _weighted_rank(gm: GradedMap, q: int, base_weights, target_weights, generato
     weight is its own orbit, of size 1.
     """
     n = gm.base_dim
-    monos = {shift: _by_weight(_monomial_weights(n, q - shift, base_weights).items())
-             for shift in {b.shift for b in gm.blocks}}
+    monos = _by_weight(_monomial_weights(n, q - 1, base_weights).items())
     mono_counts = Counter(_monomial_weights(n, q, base_weights).values())
     target_counts = Counter(map(tuple, target_weights))
     rows: Counter = Counter()
@@ -469,9 +415,16 @@ def _weighted_rank(gm: GradedMap, q: int, base_weights, target_weights, generato
             raise InternalInconsistencyError(
                 f"degree {q}: the {size} weights of the Weyl orbit of {mu} hold "
                 f"unequal row counts, {len(counts)} weights of sizes {sorted(set(counts))}")
+        bucket = []
+        for mw, ms in monos.items():
+            js = generators(_wdiff(mu, mw))
+            if js:
+                bucket += [(mono, js) for mono in ms]
         eb = EchelonBasis()
-        for key in _bucket_keys(gm, mu, monos, generators_by_weight):
-            eb.add(gm.column(tgt_idx, *key))
+        # monomials are exponent vectors, so their order is the matrix's
+        for mono, js in sorted(bucket):
+            for j in js:
+                eb.add(gm.column(tgt_idx, 0, mono, j))
         total_rank += size * eb.rank
     return total_rank
 
@@ -480,12 +433,12 @@ def coker_dims(gm: GradedMap, max_degree: int, *, weights=None, weyl=None) -> Gr
     """Degree-wise cokernel dimensions of the map, degrees 0..max_degree.
 
     weights = (base, target) gives a weight per variable and per target
-    generator of an equivariant map.  A generator of a cyclic-sum block has
-    the weight of its triple, certified once on the map f it is built from,
-    and a row of f off its pair's weight raises InternalInconsistencyError;
-    any other generator's weight is read off its symbol, and a term off its
-    generator's weight raises ValueError.  Ranks are then computed
-    per weight block, and only the symbols of the buckets ranked are built;
+    generator of an equivariant map, which must be one cyclic-sum block
+    (quotient_cyclic_sum), else ValueError.  A generator has the weight of
+    its triple, certified once on the map f it is built from, and a row of
+    f off its pair's weight raises InternalInconsistencyError
+    (CyclicSumSymbol.generators_by_weight).  Ranks are then computed per
+    weight block, and only the symbols of the buckets ranked are built;
     the result is identical, the blocks are just small.  weyl = spec
     further ranks one block per Weyl orbit (see _weighted_rank); the caller
     vouches that the map is spec-equivariant with these weights.
@@ -493,13 +446,16 @@ def coker_dims(gm: GradedMap, max_degree: int, *, weights=None, weyl=None) -> Gr
     if weyl is not None and weights is None:
         raise ValueError("weyl needs weights")
     if weights is not None:
+        if len(gm.blocks) != 1 or not isinstance(gm.blocks[0].symbol, CyclicSumSymbol):
+            raise ValueError("weights need a map of one cyclic-sum block")
         base_w, target_w = weights
-        gen_w = _generators_by_weight(gm, base_w, target_w)
+        block = gm.blocks[0]
+        generators = block.symbol.generators_by_weight(base_w, target_w, block.name)
     dims = []
     for q in range(max_degree + 1):
         target = gm.target_dim_in_degree(q)
         if weights is not None:
-            r = _weighted_rank(gm, q, base_w, target_w, gen_w, weyl)
+            r = _weighted_rank(gm, q, base_w, target_w, generators, weyl)
         else:
             r = gm.matrix(q).rank()
         dims.append(target - r)

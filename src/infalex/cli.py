@@ -20,7 +20,7 @@ from .alex_module import (coker_dims, coker_multiplication_action, delta3,
                           nabla, nabla_bar)
 from .errors import BudgetExceededError, InternalInconsistencyError
 from .fox_alex import (SWEEP_BUDGET, Character, CharacterError, GroupPresentation,
-                       alexander_matrix, cv_membership, torsion_sweep,
+                       alexander_matrix, require_free_part, torsion_sweep,
                        twisted_h1_dim)
 from .free_lie import lyndon_words, witt_dims
 from .johnson import (central_z_check, decompose_wedge2_V, johnson_module_dims)
@@ -153,10 +153,12 @@ def cmd_cv(args) -> dict:
     if args.character is None:
         raise CharacterError("one of --character or --torsion is required")
     rho = Character.parse(args.character)
-    member = cv_membership(p, rho, args.depth, restricted=args.restricted)
+    if args.restricted:
+        require_free_part(p, rho)
+    h1 = twisted_h1_dim(p, rho)   # one rank: membership is h1 >= depth
     return {"character": args.character, "depth": args.depth,
-            "restricted": args.restricted, "member": member,
-            "twisted_h1": twisted_h1_dim(p, rho)}
+            "restricted": args.restricted, "member": h1 >= args.depth,
+            "twisted_h1": h1}
 
 
 def cmd_nilpotence(args) -> dict:
@@ -301,7 +303,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         sys.stdout.write(json.dumps(exc.reason, sort_keys=True) + "\n")
         return EXIT_BUDGET
-    except (CharacterError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # CharacterError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:

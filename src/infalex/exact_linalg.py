@@ -66,27 +66,15 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         raise ValueError("order must be >= 1")
     if m > MAX_CYCLOTOMIC_ORDER:
         raise ValueError(f"cyclotomic order must be at most {MAX_CYCLOTOMIC_ORDER}, got {m}")
-    # x^m - 1 divided by the product of Phi_d over proper divisors d of m
+    # x^m - 1 divided by the product of Phi_d over proper divisors d of m;
+    # each Phi_d is monic, so the pseudo-division scales by s = 1
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly = _polydiv_exact_int(poly, list(cyclotomic_polynomial(d)))
+            poly, r, _s = _pseudo_divmod(poly, list(cyclotomic_polynomial(d)))
+            if any(r):
+                raise ArithmeticError("non-exact polynomial division")
     return tuple(poly)
-
-
-def _polydiv_exact_int(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials, den monic
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        out[k] = c
-        if c:
-            for i, dv in enumerate(den):
-                num[k + i] -= c * dv
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
 
 
 def _phi_degree(m: int) -> int:

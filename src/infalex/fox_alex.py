@@ -379,14 +379,21 @@ def factors_through_free_part(p: GroupPresentation, rho: Character) -> bool:
     return all(rho.evaluate_exponent(v) == 1 for v in sat)
 
 
+def require_free_part(p: GroupPresentation, rho: Character) -> None:
+    """The refusal of the restricted variant: CharacterError unless rho
+    factors through the maximal torsion-free quotient."""
+    if not factors_through_free_part(p, rho):
+        raise CharacterError("character does not factor through the free part")
+
+
 def cv_membership(p: GroupPresentation, rho: Character, k: int, *,
                   restricted: bool = False) -> bool:
     """Whether dim H_1(G, C_rho) >= k; the restricted variant additionally
     requires rho to factor through the maximal torsion-free quotient."""
     if k < 1:
         raise ValueError("depth k >= 1 required")
-    if restricted and not factors_through_free_part(p, rho):
-        raise CharacterError("character does not factor through the free part")
+    if restricted:
+        require_free_part(p, rho)
     return twisted_h1_dim(p, rho) >= k
 
 

@@ -16,8 +16,8 @@ from infalex.quad_lie import LiePresentation, bb_direct, wedge2_pairs
 from infalex.rep_semisimple import LieAlgebraSpec
 
 from module_builders import (beta_matrix, column_keys, composed_nabla_bar, fraction_columns,
-                             generator_weights, koszul_map, num_columns, quotient_pairs,
-                             recursive_monomials, rref_relation_block, weight_buckets)
+                             koszul_map, num_columns, quotient_pairs, recursive_monomials,
+                             rref_relation_block)
 
 
 def full_relations(n):
@@ -458,9 +458,10 @@ def test_weighted_rank_skips_empty_symbols(n, rels, expected):
     bar_w = [pair_w[k] for k in quotient_pairs(p)]
     nb = nabla_bar(p)
     assert any(terms == () for terms in nb.blocks[0].symbol)
-    for gm, target_w in ((nabla(p), pair_w), (nb, bar_w)):
-        weighted = coker_dims(gm, 3, weights=(base_w, target_w))
-        assert weighted.dims == _plain_coker(gm, 3) == expected
+    # weights need one cyclic-sum block, so nabla is ranked plainly only
+    assert coker_dims(nabla(p), 3).dims == _plain_coker(nabla(p), 3) == expected
+    weighted = coker_dims(nb, 3, weights=(base_w, bar_w))
+    assert weighted.dims == _plain_coker(nb, 3) == expected
 
 
 def test_weighted_rank_builds_only_the_symbols_it_ranks():
@@ -484,14 +485,15 @@ def test_weight_homogeneity_violation_detected():
 
 
 def test_weights_are_always_checked():
-    # generator weights are read off the symbol, so a grading the map does
-    # not preserve is refused instead of splitting one weight block
-    gm = koszul_map(3, 2)
+    # a generator's weight is its triple's, certified on the cyclic sum's f
+    # (test_weight_homogeneity_violation_detected); any other map is refused
+    # weights, even under a grading it preserves
     base_w = [(1,), (2,), (4,)]
-    with pytest.raises(ValueError):
-        coker_dims(gm, 3, weights=(base_w, [(0,)] * 3))
-    weighted = coker_dims(gm, 3, weights=(base_w, base_w))
-    assert weighted.dims == _plain_coker(gm, 3) == (3, 6, 10, 15)
+    for gm, target_w in ((koszul_map(3, 2), base_w),
+                         (nabla(LiePresentation.make(3, [{(0, 1): 1}])),
+                          [(3,), (5,), (6,)])):
+        with pytest.raises(ValueError, match="one cyclic-sum block"):
+            coker_dims(gm, 3, weights=(base_w, target_w))
 
 
 def test_weyl_orbit_rank_agrees_with_plain():
@@ -504,27 +506,6 @@ def test_weyl_orbit_rank_agrees_with_plain():
         pair_w = [tuple(map(add, h_w[i], h_w[j])) for i, j in wedge2_pairs(2 * g)]
         orbit = coker_dims(gm, max_degree, weights=(h_w, pair_w), weyl=spec)
         assert orbit.dims == _plain_coker(gm, max_degree)
-
-
-def test_weyl_orbit_rank_ignores_uneven_zero_columns():
-    # two copies of the Koszul symbol on wedge^3 H, H = C^4 for sp(4), the
-    # second with the symbol of triple 0 empty: that generator stands for its
-    # difference with the first copy, a change of basis of the source.  The
-    # image is that of delta3, so the map stays equivariant, but the buckets
-    # that lose the empty generator hold one column less than the rest of
-    # their Weyl orbit; only target rows may be compared across an orbit
-    spec = LieAlgebraSpec(2)
-    h_w = spec.defining_weights()
-    d3 = delta3(4)
-    (block,) = d3.blocks
-    second = SymbolBlock("wedge3 again", 1, ((),) + block.symbol[1:])
-    gm = GradedMap(4, d3.target_dim, (block, second))
-    pair_w = [tuple(map(add, h_w[i], h_w[j])) for i, j in wedge2_pairs(4)]
-    gen_w = generator_weights(gm, h_w, pair_w)
-    columns = [len(keys) for w, keys in sorted(weight_buckets(gm, 1, h_w, gen_w).items())
-               if spec.dominant(w) == (1, 0)]
-    assert len(set(columns)) > 1
-    assert coker_dims(gm, 3, weights=(h_w, pair_w), weyl=spec).dims == _plain_coker(d3, 3)
 
 
 def test_weyl_orbit_rank_refuses_weights_off_a_module():

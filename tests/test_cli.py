@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from infalex import cli, fox_alex
 from infalex.cli import main
 
 from module_builders import AmbiguousDecompositionError
@@ -102,6 +103,29 @@ def test_cv_character(capsys, files):
                              "--character=2,1", "--depth", "1"])
     assert code == 0
     assert json.loads(out)["member"] is True
+
+
+def test_cv_character_ranks_once(capsys, files, monkeypatch, tmp_path):
+    # member is read off the one dim H_1 that the output reports, and the
+    # restricted refusal comes before any rank
+    calls = []
+    h1 = fox_alex.twisted_h1_dim
+
+    def counted(p, rho):
+        calls.append(rho)
+        return h1(p, rho)
+
+    for module in (cli, fox_alex):
+        monkeypatch.setattr(module, "twisted_h1_dim", counted)
+    code, out = run(capsys, ["cv", "--presentation", files["z2"], "--character=-1,1"])
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["member"] is False and json.loads(out)["twisted_h1"] == 0
+    calls.clear()
+    z_mod_2 = tmp_path / "z_mod_2.json"
+    z_mod_2.write_text(json.dumps({"generators": 1, "relators": [[1, 1]]}))
+    code = main(["cv", "--presentation", str(z_mod_2), "--character=-1", "--restricted"])
+    assert code == 2 and not calls
+    assert capsys.readouterr().err == "error: character does not factor through the free part\n"
 
 
 def test_cv_torsion_sweep(capsys, files):

@@ -1,7 +1,7 @@
 import random
 from itertools import product
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -331,6 +331,29 @@ def _brute_force_sweep(p, m, k):
 def test_orbit_sweep_matches_brute_force(m, k):
     for p in (TREFOIL, F2XZ, X3_COMMUTING):
         assert torsion_sweep(p, m, k) == _brute_force_sweep(p, m, k)
+
+
+def _unit_orbit_count(n, m):
+    # the orbits {u e mod m : u a unit mod m} of exponent vectors in
+    # (Z/m)^n, each listed in full
+    units = [u for u in range(1, m + 1) if gcd(u, m) == 1]
+    return len({frozenset(tuple(u * x % m for x in e) for u in units)
+                for e in product(range(m), repeat=n)})
+
+
+@pytest.mark.parametrize("m", [6, 8, 12])
+def test_orbit_sweep_ranks_once_per_unit_orbit(monkeypatch, m):
+    # twisted_h1_dim is called once per orbit, the orbits that are not
+    # characters included (it refuses those); the trefoil at m = 6 has 20
+    calls = []
+    h1 = fox_alex.twisted_h1_dim
+    monkeypatch.setattr(fox_alex, "twisted_h1_dim",
+                        lambda p, rho: calls.append(rho) or h1(p, rho))
+    for p in (TREFOIL, F2XZ, X3_COMMUTING):
+        calls.clear()
+        torsion_sweep(p, m, 1)
+        assert len(calls) == _unit_orbit_count(p.num_generators, m), p
+    assert _unit_orbit_count(2, 6) == 20
 
 
 def test_orbit_sweep_pins():

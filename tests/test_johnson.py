@@ -10,8 +10,7 @@ from pathlib import Path
 import pytest
 
 from infalex import johnson
-from infalex.alex_module import (_generators_by_weight, coker_dims, monomial_index,
-                                 monomials, nabla, nabla_bar)
+from infalex.alex_module import coker_dims, monomial_index, monomials, nabla, nabla_bar
 from infalex.cli import main
 from infalex.errors import BudgetExceededError, InternalInconsistencyError
 from infalex.exact_linalg import EchelonBasis, axpy, echelon_basis
@@ -464,11 +463,15 @@ def test_coker_q_matches_presentation_route_g4():
 def test_coker_q_matches_nabla_route_g4():
     # independent matrix: nabla keeps the relations as a source block and
     # targets Sym (x) wedge^2 V, so it never uses beta; it is equivariant
-    # too, since its relations are weight vectors
+    # too, since its relations are weight vectors, so it is ranked bucket by
+    # bucket through the test oracles, every symbol walked
     ctx = johnson_context(4)
-    pres = presentation_with_z(ctx)
-    dims_nabla = coker_dims(nabla(pres), 1, weights=(ctx.V.weights, ctx.W2.weights))
-    assert tuple(dims_nabla.dims) == johnson_module_dims(4, 1).coker_q
+    gm = nabla(presentation_with_z(ctx))
+    base_w = ctx.V.weights
+    gen_w = generator_weights(gm, base_w, ctx.W2.weights)
+    dims_nabla = tuple(gm.target_dim_in_degree(q)
+                       - sum(_bucket_ranks(gm, q, base_w, gen_w).values()) for q in range(2))
+    assert dims_nabla == johnson_module_dims(4, 1).coker_q
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +485,14 @@ def _bucket_rank(gm, tgt_idx, keys):
     return eb.rank
 
 
+def _bucket_ranks(gm, q, base_w, gen_w):
+    # weight -> the rank of its degree-q bucket, every bucket listed by the
+    # oracle weight_buckets
+    tgt_idx = monomial_index(gm.base_dim, q)
+    return {w: _bucket_rank(gm, tgt_idx, keys)
+            for w, keys in weight_buckets(gm, q, base_w, gen_w).items()}
+
+
 def _check_orbit_route(g, max_degree):
     # rank every weight bucket of q (the full weighted route), then check
     # that the rank is constant on each Weyl orbit, an absent bucket counting
@@ -492,9 +503,7 @@ def _check_orbit_route(g, max_degree):
     gen_w = generator_weights(gm, base_w, target_w)
     full = []
     for q in range(max_degree + 1):
-        tgt_idx = monomial_index(gm.base_dim, q)
-        ranks = {w: _bucket_rank(gm, tgt_idx, keys)
-                 for w, keys in weight_buckets(gm, q, base_w, gen_w).items()}
+        ranks = _bucket_ranks(gm, q, base_w, gen_w)
         for mu in {ctx.spec.dominant(w) for w in ranks}:
             assert len({ranks.get(w, 0) for w in weyl_orbit(mu)}) == 1, (q, mu)
         full.append(gm.target_dim_in_degree(q) - sum(ranks.values()))
@@ -597,7 +606,8 @@ def test_orbit_route_at_g5_with_uneven_zero_columns(capsys, fresh_contexts):
     # the degree-1 columns of weight w: one per generator of weight w, whose
     # weight the running route takes from its triple (the symbol walk checks
     # that at genus 3 and 4), so no other symbol is built here
-    (of_weight,) = _generators_by_weight(gm, *ctx.weight_data())
+    (block,) = gm.blocks
+    of_weight = block.symbol.generators_by_weight(*ctx.weight_data(), block.name)
     (one,) = monomials(gm.base_dim, 0)
     buckets = {w: [(0, one, j) for j in of_weight(w)] for w in weyl_orbit((2, 1, 0, 0, 0))}
     # the orbit of (2, 1, 0, 0, 0): its buckets differ in column count, yet

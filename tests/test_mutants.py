@@ -478,19 +478,18 @@ def test_orbit_size_mutant_exits_4(capsys, orbit_size_off_by_one):
 
 @pytest.fixture
 def bucket_without_one_monomial_weight(monkeypatch):
-    """Every bucket formed without the monomials of the last weight listed:
+    """Every bucket formed without the monomials of the last weight listed,
+    by a grouping of the monomials of Sym_{q-1} that drops its last weight:
     in degree 1 the monomial 1, in degree 2 the variables of one weight of
     V.  (At genus 3, degree 2, 4 of the 14 weights of V hold only
     redundant columns in the dominant buckets, so dropping one of those
     keeps the rank.)"""
-    bucket_keys = alex_module._bucket_keys
+    by_weight = alex_module._by_weight
 
-    def mutant(gm, mu, monomials_by_weight, generators_by_weight):
-        dropped = {shift: dict(list(by_weight.items())[:-1])
-                   for shift, by_weight in monomials_by_weight.items()}
-        return bucket_keys(gm, mu, dropped, generators_by_weight)
+    def mutant(weighted):
+        return dict(list(by_weight(weighted).items())[:-1])
 
-    monkeypatch.setattr(alex_module, "_bucket_keys", mutant)
+    monkeypatch.setattr(alex_module, "_by_weight", mutant)
 
 
 def test_dropped_monomial_weight_mutant_fails_the_plain_rank_cross_check(
@@ -545,6 +544,14 @@ def test_non_unit_orbit_mutant_fails_the_brute_force_sweep(non_units_in_the_galo
                                                            p, k, m):
     # the cross-check of test_orbit_sweep_matches_brute_force
     assert torsion_sweep(p, m, k) != _brute_force_sweep(p, m, k)
+
+
+@pytest.mark.parametrize("m", [6, 8, 12])
+def test_non_unit_orbit_mutant_fails_the_orbit_count(non_units_in_the_galois_orbits,
+                                                     monkeypatch, m):
+    # fewer ranks than unit orbits: the trefoil at m = 6 is ranked 10 times
+    with pytest.raises(AssertionError):
+        test_fox_alex.test_orbit_sweep_ranks_once_per_unit_orbit(monkeypatch, m)
 
 
 # -- the rank mod p at torsion characters ------------------------------------------
