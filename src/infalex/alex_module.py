@@ -1,13 +1,13 @@
 """Graded modules over Sym(V) presented by symbol-level maps, and their
 degree-wise cokernels.
 
-A :class:`GradedMap` goes from a direct sum of free modules Sym(V) (x) W_b
-into Sym(V) (x) W_target, with all generator spaces in module degree zero.
-Each source block carries a constant Sym-degree shift: 0 when the symbol
-multiplies by scalars only, 1 when every symbol term multiplies by a single
-variable.  Consequently the degree-q matrix takes Sym_{q-shift} (x) W_b into
-Sym_q (x) W_target; a map may mix shift-0 and shift-1 blocks (the presentation
-of the invariant combines an inclusion block with the Koszul-type block).
+A :class:`GradedMap` goes from a free module Sym(V) (x) W into
+Sym(V) (x) W_target, with both generator spaces in module degree zero.  Its
+symbol is of degree one: every term multiplies by a single variable, so
+the degree-q matrix takes Sym_{q-1} (x) W into Sym_q (x) W_target.  Beside
+the symbol a map may hold relations, the rows of a subspace R of W_target,
+whose span Sym_q (x) R joins the image in every degree: the presentation
+of the infinitesimal Alexander invariant is the cyclic sum beside R.
 
 Monomials of Sym_q are exponent vectors in lexicographic order within each
 degree, which fixes the matrix layout once and for all.
@@ -25,14 +25,14 @@ from math import comb, lcm
 from operator import add, eq, mul, sub
 
 from .errors import InternalInconsistencyError
-from .exact_linalg import EMPTY, EchelonBasis, LazyColumns, RationalMatrix, Vec, echelon_basis
+from .exact_linalg import EMPTY, EchelonBasis, LazyColumns, RationalMatrix, Vec
 from .free_lie import GradedDims
 from .quad_lie import LiePresentation, wedge2_index, wedge2_pairs
 from .rep_semisimple import _by_weight
 
-# a symbol term (i, k, c): multiply by x_i (or by 1 when i is None), land on
-# target generator k with integer coefficient c, over the block's den
-Term = tuple[int | None, int, int]
+# a symbol term (i, k, c): multiply by x_i, land on target generator k with
+# integer coefficient c, over the map's den
+Term = tuple[int, int, int]
 
 
 # the multisets of q variables come in lexicographic order, the reverse of
@@ -111,7 +111,7 @@ class CyclicSumSymbol(LazyColumns):
     def __repr__(self):
         return f"CyclicSumSymbol({self.n}, {self.columns!r})"
 
-    def generators_by_weight(self, base_weights, target_weights, name: str):
+    def generators_by_weight(self, base_weights, target_weights):
         """The function from a weight w to the generators of weight w, in
         increasing order.  The triple a < b < c has the weight w_a + w_b + w_c,
         and its generator is left out when its symbol is empty, which is when
@@ -140,7 +140,7 @@ class CyclicSumSymbol(LazyColumns):
                     j = next(j for j, t in enumerate(combinations(range(n), 3))
                              if b in t and c in t)
                     raise InternalInconsistencyError(
-                        f"symbol of block {name} generator {j} is not weight homogeneous "
+                        f"symbol of generator {j} is not weight homogeneous "
                         f"of its triple's weight: f on the pair ({b}, {c}) of weight {w} "
                         f"lands on row {r} of weight {tuple(target_weights[r])}")
             pairs_by_weight.setdefault(w, []).append(k)
@@ -170,133 +170,87 @@ class CyclicSumSymbol(LazyColumns):
 
 
 @dataclass(frozen=True)
-class SymbolBlock:
-    """One source block of a graded map, stored as RationalMatrix stores a
-    matrix: integer symbol terms over one positive denominator, so the
-    block's map is symbol / den.  The builder lifts its coefficients once."""
-    name: str
-    shift: int  # 0 or 1
+class GradedMap:
+    """symbol / den beside the span of relations, stored as RationalMatrix
+    stores a matrix: integer symbol terms over one positive denominator.
+    The builder lifts its coefficients once.  The relations are rows of
+    W_target, each a sorted tuple of (position, int) pairs: primitive,
+    inter-reduced and in lead order, the stored rows of an EchelonBasis.
+    Symbol and relations are values, so equal maps hash alike."""
+    base_dim: int
+    target_dim: int
     # one term tuple per source generator: a tuple, or a CyclicSumSymbol
     symbol: Sequence[tuple[Term, ...]]
     den: int = 1
-
-    def __post_init__(self):
-        if self.shift not in (0, 1):
-            raise ValueError("shift must be 0 or 1")
-        # every term of a cyclic sum multiplies by a variable, so only its
-        # shift is checked; a symbol given as tuples is checked term by term
-        if isinstance(self.symbol, CyclicSumSymbol):
-            if self.shift != 1:
-                raise ValueError("term multiplier degree must equal the block shift")
-            return
-        for terms in self.symbol:
-            for (i, _k, _c) in terms:
-                if (i is None) != (self.shift == 0):
-                    raise ValueError("term multiplier degree must equal the block shift")
-
-
-@dataclass(frozen=True)
-class GradedMap:
-    base_dim: int
-    target_dim: int
-    blocks: tuple[SymbolBlock, ...]
-    # degree -> instantiate(degree), one entry per degree asked for
+    relations: tuple[tuple[tuple[int, int], ...], ...] = ()
+    # degree -> matrix(degree), one entry per degree asked for
     _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def target_dim_in_degree(self, q: int) -> int:
         return sym_dim(self.base_dim, q) * self.target_dim
 
-    def column(self, tgt_idx: dict, bi: int, mono: tuple[int, ...], j: int) -> Vec:
-        """The column of source generator j of block bi at monomial mono,
-        times the block's denominator (SymbolBlock.den): the int vector of
-        its symbol terms, which spans what the column spans.
+    def column(self, tgt_idx: dict, mono: tuple[int, ...], j: int) -> Vec:
+        """The column of source generator j at monomial mono of Sym_{q-1},
+        times den: the int vector of its symbol terms, which spans what the
+        column spans.
 
         tgt_idx is monomial_index(base_dim, q) for the column's degree q.
         Terms landing on the same row are summed plainly, so the column may
         hold zeros; instantiate and EchelonBasis.add drop them.
         """
         col: Vec = {}
-        for (i, k, c) in self.blocks[bi].symbol[j]:
-            if i is None:
-                tgt_mono = mono
-            else:
-                tgt_mono = list(mono)
-                tgt_mono[i] += 1
-                tgt_mono = tuple(tgt_mono)
-            row = tgt_idx[tgt_mono] * self.target_dim + k
+        for (i, k, c) in self.symbol[j]:
+            tgt_mono = list(mono)
+            tgt_mono[i] += 1
+            row = tgt_idx[tuple(tgt_mono)] * self.target_dim + k
             col[row] = col.get(row, 0) + c
         return col
 
     def instantiate(self, q: int) -> RationalMatrix:
-        """The exact matrix of the map in module degree q.
+        """The exact matrix of the symbol in module degree q, without the
+        relations.
 
         Rows: (monomial of Sym_q, target generator).  Columns, keyed as
-        column() keys them: the blocks in turn, then the monomials of
-        Sym_{q-shift}, then the generators of the block.  Each block's
-        columns are brought over the lcm of the block denominators.  Each
-        column is built once and handed to the matrix as its numerator
-        column, num being filled in the same pass, so numerator_columns()
-        transposes nothing (RationalMatrix.from_integers).
+        column() keys them: the monomials of Sym_{q-1}, then the source
+        generators.  Each column is built once and handed to the matrix as
+        its numerator column, num being filled in the same pass, so
+        numerator_columns() transposes nothing (RationalMatrix.from_integers).
         """
         n = self.base_dim
         tgt_idx = monomial_index(n, q)
-        den = lcm(*[b.den for b in self.blocks])
         num: dict = {}
         columns: list = []
-        for bi, block in enumerate(self.blocks):
-            s = den // block.den
-            for mono in monomials(n, q - block.shift):
-                for j in range(len(block.symbol)):
-                    col = self.column(tgt_idx, bi, mono, j)
-                    if s != 1 or 0 in col.values():
-                        col = {row: c * s for row, c in col.items() if c}
-                    k = len(columns)
-                    for row, c in col.items():
-                        num[row, k] = c
-                    columns.append(col or EMPTY)
+        for mono in monomials(n, q - 1):
+            for j in range(len(self.symbol)):
+                col = self.column(tgt_idx, mono, j)
+                if 0 in col.values():
+                    col = {row: c for row, c in col.items() if c}
+                k = len(columns)
+                for row, c in col.items():
+                    num[row, k] = c
+                columns.append(col or EMPTY)
         return RationalMatrix.from_integers(len(tgt_idx) * self.target_dim, len(columns), num,
-                                            den, columns)
+                                            self.den, columns)
 
     def matrix(self, q: int) -> RationalMatrix:
         """The degree-q matrix whose column span and rank are the map's,
         built once per degree: coker_dims and coker_multiplication_action
-        on one map share it, and so its column span.  When the first block
-        has shift 0, its columns are not built: the matrix holds the later
-        blocks' columns alone (instantiate of the map without the first
-        block), and its span starts from the first block's, eliminated for
-        one monomial and shifted (_leading_span).  Otherwise it is
-        instantiate(q)."""
+        on one map share it, and so its column span.  It is instantiate(q),
+        its span seeded by Sym_q (x) R: monomial t of Sym_q holds the
+        relations shifted by t * target_dim, in the same key order.  The
+        relations are an echelon basis, and the copies of different
+        monomials share no position, so these rows are written down as the
+        basis they are, with no elimination."""
         m = self._matrices.get(q)
         if m is None:
-            if self.blocks and self.blocks[0].shift == 0:
-                m = GradedMap(self.base_dim, self.target_dim, self.blocks[1:]).instantiate(q)
-                m.seed_span(self._leading_span(q))
-            else:
-                m = self.instantiate(q)
-            self._matrices[q] = m
+            m = self._matrices[q] = self.instantiate(q)
+            span = EchelonBasis()
+            for t in range(sym_dim(self.base_dim, q)):
+                off = t * self.target_dim
+                for row in self.relations:
+                    span.rows[row[0][0] + off] = {k + off: x for k, x in row}
+            m.seed_span(span)
         return m
-
-    def _leading_span(self, q: int) -> EchelonBasis:
-        """The echelon basis that adding the first block's degree-q columns
-        in order builds, for a first block of shift 0.
-
-        That block is I (x) A, block diagonal over the monomials of Sym_q:
-        monomial t fills rows t * target_dim to t * target_dim + target_dim
-        - 1 with the columns of A.  A column of monomial t holds no lead of
-        another monomial, so eliminating it meets only the rows of its own
-        monomial, and the rows stored for monomial t are those of monomial
-        0 shifted by t * target_dim, in the same key order.  Monomial 0 of
-        Sym_q has index 0 in every degree, so its columns are those of the
-        block in degree 0, where 1 is the only monomial: those are added
-        (EchelonBasis.add) and their rows copied for every other t."""
-        first = GradedMap(self.base_dim, self.target_dim, self.blocks[:1]).instantiate(0)
-        span = echelon_basis(first.numerator_columns())
-        rows = [(lead, list(row.items())) for lead, row in span.rows.items()]
-        for t in range(1, sym_dim(self.base_dim, q)):
-            off = t * self.target_dim
-            for lead, items in rows:
-                span.rows[lead + off] = {k + off: x for k, x in items}
-        return span
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +266,7 @@ def quotient_cyclic_sum(n: int, span: EchelonBasis) -> GradedMap:
     on those columns."""
     beta = span.quotient(comb(n, 2))
     columns = [sorted(c.items()) for c in beta.numerator_columns()]
-    symbol = CyclicSumSymbol(n, columns)
-    return GradedMap(n, beta.rows, (SymbolBlock("wedge3", 1, symbol, beta.den),))
+    return GradedMap(n, beta.rows, CyclicSumSymbol(n, columns), beta.den)
 
 
 def delta3(n: int) -> GradedMap:
@@ -322,30 +275,23 @@ def delta3(n: int) -> GradedMap:
     return quotient_cyclic_sum(n, EchelonBasis())
 
 
-def _relation_block(p: LiePresentation) -> SymbolBlock:
-    """The inclusion of R: the inter-reduced primitive rows of
-    p.relation_span() in lead order, each times lcm(leads) / lead, over
-    lcm(leads), which are the reduced echelon relations over their lcm."""
-    rows = sorted(p.relation_span().rows.items())
-    den = lcm(*(row[l] for l, row in rows))
-    symbol = tuple(tuple((None, k, c * (den // row[l])) for k, c in sorted(row.items()))
-                   for l, row in rows)
-    return SymbolBlock("relations", 0, symbol, den)
-
-
 # one entry per number of generators: a bb-direct run holds 2
 @lru_cache(maxsize=16)
-def _cyclic_block(n: int) -> SymbolBlock:
-    """delta3(n)'s block, shared by every nabla on n generators: its symbol
+def _cyclic_block(n: int) -> CyclicSumSymbol:
+    """delta3(n)'s symbol, shared by every nabla on n generators: it
     depends on n alone, so the terms of a triple are built once per n."""
-    return delta3(n).blocks[0]
+    return delta3(n).symbol
 
 
 def nabla(p: LiePresentation) -> GradedMap:
-    """Presentation map of the infinitesimal Alexander invariant:
-    the inclusion of R plus the cyclic-sum block, target Sym (x) wedge^2 V."""
+    """Presentation map of the infinitesimal Alexander invariant, target
+    Sym (x) wedge^2 V: the cyclic sum of delta3 beside the inclusion of R.
+    The relations are the stored rows of p.relation_span(), primitive and
+    inter-reduced, in lead order with sorted keys."""
     n = p.dim_v
-    return GradedMap(n, len(wedge2_pairs(n)), (_relation_block(p), _cyclic_block(n)))
+    relations = tuple(tuple(sorted(row.items()))
+                      for _lead, row in sorted(p.relation_span().rows.items()))
+    return GradedMap(n, comb(n, 2), _cyclic_block(n), relations=relations)
 
 
 def nabla_bar(p: LiePresentation) -> GradedMap:
@@ -375,8 +321,8 @@ def _monomial_weights(n: int, q: int, base_weights) -> dict:
 
 def _weighted_rank(gm: GradedMap, q: int, base_weights, target_weights, generators,
                    weyl=None) -> int:
-    """Rank of the degree-q matrix of gm, one cyclic-sum block, the sum of
-    its weight-bucket ranks.
+    """Rank of the degree-q matrix of gm, a cyclic sum with no relations,
+    the sum of its weight-bucket ranks.
 
     The rows of each weight are counted from the base and target weights,
     and a column's weight is that of its monomial of Sym_{q-1} plus that of
@@ -424,7 +370,7 @@ def _weighted_rank(gm: GradedMap, q: int, base_weights, target_weights, generato
         # monomials are exponent vectors, so their order is the matrix's
         for mono, js in sorted(bucket):
             for j in js:
-                eb.add(gm.column(tgt_idx, 0, mono, j))
+                eb.add(gm.column(tgt_idx, mono, j))
         total_rank += size * eb.rank
     return total_rank
 
@@ -433,10 +379,10 @@ def coker_dims(gm: GradedMap, max_degree: int, *, weights=None, weyl=None) -> Gr
     """Degree-wise cokernel dimensions of the map, degrees 0..max_degree.
 
     weights = (base, target) gives a weight per variable and per target
-    generator of an equivariant map, which must be one cyclic-sum block
-    (quotient_cyclic_sum), else ValueError.  A generator has the weight of
-    its triple, certified once on the map f it is built from, and a row of
-    f off its pair's weight raises InternalInconsistencyError
+    generator of an equivariant map, which must be a cyclic sum with no
+    relations (quotient_cyclic_sum), else ValueError.  A generator has the
+    weight of its triple, certified once on the map f it is built from, and
+    a row of f off its pair's weight raises InternalInconsistencyError
     (CyclicSumSymbol.generators_by_weight).  Ranks are then computed per
     weight block, and only the symbols of the buckets ranked are built;
     the result is identical, the blocks are just small.  weyl = spec
@@ -446,11 +392,10 @@ def coker_dims(gm: GradedMap, max_degree: int, *, weights=None, weyl=None) -> Gr
     if weyl is not None and weights is None:
         raise ValueError("weyl needs weights")
     if weights is not None:
-        if len(gm.blocks) != 1 or not isinstance(gm.blocks[0].symbol, CyclicSumSymbol):
-            raise ValueError("weights need a map of one cyclic-sum block")
+        if gm.relations or not isinstance(gm.symbol, CyclicSumSymbol):
+            raise ValueError("weights need a cyclic sum with no relations")
         base_w, target_w = weights
-        block = gm.blocks[0]
-        generators = block.symbol.generators_by_weight(base_w, target_w, block.name)
+        generators = gm.symbol.generators_by_weight(base_w, target_w)
     dims = []
     for q in range(max_degree + 1):
         target = gm.target_dim_in_degree(q)

@@ -147,7 +147,7 @@ def cmd_cv(args) -> dict:
     if args.torsion is not None:
         found = torsion_sweep(p, _at_least("--torsion", args.torsion, 1), args.depth,
                               budget=_at_least("--budget", args.budget, 0))
-        chars = [list(rho.torsion_exponents()) for rho in found]
+        chars = [list(rho.torsion_exponents) for rho in found]
         return {"torsion": args.torsion, "depth": args.depth,
                 "members": sorted(chars)}
     if args.character is None:

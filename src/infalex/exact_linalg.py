@@ -720,8 +720,9 @@ class RationalMatrix:
         """Add the columns to span, not to an empty basis: column_span and
         rank are then those of the columns beside span's rows.  A caller
         whose own columns are only part of a map seeds the span of the rest
-        (alex_module.GradedMap.matrix builds it by shifting); a span already
-        built is kept."""
+        (alex_module.GradedMap.matrix writes down Sym_q (x) R, its
+        relations shifted to every monomial); a span already built is
+        kept."""
         if self._span is None:
             self._seed = span
 

@@ -115,7 +115,7 @@ class LaurentMatrix:
         inverse.  At any other character each monomial is evaluated by
         evaluate_exponent."""
         order = rho.cyclotomic_order()
-        exps = rho.torsion_exponents()
+        exps = rho.torsion_exponents
         cols: list[Vec] = [{} for _ in range(self.cols)]
         for (r, c), poly in self.entries.items():
             if exps is not None:
@@ -294,7 +294,9 @@ class Character:
         return None
 
     @cached_property
-    def _torsion_exponents(self) -> tuple[int, ...] | None:
+    def torsion_exponents(self) -> tuple[int, ...] | None:
+        """The exponent vector a with rho = zeta_m^a when every value is a
+        power of zeta_m (one table lookup per value), else None."""
         order = self.cyclotomic_order()
         if order is None:
             return None
@@ -304,11 +306,6 @@ class Character:
                      for v in self.values)
         return None if None in exps else exps
 
-    def torsion_exponents(self) -> tuple[int, ...] | None:
-        """The exponent vector a with rho = zeta_m^a when every value is a
-        power of zeta_m (one table lookup per value), else None."""
-        return self._torsion_exponents
-
     def is_trivial(self) -> bool:
         return all(v == 1 for v in self.values)
 
@@ -316,7 +313,7 @@ class Character:
         """The monomial t^e at rho: a zeta table lookup when rho = zeta_m^a,
         else the product of the value powers, exact for negative e too."""
         order = self.cyclotomic_order()
-        exps = self.torsion_exponents()
+        exps = self.torsion_exponents
         if exps is not None:
             return _zeta_table(order)[0][sum(map(mul, exps, e)) % order]
         out = promote(1, order)
@@ -332,7 +329,7 @@ def _check_character(p: GroupPresentation, rho: Character):
     <a, e_r> = 0 mod m, as zeta_m is primitive: an integer congruence."""
     if len(rho.values) != p.num_generators:
         raise CharacterError("one value per generator required")
-    exps, order = rho.torsion_exponents(), rho.cyclotomic_order()
+    exps, order = rho.torsion_exponents, rho.cyclotomic_order()
     for r, e in zip(p.relators, p.relator_exponents):
         if (sum(map(mul, exps, e)) % order if exps is not None
                 else rho.evaluate_exponent(e) != 1):
@@ -365,7 +362,7 @@ def twisted_h1_dim(p: GroupPresentation, rho: Character) -> int:
     _check_character(p, rho)
     if rho.is_trivial():
         return betti_one(p)
-    n, exps = p.num_generators, rho.torsion_exponents()
+    n, exps = p.num_generators, rho.torsion_exponents
     if exps is not None and p.alexander.rank_mod_p(exps, rho.cyclotomic_order()) == n - 1:
         return 0
     return (n - 1) - echelon_basis(p.alexander.evaluate(rho)).rank

@@ -100,7 +100,9 @@ def _annihilator_exponent(dimension: int, steps) -> int | None:
     is skipped."""
     cols = [m.numerator_columns() for m in steps]
     supports = [{j for j, c in enumerate(col) if c} for col in cols]
-    spans = [[{i: 1} for i in range(dimension)]] * len(cols)   # every S_k of M is M
+    # each S_k of M is M, of whose unit vectors only those in step k's
+    # support have a nonzero image
+    spans = [[{i: 1} for i in sorted(s)] for s in supports]
     rank, q = dimension, 0
     while rank:
         eb = EchelonBasis()

@@ -13,7 +13,9 @@ sl_n that the Chen ranks are checked against, the recursive enumeration of
 Sym_q that infalex.alex_module.monomials is checked against, the Fraction-valued
 references that the integer kernels of rep_semisimple are
 checked against, the Koszul differential and the composed nabla-bar that
-the one-pass cyclic sum of infalex.alex_module is checked against, the
+the one-pass cyclic sum of infalex.alex_module is checked against, nabla
+in degree q as one matrix with R's rows among its columns, which the
+seeded span of GradedMap.matrix is checked against, the
 presentation route to G_2 = wedge^2 V / R (beta_matrix, quotient_pairs and
 L(V)/(R + C z) made by LiePresentation.make) that the Johnson map read off
 the span of R + C z is checked against, the one-vector-at-a-time read-outs
@@ -38,10 +40,10 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, mul
 
-from infalex.alex_module import GradedMap, SymbolBlock, monomials
+from infalex.alex_module import GradedMap, monomial_index, monomials, sym_dim
 from infalex.exact_linalg import (CyclotomicScalar, EchelonBasis, RationalMatrix, Vec,
                                   act_vec, axpy, cyclotomic_polynomial, echelon_basis,
                                   promote)
@@ -430,8 +432,7 @@ def koszul_map(n: int, k: int) -> GradedMap:
             rest = gens[:t] + gens[t + 1:]
             terms.append((i, target_idx[rest], 1 if t % 2 == 0 else -1))
         symbol.append(tuple(terms))
-    block = SymbolBlock(f"wedge{k}", 1, tuple(symbol))
-    return GradedMap(n, len(target_idx), (block,))
+    return GradedMap(n, len(target_idx), tuple(symbol))
 
 
 def composed_nabla_bar(p) -> GradedMap:
@@ -443,7 +444,7 @@ def composed_nabla_bar(p) -> GradedMap:
     beta = beta_matrix(p)
     beta_cols = fraction_columns(beta)
     symbol = []
-    for terms in koszul_map(n, 3).blocks[0].symbol:
+    for terms in koszul_map(n, 3).symbol:
         out: Vec = {}
         for (i, k, c) in terms:
             axpy(out, c, {(i, kk): b for kk, b in beta_cols[k].items()})
@@ -451,60 +452,79 @@ def composed_nabla_bar(p) -> GradedMap:
     den = lcm(*{c.denominator for terms in symbol for _key, c in terms})
     lifted = tuple(tuple((i, kk, c.numerator * (den // c.denominator)) for (i, kk), c in terms)
                    for terms in symbol)
-    return GradedMap(n, beta.rows, (SymbolBlock("wedge3", 1, lifted, den),))
+    return GradedMap(n, beta.rows, lifted, den)
+
+
+def full_nabla_matrix(p: LiePresentation, q: int) -> RationalMatrix:
+    """Test oracle: nabla of p in degree q as one matrix, through the entry
+    constructor: for each monomial t of Sym_q, one column per reduced
+    echelon relation of p.relations on the rows of t, sorted by row, then
+    the columns of koszul_map(n, 3) in degree q, the cyclic sum."""
+    n = p.dim_v
+    cyclic = koszul_map(n, 3).instantiate(q)
+    columns = [{t * comb(n, 2) + k: c for k, c in sorted(rel.items())}
+               for t in range(sym_dim(n, q)) for rel in p.relations]
+    return matrix_from_columns(columns + fraction_columns(cyclic), cyclic.rows)
 
 
 # -- weights read off every symbol, and every weight bucket -------------------
 
 def column_keys(gm: GradedMap, q: int):
-    """The degree-q column keys (block index, monomial, source generator)
-    of gm in matrix order: blocks in turn, then the monomials of
-    Sym_{q-shift}, then the generators of the block."""
-    for bi, block in enumerate(gm.blocks):
-        for mono in monomials(gm.base_dim, q - block.shift):
-            for j in range(len(block.symbol)):
-                yield bi, mono, j
+    """The degree-q column keys (monomial, source generator) of gm in
+    matrix order: the monomials of Sym_{q-1}, then the generators."""
+    for mono in monomials(gm.base_dim, q - 1):
+        for j in range(len(gm.symbol)):
+            yield mono, j
 
 
-def generator_weights(gm: GradedMap, base_weights, target_weights) -> list[list]:
-    """The weight of each source generator, per block, read off its symbol:
-    every term (x_i, e_k) must land on the same weight target_weights[k] +
-    base_weights[i] (x_i = 1 adds nothing), else ValueError.  An empty
-    symbol gets None.
+def generator_weights(gm: GradedMap, base_weights, target_weights) -> list:
+    """The weight of each source generator, read off its symbol: every term
+    (x_i, e_k) must land on the same weight target_weights[k] +
+    base_weights[i], else ValueError.  An empty symbol gets None.
 
     Test oracle: builds every symbol, where the weighted rank takes the
     weights of cyclic-sum generators from their triples."""
     out = []
-    for block in gm.blocks:
-        out.append([])
-        for j, terms in enumerate(block.symbol):
-            found = {tuple(target_weights[k]) if i is None
-                     else tuple(map(add, target_weights[k], base_weights[i]))
-                     for (i, k, _c) in terms}
-            if len(found) > 1:
-                raise ValueError(f"symbol of block {block.name} generator {j} "
-                                 f"is not weight homogeneous: {sorted(found)}")
-            out[-1].append(found.pop() if found else None)
+    for j, terms in enumerate(gm.symbol):
+        found = {tuple(map(add, target_weights[k], base_weights[i])) for (i, k, _c) in terms}
+        if len(found) > 1:
+            raise ValueError(f"symbol of generator {j} is not weight homogeneous: "
+                             f"{sorted(found)}")
+        out.append(found.pop() if found else None)
     return out
 
 
-def weight_buckets(gm: GradedMap, q: int, base_weights, generator_weights) -> dict:
-    """The degree-q columns grouped by total weight: weight -> column_keys
-    of degree q, in matrix order.  Generators without a weight have zero
+def weight_buckets(gm: GradedMap, q: int, base_weights, target_weights,
+                   generator_weights) -> dict:
+    """The degree-q columns of gm beside Sym_q (x) R, grouped by total
+    weight: weight -> column vectors, in the order of the whole matrix:
+    the relations on the rows of each monomial t of Sym_q, then the symbol
+    columns (column_keys, gm.column).  A relation must be weight
+    homogeneous, else ValueError.  Generators without a weight have zero
     columns and join none.
 
-    Test oracle: lists every column key of the matrix, where the weighted
-    rank forms only the buckets it ranks, by convolution."""
+    Test oracle: lists every column of the presentation, where the
+    weighted rank forms only the buckets it ranks, by convolution, and
+    GradedMap.matrix seeds the relations instead of eliminating them."""
     per_coordinate = list(zip(*base_weights))
-    mono_w = {mono: tuple(sum(map(mul, mono, ws)) for ws in per_coordinate)
-              for shift in {b.shift for b in gm.blocks}
-              for mono in monomials(gm.base_dim, q - shift)}
+
+    def weight(mono):
+        return tuple(sum(map(mul, mono, ws)) for ws in per_coordinate)
+
     buckets: dict[tuple, list] = {}
-    for key in column_keys(gm, q):
-        bi, mono, j = key
-        gw = generator_weights[bi][j]
+    for t, mono in enumerate(monomials(gm.base_dim, q)):
+        mw, off = weight(mono), t * gm.target_dim
+        for r, row in enumerate(gm.relations):
+            found = {tuple(map(add, mw, target_weights[k])) for k, _x in row}
+            if len(found) > 1:
+                raise ValueError(f"relation {r} is not weight homogeneous: {sorted(found)}")
+            buckets.setdefault(found.pop(), []).append({k + off: x for k, x in row})
+    tgt_idx = monomial_index(gm.base_dim, q)
+    for mono, j in column_keys(gm, q):
+        gw = generator_weights[j]
         if gw is not None:
-            buckets.setdefault(tuple(map(add, mono_w[mono], gw)), []).append(key)
+            buckets.setdefault(tuple(map(add, weight(mono), gw)), []).append(
+                gm.column(tgt_idx, mono, j))
     return buckets
 
 
@@ -540,7 +560,7 @@ def q_symbol(ctx) -> dict:
     """The symbol of ctx.q_map(), every triple's built, keyed by sorted
     triple."""
     triples = combinations(range(ctx.V.dimension), 3)
-    return dict(zip(triples, ctx.q_map().blocks[0].symbol))
+    return dict(zip(triples, ctx.q_map().symbol))
 
 
 def source_act(ctx, label: str, svec: dict) -> dict:
@@ -959,14 +979,15 @@ def matrix_from_columns(columns, rows: int) -> RationalMatrix:
                                                for i, v in col.items()})
 
 
-def rref_relation_block(p: LiePresentation) -> SymbolBlock:
-    """Test oracle: nabla's relation block as the reduced echelon relations
-    p.relations, one column each, brought to integer numerators over their
-    lcm through the entry constructor."""
-    rels = matrix_from_columns(p.relations, len(wedge2_pairs(p.dim_v)))
-    symbol = tuple(tuple((None, k, c) for k, c in sorted(col.items()))
-                   for col in rels.numerator_columns())
-    return SymbolBlock("relations", 0, symbol, rels.den)
+def rref_relations(p: LiePresentation) -> tuple:
+    """Test oracle: nabla's relations as the reduced echelon relations
+    p.relations, each brought to integer numerators over the lcm of its
+    own denominators through the entry constructor, as sorted (position,
+    int) pairs.  A row with lead 1 has the numerator den at its lead, and
+    den is coprime to the numerators, so the row is primitive."""
+    size = len(wedge2_pairs(p.dim_v))
+    return tuple(tuple(sorted(matrix_from_columns([rel], size).numerator_columns()[0].items()))
+                 for rel in p.relations)
 
 
 def num_columns(m: RationalMatrix) -> list[list]:

@@ -7,8 +7,8 @@ from operator import add
 
 import pytest
 
-from infalex.alex_module import (CyclicSumSymbol, GradedMap, SymbolBlock, coker_dims, delta3,
-                                 monomial_index, monomials, nabla, nabla_bar, sym_dim,
+from infalex.alex_module import (CyclicSumSymbol, GradedMap, coker_dims, delta3, monomial_index,
+                                 monomials, nabla, nabla_bar, sym_dim,
                                  coker_multiplication_action)
 from infalex.errors import InternalInconsistencyError
 from infalex.exact_linalg import EMPTY, EchelonBasis, RationalMatrix, echelon_basis
@@ -16,8 +16,8 @@ from infalex.quad_lie import LiePresentation, bb_direct, wedge2_pairs
 from infalex.rep_semisimple import LieAlgebraSpec
 
 from module_builders import (beta_matrix, column_keys, composed_nabla_bar, fraction_columns,
-                             koszul_map, num_columns, quotient_pairs, recursive_monomials,
-                             rref_relation_block)
+                             full_nabla_matrix, koszul_map, num_columns, quotient_pairs,
+                             recursive_monomials, rref_relations)
 
 
 def full_relations(n):
@@ -62,7 +62,7 @@ def test_monomials_past_the_recursion_limit():
 
 def test_delta3_n2_zero_map():
     gm = delta3(2)
-    assert gm.blocks[0].symbol == ()
+    assert gm.symbol == ()
     for q in range(3):
         assert coker_dims(gm, q)[q] == gm.target_dim_in_degree(q)
 
@@ -70,7 +70,7 @@ def test_delta3_n2_zero_map():
 def test_delta3_symbol_formula():
     # e0 ^ e1 ^ e2 |-> e0 (x) (e1 ^ e2) + e1 (x) (e2 ^ e0) + e2 (x) (e0 ^ e1)
     gm = delta3(3)
-    (symbol,) = gm.blocks[0].symbol
+    (symbol,) = gm.symbol
     pairs = {p: k for k, p in enumerate(wedge2_pairs(3))}
     expected = {(0, pairs[(1, 2)]): Fraction(1),
                 (1, pairs[(0, 2)]): Fraction(-1),   # e2 ^ e0 = -(e0 ^ e2)
@@ -99,10 +99,9 @@ def test_delta3_is_the_cyclic_sum_on_unit_columns(n):
     # have no triple
     unit = CyclicSumSymbol(n, [((k, 1),) for k in range(comb(n, 2))])
     gm = delta3(n)
-    (block,) = gm.blocks
-    assert block.symbol.columns == unit.columns and block.den == 1
-    assert len(unit) == comb(n, 3) and tuple(block.symbol) == tuple(unit)
-    assert gm == GradedMap(n, comb(n, 2), (SymbolBlock("wedge3", 1, unit),))
+    assert gm.symbol.columns == unit.columns and gm.den == 1 and gm.relations == ()
+    assert len(unit) == comb(n, 3) and tuple(gm.symbol) == tuple(unit)
+    assert gm == GradedMap(n, comb(n, 2), unit)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -110,8 +109,8 @@ def test_cyclic_sum_symbol_builds_each_triple_once_on_read(n):
     # random reads build exactly the triples read, each once, and agree with
     # a full iteration of another copy and with the tuple symbol of the
     # Koszul differential
-    symbol = delta3(n).blocks[0].symbol
-    reference = koszul_map(n, 3).blocks[0].symbol
+    symbol = delta3(n).symbol
+    reference = koszul_map(n, 3).symbol
     assert len(symbol) == len(reference) == comb(n, 3)
     rng = random.Random(n)
     read = [rng.randrange(len(symbol)) for _ in range(10)]
@@ -122,18 +121,12 @@ def test_cyclic_sum_symbol_builds_each_triple_once_on_read(n):
     assert symbol[-1] == reference[-1] and symbol[2:5] == reference[2:5]
     with pytest.raises(IndexError):
         symbol[len(symbol)]
-    assert tuple(delta3(n).blocks[0].symbol) == reference
+    assert tuple(delta3(n).symbol) == reference
     # equal to the tuple both ways round, and hashed as it, equal or not
     assert symbol == reference and reference == symbol and hash(symbol) == hash(reference)
     assert symbol != reference[:-1] and symbol != list(reference)
     # what is kept is bounded by the number of triples
     assert sorted(symbol._built) == list(range(comb(n, 3)))
-
-
-def test_cyclic_sum_block_checks_its_shift_once():
-    # every term of a cyclic sum multiplies by a variable
-    with pytest.raises(ValueError, match="block shift"):
-        SymbolBlock("wedge3", 0, delta3(4).blocks[0].symbol)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -167,11 +160,24 @@ def test_nabla_full_relations_degree0():
 
 def test_nabla_maps_share_the_cyclic_block():
     # the cyclic sum depends on n alone: every nabla on n generators reads
-    # one block, so the terms of a triple are built once per n
+    # one symbol, so the terms of a triple are built once per n
     a = nabla(LiePresentation.make(4, [{(0, 1): 1}]))
     b = nabla(LiePresentation.make(4, []))
-    assert a.blocks[1] is b.blocks[1] and a.blocks[1] == delta3(4).blocks[0]
-    assert nabla(LiePresentation.make(3, [])).blocks[1] == delta3(3).blocks[0]
+    assert a.symbol is b.symbol and a.symbol == delta3(4).symbol
+    assert nabla(LiePresentation.make(3, [])).symbol == delta3(3).symbol
+
+
+def test_equal_presentations_give_equal_nabla_maps():
+    # two presentations made apart, one with its relations scaled and
+    # reordered: their relations are one tuple of values, so the maps are
+    # equal and hash alike, and other relations give another map
+    rels = [{(0, 1): Fraction(1, 2), (2, 3): -1}, {(0, 2): 2, (1, 3): Fraction(2, 3)}]
+    p = LiePresentation.make(4, rels)
+    p2 = LiePresentation.make(4, [{k: 3 * c for k, c in r.items()} for r in rels[::-1]])
+    assert nabla(p) is not nabla(p2)
+    assert nabla(p) == nabla(p2) and hash(nabla(p)) == hash(nabla(p2))
+    other = LiePresentation.make(4, rels[:1])
+    assert nabla(p) != nabla(other) and nabla(p).symbol is nabla(other).symbol
 
 
 def test_nabla_free_equals_delta3():
@@ -242,11 +248,13 @@ def _span_rows(eb):
 
 def test_property_seeded_span_matches_plain_elimination():
     # matrix(q) of nabla holds the cyclic-sum columns alone, and starts its
-    # span from the relation block, eliminated for monomial 0 and shifted
-    # for the others; nabla-bar takes the plain path.  Either way the rows,
-    # values and key order alike, are those that adding every column of
-    # instantiate(q) in order stores, on presentations with n <= 6 and up to
-    # 4 relations (none included), int or p/r coefficients, at q <= 3
+    # span from its relations, shifted for each monomial of Sym_q; nabla-bar
+    # has no relations.  Either way the rows, values and key order alike,
+    # are those that adding every column of the whole matrix in order
+    # stores: for nabla the oracle full_nabla_matrix, every relation column
+    # of every monomial and then the cyclic sum, for nabla-bar
+    # instantiate(q).  On presentations with n <= 6 and up to 4 relations
+    # (none included), int or p/r coefficients, at q <= 3
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     coefficient = st.one_of(st.just(0), st.integers(-2, 2),
@@ -261,43 +269,28 @@ def test_property_seeded_span_matches_plain_elimination():
     @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(st.integers(1, 6).flatmap(presentations), st.integers(0, 3))
     def check(p, q):
-        for gm in (nabla(p), nabla_bar(p)):
+        nb = nabla_bar(p)
+        for gm, whole in ((nabla(p), full_nabla_matrix(p, q)), (nb, nb.instantiate(q))):
             m = gm.matrix(q)
-            plain = echelon_basis(gm.instantiate(q).numerator_columns())
+            plain = echelon_basis(whole.numerator_columns())
             assert _span_rows(m.column_span()) == _span_rows(plain)
             assert m.rank() == plain.rank
 
     check()
 
 
-def test_relation_block_second_takes_the_plain_path(monkeypatch):
-    # the blocks of nabla in the other order: the matrix holds the same
-    # columns, so the same ranks, but its first block has shift 1, so no
-    # span is seeded
-    p = LiePresentation.make(4, [{(0, 1): 1, (2, 3): Fraction(-1, 2)}, {(0, 2): 2, (1, 3): 1}])
-    gm = nabla(p)
-    ranks = [gm.matrix(q).rank() for q in range(4)]
-    swapped = GradedMap(gm.base_dim, gm.target_dim, gm.blocks[::-1])
-    monkeypatch.setattr(GradedMap, "_leading_span",
-                        lambda self, q: pytest.fail("a shift-1 first block seeded"))
-    for q in range(4):
-        m = swapped.matrix(q)
-        assert m == swapped.instantiate(q)
-        assert _span_rows(m.column_span()) == _span_rows(echelon_basis(m.numerator_columns()))
-        assert m.rank() == ranks[q]
-    assert coker_dims(swapped, 3).dims == coker_dims(gm, 3).dims
-
-
 # relations whose rows are stored against lead order ((1, 2) before (0, 1))
-# and whose reduced echelon form has a fraction (1/2): the lead-2 row sets den
+# and whose reduced echelon form has a fraction (1/2): the lead-2 row is
+# scaled by 2 to be primitive
 RELATIONS_OUT_OF_LEAD_ORDER = [{(1, 2): 1}, {(0, 1): 2, (0, 2): 1}]
 
 
 def test_property_relation_block_is_the_rref_numerators_over_their_lcm():
-    # nabla's relation block, read off the stored rows of relation_span(),
-    # against the reduced echelon relations brought over their lcm through
-    # the entry constructor, symbol and den alike, on presentations with
-    # n <= 6 and up to 4 relations (none included), int or p/r coefficients
+    # nabla's relations, read off the stored rows of relation_span(),
+    # against the reduced echelon relations, each brought over the lcm of
+    # its denominators through the entry constructor, rows, values and key
+    # order alike, on presentations with n <= 6 and up to 4 relations (none
+    # included), int or p/r coefficients
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     coefficient = st.one_of(st.just(0), st.integers(-2, 2),
@@ -314,9 +307,9 @@ def test_property_relation_block_is_the_rref_numerators_over_their_lcm():
     @hypothesis.example(LiePresentation.make(3, RELATIONS_OUT_OF_LEAD_ORDER))
     @hypothesis.example(LiePresentation.make(4, []))
     def check(p):
-        block = nabla(p).blocks[0]
-        assert block == rref_relation_block(p)
-        assert all(type(c) is int for terms in block.symbol for _i, _k, c in terms)
+        relations = nabla(p).relations
+        assert relations == rref_relations(p)
+        assert all(type(c) is int for row in relations for _k, c in row)
 
     check()
 
@@ -328,10 +321,9 @@ def test_property_relation_block_is_the_rref_numerators_over_their_lcm():
     nabla_bar(LiePresentation.make(3, [{(i, j): 1} for i in range(3)
                                        for j in range(i + 1, 3)])),   # no target row
     # an empty symbol and one whose terms cancel give empty columns
-    GradedMap(2, 2, (SymbolBlock("holes", 0, (((None, 0, 1), (None, 0, -1)), (),
-                                              ((None, 1, 2), (None, 0, 1)))),)),
+    GradedMap(2, 2, (((0, 0, 1), (0, 0, -1)), (), ((1, 1, 2), (0, 0, 1)))),
     # even numerators over den 2: from_integers divides, and transposes
-    GradedMap(2, 2, (SymbolBlock("even", 1, (((0, 0, 2), (1, 1, -4)),), 2),)),
+    GradedMap(2, 2, (((0, 0, 2), (1, 1, -4)),), 2),
 ])
 def test_instantiated_columns_are_the_transpose_of_num(gm):
     for q in range(3):
@@ -370,40 +362,24 @@ def test_sym_linearity_of_instantiation():
     # agrees with applying the map and then multiplying
     rng = random.Random(13)
     p = LiePresentation.make(3, [{(0, 1): 1, (1, 2): -2}])
-    gm = nabla(p)
-    n = gm.base_dim
+    gm = nabla_bar(p)
+    n, size = gm.base_dim, len(gm.symbol)
     for q in (1, 2):
         cols_q = fraction_columns(gm.instantiate(q))
         cols_next = fraction_columns(gm.instantiate(q + 1))
         tgt_now = monomials(n, q)
         tgt_idx = monomial_index(n, q + 1)
-        samples = []
-        off_q, off_next = {}, {}
-        acc_q = acc_next = 0
-        for bi, block in enumerate(gm.blocks):
-            off_q[bi], off_next[bi] = acc_q, acc_next
-            if q - block.shift >= 0:
-                acc_q += len(monomials(n, q - block.shift)) * len(block.symbol)
-            acc_next += len(monomials(n, q + 1 - block.shift)) * len(block.symbol)
-            if q - block.shift < 0 or not block.symbol:
-                continue
-            for _ in range(4):
-                samples.append((bi, rng.randrange(len(monomials(n, q - block.shift))),
-                                rng.randrange(len(block.symbol)), rng.randrange(n)))
-        for bi, mi, j, var in samples:
-            block = gm.blocks[bi]
-            src = monomials(n, q - block.shift)
-            src_next = monomial_index(n, q + 1 - block.shift)
-            col = off_q[bi] + mi * len(block.symbol) + j
+        src, src_next = monomials(n, q - 1), monomial_index(n, q)
+        for _ in range(8):
+            mi, j, var = rng.randrange(len(src)), rng.randrange(size), rng.randrange(n)
             up = list(src[mi])
             up[var] += 1
-            col2 = off_next[bi] + src_next[tuple(up)] * len(block.symbol) + j
             expected = {}
-            for row, c in cols_q[col].items():
+            for row, c in cols_q[mi * size + j].items():
                 tm = list(tgt_now[row // gm.target_dim])
                 tm[var] += 1
                 expected[tgt_idx[tuple(tm)] * gm.target_dim + row % gm.target_dim] = c
-            assert cols_next[col2] == expected
+            assert cols_next[src_next[tuple(up)] * size + j] == expected
 
 
 def test_monotone_vanishing_and_nilpotence_order():
@@ -457,9 +433,12 @@ def test_weighted_rank_skips_empty_symbols(n, rels, expected):
     pair_w = _pair_weights(n)
     bar_w = [pair_w[k] for k in quotient_pairs(p)]
     nb = nabla_bar(p)
-    assert any(terms == () for terms in nb.blocks[0].symbol)
-    # weights need one cyclic-sum block, so nabla is ranked plainly only
-    assert coker_dims(nabla(p), 3).dims == _plain_coker(nabla(p), 3) == expected
+    assert any(terms == () for terms in nb.symbol)
+    # weights need a map with no relations, so nabla is ranked plainly only,
+    # against the whole matrix of the oracle
+    plain = tuple(nabla(p).target_dim_in_degree(q) - full_nabla_matrix(p, q).rank()
+                  for q in range(4))
+    assert coker_dims(nabla(p), 3).dims == plain == expected
     weighted = coker_dims(nb, 3, weights=(base_w, bar_w))
     assert weighted.dims == _plain_coker(nb, 3) == expected
 
@@ -472,27 +451,29 @@ def test_weighted_rank_builds_only_the_symbols_it_ranks():
     base_w = [_unit(4, i) for i in range(4)]
     bar_w = [_pair_weights(4)[k] for k in quotient_pairs(p)]
     coker_dims(gm, 1, weights=(base_w, bar_w))
-    symbol = gm.blocks[0].symbol
-    nonempty = [j for j, terms in enumerate(composed_nabla_bar(p).blocks[0].symbol) if terms]
+    symbol = gm.symbol
+    nonempty = [j for j, terms in enumerate(composed_nabla_bar(p).symbol) if terms]
     assert sorted(symbol._built) == nonempty == [1, 2, 3]
 
 
 def test_weight_homogeneity_violation_detected():
     # e0^e1^e2 |-> x0 e12 + x1 e20 + x2 e01 lands on weights 1, 2 and 4
     gm = delta3(3)
-    with pytest.raises(InternalInconsistencyError, match="block wedge3 generator 0"):
+    with pytest.raises(InternalInconsistencyError, match="symbol of generator 0 "):
         coker_dims(gm, 2, weights=([(1,), (2,), (4,)], [(0,)] * gm.target_dim))
 
 
 def test_weights_are_always_checked():
     # a generator's weight is its triple's, certified on the cyclic sum's f
     # (test_weight_homogeneity_violation_detected); any other map is refused
-    # weights, even under a grading it preserves
+    # weights, even under a grading it preserves: a symbol given as tuples,
+    # and nabla, whose cyclic sum and relation e0^e1 (weight 3) are both
+    # homogeneous here but whose relations the buckets would leave out
     base_w = [(1,), (2,), (4,)]
     for gm, target_w in ((koszul_map(3, 2), base_w),
                          (nabla(LiePresentation.make(3, [{(0, 1): 1}])),
                           [(3,), (5,), (6,)])):
-        with pytest.raises(ValueError, match="one cyclic-sum block"):
+        with pytest.raises(ValueError, match="a cyclic sum with no relations"):
             coker_dims(gm, 3, weights=(base_w, target_w))
 
 
@@ -539,13 +520,12 @@ def test_coker_dims_and_action_share_each_degree(monkeypatch):
     gm = nabla(p)
     built = []
     instantiate = GradedMap.instantiate
-    monkeypatch.setattr(GradedMap, "instantiate", lambda self, q: built.append(
-        (tuple(b.name for b in self.blocks), q)) or instantiate(self, q))
+    monkeypatch.setattr(GradedMap, "instantiate",
+                        lambda self, q: built.append(q) or instantiate(self, q))
     dims = coker_dims(gm, 2)
     total, mats = coker_multiplication_action(gm, 2)
-    # per degree: the cyclic-sum block in degree q, and the relation block
-    # in degree 0, whose columns are monomial 0's (_leading_span)
-    once = [block for q in range(3) for block in ((("wedge3",), q), (("relations",), 0))]
+    # one instantiate per degree: the relations are seeded, not instantiated
+    once = [0, 1, 2]
     assert built == once and sorted(gm._matrices) == [0, 1, 2]
     assert total == sum(dims.dims)
     # the cache is no part of the map's value, and changes no answer
@@ -554,27 +534,30 @@ def test_coker_dims_and_action_share_each_degree(monkeypatch):
     assert coker_multiplication_action(fresh, 2) == (total, mats)
     assert built == once + once
     # the shared matrix holds the cyclic-sum columns alone, and its span
-    # is that of every column of instantiate(q): the action's quotient has
-    # inter-reduced it, so the reduced echelon forms are compared
+    # is that of every column of the whole matrix (full_nabla_matrix): the
+    # action's quotient has inter-reduced it, so the reduced echelon forms
+    # are compared
     for q in range(3):
         m = gm.matrix(q)
-        assert m == instantiate(GradedMap(gm.base_dim, gm.target_dim, gm.blocks[1:]), q)
-        plain = echelon_basis(instantiate(gm, q).numerator_columns())
+        assert m == instantiate(gm, q)
+        plain = echelon_basis(full_nabla_matrix(p, q).numerator_columns())
         assert m.column_span().vectors() == plain.vectors() and m.rank() == plain.rank
 
 
 def test_instantiate_brings_blocks_over_one_denominator():
-    # the relation is stored with lead 1 as (1, -4/3): a block over 3 beside
-    # the unit cyclic-sum block
+    # the relation is stored with lead 1 as (1, -4/3), so the class of e0^e1
+    # in wedge^2 V / R is 4/3 that of e1^e2: nabla-bar's symbol is over 3,
+    # and the degree-q matrix, one block of columns per monomial of
+    # Sym_{q-1}, holds every block over that one denominator
     p = LiePresentation.make(3, [{(0, 1): Fraction(1, 2), (1, 2): Fraction(-2, 3)}])
-    gm = nabla(p)
-    assert [b.den for b in gm.blocks] == [3, 1]
+    gm = nabla_bar(p)
+    assert gm.den == 3
     for q in range(3):
         m = gm.instantiate(q)
         expected = {}
         tgt_idx = monomial_index(3, q)
-        for col, (bi, mono, j) in enumerate(column_keys(gm, q)):
-            for row, c in gm.column(tgt_idx, bi, mono, j).items():
+        for col, (mono, j) in enumerate(column_keys(gm, q)):
+            for row, c in gm.column(tgt_idx, mono, j).items():
                 if c:
-                    expected[(row, col)] = Fraction(c, gm.blocks[bi].den)
+                    expected[(row, col)] = Fraction(c, gm.den)
         assert list(m.entries.items()) == list(expected.items())

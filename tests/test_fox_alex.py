@@ -359,10 +359,10 @@ def test_orbit_sweep_ranks_once_per_unit_orbit(monkeypatch, m):
 def test_orbit_sweep_pins():
     # the trefoil's Alexander polynomial t^2 - t + 1 vanishes at the primitive
     # 6th roots, one Galois orbit {(1, 1), (5, 5)}
-    found = [rho.torsion_exponents() for rho in torsion_sweep(TREFOIL, 6, 1)]
+    found = [rho.torsion_exponents for rho in torsion_sweep(TREFOIL, 6, 1)]
     assert found == [(0, 0), (1, 1), (5, 5)]
     # x^3 = 1 leaves x = zeta_6^a with a even; odd a are not characters
-    found = [rho.torsion_exponents() for rho in torsion_sweep(X3_COMMUTING, 6, 1)]
+    found = [rho.torsion_exponents for rho in torsion_sweep(X3_COMMUTING, 6, 1)]
     assert found == [(0, 0)]
     with pytest.raises(CharacterError):
         twisted_h1_dim(X3_COMMUTING, Character.torsion(6, (1, 0)))
@@ -372,20 +372,20 @@ def test_orbit_sweep_pins():
 def test_kunneth_f2xf2_members(m):
     # H_1(F_2 x F_2; C_rho) != 0 exactly when rho is trivial on one factor
     p = GroupPresentation.make(4, [(x, y, -x, -y) for x in (1, 2) for y in (3, 4)])
-    found = [rho.torsion_exponents() for rho in torsion_sweep(p, m, 1)]
+    found = [rho.torsion_exponents for rho in torsion_sweep(p, m, 1)]
     assert len(found) == 2 * m * m - 1
     assert found == [e for e in product(range(m), repeat=4)
                      if not any(e[:2]) or not any(e[2:])]
 
 
 def test_torsion_exponents():
-    assert Character.torsion(6, (1, -1, 7)).torsion_exponents() == (1, 5, 1)
-    assert Character.torsion(1, (0, 0)).torsion_exponents() == (0, 0)
-    assert Character.parse("zeta_4^3, 1").torsion_exponents() == (3, 0)
-    assert Character.rational([1, -1]).torsion_exponents() is None
+    assert Character.torsion(6, (1, -1, 7)).torsion_exponents == (1, 5, 1)
+    assert Character.torsion(1, (0, 0)).torsion_exponents == (0, 0)
+    assert Character.parse("zeta_4^3, 1").torsion_exponents == (3, 0)
+    assert Character.rational([1, -1]).torsion_exponents is None
     # rational values that are not powers of zeta_m, and -1 in Q(zeta_3)
-    assert Character.parse("zeta_3, 2").torsion_exponents() is None
-    assert Character.parse("zeta_3, -1").torsion_exponents() is None
+    assert Character.parse("zeta_3, 2").torsion_exponents is None
+    assert Character.parse("zeta_3, -1").torsion_exponents is None
 
 
 def test_bin_evaluation_matches_zeta_products():
@@ -459,14 +459,14 @@ def test_rank_mod_p_agrees_with_the_exact_rank(m):
     groups = _commutator_presentations(m, 6) + [TREFOIL, F2XZ, X3_COMMUTING]
     for p in groups:
         for rho in _characters(p, m):
-            assert twisted_h1_dim(p, rho) == _exact_h1(p, rho), (p, rho.torsion_exponents())
+            assert twisted_h1_dim(p, rho) == _exact_h1(p, rho), (p, rho.torsion_exponents)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 12])
 def test_rank_mod_p_agrees_with_the_exact_rank_f2xf2(m):
     for rho in _characters(F2XF2, m):
-        assert twisted_h1_dim(F2XF2, rho) == _exact_h1(F2XF2, rho), rho.torsion_exponents()
+        assert twisted_h1_dim(F2XF2, rho) == _exact_h1(F2XF2, rho), rho.torsion_exponents
 
 
 def _primes_in_window(lo, hi):
@@ -496,7 +496,7 @@ def _counting_evaluate(monkeypatch):
     evaluate = LaurentMatrix.evaluate
 
     def counted(self, rho):
-        calls.append(rho.torsion_exponents())
+        calls.append(rho.torsion_exponents)
         return evaluate(self, rho)
 
     monkeypatch.setattr(LaurentMatrix, "evaluate", counted)

@@ -13,7 +13,7 @@ from infalex import johnson
 from infalex.alex_module import coker_dims, monomial_index, monomials, nabla, nabla_bar
 from infalex.cli import main
 from infalex.errors import BudgetExceededError, InternalInconsistencyError
-from infalex.exact_linalg import EchelonBasis, axpy, echelon_basis
+from infalex.exact_linalg import axpy, echelon_basis
 from infalex.free_lie import ad_generator_matrix
 from infalex.quad_lie import LiePresentation, _ideal_echelon, bb_direct
 from infalex.johnson import (JohnsonContext, central_z_check, decompose_wedge2_V,
@@ -62,10 +62,9 @@ def test_dim_v_formula():
 
 def test_build_q_shape_g3():
     gm = johnson_context(3).q_map()
-    block = gm.blocks[0]
-    assert len(block.symbol) == 364    # C(14, 3)
+    assert len(gm.symbol) == 364    # C(14, 3)
     assert gm.target_dim == 90
-    assert block.shift == 1
+    assert gm.relations == ()
 
 
 def test_symbol_has_three_terms_before_projection():
@@ -78,7 +77,7 @@ def test_symbol_has_three_terms_before_projection():
     rng = random.Random(0)
     for _ in range(10):
         j = rng.randrange(len(tri))
-        variables = {i for (i, _k, _c) in gm.blocks[0].symbol[j]}
+        variables = {i for (i, _k, _c) in gm.symbol[j]}
         assert variables <= set(tri[j])
 
 
@@ -461,16 +460,18 @@ def test_coker_q_matches_presentation_route_g4():
 
 @pytest.mark.slow
 def test_coker_q_matches_nabla_route_g4():
-    # independent matrix: nabla keeps the relations as a source block and
-    # targets Sym (x) wedge^2 V, so it never uses beta; it is equivariant
-    # too, since its relations are weight vectors, so it is ranked bucket by
-    # bucket through the test oracles, every symbol walked
+    # independent matrix: nabla keeps the relations beside the cyclic sum
+    # and targets Sym (x) wedge^2 V, so it never uses beta; it is
+    # equivariant too, since its relations are weight vectors, so it is
+    # ranked bucket by bucket through the test oracles, every symbol walked
+    # and the rows of Sym_q (x) R in the buckets of their weight
     ctx = johnson_context(4)
     gm = nabla(presentation_with_z(ctx))
-    base_w = ctx.V.weights
-    gen_w = generator_weights(gm, base_w, ctx.W2.weights)
+    base_w, target_w = ctx.V.weights, ctx.W2.weights
+    gen_w = generator_weights(gm, base_w, target_w)
     dims_nabla = tuple(gm.target_dim_in_degree(q)
-                       - sum(_bucket_ranks(gm, q, base_w, gen_w).values()) for q in range(2))
+                       - sum(_bucket_ranks(gm, q, base_w, target_w, gen_w).values())
+                       for q in range(2))
     assert dims_nabla == johnson_module_dims(4, 1).coker_q
 
 
@@ -478,19 +479,11 @@ def test_coker_q_matches_nabla_route_g4():
 # the orbit route: one dominant bucket per Weyl orbit
 # ---------------------------------------------------------------------------
 
-def _bucket_rank(gm, tgt_idx, keys):
-    eb = EchelonBasis()
-    for key in keys:
-        eb.add(gm.column(tgt_idx, *key))
-    return eb.rank
-
-
-def _bucket_ranks(gm, q, base_w, gen_w):
+def _bucket_ranks(gm, q, base_w, target_w, gen_w):
     # weight -> the rank of its degree-q bucket, every bucket listed by the
     # oracle weight_buckets
-    tgt_idx = monomial_index(gm.base_dim, q)
-    return {w: _bucket_rank(gm, tgt_idx, keys)
-            for w, keys in weight_buckets(gm, q, base_w, gen_w).items()}
+    return {w: echelon_basis(columns).rank
+            for w, columns in weight_buckets(gm, q, base_w, target_w, gen_w).items()}
 
 
 def _check_orbit_route(g, max_degree):
@@ -503,7 +496,7 @@ def _check_orbit_route(g, max_degree):
     gen_w = generator_weights(gm, base_w, target_w)
     full = []
     for q in range(max_degree + 1):
-        ranks = _bucket_ranks(gm, q, base_w, gen_w)
+        ranks = _bucket_ranks(gm, q, base_w, target_w, gen_w)
         for mu in {ctx.spec.dominant(w) for w in ranks}:
             assert len({ranks.get(w, 0) for w in weyl_orbit(mu)}) == 1, (q, mu)
         full.append(gm.target_dim_in_degree(q) - sum(ranks.values()))
@@ -525,8 +518,8 @@ def test_every_symbol_of_q_has_its_triples_weight(g, empty):
     base_w, target_w = ctx.weight_data()
     triples = itertools.combinations(range(ctx.V.dimension), 3)
     sums = [tuple(map(sum, zip(*(base_w[i] for i in t)))) for t in triples]
-    (walked,) = generator_weights(gm, base_w, target_w)
-    assert len(gm.blocks[0].symbol._built) == len(walked) == len(sums)
+    walked = generator_weights(gm, base_w, target_w)
+    assert len(gm.symbol._built) == len(walked) == len(sums)
     assert sum(w is None for w in walked) == empty
     assert all(w is None or w == s for w, s in zip(walked, sums))
 
@@ -543,7 +536,7 @@ def test_weight_certificate_refuses_a_beta_row_of_the_wrong_weight():
     with pytest.raises(InternalInconsistencyError,
                        match="not weight homogeneous of its triple's weight"):
         coker_dims(gm, 1, weights=(base_w, wrong), weyl=ctx.spec)
-    assert not gm.blocks[0].symbol._built
+    assert not gm.symbol._built
     assert coker_dims(gm, 1, weights=(base_w, target_w), weyl=ctx.spec).dims == (90, 896)
 
 
@@ -551,8 +544,8 @@ def test_weight_certificate_refuses_a_beta_row_of_the_wrong_weight():
                                  slice(4, -4, 7), slice(-3, 2, -5), slice(8, 2), slice(-999, 999)])
 def test_symbol_of_q_reads_as_the_tuple_of_its_triples(key):
     # each read on a symbol with nothing built yet
-    symbol = JohnsonContext(3).q_map().blocks[0].symbol
-    assert symbol[key] == tuple(JohnsonContext(3).q_map().blocks[0].symbol)[key]
+    symbol = JohnsonContext(3).q_map().symbol
+    assert symbol[key] == tuple(JohnsonContext(3).q_map().symbol)[key]
     assert all(0 <= j < len(symbol) for j in symbol._built)
     with pytest.raises(IndexError):
         symbol[-len(symbol) - 1]
@@ -564,7 +557,7 @@ def test_johnson_run_builds_only_the_symbols_of_dominant_buckets_g4(fresh_contex
     # of dominant weight
     assert johnson_module_dims(4, 1).coker_q == (308, 1232)
     ctx = johnson_context(4)
-    symbol = ctx.q_map().blocks[0].symbol
+    symbol = ctx.q_map().symbol
     base_w = ctx.V.weights
     triples = list(itertools.combinations(range(ctx.V.dimension), 3))
     built = [tuple(map(sum, zip(*(base_w[i] for i in triples[j])))) for j in symbol._built]
@@ -606,16 +599,16 @@ def test_orbit_route_at_g5_with_uneven_zero_columns(capsys, fresh_contexts):
     # the degree-1 columns of weight w: one per generator of weight w, whose
     # weight the running route takes from its triple (the symbol walk checks
     # that at genus 3 and 4), so no other symbol is built here
-    (block,) = gm.blocks
-    of_weight = block.symbol.generators_by_weight(*ctx.weight_data(), block.name)
+    of_weight = gm.symbol.generators_by_weight(*ctx.weight_data())
     (one,) = monomials(gm.base_dim, 0)
-    buckets = {w: [(0, one, j) for j in of_weight(w)] for w in weyl_orbit((2, 1, 0, 0, 0))}
+    buckets = {w: of_weight(w) for w in weyl_orbit((2, 1, 0, 0, 0))}
     # the orbit of (2, 1, 0, 0, 0): its buckets differ in column count, yet
     # each has the same rank
-    orbit = [w for w, keys in buckets.items() if keys]
+    orbit = [w for w, js in buckets.items() if js]
     assert len(orbit) == 80 and len({len(buckets[w]) for w in orbit}) > 1
     tgt_idx = monomial_index(gm.base_dim, 1)
-    assert len({_bucket_rank(gm, tgt_idx, buckets[w]) for w in orbit}) == 1
+    assert len({echelon_basis(gm.column(tgt_idx, one, j) for j in buckets[w]).rank
+                for w in orbit}) == 1
     assert main(["johnson", "--genus", "5", "--max-degree", "1", "--allow-large"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["coker_q"] == [780, 4212]

@@ -10,7 +10,7 @@ import json
 import textwrap
 import types
 from itertools import combinations, combinations_with_replacement
-from math import lcm
+from math import comb, lcm
 from operator import add
 
 import pytest
@@ -260,24 +260,33 @@ def test_r_free_pairs_mutant_exits_4(capsys, fresh_contexts, weights_off_the_fre
     assert out["error"] == "inconsistency" and "triple's weight" in out["detail"]
 
 
-# -- the span of nabla's relation block, seeded by shifting -------------------------
+# -- the span of nabla's relations, seeded by shifting in matrix(q) -----------------
+
+def _seeded_matrix(shift_by):
+    """GradedMap.matrix with the relations of monomial t seeded on the rows
+    of monomial shift_by(t), or with no span seeded when shift_by is None."""
+    def mutant(self, q):
+        m = self._matrices.get(q)
+        if m is None:
+            m = self._matrices[q] = self.instantiate(q)
+            if shift_by is not None:
+                span = EchelonBasis()
+                for t in range(sym_dim(self.base_dim, q)):
+                    off = shift_by(t) * self.target_dim
+                    for row in self.relations:
+                        span.rows[row[0][0] + off] = {k + off: x for k, x in row}
+                m.seed_span(span)
+        return m
+
+    return mutant
+
 
 @pytest.fixture
 def copies_one_monomial_up(monkeypatch):
-    """_leading_span with the rows of monomial t copied to those of monomial
-    t + 1: monomial 1 is left without rows, and the last copy lands past the
+    """matrix(q) seeding the relations of monomial t on the rows of monomial
+    t + 1: monomial 0 is left without rows, and the last copy lands past the
     last row of the degree."""
-    def mutant(self, q):
-        first = GradedMap(self.base_dim, self.target_dim, self.blocks[:1]).instantiate(0)
-        span = exact_linalg.echelon_basis(first.numerator_columns())
-        rows = [(lead, list(row.items())) for lead, row in span.rows.items()]
-        for t in range(1, sym_dim(self.base_dim, q)):
-            off = (t + 1) * self.target_dim
-            for lead, items in rows:
-                span.rows[lead + off] = {k + off: x for k, x in items}
-        return span
-
-    monkeypatch.setattr(GradedMap, "_leading_span", mutant)
+    monkeypatch.setattr(GradedMap, "matrix", _seeded_matrix(lambda t: t + 1))
 
 
 def test_misplaced_copies_mutant_fails_the_seeded_span_property(copies_one_monomial_up,
@@ -293,94 +302,57 @@ def test_misplaced_copies_mutant_fails_the_nabla_cross_check(copies_one_monomial
 
 
 @pytest.fixture
-def seed_from_any_first_block(monkeypatch):
-    """matrix(q) taking the first block's span by shifting whatever its
-    shift, so also for the shift-1 cyclic sum of delta3, nabla-bar and q:
-    that block has no columns in degree 0, and its span is left empty."""
-    def mutant(self, q):
-        m = self._matrices.get(q)
-        if m is None:
-            m = GradedMap(self.base_dim, self.target_dim, self.blocks[1:]).instantiate(q)
-            if self.blocks:
-                m.seed_span(self._leading_span(q))
-            self._matrices[q] = m
-        return m
-
-    monkeypatch.setattr(GradedMap, "matrix", mutant)
+def relations_unseeded(monkeypatch):
+    """matrix(q) as instantiate(q) with no span seeded: nabla is ranked
+    without its relations."""
+    monkeypatch.setattr(GradedMap, "matrix", _seeded_matrix(None))
 
 
-def test_any_block_seed_mutant_fails_the_seeded_span_property(seed_from_any_first_block,
-                                                              first_failure_reported):
-    with pytest.raises(AssertionError):
-        test_alex_module.test_property_seeded_span_matches_plain_elimination()
-
-
-def test_any_block_seed_mutant_fails_the_free_nabla_check(seed_from_any_first_block):
-    # with no relation, nabla and delta3 have one cokernel
-    with pytest.raises(AssertionError):
-        test_alex_module.test_nabla_free_equals_delta3()
-
-
-@pytest.fixture
-def later_blocks_unseeded(monkeypatch):
-    """matrix(q) holding the later blocks' columns of a map whose first
-    block has shift 0, with no span seeded from the first block: nabla is
-    ranked without its relation columns."""
-    def mutant(self, q):
-        m = self._matrices.get(q)
-        if m is None:
-            if self.blocks and self.blocks[0].shift == 0:
-                m = GradedMap(self.base_dim, self.target_dim, self.blocks[1:]).instantiate(q)
-            else:
-                m = self.instantiate(q)
-            self._matrices[q] = m
-        return m
-
-    monkeypatch.setattr(GradedMap, "matrix", mutant)
-
-
-def test_unseeded_mutant_fails_the_seeded_span_property(later_blocks_unseeded,
+def test_unseeded_mutant_fails_the_seeded_span_property(relations_unseeded,
                                                         first_failure_reported):
     with pytest.raises(AssertionError):
         test_alex_module.test_property_seeded_span_matches_plain_elimination()
 
 
-def test_unseeded_mutant_fails_the_nabla_cross_check(later_blocks_unseeded):
+def test_unseeded_mutant_fails_the_nabla_cross_check(relations_unseeded):
     # criterion 3: nabla, nabla-bar and direct dims on 54 presentations
     with pytest.raises(AssertionError):
         test_acceptance.test_criterion_3_presentation_oracle_equivalence()
 
 
-# -- nabla's relation block, read off the stored rows of relation_span() ------------
+# -- nabla's relations, read off the stored rows of relation_span() ------------------
 
-def _relation_block_from(order, scaled):
-    """alex_module._relation_block with the rows taken in lead order, or in
-    the span's dict order, and scaled over lcm(leads), or left primitive
-    over den 1."""
+def _nabla_with_relations(order, scaled):
+    """alex_module.nabla with the relations taken in lead order, or in the
+    span's dict order, and primitive, or each scaled by lcm(leads) / lead."""
     def mutant(p):
+        n = p.dim_v
         rows = list(p.relation_span().rows.items())
         if order == "lead":
             rows.sort()
         den = lcm(*(row[l] for l, row in rows)) if scaled else 1
-        symbol = tuple(tuple((None, k, c * (den // row[l] if scaled else 1))
-                             for k, c in sorted(row.items())) for l, row in rows)
-        return alex_module.SymbolBlock("relations", 0, symbol, den)
+        relations = tuple(tuple((k, c * (den // row[l] if scaled else 1))
+                                for k, c in sorted(row.items())) for l, row in rows)
+        return GradedMap(n, comb(n, 2), alex_module._cyclic_block(n), relations=relations)
 
     return mutant
 
 
 @pytest.fixture
 def relation_rows_over_den_1(monkeypatch):
-    """The relation block as the primitive rows over 1: the same span, other
-    entries."""
-    monkeypatch.setattr(alex_module, "_relation_block", _relation_block_from("lead", False))
+    """nabla's relations as numerators over lcm(leads) taken over 1, each
+    row times lcm(leads) / lead, everywhere nabla is bound: the same span,
+    rows scaled off primitive."""
+    for module in (alex_module, test_alex_module):
+        monkeypatch.setattr(module, "nabla", _nabla_with_relations("lead", True))
 
 
 @pytest.fixture
 def relation_rows_in_dict_order(monkeypatch):
-    """The relation block with its rows in the order the span stored them,
-    not in lead order."""
-    monkeypatch.setattr(alex_module, "_relation_block", _relation_block_from("dict", True))
+    """nabla's relations in the order the span stored them, not in lead
+    order, everywhere nabla is bound."""
+    for module in (alex_module, test_alex_module):
+        monkeypatch.setattr(module, "nabla", _nabla_with_relations("dict", False))
 
 
 def test_den_1_relation_mutant_fails_the_rref_numerators_property(relation_rows_over_den_1,
@@ -441,7 +413,7 @@ def _orbit_route_against_plain_rank_g3():
 def triple_weight_from_two_of_its_three(monkeypatch):
     """Each generator of a cyclic sum weighed by w_b + w_c, dropping the w_a
     of its triple a < b < c; empty symbols still join no bucket."""
-    def mutant(self, base_weights, target_weights, name):
+    def mutant(self, base_weights, target_weights):
         grouped: dict = {}
         for j, (_a, b, c) in enumerate(combinations(range(self.n), 3)):
             if self[j]:
@@ -565,7 +537,7 @@ def twisted_h1_trusting(trusted):
         fox_alex._check_character(p, rho)
         if rho.is_trivial():
             return fox_alex.betti_one(p)
-        n, exps = p.num_generators, rho.torsion_exponents()
+        n, exps = p.num_generators, rho.torsion_exponents
         if exps is not None:
             rank_p = p.alexander.rank_mod_p(exps, rho.cyclotomic_order())
             if trusted(rank_p, n):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -234,6 +235,18 @@ def test_step_order_edge_cases():
     assert _filtrations_agree(3, []) == 1
     assert _filtrations_agree(0, [RationalMatrix(0, 0)]) == 0
     assert _filtrations_agree(2, [RationalMatrix(2, 2), RationalMatrix(2, 2)]) == 1
+
+
+def test_no_step_builds_no_unit_vector():
+    # with no step I = 0, so I M = 0 on any nonzero M: the exponent is 1,
+    # read without one unit vector of M (200,000 of them held about 50 MB)
+    tracemalloc.start()
+    try:
+        assert is_nilpotent(FinDimLaurentModule.make(200_000, [])) == (True, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_step_order_matches_plain_filtration_jordan():
